@@ -217,16 +217,66 @@ def _checked(G, w: Witness) -> Witness:
 # Complete bipartite detectors
 # ---------------------------------------------------------------------------
 
-def _kst_impl(G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool):
-    """Backtracking K_{s,t} search.
+def _color_matching(pairs, t: int, clock: _Clock) -> bool:
+    """Whether the color pairs (c(a,w), c(b,w)) of the candidates w of a
+    pair {a, b} hold t pairs with distinct first and distinct second colors.
 
-    s-subsets S are enumerated ascending; T is grown from the common
-    neighbors whose star to S is rainbow, keeping per-S-vertex used-color
-    sets (properly colored mode) or one global used set (rainbow mode).
+    This is a matching of size t in the bipartite graph joining a-colors to
+    b-colors, one edge per candidate, so it decides whether a properly
+    colored K_{2,t} sits on {a, b}. Reading the candidates costs one tick
+    each, and Kuhn's augmenting paths one tick per edge they look at; they
+    stop as soon as the matching reaches size t.
+    """
+    clock.tick(len(pairs))
+    options: dict[int, list[int]] = {}
+    for ca, cb in pairs:
+        options.setdefault(ca, []).append(cb)
+    # t colors on each side are needed. For t = 2 they also suffice (Koenig):
+    # a size-2 matching is missing only when one color covers every edge.
+    if len(options) < t or len({cb for _, cb in pairs}) < t:
+        return False
+    owner: dict[int, int] = {}  # b-color -> the a-color matched to it
+
+    def augment(ca: int, seen: set[int]) -> bool:
+        for cb in options[ca]:
+            clock.tick()
+            if cb in seen:
+                continue
+            seen.add(cb)
+            if cb not in owner or augment(owner[cb], seen):
+                owner[cb] = ca
+                return True
+        return False
+
+    size = 0
+    for ca in options:
+        if augment(ca, set()):
+            size += 1
+            if size == t:
+                return True
+    return False
+
+
+def _kst_impl(G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool):
+    """K_{s,t} search: s-subsets S ascending, T grown by backtracking.
+
+    T is grown from the common neighbors whose star to S is rainbow, in
+    ascending order, keeping a used-color set per S-vertex (properly colored
+    mode) or one set shared by all of S (rainbow mode); the first T found is
+    the lexicographically least one for the first S that has any.
+
+    For properly colored K_{2,t} the backtracking runs only on the first
+    pair that _color_matching accepts, which yields the same witness, so
+    the search costs O(pairs x candidates) for t = 2 and
+    O(pairs x t x candidates) for larger t.
+    Each pair costs one tick, the matching one tick per candidate it reads
+    and per edge its augmenting paths look at, and the backtracking one tick
+    per candidate it tries.
     """
     n = G.n
     nbr = G.neighbor_sets
     colors = G.pair_colors
+    by_matching = s == 2 and not rainbow
 
     for S in combinations(range(n), s):
         clock.tick()
@@ -248,53 +298,33 @@ def _kst_impl(G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool)
                 star[w] = cols
         if len(candidates) < t:
             continue
+        if by_matching and not _color_matching(star.values(), t, clock):
+            continue
 
         chosen: list[int] = []
-        if rainbow:
-            used: set[int] = set()
+        # One set per S-vertex, or in rainbow mode one set standing for all.
+        used_at = [set()] * s if rainbow else [set() for _ in S]
 
-            def extend(start: int) -> bool:
-                if len(chosen) == t:
+        def extend(start: int) -> bool:
+            if len(chosen) == t:
+                return True
+            for idx in range(start, len(candidates)):
+                if len(candidates) - idx < t - len(chosen):
+                    return False
+                w = candidates[idx]
+                clock.tick()
+                cols = star[w]
+                if any(c in used for c, used in zip(cols, used_at)):
+                    continue
+                chosen.append(w)
+                for c, used in zip(cols, used_at):
+                    used.add(c)
+                if extend(idx + 1):
                     return True
-                for idx in range(start, len(candidates)):
-                    if len(candidates) - idx < t - len(chosen):
-                        return False
-                    w = candidates[idx]
-                    clock.tick()
-                    cols = star[w]
-                    if any(c in used for c in cols):
-                        continue
-                    chosen.append(w)
-                    used.update(cols)
-                    if extend(idx + 1):
-                        return True
-                    chosen.pop()
-                    used.difference_update(cols)
-                return False
-
-        else:
-            used_at: list[set[int]] = [set() for _ in S]
-
-            def extend(start: int) -> bool:
-                if len(chosen) == t:
-                    return True
-                for idx in range(start, len(candidates)):
-                    if len(candidates) - idx < t - len(chosen):
-                        return False
-                    w = candidates[idx]
-                    clock.tick()
-                    cols = star[w]
-                    if any(cols[i] in used_at[i] for i in range(s)):
-                        continue
-                    chosen.append(w)
-                    for i in range(s):
-                        used_at[i].add(cols[i])
-                    if extend(idx + 1):
-                        return True
-                    chosen.pop()
-                    for i in range(s):
-                        used_at[i].discard(cols[i])
-                return False
+                chosen.pop()
+                for c, used in zip(cols, used_at):
+                    used.discard(c)
+            return False
 
         if extend(0):
             T = tuple(chosen)
@@ -308,34 +338,36 @@ def _kst_impl(G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool)
     return None
 
 
+def _run_kst(G, s, t, budget, rainbow: bool) -> SearchOutcome:
+    if not isinstance(s, int) or not isinstance(t, int) or s < 1 or t < 1:
+        raise ValueError(f"s and t must be positive integers, got {s!r}, {t!r}")
+    clock = _Clock(budget)
+    try:
+        w = _kst_impl(G, s, t, clock, rainbow)
+    except _BudgetStop:
+        return _outcome(BUDGET_EXCEEDED, None, clock)
+    return _outcome(FOUND if w else EXHAUSTED, w, clock)
+
+
 def find_pc_kst(
     G: EdgeColoredGraph, s: int, t: int, budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
     """Search for a properly colored K_{s,t}: disjoint vertex sets S (size s)
     and T (size t), complete bipartite in G, where every S-vertex sees t
-    distinct colors and every T-vertex sees s distinct colors."""
-    if not isinstance(s, int) or not isinstance(t, int) or s < 1 or t < 1:
-        raise ValueError(f"s and t must be positive integers, got {s!r}, {t!r}")
-    clock = _Clock(budget)
-    try:
-        w = _kst_impl(G, s, t, clock, rainbow=False)
-    except _BudgetStop:
-        return _outcome(BUDGET_EXCEEDED, None, clock)
-    return _outcome(FOUND if w else EXHAUSTED, w, clock)
+    distinct colors and every T-vertex sees s distinct colors.
+
+    For s = 2 each vertex pair is decided by a color-pair matching (see
+    _color_matching), in O(pairs x candidates) time for t = 2; s >= 3
+    backtracks.
+    """
+    return _run_kst(G, s, t, budget, rainbow=False)
 
 
 def find_rainbow_kst(
     G: EdgeColoredGraph, s: int, t: int, budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
     """Like find_pc_kst but all s*t edge colors must be pairwise distinct."""
-    if not isinstance(s, int) or not isinstance(t, int) or s < 1 or t < 1:
-        raise ValueError(f"s and t must be positive integers, got {s!r}, {t!r}")
-    clock = _Clock(budget)
-    try:
-        w = _kst_impl(G, s, t, clock, rainbow=True)
-    except _BudgetStop:
-        return _outcome(BUDGET_EXCEEDED, None, clock)
-    return _outcome(FOUND if w else EXHAUSTED, w, clock)
+    return _run_kst(G, s, t, budget, rainbow=True)
 
 
 # ---------------------------------------------------------------------------
@@ -559,28 +591,25 @@ def pc_short_cycle_pipeline(
 
     try:
         w = _kst_impl(G, 2, 2, clock, rainbow=False)
-    except _BudgetStop:
-        return _outcome(BUDGET_EXCEEDED, None, clock, **details)
-    if w is not None:
-        details["stage"] = 1
-        return _outcome(FOUND, _kst_to_c4_witness(G, w), clock, **details)
+        if w is not None:
+            details["stage"] = 1
+            return _outcome(FOUND, _kst_to_c4_witness(G, w), clock, **details)
 
-    if G.n > 2:
-        _, D, _report = construct_orientation(G, 2, 2)
-        min_dplus = min(D.out_degree(v) for v in range(G.n))
-        target = math.ceil(G.n / r)
-        details["min_outdegree"] = min_dplus
-        details["outdegree_target"] = target
-        details["outdegree_margin"] = min_dplus - target
-        sdc = shortest_directed_cycle(D)
-        clock.tick(sdc.nodes)
-        if sdc.status == FOUND and len(sdc.witness.vertices[0]) <= r:
-            details["stage"] = 2
-            return _outcome(
-                FOUND, _directed_to_pc_witness(G, sdc.witness), clock, **details
-            )
+        if G.n > 2:
+            _, D, _report = construct_orientation(G, 2, 2)
+            min_dplus = min(D.out_degree(v) for v in range(G.n))
+            target = math.ceil(G.n / r)
+            details["min_outdegree"] = min_dplus
+            details["outdegree_target"] = target
+            details["outdegree_margin"] = min_dplus - target
+            sdc = shortest_directed_cycle(D)
+            clock.tick(sdc.nodes)
+            if sdc.status == FOUND and len(sdc.witness.vertices[0]) <= r:
+                details["stage"] = 2
+                return _outcome(
+                    FOUND, _directed_to_pc_witness(G, sdc.witness), clock, **details
+                )
 
-    try:
         w = _pc_cycle_impl(G, r, clock)
     except _BudgetStop:
         return _outcome(BUDGET_EXCEEDED, None, clock, **details)

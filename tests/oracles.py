@@ -38,15 +38,24 @@ def _rainbow_kst_ok(cmap, S, T):
     return len(set(cols)) == len(cols)
 
 
-def brute_pc_kst_exists(G, s, t) -> bool:
+def first_pc_kst_witness(G, s, t):
+    """(S, T) of the first properly colored K_{s,t}, or None.
+
+    S is the lexicographically first s-subset that carries one, and T the
+    lexicographically first t-subset of the vertices outside S that completes
+    it."""
     cmap = _color_map(G)
     verts = range(G.n)
     for S in combinations(verts, s):
         rest = [v for v in verts if v not in S]
         for T in combinations(rest, t):
             if _complete_bipartite(cmap, S, T) and _pc_kst_ok(cmap, S, T):
-                return True
-    return False
+                return S, T
+    return None
+
+
+def brute_pc_kst_exists(G, s, t) -> bool:
+    return first_pc_kst_witness(G, s, t) is not None
 
 
 def brute_rainbow_kst_exists(G, s, t) -> bool:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from chroma.constructions import (
     blowup_cycle_signature,
     circulant_tournament,
     directed_cycle,
+    extremal_no_pc_c4,
     random_edge_colored_graph,
     random_oriented_graph,
     random_proper_complete_bipartite,
@@ -31,6 +33,7 @@ from chroma.detectors import (
     shortest_directed_cycle,
     verify_witness,
 )
+from chroma.extraction import construct_orientation
 from chroma.transforms import blow_up, signature
 
 from oracles import (
@@ -39,6 +42,7 @@ from oracles import (
     brute_pc_cycle_lengths,
     brute_pc_kst_exists,
     brute_rainbow_kst_exists,
+    first_pc_kst_witness,
 )
 
 
@@ -105,6 +109,87 @@ class TestFindPcKst:
         for s, t in ((1, 2), (2, 2), (2, 3)):
             got = find_pc_kst(G, s, t, None).status == FOUND
             assert got == brute_pc_kst_exists(G, s, t)
+
+
+@st.composite
+def dense_colored_graphs(draw):
+    """Graphs drawn pair by pair: a color, or -1 for no edge. With up to 2n
+    colors most pairs are edges and common neighborhoods are dense."""
+    n = draw(st.integers(4, 9))
+    k = draw(st.integers(2, 2 * n))
+    pairs = list(combinations(range(n), 2))
+    codes = draw(st.lists(st.integers(-1, k - 1), min_size=len(pairs), max_size=len(pairs)))
+    return EdgeColoredGraph(n, [(u, v, c) for (u, v), c in zip(pairs, codes) if c >= 0])
+
+
+def pair_with_color_pairs(color_pairs):
+    """Vertices 0 and 1 joined to 2, 3, ... by edges colored (a, b) in turn."""
+    edges = []
+    for w, (a, b) in enumerate(color_pairs, start=2):
+        edges += [(0, w, a), (1, w, b)]
+    return EdgeColoredGraph(len(color_pairs) + 2, edges)
+
+
+class TestPcK2tMatching:
+    """find_pc_kst with s = 2 against the brute-force first witness."""
+
+    @staticmethod
+    def assert_matches_oracle(G, t):
+        out = find_pc_kst(G, 2, t)
+        expected = first_pc_kst_witness(G, 2, t)
+        if expected is None:
+            assert out.status == EXHAUSTED and out.witness is None
+        else:
+            assert out.status == FOUND
+            assert out.witness.vertices == expected
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_graphs(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(5, 10)
+        G = random_edge_colored_graph(n, rng.choice([0.6, 0.9, 1.0]), rng.choice([3, 8, 30]), seed)
+        for t in range(2, 6):
+            self.assert_matches_oracle(G, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_colored_graphs())
+    def test_dense_many_colors(self, G):
+        for t in range(2, 6):
+            self.assert_matches_oracle(G, t)
+
+    def test_augmenting_path_reroutes(self):
+        # a-color 10 first takes b-color 20 and must give it up to a-color 11.
+        G = pair_with_color_pairs([(10, 20), (10, 21), (11, 20), (12, 22)])
+        out = find_pc_kst(G, 2, 3)
+        assert out.status == FOUND
+        assert out.witness.vertices == ((0, 1), (3, 4, 5))
+        # Without b-color 21 the color pairs hold only a matching of size 2.
+        G = pair_with_color_pairs([(10, 20), (10, 20), (11, 20), (12, 22)])
+        assert find_pc_kst(G, 2, 3).status == EXHAUSTED
+        assert find_pc_kst(G, 2, 2).status == FOUND
+
+    def test_t2_single_covering_color(self):
+        # Every candidate shares its a-color: no PC C4 on {0, 1}.
+        assert find_pc_kst(pair_with_color_pairs([(5, 1), (5, 2), (5, 3)]), 2, 2).status == EXHAUSTED
+        out = find_pc_kst(pair_with_color_pairs([(5, 1), (5, 2), (6, 1)]), 2, 2)
+        assert out.witness.vertices == ((0, 1), (3, 4))
+
+    def test_nodes_repeat_exactly(self):
+        for seed in range(10):
+            G = random_edge_colored_graph(25, 0.7, 6, seed)
+            copy = EdgeColoredGraph(G.n, G.edges)
+            for t in (2, 3, 4):
+                runs = [find_pc_kst(H, 2, t) for H in (G, G, copy)]
+                assert len({(o.status, o.nodes, o.witness) for o in runs}) == 1
+
+    def test_node_budget_stops_exhaustive_search(self):
+        G = signature(transitive_tournament(20))
+        for t in (2, 3):
+            full = find_pc_kst(G, 2, t)
+            assert full.status == EXHAUSTED
+            assert find_pc_kst(G, 2, t, SearchBudget(max_nodes=full.nodes)).status == EXHAUSTED
+            short = find_pc_kst(G, 2, t, SearchBudget(max_nodes=full.nodes - 1))
+            assert short.status == BUDGET_EXCEEDED and short.witness is None
 
 
 class TestFindRainbowKst:
@@ -256,6 +341,18 @@ class TestPipeline:
         assert out.status in (FOUND, BUDGET_EXCEEDED)  # stage 1 may find instantly
         out2 = pc_short_cycle_pipeline(mono_k(20), 4, SearchBudget(max_nodes=2))
         assert out2.status == BUDGET_EXCEEDED
+
+    def test_budget_running_out_in_stage2(self):
+        # Budgets from the end of stage 1 up to the end of stage 2 run out on
+        # the shortest-directed-cycle tick; they must end budget-exceeded.
+        G = extremal_no_pc_c4(3)
+        stage1 = find_pc_kst(G, 2, 2).nodes
+        sdc = shortest_directed_cycle(construct_orientation(G, 2, 2)[1]).nodes
+        for b in range(stage1 - 2, stage1 + sdc + 2):
+            out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=b))
+            assert out.status in (BUDGET_EXCEEDED, FOUND)
+            if stage1 <= b < stage1 + sdc:
+                assert out.status == BUDGET_EXCEEDED
 
 
 class TestDisjointPcCycles:

@@ -6,6 +6,7 @@ import pytest
 
 from chroma.constructions import extremal_no_pc_c4, transitive_tournament
 from chroma.core import EdgeColoredGraph
+from chroma.detectors import find_pc_kst
 from chroma.formats import save, strip_bipartition
 from chroma.suites import SUITE_NAMES, analyze, instance_digest, run_suite
 from chroma.transforms import signature
@@ -160,6 +161,20 @@ class TestCli:
         res = run_cli("find", "pc-kst", "-i", str(bad))
         assert res.returncode == 3
         assert "line 2" in res.stderr
+
+    def test_find_pipeline_budget_out_in_stage2(self, tmp_path):
+        # A node budget that runs out after stage 1 exits 2, not a traceback.
+        G = strip_bipartition(extremal_no_pc_c4(3))
+        ecg = tmp_path / "ext.ecg"
+        save(G, ecg)
+        budget = find_pc_kst(G, 2, 2).nodes
+        res = run_cli(
+            "find", "pipeline", "--max-len", "6", "-i", str(ecg),
+            "--budget-nodes", str(budget),
+        )
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert json.loads(res.stdout)["status"] == "budget-exceeded"
 
     def test_verify_suite(self, tmp_path):
         out = tmp_path / "rep.json"
