@@ -24,7 +24,7 @@ from .core import (
     side_proper_subgraph,
     total_color_degree,
 )
-from .transforms import DualVertexMap, blow_up, dual_graph, signature
+from .transforms import blow_up, dual_graph, signature
 from .extraction import (
     ExtractionParams,
     ExtractionResult,

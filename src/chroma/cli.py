@@ -43,36 +43,24 @@ def _budget(args) -> detectors.SearchBudget | None:
 
 
 def _write_output(obj, path) -> None:
-    if path is None or path == "-":
-        if isinstance(obj, EdgeColoredGraph):
-            try:
-                sys.stdout.write(formats.render_ecg(obj))
-            except ValueError:
-                sys.stderr.write(
-                    "note: bipartition is not prefix-representable; writing without it\n"
-                )
-                sys.stdout.write(formats.render_ecg(formats.strip_bipartition(obj)))
-        elif isinstance(obj, ColoredOrientation):
-            sys.stdout.write(formats.render_corg(obj))
-        else:
-            sys.stdout.write(formats.render_org(obj))
-        return
+    """Render obj and write it to path, or to stdout for None or "-"."""
     if isinstance(obj, EdgeColoredGraph):
         try:
-            formats.save(obj, path)
-            return
+            text = formats.render_ecg(obj)
         except ValueError:
             sys.stderr.write(
                 "note: bipartition is not prefix-representable; writing without it\n"
             )
-            formats.save(formats.strip_bipartition(obj), path)
-            return
-    formats.save(obj, path)
-
-
-def _load(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return formats.parse_auto(f.read())
+            text = formats.render_ecg(formats.strip_bipartition(obj))
+    elif isinstance(obj, ColoredOrientation):
+        text = formats.render_corg(obj)
+    else:
+        text = formats.render_org(obj)
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -83,17 +71,17 @@ def _cmd_gen(args) -> int:
     what = args.what
     seed = args.seed if args.seed is not None else _default_seed()
     if what == "signature":
-        D = _load(args.input)
+        D = formats.load(args.input)
         if not isinstance(D, OrientedGraph):
             raise ValueError("gen signature expects an .org input")
         out = transforms.signature(D)
     elif what == "dual":
-        G = _load(args.input)
+        G = formats.load(args.input)
         if not isinstance(G, EdgeColoredGraph):
             raise ValueError("gen dual expects an .ecg input")
         out = transforms.dual_graph(G)
     elif what == "blowup":
-        D = _load(args.input)
+        D = formats.load(args.input)
         if not isinstance(D, OrientedGraph):
             raise ValueError("gen blowup expects an .org input")
         out = transforms.blow_up(D, args.k)
@@ -134,17 +122,14 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_orient(args) -> int:
-    G = _load(args.input)
+    G = formats.load(args.input)
     if not isinstance(G, EdgeColoredGraph):
         raise ValueError("orient expects an .ecg input")
     if G.bipartition is not None and not args.general:
         H, D, report = extraction.construct_orientation_bipartite(G, args.s, args.t, args.x)
     else:
         H, D, report = extraction.construct_orientation(G, args.s, args.t, args.x)
-    if args.output:
-        formats.save(D, args.output)
-    else:
-        sys.stdout.write(formats.render_corg(D))
+    _write_output(D, args.output)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
             json.dump({"schema": suites.SCHEMA_VERSION, **report}, f, indent=2)
@@ -157,7 +142,7 @@ def _cmd_orient(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_find(args) -> int:
-    obj = _load(args.input)
+    obj = formats.load(args.input)
     budget = _budget(args)
     what = args.what
     if what == "directed-cycle":
@@ -211,7 +196,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    G = _load(args.input)
+    G = formats.load(args.input)
     if not isinstance(G, EdgeColoredGraph):
         raise ValueError("analyze expects an .ecg input")
     report = suites.analyze(G, r=args.r)

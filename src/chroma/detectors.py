@@ -374,19 +374,23 @@ def find_rainbow_kst(
 # Cycle detectors
 # ---------------------------------------------------------------------------
 
-def _pc_cycle_impl(G: EdgeColoredGraph, r: int, clock: _Clock):
+def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock):
     """Iterative-deepening DFS for a shortest properly colored cycle.
 
-    For each target length the start vertex is the cycle minimum and paths
+    Tries the given cycle lengths in ascending order, skipping those above
+    n. For each length the start vertex is the cycle minimum and paths
     extend through larger-id vertices with color-changing edges only; the
     closing edge must differ in color from both its cycle neighbors. The
-    first cycle found is the shortest, lexicographically least one.
+    first cycle found is the shortest, lexicographically least one among
+    the lengths tried.
     """
     n = G.n
     adj = G.adj
     colors = G.pair_colors
 
-    for L in range(3, min(r, n) + 1):
+    for L in lengths:
+        if L > n:
+            break
         for start in range(n):
             path = [start]
             on_path = {start}
@@ -436,7 +440,7 @@ def find_pc_cycle_upto(
         raise ValueError(f"r must be an integer >= 3, got {r!r}")
     clock = _Clock(budget)
     try:
-        w = _pc_cycle_impl(G, r, clock)
+        w = _pc_cycle_impl(G, range(3, r + 1), clock)
     except _BudgetStop:
         return _outcome(BUDGET_EXCEEDED, None, clock)
     return _outcome(FOUND if w else EXHAUSTED, w, clock)
@@ -482,24 +486,20 @@ def find_rainbow_c4(
     return _outcome(FOUND if w else EXHAUSTED, w, clock)
 
 
-def shortest_directed_cycle(
-    D: Union[OrientedGraph, ColoredOrientation]
-) -> SearchOutcome:
-    """Exact shortest directed cycle by BFS from every vertex, O(n(n+m)).
+def _shortest_directed_cycle_impl(D, clock: _Clock) -> Optional[Witness]:
+    """BFS from every vertex for a shortest directed cycle of D.
 
-    Always exact: returns found with a shortest cycle, or exhausted-none for
-    acyclic inputs.
+    Each BFS level ticks the clock once per frontier vertex, so a budget
+    stops the search at most n nodes past its limit.
     """
+    n = D.n
     if isinstance(D, ColoredOrientation):
-        n = D.n
         out = [[h for h, _ in row] for row in D.out_adj]
         ins = [[t for t, _ in row] for row in D.in_adj]
     else:
-        n = D.n
         out = [list(row) for row in D.out_adj]
         ins = [list(row) for row in D.in_adj]
 
-    clock = _Clock(None)
     best_cycle: Optional[list[int]] = None
     for s in range(n):
         if best_cycle is not None and len(best_cycle) == 3:
@@ -538,7 +538,7 @@ def shortest_directed_cycle(
             best_cycle = list(reversed(path))
 
     if best_cycle is None:
-        return _outcome(EXHAUSTED, None, clock)
+        return None
     cycle = tuple(best_cycle)
     if isinstance(D, ColoredOrientation):
         arc_colors = {(t, h): c for t, h, c in D.arcs}
@@ -548,7 +548,22 @@ def shortest_directed_cycle(
     w = Witness("directed-cycle", (cycle,), edges)
     if not verify_witness(D, w):
         raise RuntimeError("internal error: directed-cycle witness failed re-verification")
-    return _outcome(FOUND, w, clock, length=len(cycle))
+    return w
+
+
+def shortest_directed_cycle(
+    D: Union[OrientedGraph, ColoredOrientation]
+) -> SearchOutcome:
+    """Exact shortest directed cycle by BFS from every vertex, O(n(n+m)).
+
+    Always exact: returns found with a shortest cycle, or exhausted-none for
+    acyclic inputs.
+    """
+    clock = _Clock(None)
+    w = _shortest_directed_cycle_impl(D, clock)
+    if w is None:
+        return _outcome(EXHAUSTED, None, clock)
+    return _outcome(FOUND, w, clock, length=len(w.vertices[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +595,9 @@ def pc_short_cycle_pipeline(
     Stage 1 looks for a properly colored K_{2,2}, which is a properly
     colored C4. Stage 2 builds the orientation for s=t=2 and takes a
     shortest directed cycle, which maps back to a properly colored cycle of
-    the same length. Stage 3 falls back to the bounded DFS cycle search.
+    the same length. Stage 3 falls back to the bounded DFS cycle search
+    over lengths 3 and 5..r. The three searches tick one clock, so a node
+    or time budget stops whichever of them is running.
     The report carries the orientation's minimum out-degree and its margin
     over ceil(n/r).
     """
@@ -602,15 +619,14 @@ def pc_short_cycle_pipeline(
             details["min_outdegree"] = min_dplus
             details["outdegree_target"] = target
             details["outdegree_margin"] = min_dplus - target
-            sdc = shortest_directed_cycle(D)
-            clock.tick(sdc.nodes)
-            if sdc.status == FOUND and len(sdc.witness.vertices[0]) <= r:
+            w = _shortest_directed_cycle_impl(D, clock)
+            if w is not None and len(w.vertices[0]) <= r:
                 details["stage"] = 2
-                return _outcome(
-                    FOUND, _directed_to_pc_witness(G, sdc.witness), clock, **details
-                )
+                return _outcome(FOUND, _directed_to_pc_witness(G, w), clock, **details)
 
-        w = _pc_cycle_impl(G, r, clock)
+        # Stage 1 decided length 4: a properly colored C4 is a properly
+        # colored K_{2,2}.
+        w = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock)
     except _BudgetStop:
         return _outcome(BUDGET_EXCEEDED, None, clock, **details)
     if w is not None:
@@ -665,12 +681,12 @@ def disjoint_pc_cycles(
             else:
                 if residual.n > 2 and residual.m > 0:
                     _, D, _rep = construct_orientation(residual, 2, 2)
-                    sdc = shortest_directed_cycle(D)
-                    clock.tick(sdc.nodes)
-                    if sdc.status == FOUND:
-                        cycle = sdc.witness.vertices[0]
+                    w = _shortest_directed_cycle_impl(D, clock)
+                    if w is not None:
+                        cycle = w.vertices[0]
                 if cycle is None and residual.m > 0:
-                    w = _pc_cycle_impl(residual, residual.n, clock)
+                    # length 4 is decided by the K_{2,2} search above
+                    w = _pc_cycle_impl(residual, (3, *range(5, residual.n + 1)), clock)
                     if w is not None:
                         cycle = w.vertices[0]
         except _BudgetStop:
@@ -738,6 +754,24 @@ def extract_rainbow_kst(G: EdgeColoredGraph, S, B, t: int) -> Witness:
     return _checked(G, Witness("rainbow-kst", (S, T), tuple(edges)))
 
 
+def _total_degree_requirement(s: int, t: int, n: int, parts=None) -> float:
+    """Total color degree above which a properly colored K_{s,t} is forced.
+
+    On n vertices: n^2/2 + sigma * n^(2-1/s) + s * n. With parts = (n1, n2),
+    the bipartite form n1 n2 + sigma * (n1 n2^(1-1/s) + n2 n1^(1-1/s))
+    + s (n1 + n2).
+    """
+    sig = sigma(s, t)
+    if parts is None:
+        return n * n / 2.0 + sig * n ** (2.0 - 1.0 / s) + s * n
+    n1, n2 = parts
+    return (
+        n1 * n2
+        + sig * (n1 * n2 ** (1.0 - 1.0 / s) + n2 * n1 ** (1.0 - 1.0 / s))
+        + s * (n1 + n2)
+    )
+
+
 def check_total_degree_threshold(
     G: EdgeColoredGraph, s: int, t: int
 ) -> tuple[bool, float]:
@@ -748,19 +782,8 @@ def check_total_degree_threshold(
     """
     if not isinstance(s, int) or not isinstance(t, int) or not 2 <= s <= t:
         raise ValueError(f"parameters must satisfy 2 <= s <= t, got s={s!r}, t={t!r}")
-    total = total_color_degree(G)
-    sig = sigma(s, t)
-    if G.bipartition is not None:
-        n1, n2 = (len(side) for side in G.bipartition)
-        rhs = (
-            n1 * n2
-            + sig * (n1 * n2 ** (1.0 - 1.0 / s) + n2 * n1 ** (1.0 - 1.0 / s))
-            + s * (n1 + n2)
-        )
-    else:
-        n = G.n
-        rhs = n * n / 2.0 + sig * n ** (2.0 - 1.0 / s) + s * n
-    margin = total - rhs
+    parts = None if G.bipartition is None else tuple(len(side) for side in G.bipartition)
+    margin = total_color_degree(G) - _total_degree_requirement(s, t, G.n, parts)
     return margin > 0, margin
 
 

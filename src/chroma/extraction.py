@@ -5,7 +5,9 @@ spanning subgraph whose side-2 color degrees are capped at s-1 while side-1
 color degrees drop by at most a controlled amount whenever the input has no
 properly colored K_{s,t}. `construct_orientation` runs the extraction on the
 dual graph and reads off an orientation whose directed paths, and hence
-directed cycles, are properly colored in the host.
+directed cycles, are properly colored in the host. The dual is never built:
+its left copy u is joined to the right copy of v exactly when uv is an edge
+of G, so the extraction reads G's own adjacency.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .core import EdgeColoredGraph, ColoredOrientation, color_degree
-from .transforms import dual_graph
+from .transforms import dual_graph  # unused here; bench/tracing.py wraps it by this path
 
 # Slack used when rounding the real-valued growth threshold to an integer
 # count; counts are integers, so "at least x" means "at least ceil(x)" up to
@@ -98,29 +100,15 @@ class ExtractionResult:
     deltas: dict[int, int]
 
 
-def _side_proper_adjacency(G, side1, side2):
-    """side-1-proper adjacency restricted to edges between the two parts.
-
-    For each side-1 vertex, one edge per incident color is kept (smallest
-    neighbor id within the color class), mirroring side_proper_subgraph but
-    confined to the given parts.
-    """
-    side2_set = set(side2)
-    g0: dict[int, list[tuple[int, int]]] = {}
-    for u in side1:
-        first_by_color: dict[int, int] = {}
-        for w, c in G.adj[u]:
-            if w in side2_set and c not in first_by_color:
-                first_by_color[c] = w
-        g0[u] = sorted((w, c) for c, w in first_by_color.items())
-    return g0
-
-
 def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
-    """Run the extraction between two explicit parts of G.
+    """Run the saturation greedy from side1 toward side2 on G.adj.
 
-    Returns (kept_edges, state). Only edges between side1 and side2 are
-    considered; kept_edges are (u, v, c) triples with u < v.
+    Every neighbor of a side-1 vertex must lie in side 2. That holds for the
+    two sides of a bipartition, and for side1 = side2 = range(n), which is
+    the dual graph of G with vertex ids left unshifted: the left copy u is
+    joined to the right copy of v exactly when uv is an edge of G. Returns
+    (kept, state); kept lists the surviving edges as (u, v, c) with u in
+    side 1 and v in side 2.
     """
     side1 = sorted(side1)
     side2 = sorted(side2)
@@ -130,7 +118,14 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
         raise ValueError(f"growth threshold x is not finite: {x!r}")
     need = max(1, math.ceil(x - _EPS))
 
-    g0 = _side_proper_adjacency(G, side1, side2)
+    # One edge per color at each side-1 vertex; G.adj lists neighbors in
+    # ascending order, so the kept edge goes to the smallest neighbor id.
+    g0: dict[int, list[tuple[int, int]]] = {}
+    for u in side1:
+        first: dict[int, int] = {}
+        for v, c in G.adj[u]:
+            first.setdefault(c, v)
+        g0[u] = sorted((v, c) for c, v in first.items())
 
     colors_seen: dict[int, set[int]] = {v: set() for v in side2}
     saturated: dict[int, bool] = {v: False for v in side2}
@@ -172,14 +167,8 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
             sat_index[v] = l
             kept_colors[v] = frozenset(colors_seen[v])
 
-    kept_edges = [
-        (min(u, v), max(u, v), c)
-        for u in side1
-        for v, c in g0[u]
-        if c in kept_colors[v]
-    ]
-    state = SaturationState(tuple(selected), sat_index, kept_colors, x)
-    return kept_edges, state
+    kept = [(u, v, c) for u in side1 for v, c in g0[u] if c in kept_colors[v]]
+    return kept, SaturationState(tuple(selected), sat_index, kept_colors, x)
 
 
 def saturation_extract(G: EdgeColoredGraph, params: ExtractionParams) -> ExtractionResult:
@@ -204,55 +193,57 @@ def saturation_extract(G: EdgeColoredGraph, params: ExtractionParams) -> Extract
     if G.bipartition is None:
         raise ValueError("saturation_extract requires a bipartition")
     side1, side2 = G.bipartition
-    kept_edges, state = _saturation_extract_on_parts(
+    kept, state = _saturation_extract_on_parts(
         G, side1, side2, params.s, params.t, params.x
     )
-    H = EdgeColoredGraph(G.n, kept_edges, G.bipartition)
+    H = EdgeColoredGraph(G.n, kept, G.bipartition)
     deltas = {u: color_degree(G, u) - color_degree(H, u) for u in sorted(side1)}
     return ExtractionResult(H, state, deltas)
 
 
-def _orientation_from_h0(G, h0_edges, n):
-    """Shared tail of the orientation construction.
+def _orient(G, s, t, x, parts):
+    """The orientation construction over the given (side1, side2) parts.
 
-    h0_edges live on the dual vertex set (left u, right n+v). Every left
-    edge whose color appears at the same vertex's right copy in the frozen
-    H0 is removed; the survivors are read back as arcs u -> v.
+    Runs the saturation greedy once per part; every vertex must be side 2 of
+    exactly one part. A kept edge u -> v is then deleted when its color is
+    kept at u as a side-2 vertex. The kept color sets are fixed before any
+    deletion, so the order of the deletions cannot matter. The survivors are
+    the arcs. A vertex of side 1 in a part is bounded against the size of
+    that part's side 2.
     """
-    right_colors: dict[int, set[int]] = {v: set() for v in range(n)}
-    for a, b, c in h0_edges:
-        right_colors[b - n].add(c)
+    _check_st(s, t)
+    kept: list[tuple[int, int, int]] = []
+    side2_colors: dict[int, frozenset[int]] = {}
+    states = []
+    for side1, side2 in parts:
+        part_kept, state = _saturation_extract_on_parts(G, side1, side2, s, t, x)
+        kept += part_kept
+        side2_colors.update(state.kept_colors)
+        states.append(state)
+    arcs = [(u, v, c) for u, v, c in kept if c not in side2_colors[u]]
+    D = ColoredOrientation(G, arcs)
+    H = EdgeColoredGraph(G.n, arcs, G.bipartition)
 
-    # Per-left-vertex deletion in ascending id order; conditions reference
-    # the frozen right_colors, so the processing order cannot matter.
-    by_left: dict[int, list[tuple[int, int, int]]] = {u: [] for u in range(n)}
-    for a, b, c in h0_edges:
-        by_left[a].append((a, b, c))
-    hprime = []
-    for u in range(n):
-        for a, b, c in by_left[u]:
-            if c not in right_colors[u]:
-                hprime.append((a, b, c))
-
-    arcs = [(a, b - n, c) for a, b, c in hprime]
-    return arcs
-
-
-def _orientation_report(G, D, per_vertex_bound, extra):
+    sig = sigma(s, t)
+    loss = [0.0] * G.n
+    for side1, side2 in parts:
+        side_loss = sig * len(side2) ** (1.0 - 1.0 / s) + s
+        for v in side1:
+            loss[v] = side_loss
+    per_vertex = {}
+    for v in range(G.n):
+        dplus = D.out_degree(v)
+        dc = color_degree(G, v)
+        bound = dc - loss[v]
+        per_vertex[v] = {"dplus": dplus, "dc": dc, "bound": bound, "margin": dplus - bound}
+    ls = [state.l for state in states]
+    xs = [state.x for state in states]
+    if len(states) == 1:
+        ls, xs = ls[0], xs[0]
     report = {
-        "n": G.n,
-        "per_vertex": {
-            v: {
-                "dplus": D.out_degree(v),
-                "dc": color_degree(G, v),
-                "bound": per_vertex_bound(v),
-                "margin": D.out_degree(v) - per_vertex_bound(v),
-            }
-            for v in range(G.n)
-        },
+        "n": G.n, "per_vertex": per_vertex, "s": s, "t": t, "l": ls, "x": xs, "sigma": sig,
     }
-    report.update(extra)
-    return report
+    return H, D, report
 
 
 def construct_orientation(
@@ -263,34 +254,21 @@ def construct_orientation(
     Runs the saturation extraction on the dual graph of G, deletes every
     surviving left-copy edge whose color appears at the matching right copy,
     and orients u -> v exactly when the left edge u -> right copy of v
-    survives. Unconditionally the result has no anti-parallel arcs, at every
-    vertex the in-arc colors and out-arc colors are disjoint (so directed
-    paths and cycles are properly colored), and the in-arc color set has
-    size at most s-1. When G has no properly colored K_{s,t} (and t < n, so
-    the loss bound is meaningful), every vertex keeps out-degree greater
-    than its color degree minus (sigma(s, t) * n^(1-1/s) + s).
+    survives. The dual is implicit: its left copy u is joined to the right
+    copy of v exactly when uv is an edge of G, so the extraction reads G's
+    own adjacency with side 1 = side 2 = all vertices. Unconditionally the
+    result has no anti-parallel arcs, at every vertex the in-arc colors and
+    out-arc colors are disjoint (so directed paths and cycles are properly
+    colored), and the in-arc color set has size at most s-1. When G has no
+    properly colored K_{s,t} (and t < n, so the loss bound is meaningful),
+    every vertex keeps out-degree greater than its color degree minus
+    (sigma(s, t) * n^(1-1/s) + s).
 
     Returns (H, D, report) where H is the unoriented arc support and the
     report carries per-vertex out-degree, color degree, bound and margin
     plus the extraction diagnostics l, x and sigma.
     """
-    _check_st(s, t)
-    n = G.n
-    dual = dual_graph(G)
-    result = saturation_extract(dual, ExtractionParams(s, t, x))
-    arcs = _orientation_from_h0(G, result.H.edges, n)
-    D = ColoredOrientation(G, arcs)
-    H = EdgeColoredGraph(n, [(min(a, b), max(a, b), c) for a, b, c in arcs], G.bipartition)
-
-    sig = sigma(s, t)
-    loss = sig * n ** (1.0 - 1.0 / s) + s
-    report = _orientation_report(
-        G,
-        D,
-        lambda v: color_degree(G, v) - loss,
-        {"s": s, "t": t, "l": result.state.l, "x": result.state.x, "sigma": sig},
-    )
-    return H, D, report
+    return _orient(G, s, t, x, [(range(G.n), range(G.n))])
 
 
 def construct_orientation_bipartite(
@@ -301,44 +279,10 @@ def construct_orientation_bipartite(
     The extraction is applied separately to the two bipartite halves of the
     dual graph (left copies of side 1 against right copies of side 2, and
     vice versa) before the shared deletion step, so the conditional bound
-    for a vertex of side i uses the opposite side's size.
+    for a vertex of side i uses the opposite side's size. The report's l
+    and x are lists over the two halves.
     """
-    _check_st(s, t)
     if G.bipartition is None:
         raise ValueError("construct_orientation_bipartite requires a bipartition")
-    n = G.n
     side1, side2 = G.bipartition
-    n1, n2 = len(side1), len(side2)
-    dual = dual_graph(G)
-
-    left1 = sorted(side1)
-    left2 = sorted(side2)
-    right1 = [n + v for v in left1]
-    right2 = [n + v for v in left2]
-
-    edges_a, state_a = _saturation_extract_on_parts(dual, left1, right2, s, t, x)
-    edges_b, state_b = _saturation_extract_on_parts(dual, left2, right1, s, t, x)
-    arcs = _orientation_from_h0(G, edges_a + edges_b, n)
-    D = ColoredOrientation(G, arcs)
-    H = EdgeColoredGraph(n, [(min(a, b), max(a, b), c) for a, b, c in arcs], G.bipartition)
-
-    sig = sigma(s, t)
-    loss1 = sig * n2 ** (1.0 - 1.0 / s) + s  # side-1 vertices face side 2
-    loss2 = sig * n1 ** (1.0 - 1.0 / s) + s
-
-    def bound(v):
-        return color_degree(G, v) - (loss1 if v in side1 else loss2)
-
-    report = _orientation_report(
-        G,
-        D,
-        bound,
-        {
-            "s": s,
-            "t": t,
-            "l": [state_a.l, state_b.l],
-            "x": [state_a.x, state_b.x],
-            "sigma": sig,
-        },
-    )
-    return H, D, report
+    return _orient(G, s, t, x, [(side1, side2), (side2, side1)])

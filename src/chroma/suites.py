@@ -38,6 +38,7 @@ from .core import (
 from .detectors import (
     EXHAUSTED,
     FOUND,
+    _total_degree_requirement,
     all_simple_cycles,
     extract_rainbow_kst,
     find_pc_cycle_upto,
@@ -374,7 +375,7 @@ def _suite_proposition12(trials, seed, budget, rec, config):
 
 def _suite_thresholds(trials, seed, budget, rec, config):
     n = 100
-    threshold = n * n / 2 + 2 * n**1.5 + 2 * n  # s = t = 2
+    threshold = _total_degree_requirement(2, 2, n)
     totals = []
     for i in range(trials):
         tseed = _trial_seed(seed, i)
@@ -552,20 +553,13 @@ def analyze(G: EdgeColoredGraph, r: int = 4) -> dict:
             n / 3 + 24 * math.sqrt(n), dc, "rainbow C4"
         ),
     }
-    s = t = 2
-    sig = sigma(s, t)
     if G.bipartition is not None:
-        n1, n2 = (len(side) for side in G.bipartition)
-        req = (
-            n1 * n2
-            + sig * (n1 * n2 ** (1.0 - 1.0 / s) + n2 * n1 ** (1.0 - 1.0 / s))
-            + s * (n1 + n2)
-        )
+        parts = tuple(len(side) for side in G.bipartition)
         thresholds["pc_k22_total_color_degree_bipartite"] = entry(
-            req, total, "pc K_{2,2}"
+            _total_degree_requirement(2, 2, n, parts), total, "pc K_{2,2}"
         )
     thresholds["pc_k22_total_color_degree"] = entry(
-        n * n / 2 + sig * n ** (2.0 - 1.0 / s) + s * n, total, "pc K_{2,2}"
+        _total_degree_requirement(2, 2, n), total, "pc K_{2,2}"
     )
     report["thresholds"] = thresholds
     return report

@@ -8,36 +8,9 @@ replaces each vertex of a digraph with an independent block of k copies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .core import EdgeColoredGraph, OrientedGraph, _require_vertex
-
-
-@dataclass(frozen=True)
-class DualVertexMap:
-    """Index arithmetic between a graph on n vertices and its dual on 2n.
-
-    Vertex v maps to left copy v and right copy n + v.
-    """
-
-    n: int
-
-    def left(self, v: int) -> int:
-        _require_vertex(self.n, v)
-        return v
-
-    def right(self, v: int) -> int:
-        _require_vertex(self.n, v)
-        return self.n + v
-
-    def is_right(self, w: int) -> bool:
-        _require_vertex(2 * self.n, w)
-        return w >= self.n
-
-    def original(self, w: int) -> int:
-        _require_vertex(2 * self.n, w)
-        return w - self.n if w >= self.n else w
+from .core import EdgeColoredGraph, OrientedGraph
 
 
 def signature(D: OrientedGraph) -> EdgeColoredGraph:

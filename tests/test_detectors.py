@@ -355,7 +355,37 @@ class TestPipeline:
                 assert out.status == BUDGET_EXCEEDED
 
 
+    def test_stage3_skips_length_4(self):
+        # Stage 1 decided length 4 (a pc C4 is a pc K_{2,2}), so stage 3
+        # costs less than the DFS over every length up to r, and finds the
+        # same cycle.
+        G = extremal_no_pc_c4(3)
+        out = pc_short_cycle_pipeline(G, 6)
+        assert out.status == FOUND and out.details["stage"] == 3
+        stage1 = find_pc_kst(G, 2, 2).nodes
+        stage2 = shortest_directed_cycle(construct_orientation(G, 2, 2)[1]).nodes
+        dfs = find_pc_cycle_upto(G, 6)
+        assert out.witness == dfs.witness
+        assert out.nodes - stage1 - stage2 < dfs.nodes
+
+    def test_node_budget_stops_inside_stage2(self):
+        # The BFS ticks the pipeline's clock level by level, so it stops at
+        # most n nodes past the budget.
+        G = signature(transitive_tournament(40))
+        budget = find_pc_kst(G, 2, 2).nodes + 5
+        out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=budget))
+        assert out.status == BUDGET_EXCEEDED
+        assert out.nodes <= budget + G.n
+
+
 class TestDisjointPcCycles:
+    def test_node_budget_stops_inside_stage2(self):
+        G = signature(transitive_tournament(40))
+        budget = find_pc_kst(G, 2, 2).nodes + 5
+        out = disjoint_pc_cycles(G, 1, SearchBudget(max_nodes=budget))
+        assert out.status == BUDGET_EXCEEDED
+        assert out.nodes <= budget + G.n
+
     def test_two_disjoint_triangles(self):
         sig = signature(directed_cycle(3))
         edges = list(sig.edges) + [(u + 3, v + 3, c + 3) for u, v, c in sig.edges]

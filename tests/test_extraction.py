@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -5,6 +7,7 @@ import pytest
 
 from chroma.core import EdgeColoredGraph, color_degree, color_set
 from chroma.constructions import (
+    circulant_tournament,
     extremal_no_pc_c4,
     random_bipartite_edge_colored,
     random_edge_colored_graph,
@@ -19,6 +22,7 @@ from chroma.extraction import (
     saturation_extract,
     sigma,
 )
+from chroma.formats import render_corg
 from chroma.transforms import dual_graph, signature
 from chroma.constructions import directed_cycle
 
@@ -176,24 +180,27 @@ class TestConstructOrientation:
             }
 
     def test_deletion_step_is_order_independent(self):
-        # recompute the post-extraction deletion scanning vertices in
-        # descending order and compare arc sets
-        from chroma.extraction import ExtractionParams as EP, saturation_extract as se
-
+        # run saturation_extract on the explicit dual graph, redo the
+        # deletion step scanning vertices in descending order, and compare
+        # arc sets and diagnostics
         for seed in range(10):
             G = random_edge_colored_graph(10, 0.6, 4, seed)
             dual = dual_graph(G)
-            h0 = se(dual, EP(2, 2)).H.edges
-            right_colors = {v: set() for v in range(G.n)}
-            for a, b, c in h0:
-                right_colors[b - G.n].add(c)
-            descending = []
-            for u in reversed(range(G.n)):
-                descending.extend(
-                    (a, b - G.n, c) for a, b, c in h0 if a == u and c not in right_colors[u]
-                )
-            _, D, _ = construct_orientation(G, 2, 2)
-            assert sorted(descending) == list(D.arcs)
+            for s, t in ((2, 2), (2, 3), (3, 3)):
+                for x in (None, 1.0, 1.5):
+                    res = saturation_extract(dual, ExtractionParams(s, t, x))
+                    right_colors = {v: color_set(res.H, G.n + v) for v in range(G.n)}
+                    descending = []
+                    for u in reversed(range(G.n)):
+                        descending.extend(
+                            (u, b - G.n, c)
+                            for a, b, c in res.H.edges
+                            if a == u and c not in right_colors[u]
+                        )
+                    H, D, report = construct_orientation(G, s, t, x)
+                    assert sorted(descending) == list(D.arcs)
+                    assert H.edges == tuple(sorted((min(a, b), max(a, b), c) for a, b, c in D.arcs))
+                    assert (report["l"], report["x"]) == (res.state.l, res.state.x)
 
     def test_degree_bound_on_certified_instances(self):
         n = 20
@@ -284,7 +291,64 @@ class TestConstructOrientationBipartite:
                 assert D.out_degree(v) > bound - 1e-9
         assert checked > 10
 
+    def test_matches_extraction_on_each_side(self):
+        # each side's arcs come from saturation_extract on G with that side
+        # as side 1, minus the arcs whose color the other run keeps at the tail
+        for seed in range(15):
+            G = bipartite_instance(seed, n_max=12)
+            side1, side2 = G.bipartition
+            swapped = EdgeColoredGraph(G.n, G.edges, (side2, side1))
+            for s, t in ((2, 2), (2, 3), (3, 3)):
+                for x in (None, 1.5):
+                    a = saturation_extract(G, ExtractionParams(s, t, x))
+                    b = saturation_extract(swapped, ExtractionParams(s, t, x))
+                    arcs = []
+                    for res, other, tails in ((a, b, side1), (b, a, side2)):
+                        for u, v, c in res.H.edges:
+                            tail, head = (u, v) if u in tails else (v, u)
+                            if c not in color_set(other.H, tail):
+                                arcs.append((tail, head, c))
+                    _, D, report = construct_orientation_bipartite(G, s, t, x)
+                    assert sorted(arcs) == list(D.arcs)
+                    assert report["l"] == [a.state.l, b.state.l]
+                    assert report["x"] == [a.state.x, b.state.x]
+
     def test_report_per_side_diagnostics(self):
         G = random_bipartite_edge_colored(5, 7, 0.5, 3, 2)
         _, _, report = construct_orientation_bipartite(G, 2, 2)
         assert len(report["l"]) == 2 and len(report["x"]) == 2
+
+
+# sha256 of render_corg(D) plus the report as sorted JSON, recorded before the
+# orientation stopped building the dual graph.
+GOLDEN = {
+    "circulant-60-s2": "7b759c690cce070bdf89f6243da37713cd3267a90f556574a3f96526a688e91f",
+    "random-s2": "d1f5eccc56ee55c1440ac5a8213d0692349038c4f6801b04df0a9742199da5b9",
+    "random-s3": "1aa8c5c9bffd6a80abec989cb2c17bf1c21fc9ab39b8ef19b813c54b5377c348",
+    "bipartite": "e685f853d831ce111d70a9cd58b7df0692f1d5a44a8e6b63e18342bf7a010819",
+    "bipartite-general": "65d82c9a015ba4bdf462d257dcf1d8586252798bc8db8a63a99cb69f514073d2",
+    "random-x1.5": "5df42a4a0be35c21948800fdeb01f34d432a2327671ff18411a0dd1a46924240",
+    "bipartite-x1.5": "3d40df6d9f36e7d876517a52aa35eed88a3e76e4242d17d93055026061f54009",
+}
+
+
+def golden_case(name):
+    G = random_edge_colored_graph(30, 0.8, 30, 11)
+    B = random_bipartite_edge_colored(16, 18, 0.9, 40, 5)
+    return {
+        "circulant-60-s2": lambda: construct_orientation(signature(circulant_tournament(60)), 2, 2),
+        "random-s2": lambda: construct_orientation(G, 2, 2),
+        "random-s3": lambda: construct_orientation(G, 3, 3),
+        "bipartite": lambda: construct_orientation_bipartite(B, 2, 2),
+        "bipartite-general": lambda: construct_orientation(B, 2, 2),
+        "random-x1.5": lambda: construct_orientation(G, 2, 3, 1.5),
+        "bipartite-x1.5": lambda: construct_orientation_bipartite(B, 2, 3, 1.5),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_orientation_golden_digest(name):
+    _, D, report = golden_case(name)
+    assert D.m > 0
+    text = render_corg(D) + json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]

@@ -4,7 +4,12 @@ import sys
 
 import pytest
 
-from chroma.constructions import extremal_no_pc_c4, transitive_tournament
+from chroma.constructions import (
+    extremal_no_pc_c4,
+    random_bipartite_edge_colored,
+    random_edge_colored_graph,
+    transitive_tournament,
+)
 from chroma.core import EdgeColoredGraph
 from chroma.detectors import find_pc_kst
 from chroma.formats import save, strip_bipartition
@@ -100,6 +105,58 @@ def run_cli(*args, env=None):
         text=True,
         env=env,
     )
+
+
+    def test_pinned_reports(self):
+        B = random_bipartite_edge_colored(7, 9, 0.6, 5, 3)
+        assert analyze(B, r=5) == {
+            "schema": 1, "n": 16, "m": 39, "min_color_degree": 3, "max_mono_degree": 5,
+            "total_color_degree": 56, "bipartite": True,
+            "thresholds": {
+                "short_pc_cycle_conjectural": {
+                    "requirement": 13, "value": 3, "margin": -10,
+                    "implies": "pc cycle of length <= 5",
+                },
+                "pc_c4_min_color_degree": {
+                    "requirement": 14.333333333333332, "value": 3,
+                    "margin": -11.333333333333332, "implies": "pc C4",
+                },
+                "rainbow_c4_min_color_degree": {
+                    "requirement": 101.33333333333333, "value": 3,
+                    "margin": -98.33333333333333, "implies": "rainbow C4",
+                },
+                "pc_k22_total_color_degree_bipartite": {
+                    "requirement": 184.62352359916264, "value": 56,
+                    "margin": -128.62352359916264, "implies": "pc K_{2,2}",
+                },
+                "pc_k22_total_color_degree": {
+                    "requirement": 288, "value": 56, "margin": -232, "implies": "pc K_{2,2}",
+                },
+            },
+        }
+        G = random_edge_colored_graph(12, 0.5, 4, 8)
+        assert analyze(G) == {
+            "schema": 1, "n": 12, "m": 38, "min_color_degree": 2, "max_mono_degree": 4,
+            "total_color_degree": 40, "bipartite": False,
+            "thresholds": {
+                "short_pc_cycle_conjectural": {
+                    "requirement": 10.928203230275509, "value": 2,
+                    "margin": -8.928203230275509, "implies": "pc cycle of length <= 4",
+                },
+                "pc_c4_min_color_degree": {
+                    "requirement": 11.928203230275509, "value": 2,
+                    "margin": -9.928203230275509, "implies": "pc C4",
+                },
+                "rainbow_c4_min_color_degree": {
+                    "requirement": 87.13843876330611, "value": 2,
+                    "margin": -85.13843876330611, "implies": "rainbow C4",
+                },
+                "pc_k22_total_color_degree": {
+                    "requirement": 179.1384387633061, "value": 40,
+                    "margin": -139.1384387633061, "implies": "pc K_{2,2}",
+                },
+            },
+        }
 
 
 class TestCli:
@@ -208,6 +265,11 @@ class TestCli:
         assert res.returncode == 0
         assert "bipartition" in res.stderr
         assert res.stdout.startswith("ecg 12 24\n")
+        out = tmp_path / "b.ecg"
+        res_file = run_cli("gen", "blowup-sig", "--r", "6", "--k", "2", "-o", str(out))
+        assert res_file.returncode == 0 and res_file.stdout == ""
+        assert res_file.stderr == res.stderr
+        assert out.read_text() == res.stdout
 
     def test_gen_recolored(self, tmp_path):
         res = run_cli(

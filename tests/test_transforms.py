@@ -18,7 +18,7 @@ from chroma.detectors import (
     find_rainbow_kst,
     shortest_directed_cycle,
 )
-from chroma.transforms import DualVertexMap, blow_up, dual_graph, signature
+from chroma.transforms import blow_up, dual_graph, signature
 
 from oracles import (
     all_cycles_by_permutation,
@@ -83,13 +83,6 @@ class TestDualGraph:
         assert d.n == 4
         assert d.edges == ((0, 3, 9), (1, 2, 9))
         assert d.bipartition == (frozenset({0, 1}), frozenset({2, 3}))
-
-    def test_vertex_map(self):
-        m = DualVertexMap(5)
-        assert m.left(3) == 3
-        assert m.right(3) == 8
-        assert m.original(8) == 3
-        assert m.is_right(8) and not m.is_right(4)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
