@@ -132,8 +132,7 @@ def _cmd_orient(args) -> int:
     _write_output(D, args.output)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
-            json.dump({"schema": suites.SCHEMA_VERSION, **report}, f, indent=2)
-            f.write("\n")
+            f.write(json.dumps({"schema": suites.SCHEMA_VERSION, **report}, indent=2) + "\n")
     return 0
 
 

@@ -4,6 +4,13 @@ Vertex ids are 0-indexed. Colors are opaque nonnegative integers; there is
 no global color registry, so fresh colors can always be allocated above the
 current maximum. All values are immutable once constructed and safe to share
 across threads; every operation in this module is a pure function.
+
+The constructors of the three graph classes are the one place where
+structure is checked (vertex range, loops, colors, duplicate edges or arcs,
+anti-parallel pairs, bipartition crossing, host colors); every graph is
+checked in full where it is built, whoever builds it. The parsers in
+`chroma.formats` check only syntax and map a constructor's rejection back
+to a line number.
 """
 from __future__ import annotations
 
@@ -16,6 +23,35 @@ def _require_vertex(n: int, v: object) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
         raise ValueError(f"invalid vertex id {v!r} for a graph on {n} vertices")
     return v
+
+
+def _require_color(c: object) -> None:
+    if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+        raise ValueError(f"color must be a nonnegative integer, got {c!r}")
+
+
+def _check_arc(n: int, tails: dict, t, h) -> tuple:
+    """Check t -> h as the next arc of an oriented graph on n vertices.
+
+    tails maps the unordered pair of each earlier arc to its tail; the arc
+    is recorded there, and its pair (min, max) is returned.
+    """
+    # The fast guard accepts plain ints in range; _require_vertex decides
+    # everything else (bool is rejected, int subclasses are accepted).
+    if not (type(t) is int and 0 <= t < n):
+        _require_vertex(n, t)
+    if not (type(h) is int and 0 <= h < n):
+        _require_vertex(n, h)
+    if t == h:
+        raise ValueError(f"loop at vertex {t} is not allowed")
+    key = (t, h) if t < h else (h, t)
+    first = tails.get(key)
+    if first is not None:
+        if first == t:
+            raise ValueError(f"duplicate arc ({t},{h})")
+        raise ValueError(f"anti-parallel arc pair between {t} and {h}")
+    tails[key] = t
+    return key
 
 
 def _normalize_bipartition(n, bipartition):
@@ -45,31 +81,35 @@ class EdgeColoredGraph:
     bipartition: Optional[tuple[frozenset[int], frozenset[int]]] = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"vertex count must be a nonnegative integer, got {self.n!r}")
+        n = self.n
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
         seen: set[tuple[int, int]] = set()
         norm = []
-        for e in self.edges:
-            u, v, c = e
-            _require_vertex(self.n, u)
-            _require_vertex(self.n, v)
+        for u, v, c in self.edges:
+            # Fast guards for plain ints; the helpers decide everything else.
+            if not (type(u) is int and 0 <= u < n):
+                _require_vertex(n, u)
+            if not (type(v) is int and 0 <= v < n):
+                _require_vertex(n, v)
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"color must be a nonnegative integer, got {c!r}")
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in seen:
-                raise ValueError(f"duplicate edge {{{a},{b}}}")
-            seen.add((a, b))
-            norm.append((a, b, c))
-        norm.sort()
-        object.__setattr__(self, "edges", tuple(norm))
-        bip = _normalize_bipartition(self.n, self.bipartition)
+            if not (type(c) is int and c >= 0):
+                _require_color(c)
+            if u > v:
+                u, v = v, u
+            if (u, v) in seen:
+                raise ValueError(f"duplicate edge {{{u},{v}}}")
+            seen.add((u, v))
+            norm.append((u, v, c))
+        bip = _normalize_bipartition(n, self.bipartition)
         if bip is not None:
-            s1, _ = bip
-            for a, b, _c in norm:
+            s1 = bip[0]
+            for a, b, _c in norm:  # input order: the first bad edge is named
                 if (a in s1) == (b in s1):
                     raise ValueError(f"edge {{{a},{b}}} does not cross the bipartition")
+        norm.sort()
+        object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "bipartition", bip)
 
     @property
@@ -83,7 +123,8 @@ class EdgeColoredGraph:
         for u, v, c in self.edges:
             lists[u].append((v, c))
             lists[v].append((u, c))
-        return tuple(tuple(sorted(l)) for l in lists)
+        # Edges are sorted with u < v, so each list is built in ascending order.
+        return tuple(map(tuple, lists))
 
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
@@ -117,21 +158,13 @@ class OrientedGraph:
     arcs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"vertex count must be a nonnegative integer, got {self.n!r}")
-        seen: set[tuple[int, int]] = set()
+        n = self.n
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+        tails: dict[tuple[int, int], int] = {}
         norm = []
-        for a in self.arcs:
-            t, h = a
-            _require_vertex(self.n, t)
-            _require_vertex(self.n, h)
-            if t == h:
-                raise ValueError(f"loop at vertex {t} is not allowed")
-            if (t, h) in seen:
-                raise ValueError(f"duplicate arc ({t},{h})")
-            if (h, t) in seen:
-                raise ValueError(f"anti-parallel arc pair between {t} and {h}")
-            seen.add((t, h))
+        for t, h in self.arcs:
+            _check_arc(n, tails, t, h)
             norm.append((t, h))
         norm.sort()
         object.__setattr__(self, "arcs", tuple(norm))
@@ -145,14 +178,15 @@ class OrientedGraph:
         lists: list[list[int]] = [[] for _ in range(self.n)]
         for t, h in self.arcs:
             lists[t].append(h)
-        return tuple(tuple(sorted(l)) for l in lists)
+        # Arcs are sorted, so each list is built in ascending order.
+        return tuple(map(tuple, lists))
 
     @cached_property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
         lists: list[list[int]] = [[] for _ in range(self.n)]
         for t, h in self.arcs:
             lists[h].append(t)
-        return tuple(tuple(sorted(l)) for l in lists)
+        return tuple(map(tuple, lists))
 
     def out_degree(self, v: int) -> int:
         _require_vertex(self.n, v)
@@ -164,6 +198,10 @@ class OrientedGraph:
 
     def has_arc(self, t: int, h: int) -> bool:
         return h in self.out_adj[t] if 0 <= t < self.n else False
+
+
+# Stands in for a missing host edge; unlike None, it equals no arc's color.
+_NO_EDGE = object()
 
 
 @dataclass(frozen=True)
@@ -178,21 +216,13 @@ class ColoredOrientation:
     arcs: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        seen: set[tuple[int, int]] = set()
+        n = self.host.n
+        host_colors = self.host.pair_colors
+        tails: dict[tuple[int, int], int] = {}
         norm = []
-        for a in self.arcs:
-            t, h, c = a
-            _require_vertex(self.host.n, t)
-            _require_vertex(self.host.n, h)
-            if t == h:
-                raise ValueError(f"loop at vertex {t} is not allowed")
-            if (t, h) in seen:
-                raise ValueError(f"duplicate arc ({t},{h})")
-            if (h, t) in seen:
-                raise ValueError(f"anti-parallel arc pair between {t} and {h}")
-            if not self.host.has_edge(t, h) or self.host.color_of(t, h) != c:
+        for t, h, c in self.arcs:
+            if host_colors.get(_check_arc(n, tails, t, h), _NO_EDGE) != c:
                 raise ValueError(f"arc ({t},{h},{c}) does not match a host edge")
-            seen.add((t, h))
             norm.append((t, h, c))
         norm.sort()
         object.__setattr__(self, "arcs", tuple(norm))
@@ -210,14 +240,15 @@ class ColoredOrientation:
         lists: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for t, h, c in self.arcs:
             lists[t].append((h, c))
-        return tuple(tuple(sorted(l)) for l in lists)
+        # Arcs are sorted, so each list is built in ascending order.
+        return tuple(map(tuple, lists))
 
     @cached_property
     def in_adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         lists: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for t, h, c in self.arcs:
             lists[h].append((t, c))
-        return tuple(tuple(sorted(l)) for l in lists)
+        return tuple(map(tuple, lists))
 
     def out_degree(self, v: int) -> int:
         _require_vertex(self.n, v)

@@ -6,7 +6,10 @@ side 1), then m lines `u v c`, all 0-indexed.
 `.corg`: line 1 `corg <n> <m>`, then m lines `u v c` (colored arcs).
 
 Rendering is canonical (edges sorted ascending), so parse(render(x)) == x.
-Parsers reject invariant violations with line-numbered errors.
+Parsers check only syntax (header, line count, field count, integers) and
+hand the rows to the `chroma.core` constructors, which are the one place
+structure is checked. When a constructor rejects the rows, the parser
+finds the first offending line and raises a line-numbered ParseError.
 """
 from __future__ import annotations
 
@@ -31,14 +34,53 @@ def _int_fields(line_no: int, parts, count: int, what: str) -> list[int]:
     return out
 
 
+def _int_rows(body) -> list[tuple[int, ...]]:
+    """The integer fields of each body line. A non-integer token raises
+    ValueError here, and a row of the wrong width raises it when the
+    constructor unpacks the row."""
+    return [tuple(map(int, parts)) for _, parts in body]
+
+
+def _raise_at_bad_line(body, n: int, count: int, what: str, directed: bool, bip_k=None):
+    """Raise a ParseError at the first body line that is not `count`
+    integers or breaks a structural rule: vertex range, loop, negative
+    color, then a repeated edge, or a repeated or reversed arc when
+    directed, then bipartition crossing.
+
+    Reached only after the rows failed to build. The structural rules are
+    the constructors'; this rescan in file order only finds the line.
+    """
+    seen = {}
+    for ln, parts in body:
+        row = _int_fields(ln, parts, count, what)
+        u, v = row[0], row[1]
+        for x in (u, v):
+            if not 0 <= x < n:
+                raise ParseError(ln, f"vertex id {x} out of range")
+        if u == v:
+            raise ParseError(ln, f"loop at vertex {u}")
+        if count == 3 and row[2] < 0:
+            raise ParseError(ln, f"negative color {row[2]}")
+        if directed:
+            if (u, v) in seen:
+                raise ParseError(ln, f"duplicate arc ({u},{v}) (first at line {seen[(u, v)]})")
+            if (v, u) in seen:
+                raise ParseError(
+                    ln, f"anti-parallel arc ({u},{v}) (reverse at line {seen[(v, u)]})"
+                )
+            seen[(u, v)] = ln
+        else:
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise ParseError(ln, f"duplicate edge {{{u},{v}}} (first at line {seen[key]})")
+            seen[key] = ln
+            if bip_k is not None and (u < bip_k) == (v < bip_k):
+                raise ParseError(ln, f"edge {{{u},{v}}} does not cross the bipartition")
+
+
 def _content_lines(text: str):
     """(line_no, tokens) for nonblank lines, 1-indexed."""
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if parts:
-            out.append((i, parts))
-    return out
+    return [(i, parts) for i, parts in enumerate(map(str.split, text.splitlines()), 1) if parts]
 
 
 def _parse_header(lines, magic: str):
@@ -106,26 +148,12 @@ def parse_ecg(text: str) -> EdgeColoredGraph:
         raise ParseError(line_no, f"bipartite size {bip_k} out of range")
 
     body = _check_count(lines, m, "edge")
-    edges = []
-    seen = {}
-    for ln, parts in body:
-        u, v, c = _int_fields(ln, parts, 3, "an edge")
-        for x in (u, v):
-            if not 0 <= x < n:
-                raise ParseError(ln, f"vertex id {x} out of range")
-        if u == v:
-            raise ParseError(ln, f"loop at vertex {u}")
-        if c < 0:
-            raise ParseError(ln, f"negative color {c}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(ln, f"duplicate edge {{{u},{v}}} (first at line {seen[key]})")
-        seen[key] = ln
-        if bip_k is not None and (u < bip_k) == (v < bip_k):
-            raise ParseError(ln, f"edge {{{u},{v}}} does not cross the bipartition")
-        edges.append((u, v, c))
     bip = (range(bip_k), range(bip_k, n)) if bip_k is not None else None
-    return EdgeColoredGraph(n, edges, bipartition=bip)
+    try:
+        return EdgeColoredGraph(n, _int_rows(body), bipartition=bip)
+    except ValueError:
+        _raise_at_bad_line(body, n, 3, "an edge", directed=False, bip_k=bip_k)
+        raise
 
 
 def render_org(D: OrientedGraph) -> str:
@@ -141,24 +169,11 @@ def parse_org(text: str) -> OrientedGraph:
     if n < 0 or m < 0:
         raise ParseError(line_no, "n and m must be nonnegative")
     body = _check_count(lines, m, "arc")
-    arcs = []
-    seen = {}
-    for ln, parts in body:
-        t, h = _int_fields(ln, parts, 2, "an arc")
-        for x in (t, h):
-            if not 0 <= x < n:
-                raise ParseError(ln, f"vertex id {x} out of range")
-        if t == h:
-            raise ParseError(ln, f"loop at vertex {t}")
-        if (t, h) in seen:
-            raise ParseError(ln, f"duplicate arc ({t},{h}) (first at line {seen[(t, h)]})")
-        if (h, t) in seen:
-            raise ParseError(
-                ln, f"anti-parallel arc ({t},{h}) (reverse at line {seen[(h, t)]})"
-            )
-        seen[(t, h)] = ln
-        arcs.append((t, h))
-    return OrientedGraph(n, arcs)
+    try:
+        return OrientedGraph(n, _int_rows(body))
+    except ValueError:
+        _raise_at_bad_line(body, n, 2, "an arc", directed=True)
+        raise
 
 
 def render_corg(D: ColoredOrientation) -> str:
@@ -176,27 +191,12 @@ def parse_corg(text: str) -> ColoredOrientation:
     if n < 0 or m < 0:
         raise ParseError(line_no, "n and m must be nonnegative")
     body = _check_count(lines, m, "arc")
-    arcs = []
-    seen = {}
-    for ln, parts in body:
-        t, h, c = _int_fields(ln, parts, 3, "a colored arc")
-        for x in (t, h):
-            if not 0 <= x < n:
-                raise ParseError(ln, f"vertex id {x} out of range")
-        if t == h:
-            raise ParseError(ln, f"loop at vertex {t}")
-        if c < 0:
-            raise ParseError(ln, f"negative color {c}")
-        if (t, h) in seen:
-            raise ParseError(ln, f"duplicate arc ({t},{h}) (first at line {seen[(t, h)]})")
-        if (h, t) in seen:
-            raise ParseError(
-                ln, f"anti-parallel arc ({t},{h}) (reverse at line {seen[(h, t)]})"
-            )
-        seen[(t, h)] = ln
-        arcs.append((t, h, c))
-    host = EdgeColoredGraph(n, [(min(t, h), max(t, h), c) for t, h, c in arcs])
-    return ColoredOrientation(host, arcs)
+    try:
+        rows = _int_rows(body)
+        return ColoredOrientation(EdgeColoredGraph(n, rows), rows)
+    except ValueError:
+        _raise_at_bad_line(body, n, 3, "a colored arc", directed=True)
+        raise
 
 
 def parse_auto(text: str):

@@ -1,4 +1,6 @@
+import enum
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,107 @@ class TestInvariants:
             ColoredOrientation(host, [(0, 1, 5)])
         with pytest.raises(ValueError, match="host"):
             ColoredOrientation(host, [(0, 2, 4)])
+
+
+class Vertex(enum.IntEnum):
+    A = 0
+    B = 1
+    C = 2
+
+
+class TestRejectionText:
+    """The exact accepted set and error text of the constructors."""
+
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            ((True, 1, 0), "invalid vertex id True for a graph on 2 vertices"),
+            ((0, 1, True), "color must be a nonnegative integer, got True"),
+            ((0.0, 1, 0), "invalid vertex id 0.0 for a graph on 2 vertices"),
+            ((0, 1, 0.0), "color must be a nonnegative integer, got 0.0"),
+            ((0, 2, 0), "invalid vertex id 2 for a graph on 2 vertices"),
+            ((-1, 1, 0), "invalid vertex id -1 for a graph on 2 vertices"),
+            ((0, 1, -1), "color must be a nonnegative integer, got -1"),
+        ],
+    )
+    def test_edge_rejection_text(self, edge, message):
+        with pytest.raises(ValueError) as exc:
+            EdgeColoredGraph(2, [edge])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "arcs,message",
+        [
+            ([(True, 1)], "invalid vertex id True for a graph on 2 vertices"),
+            ([(0, 1.0)], "invalid vertex id 1.0 for a graph on 2 vertices"),
+            ([(1, 1)], "loop at vertex 1 is not allowed"),
+            ([(0, 1), (0, 1)], "duplicate arc (0,1)"),
+            ([(0, 1), (1, 0)], "anti-parallel arc pair between 1 and 0"),
+        ],
+    )
+    def test_arc_rejection_text(self, arcs, message):
+        with pytest.raises(ValueError) as exc:
+            OrientedGraph(2, arcs)
+        assert str(exc.value) == message
+        host = EdgeColoredGraph(2, [(0, 1, 3)])
+        with pytest.raises(ValueError) as exc:
+            ColoredOrientation(host, [(t, h, 3) for t, h in arcs])
+        assert str(exc.value) == message
+
+    def test_int_subclass_vertices_accepted(self):
+        G = EdgeColoredGraph(3, [(Vertex.B, Vertex.A, 4), (Vertex.C, 1, 5)])
+        assert G.edges == ((0, 1, 4), (1, 2, 5))
+        D = OrientedGraph(3, [(Vertex.C, Vertex.A)])
+        assert D.arcs == ((2, 0),)
+        co = ColoredOrientation(G, [(Vertex.A, Vertex.B, 4)])
+        assert co.arcs == ((0, 1, 4),)
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(0, 5, 0), (1, 1, 0)], "invalid vertex id 5"),
+            ([(1, 1, 0), (0, 5, 0)], "loop at vertex 1"),
+            ([(0, 1, -1), (2, 1, 0), (1, 2, 0)], "got -1"),
+            ([(2, 1, 0), (1, 2, 0), (0, 1, -1)], "duplicate edge {1,2}"),
+        ],
+    )
+    def test_first_bad_edge_in_input_order_is_named(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            EdgeColoredGraph(3, edges)
+
+    def test_missing_host_edge_with_none_color_rejected(self):
+        host = EdgeColoredGraph(3, [(0, 1, 4)])
+        with pytest.raises(ValueError, match="host"):
+            ColoredOrientation(host, [(0, 2, None)])
+
+
+def _ascending(adjacency, key):
+    return all(key(a) < key(b) for row in adjacency for a, b in zip(row, row[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_adjacency_strictly_ascending(data):
+    """Edges and arcs are stored sorted, so every adjacency tuple is built in
+    strictly ascending neighbour order, whatever order the input came in."""
+    n = data.draw(st.integers(1, 12))
+    pairs = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)
+    )
+    seen, arcs = set(), []
+    for t, h in pairs:
+        if t != h and (min(t, h), max(t, h)) not in seen:
+            seen.add((min(t, h), max(t, h)))
+            arcs.append((t, h, data.draw(st.integers(0, 4))))
+    G = EdgeColoredGraph(n, arcs)
+    D = OrientedGraph(n, [(t, h) for t, h, _ in arcs])
+    co = ColoredOrientation(G, arcs)
+    neighbour = itemgetter(0)
+    assert _ascending(G.adj, neighbour)
+    assert _ascending(D.out_adj, int) and _ascending(D.in_adj, int)
+    assert _ascending(co.out_adj, neighbour) and _ascending(co.in_adj, neighbour)
+    assert sum(map(len, G.adj)) == 2 * len(arcs)
+    assert sum(map(len, D.out_adj)) == sum(map(len, co.in_adj)) == len(arcs)
 
 
 class TestColorDegree:

@@ -96,6 +96,12 @@ class TestParseErrors:
             ("ecg 3 2\n0 1 0\n1 0 3\n", 3, "duplicate edge"),
             ("ecg 4 1 bipartite 2\n0 1 0\n", 2, "cross"),
             ("ecg 2 1 bipartite 5\n0 1 0\n", 1, "out of range"),
+            ("ecg 4 2 bipartite 2\n0 1 0\n0 9 0\n", 2, "cross"),
+            ("ecg 3 2\n0 9 0\n1 1 0\n", 2, "out of range"),
+            ("ecg 3 2\n0 1 0\n\n1 0 3\n", 4, "(first at line 2)"),
+            ("ecg 3 2\n1 1 0\n0 x 0\n", 2, "loop"),
+            ("ecg 3 2\n0 x 0\n1 1 0\n", 2, "not an integer"),
+            ("ecg 3 2\n0 1 -1\n0 1\n", 2, "negative color"),
         ],
     )
     def test_ecg_errors(self, text, line, needle):
@@ -111,6 +117,12 @@ class TestParseErrors:
             (parse_org, "org 3 2\n0 1\n0 1\n", 3, "duplicate arc"),
             (parse_corg, "corg 3 1\n0 1\n", 2, "expected 3 fields"),
             (parse_corg, "corg 3 2\n0 1 5\n1 0 5\n", 3, "anti-parallel"),
+            (parse_corg, "corg 3 2\n0 1 5\n0 1 5\n", 3, "(first at line 2)"),
+            (parse_corg, "corg 3 1\n0 1 -5\n", 2, "negative color"),
+            (parse_corg, "corg 3 2\n2 2 0\n0 1\n", 2, "loop"),
+            (parse_org, "org 3 2\n0 1\n1 0\n", 3, "(reverse at line 2)"),
+            (parse_org, "org 3 1\n0 7\n", 2, "out of range"),
+            (parse_org, "org 3 2\n0 1\n0 1 2\n", 3, "expected 2 fields"),
         ],
     )
     def test_org_corg_errors(self, parse, text, line, needle):
