@@ -374,76 +374,211 @@ def find_rainbow_kst(
 # Cycle detectors
 # ---------------------------------------------------------------------------
 
-def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock):
+def _walk_classes(G: EdgeColoredGraph, clock: _Clock) -> list[tuple[int, list[int]]]:
+    """(period, vertices) of each strongly connected component with a cycle
+    in the color-transition graph of G.
+
+    The states are pairs (v, c), "at v, arrived by an edge of color c", with
+    an arc (v, c) -> (w, c') for each edge {v, w} of color c' != c. A
+    properly colored cycle of length L is a closed walk of length L through
+    these states, so it lies in one component, its vertices are among that
+    component's vertices, and L is a multiple of the component's period
+    (the gcd of its closed-walk lengths).
+
+    Instead of the arcs themselves, each vertex v gets one exit node per
+    color (weight-1 arcs to the states its edges of that color reach) and
+    prefix and suffix hubs over its colors (weight-0 arcs), so state
+    (v, c_i) reaches every exit but c_i's through two hub arcs. The graph
+    has O(n + m + sum of color degrees) nodes and arcs, and its closed walks
+    have exactly the state graph's lengths. An iterative Tarjan search
+    labels the components; a DFS-tree depth is a potential on each of them,
+    so the period is the gcd of depth(u) + weight - depth(w) over the arcs
+    u -> w that it finds inside a component. The clock ticks once per arc.
+    """
+    adj = G.adj
+    state: dict[tuple[int, int], int] = {}
+    owner: list[int] = []  # the vertex of each state node
+    by_color = []
+    for v in range(G.n):
+        groups: dict[int, list[int]] = {}
+        for w, c in adj[v]:
+            groups.setdefault(c, []).append(w)
+        by_color.append(groups)
+        for c in groups:
+            state[(v, c)] = len(owner)
+            owner.append(v)
+    succ: list[list[int]] = [[] for _ in owner]
+    unit = bytearray(len(owner))  # 1 on exit nodes, whose arcs have weight 1
+
+    def node(targets: list[int], weight: int = 0) -> int:
+        succ.append(targets)
+        unit.append(weight)
+        return len(succ) - 1
+
+    for v, groups in enumerate(by_color):
+        exits = [node([state[(w, c)] for w in ws], 1) for c, ws in groups.items()]
+        k = len(exits)
+        prefix = exits[:1]  # prefix[i] reaches exits 0..i
+        for i in range(1, k - 1):
+            prefix.append(node([prefix[-1], exits[i]]))
+        suffix = exits[-1:]  # suffix[j] reaches exits k-1-j..k-1
+        for i in range(k - 2, 0, -1):
+            suffix.append(node([suffix[-1], exits[i]]))
+        for i, c in enumerate(groups):
+            out = succ[state[(v, c)]]
+            if i > 0:
+                out.append(prefix[i - 1])
+            if i < k - 1:
+                out.append(suffix[k - 2 - i])
+
+    size = len(succ)
+    index = [0] * size  # discovery order from 1; 0 = not yet seen
+    low = [0] * size
+    depth = [0] * size  # weighted depth in the DFS forest
+    slack = [0] * size  # gcd of the arc slacks found at each node
+    on_stack = bytearray(size)
+    stack: list[int] = []
+    classes = []
+    seen = 0
+    for root in range(size):
+        if index[root]:
+            continue
+        seen += 1
+        index[root] = low[root] = seen
+        stack.append(root)
+        on_stack[root] = 1
+        clock.tick(len(succ[root]))
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            u, todo = frames[-1]
+            for w in todo:
+                if not index[w]:
+                    seen += 1
+                    index[w] = low[w] = seen
+                    depth[w] = depth[u] + unit[u]
+                    stack.append(w)
+                    on_stack[w] = 1
+                    clock.tick(len(succ[w]))
+                    frames.append((w, iter(succ[w])))
+                    break
+                # w is on the stack exactly when it lies in u's component
+                if on_stack[w]:
+                    slack[u] = math.gcd(slack[u], depth[u] + unit[u] - depth[w])
+                    if index[w] < low[u]:
+                        low[u] = index[w]
+            else:
+                frames.pop()
+                if frames and low[u] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[u]
+                if low[u] == index[u]:
+                    members = []
+                    while True:
+                        x = stack.pop()
+                        on_stack[x] = 0
+                        members.append(x)
+                        if x == u:
+                            break
+                    # No node has an arc to itself, so only a component of
+                    # two or more nodes holds a cycle.
+                    if len(members) > 1:
+                        period = 0
+                        for x in members:
+                            period = math.gcd(period, slack[x])
+                        verts = {owner[x] for x in members if x < len(owner)}
+                        classes.append((period, sorted(verts)))
+    return classes
+
+
+def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, details: dict):
     """Iterative-deepening DFS for a shortest properly colored cycle.
 
     Tries the given cycle lengths in ascending order, skipping those above
-    n. For each length the start vertex is the cycle minimum and paths
-    extend through larger-id vertices with color-changing edges only; the
-    closing edge must differ in color from both its cycle neighbors. The
-    first cycle found is the shortest, lexicographically least one among
-    the lengths tried.
+    n. Before the first length, _walk_classes finds the components of
+    closed properly colored walks; details["walk_periods"] gets their
+    sorted distinct periods. A length L is searched only on the vertices of
+    the components whose period divides L and which have at least L
+    vertices, and skipped when there are none: every properly colored cycle
+    of length L lies inside them, so no witness changes.
+
+    For each length the start vertex is the cycle minimum and paths extend
+    through larger-id vertices with color-changing edges only; the closing
+    edge must differ in color from both its cycle neighbors. The first
+    cycle found is the shortest, lexicographically least one among the
+    lengths tried. The DFS keeps its path on an explicit stack, so the
+    cycle length is not bounded by Python's recursion limit.
     """
     n = G.n
     adj = G.adj
     colors = G.pair_colors
+    tick = clock.tick
+    classes = None
 
     for L in lengths:
         if L > n:
             break
+        if classes is None:
+            classes = _walk_classes(G, clock)
+            details["walk_periods"] = sorted({p for p, _ in classes})
+        # free[w]: w may join the path (admitted for L and not on the path)
+        free = bytearray(n)
+        for period, verts in classes:
+            if L % period == 0 and len(verts) >= L:
+                for v in verts:
+                    free[v] = 1
         for start in range(n):
+            if not free[start]:
+                continue
             path = [start]
-            on_path = {start}
-            edge_cols: list[int] = []
-
-            def dfs() -> Optional[tuple[int, ...]]:
-                v = path[-1]
-                if len(path) == L:
-                    key = (start, v) if start < v else (v, start)
-                    c = colors.get(key)
-                    clock.tick()
-                    if c is not None and c != edge_cols[-1] and c != edge_cols[0]:
-                        return tuple(path)
-                    return None
-                for w, c in adj[v]:
-                    if w <= start or w in on_path:
+            cols = [-1]  # colors of the path's edges after a sentinel
+            frames = [iter(adj[start])]
+            while frames:
+                for w, c in frames[-1]:
+                    if w <= start or not free[w] or c == cols[-1]:
                         continue
-                    if edge_cols and c == edge_cols[-1]:
-                        continue
-                    clock.tick()
-                    path.append(w)
-                    on_path.add(w)
-                    edge_cols.append(c)
-                    got = dfs()
-                    if got:
-                        return got
-                    path.pop()
-                    on_path.discard(w)
-                    edge_cols.pop()
-                return None
-
-            cycle = dfs()
-            if cycle:
-                edges = sorted(
-                    (min(a, b), max(a, b), colors[(min(a, b), max(a, b))])
-                    for a, b in _cycle_edges(cycle)
-                )
-                return _checked(G, Witness("pc-cycle", (cycle,), tuple(edges)))
+                    tick()
+                    if len(path) < L - 1:
+                        path.append(w)
+                        cols.append(c)
+                        free[w] = 0
+                        frames.append(iter(adj[w]))
+                        break
+                    tick()
+                    closing = colors.get((start, w))
+                    if closing is not None and closing != c and closing != cols[1]:
+                        cycle = (*path, w)
+                        edges = sorted(
+                            (min(a, b), max(a, b), colors[(min(a, b), max(a, b))])
+                            for a, b in _cycle_edges(cycle)
+                        )
+                        return _checked(G, Witness("pc-cycle", (cycle,), tuple(edges)))
+                else:
+                    frames.pop()
+                    if len(path) > 1:
+                        free[path.pop()] = 1
+                        cols.pop()
     return None
 
 
 def find_pc_cycle_upto(
     G: EdgeColoredGraph, r: int, budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
-    """Find a shortest properly colored cycle of length at most r."""
+    """Find a shortest properly colored cycle of length at most r.
+
+    A linear-time pass over the color-transition graph first finds the
+    periods of closed properly colored walks (details["walk_periods"]); the
+    DFS then skips every length that no period divides, so blow-ups of a
+    directed C_r and acyclic signatures are decided with almost no search.
+    Node counts include one tick per arc of that pass.
+    """
     if not isinstance(r, int) or r < 3:
         raise ValueError(f"r must be an integer >= 3, got {r!r}")
     clock = _Clock(budget)
+    details: dict = {}
     try:
-        w = _pc_cycle_impl(G, range(3, r + 1), clock)
+        w = _pc_cycle_impl(G, range(3, r + 1), clock, details)
     except _BudgetStop:
-        return _outcome(BUDGET_EXCEEDED, None, clock)
-    return _outcome(FOUND if w else EXHAUSTED, w, clock)
+        return _outcome(BUDGET_EXCEEDED, None, clock, **details)
+    return _outcome(FOUND if w else EXHAUSTED, w, clock, **details)
 
 
 def _rainbow_c4_impl(G: EdgeColoredGraph, clock: _Clock):
@@ -596,8 +731,11 @@ def pc_short_cycle_pipeline(
     colored C4. Stage 2 builds the orientation for s=t=2 and takes a
     shortest directed cycle, which maps back to a properly colored cycle of
     the same length. Stage 3 falls back to the bounded DFS cycle search
-    over lengths 3 and 5..r. The three searches tick one clock, so a node
-    or time budget stops whichever of them is running.
+    over lengths 3 and 5..r, behind the walk-period filter of
+    find_pc_cycle_upto: lengths that no closed properly colored walk has
+    are skipped, and details["walk_periods"] shows the periods. The three
+    searches tick one clock, so a node or time budget stops whichever of
+    them is running.
     The report carries the orientation's minimum out-degree and its margin
     over ceil(n/r).
     """
@@ -626,7 +764,7 @@ def pc_short_cycle_pipeline(
 
         # Stage 1 decided length 4: a properly colored C4 is a properly
         # colored K_{2,2}.
-        w = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock)
+        w = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock, details)
     except _BudgetStop:
         return _outcome(BUDGET_EXCEEDED, None, clock, **details)
     if w is not None:
@@ -647,8 +785,9 @@ def disjoint_pc_cycles(
 
     Each round finds one properly colored cycle in the residual graph (a
     properly colored C4 first, then a shortest directed cycle of the
-    orientation construction, then the exhaustive bounded DFS), removes its
-    vertices, and repeats. With fewer than k cycles the outcome is
+    orientation construction, then the exhaustive bounded DFS behind the
+    walk-period filter of find_pc_cycle_upto), removes its vertices, and
+    repeats. With fewer than k cycles the outcome is
     exhausted-none and the partial family rides in the details; this is a
     greedy heuristic, not an exact packing decision.
     """
@@ -686,7 +825,9 @@ def disjoint_pc_cycles(
                         cycle = w.vertices[0]
                 if cycle is None and residual.m > 0:
                     # length 4 is decided by the K_{2,2} search above
-                    w = _pc_cycle_impl(residual, (3, *range(5, residual.n + 1)), clock)
+                    w = _pc_cycle_impl(
+                        residual, (3, *range(5, residual.n + 1)), clock, {}
+                    )
                     if w is not None:
                         cycle = w.vertices[0]
         except _BudgetStop:

@@ -130,3 +130,26 @@ def brute_pc_cycle_lengths(G) -> set[int]:
         for cyc in all_cycles_by_permutation(G.n, pairs)
         if is_pc_cycle(G, cyc)
     }
+
+
+def first_pc_cycle_witness(G, lengths):
+    """The lexicographically least properly colored cycle of the shortest
+    admitted length, as a vertex sequence from its minimum vertex, or None.
+
+    Tries each length of `lengths` up to n in ascending order; for each
+    start vertex in ascending order, all orders of larger vertices in
+    lexicographic order (permutations of a sorted pool come out that way).
+    """
+    cmap = _color_map(G)
+    for L in sorted(set(lengths)):
+        if L > G.n:
+            break
+        for first in range(G.n):
+            for rest in permutations(range(first + 1, G.n), L - 1):
+                cyc = (first,) + rest
+                cols = [_col(cmap, cyc[i], cyc[(i + 1) % L]) for i in range(L)]
+                if None in cols:
+                    continue
+                if all(cols[i] != cols[(i + 1) % L] for i in range(L)):
+                    return cyc
+    return None

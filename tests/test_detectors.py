@@ -21,6 +21,8 @@ from chroma.detectors import (
     EXHAUSTED,
     FOUND,
     SearchBudget,
+    _Clock,
+    _walk_classes,
     all_simple_cycles,
     check_total_degree_threshold,
     disjoint_pc_cycles,
@@ -42,7 +44,9 @@ from oracles import (
     brute_pc_cycle_lengths,
     brute_pc_kst_exists,
     brute_rainbow_kst_exists,
+    first_pc_cycle_witness,
     first_pc_kst_witness,
+    is_pc_cycle,
 )
 
 
@@ -52,6 +56,25 @@ def c4(c1, c2, c3, c4_):
 
 def mono_k(n, color=0):
     return EdgeColoredGraph(n, [(u, v, color) for u in range(n) for v in range(u + 1, n)])
+
+
+def flower_edges(z):
+    """Edges of three loops of lengths 3, 4 and 5 through vertex z, on the
+    vertices z, z+1, ...; returns (edges, one past the last vertex).
+
+    Each loop is properly colored except at z, where both its edges have the
+    loop's own color. So the flower has no pc cycle, but going round two
+    different loops is a closed pc walk, of length 7, 8 or 9: the walks'
+    period is 1.
+    """
+    edges, nxt = [], z + 1
+    for loop, length in enumerate((3, 4, 5)):
+        path = [z, *range(nxt, nxt + length - 1), z]
+        nxt += length - 1
+        cols = [loop] + [10 + 2 * loop + i % 2 for i in range(length - 2)] + [loop]
+        for a, b, c in zip(path, path[1:], cols):
+            edges.append((min(a, b), max(a, b), c))
+    return edges, nxt
 
 
 class TestBudget:
@@ -263,6 +286,116 @@ class TestFindPcCycle:
             assert out.status == EXHAUSTED
 
 
+def cycle_search_instance(seed):
+    """A small graph for the exact-witness checks: a random graph, the
+    signature of a random oriented graph, or a relabelled blow-up of a
+    directed cycle, whose closed pc walks have period r."""
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 0:
+        n = rng.randint(3, 8)
+        return random_edge_colored_graph(n, rng.choice([0.4, 0.7, 0.9]), rng.randint(1, 4), seed)
+    if kind == 1:
+        return signature(random_oriented_graph(rng.randint(3, 8), rng.choice([0.3, 0.5, 0.8]), seed))
+    r = rng.randint(3, 8)
+    G = blowup_cycle_signature(r, rng.randint(1, 2) if r <= 4 else 1)
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return EdgeColoredGraph(G.n, [(perm[u], perm[v], c) for u, v, c in G.edges])
+
+
+def first_witness_upto(G, r, skip=()):
+    """first_pc_cycle_witness over the lengths 3..r minus skip."""
+    return first_pc_cycle_witness(G, [L for L in range(3, r + 1) if L not in skip])
+
+
+class TestWalkPeriods:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_find_returns_least_witness(self, seed):
+        G = cycle_search_instance(seed)
+        r = random.Random(seed).randint(3, max(3, G.n))
+        out = find_pc_cycle_upto(G, r)
+        expect = first_witness_upto(G, r)
+        assert out.status == (FOUND if expect else EXHAUSTED)
+        assert (out.witness.vertices[0] if out.witness else None) == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_pipeline_stage3_returns_least_witness(self, seed):
+        G = cycle_search_instance(seed)
+        r = random.Random(seed).randint(4, max(4, G.n))
+        out = pc_short_cycle_pipeline(G, r)
+        if out.details.get("stage") == 3:
+            assert out.witness.vertices[0] == first_witness_upto(G, r, skip=(4,))
+        elif out.status == EXHAUSTED:
+            assert first_witness_upto(G, r) is None
+
+    def test_seeded_witnesses_and_sound_periods(self):
+        periods_seen, stage3 = set(), 0
+        for seed in range(120):
+            G = cycle_search_instance(seed)
+            least = {L: first_pc_cycle_witness(G, [L]) for L in range(3, G.n + 1)}
+            for r in range(3, G.n + 1):
+                expect = next((least[L] for L in range(3, r + 1) if least[L]), None)
+                out = find_pc_cycle_upto(G, r)
+                assert (out.witness.vertices[0] if out.witness else None) == expect
+                if r < 4:
+                    continue
+                out = pc_short_cycle_pipeline(G, r)
+                if out.details.get("stage") == 3:
+                    stage3 += 1
+                    expect = next((least[L] for L in range(3, r + 1) if L != 4 and least[L]), None)
+                    assert out.witness.vertices[0] == expect
+            # Soundness: every pc cycle lies inside a component whose period
+            # divides its length, so its length is a multiple of a period.
+            periods = find_pc_cycle_upto(G, G.n).details["walk_periods"]
+            periods_seen.update(periods)
+            assert all(any(L % p == 0 for p in periods) for L in brute_pc_cycle_lengths(G))
+            classes = _walk_classes(G, _Clock(None))
+            for cyc in all_cycles_by_permutation(G.n, [(u, v) for u, v, _ in G.edges]):
+                if is_pc_cycle(G, cyc):
+                    assert any(
+                        len(cyc) % p == 0 and set(cyc) <= set(verts) for p, verts in classes
+                    )
+        assert stage3 > 0 and max(periods_seen) > 1
+
+    def test_blowups_and_acyclic_signatures_skip_the_dfs(self):
+        # No length below r is admitted, so those searches cost the filter's
+        # ticks alone, as does length 3 by itself.
+        for r in range(4, 8):
+            for k in (1, 2, 3):
+                G = blowup_cycle_signature(r, k)
+                out = find_pc_cycle_upto(G, r - 1)
+                assert out.status == EXHAUSTED and out.details["walk_periods"] == [r]
+                assert out.nodes == find_pc_cycle_upto(G, 3).nodes
+                found = find_pc_cycle_upto(G, r)
+                assert found.status == FOUND and len(found.witness.vertices[0]) == r
+        G = signature(transitive_tournament(14))
+        out = find_pc_cycle_upto(G, G.n)
+        assert out.status == EXHAUSTED and out.details["walk_periods"] == []
+        assert out.nodes == find_pc_cycle_upto(G, 3).nodes
+
+    def test_long_cycle_needs_no_recursion(self):
+        # A pc C_1200: the filter admits only length 1200, so the DFS goes
+        # straight to a path 1200 vertices deep.
+        n = 1200
+        G = EdgeColoredGraph(n, [(i, (i + 1) % n, i % 2) for i in range(n)])
+        out = find_pc_cycle_upto(G, n)
+        assert out.status == FOUND and out.details["walk_periods"] == [n]
+        assert out.witness.vertices[0] == tuple(range(n))
+        assert verify_witness(G, out.witness)
+
+    def test_filter_ticks_are_linear(self):
+        # One tick per arc of the hub graph: at most 2m exit arcs plus six
+        # per (vertex, color) state for the state and hub arcs.
+        G = signature(circulant_tournament(201))
+        clock = _Clock(None)
+        classes = _walk_classes(G, clock)
+        assert [p for p, _ in classes] == [1, 1]
+        assert 0 < clock.nodes <= 2 * G.m + 6 * total_color_degree(G)
+
+
 class TestFindRainbowC4:
     def test_rainbow_k22(self):
         G = EdgeColoredGraph(4, [(0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 4)])
@@ -358,15 +491,36 @@ class TestPipeline:
     def test_stage3_skips_length_4(self):
         # Stage 1 decided length 4 (a pc C4 is a pc K_{2,2}), so stage 3
         # costs less than the DFS over every length up to r, and finds the
-        # same cycle.
-        G = extremal_no_pc_c4(3)
+        # same cycle. The flower's closed pc walks have period 1, so the
+        # walk-period filter admits length 4 for both searches.
+        B = extremal_no_pc_c4(3)
+        flower, n = flower_edges(B.n)
+        G = EdgeColoredGraph(n, list(B.edges) + flower)
         out = pc_short_cycle_pipeline(G, 6)
         assert out.status == FOUND and out.details["stage"] == 3
+        assert out.details["walk_periods"] == [1, 6]
         stage1 = find_pc_kst(G, 2, 2).nodes
         stage2 = shortest_directed_cycle(construct_orientation(G, 2, 2)[1]).nodes
         dfs = find_pc_cycle_upto(G, 6)
         assert out.witness == dfs.witness
         assert out.nodes - stage1 - stage2 < dfs.nodes
+
+    def test_budget_running_out_in_walk_filter(self):
+        # Budgets from the end of stage 2 through the walk-period filter of
+        # stage 3 end budget-exceeded (inside the filter) or found.
+        G = extremal_no_pc_c4(3)
+        before = find_pc_kst(G, 2, 2).nodes + shortest_directed_cycle(
+            construct_orientation(G, 2, 2)[1]
+        ).nodes
+        # Length 3 is excluded by the period 6, so this is the filter alone.
+        walk = find_pc_cycle_upto(G, 3)
+        assert walk.status == EXHAUSTED and walk.details["walk_periods"] == [6]
+        for b in range(before - 2, before + walk.nodes + 2):
+            out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=b))
+            assert out.status in (BUDGET_EXCEEDED, FOUND)
+            if before <= b < before + walk.nodes:
+                assert out.status == BUDGET_EXCEEDED
+                assert "walk_periods" not in out.details
 
     def test_node_budget_stops_inside_stage2(self):
         # The BFS ticks the pipeline's clock level by level, so it stops at

@@ -233,6 +233,19 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert json.loads(res.stdout)["status"] == "budget-exceeded"
 
+    def test_find_pc_cycle_1200_deep(self, tmp_path):
+        # The DFS goes straight to length 1200, deeper than Python's
+        # recursion limit; the walk periods ride in the JSON details.
+        n = 1200
+        ecg = tmp_path / "c1200.ecg"
+        save(EdgeColoredGraph(n, [(i, (i + 1) % n, i % 2) for i in range(n)]), ecg)
+        res = run_cli("find", "pc-cycle", "--max-len", str(n), "-i", str(ecg))
+        assert res.returncode == 0
+        assert "Traceback" not in res.stderr
+        out = json.loads(res.stdout)
+        assert out["status"] == "found" and out["details"] == {"walk_periods": [n]}
+        assert len(out["witness"]["vertices"][0]) == n
+
     def test_verify_suite(self, tmp_path):
         out = tmp_path / "rep.json"
         res = run_cli(
