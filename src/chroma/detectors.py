@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Optional, Union
 
@@ -213,6 +213,18 @@ def _checked(G, w: Witness) -> Witness:
     return w
 
 
+def _cycle_witness(G: EdgeColoredGraph, kind: str, *cycles) -> Witness:
+    """The re-verified witness of the given cycles of G, with their edges as
+    sorted (min, max, color) triples."""
+    colors = G.pair_colors
+    edges = []
+    for cycle in cycles:
+        for a, b in _cycle_edges(cycle):
+            e = (a, b) if a < b else (b, a)
+            edges.append((*e, colors[e]))
+    return _checked(G, Witness(kind, cycles, tuple(sorted(edges))))
+
+
 # ---------------------------------------------------------------------------
 # Complete bipartite detectors
 # ---------------------------------------------------------------------------
@@ -265,10 +277,12 @@ def _kst_impl(G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool)
     mode) or one set shared by all of S (rainbow mode); the first T found is
     the lexicographically least one for the first S that has any.
 
-    For properly colored K_{2,t} the backtracking runs only on the first
-    pair that _color_matching accepts, which yields the same witness, so
-    the search costs O(pairs x candidates) for t = 2 and
-    O(pairs x t x candidates) for larger t.
+    For s = 2 the backtracking runs only on the pairs that _color_matching
+    accepts: a rainbow K_{2,t} is also a properly colored one, so a rejected
+    pair holds neither, and the witness is the same. Properly colored
+    K_{2,t} backtracks on the first accepted pair alone, so it costs
+    O(pairs x candidates) for t = 2 and O(pairs x t x candidates) for
+    larger t; rainbow K_{2,t} may backtrack on every accepted pair.
     Each pair costs one tick, the matching one tick per candidate it reads
     and per edge its augmenting paths look at, and the backtracking one tick
     per candidate it tries.
@@ -276,7 +290,7 @@ def _kst_impl(G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool)
     n = G.n
     nbr = G.neighbor_sets
     colors = G.pair_colors
-    by_matching = s == 2 and not rainbow
+    by_matching = s == 2
 
     for S in combinations(range(n), s):
         clock.tick()
@@ -366,7 +380,11 @@ def find_pc_kst(
 def find_rainbow_kst(
     G: EdgeColoredGraph, s: int, t: int, budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
-    """Like find_pc_kst but all s*t edge colors must be pairwise distinct."""
+    """Like find_pc_kst but all s*t edge colors must be pairwise distinct.
+
+    For s = 2 the same color-pair matching gates each vertex pair, since a
+    rainbow K_{2,t} is properly colored; the pairs it accepts backtrack.
+    """
     return _run_kst(G, s, t, budget, rainbow=True)
 
 
@@ -545,12 +563,7 @@ def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, details: dict):
                     tick()
                     closing = colors.get((start, w))
                     if closing is not None and closing != c and closing != cols[1]:
-                        cycle = (*path, w)
-                        edges = sorted(
-                            (min(a, b), max(a, b), colors[(min(a, b), max(a, b))])
-                            for a, b in _cycle_edges(cycle)
-                        )
-                        return _checked(G, Witness("pc-cycle", (cycle,), tuple(edges)))
+                        return _cycle_witness(G, "pc-cycle", (*path, w))
                 else:
                     frames.pop()
                     if len(path) > 1:
@@ -581,44 +594,20 @@ def find_pc_cycle_upto(
     return _outcome(FOUND if w else EXHAUSTED, w, clock, **details)
 
 
-def _rainbow_c4_impl(G: EdgeColoredGraph, clock: _Clock):
-    n = G.n
-    nbr = G.neighbor_sets
-    colors = G.pair_colors
-
-    def col(a, b):
-        return colors[(a, b) if a < b else (b, a)]
-
-    for a, b in combinations(range(n), 2):
-        clock.tick()
-        common = sorted(nbr[a] & nbr[b])
-        if len(common) < 2:
-            continue
-        for u, w in combinations(common, 2):
-            clock.tick()
-            cs = (col(a, u), col(u, b), col(b, w), col(w, a))
-            if len(set(cs)) == 4:
-                cycle = (a, u, b, w)
-                edges = sorted(
-                    (min(x, y), max(x, y), col(x, y)) for x, y in _cycle_edges(cycle)
-                )
-                return _checked(G, Witness("rainbow-cycle", (cycle,), tuple(edges)))
-    return None
-
-
 def find_rainbow_c4(
     G: EdgeColoredGraph, budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
     """Search for a 4-cycle whose four edges have pairwise distinct colors.
 
-    Enumerates vertex pairs and pairs of their common neighbors.
+    A rainbow C4 is a rainbow K_{2,2}, so this is the rainbow K_{2,2} search
+    of find_rainbow_kst, with its witness ((a, b), (u, w)) read as the cycle
+    (a, u, b, w); the node counts are that search's.
     """
-    clock = _Clock(budget)
-    try:
-        w = _rainbow_c4_impl(G, clock)
-    except _BudgetStop:
-        return _outcome(BUDGET_EXCEEDED, None, clock)
-    return _outcome(FOUND if w else EXHAUSTED, w, clock)
+    out = _run_kst(G, 2, 2, budget, rainbow=True)
+    if out.witness is None:
+        return out
+    (a, b), (u, w) = out.witness.vertices
+    return replace(out, witness=_cycle_witness(G, "rainbow-cycle", (a, u, b, w)))
 
 
 def _shortest_directed_cycle_impl(D, clock: _Clock) -> Optional[Witness]:
@@ -680,10 +669,7 @@ def _shortest_directed_cycle_impl(D, clock: _Clock) -> Optional[Witness]:
         edges = tuple((t, h, arc_colors[(t, h)]) for t, h in _cycle_edges(cycle))
     else:
         edges = tuple(_cycle_edges(cycle))
-    w = Witness("directed-cycle", (cycle,), edges)
-    if not verify_witness(D, w):
-        raise RuntimeError("internal error: directed-cycle witness failed re-verification")
-    return w
+    return _checked(D, Witness("directed-cycle", (cycle,), edges))
 
 
 def shortest_directed_cycle(
@@ -705,21 +691,39 @@ def shortest_directed_cycle(
 # Derived pipelines
 # ---------------------------------------------------------------------------
 
-def _kst_to_c4_witness(G: EdgeColoredGraph, w: Witness) -> Witness:
-    (a, b), (u, v) = w.vertices
-    cycle = (a, u, b, v)
-    edges = sorted(
-        (min(x, y), max(x, y), G.color_of(x, y)) for x, y in _cycle_edges(cycle)
-    )
-    return _checked(G, Witness("pc-cycle", (cycle,), tuple(edges)))
+def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
+    """The re-verified pc-cycle witness of length at most r that the three
+    stages of pc_short_cycle_pipeline find in G, or None.
 
+    All three tick the one clock. details gets the stage that found the
+    cycle, the orientation's out-degree figures and the walk periods, as
+    far as the search got. An edgeless G stops after stage 1; stage 3 skips
+    length 4, which stage 1 decided.
+    """
+    w = _kst_impl(G, 2, 2, clock, rainbow=False)
+    if w is not None:
+        details["stage"] = 1
+        (a, b), (u, v) = w.vertices
+        return _cycle_witness(G, "pc-cycle", (a, u, b, v))
+    if G.m == 0:
+        return None
 
-def _directed_to_pc_witness(G: EdgeColoredGraph, w: Witness) -> Witness:
-    cycle = w.vertices[0]
-    edges = sorted(
-        (min(a, b), max(a, b), G.color_of(a, b)) for a, b in _cycle_edges(cycle)
-    )
-    return _checked(G, Witness("pc-cycle", (cycle,), tuple(edges)))
+    if G.n > 2:
+        _, D, _report = construct_orientation(G, 2, 2)
+        min_dplus = min(D.out_degree(v) for v in range(G.n))
+        target = math.ceil(G.n / r)
+        details["min_outdegree"] = min_dplus
+        details["outdegree_target"] = target
+        details["outdegree_margin"] = min_dplus - target
+        w = _shortest_directed_cycle_impl(D, clock)
+        if w is not None and len(w.vertices[0]) <= r:
+            details["stage"] = 2
+            return _cycle_witness(G, "pc-cycle", w.vertices[0])
+
+    w = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock, details)
+    if w is not None:
+        details["stage"] = 3
+    return w
 
 
 def pc_short_cycle_pipeline(
@@ -743,34 +747,11 @@ def pc_short_cycle_pipeline(
         raise ValueError(f"r must be an integer >= 4, got {r!r}")
     clock = _Clock(budget)
     details: dict = {"r": r}
-
     try:
-        w = _kst_impl(G, 2, 2, clock, rainbow=False)
-        if w is not None:
-            details["stage"] = 1
-            return _outcome(FOUND, _kst_to_c4_witness(G, w), clock, **details)
-
-        if G.n > 2:
-            _, D, _report = construct_orientation(G, 2, 2)
-            min_dplus = min(D.out_degree(v) for v in range(G.n))
-            target = math.ceil(G.n / r)
-            details["min_outdegree"] = min_dplus
-            details["outdegree_target"] = target
-            details["outdegree_margin"] = min_dplus - target
-            w = _shortest_directed_cycle_impl(D, clock)
-            if w is not None and len(w.vertices[0]) <= r:
-                details["stage"] = 2
-                return _outcome(FOUND, _directed_to_pc_witness(G, w), clock, **details)
-
-        # Stage 1 decided length 4: a properly colored C4 is a properly
-        # colored K_{2,2}.
-        w = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock, details)
+        w = _pc_cycle_stages(G, r, clock, details)
     except _BudgetStop:
         return _outcome(BUDGET_EXCEEDED, None, clock, **details)
-    if w is not None:
-        details["stage"] = 3
-        return _outcome(FOUND, w, clock, **details)
-    return _outcome(EXHAUSTED, None, clock, **details)
+    return _outcome(FOUND if w else EXHAUSTED, w, clock, **details)
 
 
 def _drop_vertices(G: EdgeColoredGraph, dead: set[int]) -> EdgeColoredGraph:
@@ -783,60 +764,33 @@ def disjoint_pc_cycles(
 ) -> SearchOutcome:
     """Greedily collect up to k vertex-disjoint properly colored cycles.
 
-    Each round finds one properly colored cycle in the residual graph (a
-    properly colored C4 first, then a shortest directed cycle of the
-    orientation construction, then the exhaustive bounded DFS behind the
-    walk-period filter of find_pc_cycle_upto), removes its vertices, and
-    repeats. With fewer than k cycles the outcome is
-    exhausted-none and the partial family rides in the details; this is a
-    greedy heuristic, not an exact packing decision.
+    Each round runs the three stages of pc_short_cycle_pipeline with no
+    length bound (r = max(n, 4)) on the residual graph, removes the
+    vertices of the cycle it finds, and repeats. With fewer than k cycles
+    the outcome is exhausted-none and the partial family rides in the
+    details; this is a greedy heuristic, not an exact packing decision.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     clock = _Clock(budget)
     cycles: list[tuple[int, ...]] = []
-    dead: set[int] = set()
     residual = G
+    r = max(G.n, 4)
 
     def finish(status):
         details = {"requested": k, "cycles": [list(c) for c in cycles]}
-        if status == FOUND:
-            edges = []
-            for cyc in cycles:
-                edges.extend(
-                    (min(a, b), max(a, b), G.color_of(a, b))
-                    for a, b in _cycle_edges(cyc)
-                )
-            w = _checked(G, Witness("disjoint-cycles", tuple(cycles), tuple(sorted(edges))))
-            return _outcome(FOUND, w, clock, **details)
-        return _outcome(status, None, clock, **details)
+        w = _cycle_witness(G, "disjoint-cycles", *cycles) if status == FOUND else None
+        return _outcome(status, w, clock, **details)
 
     while len(cycles) < k:
-        cycle = None
         try:
-            w = _kst_impl(residual, 2, 2, clock, rainbow=False)
-            if w is not None:
-                cycle = _kst_to_c4_witness(residual, w).vertices[0]
-            else:
-                if residual.n > 2 and residual.m > 0:
-                    _, D, _rep = construct_orientation(residual, 2, 2)
-                    w = _shortest_directed_cycle_impl(D, clock)
-                    if w is not None:
-                        cycle = w.vertices[0]
-                if cycle is None and residual.m > 0:
-                    # length 4 is decided by the K_{2,2} search above
-                    w = _pc_cycle_impl(
-                        residual, (3, *range(5, residual.n + 1)), clock, {}
-                    )
-                    if w is not None:
-                        cycle = w.vertices[0]
+            w = _pc_cycle_stages(residual, r, clock, {})
         except _BudgetStop:
             return finish(BUDGET_EXCEEDED)
-        if cycle is None:
+        if w is None:
             return finish(EXHAUSTED)
-        cycles.append(tuple(cycle))
-        dead |= set(cycle)
-        residual = _drop_vertices(G, dead)
+        cycles.append(w.vertices[0])
+        residual = _drop_vertices(G, {v for cyc in cycles for v in cyc})
     return finish(FOUND)
 
 

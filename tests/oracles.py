@@ -38,18 +38,20 @@ def _rainbow_kst_ok(cmap, S, T):
     return len(set(cols)) == len(cols)
 
 
-def first_pc_kst_witness(G, s, t):
-    """(S, T) of the first properly colored K_{s,t}, or None.
+def first_pc_kst_witness(G, s, t, rainbow=False):
+    """(S, T) of the first properly colored (or, with rainbow, rainbow)
+    K_{s,t}, or None.
 
     S is the lexicographically first s-subset that carries one, and T the
     lexicographically first t-subset of the vertices outside S that completes
     it."""
     cmap = _color_map(G)
+    ok = _rainbow_kst_ok if rainbow else _pc_kst_ok
     verts = range(G.n)
     for S in combinations(verts, s):
         rest = [v for v in verts if v not in S]
         for T in combinations(rest, t):
-            if _complete_bipartite(cmap, S, T) and _pc_kst_ok(cmap, S, T):
+            if _complete_bipartite(cmap, S, T) and ok(cmap, S, T):
                 return S, T
     return None
 
@@ -59,14 +61,7 @@ def brute_pc_kst_exists(G, s, t) -> bool:
 
 
 def brute_rainbow_kst_exists(G, s, t) -> bool:
-    cmap = _color_map(G)
-    verts = range(G.n)
-    for S in combinations(verts, s):
-        rest = [v for v in verts if v not in S]
-        for T in combinations(rest, t):
-            if _complete_bipartite(cmap, S, T) and _rainbow_kst_ok(cmap, S, T):
-                return True
-    return False
+    return first_pc_kst_witness(G, s, t, rainbow=True) is not None
 
 
 def all_cycles_by_permutation(n, pairs) -> set[tuple[int, ...]]:

@@ -154,17 +154,19 @@ def pair_with_color_pairs(color_pairs):
 
 
 class TestPcK2tMatching:
-    """find_pc_kst with s = 2 against the brute-force first witness."""
+    """find_pc_kst and find_rainbow_kst with s = 2, both gated by the
+    color-pair matching, against the brute-force first witness."""
 
     @staticmethod
     def assert_matches_oracle(G, t):
-        out = find_pc_kst(G, 2, t)
-        expected = first_pc_kst_witness(G, 2, t)
-        if expected is None:
-            assert out.status == EXHAUSTED and out.witness is None
-        else:
-            assert out.status == FOUND
-            assert out.witness.vertices == expected
+        for find, rainbow in ((find_pc_kst, False), (find_rainbow_kst, True)):
+            out = find(G, 2, t)
+            expected = first_pc_kst_witness(G, 2, t, rainbow=rainbow)
+            if expected is None:
+                assert out.status == EXHAUSTED and out.witness is None
+            else:
+                assert out.status == FOUND
+                assert out.witness.vertices == expected
 
     @pytest.mark.parametrize("seed", range(60))
     def test_seeded_graphs(self, seed):
@@ -207,11 +209,16 @@ class TestPcK2tMatching:
 
     def test_node_budget_stops_exhaustive_search(self):
         G = signature(transitive_tournament(20))
-        for t in (2, 3):
-            full = find_pc_kst(G, 2, t)
+        searches = [
+            lambda b, find=find, t=t: find(G, 2, t, b)
+            for find in (find_pc_kst, find_rainbow_kst)
+            for t in (2, 3)
+        ] + [lambda b: find_rainbow_c4(G, b)]
+        for search in searches:
+            full = search(None)
             assert full.status == EXHAUSTED
-            assert find_pc_kst(G, 2, t, SearchBudget(max_nodes=full.nodes)).status == EXHAUSTED
-            short = find_pc_kst(G, 2, t, SearchBudget(max_nodes=full.nodes - 1))
+            assert search(SearchBudget(max_nodes=full.nodes)).status == EXHAUSTED
+            short = search(SearchBudget(max_nodes=full.nodes - 1))
             assert short.status == BUDGET_EXCEEDED and short.witness is None
 
 
@@ -411,11 +418,18 @@ class TestFindRainbowC4:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_rainbow_kst(self, seed):
+        # The witness is the oracle's first rainbow K_{2,2} ((a, b), (u, w)),
+        # read as the cycle (a, u, b, w).
         rng = random.Random(seed)
         G = random_edge_colored_graph(rng.randint(2, 8), 0.6, rng.randint(1, 6), seed)
-        assert (
-            find_rainbow_c4(G, None).status == find_rainbow_kst(G, 2, 2, None).status
-        )
+        out = find_rainbow_c4(G, None)
+        expected = first_pc_kst_witness(G, 2, 2, rainbow=True)
+        if expected is None:
+            assert out.status == EXHAUSTED and out.witness is None
+        else:
+            (a, b), (u, w) = expected
+            assert out.status == FOUND and out.witness.kind == "rainbow-cycle"
+            assert out.witness.vertices == ((a, u, b, w),)
 
 
 class TestShortestDirectedCycle:
@@ -574,6 +588,20 @@ class TestDisjointPcCycles:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             disjoint_pc_cycles(mono_k(3), 0, None)
+
+    def test_first_round_is_the_unbounded_pipeline(self):
+        # Each round runs the pipeline's stages with r = max(n, 4), so the
+        # first cycle is the pipeline's witness.
+        found = 0
+        for seed in range(80):
+            G = cycle_search_instance(seed)
+            out = disjoint_pc_cycles(G, 1)
+            pipe = pc_short_cycle_pipeline(G, max(G.n, 4))
+            assert out.status == pipe.status
+            if pipe.witness is not None:
+                found += 1
+                assert out.witness.vertices == pipe.witness.vertices
+        assert found > 0
 
 
 class TestExtractRainbowKst:
