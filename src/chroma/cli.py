@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import constructions, detectors, extraction, formats, suites, transforms
-from .core import ColoredOrientation, EdgeColoredGraph, OrientedGraph
+from .core import EdgeColoredGraph, OrientedGraph
 
 EXIT_FOUND = 0
 EXIT_EXHAUSTED = 1
@@ -44,18 +44,13 @@ def _budget(args) -> detectors.SearchBudget | None:
 
 def _write_output(obj, path) -> None:
     """Render obj and write it to path, or to stdout for None or "-"."""
-    if isinstance(obj, EdgeColoredGraph):
-        try:
-            text = formats.render_ecg(obj)
-        except ValueError:
-            sys.stderr.write(
-                "note: bipartition is not prefix-representable; writing without it\n"
-            )
-            text = formats.render_ecg(formats.strip_bipartition(obj))
-    elif isinstance(obj, ColoredOrientation):
-        text = formats.render_corg(obj)
-    else:
-        text = formats.render_org(obj)
+    try:
+        text = formats.render(obj)
+    except ValueError:  # only a bipartition that is not a vertex prefix
+        sys.stderr.write(
+            "note: bipartition is not prefix-representable; writing without it\n"
+        )
+        text = formats.render(formats.strip_bipartition(obj))
     if path is None or path == "-":
         sys.stdout.write(text)
     else:

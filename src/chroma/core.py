@@ -196,9 +196,6 @@ class OrientedGraph:
         _require_vertex(self.n, v)
         return len(self.in_adj[v])
 
-    def has_arc(self, t: int, h: int) -> bool:
-        return h in self.out_adj[t] if 0 <= t < self.n else False
-
 
 # Stands in for a missing host edge; unlike None, it equals no arc's color.
 _NO_EDGE = object()

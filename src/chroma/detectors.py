@@ -18,7 +18,7 @@ from .core import (
     EdgeColoredGraph,
     OrientedGraph,
     Witness,
-    color_degree,
+    color_degree,  # unused here; bench/tracing.py wraps it by this path
     is_properly_colored,
     is_rainbow,
     total_color_degree,
@@ -95,46 +95,20 @@ class _Clock:
         return time.monotonic() - self.start
 
 
-def _outcome(status, witness, clock, **details) -> SearchOutcome:
-    return SearchOutcome(status, witness, clock.nodes, clock.elapsed, dict(details))
+def _search(budget: Optional[SearchBudget], body, details: dict) -> SearchOutcome:
+    """Run body(clock) as one search under a new clock for budget.
 
-
-def verify_witness(host, w: Witness) -> bool:
-    """Re-verify a witness against its host graph; False on any mismatch."""
+    A witness from body makes the outcome found and None exhausted-none; a
+    budget stop anywhere inside makes it budget-exceeded. details is the
+    dict body fills as it goes; the outcome carries it as body left it.
+    """
+    clock = _Clock(budget)
     try:
-        if w.kind in ("pc-kst", "rainbow-kst"):
-            return _verify_kst(host, w)
-        if w.kind in ("pc-cycle", "rainbow-cycle"):
-            return _verify_colored_cycle(host, w)
-        if w.kind == "directed-cycle":
-            return _verify_directed_cycle(host, w)
-        if w.kind == "disjoint-cycles":
-            return _verify_disjoint(host, w)
-    except (ValueError, IndexError):
-        return False
-    return False
-
-
-def _verify_kst(G: EdgeColoredGraph, w: Witness) -> bool:
-    if len(w.vertices) != 2:
-        return False
-    S, T = w.vertices
-    if not S or not T or set(S) & set(T):
-        return False
-    if len(set(S)) != len(S) or len(set(T)) != len(T):
-        return False
-    expected = {(min(u, v), max(u, v)) for u in S for v in T}
-    got = {(e[0], e[1]) for e in w.edges}
-    if got != expected or len(w.edges) != len(expected):
-        return False
-    for u, v, c in w.edges:
-        if not G.has_edge(u, v) or G.color_of(u, v) != c:
-            return False
-    if not is_properly_colored(G, w.edges):
-        return False
-    if w.kind == "rainbow-kst" and not is_rainbow(G, w.edges):
-        return False
-    return True
+        w = body(clock)
+        status = FOUND if w else EXHAUSTED
+    except _BudgetStop:
+        w, status = None, BUDGET_EXCEEDED
+    return SearchOutcome(status, w, clock.nodes, clock.elapsed, details)
 
 
 def _cycle_edges(cycle):
@@ -142,69 +116,65 @@ def _cycle_edges(cycle):
     return [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
 
 
-def _verify_colored_cycle(G: EdgeColoredGraph, w: Witness) -> bool:
-    if len(w.vertices) != 1:
-        return False
-    cycle = w.vertices[0]
-    if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-        return False
-    expected = {(min(a, b), max(a, b)) for a, b in _cycle_edges(cycle)}
-    got = {(e[0], e[1]) for e in w.edges}
-    if got != expected or len(w.edges) != len(expected):
-        return False
-    for u, v, c in w.edges:
-        if not G.has_edge(u, v) or G.color_of(u, v) != c:
-            return False
-    if not is_properly_colored(G, w.edges):
-        return False
-    if w.kind == "rainbow-cycle" and not is_rainbow(G, w.edges):
-        return False
-    return True
+def _host_edges(host, kind: str, groups) -> Optional[list[tuple[int, ...]]]:
+    """The edges a witness of kind on the vertex groups must have, or None
+    when one of them is missing from host.
 
-
-def _verify_directed_cycle(D, w: Witness) -> bool:
-    if len(w.vertices) != 1:
-        return False
-    cycle = w.vertices[0]
-    if len(cycle) < 2 or len(set(cycle)) != len(cycle):
-        return False
-    if isinstance(D, ColoredOrientation):
-        arcs = {(t, h): c for t, h, c in D.arcs}
-        for t, h in _cycle_edges(cycle):
-            if (t, h) not in arcs:
-                return False
-        for e in w.edges:
-            if len(e) != 3 or arcs.get((e[0], e[1])) != e[2]:
-                return False
+    The pairs are S x T for a K_{s,t} (groups S, T) and the consecutive
+    pairs of each cycle otherwise. For a directed cycle the edges are the
+    arcs of host on them, read from host.arcs as (tail, head) or
+    (tail, head, color); otherwise they are (min, max, color) triples.
+    """
+    if kind in ("pc-kst", "rainbow-kst"):
+        S, T = groups
+        pairs = [(u, v) for u in S for v in T]
     else:
-        arcset = set(D.arcs)
-        for t, h in _cycle_edges(cycle):
-            if (t, h) not in arcset:
-                return False
-        for e in w.edges:
-            if tuple(e[:2]) not in arcset:
-                return False
-    return len(w.edges) == len(cycle)
-
-
-def _verify_disjoint(G: EdgeColoredGraph, w: Witness) -> bool:
-    seen: set[int] = set()
-    all_edges = []
-    for cycle in w.vertices:
-        if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-            return False
-        if seen & set(cycle):
-            return False
-        seen |= set(cycle)
+        pairs = [p for cycle in groups for p in _cycle_edges(cycle)]
+    if kind == "directed-cycle":
+        arcs = {arc[:2]: arc for arc in host.arcs}
+        edges = [arcs.get(p) for p in pairs]
+    else:
+        colors = host.pair_colors
         edges = []
-        for a, b in _cycle_edges(cycle):
-            if not G.has_edge(a, b):
-                return False
-            edges.append((min(a, b), max(a, b), G.color_of(a, b)))
-        if not is_properly_colored(G, edges):
+        for u, v in pairs:
+            e = (u, v) if u < v else (v, u)
+            edges.append((*e, colors[e]) if e in colors else None)
+    return None if None in edges else edges
+
+
+def verify_witness(host, w: Witness) -> bool:
+    """Re-verify a witness against its host graph; False on any mismatch.
+
+    The vertices must be pairwise distinct: two nonempty sides for a
+    K_{s,t}, one cycle of length at least 3 (several for disjoint-cycles)
+    otherwise. The edges must be exactly the host's edges that the
+    structure needs (see _host_edges), in any order. Colored witnesses must
+    then be properly colored, and the rainbow kinds rainbow.
+    """
+    groups = w.vertices
+    if w.kind in ("pc-kst", "rainbow-kst"):
+        shaped = len(groups) == 2 and all(groups)
+    else:
+        shaped = (
+            bool(groups)
+            and (len(groups) == 1 or w.kind == "disjoint-cycles")
+            and all(len(g) >= 3 for g in groups)
+        )
+    flat = [v for g in groups for v in g]
+    try:
+        if not shaped or len(set(flat)) != len(flat):
             return False
-        all_edges.extend(edges)
-    return sorted(tuple(e) for e in w.edges) == sorted(all_edges)
+        want = _host_edges(host, w.kind, groups)
+        if want is None or sorted(w.edges) != sorted(want):
+            return False
+    except TypeError:  # vertices or edges that are not comparable ints
+        return False
+    if w.kind == "directed-cycle":
+        return True
+    # A rainbow edge set is properly colored as well.
+    if w.kind in ("rainbow-kst", "rainbow-cycle"):
+        return is_rainbow(host, want)
+    return is_properly_colored(host, want)
 
 
 def _checked(G, w: Witness) -> Witness:
@@ -213,16 +183,14 @@ def _checked(G, w: Witness) -> Witness:
     return w
 
 
-def _cycle_witness(G: EdgeColoredGraph, kind: str, *cycles) -> Witness:
-    """The re-verified witness of the given cycles of G, with their edges as
-    sorted (min, max, color) triples."""
-    colors = G.pair_colors
-    edges = []
-    for cycle in cycles:
-        for a, b in _cycle_edges(cycle):
-            e = (a, b) if a < b else (b, a)
-            edges.append((*e, colors[e]))
-    return _checked(G, Witness(kind, cycles, tuple(sorted(edges))))
+def _witness(host, kind: str, *groups) -> Witness:
+    """The re-verified witness of kind on the vertex groups of host, with
+    the edges of _host_edges: sorted for the colored kinds, in cycle order
+    for a directed cycle."""
+    edges = _host_edges(host, kind, groups)
+    if kind != "directed-cycle":
+        edges.sort()
+    return _checked(host, Witness(kind, groups, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -341,26 +309,14 @@ def _kst_impl(G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool)
             return False
 
         if extend(0):
-            T = tuple(chosen)
-            edges = sorted(
-                (min(u, w), max(u, w), colors[(min(u, w), max(u, w))])
-                for u in S
-                for w in T
-            )
-            kind = "rainbow-kst" if rainbow else "pc-kst"
-            return _checked(G, Witness(kind, (tuple(S), T), tuple(edges)))
+            return _witness(G, "rainbow-kst" if rainbow else "pc-kst", S, tuple(chosen))
     return None
 
 
 def _run_kst(G, s, t, budget, rainbow: bool) -> SearchOutcome:
     if not isinstance(s, int) or not isinstance(t, int) or s < 1 or t < 1:
         raise ValueError(f"s and t must be positive integers, got {s!r}, {t!r}")
-    clock = _Clock(budget)
-    try:
-        w = _kst_impl(G, s, t, clock, rainbow)
-    except _BudgetStop:
-        return _outcome(BUDGET_EXCEEDED, None, clock)
-    return _outcome(FOUND if w else EXHAUSTED, w, clock)
+    return _search(budget, lambda clock: _kst_impl(G, s, t, clock, rainbow), {})
 
 
 def find_pc_kst(
@@ -563,7 +519,7 @@ def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, details: dict):
                     tick()
                     closing = colors.get((start, w))
                     if closing is not None and closing != c and closing != cols[1]:
-                        return _cycle_witness(G, "pc-cycle", (*path, w))
+                        return _witness(G, "pc-cycle", (*path, w))
                 else:
                     frames.pop()
                     if len(path) > 1:
@@ -585,13 +541,10 @@ def find_pc_cycle_upto(
     """
     if not isinstance(r, int) or r < 3:
         raise ValueError(f"r must be an integer >= 3, got {r!r}")
-    clock = _Clock(budget)
     details: dict = {}
-    try:
-        w = _pc_cycle_impl(G, range(3, r + 1), clock, details)
-    except _BudgetStop:
-        return _outcome(BUDGET_EXCEEDED, None, clock, **details)
-    return _outcome(FOUND if w else EXHAUSTED, w, clock, **details)
+    return _search(
+        budget, lambda clock: _pc_cycle_impl(G, range(3, r + 1), clock, details), details
+    )
 
 
 def find_rainbow_c4(
@@ -607,7 +560,7 @@ def find_rainbow_c4(
     if out.witness is None:
         return out
     (a, b), (u, w) = out.witness.vertices
-    return replace(out, witness=_cycle_witness(G, "rainbow-cycle", (a, u, b, w)))
+    return replace(out, witness=_witness(G, "rainbow-cycle", (a, u, b, w)))
 
 
 def _shortest_directed_cycle_impl(D, clock: _Clock) -> Optional[Witness]:
@@ -617,12 +570,11 @@ def _shortest_directed_cycle_impl(D, clock: _Clock) -> Optional[Witness]:
     stops the search at most n nodes past its limit.
     """
     n = D.n
-    if isinstance(D, ColoredOrientation):
-        out = [[h for h, _ in row] for row in D.out_adj]
-        ins = [[t for t, _ in row] for row in D.in_adj]
-    else:
-        out = [list(row) for row in D.out_adj]
-        ins = [list(row) for row in D.in_adj]
+    out: list[list[int]] = [[] for _ in range(n)]
+    ins: list[list[int]] = [[] for _ in range(n)]
+    for arc in D.arcs:  # sorted, so each list is ascending
+        out[arc[0]].append(arc[1])
+        ins[arc[1]].append(arc[0])
 
     best_cycle: Optional[list[int]] = None
     for s in range(n):
@@ -663,13 +615,7 @@ def _shortest_directed_cycle_impl(D, clock: _Clock) -> Optional[Witness]:
 
     if best_cycle is None:
         return None
-    cycle = tuple(best_cycle)
-    if isinstance(D, ColoredOrientation):
-        arc_colors = {(t, h): c for t, h, c in D.arcs}
-        edges = tuple((t, h, arc_colors[(t, h)]) for t, h in _cycle_edges(cycle))
-    else:
-        edges = tuple(_cycle_edges(cycle))
-    return _checked(D, Witness("directed-cycle", (cycle,), edges))
+    return _witness(D, "directed-cycle", tuple(best_cycle))
 
 
 def shortest_directed_cycle(
@@ -680,11 +626,10 @@ def shortest_directed_cycle(
     Always exact: returns found with a shortest cycle, or exhausted-none for
     acyclic inputs.
     """
-    clock = _Clock(None)
-    w = _shortest_directed_cycle_impl(D, clock)
-    if w is None:
-        return _outcome(EXHAUSTED, None, clock)
-    return _outcome(FOUND, w, clock, length=len(w.vertices[0]))
+    out = _search(None, lambda clock: _shortest_directed_cycle_impl(D, clock), {})
+    if out.witness is not None:
+        out.details["length"] = len(out.witness.vertices[0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +649,7 @@ def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
     if w is not None:
         details["stage"] = 1
         (a, b), (u, v) = w.vertices
-        return _cycle_witness(G, "pc-cycle", (a, u, b, v))
+        return _witness(G, "pc-cycle", (a, u, b, v))
     if G.m == 0:
         return None
 
@@ -718,7 +663,7 @@ def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
         w = _shortest_directed_cycle_impl(D, clock)
         if w is not None and len(w.vertices[0]) <= r:
             details["stage"] = 2
-            return _cycle_witness(G, "pc-cycle", w.vertices[0])
+            return _witness(G, "pc-cycle", w.vertices[0])
 
     w = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock, details)
     if w is not None:
@@ -745,13 +690,8 @@ def pc_short_cycle_pipeline(
     """
     if not isinstance(r, int) or r < 4:
         raise ValueError(f"r must be an integer >= 4, got {r!r}")
-    clock = _Clock(budget)
     details: dict = {"r": r}
-    try:
-        w = _pc_cycle_stages(G, r, clock, details)
-    except _BudgetStop:
-        return _outcome(BUDGET_EXCEEDED, None, clock, **details)
-    return _outcome(FOUND if w else EXHAUSTED, w, clock, **details)
+    return _search(budget, lambda clock: _pc_cycle_stages(G, r, clock, details), details)
 
 
 def _drop_vertices(G: EdgeColoredGraph, dead: set[int]) -> EdgeColoredGraph:
@@ -772,26 +712,20 @@ def disjoint_pc_cycles(
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    clock = _Clock(budget)
-    cycles: list[tuple[int, ...]] = []
-    residual = G
-    r = max(G.n, 4)
+    cycles: list[list[int]] = []
 
-    def finish(status):
-        details = {"requested": k, "cycles": [list(c) for c in cycles]}
-        w = _cycle_witness(G, "disjoint-cycles", *cycles) if status == FOUND else None
-        return _outcome(status, w, clock, **details)
-
-    while len(cycles) < k:
-        try:
+    def body(clock):
+        residual = G
+        r = max(G.n, 4)
+        while len(cycles) < k:
             w = _pc_cycle_stages(residual, r, clock, {})
-        except _BudgetStop:
-            return finish(BUDGET_EXCEEDED)
-        if w is None:
-            return finish(EXHAUSTED)
-        cycles.append(w.vertices[0])
-        residual = _drop_vertices(G, {v for cyc in cycles for v in cyc})
-    return finish(FOUND)
+            if w is None:
+                return None
+            cycles.append(list(w.vertices[0]))
+            residual = _drop_vertices(G, {v for cyc in cycles for v in cyc})
+        return _witness(G, "disjoint-cycles", *cycles)
+
+    return _search(budget, body, {"requested": k, "cycles": cycles})
 
 
 # ---------------------------------------------------------------------------
@@ -844,9 +778,7 @@ def extract_rainbow_kst(G: EdgeColoredGraph, S, B, t: int) -> Witness:
         chosen.append(pick)
         used.update(G.color_of(u, pick) for u in S)
 
-    T = tuple(chosen)
-    edges = sorted((min(u, v), max(u, v), G.color_of(u, v)) for u in S for v in T)
-    return _checked(G, Witness("rainbow-kst", (S, T), tuple(edges)))
+    return _witness(G, "rainbow-kst", S, tuple(chosen))
 
 
 def _total_degree_requirement(s: int, t: int, n: int, parts=None) -> float:

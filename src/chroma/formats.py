@@ -222,14 +222,19 @@ def load(path):
         return parse_auto(f.read())
 
 
-def save(obj, path) -> None:
+def render(obj) -> str:
+    """Canonical text of a graph, orientation or colored orientation, in
+    the format of its type."""
     if isinstance(obj, EdgeColoredGraph):
-        text = render_ecg(obj)
-    elif isinstance(obj, ColoredOrientation):
-        text = render_corg(obj)
-    elif isinstance(obj, OrientedGraph):
-        text = render_org(obj)
-    else:
-        raise TypeError(f"cannot save object of type {type(obj).__name__}")
+        return render_ecg(obj)
+    if isinstance(obj, ColoredOrientation):
+        return render_corg(obj)
+    if isinstance(obj, OrientedGraph):
+        return render_org(obj)
+    raise TypeError(f"cannot render object of type {type(obj).__name__}")
+
+
+def save(obj, path) -> None:
+    text = render(obj)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)

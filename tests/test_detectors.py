@@ -86,16 +86,19 @@ class TestBudget:
 
     def test_budget_exceeded_is_distinct(self):
         G = random_edge_colored_graph(30, 0.8, 2, 0)
-        tiny = SearchBudget(max_nodes=3)
-        for out in (
-            find_pc_kst(G, 2, 3, tiny),
-            find_rainbow_kst(G, 3, 3, tiny),
-            find_pc_cycle_upto(G, 6, tiny),
-            find_rainbow_c4(mono_k(12), tiny),
-        ):
-            assert out.status == BUDGET_EXCEEDED
-            assert out.witness is None
-            assert out.nodes >= 3
+        for max_nodes in (1, 3):
+            tiny = SearchBudget(max_nodes=max_nodes)
+            for out in (
+                find_pc_kst(G, 2, 3, tiny),
+                find_rainbow_kst(G, 3, 3, tiny),
+                find_pc_cycle_upto(G, 6, tiny),
+                find_rainbow_c4(mono_k(12), tiny),
+                pc_short_cycle_pipeline(G, 6, tiny),
+                disjoint_pc_cycles(G, 2, tiny),
+            ):
+                assert out.status == BUDGET_EXCEEDED
+                assert out.witness is None
+                assert out.nodes >= max_nodes
 
     def test_time_budget_trips_immediately(self):
         G = random_edge_colored_graph(20, 0.8, 2, 1)
@@ -686,13 +689,155 @@ class TestTotalDegreeThreshold:
         assert hits > 0
 
 
+def witness_host():
+    """A properly colored C4 that is not rainbow on 0..3, a rainbow C4 on
+    4..7, a rainbow triangle on 8..10, the bridge {3, 4}, a monochromatic
+    C4 on 11..14 and an isolated vertex 15."""
+    return EdgeColoredGraph(16, [
+        (0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2),
+        (4, 5, 1), (5, 6, 2), (6, 7, 3), (4, 7, 4),
+        (8, 9, 1), (9, 10, 2), (8, 10, 3), (3, 4, 3),
+        (11, 12, 0), (12, 13, 0), (13, 14, 0), (11, 14, 0),
+    ])
+
+
+def valid_witness(case):
+    """(host, the detector's witness on it) for one witness kind; the
+    directed-cycle cases are a tournament and a colored orientation."""
+    if case == "directed-cycle":
+        D = circulant_tournament(7)
+    elif case == "colored-directed-cycle":
+        D = construct_orientation(signature(circulant_tournament(7)), 2, 2)[1]
+    if case.endswith("directed-cycle"):
+        return D, shortest_directed_cycle(D).witness
+    G = witness_host()
+    out = {
+        "pc-kst": lambda: find_pc_kst(G, 2, 2),
+        "rainbow-kst": lambda: find_rainbow_kst(G, 2, 2),
+        "pc-cycle": lambda: find_pc_cycle_upto(G, 4),
+        "rainbow-cycle": lambda: find_rainbow_c4(G),
+        "disjoint-cycles": lambda: disjoint_pc_cycles(G, 3),
+    }[case]()
+    return G, out.witness
+
+
+def claimed_edges(host, kind, groups):
+    """The host edges (arcs for a directed cycle) on the pairs that the
+    vertex groups of a kind-witness need, repeats kept."""
+    if kind.endswith("kst"):
+        pairs = [(u, v) for u in groups[0] for v in groups[1]]
+    else:
+        pairs = [(c[i], c[(i + 1) % len(c)]) for c in groups for i in range(len(c))]
+    if kind == "directed-cycle":
+        arcs = {a[:2]: a for a in host.arcs}
+        return [arcs[p] for p in pairs]
+    return sorted((min(p), max(p), host.color_of(*p)) for p in pairs)
+
+
+def on_groups(host, w, groups):
+    """w moved to the given vertex groups, listing the host's edges there."""
+    return Witness(w.kind, groups, claimed_edges(host, w.kind, groups))
+
+
+def to_non_edge(host, w):
+    """w with its first vertex moved to the isolated vertex, or a directed
+    cycle reversed, so that its edges are non-edges or non-arcs."""
+    if w.kind == "directed-cycle":
+        return Witness(w.kind, (w.vertices[0][::-1],), [(h, t, *c) for t, h, *c in w.edges])
+    rename = {w.vertices[0][0]: host.n - 1}
+    groups = [[rename.get(v, v) for v in g] for g in w.vertices]
+    edges = [(*sorted((rename.get(u, u), rename.get(v, v))), c) for u, v, c in w.edges]
+    return Witness(w.kind, groups, edges)
+
+
+def repeated_vertex(host, w):
+    """The first vertex group listed twice over, as one group."""
+    first, *rest = w.vertices
+    return on_groups(host, w, (first + first, *rest))
+
+
+def extra_edge(host, w):
+    listed = set(w.edges)
+    pool = host.arcs if w.kind == "directed-cycle" else host.edges
+    return Witness(w.kind, w.vertices, [*w.edges, next(e for e in pool if e not in listed)])
+
+
+def wrong_color(host, w):
+    (u, v, c), *rest = w.edges
+    return Witness(w.kind, w.vertices, [(u, v, c + 100), *rest])
+
+
+def improper(host, w):
+    """The last cycle, or the K_{2,2}, moved to the monochromatic C4."""
+    if w.kind == "pc-kst":
+        return on_groups(host, w, ((11, 13), (12, 14)))
+    return on_groups(host, w, (*w.vertices[:-1], (11, 12, 13, 14)))
+
+
+def repeated_color(host, w):
+    """The rainbow kind on the properly colored C4 0..3, whose colors repeat."""
+    groups = ((0, 2), (1, 3)) if w.kind == "rainbow-kst" else ((0, 1, 2, 3),)
+    return on_groups(host, w, groups)
+
+
+TAMPERS = {
+    "wrong-color": wrong_color,
+    "non-edge": to_non_edge,
+    "repeated-vertex": repeated_vertex,
+    "missing-edge": lambda host, w: Witness(w.kind, w.vertices, w.edges[1:]),
+    "extra-edge": extra_edge,
+    "overlapping-sides": lambda host, w: Witness(
+        w.kind, (w.vertices[0], w.vertices[1] + w.vertices[0][:1]), w.edges
+    ),
+    "shared-vertex": lambda host, w: on_groups(host, w, w.vertices[:1] * 2),
+    "two-vertex-cycle": lambda host, w: on_groups(
+        host, w, (w.vertices[0][:2], *w.vertices[1:])
+    ),
+    "improper": improper,
+    "repeated-color": repeated_color,
+}
+WITNESS_CASES = [
+    "pc-kst", "rainbow-kst", "pc-cycle", "rainbow-cycle", "disjoint-cycles",
+    "directed-cycle", "colored-directed-cycle",
+]
+
+
+def tamper_applies(case, tamper):
+    return {
+        "wrong-color": case != "directed-cycle",
+        "overlapping-sides": case.endswith("kst"),
+        "shared-vertex": case == "disjoint-cycles",
+        "two-vertex-cycle": case in ("pc-cycle", "rainbow-cycle", "disjoint-cycles"),
+        "improper": case in ("pc-kst", "pc-cycle", "disjoint-cycles"),
+        "repeated-color": case.startswith("rainbow"),
+    }.get(tamper, True)
+
+
 class TestWitnessVerification:
-    def test_tampered_witness_fails(self):
-        G = c4(1, 2, 3, 4)
-        out = find_rainbow_c4(G, None)
-        w = out.witness
-        bad = Witness(w.kind, w.vertices, tuple(list(w.edges[:-1]) + [(0, 1, 99)]))
-        assert not verify_witness(G, bad)
+    @pytest.mark.parametrize("case", WITNESS_CASES)
+    def test_detector_witness_passes(self, case):
+        host, w = valid_witness(case)
+        assert verify_witness(host, w)
+        # the tampers rebuild the listed edges as the verifier must expect them
+        assert sorted(on_groups(host, w, w.vertices).edges) == sorted(w.edges)
+
+    @pytest.mark.parametrize(
+        "case,tamper",
+        [(c, t) for c in WITNESS_CASES for t in TAMPERS if tamper_applies(c, t)],
+    )
+    def test_tampered_witness_fails(self, case, tamper):
+        host, w = valid_witness(case)
+        assert not verify_witness(host, TAMPERS[tamper](host, w))
+
+    @pytest.mark.parametrize("case", ["directed-cycle", "colored-directed-cycle"])
+    def test_directed_cycle_edges_must_be_its_arcs(self, case):
+        D, w = valid_witness(case)
+        others = [a for a in D.arcs if a not in w.edges][: len(w.edges)]
+        assert not verify_witness(D, Witness(w.kind, w.vertices, others))
+
+    def test_disjoint_cycles_need_a_cycle(self):
+        G = witness_host()
+        assert not verify_witness(G, Witness("disjoint-cycles", (), ()))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

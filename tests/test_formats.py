@@ -21,6 +21,7 @@ from chroma.formats import (
     parse_org,
     render_corg,
     render_ecg,
+    render,
     render_org,
     save,
     strip_bipartition,
@@ -169,3 +170,16 @@ class TestAutoAndFiles:
         path = tmp_path / "d.org"
         save(D, path)
         assert load(path) == D
+
+    def test_render_dispatch(self, tmp_path):
+        G = random_edge_colored_graph(7, 0.5, 3, 5)
+        D = random_oriented_graph(6, 0.5, 5)
+        _, CO, _ = construct_orientation(G, 2, 2)
+        assert render(G) == render_ecg(G)
+        assert render(D) == render_org(D)
+        assert render(CO) == render_corg(CO)
+        path = tmp_path / "d.corg"
+        save(CO, path)
+        assert path.read_text() == render_corg(CO)
+        with pytest.raises(TypeError, match="cannot render"):
+            render(G.edges)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from chroma.constructions import (
+    blowup_cycle_signature,
     extremal_no_pc_c4,
     random_bipartite_edge_colored,
     random_edge_colored_graph,
@@ -12,7 +13,7 @@ from chroma.constructions import (
 )
 from chroma.core import EdgeColoredGraph
 from chroma.detectors import find_pc_kst
-from chroma.formats import save, strip_bipartition
+from chroma.formats import load, save, strip_bipartition
 from chroma.suites import SUITE_NAMES, analyze, instance_digest, run_suite
 from chroma.transforms import signature
 
@@ -171,6 +172,13 @@ class TestCli:
         assert res.returncode == 0
         rep = json.loads(res.stdout)
         assert rep["n"] == 9 and rep["min_color_degree"] == 5
+
+    def test_gen_drops_a_nonprefix_bipartition(self, tmp_path):
+        ecg = tmp_path / "b.ecg"
+        res = run_cli("gen", "blowup-sig", "--r", "6", "--k", "2", "-o", str(ecg))
+        assert res.returncode == 0
+        assert "not prefix-representable" in res.stderr
+        assert load(ecg) == strip_bipartition(blowup_cycle_signature(6, 2))
 
     def test_orient_with_report(self, tmp_path):
         ecg = tmp_path / "g.ecg"
