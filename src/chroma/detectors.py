@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, dropwhile
 from typing import Optional, Union
 
 from .core import (
@@ -161,6 +161,9 @@ def verify_witness(host, w: Witness) -> bool:
             and all(len(g) >= 3 for g in groups)
         )
     flat = [v for g in groups for v in g]
+    # Only a digraph has arcs, and only an edge-colored graph has colors.
+    if (w.kind == "directed-cycle") == isinstance(host, EdgeColoredGraph):
+        return False
     try:
         if not shaped or len(set(flat)) != len(flat):
             return False
@@ -237,7 +240,32 @@ def _color_matching(pairs, t: int, clock: _Clock) -> bool:
     return False
 
 
-def _kst_impl(G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool):
+# Nodes per edge that a K_{s,t} scan with s, t >= 2 spends before it runs
+# the walk-class pass, whose ticks are a small multiple of m.
+_WALK_SWITCH = 3
+
+
+def _subsets(n: int, s: int, clock: _Clock, switch: float, walks: _WalkClasses):
+    """(S, pool) for the s-subsets S of range(n) in ascending order, pool
+    being the set T must be drawn from (None: every vertex).
+
+    Once the clock has reached switch, the walk-class pass runs and the
+    rest, from the same subset on, are the subsets of the vertices it admits
+    for length 4, with those vertices as the pool.
+    """
+    for S in combinations(range(n), s):
+        if clock.nodes >= switch:
+            keep = walks.admitted(4)
+            pool = set(keep)
+            for rest in dropwhile(S.__gt__, combinations(keep, s)):
+                yield rest, pool
+            return
+        yield S, None
+
+
+def _kst_impl(
+    G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool, walks: _WalkClasses
+):
     """K_{s,t} search: s-subsets S ascending, T grown by backtracking.
 
     T is grown from the common neighbors whose star to S is rainbow, in
@@ -251,18 +279,28 @@ def _kst_impl(G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool)
     K_{2,t} backtracks on the first accepted pair alone, so it costs
     O(pairs x candidates) for t = 2 and O(pairs x t x candidates) for
     larger t; rainbow K_{2,t} may backtrack on every accepted pair.
-    Each pair costs one tick, the matching one tick per candidate it reads
-    and per edge its augmenting paths look at, and the backtracking one tick
-    per candidate it tries.
+
+    For s, t >= 2, once the scan has spent _WALK_SWITCH x m nodes, it runs
+    the walk-class pass of walks once and goes on from the same S over the
+    vertices admitted for length 4 alone, drawing S and T from them (see
+    _subsets). Any two S-vertices and two T-vertices of a properly colored
+    (or rainbow) K_{s,t} span a properly colored C4, so every vertex of it
+    is admitted and the witness is the same. So the search costs at most
+    the scan alone plus one pass, and where the pass admits no vertex, at
+    most _WALK_SWITCH x m nodes more than the pass alone.
+
+    Each subset costs one tick, the matching one tick per candidate it reads
+    and per edge its augmenting paths look at, the backtracking one tick
+    per candidate it tries, and the pass one tick per arc.
     """
-    n = G.n
     nbr = G.neighbor_sets
     colors = G.pair_colors
     by_matching = s == 2
+    switch = clock.nodes + _WALK_SWITCH * G.m if s >= 2 and t >= 2 else math.inf
 
-    for S in combinations(range(n), s):
+    for S, pool in _subsets(G.n, s, clock, switch, walks):
         clock.tick()
-        common = nbr[S[0]]
+        common = nbr[S[0]] if pool is None else pool & nbr[S[0]]
         for u in S[1:]:
             common = common & nbr[u]
             if len(common) < t:
@@ -316,7 +354,12 @@ def _kst_impl(G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool)
 def _run_kst(G, s, t, budget, rainbow: bool) -> SearchOutcome:
     if not isinstance(s, int) or not isinstance(t, int) or s < 1 or t < 1:
         raise ValueError(f"s and t must be positive integers, got {s!r}, {t!r}")
-    return _search(budget, lambda clock: _kst_impl(G, s, t, clock, rainbow), {})
+    details: dict = {}
+    return _search(
+        budget,
+        lambda clock: _kst_impl(G, s, t, clock, rainbow, _WalkClasses(G, clock, details)),
+        details,
+    )
 
 
 def find_pc_kst(
@@ -328,7 +371,12 @@ def find_pc_kst(
 
     For s = 2 each vertex pair is decided by a color-pair matching (see
     _color_matching), in O(pairs x candidates) time for t = 2; s >= 3
-    backtracks.
+    backtracks. For s, t >= 2 a scan that has spent 3 nodes per edge runs
+    the linear walk-period pass of find_pc_cycle_upto once and goes on over
+    the vertices that lie on closed properly colored walks of length 4
+    only, which every vertex of a properly colored K_{s,t} does; the
+    witness is the same. details["walk_periods"] shows the periods when the
+    pass ran, and the node counts include its ticks.
     """
     return _run_kst(G, s, t, budget, rainbow=False)
 
@@ -340,6 +388,8 @@ def find_rainbow_kst(
 
     For s = 2 the same color-pair matching gates each vertex pair, since a
     rainbow K_{2,t} is properly colored; the pairs it accepts backtrack.
+    The walk-period pass gates the scan as in find_pc_kst, for the same
+    reason, and its ticks count in the nodes.
     """
     return _run_kst(G, s, t, budget, rainbow=True)
 
@@ -463,15 +513,41 @@ def _walk_classes(G: EdgeColoredGraph, clock: _Clock) -> list[tuple[int, list[in
     return classes
 
 
-def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, details: dict):
+class _WalkClasses:
+    """The walk classes of one graph within one search.
+
+    _walk_classes runs on the first call of admitted, on the search's
+    clock, and every later call, from any stage, reuses its result.
+    details["walk_periods"] gets the sorted distinct periods when it runs.
+    """
+
+    __slots__ = ("G", "clock", "details", "classes")
+
+    def __init__(self, G: EdgeColoredGraph, clock: _Clock, details: dict):
+        self.G = G
+        self.clock = clock
+        self.details = details
+        self.classes = None
+
+    def admitted(self, L: int) -> list[int]:
+        """The vertices, ascending, of the components whose period divides
+        L and which have at least L vertices. Every vertex of a properly
+        colored cycle of length L is among them."""
+        if self.classes is None:
+            self.classes = _walk_classes(self.G, self.clock)
+            self.details["walk_periods"] = sorted({p for p, _ in self.classes})
+        return sorted(
+            {v for p, verts in self.classes if L % p == 0 and len(verts) >= L for v in verts}
+        )
+
+
+def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, walks: _WalkClasses):
     """Iterative-deepening DFS for a shortest properly colored cycle.
 
     Tries the given cycle lengths in ascending order, skipping those above
-    n. Before the first length, _walk_classes finds the components of
-    closed properly colored walks; details["walk_periods"] gets their
-    sorted distinct periods. A length L is searched only on the vertices of
-    the components whose period divides L and which have at least L
-    vertices, and skipped when there are none: every properly colored cycle
+    n. A length L is searched only on the vertices walks admits for L (the
+    walk-class pass runs before the first length unless an earlier stage
+    ran it), and skipped when there are none: every properly colored cycle
     of length L lies inside them, so no witness changes.
 
     For each length the start vertex is the cycle minimum and paths extend
@@ -485,23 +561,16 @@ def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, details: dict):
     adj = G.adj
     colors = G.pair_colors
     tick = clock.tick
-    classes = None
 
     for L in lengths:
         if L > n:
             break
-        if classes is None:
-            classes = _walk_classes(G, clock)
-            details["walk_periods"] = sorted({p for p, _ in classes})
+        admitted = walks.admitted(L)
         # free[w]: w may join the path (admitted for L and not on the path)
         free = bytearray(n)
-        for period, verts in classes:
-            if L % period == 0 and len(verts) >= L:
-                for v in verts:
-                    free[v] = 1
-        for start in range(n):
-            if not free[start]:
-                continue
+        for v in admitted:
+            free[v] = 1
+        for start in admitted:
             path = [start]
             cols = [-1]  # colors of the path's edges after a sentinel
             frames = [iter(adj[start])]
@@ -543,7 +612,11 @@ def find_pc_cycle_upto(
         raise ValueError(f"r must be an integer >= 3, got {r!r}")
     details: dict = {}
     return _search(
-        budget, lambda clock: _pc_cycle_impl(G, range(3, r + 1), clock, details), details
+        budget,
+        lambda clock: _pc_cycle_impl(
+            G, range(3, r + 1), clock, _WalkClasses(G, clock, details)
+        ),
+        details,
     )
 
 
@@ -642,10 +715,13 @@ def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
 
     All three tick the one clock. details gets the stage that found the
     cycle, the orientation's out-degree figures and the walk periods, as
-    far as the search got. An edgeless G stops after stage 1; stage 3 skips
-    length 4, which stage 1 decided.
+    far as the search got. Stages 1 and 3 share one _WalkClasses, so the
+    walk-class pass runs at most once, in whichever of them needs it first.
+    An edgeless G stops after stage 1; stage 3 skips length 4, which stage
+    1 decided.
     """
-    w = _kst_impl(G, 2, 2, clock, rainbow=False)
+    walks = _WalkClasses(G, clock, details)
+    w = _kst_impl(G, 2, 2, clock, rainbow=False, walks=walks)
     if w is not None:
         details["stage"] = 1
         (a, b), (u, v) = w.vertices
@@ -665,7 +741,7 @@ def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
             details["stage"] = 2
             return _witness(G, "pc-cycle", w.vertices[0])
 
-    w = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock, details)
+    w = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock, walks)
     if w is not None:
         details["stage"] = 3
     return w
@@ -682,7 +758,10 @@ def pc_short_cycle_pipeline(
     the same length. Stage 3 falls back to the bounded DFS cycle search
     over lengths 3 and 5..r, behind the walk-period filter of
     find_pc_cycle_upto: lengths that no closed properly colored walk has
-    are skipped, and details["walk_periods"] shows the periods. The three
+    are skipped. The filter's pass runs at most once per call: in stage 1
+    when its K_{2,2} scan gets past the switch point of find_pc_kst, else
+    at the start of stage 3. details["walk_periods"] shows the periods
+    whenever it ran, and the node counts include its ticks. The three
     searches tick one clock, so a node or time budget stops whichever of
     them is running.
     The report carries the orientation's minimum out-degree and its margin

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chroma.detectors as detectors
 from chroma.core import EdgeColoredGraph, Witness, total_color_degree
 from chroma.constructions import (
     blowup_cycle_signature,
@@ -22,6 +23,7 @@ from chroma.detectors import (
     FOUND,
     SearchBudget,
     _Clock,
+    _WalkClasses,
     _walk_classes,
     all_simple_cycles,
     check_total_degree_threshold,
@@ -296,6 +298,13 @@ class TestFindPcCycle:
             assert out.status == EXHAUSTED
 
 
+def relabelled(G, rng):
+    """G under a seeded vertex permutation, without its bipartition."""
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return EdgeColoredGraph(G.n, [(perm[u], perm[v], c) for u, v, c in G.edges])
+
+
 def cycle_search_instance(seed):
     """A small graph for the exact-witness checks: a random graph, the
     signature of a random oriented graph, or a relabelled blow-up of a
@@ -308,10 +317,7 @@ def cycle_search_instance(seed):
     if kind == 1:
         return signature(random_oriented_graph(rng.randint(3, 8), rng.choice([0.3, 0.5, 0.8]), seed))
     r = rng.randint(3, 8)
-    G = blowup_cycle_signature(r, rng.randint(1, 2) if r <= 4 else 1)
-    perm = list(range(G.n))
-    rng.shuffle(perm)
-    return EdgeColoredGraph(G.n, [(perm[u], perm[v], c) for u, v, c in G.edges])
+    return relabelled(blowup_cycle_signature(r, rng.randint(1, 2) if r <= 4 else 1), rng)
 
 
 def first_witness_upto(G, r, skip=()):
@@ -404,6 +410,180 @@ class TestWalkPeriods:
         classes = _walk_classes(G, clock)
         assert [p for p, _ in classes] == [1, 1]
         assert 0 < clock.nodes <= 2 * G.m + 6 * total_color_degree(G)
+
+
+def gate_instance(seed):
+    """A graph on which K_{s,t} scans mostly run past their switch point to
+    the walk-class pass: a relabelled C3, C5 or C6 blow-up, an acyclic or a
+    random signature, a sparse random graph, or a proper K_{3,3} (rainbow
+    for half the seeds) on the last six ids after a relabelled C3 or C5
+    blow-up padded with isolated vertices, whose witnesses the scans find
+    past the switch."""
+    rng = random.Random(seed)
+    kind = seed % 5
+    if kind == 0:
+        G = blowup_cycle_signature(rng.choice((3, 5, 6)), rng.randint(2, 3))
+    elif kind == 1:
+        G = signature(transitive_tournament(rng.randint(8, 12)))
+    elif kind == 2:
+        G = signature(random_oriented_graph(rng.randint(9, 13), rng.choice((0.3, 0.6)), seed))
+    elif kind == 3:
+        G = random_edge_colored_graph(
+            rng.randint(10, 15), rng.choice((0.15, 0.3, 0.5)), rng.choice((6, 40)), seed
+        )
+    else:
+        B = blowup_cycle_signature(rng.choice((3, 5)), 2)
+        B = relabelled(EdgeColoredGraph(B.n + 4, B.edges), rng)
+        K = random_proper_complete_bipartite(3, 3, seed)
+        rainbow = rng.random() < 0.5
+        planted = [
+            (u + B.n, v + B.n, 100 + (i if rainbow else c))
+            for i, (u, v, c) in enumerate(K.edges)
+        ]
+        return EdgeColoredGraph(B.n + K.n, list(B.edges) + planted)
+    return relabelled(G, rng)
+
+
+@pytest.fixture
+def walk_passes(monkeypatch):
+    """The clock's node count before and after each _walk_classes call that
+    runs to its end."""
+    calls = []
+    real = detectors._walk_classes
+
+    def spy(G, clock):
+        before = clock.nodes
+        classes = real(G, clock)
+        calls.append((before, clock.nodes))
+        return classes
+
+    monkeypatch.setattr(detectors, "_walk_classes", spy)
+    return calls
+
+
+class TestWalkGate:
+    """K_{s,t} scans with s, t >= 2 run the walk-class pass once they have
+    spent their switch point of nodes, and go on over the vertices it admits
+    for length 4; the first witness stays the brute-force one."""
+
+    @staticmethod
+    def assert_first_witnesses(G):
+        """Check every K_{s,t}-based search of G against the oracle; return
+        how many of them ran the pass, and how many of those found."""
+        ran = found = 0
+        for s, t in ((2, 2), (2, 3), (3, 3)):
+            if s == 3 and G.n > 16:
+                continue  # the oracle would take seconds
+            for find, rainbow in ((find_pc_kst, False), (find_rainbow_kst, True)):
+                out = find(G, s, t)
+                expect = first_pc_kst_witness(G, s, t, rainbow=rainbow)
+                assert out.status == (FOUND if expect else EXHAUSTED)
+                assert (out.witness.vertices if out.witness else None) == expect
+                if "walk_periods" in out.details:
+                    ran += 1
+                    found += out.witness is not None
+        for rainbow in (True, False):
+            first = first_pc_kst_witness(G, 2, 2, rainbow=rainbow)
+            cycle = None if first is None else (first[0][0], first[1][0], first[0][1], first[1][1])
+            if rainbow:
+                out = find_rainbow_c4(G)
+                assert (out.witness.vertices if out.witness else None) == (
+                    None if cycle is None else (cycle,)
+                )
+            else:
+                out = pc_short_cycle_pipeline(G, 4)
+                if cycle is None:
+                    assert out.details.get("stage") != 1
+                else:
+                    assert out.details["stage"] == 1 and out.witness.vertices == (cycle,)
+        return ran, found
+
+    def test_seeded_first_witnesses(self):
+        ran = found = 0
+        for seed in range(25):
+            r, f = self.assert_first_witnesses(gate_instance(seed))
+            ran, found = ran + r, found + f
+        assert ran > 50 and found > 5
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_first_witnesses(self, seed):
+        self.assert_first_witnesses(gate_instance(seed))
+
+    def test_every_pc_c4_vertex_is_admitted(self):
+        c4s = dropped = 0
+        for seed in range(150):
+            G = cycle_search_instance(seed)
+            admitted = _WalkClasses(G, _Clock(None), {}).admitted(4)
+            dropped += G.n - len(admitted)
+            for cyc in all_cycles_by_permutation(G.n, [(u, v) for u, v, _ in G.edges]):
+                if len(cyc) == 4 and is_pc_cycle(G, cyc):
+                    c4s += 1
+                    assert set(cyc) <= set(admitted)
+        assert c4s > 0 and dropped > 0
+
+    def test_details_report_the_pass(self):
+        # Transitive signatures have no closed pc walk: the scan passes its
+        # switch point and the pass admits nothing. A circulant signature's
+        # first pair holds a pc C4, found long before the switch.
+        out = find_pc_kst(signature(transitive_tournament(30)), 2, 2)
+        assert out.status == EXHAUSTED and out.details == {"walk_periods": []}
+        out = find_pc_kst(signature(circulant_tournament(201)), 2, 2)
+        assert out.status == FOUND and out.details == {}
+
+    def test_gate_decides_acyclic_signatures_with_fewer_nodes(self):
+        # The scan stops at the switch point (3 nodes per edge) plus the
+        # pass, instead of running over every pair.
+        G = signature(transitive_tournament(60))
+        clock = _Clock(None)
+        _walk_classes(G, clock)
+        out = find_pc_kst(G, 2, 2)
+        assert out.status == EXHAUSTED
+        assert out.nodes <= 3 * G.m + clock.nodes + G.n
+
+    @pytest.mark.parametrize("name", ["pc-k22", "pc-k23", "pipeline", "disjoint"])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_node_budget_sweep(self, name, seed, walk_passes):
+        # Every node budget up to the unbudgeted count, so across the switch
+        # point and the pass's ticks, ends budget-exceeded or with the
+        # unbudgeted answer.
+        G = extremal_no_pc_c4(3) if seed == 0 else gate_instance(seed)
+        search = {
+            "pc-k22": lambda b: find_pc_kst(G, 2, 2, b),
+            "pc-k23": lambda b: find_pc_kst(G, 2, 3, b),
+            "pipeline": lambda b: pc_short_cycle_pipeline(G, 6, b),
+            "disjoint": lambda b: disjoint_pc_cycles(G, 3, b),
+        }[name]
+        full = search(None)
+        assert walk_passes
+        for b in range(1, full.nodes + 2):
+            out = search(SearchBudget(max_nodes=b))
+            if out.status == BUDGET_EXCEEDED:
+                assert out.witness is None and b < full.nodes
+            else:
+                assert (out.status, out.witness, out.nodes) == (full.status, full.witness, full.nodes)
+
+    def test_one_pass_per_pipeline_call_and_disjoint_round(self, walk_passes):
+        for seed in range(30):
+            for G in (gate_instance(seed), cycle_search_instance(seed)):
+                for r in (4, 6):
+                    walk_passes.clear()
+                    out = pc_short_cycle_pipeline(G, r)
+                    assert len(walk_passes) == ("walk_periods" in out.details)
+                for k in (1, 3):
+                    walk_passes.clear()
+                    out = disjoint_pc_cycles(G, k)
+                    rounds = len(out.details["cycles"]) + (out.status == EXHAUSTED)
+                    assert len(walk_passes) <= rounds
+
+    def test_stage3_reuses_the_pass_of_stage1(self, walk_passes):
+        G = extremal_no_pc_c4(3)
+        stage1 = find_pc_kst(G, 2, 2).nodes
+        walk_passes.clear()
+        out = pc_short_cycle_pipeline(G, 6)
+        assert out.status == FOUND and out.details["stage"] == 3
+        ((_, end),) = walk_passes
+        assert end <= stage1
 
 
 class TestFindRainbowC4:
@@ -522,20 +702,18 @@ class TestPipeline:
         assert out.witness == dfs.witness
         assert out.nodes - stage1 - stage2 < dfs.nodes
 
-    def test_budget_running_out_in_walk_filter(self):
-        # Budgets from the end of stage 2 through the walk-period filter of
-        # stage 3 end budget-exceeded (inside the filter) or found.
+    def test_budget_running_out_in_walk_filter(self, walk_passes):
+        # Budgets across the walk-period filter, which stage 1 runs here once
+        # its scan passes the switch point, end budget-exceeded (inside the
+        # filter) or found.
         G = extremal_no_pc_c4(3)
-        before = find_pc_kst(G, 2, 2).nodes + shortest_directed_cycle(
-            construct_orientation(G, 2, 2)[1]
-        ).nodes
-        # Length 3 is excluded by the period 6, so this is the filter alone.
-        walk = find_pc_cycle_upto(G, 3)
-        assert walk.status == EXHAUSTED and walk.details["walk_periods"] == [6]
-        for b in range(before - 2, before + walk.nodes + 2):
+        full = pc_short_cycle_pipeline(G, 6)
+        assert full.status == FOUND and full.details["walk_periods"] == [6]
+        ((start, end),) = walk_passes
+        for b in range(start - 2, end + 2):
             out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=b))
             assert out.status in (BUDGET_EXCEEDED, FOUND)
-            if before <= b < before + walk.nodes:
+            if start <= b < end:
                 assert out.status == BUDGET_EXCEEDED
                 assert "walk_periods" not in out.details
 
@@ -834,6 +1012,18 @@ class TestWitnessVerification:
         D, w = valid_witness(case)
         others = [a for a in D.arcs if a not in w.edges][: len(w.edges)]
         assert not verify_witness(D, Witness(w.kind, w.vertices, others))
+
+    @pytest.mark.parametrize("case", WITNESS_CASES)
+    def test_host_of_the_wrong_class_fails(self, case):
+        # A colored witness against a digraph, or a directed cycle against
+        # an edge-colored graph, is rejected rather than raising.
+        host, w = valid_witness(case)
+        if isinstance(host, EdgeColoredGraph):
+            others = [circulant_tournament(7), construct_orientation(host, 2, 2)[1]]
+        else:
+            others = [witness_host(), signature(circulant_tournament(7))]
+        for other in others:
+            assert not verify_witness(other, w)
 
     def test_disjoint_cycles_need_a_cycle(self):
         G = witness_host()

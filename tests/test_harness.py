@@ -208,12 +208,17 @@ class TestCli:
         assert res.returncode == 1  # acyclic signature: no pc K_{2,2}
         out = json.loads(res.stdout)
         assert out["status"] == "exhausted-none"
+        # The scan passed its switch point; the walk-class pass found no
+        # closed pc walk.
+        assert out["details"] == {"walk_periods": []}
 
         none = tmp_path / "ext.ecg"
         save(strip_bipartition(extremal_no_pc_c4(2)), none)
         res = run_cli("find", "pipeline", "--max-len", "6", "-i", str(none))
         assert res.returncode == 0
-        assert json.loads(res.stdout)["witness"]["kind"] == "pc-cycle"
+        out = json.loads(res.stdout)
+        assert out["witness"]["kind"] == "pc-cycle"
+        assert out["details"]["walk_periods"] == [6] and out["details"]["stage"] == 3
 
         res = run_cli(
             "find", "pc-cycle", "--max-len", "6", "-i", str(none),
