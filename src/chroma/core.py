@@ -30,11 +30,11 @@ def _require_color(c: object) -> None:
         raise ValueError(f"color must be a nonnegative integer, got {c!r}")
 
 
-def _check_arc(n: int, tails: dict, t, h) -> tuple:
+def _check_arc(n: int, tails: dict, t, h) -> None:
     """Check t -> h as the next arc of an oriented graph on n vertices.
 
-    tails maps the unordered pair of each earlier arc to its tail; the arc
-    is recorded there, and its pair (min, max) is returned.
+    tails maps the unordered pair of each earlier arc, keyed as the int
+    min * n + max, to its tail; the arc is recorded there.
     """
     # The fast guard accepts plain ints in range; _require_vertex decides
     # everything else (bool is rejected, int subclasses are accepted).
@@ -44,14 +44,13 @@ def _check_arc(n: int, tails: dict, t, h) -> tuple:
         _require_vertex(n, h)
     if t == h:
         raise ValueError(f"loop at vertex {t} is not allowed")
-    key = (t, h) if t < h else (h, t)
+    key = t * n + h if t < h else h * n + t
     first = tails.get(key)
     if first is not None:
         if first == t:
             raise ValueError(f"duplicate arc ({t},{h})")
         raise ValueError(f"anti-parallel arc pair between {t} and {h}")
     tails[key] = t
-    return key
 
 
 def _normalize_bipartition(n, bipartition):
@@ -71,8 +70,9 @@ def _normalize_bipartition(n, bipartition):
 class EdgeColoredGraph:
     """Simple undirected graph with one integer color per edge.
 
-    Edges are stored canonically as (u, v, c) with u < v, sorted ascending.
-    The optional bipartition is a pair of disjoint vertex sets covering all
+    Edges are stored canonically as (u, v, c) with u < v, sorted ascending;
+    a row that is already a plain tuple with u < v is stored as given. The
+    optional bipartition is a pair of disjoint vertex sets covering all
     vertices; when present, every edge must cross it.
     """
 
@@ -84,9 +84,10 @@ class EdgeColoredGraph:
         n = self.n
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
-        seen: set[tuple[int, int]] = set()
+        seen: set[int] = set()  # u * n + v of each edge so far
         norm = []
-        for u, v, c in self.edges:
+        for e in self.edges:
+            u, v, c = e
             # Fast guards for plain ints; the helpers decide everything else.
             if not (type(u) is int and 0 <= u < n):
                 _require_vertex(n, u)
@@ -98,10 +99,14 @@ class EdgeColoredGraph:
                 _require_color(c)
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
+                e = (u, v, c)
+            elif type(e) is not tuple:
+                e = (u, v, c)
+            key = u * n + v
+            if key in seen:
                 raise ValueError(f"duplicate edge {{{u},{v}}}")
-            seen.add((u, v))
-            norm.append((u, v, c))
+            seen.add(key)
+            norm.append(e)  # the caller's tuple when it is already canonical
         bip = _normalize_bipartition(n, self.bipartition)
         if bip is not None:
             s1 = bip[0]
@@ -161,11 +166,12 @@ class OrientedGraph:
         n = self.n
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
-        tails: dict[tuple[int, int], int] = {}
+        tails: dict[int, int] = {}
         norm = []
-        for t, h in self.arcs:
+        for a in self.arcs:
+            t, h = a
             _check_arc(n, tails, t, h)
-            norm.append((t, h))
+            norm.append(a if type(a) is tuple else (t, h))
         norm.sort()
         object.__setattr__(self, "arcs", tuple(norm))
 
@@ -215,12 +221,14 @@ class ColoredOrientation:
     def __post_init__(self):
         n = self.host.n
         host_colors = self.host.pair_colors
-        tails: dict[tuple[int, int], int] = {}
+        tails: dict[int, int] = {}
         norm = []
-        for t, h, c in self.arcs:
-            if host_colors.get(_check_arc(n, tails, t, h), _NO_EDGE) != c:
+        for a in self.arcs:
+            t, h, c = a
+            _check_arc(n, tails, t, h)
+            if host_colors.get((t, h) if t < h else (h, t), _NO_EDGE) != c:
                 raise ValueError(f"arc ({t},{h},{c}) does not match a host edge")
-            norm.append((t, h, c))
+            norm.append(a if type(a) is tuple else (t, h, c))
         norm.sort()
         object.__setattr__(self, "arcs", tuple(norm))
 

@@ -107,8 +107,9 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
     two sides of a bipartition, and for side1 = side2 = range(n), which is
     the dual graph of G with vertex ids left unshifted: the left copy u is
     joined to the right copy of v exactly when uv is an edge of G. Returns
-    (kept, state); kept lists the surviving edges as (u, v, c) with u in
-    side 1 and v in side 2.
+    (kept, state, firsts); kept lists the surviving edges as (u, v, c) with
+    u in side 1 and v in side 2, and firsts maps each side-1 vertex u to its
+    one-edge-per-color list, so len(firsts[u]) is u's color degree in G.
     """
     side1 = sorted(side1)
     side2 = sorted(side2)
@@ -118,14 +119,15 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
         raise ValueError(f"growth threshold x is not finite: {x!r}")
     need = max(1, math.ceil(x - _EPS))
 
-    # One edge per color at each side-1 vertex; G.adj lists neighbors in
-    # ascending order, so the kept edge goes to the smallest neighbor id.
+    # One edge per color at each side-1 vertex: G.adj lists neighbors in
+    # ascending order, so keeping the first (v, c) of each color keeps the
+    # edge to the smallest neighbor id, and the list stays ascending.
     g0: dict[int, list[tuple[int, int]]] = {}
     for u in side1:
-        first: dict[int, int] = {}
-        for v, c in G.adj[u]:
-            first.setdefault(c, v)
-        g0[u] = sorted((v, c) for c, v in first.items())
+        first: dict[int, tuple[int, int]] = {}
+        for vc in G.adj[u]:
+            first.setdefault(vc[1], vc)
+        g0[u] = list(first.values())
 
     colors_seen: dict[int, set[int]] = {v: set() for v in side2}
     saturated: dict[int, bool] = {v: False for v in side2}
@@ -168,7 +170,7 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
             kept_colors[v] = frozenset(colors_seen[v])
 
     kept = [(u, v, c) for u in side1 for v, c in g0[u] if c in kept_colors[v]]
-    return kept, SaturationState(tuple(selected), sat_index, kept_colors, x)
+    return kept, SaturationState(tuple(selected), sat_index, kept_colors, x), g0
 
 
 def saturation_extract(G: EdgeColoredGraph, params: ExtractionParams) -> ExtractionResult:
@@ -193,7 +195,7 @@ def saturation_extract(G: EdgeColoredGraph, params: ExtractionParams) -> Extract
     if G.bipartition is None:
         raise ValueError("saturation_extract requires a bipartition")
     side1, side2 = G.bipartition
-    kept, state = _saturation_extract_on_parts(
+    kept, state, _firsts = _saturation_extract_on_parts(
         G, side1, side2, params.s, params.t, params.x
     )
     H = EdgeColoredGraph(G.n, kept, G.bipartition)
@@ -210,17 +212,24 @@ def _orient(G, s, t, x, parts):
     deletion, so the order of the deletions cannot matter. The survivors are
     the arcs. A vertex of side 1 in a part is bounded against the size of
     that part's side 2.
+
+    The report is read off the greedy: a vertex's color degree is the length
+    of its one-edge-per-color list, and its out-degree counts the arcs with
+    that tail.
     """
     _check_st(s, t)
     kept: list[tuple[int, int, int]] = []
     side2_colors: dict[int, frozenset[int]] = {}
+    dc = [0] * G.n
     states = []
     for side1, side2 in parts:
-        part_kept, state = _saturation_extract_on_parts(G, side1, side2, s, t, x)
+        part_kept, state, firsts = _saturation_extract_on_parts(G, side1, side2, s, t, x)
         kept += part_kept
         side2_colors.update(state.kept_colors)
+        for u, first in firsts.items():
+            dc[u] = len(first)
         states.append(state)
-    arcs = [(u, v, c) for u, v, c in kept if c not in side2_colors[u]]
+    arcs = [e for e in kept if e[2] not in side2_colors[e[0]]]
     D = ColoredOrientation(G, arcs)
     H = EdgeColoredGraph(G.n, arcs, G.bipartition)
 
@@ -230,12 +239,14 @@ def _orient(G, s, t, x, parts):
         side_loss = sig * len(side2) ** (1.0 - 1.0 / s) + s
         for v in side1:
             loss[v] = side_loss
+    dplus = [0] * G.n
+    for e in arcs:
+        dplus[e[0]] += 1
     per_vertex = {}
     for v in range(G.n):
-        dplus = D.out_degree(v)
-        dc = color_degree(G, v)
-        bound = dc - loss[v]
-        per_vertex[v] = {"dplus": dplus, "dc": dc, "bound": bound, "margin": dplus - bound}
+        bound = dc[v] - loss[v]
+        per_vertex[v] = {"dplus": dplus[v], "dc": dc[v], "bound": bound,
+                         "margin": dplus[v] - bound}
     ls = [state.l for state in states]
     xs = [state.x for state in states]
     if len(states) == 1:

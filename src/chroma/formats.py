@@ -8,8 +8,11 @@ side 1), then m lines `u v c`, all 0-indexed.
 Rendering is canonical (edges sorted ascending), so parse(render(x)) == x.
 Parsers check only syntax (header, line count, field count, integers) and
 hand the rows to the `chroma.core` constructors, which are the one place
-structure is checked. When a constructor rejects the rows, the parser
-finds the first offending line and raises a line-numbered ParseError.
+structure is checked. One tokenizer serves all three formats: it checks the
+body's line count and per-line field counts, then converts every body token
+in one pass. Only when that or a constructor rejects the body are the lines
+rescanned, to find the first offending one and raise a line-numbered
+ParseError.
 """
 from __future__ import annotations
 
@@ -34,22 +37,63 @@ def _int_fields(line_no: int, parts, count: int, what: str) -> list[int]:
     return out
 
 
-def _int_rows(body) -> list[tuple[int, ...]]:
-    """The integer fields of each body line. A non-integer token raises
-    ValueError here, and a row of the wrong width raises it when the
-    constructor unpacks the row."""
-    return [tuple(map(int, parts)) for _, parts in body]
+def _header(text: str, magic: str):
+    """Split text into lines and read the header, its first nonblank line.
 
-
-def _raise_at_bad_line(body, n: int, count: int, what: str, directed: bool, bip_k=None):
-    """Raise a ParseError at the first body line that is not `count`
-    integers or breaks a structural rule: vertex range, loop, negative
-    color, then a repeated edge, or a repeated or reversed arc when
-    directed, then bipartition crossing.
-
-    Reached only after the rows failed to build. The structural rules are
-    the constructors'; this rescan in file order only finds the line.
+    Returns (lines, line_no, fields); the body is lines[line_no:].
     """
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts:
+            if parts[0] != magic:
+                raise ParseError(i + 1, f"expected `{magic}` header, got {parts[0]!r}")
+            return lines, i + 1, parts
+    raise ParseError(1, f"empty input, expected a `{magic}` header")
+
+
+def _rows(lines, line_no: int, m: int, width: int) -> list[tuple[int, ...]]:
+    """The body lines[line_no:] as m rows of `width` integers.
+
+    Every nonblank body line must have exactly `width` fields, and there
+    must be m of them; otherwise, or on a token that is not an integer,
+    ValueError is raised, and the caller's _raise_at_bad_line names the
+    line. Line boundaries are whitespace to str.split, so the body's tokens
+    are split in one pass and converted by one int map.
+    """
+    body = lines[line_no:]
+    if not set(map(len, map(str.split, body))) <= {0, width}:
+        raise ValueError(f"a body line does not have {width} fields")
+    tokens = " ".join(body).split()
+    if len(tokens) != m * width:
+        raise ValueError(f"expected {m} body lines")
+    fields = map(int, tokens)
+    return list(zip(*[fields] * width))
+
+
+def _content_lines(lines):
+    """(line_no, tokens) for nonblank lines, 1-indexed."""
+    return [(i, parts) for i, parts in enumerate(map(str.split, lines), 1) if parts]
+
+
+def _raise_at_bad_line(lines, n: int, m: int, count: int, what: str, directed: bool,
+                       bip_k=None):
+    """Raise a ParseError at the first body line that breaks a rule: the
+    number of nonblank body lines, then per line in file order, `count`
+    integer fields, vertex range, loop, negative color, then a repeated
+    edge, or a repeated or reversed arc when directed, then bipartition
+    crossing.
+
+    Reached only after the body failed to tokenize or its rows failed to
+    build. The structural rules are the constructors'; this rescan in file
+    order only finds the line.
+    """
+    content = _content_lines(lines)
+    body = content[1:]
+    if len(body) != m:
+        where = body[m][0] if len(body) > m else content[-1][0]
+        noun = "arc" if directed else "edge"
+        raise ParseError(where, f"expected {m} {noun} lines, found {len(body)}")
     seen = {}
     for ln, parts in body:
         row = _int_fields(ln, parts, count, what)
@@ -76,28 +120,6 @@ def _raise_at_bad_line(body, n: int, count: int, what: str, directed: bool, bip_
             seen[key] = ln
             if bip_k is not None and (u < bip_k) == (v < bip_k):
                 raise ParseError(ln, f"edge {{{u},{v}}} does not cross the bipartition")
-
-
-def _content_lines(text: str):
-    """(line_no, tokens) for nonblank lines, 1-indexed."""
-    return [(i, parts) for i, parts in enumerate(map(str.split, text.splitlines()), 1) if parts]
-
-
-def _parse_header(lines, magic: str):
-    if not lines:
-        raise ParseError(1, f"empty input, expected a `{magic}` header")
-    line_no, parts = lines[0]
-    if parts[0] != magic:
-        raise ParseError(line_no, f"expected `{magic}` header, got {parts[0]!r}")
-    return line_no, parts
-
-
-def _check_count(lines, m: int, what: str):
-    body = lines[1:]
-    if len(body) != m:
-        where = body[m][0] if len(body) > m else (lines[-1][0] if lines else 1)
-        raise ParseError(where, f"expected {m} {what} lines, found {len(body)}")
-    return body
 
 
 def _prefix_bipartition(G: EdgeColoredGraph):
@@ -132,8 +154,7 @@ def render_ecg(G: EdgeColoredGraph) -> str:
 
 
 def parse_ecg(text: str) -> EdgeColoredGraph:
-    lines = _content_lines(text)
-    line_no, parts = _parse_header(lines, "ecg")
+    lines, line_no, parts = _header(text, "ecg")
     bip_k = None
     if len(parts) == 5 and parts[3] == "bipartite":
         n, m = _int_fields(line_no, parts[1:3], 2, "header")
@@ -147,12 +168,11 @@ def parse_ecg(text: str) -> EdgeColoredGraph:
     if bip_k is not None and not 0 <= bip_k <= n:
         raise ParseError(line_no, f"bipartite size {bip_k} out of range")
 
-    body = _check_count(lines, m, "edge")
     bip = (range(bip_k), range(bip_k, n)) if bip_k is not None else None
     try:
-        return EdgeColoredGraph(n, _int_rows(body), bipartition=bip)
+        return EdgeColoredGraph(n, _rows(lines, line_no, m, 3), bipartition=bip)
     except ValueError:
-        _raise_at_bad_line(body, n, 3, "an edge", directed=False, bip_k=bip_k)
+        _raise_at_bad_line(lines, n, m, 3, "an edge", directed=False, bip_k=bip_k)
         raise
 
 
@@ -163,16 +183,14 @@ def render_org(D: OrientedGraph) -> str:
 
 
 def parse_org(text: str) -> OrientedGraph:
-    lines = _content_lines(text)
-    line_no, parts = _parse_header(lines, "org")
+    lines, line_no, parts = _header(text, "org")
     n, m = _int_fields(line_no, parts[1:], 2, "header")
     if n < 0 or m < 0:
         raise ParseError(line_no, "n and m must be nonnegative")
-    body = _check_count(lines, m, "arc")
     try:
-        return OrientedGraph(n, _int_rows(body))
+        return OrientedGraph(n, _rows(lines, line_no, m, 2))
     except ValueError:
-        _raise_at_bad_line(body, n, 2, "an arc", directed=True)
+        _raise_at_bad_line(lines, n, m, 2, "an arc", directed=True)
         raise
 
 
@@ -185,29 +203,24 @@ def render_corg(D: ColoredOrientation) -> str:
 
 
 def parse_corg(text: str) -> ColoredOrientation:
-    lines = _content_lines(text)
-    line_no, parts = _parse_header(lines, "corg")
+    lines, line_no, parts = _header(text, "corg")
     n, m = _int_fields(line_no, parts[1:], 2, "header")
     if n < 0 or m < 0:
         raise ParseError(line_no, "n and m must be nonnegative")
-    body = _check_count(lines, m, "arc")
     try:
-        rows = _int_rows(body)
+        rows = _rows(lines, line_no, m, 3)
         return ColoredOrientation(EdgeColoredGraph(n, rows), rows)
     except ValueError:
-        _raise_at_bad_line(body, n, 3, "a colored arc", directed=True)
+        _raise_at_bad_line(lines, n, m, 3, "a colored arc", directed=True)
         raise
 
 
 def parse_auto(text: str):
     """Dispatch on the header token."""
-    for raw in text.splitlines():
-        parts = raw.split()
-        if parts:
-            magic = parts[0]
-            break
-    else:
+    parts = text.split(None, 1)  # line boundaries are whitespace to str.split
+    if not parts:
         raise ParseError(1, "empty input")
+    magic = parts[0]
     if magic == "ecg":
         return parse_ecg(text)
     if magic == "org":

@@ -1,5 +1,6 @@
 import enum
 import random
+from collections import namedtuple
 from operator import itemgetter
 
 import pytest
@@ -164,6 +165,46 @@ class TestRejectionText:
         host = EdgeColoredGraph(3, [(0, 1, 4)])
         with pytest.raises(ValueError, match="host"):
             ColoredOrientation(host, [(0, 2, None)])
+
+
+Edge = namedtuple("Edge", "u v c")
+Arc = namedtuple("Arc", "t h")
+
+
+class TestStoredRows:
+    """Rows are stored as plain tuples whatever sequence type they came in;
+    a row that is already a plain canonical tuple is stored as given."""
+
+    EDGES = [(0, 1, 4), (2, 1, 0), (0, 3, 2)]
+
+    @pytest.mark.parametrize("row_type", [list, Edge._make])
+    def test_edge_rows(self, row_type):
+        G = EdgeColoredGraph(4, [row_type(e) for e in self.EDGES])
+        assert G == EdgeColoredGraph(4, self.EDGES)
+        assert all(type(e) is tuple for e in G.edges)
+
+    @pytest.mark.parametrize("row_type", [list, Arc._make])
+    def test_arc_rows(self, row_type):
+        arcs = [(t, h) for t, h, _ in self.EDGES]
+        D = OrientedGraph(4, [row_type(a) for a in arcs])
+        assert D == OrientedGraph(4, arcs)
+        assert all(type(a) is tuple for a in D.arcs)
+
+    @pytest.mark.parametrize("row_type", [list, Edge._make])
+    def test_colored_arc_rows(self, row_type):
+        host = EdgeColoredGraph(4, self.EDGES)
+        co = ColoredOrientation(host, [row_type(a) for a in self.EDGES])
+        assert co == ColoredOrientation(host, self.EDGES)
+        assert all(type(a) is tuple for a in co.arcs)
+
+    def test_canonical_tuples_kept(self):
+        rows = [(0, 1, 4), (2, 1, 0)]
+        G = EdgeColoredGraph(3, rows)
+        assert G.edges[0] is rows[0]
+        assert G.edges[1] == (1, 2, 0)
+        arcs = [(2, 1)]
+        assert OrientedGraph(3, arcs).arcs[0] is arcs[0]
+        assert ColoredOrientation(G, rows).arcs[1] is rows[1]
 
 
 def _ascending(adjacency, key):

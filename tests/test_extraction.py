@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chroma.core import EdgeColoredGraph, color_degree, color_set
 from chroma.constructions import (
@@ -317,6 +319,34 @@ class TestConstructOrientationBipartite:
         G = random_bipartite_edge_colored(5, 7, 0.5, 3, 2)
         _, _, report = construct_orientation_bipartite(G, 2, 2)
         assert len(report["l"]) == 2 and len(report["x"]) == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    construction=st.sampled_from(("general", "bipartite", "bipartite-general")),
+    st_pair=st.sampled_from(((2, 2), (2, 3), (3, 3))),
+    x=st.sampled_from((None, 0.5, 1.0, 1.5, 3.0)),
+)
+def test_report_degrees_match_graph_and_orientation(seed, construction, st_pair, x):
+    """The report reads dc and dplus off the greedy; they must equal the
+    color degree in G and the out-degree in D at every vertex."""
+    s, t = st_pair
+    if construction == "general":
+        rng = random.Random(seed)
+        G = random_edge_colored_graph(
+            rng.randint(0, 16), rng.choice([0.3, 0.6, 0.9]), rng.randint(1, 6), seed
+        )
+        _, D, report = construct_orientation(G, s, t, x)
+    else:
+        G = bipartite_instance(seed, n_max=10)
+        build = construct_orientation_bipartite if construction == "bipartite" else construct_orientation
+        _, D, report = build(G, s, t, x)
+    assert set(report["per_vertex"]) == set(range(G.n))
+    for v, row in report["per_vertex"].items():
+        assert row["dc"] == color_degree(G, v)
+        assert row["dplus"] == D.out_degree(v)
+        assert row["margin"] == row["dplus"] - row["bound"]
 
 
 # sha256 of render_corg(D) plus the report as sorted JSON, recorded before the

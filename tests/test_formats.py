@@ -82,6 +82,60 @@ class TestOrgCorgRoundTrip:
         assert co.host.edges == ((0, 1, 7), (1, 2, 5))
 
 
+_BLANKS = ("", " ", "\t", " \t ")
+_GAPS = (" ", "  ", "\t", " \t")
+_ENDS = ("\n", "\r\n")
+
+
+@st.composite
+def _spaced(draw, text):
+    """text with each line's single spaces widened to tabs and runs, its
+    ends to CRLF, trailing whitespace added, and blank lines inserted
+    before, between and after the lines."""
+    out = []
+    for line in text.splitlines() + [None]:
+        for _ in range(draw(st.integers(0, 2))):
+            out.append(draw(st.sampled_from(_BLANKS)) + draw(st.sampled_from(_ENDS)))
+        if line is None:
+            break
+        fields = line.split(" ")
+        spaced = fields[0]
+        for field in fields[1:]:
+            spaced += draw(st.sampled_from(_GAPS)) + field
+        out.append(spaced + draw(st.sampled_from(_BLANKS)) + draw(st.sampled_from(_ENDS)))
+    return "".join(out)
+
+
+@st.composite
+def _rendered_objects(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    kind = draw(st.sampled_from(("ecg", "bipartite", "org", "corg")))
+    if kind == "ecg":
+        return random_edge_colored_graph(rng.randint(0, 10), 0.5, rng.randint(1, 5), seed)
+    if kind == "bipartite":
+        return random_bipartite_edge_colored(
+            rng.randint(0, 5), rng.randint(0, 5), 0.5, rng.randint(1, 4), seed
+        )
+    if kind == "org":
+        return random_oriented_graph(rng.randint(0, 10), 0.5, seed)
+    G = random_edge_colored_graph(rng.randint(0, 10), 0.6, rng.randint(1, 4), seed)
+    return parse_corg(render_corg(construct_orientation(G, 2, 2)[1]))
+
+
+class TestWhitespaceRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_spaced_render_parses_back(self, data):
+        obj = data.draw(_rendered_objects())
+        text = data.draw(_spaced(render(obj)))
+        assert parse_auto(text) == obj
+
+    def test_fixed_spacing(self):
+        text = "\r\n \n ecg\t3  2 \r\n\t\n0 1\t4\t\r\n\n1  2 0 \n\n"
+        assert parse_ecg(text) == EdgeColoredGraph(3, [(0, 1, 4), (1, 2, 0)])
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "text,line,needle",
@@ -103,6 +157,13 @@ class TestParseErrors:
             ("ecg 3 2\n1 1 0\n0 x 0\n", 2, "loop"),
             ("ecg 3 2\n0 x 0\n1 1 0\n", 2, "not an integer"),
             ("ecg 3 2\n0 1 -1\n0 1\n", 2, "negative color"),
+            # The right token total in the wrong per-line widths or line count.
+            ("ecg 3 2\n0 1\n1 2 0 5\n", 2, "expected 3 fields for an edge, got 2"),
+            ("ecg 3 2\n0 1 0 1\n2 0\n", 2, "expected 3 fields for an edge, got 4"),
+            ("ecg 3 2\n\n0 1 0\n\n1 2\n0\n", 6, "expected 2 edge lines, found 3"),
+            ("ecg 3 2\n0 1 0 1 2 0\n", 2, "expected 2 edge lines, found 1"),
+            ("ecg 3 2\n0 1 0\n1 2\n5\n", 4, "expected 2 edge lines, found 3"),
+            ("ecg 3 2\n0 1 0\n0 1\n2 0\n", 4, "expected 2 edge lines, found 3"),
         ],
     )
     def test_ecg_errors(self, text, line, needle):
@@ -124,6 +185,15 @@ class TestParseErrors:
             (parse_org, "org 3 2\n0 1\n1 0\n", 3, "(reverse at line 2)"),
             (parse_org, "org 3 1\n0 7\n", 2, "out of range"),
             (parse_org, "org 3 2\n0 1\n0 1 2\n", 3, "expected 2 fields"),
+            # The right token total in the wrong per-line widths or line count.
+            (parse_org, "org 3 2\n0\n1 2 0\n", 2, "expected 2 fields for an arc, got 1"),
+            (parse_org, "org 3 2\n0 1 1\n2\n", 2, "expected 2 fields for an arc, got 3"),
+            (parse_org, "org 3 2\n0 1 1 2\n", 2, "expected 2 arc lines, found 1"),
+            (parse_corg, "corg 3 2\n0 1\n1 2 0 5\n", 2,
+             "expected 3 fields for a colored arc, got 2"),
+            (parse_corg, "corg 3 2\n0 1 5 1\n2 0\n", 2,
+             "expected 3 fields for a colored arc, got 4"),
+            (parse_corg, "corg 3 2\n0 1 5\n1\n2 0\n", 4, "expected 2 arc lines, found 3"),
         ],
     )
     def test_org_corg_errors(self, parse, text, line, needle):
