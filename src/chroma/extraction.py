@@ -107,9 +107,9 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
     two sides of a bipartition, and for side1 = side2 = range(n), which is
     the dual graph of G with vertex ids left unshifted: the left copy u is
     joined to the right copy of v exactly when uv is an edge of G. Returns
-    (kept, state, firsts); kept lists the surviving edges as (u, v, c) with
-    u in side 1 and v in side 2, and firsts maps each side-1 vertex u to its
-    one-edge-per-color list, so len(firsts[u]) is u's color degree in G.
+    (kept, state, dc); kept lists the surviving edges as (u, v, c) with u in
+    side 1 and v in side 2, and dc maps each side-1 vertex to its color
+    degree in G, the length of its one-edge-per-color list.
     """
     side1 = sorted(side1)
     side2 = sorted(side2)
@@ -170,7 +170,8 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
             kept_colors[v] = frozenset(colors_seen[v])
 
     kept = [(u, v, c) for u in side1 for v, c in g0[u] if c in kept_colors[v]]
-    return kept, SaturationState(tuple(selected), sat_index, kept_colors, x), g0
+    dc = {u: len(g0[u]) for u in side1}
+    return kept, SaturationState(tuple(selected), sat_index, kept_colors, x), dc
 
 
 def saturation_extract(G: EdgeColoredGraph, params: ExtractionParams) -> ExtractionResult:
@@ -195,39 +196,38 @@ def saturation_extract(G: EdgeColoredGraph, params: ExtractionParams) -> Extract
     if G.bipartition is None:
         raise ValueError("saturation_extract requires a bipartition")
     side1, side2 = G.bipartition
-    kept, state, _firsts = _saturation_extract_on_parts(
+    kept, state, dc = _saturation_extract_on_parts(
         G, side1, side2, params.s, params.t, params.x
     )
     H = EdgeColoredGraph(G.n, kept, G.bipartition)
-    deltas = {u: color_degree(G, u) - color_degree(H, u) for u in sorted(side1)}
+    deltas = {u: dc[u] - color_degree(H, u) for u in sorted(side1)}
     return ExtractionResult(H, state, deltas)
 
 
 def _orient(G, s, t, x, parts):
     """The orientation construction over the given (side1, side2) parts.
 
-    Runs the saturation greedy once per part; every vertex must be side 2 of
-    exactly one part. A kept edge u -> v is then deleted when its color is
-    kept at u as a side-2 vertex. The kept color sets are fixed before any
-    deletion, so the order of the deletions cannot matter. The survivors are
-    the arcs. A vertex of side 1 in a part is bounded against the size of
-    that part's side 2.
+    Runs the saturation greedy once per part; every vertex must be side 1 of
+    exactly one part and side 2 of exactly one part. A kept edge u -> v is
+    then deleted when its color is kept at u as a side-2 vertex. The kept
+    color sets are fixed before any deletion, so the order of the deletions
+    cannot matter. The survivors are the arcs. A vertex of side 1 in a part
+    is bounded against the size of that part's side 2.
 
-    The report is read off the greedy: a vertex's color degree is the length
-    of its one-edge-per-color list, and its out-degree counts the arcs with
+    The report is read off the greedy: a vertex's color degree comes from
+    the part where it is side 1, and its out-degree counts the arcs with
     that tail.
     """
     _check_st(s, t)
     kept: list[tuple[int, int, int]] = []
     side2_colors: dict[int, frozenset[int]] = {}
-    dc = [0] * G.n
+    dc: dict[int, int] = {}
     states = []
     for side1, side2 in parts:
-        part_kept, state, firsts = _saturation_extract_on_parts(G, side1, side2, s, t, x)
+        part_kept, state, part_dc = _saturation_extract_on_parts(G, side1, side2, s, t, x)
         kept += part_kept
         side2_colors.update(state.kept_colors)
-        for u, first in firsts.items():
-            dc[u] = len(first)
+        dc.update(part_dc)
         states.append(state)
     arcs = [e for e in kept if e[2] not in side2_colors[e[0]]]
     D = ColoredOrientation(G, arcs)

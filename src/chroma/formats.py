@@ -55,19 +55,18 @@ def _header(text: str, magic: str):
 def _rows(lines, line_no: int, m: int, width: int) -> list[tuple[int, ...]]:
     """The body lines[line_no:] as m rows of `width` integers.
 
-    Every nonblank body line must have exactly `width` fields, and there
-    must be m of them; otherwise, or on a token that is not an integer,
-    ValueError is raised, and the caller's _raise_at_bad_line names the
-    line. Line boundaries are whitespace to str.split, so the body's tokens
-    are split in one pass and converted by one int map.
+    Exactly m body lines must have `width` fields and every other one must
+    be blank; otherwise, or on a token that is not an integer, ValueError is
+    raised, and the caller's _raise_at_bad_line names the line. The per-line
+    split lists are only counted and dropped at once; the tokens are split
+    again from the joined body, since keeping one list per line alive for
+    the int map would more than double the garbage collector's work here.
     """
     body = lines[line_no:]
-    if not set(map(len, map(str.split, body))) <= {0, width}:
-        raise ValueError(f"a body line does not have {width} fields")
-    tokens = " ".join(body).split()
-    if len(tokens) != m * width:
-        raise ValueError(f"expected {m} body lines")
-    fields = map(int, tokens)
+    widths = list(map(len, map(str.split, body)))
+    if widths.count(width) != m or widths.count(0) != len(body) - m:
+        raise ValueError(f"expected {m} body lines of {width} fields")
+    fields = map(int, " ".join(body).split())
     return list(zip(*[fields] * width))
 
 

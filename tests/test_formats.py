@@ -164,6 +164,8 @@ class TestParseErrors:
             ("ecg 3 2\n0 1 0 1 2 0\n", 2, "expected 2 edge lines, found 1"),
             ("ecg 3 2\n0 1 0\n1 2\n5\n", 4, "expected 2 edge lines, found 3"),
             ("ecg 3 2\n0 1 0\n0 1\n2 0\n", 4, "expected 2 edge lines, found 3"),
+            # m well-formed lines plus one of another width.
+            ("ecg 3 2\n0 1 0\n1 2 0\n5\n", 4, "expected 2 edge lines, found 3"),
         ],
     )
     def test_ecg_errors(self, text, line, needle):
@@ -194,6 +196,7 @@ class TestParseErrors:
             (parse_corg, "corg 3 2\n0 1 5 1\n2 0\n", 2,
              "expected 3 fields for a colored arc, got 4"),
             (parse_corg, "corg 3 2\n0 1 5\n1\n2 0\n", 4, "expected 2 arc lines, found 3"),
+            (parse_org, "org 3 2\n0 1\n1 2\n0\n", 4, "expected 2 arc lines, found 3"),
         ],
     )
     def test_org_corg_errors(self, parse, text, line, needle):
