@@ -32,16 +32,30 @@ BUDGET_EXCEEDED = "budget-exceeded"
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits on a single search invocation; None means unbounded."""
+    """Limits on a single search invocation; None means unbounded.
+
+    max_nodes must be a positive int (not a bool) and time_limit_s a finite
+    positive real; NaN or infinity would silently mean no limit.
+    """
 
     max_nodes: Optional[int] = None
     time_limit_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes <= 0:
-            raise ValueError("max_nodes must be positive")
-        if self.time_limit_s is not None and self.time_limit_s <= 0:
-            raise ValueError("time_limit_s must be positive")
+        nodes, limit = self.max_nodes, self.time_limit_s
+        if nodes is not None and (
+            isinstance(nodes, bool) or not isinstance(nodes, int) or nodes <= 0
+        ):
+            raise ValueError(f"max_nodes must be a positive integer, got {nodes!r}")
+        if limit is not None:
+            if (
+                isinstance(limit, bool)
+                or not isinstance(limit, (int, float))
+                or not math.isfinite(limit)
+                or limit <= 0
+            ):
+                raise ValueError(f"time_limit_s must be a finite positive real, got {limit!r}")
+            object.__setattr__(self, "time_limit_s", float(limit))
 
 
 @dataclass(frozen=True)
@@ -291,7 +305,8 @@ def _kst_impl(
 
     Each subset costs one tick, the matching one tick per candidate it reads
     and per edge its augmenting paths look at, the backtracking one tick
-    per candidate it tries, and the pass one tick per arc.
+    per candidate it tries, and the pass one tick per edge its peel
+    removes and one per arc of what is left (see _walk_classes).
     """
     nbr = G.neighbor_sets
     colors = G.pair_colors
@@ -375,8 +390,10 @@ def find_pc_kst(
     the linear walk-period pass of find_pc_cycle_upto once and goes on over
     the vertices that lie on closed properly colored walks of length 4
     only, which every vertex of a properly colored K_{s,t} does; the
-    witness is the same. details["walk_periods"] shows the periods when the
-    pass ran, and the node counts include its ticks.
+    witness is the same. The pass first peels off the vertices that see
+    one color, so on an acyclic signature it costs one tick per edge.
+    details["walk_periods"] shows the periods when the pass ran, and the
+    node counts include its ticks.
     """
     return _run_kst(G, s, t, budget, rainbow=False)
 
@@ -409,27 +426,66 @@ def _walk_classes(G: EdgeColoredGraph, clock: _Clock) -> list[tuple[int, list[in
     component's vertices, and L is a multiple of the component's period
     (the gcd of its closed-walk lengths).
 
-    Instead of the arcs themselves, each vertex v gets one exit node per
-    color (weight-1 arcs to the states its edges of that color reach) and
-    prefix and suffix hubs over its colors (weight-0 arcs), so state
+    First a queue peels off every vertex that sees fewer than two colors on
+    its edges to the vertices not yet peeled, until none is left. A vertex
+    on a closed walk arrives by one color and leaves by another, both on
+    edges to vertices of that walk, so no vertex of a closed walk is ever
+    peeled. Every component with a cycle is made of states on closed walks,
+    so it keeps its states, its arcs and its period, and the pass runs on
+    the rest alone. Every acyclic signature peels to nothing, since its
+    sink sees one color at each step.
+
+    Instead of the arcs themselves, each vertex v left gets one exit node
+    per color (weight-1 arcs to the states its edges of that color reach)
+    and prefix and suffix hubs over its colors (weight-0 arcs), so state
     (v, c_i) reaches every exit but c_i's through two hub arcs. The graph
     has O(n + m + sum of color degrees) nodes and arcs, and its closed walks
     have exactly the state graph's lengths. An iterative Tarjan search
     labels the components; a DFS-tree depth is a potential on each of them,
     so the period is the gcd of depth(u) + weight - depth(w) over the arcs
-    u -> w that it finds inside a component. The clock ticks once per arc.
+    u -> w that it finds inside a component. The clock ticks once per edge
+    the peel removes, as it goes, and once per arc.
     """
+    n = G.n
     adj = G.adj
-    state: dict[tuple[int, int], int] = {}
-    owner: list[int] = []  # the vertex of each state node
     by_color = []
-    for v in range(G.n):
+    for v in range(n):
         groups: dict[int, list[int]] = {}
         for w, c in adj[v]:
             groups.setdefault(c, []).append(w)
         by_color.append(groups)
-        for c in groups:
-            state[(v, c)] = len(owner)
+
+    live = bytearray(b"\x01") * n
+    colors_left = [len(groups) for groups in by_color]
+    left: list[Optional[dict[int, int]]] = [None] * n  # live edges per color
+    peel = [v for v in range(n) if colors_left[v] < 2]
+    for v in peel:  # grows as it goes; a vertex joins once, on its way below two
+        live[v] = 0
+        removed = 0
+        for w, c in adj[v]:
+            if live[w]:
+                removed += 1
+                counts = left[w]
+                if counts is None:
+                    counts = left[w] = {d: len(ws) for d, ws in by_color[w].items()}
+                counts[c] -= 1
+                if not counts[c]:
+                    colors_left[w] -= 1
+                    if colors_left[w] == 1:
+                        peel.append(w)
+        clock.tick(removed)
+
+    kept = [v for v in range(n) if live[v]]
+    state: list[dict[int, int]] = [{} for _ in range(n)]  # color -> state id
+    owner: list[int] = []  # the vertex of each state node
+    for v in kept:
+        counts = left[v]
+        if counts is not None:  # a neighbor was peeled
+            by_color[v] = {
+                c: [w for w in ws if live[w]] for c, ws in by_color[v].items() if counts[c]
+            }
+        for c in by_color[v]:
+            state[v][c] = len(owner)
             owner.append(v)
     succ: list[list[int]] = [[] for _ in owner]
     unit = bytearray(len(owner))  # 1 on exit nodes, whose arcs have weight 1
@@ -439,8 +495,8 @@ def _walk_classes(G: EdgeColoredGraph, clock: _Clock) -> list[tuple[int, list[in
         unit.append(weight)
         return len(succ) - 1
 
-    for v, groups in enumerate(by_color):
-        exits = [node([state[(w, c)] for w in ws], 1) for c, ws in groups.items()]
+    for v in kept:
+        exits = [node([state[w][c] for w in ws], 1) for c, ws in by_color[v].items()]
         k = len(exits)
         prefix = exits[:1]  # prefix[i] reaches exits 0..i
         for i in range(1, k - 1):
@@ -448,8 +504,8 @@ def _walk_classes(G: EdgeColoredGraph, clock: _Clock) -> list[tuple[int, list[in
         suffix = exits[-1:]  # suffix[j] reaches exits k-1-j..k-1
         for i in range(k - 2, 0, -1):
             suffix.append(node([suffix[-1], exits[i]]))
-        for i, c in enumerate(groups):
-            out = succ[state[(v, c)]]
+        for i, own in enumerate(state[v].values()):
+            out = succ[own]
             if i > 0:
                 out.append(prefix[i - 1])
             if i < k - 1:
@@ -606,7 +662,10 @@ def find_pc_cycle_upto(
     periods of closed properly colored walks (details["walk_periods"]); the
     DFS then skips every length that no period divides, so blow-ups of a
     directed C_r and acyclic signatures are decided with almost no search.
-    Node counts include one tick per arc of that pass.
+    The pass peels off the vertices that see fewer than two colors, which
+    lie on no closed walk, and builds the graph on the rest; an acyclic
+    signature peels to nothing. Node counts include one tick per edge the
+    peel removes and one per arc of the graph left.
     """
     if not isinstance(r, int) or r < 3:
         raise ValueError(f"r must be an integer >= 3, got {r!r}")

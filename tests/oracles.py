@@ -7,6 +7,7 @@ package's backtracking detectors. Intended for tiny instances only.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import gcd
 
 
 def _color_map(G):
@@ -148,3 +149,49 @@ def first_pc_cycle_witness(G, lengths):
                 if all(cols[i] != cols[(i + 1) % L] for i in range(L)):
                     return cyc
     return None
+
+
+def brute_walk_classes(G) -> list[tuple[int, list[int]]]:
+    """Sorted (period, vertices) of each strongly connected component with
+    a cycle in the explicit color-transition graph of G.
+
+    States are (v, c) for each color c at v; (v, c) -> (w, c') for each
+    edge {v, w} of color c' != c. Components are read off mutual
+    reachability. A component's period is the gcd of the lengths of the
+    closed walks through one of its states x, up to 3N for a component of N
+    states: for each simple cycle C in it, x -> C -> x by shortest paths
+    (at most 2N - 2 arcs) is such a walk with and without one turn round C,
+    so the gcd divides |C|.
+    """
+    succ = {}
+    for u, v, c in G.edges:
+        succ.setdefault((u, c), [])
+        succ.setdefault((v, c), [])
+    for (v, c) in succ:
+        for a, b, d in G.edges:
+            if d != c and v in (a, b):
+                succ[(v, c)].append((b if v == a else a, d))
+
+    def reach(x):  # states reachable from x by one or more arcs
+        seen, todo = set(), list(succ[x])
+        while todo:
+            y = todo.pop()
+            if y not in seen:
+                seen.add(y)
+                todo.extend(succ[y])
+        return seen
+
+    after = {x: reach(x) for x in succ}
+    classes, done = [], set()
+    for x in succ:
+        if x in done or x not in after[x]:
+            continue
+        comp = {y for y in after[x] if x in after[y]}
+        done |= comp
+        period, layer = 0, {x}
+        for length in range(1, 3 * len(comp) + 1):
+            layer = {z for y in layer for z in succ[y] if z in comp}
+            if x in layer:
+                period = gcd(period, length)
+        classes.append((period, sorted({v for v, _ in comp})))
+    return sorted(classes)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chroma.detectors as detectors
-from chroma.core import EdgeColoredGraph, Witness, total_color_degree
+from chroma.core import EdgeColoredGraph, OrientedGraph, Witness, total_color_degree
 from chroma.constructions import (
     blowup_cycle_signature,
     circulant_tournament,
@@ -46,6 +46,7 @@ from oracles import (
     brute_pc_cycle_lengths,
     brute_pc_kst_exists,
     brute_rainbow_kst_exists,
+    brute_walk_classes,
     first_pc_cycle_witness,
     first_pc_kst_witness,
     is_pc_cycle,
@@ -85,6 +86,31 @@ class TestBudget:
             SearchBudget(max_nodes=0)
         with pytest.raises(ValueError):
             SearchBudget(time_limit_s=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"time_limit_s": float("nan")},
+            {"time_limit_s": float("inf")},
+            {"time_limit_s": 0.0},
+            {"time_limit_s": "soon"},
+            {"time_limit_s": True},
+            {"max_nodes": 2.5},
+            {"max_nodes": 3.0},
+            {"max_nodes": True},
+            {"max_nodes": False},
+            {"max_nodes": "10"},
+            {"max_nodes": -1},
+        ],
+    )
+    def test_rejects_limits_that_are_no_limit(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SearchBudget(**kwargs)
+
+    def test_accepts_finite_limits(self):
+        b = SearchBudget(max_nodes=7, time_limit_s=2)
+        assert b.max_nodes == 7 and b.time_limit_s == 2.0
+        assert isinstance(b.time_limit_s, float)
 
     def test_budget_exceeded_is_distinct(self):
         G = random_edge_colored_graph(30, 0.8, 2, 0)
@@ -404,12 +430,125 @@ class TestWalkPeriods:
 
     def test_filter_ticks_are_linear(self):
         # One tick per arc of the hub graph: at most 2m exit arcs plus six
-        # per (vertex, color) state for the state and hub arcs.
+        # per (vertex, color) state for the state and hub arcs; one per
+        # edge the peel removes, which saves the edge's two exit arcs.
         G = signature(circulant_tournament(201))
         clock = _Clock(None)
         classes = _walk_classes(G, clock)
         assert [p for p, _ in classes] == [1, 1]
         assert 0 < clock.nodes <= 2 * G.m + 6 * total_color_degree(G)
+        # The same signature with a fringe of 40 pendant trees and paths,
+        # which the peel removes down to the circulant core.
+        F = fringed(G, random.Random(7), extra=40)
+        clock = _Clock(None)
+        classes = _walk_classes(F, clock)
+        assert [(p, len(verts)) for p, verts in classes] == [(1, 201), (1, 201)]
+        assert 0 < clock.nodes <= 2 * F.m + 6 * total_color_degree(F)
+
+
+def fringed(G, rng, extra=None):
+    """G with pendant trees and paths hung on random vertices: each tree in
+    one color, each path with a color per edge. The walk-class pass peels
+    them all off and keeps what G's own closed pc walks hold."""
+    n, edges = G.n, list(G.edges)
+    for _ in range(rng.randint(1, 3) if extra is None else extra):
+        root, color = rng.randrange(G.n), rng.randint(0, 3)
+        size = rng.randint(1, 4)
+        tree = rng.random() < 0.5
+        for i in range(size):
+            parent = rng.choice([root, *range(n, n + i)]) if tree else (n + i - 1 if i else root)
+            edges.append((parent, n + i, color if tree else rng.randint(0, 3)))
+        n += size
+    return EdgeColoredGraph(n, edges)
+
+
+def acyclic_signature(n, p, seed):
+    """The signature of a random acyclic digraph: each arc of a random
+    oriented graph points to its larger end."""
+    D = random_oriented_graph(n, p, seed)
+    return signature(OrientedGraph(n, sorted({(min(a), max(a)) for a in D.arcs})))
+
+
+def walk_class_instance(seed):
+    """A small graph for the walk-class oracle: an acyclic or a random
+    signature, a C_r blow-up, a random graph, or a pc cycle, a blow-up or a
+    random graph with a fringe of pendant trees and paths (see fringed),
+    relabelled."""
+    rng = random.Random(seed)
+    kind = seed % 6
+    if kind == 0:
+        G = acyclic_signature(rng.randint(3, 10), rng.choice((0.3, 0.6, 1.0)), seed)
+    elif kind == 1:
+        G = signature(random_oriented_graph(rng.randint(3, 9), rng.choice((0.3, 0.6)), seed))
+    elif kind == 2:
+        G = blowup_cycle_signature(rng.randint(3, 6), rng.randint(1, 2))
+    elif kind == 3:
+        G = random_edge_colored_graph(
+            rng.randint(2, 10), rng.choice((0.2, 0.4, 0.8)), rng.randint(1, 4), seed
+        )
+    elif kind == 4:
+        r = rng.randint(3, 7)
+        cyc = EdgeColoredGraph(r, [(i, (i + 1) % r, i % 2 + 2 * (i == r - 1)) for i in range(r)])
+        G = fringed(cyc, rng)
+    else:
+        core = (
+            blowup_cycle_signature(rng.choice((3, 4, 5)), 1)
+            if rng.random() < 0.5
+            else random_edge_colored_graph(rng.randint(3, 7), 0.6, rng.randint(2, 3), seed)
+        )
+        G = fringed(core, rng)
+    return relabelled(G, rng)
+
+
+class TestWalkClassesOracle:
+    """_walk_classes against the explicit state graph of brute_walk_classes,
+    on graphs the peel empties, leaves whole, or cuts down to a core."""
+
+    @staticmethod
+    def classes(G):
+        return sorted(_walk_classes(G, _Clock(None)))
+
+    def test_seeded_instances(self):
+        peeled_to_core = 0
+        for seed in range(180):
+            G = walk_class_instance(seed)
+            got = self.classes(G)
+            assert got == brute_walk_classes(G), seed
+            kept = {v for _, verts in got for v in verts}
+            touched = {v for u, w, _ in G.edges for v in (u, w)}
+            peeled_to_core += bool(kept) and kept < touched
+        assert peeled_to_core > 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_hypothesis_instances(self, seed):
+        G = walk_class_instance(seed)
+        assert self.classes(G) == brute_walk_classes(G)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3)),
+                max_size=18,
+            ).map(lambda es: (n, es))
+        )
+    )
+    def test_arbitrary_graphs(self, spec):
+        n, raw = spec
+        pairs = {}
+        for u, v, c in raw:
+            if u != v:
+                pairs.setdefault((min(u, v), max(u, v)), c)
+        G = EdgeColoredGraph(n, [(u, v, c) for (u, v), c in pairs.items()])
+        assert self.classes(G) == brute_walk_classes(G)
+
+    def test_acyclic_signatures_peel_to_nothing(self):
+        # The sink sees one color at every step; the pass ticks once per edge.
+        for n in (1, 2, 5, 14, 30):
+            G = signature(transitive_tournament(n))
+            clock = _Clock(None)
+            assert _walk_classes(G, clock) == [] and clock.nodes == G.m
 
 
 def gate_instance(seed):
@@ -542,12 +681,16 @@ class TestWalkGate:
         assert out.nodes <= 3 * G.m + clock.nodes + G.n
 
     @pytest.mark.parametrize("name", ["pc-k22", "pc-k23", "pipeline", "disjoint"])
-    @pytest.mark.parametrize("seed", [0, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 4, "fringe"])
     def test_node_budget_sweep(self, name, seed, walk_passes):
         # Every node budget up to the unbudgeted count, so across the switch
-        # point and the pass's ticks, ends budget-exceeded or with the
-        # unbudgeted answer.
-        G = extremal_no_pc_c4(3) if seed == 0 else gate_instance(seed)
+        # point, the peel's ticks and the pass's, ends budget-exceeded or
+        # with the unbudgeted answer. Seed 1 is a transitive signature, which
+        # the peel empties; "fringe" a C5 blow-up that it cuts back to.
+        if seed == "fringe":
+            G = fringed(blowup_cycle_signature(5, 2), random.Random(5), extra=4)
+        else:
+            G = extremal_no_pc_c4(3) if seed == 0 else gate_instance(seed)
         search = {
             "pc-k22": lambda b: find_pc_kst(G, 2, 2, b),
             "pc-k23": lambda b: find_pc_kst(G, 2, 3, b),

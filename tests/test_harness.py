@@ -246,6 +246,17 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert json.loads(res.stdout)["status"] == "budget-exceeded"
 
+    @pytest.mark.parametrize("ms", ["nan", "inf", "-inf", "0", "-5"])
+    def test_bad_time_budget_is_an_input_error(self, tmp_path, ms):
+        # NaN or infinity would silently mean no limit; refuse it up front.
+        ecg = tmp_path / "t.ecg"
+        save(signature(transitive_tournament(6)), ecg)
+        for args in (("find", "pc-kst", "-i", str(ecg)), ("verify", "duality", "--trials", "1")):
+            res = run_cli(*args, f"--budget-ms={ms}")
+            assert res.returncode == 3
+            assert "time_limit_s" in res.stderr and "Traceback" not in res.stderr
+            assert res.stdout == ""
+
     def test_find_pc_cycle_1200_deep(self, tmp_path):
         # The DFS goes straight to length 1200, deeper than Python's
         # recursion limit; the walk periods ride in the JSON details.
