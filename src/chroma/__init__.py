@@ -14,21 +14,17 @@ from .core import (
     Witness,
     color_degree,
     color_set,
-    color_set_between,
-    edge_critical_core,
     is_properly_colored,
     is_rainbow,
     min_color_degree,
     mono_degree,
     mono_degree_max,
-    side_proper_subgraph,
     total_color_degree,
 )
 from .transforms import blow_up, dual_graph, signature
 from .extraction import (
     ExtractionParams,
     ExtractionResult,
-    SaturationState,
     construct_orientation,
     construct_orientation_bipartite,
     default_x,

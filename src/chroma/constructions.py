@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import EdgeColoredGraph, OrientedGraph
+from .core import EdgeColoredGraph, OrientedGraph, _require_int
 from .transforms import blow_up, signature
 
 # Subset-density screening is exhaustive up to this order; beyond it a
@@ -29,8 +29,7 @@ SAMPLED_SUBSET_CHECKS = 50_000
 
 def transitive_tournament(n: int) -> OrientedGraph:
     """Tournament with arcs i -> j for all i < j (acyclic)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _require_int("n", n, 1)
     return OrientedGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -40,8 +39,7 @@ def circulant_tournament(n: int) -> OrientedGraph:
     Odd n: arcs i -> i+j (mod n) for j = 1..(n-1)/2. Even n: the same for
     j = 1..n/2-1 plus one arc i -> i+n/2 for each i < n/2.
     """
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"n must be an integer >= 3, got {n!r}")
+    _require_int("n", n, 3)
     arcs = []
     half = (n - 1) // 2 if n % 2 else n // 2 - 1
     for i in range(n):
@@ -55,8 +53,7 @@ def circulant_tournament(n: int) -> OrientedGraph:
 
 def directed_cycle(r: int) -> OrientedGraph:
     """Directed cycle 0 -> 1 -> ... -> r-1 -> 0."""
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"r must be an integer >= 2, got {r!r}")
+    _require_int("r", r, 2)
     return OrientedGraph(r, [(i, (i + 1) % r) for i in range(r)])
 
 
@@ -67,8 +64,7 @@ def blowup_cycle_signature(r: int, k: int) -> EdgeColoredGraph:
     out-degree and in-degree k in the blow-up, so the minimum color degree
     is k + 1.
     """
-    if not isinstance(r, int) or r < 3:
-        raise ValueError(f"r must be an integer >= 3, got {r!r}")
+    _require_int("r", r, 3)
     G = signature(blow_up(directed_cycle(r), k))
     if r % 2 == 0:
         side1 = [b * k + i for b in range(0, r, 2) for i in range(k)]
@@ -81,16 +77,14 @@ def extremal_no_pc_c4(k: int) -> EdgeColoredGraph:
     """Signature of the k-blow-up of a directed 6-cycle, with its natural
     alternate-block bipartition; minimum color degree k+1 and no properly
     colored cycle shorter than 6."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _require_int("k", k, 1)
     return blowup_cycle_signature(6, k)
 
 
 def extremal_no_rainbow_c4_trianglefree(k: int) -> EdgeColoredGraph:
     """Signature of the k-blow-up of a directed 5-cycle: triangle-free,
     minimum color degree k+1, and no rainbow 4-cycle."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _require_int("k", k, 1)
     return blowup_cycle_signature(5, k)
 
 
@@ -107,8 +101,7 @@ def _check_probability(p) -> float:
 
 def random_oriented_graph(n: int, p, seed: int) -> OrientedGraph:
     """Each unordered pair becomes an arc with probability p, direction uniform."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _require_int("n", n, 0)
     p = _check_probability(p)
     rng = random.Random(seed)
     arcs = []
@@ -121,10 +114,8 @@ def random_oriented_graph(n: int, p, seed: int) -> OrientedGraph:
 
 def random_edge_colored_graph(n: int, p, colors: int, seed: int) -> EdgeColoredGraph:
     """Each pair becomes an edge with probability p, color uniform in range."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not isinstance(colors, int) or colors < 1:
-        raise ValueError(f"colors must be a positive integer, got {colors!r}")
+    _require_int("n", n, 0)
+    _require_int("colors", colors, 1)
     p = _check_probability(p)
     rng = random.Random(seed)
     edges = []
@@ -139,10 +130,9 @@ def random_bipartite_edge_colored(
     n1: int, n2: int, p, colors: int, seed: int
 ) -> EdgeColoredGraph:
     """Bipartite ensemble on parts {0..n1-1} and {n1..n1+n2-1}."""
-    if not isinstance(n1, int) or not isinstance(n2, int) or n1 < 0 or n2 < 0:
-        raise ValueError("part sizes must be nonnegative integers")
-    if not isinstance(colors, int) or colors < 1:
-        raise ValueError(f"colors must be a positive integer, got {colors!r}")
+    _require_int("n1", n1, 0)
+    _require_int("n2", n2, 0)
+    _require_int("colors", colors, 1)
     p = _check_probability(p)
     rng = random.Random(seed)
     edges = []
@@ -162,8 +152,8 @@ def random_proper_complete_bipartite(s: int, t: int, seed: int) -> EdgeColoredGr
     coloring; a seeded shuffle then renames the colors injectively. Side 1
     is {0..s-1}, side 2 is {s..s+t-1}.
     """
-    if not isinstance(s, int) or not isinstance(t, int) or s < 1 or t < 1:
-        raise ValueError("part sizes must be positive integers")
+    _require_int("s", s, 1)
+    _require_int("t", t, 1)
     m = max(s, t)
     perm = list(range(m))
     random.Random(seed).shuffle(perm)
@@ -182,8 +172,7 @@ class RecolorParams:
     """Parameters of the recoloring construction.
 
     The (s+t)/(st-s-t) exponent requires st - s - t > 0; the asymptotic
-    guarantee additionally assumes st > 2(s+t), so outputs outside that
-    range are tagged in the params (see in_guaranteed_range).
+    guarantee additionally assumes st > 2(s+t), which is not enforced.
     """
 
     n: int
@@ -194,20 +183,16 @@ class RecolorParams:
     max_tries: int = 100_000
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
-            raise ValueError(f"n must be an integer >= 3, got {self.n!r}")
-        if (
-            not isinstance(self.s, int)
-            or not isinstance(self.t, int)
-            or self.s * self.t - self.s - self.t <= 0
-        ):
+        _require_int("n", self.n, 3)
+        _require_int("s", self.s, 2)
+        _require_int("t", self.t, 2)
+        if self.s * self.t - self.s - self.t <= 0:
             raise ValueError("parameters must satisfy s*t - s - t > 0")
         g = float(self.gamma)
         if not math.isfinite(g) or g < 0:
             raise ValueError(f"gamma must be a finite nonnegative real, got {self.gamma!r}")
         object.__setattr__(self, "gamma", g)
-        if not isinstance(self.max_tries, int) or self.max_tries < 1:
-            raise ValueError("max_tries must be a positive integer")
+        _require_int("max_tries", self.max_tries, 1)
         if self.p > 1.0:
             raise ValueError(
                 f"edge probability p={self.p:.4f} exceeds 1; decrease gamma"
@@ -228,10 +213,6 @@ class RecolorParams:
     @property
     def degree_floor(self) -> float:
         return self.gamma * self.n ** (1.0 - self.exponent)
-
-    @property
-    def in_guaranteed_range(self) -> bool:
-        return self.s * self.t > 2 * (self.s + self.t)
 
 
 class RecolorError(RuntimeError):

@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
+
+
+def _require_int(name: str, value: object, lo: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 def _require_vertex(n: int, v: object) -> int:
@@ -82,8 +87,7 @@ class EdgeColoredGraph:
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+        _require_int("vertex count", n, 0)
         seen: set[int] = set()  # u * n + v of each edge so far
         norm = []
         for e in self.edges:
@@ -139,10 +143,6 @@ class EdgeColoredGraph:
     def pair_colors(self) -> dict[tuple[int, int], int]:
         return {(u, v): c for u, v, c in self.edges}
 
-    def degree(self, v: int) -> int:
-        _require_vertex(self.n, v)
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         a, b = (u, v) if u < v else (v, u)
         return (a, b) in self.pair_colors
@@ -164,8 +164,7 @@ class OrientedGraph:
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+        _require_int("vertex count", n, 0)
         tails: dict[int, int] = {}
         norm = []
         for a in self.arcs:
@@ -263,9 +262,6 @@ class ColoredOrientation:
         _require_vertex(self.n, v)
         return len(self.in_adj[v])
 
-    def as_oriented(self) -> OrientedGraph:
-        return OrientedGraph(self.n, tuple((t, h) for t, h, _ in self.arcs))
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -344,17 +340,6 @@ def color_set(G: EdgeColoredGraph, v: int) -> frozenset[int]:
     return frozenset(c for _, c in G.adj[v])
 
 
-def color_set_between(G: EdgeColoredGraph, U: Iterable[int], W: Iterable[int]) -> frozenset[int]:
-    """Set of colors on edges with one endpoint in U and the other in W."""
-    su = frozenset(_require_vertex(G.n, v) for v in U)
-    sw = frozenset(_require_vertex(G.n, v) for v in W)
-    if su & sw:
-        raise ValueError("vertex sets overlap")
-    if len(su) > len(sw):
-        su, sw = sw, su
-    return frozenset(c for v in su for w, c in G.adj[v] if w in sw)
-
-
 # ---------------------------------------------------------------------------
 # Subgraph predicates
 # ---------------------------------------------------------------------------
@@ -402,53 +387,3 @@ def is_rainbow(G: EdgeColoredGraph, edge_subset) -> bool:
     resolved = _resolve_edges(G, edge_subset)
     return len({c for _, _, c in resolved}) == len(resolved)
 
-
-# ---------------------------------------------------------------------------
-# Structure-preserving reductions
-# ---------------------------------------------------------------------------
-
-def side_proper_subgraph(G: EdgeColoredGraph, side: int) -> EdgeColoredGraph:
-    """Keep one edge per incident color at each vertex of the selected side.
-
-    The selected side is 1 or 2 (indexing G.bipartition). Within each color
-    class at a selected vertex the edge to the smallest neighbor id is kept,
-    so afterwards the vertex's degree equals its color degree in G.
-    """
-    if G.bipartition is None:
-        raise ValueError("side_proper_subgraph requires a bipartition")
-    if side not in (1, 2):
-        raise ValueError(f"side selector must be 1 or 2, got {side!r}")
-    selected = G.bipartition[side - 1]
-    kept = []
-    for u in sorted(selected):
-        first_by_color: dict[int, int] = {}
-        for w, c in G.adj[u]:  # neighbors ascending, so the first hit is minimal
-            if c not in first_by_color:
-                first_by_color[c] = w
-        kept.extend((min(u, w), max(u, w), c) for c, w in first_by_color.items())
-    return EdgeColoredGraph(G.n, kept, G.bipartition)
-
-
-def edge_critical_core(G: EdgeColoredGraph) -> EdgeColoredGraph:
-    """Delete edges whose removal changes no color degree, until none remains.
-
-    Edges are scanned in ascending (u, v, c) order and the scan restarts
-    after each deletion. Color degrees of the output equal those of the
-    input at every vertex, and in the output every monochromatic color
-    class is a union of vertex-disjoint stars.
-    """
-    edges = list(G.edges)
-    mult: list[dict[int, int]] = [{} for _ in range(G.n)]
-    for u, v, c in edges:
-        mult[u][c] = mult[u].get(c, 0) + 1
-        mult[v][c] = mult[v].get(c, 0) + 1
-    while True:
-        for i, (u, v, c) in enumerate(edges):
-            if mult[u][c] >= 2 and mult[v][c] >= 2:
-                del edges[i]
-                mult[u][c] -= 1
-                mult[v][c] -= 1
-                break
-        else:
-            break
-    return EdgeColoredGraph(G.n, edges, G.bipartition)

@@ -18,12 +18,13 @@ from .core import (
     EdgeColoredGraph,
     OrientedGraph,
     Witness,
+    _require_int,
     color_degree,  # unused here; bench/tracing.py wraps it by this path
     is_properly_colored,
     is_rainbow,
     total_color_degree,
 )
-from .extraction import construct_orientation, sigma
+from .extraction import _check_st, construct_orientation, sigma
 
 FOUND = "found"
 EXHAUSTED = "exhausted-none"
@@ -43,10 +44,8 @@ class SearchBudget:
 
     def __post_init__(self):
         nodes, limit = self.max_nodes, self.time_limit_s
-        if nodes is not None and (
-            isinstance(nodes, bool) or not isinstance(nodes, int) or nodes <= 0
-        ):
-            raise ValueError(f"max_nodes must be a positive integer, got {nodes!r}")
+        if nodes is not None:
+            _require_int("max_nodes", nodes, 1)
         if limit is not None:
             if (
                 isinstance(limit, bool)
@@ -367,8 +366,8 @@ def _kst_impl(
 
 
 def _run_kst(G, s, t, budget, rainbow: bool) -> SearchOutcome:
-    if not isinstance(s, int) or not isinstance(t, int) or s < 1 or t < 1:
-        raise ValueError(f"s and t must be positive integers, got {s!r}, {t!r}")
+    _require_int("s", s, 1)
+    _require_int("t", t, 1)
     details: dict = {}
     return _search(
         budget,
@@ -667,8 +666,7 @@ def find_pc_cycle_upto(
     signature peels to nothing. Node counts include one tick per edge the
     peel removes and one per arc of the graph left.
     """
-    if not isinstance(r, int) or r < 3:
-        raise ValueError(f"r must be an integer >= 3, got {r!r}")
+    _require_int("r", r, 3)
     details: dict = {}
     return _search(
         budget,
@@ -826,8 +824,7 @@ def pc_short_cycle_pipeline(
     The report carries the orientation's minimum out-degree and its margin
     over ceil(n/r).
     """
-    if not isinstance(r, int) or r < 4:
-        raise ValueError(f"r must be an integer >= 4, got {r!r}")
+    _require_int("r", r, 4)
     details: dict = {"r": r}
     return _search(budget, lambda clock: _pc_cycle_stages(G, r, clock, details), details)
 
@@ -848,8 +845,7 @@ def disjoint_pc_cycles(
     the outcome is exhausted-none and the partial family rides in the
     details; this is a greedy heuristic, not an exact packing decision.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _require_int("k", k, 1)
     cycles: list[list[int]] = []
 
     def body(clock):
@@ -881,8 +877,7 @@ def extract_rainbow_kst(G: EdgeColoredGraph, S, B, t: int) -> Witness:
     S = tuple(sorted(set(S)))
     B = tuple(sorted(set(B)))
     s = len(S)
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"t must be a positive integer, got {t!r}")
+    _require_int("t", t, 1)
     if s < 1 or not B:
         raise ValueError("S and B must be nonempty")
     if set(S) & set(B):
@@ -945,8 +940,7 @@ def check_total_degree_threshold(
 
     Returns (threshold exceeded, margin = total - threshold).
     """
-    if not isinstance(s, int) or not isinstance(t, int) or not 2 <= s <= t:
-        raise ValueError(f"parameters must satisfy 2 <= s <= t, got s={s!r}, t={t!r}")
+    _check_st(s, t)
     parts = None if G.bipartition is None else tuple(len(side) for side in G.bipartition)
     margin = total_color_degree(G) - _total_degree_requirement(s, t, G.n, parts)
     return margin > 0, margin

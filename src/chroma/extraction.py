@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EdgeColoredGraph, ColoredOrientation, color_degree
+from .core import EdgeColoredGraph, ColoredOrientation, _require_int, color_degree
 from .transforms import dual_graph  # unused here; bench/tracing.py wraps it by this path
 
 # Slack used when rounding the real-valued growth threshold to an integer
@@ -24,8 +24,8 @@ _EPS = 1e-9
 
 
 def _check_st(s: int, t: int) -> None:
-    if not isinstance(s, int) or not isinstance(t, int) or not 2 <= s <= t:
-        raise ValueError(f"parameters must satisfy 2 <= s <= t, got s={s!r}, t={t!r}")
+    _require_int("s", s, 2)
+    _require_int("t", t, s)
 
 
 def sigma(s: int, t: int) -> float:
@@ -60,13 +60,9 @@ class ExtractionParams:
         _check_st(self.s, self.t)
         if self.x is not None:
             x = float(self.x)
-            if not math.isfinite(x) or x <= 0:
+            if isinstance(self.x, bool) or not math.isfinite(x) or x <= 0:
                 raise ValueError(f"x must be a finite positive real, got {self.x!r}")
             object.__setattr__(self, "x", x)
-
-    @property
-    def sigma(self) -> float:
-        return sigma(self.s, self.t)
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,7 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
     side1 = sorted(side1)
     side2 = sorted(side2)
     n2 = len(side2)
-    x = float(x_override) if x_override is not None else default_x(s, t, n2)
-    if not math.isfinite(x):
-        raise ValueError(f"growth threshold x is not finite: {x!r}")
+    x = x_override if x_override is not None else default_x(s, t, n2)
     need = max(1, math.ceil(x - _EPS))
 
     # One edge per color at each side-1 vertex: G.adj lists neighbors in
@@ -218,7 +212,7 @@ def _orient(G, s, t, x, parts):
     the part where it is side 1, and its out-degree counts the arcs with
     that tail.
     """
-    _check_st(s, t)
+    x = ExtractionParams(s, t, x).x
     kept: list[tuple[int, int, int]] = []
     side2_colors: dict[int, frozenset[int]] = {}
     dc: dict[int, int] = {}

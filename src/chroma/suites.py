@@ -28,6 +28,7 @@ from .constructions import (
 )
 from .core import (
     EdgeColoredGraph,
+    _require_int,
     color_degree,
     color_set,
     is_rainbow,
@@ -56,7 +57,7 @@ from .extraction import (
     sigma,
 )
 from .formats import render_ecg, strip_bipartition
-from .transforms import signature
+from .transforms import dual_graph, signature
 
 _EPS = 1e-9
 SCHEMA_VERSION = 1
@@ -167,8 +168,6 @@ def _suite_signature_laws(trials, seed, budget, rec, config):
 
 
 def _suite_duality(trials, seed, budget, rec, config):
-    from .transforms import dual_graph
-
     for i in range(trials):
         tseed = _trial_seed(seed, i)
         rng = random.Random(tseed)
@@ -490,8 +489,7 @@ def run_suite(name: str, trials: int, seed: int, budget=None, config=None) -> Su
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
-    if not isinstance(trials, int) or trials < 0:
-        raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
+    _require_int("trials", trials, 0)
     rec = _Recorder()
     cfg = dict(config or {})
     cfg.setdefault("seed", seed)

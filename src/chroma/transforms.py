@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import EdgeColoredGraph, OrientedGraph
+from .core import EdgeColoredGraph, OrientedGraph, _require_int
 
 
 def signature(D: OrientedGraph) -> EdgeColoredGraph:
@@ -41,8 +41,7 @@ def blow_up(D: OrientedGraph, k: int) -> OrientedGraph:
     becomes all k*k arcs from block i to block j. The shortest directed
     cycle length is preserved.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"blow-up factor must be a positive integer, got {k!r}")
+    _require_int("blow-up factor", k, 1)
     arcs = [
         (i * k + a, j * k + b)
         for i, j in D.arcs

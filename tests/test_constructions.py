@@ -227,10 +227,6 @@ class TestRecoloredTournament:
         with pytest.raises(ValueError):
             RecolorParams(n=10, s=2, t=2, gamma=0.1, seed=0)  # st - s - t = 0
 
-    def test_guaranteed_range_flag(self):
-        assert RecolorParams(n=50, s=3, t=7, gamma=0.1, seed=0).in_guaranteed_range
-        assert not RecolorParams(n=50, s=3, t=4, gamma=0.1, seed=0).in_guaranteed_range
-
     def test_max_tries_exhaustion_carries_stats(self):
         # gamma large enough that the density cap always rejects
         params = RecolorParams(n=20, s=3, t=7, gamma=1.5, seed=0, max_tries=5)

@@ -1,5 +1,6 @@
 import enum
 import random
+import re
 from collections import namedtuple
 from operator import itemgetter
 
@@ -13,22 +14,39 @@ from chroma.core import (
     OrientedGraph,
     color_degree,
     color_set,
-    color_set_between,
-    edge_critical_core,
     is_properly_colored,
     is_rainbow,
     min_color_degree,
     mono_degree,
     mono_degree_max,
-    side_proper_subgraph,
     total_color_degree,
 )
 from chroma.constructions import (
+    RecolorParams,
+    blowup_cycle_signature,
+    circulant_tournament,
+    directed_cycle,
+    extremal_no_pc_c4,
+    extremal_no_rainbow_c4_trianglefree,
     random_bipartite_edge_colored,
     random_edge_colored_graph,
+    random_oriented_graph,
+    random_proper_complete_bipartite,
     transitive_tournament,
 )
-from chroma.transforms import signature
+from chroma.detectors import (
+    SearchBudget,
+    check_total_degree_threshold,
+    disjoint_pc_cycles,
+    extract_rainbow_kst,
+    find_pc_cycle_upto,
+    find_pc_kst,
+    find_rainbow_kst,
+    pc_short_cycle_pipeline,
+)
+from chroma.extraction import sigma
+from chroma.suites import run_suite
+from chroma.transforms import blow_up, signature
 
 
 def mono_triangle():
@@ -308,19 +326,6 @@ class TestColorSets:
     def test_isolated_vertex(self):
         assert color_set(EdgeColoredGraph(2), 0) == frozenset()
 
-    def test_path_endpoints(self):
-        G = EdgeColoredGraph(3, [(0, 1, 1), (1, 2, 2)])
-        assert color_set_between(G, {0}, {2}) == frozenset()
-        assert color_set_between(G, {0, 2}, {1}) == frozenset({1, 2})
-
-    def test_k22_all_colors(self):
-        G = EdgeColoredGraph(4, [(0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 4)])
-        assert color_set_between(G, {0, 1}, {2, 3}) == frozenset({1, 2, 3, 4})
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            color_set_between(mono_triangle(), {0, 1}, {1, 2})
-
 
 class TestPredicates:
     def c4(self, c1, c2, c3, c4):
@@ -361,7 +366,7 @@ class TestPredicates:
     def test_degree_inequalities(self, seed):
         G = seeded_graph(seed)
         for v in range(G.n):
-            d = G.degree(v)
+            d = len(G.adj[v])
             dc = color_degree(G, v)
             mono = mono_degree(G, v)
             if d >= 1:
@@ -370,81 +375,67 @@ class TestPredicates:
             assert dc * mono >= d
 
 
-class TestSideProperSubgraph:
-    def test_requires_bipartition(self):
-        with pytest.raises(ValueError, match="bipartition"):
-            side_proper_subgraph(mono_triangle(), 1)
+_T4 = signature(transitive_tournament(4))
+_K23 = random_proper_complete_bipartite(2, 3, 0)
 
-    def test_bad_side(self):
-        G = random_bipartite_edge_colored(2, 2, 1.0, 2, 0)
-        with pytest.raises(ValueError, match="side"):
-            side_proper_subgraph(G, 3)
+# (id, argument name, call with the argument under test, least value the
+# integer check accepts); every other argument is valid, so only the one
+# under test can be rejected. directed_cycle(2) passes the check and is then
+# refused as an anti-parallel pair (test_r2_hits_orientation_invariant).
+INT_PARAMETERS = [
+    ("EdgeColoredGraph", "vertex count", EdgeColoredGraph, 0),
+    ("OrientedGraph", "vertex count", OrientedGraph, 0),
+    ("transitive_tournament", "n", transitive_tournament, 1),
+    ("circulant_tournament", "n", circulant_tournament, 3),
+    ("directed_cycle", "r", directed_cycle, 2),
+    ("blowup_cycle_signature", "r", lambda v: blowup_cycle_signature(v, 1), 3),
+    ("extremal_no_pc_c4", "k", extremal_no_pc_c4, 1),
+    ("extremal_no_rainbow_c4_trianglefree", "k", extremal_no_rainbow_c4_trianglefree, 1),
+    ("random_oriented_graph", "n", lambda v: random_oriented_graph(v, 0.5, 0), 0),
+    ("random_edge_colored_graph-n", "n", lambda v: random_edge_colored_graph(v, 0.5, 2, 0), 0),
+    ("random_edge_colored_graph-colors", "colors",
+     lambda v: random_edge_colored_graph(3, 0.5, v, 0), 1),
+    ("random_bipartite_edge_colored-n1", "n1",
+     lambda v: random_bipartite_edge_colored(v, 2, 0.5, 2, 0), 0),
+    ("random_bipartite_edge_colored-n2", "n2",
+     lambda v: random_bipartite_edge_colored(2, v, 0.5, 2, 0), 0),
+    ("random_bipartite_edge_colored-colors", "colors",
+     lambda v: random_bipartite_edge_colored(2, 2, 0.5, v, 0), 1),
+    ("random_proper_complete_bipartite-s", "s", lambda v: random_proper_complete_bipartite(v, 2, 0), 1),
+    ("random_proper_complete_bipartite-t", "t", lambda v: random_proper_complete_bipartite(2, v, 0), 1),
+    ("RecolorParams-n", "n", lambda v: RecolorParams(n=v, s=3, t=7, gamma=0.1, seed=0), 3),
+    ("RecolorParams-s", "s", lambda v: RecolorParams(n=20, s=v, t=7, gamma=0.1, seed=0), 2),
+    ("RecolorParams-t", "t", lambda v: RecolorParams(n=20, s=3, t=v, gamma=0.1, seed=0), 2),
+    ("RecolorParams-max_tries", "max_tries",
+     lambda v: RecolorParams(n=20, s=3, t=7, gamma=0.1, seed=0, max_tries=v), 1),
+    ("blow_up", "blow-up factor", lambda v: blow_up(directed_cycle(3), v), 1),
+    ("find_pc_kst-s", "s", lambda v: find_pc_kst(_T4, v, 2), 1),
+    ("find_pc_kst-t", "t", lambda v: find_pc_kst(_T4, 2, v), 1),
+    ("find_rainbow_kst-s", "s", lambda v: find_rainbow_kst(_T4, v, 2), 1),
+    ("find_pc_cycle_upto", "r", lambda v: find_pc_cycle_upto(_T4, v), 3),
+    ("pc_short_cycle_pipeline", "r", lambda v: pc_short_cycle_pipeline(_T4, v), 4),
+    ("disjoint_pc_cycles", "k", lambda v: disjoint_pc_cycles(_T4, v), 1),
+    ("extract_rainbow_kst", "t", lambda v: extract_rainbow_kst(_K23, (0, 1), (2, 3, 4), v), 1),
+    ("SearchBudget", "max_nodes", lambda v: SearchBudget(max_nodes=v), 1),
+    ("sigma-s", "s", lambda v: sigma(v, 5), 2),
+    ("sigma-t", "t", lambda v: sigma(2, v), 2),
+    ("check_total_degree_threshold-s", "s", lambda v: check_total_degree_threshold(_T4, v, 5), 2),
+    ("check_total_degree_threshold-t", "t", lambda v: check_total_degree_threshold(_T4, 3, v), 3),
+    ("run_suite", "trials", lambda v: run_suite("duality", v, 0), 0),
+]
 
-    def test_idempotent_on_proper_input(self):
-        G = EdgeColoredGraph(
-            4, [(0, 2, 1), (0, 3, 2), (1, 2, 3)], bipartition=([0, 1], [2, 3])
-        )
-        assert side_proper_subgraph(G, 1) == G
 
-    def test_keeps_smallest_neighbor(self):
-        G = EdgeColoredGraph(
-            4, [(0, 1, 7), (0, 2, 7), (0, 3, 7)], bipartition=([0], [1, 2, 3])
-        )
-        H = side_proper_subgraph(G, 1)
-        assert H.edges == ((0, 1, 7),)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_degree_equals_color_degree(self, seed):
-        rng = random.Random(seed)
-        G = random_bipartite_edge_colored(
-            rng.randint(1, 8), rng.randint(1, 8), 0.6, rng.randint(1, 4), seed
-        )
-        for side in (1, 2):
-            H = side_proper_subgraph(G, side)
-            for u in G.bipartition[side - 1]:
-                assert H.degree(u) == color_degree(G, u)
-                cols = [c for _, c in H.adj[u]]
-                assert len(set(cols)) == len(cols)
-            # spanning subgraph with colors preserved
-            assert H.n == G.n
-            assert set(H.edges) <= set(G.edges)
-
-
-class TestEdgeCriticalCore:
-    def test_rainbow_unchanged(self):
-        G = rainbow_k(4)
-        assert edge_critical_core(G) == G
-
-    def test_monochromatic_triangle(self):
-        H = edge_critical_core(mono_triangle())
-        assert H.m == 2
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_core_properties(self, seed):
-        G = seeded_graph(seed, max_n=10, max_colors=3)
-        H = edge_critical_core(G)
-        # color degrees preserved everywhere
-        for v in range(G.n):
-            assert color_degree(H, v) == color_degree(G, v)
-        # every remaining edge is critical
-        for i in range(H.m):
-            edges = list(H.edges)
-            u, v, _ = edges.pop(i)
-            smaller = EdgeColoredGraph(H.n, edges)
-            assert (
-                color_degree(smaller, u) < color_degree(H, u)
-                or color_degree(smaller, v) < color_degree(H, v)
-            )
-        # monochromatic classes are unions of vertex-disjoint stars: every
-        # edge of a class has an endpoint of class-degree 1
-        by_color = {}
-        for u, v, c in H.edges:
-            by_color.setdefault(c, []).append((u, v))
-        for pairs in by_color.values():
-            deg = {}
-            for u, v in pairs:
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-            assert all(deg[u] == 1 or deg[v] == 1 for u, v in pairs)
+@pytest.mark.parametrize(
+    "name,call,lo", [row[1:] for row in INT_PARAMETERS], ids=[row[0] for row in INT_PARAMETERS]
+)
+def test_integer_parameters_share_one_check(name, call, lo):
+    # A bool is not a count: EdgeColoredGraph(True) would render as
+    # `ecg True 0`, which no parser reads back.
+    for bad in (True, 2.0, lo - 1):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {lo}, got {bad!r}")):
+            call(bad)
+    if call is directed_cycle:
+        with pytest.raises(ValueError, match="anti-parallel"):
+            call(lo)
+    else:
+        call(lo)

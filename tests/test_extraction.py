@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chroma.core import EdgeColoredGraph, color_degree, color_set
+from chroma.core import EdgeColoredGraph, OrientedGraph, color_degree, color_set
 from chroma.constructions import (
     circulant_tournament,
     extremal_no_pc_c4,
@@ -49,12 +49,23 @@ class TestSigma:
             ExtractionParams(2, 2, x=0.0)
         with pytest.raises(ValueError):
             ExtractionParams(2, 2, x=float("nan"))
-        assert ExtractionParams(2, 3).sigma == pytest.approx(2 * math.sqrt(2))
+        with pytest.raises(ValueError):
+            ExtractionParams(2, 2, x=True)
+        assert sigma(2, 3) == pytest.approx(2 * math.sqrt(2))
 
     def test_default_x(self):
         # (s-1) * ((t-1)/(s-1)!)^(1/s) * n2^(1-1/s)
         assert default_x(2, 2, 4) == pytest.approx(2.0)
         assert default_x(3, 3, 8) == pytest.approx(2 * 4.0)
+
+
+@pytest.mark.parametrize("construction", [construct_orientation, construct_orientation_bipartite])
+@pytest.mark.parametrize("x", [0, -3, float("nan"), float("inf"), True])
+def test_orientation_rejects_bad_growth_threshold(construction, x):
+    # Both constructions check x as ExtractionParams does.
+    G = random_bipartite_edge_colored(3, 3, 1.0, 2, 0)
+    with pytest.raises(ValueError, match="x must be a finite positive real"):
+        construction(G, 2, 2, x)
 
 
 def bipartite_instance(seed, n_max=20):
@@ -159,7 +170,7 @@ class TestConstructOrientation:
     def test_directed_triangle_cycles_stay_pc(self):
         G = signature(directed_cycle(3))
         H, D, _ = construct_orientation(G, 2, 3)
-        for cyc in directed_cycles_of(D.as_oriented()):
+        for cyc in directed_cycles_of(OrientedGraph(D.n, [(t, h) for t, h, _ in D.arcs])):
             assert is_pc_cycle(G, cyc)
             assert is_pc_cycle(H, cyc)
 

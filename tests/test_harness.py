@@ -11,6 +11,7 @@ from chroma.constructions import (
     random_edge_colored_graph,
     transitive_tournament,
 )
+from chroma.cli import EXIT_INPUT_ERROR
 from chroma.core import EdgeColoredGraph
 from chroma.detectors import find_pc_kst
 from chroma.formats import load, save, strip_bipartition
@@ -256,6 +257,17 @@ class TestCli:
             assert res.returncode == 3
             assert "time_limit_s" in res.stderr and "Traceback" not in res.stderr
             assert res.stdout == ""
+
+    @pytest.mark.parametrize("x", ["-1", "0", "nan"])
+    def test_bad_growth_threshold_is_an_input_error(self, tmp_path, x):
+        ecg = tmp_path / "t.ecg"
+        save(signature(transitive_tournament(6)), ecg)
+        corg = tmp_path / "t.corg"
+        res = run_cli("orient", "-i", str(ecg), "--s", "2", "--t", "2", f"--x={x}", "-o", str(corg))
+        assert res.returncode == EXIT_INPUT_ERROR
+        assert "x must be a finite positive real" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not corg.exists()
 
     def test_find_pc_cycle_1200_deep(self, tmp_path):
         # The DFS goes straight to length 1200, deeper than Python's
