@@ -127,8 +127,36 @@ def _cmd_orient(args) -> int:
     _write_output(D, args.output)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
-            f.write(json.dumps({"schema": suites.SCHEMA_VERSION, **report}, indent=2) + "\n")
+            f.write(_report_text(report))
     return 0
+
+
+# One per_vertex entry as json.dumps(..., indent=2) lays it out at depth 2;
+# %r is float.__repr__ (and int.__repr__), which is what the json encoder
+# writes for finite numbers.
+_VERTEX_ROW = (
+    '    "%d": {\n      "dplus": %r,\n      "dc": %r,\n'
+    '      "bound": %r,\n      "margin": %r\n    }'
+)
+
+
+def _report_text(report: dict) -> str:
+    """The orientation report with its schema version, exactly as
+    json.dumps({"schema": ..., **report}, indent=2) + "\\n" writes it.
+
+    json.dumps with indent runs the pure-Python encoder; only the small head
+    goes through it, and the per-vertex rows, the bulk of the report, are
+    formatted directly into its empty `per_vertex` object.
+    """
+    rows = report["per_vertex"]
+    head = json.dumps({"schema": suites.SCHEMA_VERSION, **report, "per_vertex": {}}, indent=2)
+    if not rows:
+        return head + "\n"
+    body = ",\n".join([
+        _VERTEX_ROW % (v, r["dplus"], r["dc"], r["bound"], r["margin"]) for v, r in rows.items()
+    ])
+    before, after = head.split('"per_vertex": {}')
+    return before + '"per_vertex": {\n' + body + "\n  }" + after + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built once per process; parse_args leaves it unchanged
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, constructions.RecolorError) as exc:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import EdgeColoredGraph, OrientedGraph, _require_int
+from .core import EdgeColoredGraph, OrientedGraph, _require_int, _require_real
 from .transforms import blow_up, signature
 
 # Subset-density screening is exhaustive up to this order; beyond it a
@@ -52,8 +52,9 @@ def circulant_tournament(n: int) -> OrientedGraph:
 
 
 def directed_cycle(r: int) -> OrientedGraph:
-    """Directed cycle 0 -> 1 -> ... -> r-1 -> 0."""
-    _require_int("r", r, 2)
+    """Directed cycle 0 -> 1 -> ... -> r-1 -> 0 (r >= 3: r = 2 would be an
+    anti-parallel pair)."""
+    _require_int("r", r, 3)
     return OrientedGraph(r, [(i, (i + 1) % r) for i in range(r)])
 
 
@@ -64,7 +65,6 @@ def blowup_cycle_signature(r: int, k: int) -> EdgeColoredGraph:
     out-degree and in-degree k in the blow-up, so the minimum color degree
     is k + 1.
     """
-    _require_int("r", r, 3)
     G = signature(blow_up(directed_cycle(r), k))
     if r % 2 == 0:
         side1 = [b * k + i for b in range(0, r, 2) for i in range(k)]
@@ -92,17 +92,10 @@ def extremal_no_rainbow_c4_trianglefree(k: int) -> EdgeColoredGraph:
 # Seeded random ensembles
 # ---------------------------------------------------------------------------
 
-def _check_probability(p) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
-    return p
-
-
 def random_oriented_graph(n: int, p, seed: int) -> OrientedGraph:
     """Each unordered pair becomes an arc with probability p, direction uniform."""
     _require_int("n", n, 0)
-    p = _check_probability(p)
+    p = _require_real("p", p, 0, 1)
     rng = random.Random(seed)
     arcs = []
     for u in range(n):
@@ -116,7 +109,7 @@ def random_edge_colored_graph(n: int, p, colors: int, seed: int) -> EdgeColoredG
     """Each pair becomes an edge with probability p, color uniform in range."""
     _require_int("n", n, 0)
     _require_int("colors", colors, 1)
-    p = _check_probability(p)
+    p = _require_real("p", p, 0, 1)
     rng = random.Random(seed)
     edges = []
     for u in range(n):
@@ -133,7 +126,7 @@ def random_bipartite_edge_colored(
     _require_int("n1", n1, 0)
     _require_int("n2", n2, 0)
     _require_int("colors", colors, 1)
-    p = _check_probability(p)
+    p = _require_real("p", p, 0, 1)
     rng = random.Random(seed)
     edges = []
     for u in range(n1):
@@ -188,10 +181,7 @@ class RecolorParams:
         _require_int("t", self.t, 2)
         if self.s * self.t - self.s - self.t <= 0:
             raise ValueError("parameters must satisfy s*t - s - t > 0")
-        g = float(self.gamma)
-        if not math.isfinite(g) or g < 0:
-            raise ValueError(f"gamma must be a finite nonnegative real, got {self.gamma!r}")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", _require_real("gamma", self.gamma, 0, math.inf))
         _require_int("max_tries", self.max_tries, 1)
         if self.p > 1.0:
             raise ValueError(

@@ -14,6 +14,7 @@ to a line number.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -22,6 +23,20 @@ from typing import Optional
 def _require_int(name: str, value: object, lo: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < lo:
         raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
+def _require_real(name: str, value: object, lo: float, hi: float, lo_open: bool = False) -> float:
+    """Return value as a float if it is a finite int or float (not a bool)
+    in [lo, hi], or in (lo, hi] when lo_open; raise ValueError otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (lo < x if lo_open else lo <= x) and x <= hi:
+            return x
+    interval = f"{'(' if lo_open else '['}{lo}, {hi}{']' if hi < math.inf else ')'}"
+    raise ValueError(f"{name} must be a finite real in {interval}, got {value!r}")
 
 
 def _require_vertex(n: int, v: object) -> int:

@@ -19,6 +19,7 @@ from .core import (
     OrientedGraph,
     Witness,
     _require_int,
+    _require_real,
     color_degree,  # unused here; bench/tracing.py wraps it by this path
     is_properly_colored,
     is_rainbow,
@@ -47,14 +48,8 @@ class SearchBudget:
         if nodes is not None:
             _require_int("max_nodes", nodes, 1)
         if limit is not None:
-            if (
-                isinstance(limit, bool)
-                or not isinstance(limit, (int, float))
-                or not math.isfinite(limit)
-                or limit <= 0
-            ):
-                raise ValueError(f"time_limit_s must be a finite positive real, got {limit!r}")
-            object.__setattr__(self, "time_limit_s", float(limit))
+            limit = _require_real("time_limit_s", limit, 0, math.inf, lo_open=True)
+            object.__setattr__(self, "time_limit_s", limit)
 
 
 @dataclass(frozen=True)

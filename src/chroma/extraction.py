@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EdgeColoredGraph, ColoredOrientation, _require_int, color_degree
+from .core import EdgeColoredGraph, ColoredOrientation, _require_int, _require_real, color_degree
 from .transforms import dual_graph  # unused here; bench/tracing.py wraps it by this path
 
 # Slack used when rounding the real-valued growth threshold to an integer
@@ -59,10 +59,7 @@ class ExtractionParams:
     def __post_init__(self):
         _check_st(self.s, self.t)
         if self.x is not None:
-            x = float(self.x)
-            if isinstance(self.x, bool) or not math.isfinite(x) or x <= 0:
-                raise ValueError(f"x must be a finite positive real, got {self.x!r}")
-            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "x", _require_real("x", self.x, 0, math.inf, lo_open=True))
 
 
 @dataclass(frozen=True)
@@ -106,6 +103,18 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
     (kept, state, dc); kept lists the surviving edges as (u, v, c) with u in
     side 1 and v in side 2, and dc maps each side-1 vertex to its color
     degree in G, the length of its one-edge-per-color list.
+
+    The greedy is specified as: pick the first side-1 vertex, in ascending
+    order, that is not yet selected and has at least x fresh neighbors
+    (unsaturated, joined by a color they have not yet seen), then restart
+    the scan, until no vertex qualifies. One ascending pass selects exactly
+    the same vertices in the same order. A pick only adds colors to
+    colors_seen and saturates vertices, so a vertex's fresh count can only
+    fall; a vertex that fails once fails at every later step. When the pass
+    reaches u, every smaller unselected vertex has failed, so u is the
+    restart scan's next pick exactly when it qualifies now. The pass reads
+    each one-edge-per-color list at most twice, O(sum of degrees) in all,
+    where restarting costs O(l * sum of degrees) for l picks.
     """
     side1 = sorted(side1)
     side2 = sorted(side2)
@@ -128,28 +137,19 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
     sat_index: dict[int, int] = {}
     kept_colors: dict[int, frozenset[int]] = {}
     selected: list[int] = []
-    in_selected: set[int] = set()
 
-    while True:
-        pick = None
-        for u in side1:
-            if u in in_selected:
-                continue
-            cnt = 0
-            for v, c in g0[u]:
-                if not saturated[v] and c not in colors_seen[v]:
-                    cnt += 1
-                    if cnt >= need:
-                        break
-            if cnt >= need:
-                pick = u
-                break
-        if pick is None:
-            break
-        selected.append(pick)
-        in_selected.add(pick)
+    for u in side1:
+        cnt = 0
+        for v, c in g0[u]:
+            if not saturated[v] and c not in colors_seen[v]:
+                cnt += 1
+                if cnt >= need:
+                    break
+        if cnt < need:
+            continue
+        selected.append(u)
         step = len(selected)
-        for v, c in g0[pick]:
+        for v, c in g0[u]:
             if c not in colors_seen[v]:
                 colors_seen[v].add(c)
                 if not saturated[v] and len(colors_seen[v]) >= s - 1:
@@ -176,9 +176,11 @@ def saturation_extract(G: EdgeColoredGraph, params: ExtractionParams) -> Extract
     vertex qualifies while it has at least x neighbors that are unsaturated
     and reachable through a color the neighbor has not yet seen toward the
     grown set; the first qualifier is appended and the scan restarts, until
-    no vertex qualifies. Each side-2 vertex then keeps exactly the colors it
-    had seen when it saturated (all of its colors, if it never did), and an
-    edge survives exactly when its color is kept at its side-2 endpoint.
+    no vertex qualifies (one ascending pass selects the same vertices; see
+    _saturation_extract_on_parts). Each side-2 vertex then keeps exactly the
+    colors it had seen when it saturated (all of its colors, if it never
+    did), and an edge survives exactly when its color is kept at its side-2
+    endpoint.
 
     Unconditionally every side-2 color degree of H is at most s-1 (exactly
     s-1 at saturated vertices; at most 1 for s=2, making H pseudo side-2

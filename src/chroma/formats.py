@@ -16,6 +16,8 @@ ParseError.
 """
 from __future__ import annotations
 
+from itertools import chain
+
 from .core import ColoredOrientation, EdgeColoredGraph, OrientedGraph
 
 
@@ -52,6 +54,14 @@ def _header(text: str, magic: str):
     raise ParseError(1, f"empty input, expected a `{magic}` header")
 
 
+class _Ints(dict):
+    """Token -> int(token), converting each distinct token once."""
+
+    def __missing__(self, token):
+        value = self[token] = int(token)
+        return value
+
+
 def _rows(lines, line_no: int, m: int, width: int) -> list[tuple[int, ...]]:
     """The body lines[line_no:] as m rows of `width` integers.
 
@@ -61,12 +71,14 @@ def _rows(lines, line_no: int, m: int, width: int) -> list[tuple[int, ...]]:
     split lists are only counted and dropped at once; the tokens are split
     again from the joined body, since keeping one list per line alive for
     the int map would more than double the garbage collector's work here.
+    Vertex ids and colors repeat across a body, so each distinct token goes
+    through int() once per parse and its repeats share that int.
     """
     body = lines[line_no:]
     widths = list(map(len, map(str.split, body)))
     if widths.count(width) != m or widths.count(0) != len(body) - m:
         raise ValueError(f"expected {m} body lines of {width} fields")
-    fields = map(int, " ".join(body).split())
+    fields = map(_Ints().__getitem__, " ".join(body).split())
     return list(zip(*[fields] * width))
 
 
@@ -144,12 +156,8 @@ def render_ecg(G: EdgeColoredGraph) -> str:
             "bipartition side 1 is not a vertex prefix and cannot be rendered; "
             "use strip_bipartition first"
         )
-    header = f"ecg {G.n} {G.m}"
-    if k is not None:
-        header += f" bipartite {k}"
-    lines = [header]
-    lines.extend(f"{u} {v} {c}" for u, v, c in G.edges)
-    return "\n".join(lines) + "\n"
+    header = f"ecg {G.n} {G.m}" if k is None else f"ecg {G.n} {G.m} bipartite {k}"
+    return header + "\n" + "%d %d %d\n" * G.m % tuple(chain.from_iterable(G.edges))
 
 
 def parse_ecg(text: str) -> EdgeColoredGraph:
@@ -176,9 +184,7 @@ def parse_ecg(text: str) -> EdgeColoredGraph:
 
 
 def render_org(D: OrientedGraph) -> str:
-    lines = [f"org {D.n} {D.m}"]
-    lines.extend(f"{t} {h}" for t, h in D.arcs)
-    return "\n".join(lines) + "\n"
+    return f"org {D.n} {D.m}\n" + "%d %d\n" * D.m % tuple(chain.from_iterable(D.arcs))
 
 
 def parse_org(text: str) -> OrientedGraph:
@@ -196,9 +202,7 @@ def parse_org(text: str) -> OrientedGraph:
 def render_corg(D: ColoredOrientation) -> str:
     """Arcs with colors; the host is reconstructed on parse as the arcs'
     underlying edge-colored graph."""
-    lines = [f"corg {D.n} {D.m}"]
-    lines.extend(f"{t} {h} {c}" for t, h, c in D.arcs)
-    return "\n".join(lines) + "\n"
+    return f"corg {D.n} {D.m}\n" + "%d %d %d\n" * D.m % tuple(chain.from_iterable(D.arcs))
 
 
 def parse_corg(text: str) -> ColoredOrientation:

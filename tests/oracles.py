@@ -7,7 +7,7 @@ package's backtracking detectors. Intended for tiny instances only.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import gcd
+from math import ceil, gcd
 
 
 def _color_map(G):
@@ -195,3 +195,57 @@ def brute_walk_classes(G) -> list[tuple[int, list[int]]]:
                 period = gcd(period, length)
         classes.append((period, sorted({v for v, _ in comp})))
     return sorted(classes)
+
+
+def restart_scan_greedy(G, side1, side2, s, x):
+    """The saturation greedy as specified, recomputed from G.edges.
+
+    Each side-1 vertex keeps its edge to the smallest neighbor of each
+    color. Then, until no vertex qualifies, the scan restarts at the
+    smallest side-1 id and picks the first unselected vertex with at least
+    max(1, ceil(x)) fresh neighbors: unsaturated side-2 vertices joined by
+    a color they have not seen from the picked set, a side-2 vertex being
+    saturated once it has seen s-1 colors. Returns (selected, sat_index,
+    kept_colors) as SaturationState lays them out.
+    """
+    need = max(1, ceil(x - 1e-9))
+    side2 = sorted(side2)
+    g0 = {}
+    for u in sorted(side1):
+        first = {}
+        for a, b, c in sorted(G.edges):
+            if u in (a, b):
+                v = b if a == u else a
+                if c not in first or v < first[c]:
+                    first[c] = v
+        g0[u] = [(v, c) for c, v in first.items()]
+
+    def seen(picked):
+        out = {v: set() for v in side2}
+        for u in picked:
+            for v, c in g0[u]:
+                out[v].add(c)
+        return out
+
+    selected = []
+    sat_index, kept_colors = {}, {}
+    while True:
+        cols = seen(selected)
+        pick = next(
+            (u for u in sorted(side1) if u not in selected
+             and sum(len(cols[v]) < s - 1 and c not in cols[v] for v, c in g0[u]) >= need),
+            None,
+        )
+        if pick is None:
+            break
+        selected.append(pick)
+        after = seen(selected)
+        for v in side2:
+            if v not in sat_index and len(after[v]) >= s - 1:
+                sat_index[v] = len(selected)
+                kept_colors[v] = frozenset(after[v])
+    for v in side2:
+        if v not in sat_index:
+            sat_index[v] = len(selected)
+            kept_colors[v] = frozenset(cols[v])
+    return selected, sat_index, kept_colors

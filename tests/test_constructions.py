@@ -96,9 +96,9 @@ class TestDirectedCycle:
         with pytest.raises(ValueError):
             directed_cycle(1)
 
-    def test_r2_hits_orientation_invariant(self):
-        # arcs 0->1 and 1->0 form an anti-parallel pair
-        with pytest.raises(ValueError, match="anti-parallel"):
+    def test_r2_fails_integer_check(self):
+        # arcs 0->1 and 1->0 would form an anti-parallel pair
+        with pytest.raises(ValueError, match=r"r must be an integer >= 3, got 2"):
             directed_cycle(2)
 
 

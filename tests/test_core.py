@@ -44,7 +44,7 @@ from chroma.detectors import (
     find_rainbow_kst,
     pc_short_cycle_pipeline,
 )
-from chroma.extraction import sigma
+from chroma.extraction import ExtractionParams, construct_orientation, sigma
 from chroma.suites import run_suite
 from chroma.transforms import blow_up, signature
 
@@ -380,14 +380,13 @@ _K23 = random_proper_complete_bipartite(2, 3, 0)
 
 # (id, argument name, call with the argument under test, least value the
 # integer check accepts); every other argument is valid, so only the one
-# under test can be rejected. directed_cycle(2) passes the check and is then
-# refused as an anti-parallel pair (test_r2_hits_orientation_invariant).
+# under test can be rejected.
 INT_PARAMETERS = [
     ("EdgeColoredGraph", "vertex count", EdgeColoredGraph, 0),
     ("OrientedGraph", "vertex count", OrientedGraph, 0),
     ("transitive_tournament", "n", transitive_tournament, 1),
     ("circulant_tournament", "n", circulant_tournament, 3),
-    ("directed_cycle", "r", directed_cycle, 2),
+    ("directed_cycle", "r", directed_cycle, 3),
     ("blowup_cycle_signature", "r", lambda v: blowup_cycle_signature(v, 1), 3),
     ("extremal_no_pc_c4", "k", extremal_no_pc_c4, 1),
     ("extremal_no_rainbow_c4_trianglefree", "k", extremal_no_rainbow_c4_trianglefree, 1),
@@ -434,8 +433,41 @@ def test_integer_parameters_share_one_check(name, call, lo):
     for bad in (True, 2.0, lo - 1):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {lo}, got {bad!r}")):
             call(bad)
-    if call is directed_cycle:
-        with pytest.raises(ValueError, match="anti-parallel"):
-            call(lo)
-    else:
-        call(lo)
+    call(lo)
+
+
+# (id, argument name, call with the argument under test, interval text, good
+# values, bad values); as above, only the argument under test can be
+# rejected. Bools, strings and non-finite values are refused everywhere; None
+# is refused where it does not mean a default.
+REAL_PARAMETERS = [
+    ("ExtractionParams", "x", lambda v: ExtractionParams(2, 2, x=v), "(0, inf)",
+     (1, 0.5, 1e300), (0, -1.0)),
+    ("construct_orientation", "x", lambda v: construct_orientation(_T4, 2, 2, v), "(0, inf)",
+     (1, 2.5), (0, -3)),
+    ("RecolorParams", "gamma", lambda v: RecolorParams(n=20, s=3, t=7, gamma=v, seed=0), "[0, inf)",
+     (0, 0.1), (-0.5, None)),
+    ("random_oriented_graph", "p", lambda v: random_oriented_graph(4, v, 0), "[0, 1]",
+     (0, 1, 0.5), (-0.1, 1.5, 2, None)),
+    ("random_edge_colored_graph", "p", lambda v: random_edge_colored_graph(4, v, 2, 0), "[0, 1]",
+     (0, 1, 0.5), (-0.1, 1.5)),
+    ("random_bipartite_edge_colored", "p",
+     lambda v: random_bipartite_edge_colored(2, 2, v, 2, 0), "[0, 1]", (0, 1, 0.5), (-0.1, 1.5)),
+    ("SearchBudget", "time_limit_s", lambda v: SearchBudget(time_limit_s=v), "(0, inf)",
+     (1, 0.25), (0, -5)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,call,interval,good,bad",
+    [row[1:] for row in REAL_PARAMETERS],
+    ids=[row[0] for row in REAL_PARAMETERS],
+)
+def test_real_parameters_share_one_check(name, call, interval, good, bad):
+    for value in (*bad, True, False, "0.5", "3", float("nan"), float("inf"),
+                  -float("inf"), 10**400):
+        message = f"{name} must be a finite real in {interval}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(value)
+    for value in good:
+        call(value)

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import os
 import random
+import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chroma import cli
 from chroma.core import EdgeColoredGraph, OrientedGraph, color_degree, color_set
 from chroma.constructions import (
     circulant_tournament,
@@ -24,11 +28,12 @@ from chroma.extraction import (
     saturation_extract,
     sigma,
 )
-from chroma.formats import render_corg
+from chroma.formats import render_corg, save
+from chroma.suites import SCHEMA_VERSION
 from chroma.transforms import dual_graph, signature
 from chroma.constructions import directed_cycle
 
-from oracles import all_cycles_by_permutation, is_directed_cycle, is_pc_cycle
+from oracles import all_cycles_by_permutation, is_directed_cycle, is_pc_cycle, restart_scan_greedy
 
 
 class TestSigma:
@@ -64,7 +69,7 @@ class TestSigma:
 def test_orientation_rejects_bad_growth_threshold(construction, x):
     # Both constructions check x as ExtractionParams does.
     G = random_bipartite_edge_colored(3, 3, 1.0, 2, 0)
-    with pytest.raises(ValueError, match="x must be a finite positive real"):
+    with pytest.raises(ValueError, match=re.escape("x must be a finite real in (0, inf)")):
         construction(G, 2, 2, x)
 
 
@@ -77,6 +82,17 @@ def bipartite_instance(seed, n_max=20):
         rng.randint(1, 6),
         rng.getrandbits(32),
     )
+
+
+def assert_matches_restart_scan(G, s, x):
+    """The greedy's state equals the restart-scan reference's; returns l."""
+    state = saturation_extract(G, ExtractionParams(s, s + 1, x)).state
+    side1, side2 = G.bipartition
+    selected, sat_index, kept_colors = restart_scan_greedy(G, side1, side2, s, state.x)
+    assert state.selected == tuple(selected)
+    assert state.sat_index == sat_index
+    assert state.kept_colors == kept_colors
+    return state.l
 
 
 class TestSaturationExtract:
@@ -141,6 +157,36 @@ class TestSaturationExtract:
                 bound = sigma(s, s) * n2 ** (1.0 - 1.0 / s)
                 assert all(d <= bound + 1e-9 for d in res.deltas.values())
         assert checked > 20
+
+    def test_one_pass_matches_restart_scan(self):
+        # Seeded bipartite graphs, and the dual graphs that the orientation
+        # runs the greedy on; small x makes runs of many picks.
+        longest = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            general = random_edge_colored_graph(rng.randint(1, 10), 0.6, rng.randint(1, 5), seed)
+            for G in (bipartite_instance(seed, n_max=12), dual_graph(general)):
+                for s in (2, 3):
+                    for x in (None, 0.5, 1.5):
+                        longest = max(longest, assert_matches_restart_scan(G, s, x))
+        assert longest >= 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        s=st.sampled_from((2, 3, 4)),
+        x=st.sampled_from((None, 0.5, 1.0, 2.0, 3.0)),
+        dual=st.booleans(),
+    )
+    def test_one_pass_matches_restart_scan_hypothesis(self, seed, s, x, dual):
+        rng = random.Random(seed)
+        if dual:
+            G = dual_graph(random_edge_colored_graph(
+                rng.randint(0, 9), rng.choice([0.3, 0.6, 0.9]), rng.randint(1, 6), seed
+            ))
+        else:
+            G = bipartite_instance(seed, n_max=10)
+        assert_matches_restart_scan(G, s, x)
 
     def test_x_override(self):
         G = bipartite_instance(3)
@@ -373,18 +419,24 @@ GOLDEN = {
 }
 
 
-def golden_case(name):
+def golden_args(name):
+    """(construction, G, s, t, x) of a golden case."""
     G = random_edge_colored_graph(30, 0.8, 30, 11)
     B = random_bipartite_edge_colored(16, 18, 0.9, 40, 5)
     return {
-        "circulant-60-s2": lambda: construct_orientation(signature(circulant_tournament(60)), 2, 2),
-        "random-s2": lambda: construct_orientation(G, 2, 2),
-        "random-s3": lambda: construct_orientation(G, 3, 3),
-        "bipartite": lambda: construct_orientation_bipartite(B, 2, 2),
-        "bipartite-general": lambda: construct_orientation(B, 2, 2),
-        "random-x1.5": lambda: construct_orientation(G, 2, 3, 1.5),
-        "bipartite-x1.5": lambda: construct_orientation_bipartite(B, 2, 3, 1.5),
-    }[name]()
+        "circulant-60-s2": (construct_orientation, signature(circulant_tournament(60)), 2, 2, None),
+        "random-s2": (construct_orientation, G, 2, 2, None),
+        "random-s3": (construct_orientation, G, 3, 3, None),
+        "bipartite": (construct_orientation_bipartite, B, 2, 2, None),
+        "bipartite-general": (construct_orientation, B, 2, 2, None),
+        "random-x1.5": (construct_orientation, G, 2, 3, 1.5),
+        "bipartite-x1.5": (construct_orientation_bipartite, B, 2, 3, 1.5),
+    }[name]
+
+
+def golden_case(name):
+    build, G, s, t, x = golden_args(name)
+    return build(G, s, t, x)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -393,3 +445,57 @@ def test_orientation_golden_digest(name):
     assert D.m > 0
     text = render_corg(D) + json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+
+def orient_cli_texts(build, G, s, t, x):
+    """(.corg text, report text) that `chroma orient` writes for build(G,
+    s, t, x), run in-process on a saved copy of G."""
+    with tempfile.TemporaryDirectory() as d:
+        ecg, corg, rep = (os.path.join(d, f) for f in ("g.ecg", "d.corg", "r.json"))
+        save(G, ecg)
+        argv = ["orient", "-i", ecg, "--s", str(s), "--t", str(t), "-o", corg, "--report", rep]
+        if x is not None:
+            argv += ["--x", repr(x)]
+        if build is construct_orientation and G.bipartition is not None:
+            argv.append("--general")
+        assert cli.main(argv) == 0
+        with open(corg, encoding="utf-8") as f, open(rep, encoding="utf-8") as g:
+            return f.read(), g.read()
+
+
+def assert_cli_bytes(build, G, s, t, x):
+    """The CLI's .corg is render_corg(D) and its report is the stdlib's
+    indent=2 JSON of the construction's report."""
+    _, D, report = build(G, s, t, x)
+    corg, text = orient_cli_texts(build, G, s, t, x)
+    assert corg == render_corg(D)
+    assert text == json.dumps({"schema": SCHEMA_VERSION, **report}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_orient_report_is_indent2_json(name):
+    # The cases include bipartite reports (l and x are lists) and --x.
+    assert_cli_bytes(*golden_args(name))
+
+
+def test_orient_report_is_indent2_json_empty_graph():
+    # per_vertex is the empty object `{}`
+    assert_cli_bytes(construct_orientation, EdgeColoredGraph(0), 2, 2, None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bipartite=st.booleans(),
+    general=st.booleans(),
+    st_pair=st.sampled_from(((2, 2), (2, 3), (3, 3))),
+    x=st.sampled_from((None, 0.5, 1.5, 3.0)),
+)
+def test_orient_report_is_indent2_json_hypothesis(seed, bipartite, general, st_pair, x):
+    rng = random.Random(seed)
+    if bipartite:
+        G = bipartite_instance(seed, n_max=8)
+    else:
+        G = random_edge_colored_graph(rng.randint(0, 12), rng.choice([0.3, 0.7]), rng.randint(1, 5), seed)
+    build = construct_orientation if general or not bipartite else construct_orientation_bipartite
+    assert_cli_bytes(build, G, *st_pair, x)

@@ -60,6 +60,32 @@ class TestEcgRoundTrip:
         assert render_ecg(G) == "ecg 3 2\n0 1 4\n1 2 0\n"
 
 
+def per_row_text(header, rows):
+    """A header line, then one line of space-separated fields per row."""
+    return "\n".join([header, *(" ".join(f"{x}" for x in row) for row in rows)]) + "\n"
+
+
+class TestRenderPerRowForm:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_each_renderer(self, seed):
+        rng = random.Random(seed)
+        G = random_edge_colored_graph(rng.randint(0, 12), 0.5, rng.randint(1, 60), seed)
+        B = random_bipartite_edge_colored(rng.randint(0, 6), rng.randint(0, 6), 0.5, 3, seed)
+        D = random_oriented_graph(rng.randint(0, 12), 0.5, seed)
+        _, CO, _ = construct_orientation(G, 2, 2)
+        k = len(B.bipartition[0])
+        assert render_ecg(G) == per_row_text(f"ecg {G.n} {G.m}", G.edges)
+        assert render_ecg(B) == per_row_text(f"ecg {B.n} {B.m} bipartite {k}", B.edges)
+        assert render_org(D) == per_row_text(f"org {D.n} {D.m}", D.arcs)
+        assert render_corg(CO) == per_row_text(f"corg {CO.n} {CO.m}", CO.arcs)
+
+    def test_no_rows(self):
+        assert render_ecg(EdgeColoredGraph(0)) == "ecg 0 0\n"
+        assert render_org(OrientedGraph(3, [])) == "org 3 0\n"
+        assert render_corg(ColoredOrientation(EdgeColoredGraph(2), [])) == "corg 2 0\n"
+
+
 class TestOrgCorgRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -11,6 +11,7 @@ from chroma.constructions import (
     random_edge_colored_graph,
     transitive_tournament,
 )
+from chroma import cli
 from chroma.cli import EXIT_INPUT_ERROR
 from chroma.core import EdgeColoredGraph
 from chroma.detectors import find_pc_kst
@@ -99,16 +100,6 @@ class TestAnalyze:
         rep = analyze(G)
         assert "pc_k22_total_color_degree_bipartite" in rep["thresholds"]
 
-
-def run_cli(*args, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "chroma", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
     def test_pinned_reports(self):
         B = random_bipartite_edge_colored(7, 9, 0.6, 5, 3)
         assert analyze(B, r=5) == {
@@ -159,6 +150,15 @@ def run_cli(*args, env=None):
                 },
             },
         }
+
+
+def run_cli(*args, env=None):
+    return subprocess.run(
+        [sys.executable, "-m", "chroma", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 class TestCli:
@@ -265,7 +265,7 @@ class TestCli:
         corg = tmp_path / "t.corg"
         res = run_cli("orient", "-i", str(ecg), "--s", "2", "--t", "2", f"--x={x}", "-o", str(corg))
         assert res.returncode == EXIT_INPUT_ERROR
-        assert "x must be a finite positive real" in res.stderr
+        assert "x must be a finite real in (0, inf)" in res.stderr
         assert "Traceback" not in res.stderr
         assert not corg.exists()
 
@@ -383,3 +383,41 @@ class TestCli:
         )
         assert res.returncode == 0
         assert isinstance(json.loads(repj.read_text())["l"], int)
+
+
+def test_repeated_main_calls_match_separate_processes(tmp_path, capsys):
+    # One process reuses its argument parser across calls; no call may see
+    # another's options, outputs or errors.
+    bip, cyc, bad = tmp_path / "b.ecg", tmp_path / "c.ecg", tmp_path / "bad.ecg"
+    save(random_bipartite_edge_colored(5, 6, 0.6, 3, 9), bip)
+    save(strip_bipartition(extremal_no_pc_c4(2)), cyc)
+    bad.write_text("ecg 2 1\n0 0 1\n")
+    corg, rep = tmp_path / "d.corg", tmp_path / "r.json"
+    orient = ["orient", "--s", "2", "--t", "2", "-o", str(corg), "--report", str(rep)]
+    calls = [
+        [*orient, "-i", str(bip)],
+        [*orient, "-i", str(bip), "--general"],
+        ["find", "pc-cycle", "--max-len", "6", "-i", str(cyc), "--budget-nodes", "2"],
+        ["find", "pc-cycle", "--max-len", "6", "-i", str(cyc)],
+        [*orient, "-i", str(bad)],
+        [*orient, "-i", str(bip), "--x", "1.5"],
+    ]
+
+    def record(code, out, err):
+        texts = []
+        for path in (corg, rep):
+            texts.append(path.read_text() if path.exists() else None)
+            path.unlink(missing_ok=True)
+        if out:
+            out = json.loads(out)
+            out.pop("elapsed_s")
+        return code, out, err, *texts
+
+    in_process = []
+    for argv in calls:
+        code = cli.main(argv)
+        in_process.append(record(code, *capsys.readouterr()))
+    separate = [record(res.returncode, res.stdout, res.stderr)
+                for res in (run_cli(*argv) for argv in calls)]
+    assert [r[0] for r in in_process] == [0, 0, 2, 0, EXIT_INPUT_ERROR, 0]
+    assert in_process == separate
