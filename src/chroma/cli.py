@@ -170,7 +170,7 @@ def _cmd_find(args) -> int:
     if what == "directed-cycle":
         if isinstance(obj, EdgeColoredGraph):
             raise ValueError("find directed-cycle expects an .org or .corg input")
-        out = detectors.shortest_directed_cycle(obj)
+        out = detectors.shortest_directed_cycle(obj, budget)
     else:
         if not isinstance(obj, EdgeColoredGraph):
             raise ValueError(f"find {what} expects an .ecg input")

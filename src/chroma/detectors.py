@@ -11,7 +11,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations, dropwhile
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .core import (
     ColoredOrientation,
@@ -249,26 +249,30 @@ def _color_matching(pairs, t: int, clock: _Clock) -> bool:
 
 
 # Nodes per edge that a K_{s,t} scan with s, t >= 2 spends before it runs
-# the walk-class pass, whose ticks are a small multiple of m.
+# the hub pass of the walk classes, whose ticks are a small multiple of m.
 _WALK_SWITCH = 3
 
 
-def _subsets(n: int, s: int, clock: _Clock, switch: float, walks: _WalkClasses):
-    """(S, pool) for the s-subsets S of range(n) in ascending order, pool
-    being the set T must be drawn from (None: every vertex).
+def _subsets(
+    core: Sequence[int], n: int, s: int, clock: _Clock, switch: float, walks: _WalkClasses
+):
+    """(S, pool) for the s-subsets S of core in ascending order, pool being
+    the set T must be drawn from (None: every vertex, when core is all of
+    range(n)).
 
-    Once the clock has reached switch, the walk-class pass runs and the
+    Once the clock has reached switch, the hub pass of walks runs and the
     rest, from the same subset on, are the subsets of the vertices it admits
     for length 4, with those vertices as the pool.
     """
-    for S in combinations(range(n), s):
+    pool = None if len(core) == n else set(core)
+    for S in combinations(core, s):
         if clock.nodes >= switch:
             keep = walks.admitted(4)
             pool = set(keep)
             for rest in dropwhile(S.__gt__, combinations(keep, s)):
                 yield rest, pool
             return
-        yield S, None
+        yield S, pool
 
 
 def _kst_impl(
@@ -288,26 +292,32 @@ def _kst_impl(
     O(pairs x candidates) for t = 2 and O(pairs x t x candidates) for
     larger t; rainbow K_{2,t} may backtrack on every accepted pair.
 
-    For s, t >= 2, once the scan has spent _WALK_SWITCH x m nodes, it runs
-    the walk-class pass of walks once and goes on from the same S over the
-    vertices admitted for length 4 alone, drawing S and T from them (see
-    _subsets). Any two S-vertices and two T-vertices of a properly colored
-    (or rainbow) K_{s,t} span a properly colored C4, so every vertex of it
-    is admitted and the witness is the same. So the search costs at most
-    the scan alone plus one pass, and where the pass admits no vertex, at
-    most _WALK_SWITCH x m nodes more than the pass alone.
+    For s, t >= 2 the scan starts with the one-color peel of walks and
+    draws S and T from the core it leaves (see _subsets); an empty core
+    ends the search there. Once the scan has spent _WALK_SWITCH x m nodes
+    past the peel, it runs the hub pass of walks once and goes on from the
+    same S over the vertices admitted for length 4 alone. Any two
+    S-vertices and two T-vertices of a properly colored (or rainbow)
+    K_{s,t} span a properly colored C4, so every vertex of it lies in the
+    core and is admitted, and the witness is the same. So the search costs
+    at most the peel plus the scan of the core plus one hub pass, and an
+    acyclic signature costs the peel alone: one tick per edge.
 
     Each subset costs one tick, the matching one tick per candidate it reads
     and per edge its augmenting paths look at, the backtracking one tick
-    per candidate it tries, and the pass one tick per edge its peel
-    removes and one per arc of what is left (see _walk_classes).
+    per candidate it tries, the peel one per edge it removes, and the hub
+    pass one per arc of its graph (see _walk_classes).
     """
     nbr = G.neighbor_sets
     colors = G.pair_colors
     by_matching = s == 2
-    switch = clock.nodes + _WALK_SWITCH * G.m if s >= 2 and t >= 2 else math.inf
+    if s >= 2 and t >= 2:
+        core = walks.core()
+        switch = clock.nodes + _WALK_SWITCH * G.m
+    else:
+        core, switch = range(G.n), math.inf
 
-    for S, pool in _subsets(G.n, s, clock, switch, walks):
+    for S, pool in _subsets(core, G.n, s, clock, switch, walks):
         clock.tick()
         common = nbr[S[0]] if pool is None else pool & nbr[S[0]]
         for u in S[1:]:
@@ -380,14 +390,17 @@ def find_pc_kst(
 
     For s = 2 each vertex pair is decided by a color-pair matching (see
     _color_matching), in O(pairs x candidates) time for t = 2; s >= 3
-    backtracks. For s, t >= 2 a scan that has spent 3 nodes per edge runs
-    the linear walk-period pass of find_pc_cycle_upto once and goes on over
-    the vertices that lie on closed properly colored walks of length 4
-    only, which every vertex of a properly colored K_{s,t} does; the
-    witness is the same. The pass first peels off the vertices that see
-    one color, so on an acyclic signature it costs one tick per edge.
-    details["walk_periods"] shows the periods when the pass ran, and the
-    node counts include its ticks.
+    backtracks. For s, t >= 2 the scan starts with the one-color peel of
+    find_pc_cycle_upto's walk-period filter and runs on the core it leaves,
+    which holds every vertex of a properly colored K_{s,t}; an acyclic
+    signature peels to nothing, so the search costs one tick per edge.
+    Once the scan has spent 3 nodes per edge past the peel it runs the
+    filter's hub pass once and goes on over the vertices that lie on
+    closed properly colored walks of length 4 only, which every vertex of
+    a properly colored K_{s,t} does. The witness is the same either way.
+    details["walk_periods"] shows the periods when the hub pass ran, and
+    [] when the peel left nothing; the node counts include both steps'
+    ticks.
     """
     return _run_kst(G, s, t, budget, rainbow=False)
 
@@ -399,8 +412,9 @@ def find_rainbow_kst(
 
     For s = 2 the same color-pair matching gates each vertex pair, since a
     rainbow K_{2,t} is properly colored; the pairs it accepts backtrack.
-    The walk-period pass gates the scan as in find_pc_kst, for the same
-    reason, and its ticks count in the nodes.
+    For s, t >= 2 the one-color peel and the hub pass of the walk-period
+    filter gate the scan as in find_pc_kst, for the same reason, and their
+    ticks count in the nodes.
     """
     return _run_kst(G, s, t, budget, rainbow=True)
 
@@ -409,51 +423,42 @@ def find_rainbow_kst(
 # Cycle detectors
 # ---------------------------------------------------------------------------
 
-def _walk_classes(G: EdgeColoredGraph, clock: _Clock) -> list[tuple[int, list[int]]]:
-    """(period, vertices) of each strongly connected component with a cycle
-    in the color-transition graph of G.
+def _one_color_core(G: EdgeColoredGraph, clock: _Clock) -> list[int]:
+    """The vertices, ascending, that are left after a queue has peeled off
+    every vertex that sees fewer than two colors on its edges to the
+    vertices not yet peeled, until none is left.
 
-    The states are pairs (v, c), "at v, arrived by an edge of color c", with
-    an arc (v, c) -> (w, c') for each edge {v, w} of color c' != c. A
-    properly colored cycle of length L is a closed walk of length L through
-    these states, so it lies in one component, its vertices are among that
-    component's vertices, and L is a multiple of the component's period
-    (the gcd of its closed-walk lengths).
+    A vertex on a closed properly colored walk arrives by one color and
+    leaves by another, both on edges to vertices of that walk, so no vertex
+    of a closed walk, and so none of a properly colored cycle or K_{s,t}
+    with s, t >= 2, is ever peeled. Every acyclic signature peels to
+    nothing, since its sink sees one color at each step.
 
-    First a queue peels off every vertex that sees fewer than two colors on
-    its edges to the vertices not yet peeled, until none is left. A vertex
-    on a closed walk arrives by one color and leaves by another, both on
-    edges to vertices of that walk, so no vertex of a closed walk is ever
-    peeled. Every component with a cycle is made of states on closed walks,
-    so it keeps its states, its arcs and its period, and the pass runs on
-    the rest alone. Every acyclic signature peels to nothing, since its
-    sink sees one color at each step.
-
-    Instead of the arcs themselves, each vertex v left gets one exit node
-    per color (weight-1 arcs to the states its edges of that color reach)
-    and prefix and suffix hubs over its colors (weight-0 arcs), so state
-    (v, c_i) reaches every exit but c_i's through two hub arcs. The graph
-    has O(n + m + sum of color degrees) nodes and arcs, and its closed walks
-    have exactly the state graph's lengths. An iterative Tarjan search
-    labels the components; a DFS-tree depth is a potential on each of them,
-    so the period is the gcd of depth(u) + weight - depth(w) over the arcs
-    u -> w that it finds inside a component. The clock ticks once per edge
-    the peel removes, as it goes, and once per arc.
+    The queue starts with the vertices that have at most one color, found
+    by looking for a second color at each: on its middle or last edge when
+    one differs from the first, else by reading its edges up to one. When
+    there are none, nothing is peeled and the peel builds nothing. A vertex
+    gets its per-color edge counts when a neighbor is first peeled. The
+    clock ticks once per edge the peel removes, as it goes.
     """
     n = G.n
     adj = G.adj
-    by_color = []
-    for v in range(n):
-        groups: dict[int, list[int]] = {}
-        for w, c in adj[v]:
-            groups.setdefault(c, []).append(w)
-        by_color.append(groups)
+    peel = []
+    for v, nbrs in enumerate(adj):
+        first = nbrs[0][1] if nbrs else None
+        if nbrs and (nbrs[-1][1] != first or nbrs[len(nbrs) // 2][1] != first):
+            continue
+        for _, c in nbrs:
+            if c != first:
+                break
+        else:
+            peel.append(v)
+    if not peel:
+        return list(range(n))
 
     live = bytearray(b"\x01") * n
-    colors_left = [len(groups) for groups in by_color]
     left: list[Optional[dict[int, int]]] = [None] * n  # live edges per color
-    peel = [v for v in range(n) if colors_left[v] < 2]
-    for v in peel:  # grows as it goes; a vertex joins once, on its way below two
+    for v in peel:  # grows as it goes; a vertex joins once, on its way to one color
         live[v] = 0
         removed = 0
         for w, c in adj[v]:
@@ -461,24 +466,60 @@ def _walk_classes(G: EdgeColoredGraph, clock: _Clock) -> list[tuple[int, list[in
                 removed += 1
                 counts = left[w]
                 if counts is None:
-                    counts = left[w] = {d: len(ws) for d, ws in by_color[w].items()}
-                counts[c] -= 1
-                if not counts[c]:
-                    colors_left[w] -= 1
-                    if colors_left[w] == 1:
+                    counts = left[w] = {}
+                    for _, d in adj[w]:
+                        counts[d] = counts.get(d, 0) + 1
+                if counts[c] > 1:
+                    counts[c] -= 1
+                else:
+                    del counts[c]
+                    if len(counts) == 1:
                         peel.append(w)
         clock.tick(removed)
+    return [v for v in range(n) if live[v]]
 
-    kept = [v for v in range(n) if live[v]]
+
+def _walk_classes(
+    G: EdgeColoredGraph, clock: _Clock, core: list[int]
+) -> list[tuple[int, list[int]]]:
+    """(period, vertices) of each strongly connected component with a cycle
+    in the color-transition graph of G, found on the one-color core of G
+    (see _one_color_core), which holds every such component.
+
+    The states are pairs (v, c), "at v, arrived by an edge of color c", with
+    an arc (v, c) -> (w, c') for each edge {v, w} of color c' != c. A
+    properly colored cycle of length L is a closed walk of length L through
+    these states, so it lies in one component, its vertices are among that
+    component's vertices, and L is a multiple of the component's period
+    (the gcd of its closed-walk lengths). Every component with a cycle is
+    made of states on closed walks, whose vertices the peel keeps, so on
+    the core it keeps its states, its arcs and its period.
+
+    Instead of the arcs themselves, each core vertex v gets one exit node
+    per color of its edges within the core (weight-1 arcs to the states
+    they reach) and prefix and suffix hubs over those colors (weight-0
+    arcs), so state (v, c_i) reaches every exit but c_i's through two hub
+    arcs. The graph has O(n + m + sum of color degrees) nodes and arcs, and
+    its closed walks have exactly the state graph's lengths. An iterative
+    Tarjan search labels the components; a DFS-tree depth is a potential on
+    each of them, so the period is the gcd of depth(u) + weight - depth(w)
+    over the arcs u -> w that it finds inside a component. The clock ticks
+    once per arc.
+    """
+    n = G.n
+    adj = G.adj
+    live = bytearray(n)
+    for v in core:
+        live[v] = 1
+    by_color: list[dict[int, list[int]]] = [{} for _ in range(n)]
     state: list[dict[int, int]] = [{} for _ in range(n)]  # color -> state id
     owner: list[int] = []  # the vertex of each state node
-    for v in kept:
-        counts = left[v]
-        if counts is not None:  # a neighbor was peeled
-            by_color[v] = {
-                c: [w for w in ws if live[w]] for c, ws in by_color[v].items() if counts[c]
-            }
-        for c in by_color[v]:
+    for v in core:
+        groups = by_color[v]
+        for w, c in adj[v]:
+            if live[w]:
+                groups.setdefault(c, []).append(w)
+        for c in groups:
             state[v][c] = len(owner)
             owner.append(v)
     succ: list[list[int]] = [[] for _ in owner]
@@ -489,7 +530,7 @@ def _walk_classes(G: EdgeColoredGraph, clock: _Clock) -> list[tuple[int, list[in
         unit.append(weight)
         return len(succ) - 1
 
-    for v in kept:
+    for v in core:
         exits = [node([state[w][c] for w in ws], 1) for c, ws in by_color[v].items()]
         k = len(exits)
         prefix = exits[:1]  # prefix[i] reaches exits 0..i
@@ -564,27 +605,43 @@ def _walk_classes(G: EdgeColoredGraph, clock: _Clock) -> list[tuple[int, list[in
 
 
 class _WalkClasses:
-    """The walk classes of one graph within one search.
+    """The one-color core and the walk classes of one graph within one
+    search.
 
-    _walk_classes runs on the first call of admitted, on the search's
-    clock, and every later call, from any stage, reuses its result.
-    details["walk_periods"] gets the sorted distinct periods when it runs.
+    _one_color_core runs on the first call of core or admitted, and
+    _walk_classes on the core on the first call of admitted, both on the
+    search's clock; every later call, from any stage, reuses their results.
+    details["walk_periods"] gets the sorted distinct periods when the hub
+    pass runs, and [] as soon as the peel leaves an empty core, which holds
+    no walk class, so the hub pass never runs then.
     """
 
-    __slots__ = ("G", "clock", "details", "classes")
+    __slots__ = ("G", "clock", "details", "_core", "classes")
 
     def __init__(self, G: EdgeColoredGraph, clock: _Clock, details: dict):
         self.G = G
         self.clock = clock
         self.details = details
+        self._core = None
         self.classes = None
+
+    def core(self) -> list[int]:
+        """The vertices, ascending, of the one-color core of G. Every vertex
+        of a closed properly colored walk is among them."""
+        if self._core is None:
+            self._core = _one_color_core(self.G, self.clock)
+            if not self._core:
+                self.classes = []
+                self.details["walk_periods"] = []
+        return self._core
 
     def admitted(self, L: int) -> list[int]:
         """The vertices, ascending, of the components whose period divides
         L and which have at least L vertices. Every vertex of a properly
         colored cycle of length L is among them."""
+        core = self.core()
         if self.classes is None:
-            self.classes = _walk_classes(self.G, self.clock)
+            self.classes = _walk_classes(self.G, self.clock, core)
             self.details["walk_periods"] = sorted({p for p, _ in self.classes})
         return sorted(
             {v for p, verts in self.classes if L % p == 0 and len(verts) >= L for v in verts}
@@ -596,9 +653,9 @@ def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, walks: _WalkClas
 
     Tries the given cycle lengths in ascending order, skipping those above
     n. A length L is searched only on the vertices walks admits for L (the
-    walk-class pass runs before the first length unless an earlier stage
-    ran it), and skipped when there are none: every properly colored cycle
-    of length L lies inside them, so no witness changes.
+    peel and the hub pass run before the first length, each unless an
+    earlier stage ran it), and skipped when there are none: every properly
+    colored cycle of length L lies inside them, so no witness changes.
 
     For each length the start vertex is the cycle minimum and paths extend
     through larger-id vertices with color-changing edges only; the closing
@@ -656,10 +713,11 @@ def find_pc_cycle_upto(
     periods of closed properly colored walks (details["walk_periods"]); the
     DFS then skips every length that no period divides, so blow-ups of a
     directed C_r and acyclic signatures are decided with almost no search.
-    The pass peels off the vertices that see fewer than two colors, which
-    lie on no closed walk, and builds the graph on the rest; an acyclic
-    signature peels to nothing. Node counts include one tick per edge the
-    peel removes and one per arc of the graph left.
+    The filter first peels off the vertices that see fewer than two colors,
+    which lie on no closed walk, and its hub pass builds the graph on the
+    rest; an acyclic signature peels to nothing and has no hub pass. Node
+    counts include one tick per edge the peel removes and one per arc of
+    the graph left.
     """
     _require_int("r", r, 3)
     details: dict = {}
@@ -679,7 +737,9 @@ def find_rainbow_c4(
 
     A rainbow C4 is a rainbow K_{2,2}, so this is the rainbow K_{2,2} search
     of find_rainbow_kst, with its witness ((a, b), (u, w)) read as the cycle
-    (a, u, b, w); the node counts are that search's.
+    (a, u, b, w); the node counts and details are that search's, so it
+    starts with the one-color peel and costs one tick per edge on an
+    acyclic signature.
     """
     out = _run_kst(G, 2, 2, budget, rainbow=True)
     if out.witness is None:
@@ -744,14 +804,15 @@ def _shortest_directed_cycle_impl(D, clock: _Clock) -> Optional[Witness]:
 
 
 def shortest_directed_cycle(
-    D: Union[OrientedGraph, ColoredOrientation]
+    D: Union[OrientedGraph, ColoredOrientation], budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
     """Exact shortest directed cycle by BFS from every vertex, O(n(n+m)).
 
-    Always exact: returns found with a shortest cycle, or exhausted-none for
-    acyclic inputs.
+    Returns found with a shortest cycle, exhausted-none for acyclic inputs,
+    or budget-exceeded when budget runs out first; each BFS level ticks the
+    clock once per frontier vertex.
     """
-    out = _search(None, lambda clock: _shortest_directed_cycle_impl(D, clock), {})
+    out = _search(budget, lambda clock: _shortest_directed_cycle_impl(D, clock), {})
     if out.witness is not None:
         out.details["length"] = len(out.witness.vertices[0])
     return out
@@ -768,7 +829,8 @@ def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
     All three tick the one clock. details gets the stage that found the
     cycle, the orientation's out-degree figures and the walk periods, as
     far as the search got. Stages 1 and 3 share one _WalkClasses, so the
-    walk-class pass runs at most once, in whichever of them needs it first.
+    one-color peel runs once, at the start of stage 1, and the hub pass at
+    most once, in whichever of them needs it first.
     An edgeless G stops after stage 1; stage 3 skips length 4, which stage
     1 decided.
     """
@@ -810,10 +872,12 @@ def pc_short_cycle_pipeline(
     the same length. Stage 3 falls back to the bounded DFS cycle search
     over lengths 3 and 5..r, behind the walk-period filter of
     find_pc_cycle_upto: lengths that no closed properly colored walk has
-    are skipped. The filter's pass runs at most once per call: in stage 1
-    when its K_{2,2} scan gets past the switch point of find_pc_kst, else
-    at the start of stage 3. details["walk_periods"] shows the periods
-    whenever it ran, and the node counts include its ticks. The three
+    are skipped. The filter's peel runs once per call, at the start of
+    stage 1, and its hub pass at most once: in stage 1 when its K_{2,2}
+    scan gets past the switch point of find_pc_kst, else at the start of
+    stage 3, and never when the peel left nothing. details["walk_periods"]
+    shows the periods whenever the hub pass ran, and [] when the peel left
+    nothing; the node counts include the ticks of both. The three
     searches tick one clock, so a node or time budget stops whichever of
     them is running.
     The report carries the orientation's minimum out-degree and its margin

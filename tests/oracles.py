@@ -39,13 +39,10 @@ def _rainbow_kst_ok(cmap, S, T):
     return len(set(cols)) == len(cols)
 
 
-def first_pc_kst_witness(G, s, t, rainbow=False):
-    """(S, T) of the first properly colored (or, with rainbow, rainbow)
-    K_{s,t}, or None.
-
-    S is the lexicographically first s-subset that carries one, and T the
-    lexicographically first t-subset of the vertices outside S that completes
-    it."""
+def all_pc_kst_witnesses(G, s, t, rainbow=False):
+    """Every (S, T) of a properly colored (or, with rainbow, rainbow)
+    K_{s,t}: S an s-subset and T a t-subset of the vertices outside S, both
+    in lexicographic order, S first."""
     cmap = _color_map(G)
     ok = _rainbow_kst_ok if rainbow else _pc_kst_ok
     verts = range(G.n)
@@ -53,8 +50,17 @@ def first_pc_kst_witness(G, s, t, rainbow=False):
         rest = [v for v in verts if v not in S]
         for T in combinations(rest, t):
             if _complete_bipartite(cmap, S, T) and ok(cmap, S, T):
-                return S, T
-    return None
+                yield S, T
+
+
+def first_pc_kst_witness(G, s, t, rainbow=False):
+    """(S, T) of the first properly colored (or, with rainbow, rainbow)
+    K_{s,t}, or None.
+
+    S is the lexicographically first s-subset that carries one, and T the
+    lexicographically first t-subset of the vertices outside S that completes
+    it."""
+    return next(all_pc_kst_witnesses(G, s, t, rainbow), None)
 
 
 def brute_pc_kst_exists(G, s, t) -> bool:
@@ -149,6 +155,22 @@ def first_pc_cycle_witness(G, lengths):
                 if all(cols[i] != cols[(i + 1) % L] for i in range(L)):
                     return cyc
     return None
+
+
+def brute_one_color_core(G) -> list[int]:
+    """The vertices left, ascending, after deleting one at a time any
+    vertex that sees fewer than two colors on its edges to the vertices
+    still there, until none is left; the colors are read from G.edges anew
+    after every deletion."""
+    alive = set(range(G.n))
+    while True:
+        for v in sorted(alive):
+            seen = {c for a, b, c in G.edges if v in (a, b) and a in alive and b in alive}
+            if len(seen) < 2:
+                alive.discard(v)
+                break
+        else:
+            return sorted(alive)
 
 
 def brute_walk_classes(G) -> list[tuple[int, list[int]]]:

@@ -24,6 +24,8 @@ from chroma.detectors import (
     SearchBudget,
     _Clock,
     _WalkClasses,
+    _drop_vertices,
+    _one_color_core,
     _walk_classes,
     all_simple_cycles,
     check_total_degree_threshold,
@@ -42,7 +44,9 @@ from chroma.transforms import blow_up, signature
 
 from oracles import (
     all_cycles_by_permutation,
+    all_pc_kst_witnesses,
     brute_directed_girth,
+    brute_one_color_core,
     brute_pc_cycle_lengths,
     brute_pc_kst_exists,
     brute_rainbow_kst_exists,
@@ -78,6 +82,13 @@ def flower_edges(z):
         for a, b, c in zip(path, path[1:], cols):
             edges.append((min(a, b), max(a, b), c))
     return edges, nxt
+
+
+def walk_classes(G, clock=None):
+    """The walk classes of G as a search finds them: the hub pass on the
+    one-color core, both on clock."""
+    clock = clock or _Clock(None)
+    return _walk_classes(G, clock, _one_color_core(G, clock))
 
 
 class TestBudget:
@@ -394,7 +405,7 @@ class TestWalkPeriods:
             periods = find_pc_cycle_upto(G, G.n).details["walk_periods"]
             periods_seen.update(periods)
             assert all(any(L % p == 0 for p in periods) for L in brute_pc_cycle_lengths(G))
-            classes = _walk_classes(G, _Clock(None))
+            classes = walk_classes(G)
             for cyc in all_cycles_by_permutation(G.n, [(u, v) for u, v, _ in G.edges]):
                 if is_pc_cycle(G, cyc):
                     assert any(
@@ -434,14 +445,14 @@ class TestWalkPeriods:
         # edge the peel removes, which saves the edge's two exit arcs.
         G = signature(circulant_tournament(201))
         clock = _Clock(None)
-        classes = _walk_classes(G, clock)
+        classes = walk_classes(G, clock)
         assert [p for p, _ in classes] == [1, 1]
         assert 0 < clock.nodes <= 2 * G.m + 6 * total_color_degree(G)
         # The same signature with a fringe of 40 pendant trees and paths,
         # which the peel removes down to the circulant core.
         F = fringed(G, random.Random(7), extra=40)
         clock = _Clock(None)
-        classes = _walk_classes(F, clock)
+        classes = walk_classes(F, clock)
         assert [(p, len(verts)) for p, verts in classes] == [(1, 201), (1, 201)]
         assert 0 < clock.nodes <= 2 * F.m + 6 * total_color_degree(F)
 
@@ -501,12 +512,13 @@ def walk_class_instance(seed):
 
 
 class TestWalkClassesOracle:
-    """_walk_classes against the explicit state graph of brute_walk_classes,
-    on graphs the peel empties, leaves whole, or cuts down to a core."""
+    """The hub pass on the one-color core against the explicit state graph
+    of brute_walk_classes, on graphs the peel empties, leaves whole, or cuts
+    down to a core."""
 
     @staticmethod
     def classes(G):
-        return sorted(_walk_classes(G, _Clock(None)))
+        return sorted(walk_classes(G))
 
     def test_seeded_instances(self):
         peeled_to_core = 0
@@ -548,7 +560,107 @@ class TestWalkClassesOracle:
         for n in (1, 2, 5, 14, 30):
             G = signature(transitive_tournament(n))
             clock = _Clock(None)
-            assert _walk_classes(G, clock) == [] and clock.nodes == G.m
+            assert _one_color_core(G, clock) == [] and clock.nodes == G.m
+
+
+def core_instance(seed):
+    """A walk-class instance (see walk_class_instance), or for every third
+    seed what is left of one after _drop_vertices removes a random third of
+    its vertices, which stay behind as isolated vertices."""
+    G = walk_class_instance(seed)
+    if seed % 3:
+        return G
+    rng = random.Random(seed)
+    return _drop_vertices(G, {v for v in range(G.n) if rng.random() < 1 / 3})
+
+
+class TestOneColorCore:
+    """The queue peel against brute_one_color_core, which deletes one
+    vertex at a time and recounts colors from the edge list."""
+
+    @staticmethod
+    def core(G):
+        clock = _Clock(None)
+        core = _one_color_core(G, clock)
+        # One tick per edge removed: the edges with a peeled end.
+        kept = set(core)
+        assert clock.nodes == sum(not (u in kept and v in kept) for u, v, _ in G.edges)
+        return core
+
+    def test_seeded_instances(self):
+        peeled_to_core = isolated = 0
+        for seed in range(240):
+            G = core_instance(seed)
+            core = self.core(G)
+            assert core == brute_one_color_core(G), seed
+            peeled_to_core += 0 < len(core) < G.n
+            isolated += seed % 3 == 0 and any(not nbrs for nbrs in G.adj)
+        assert peeled_to_core > 40 and isolated > 40
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_hypothesis_instances(self, seed):
+        G = core_instance(seed)
+        assert self.core(G) == brute_one_color_core(G)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 2)),
+                max_size=24,
+            ).map(lambda es: (n, es))
+        )
+    )
+    def test_arbitrary_graphs(self, spec):
+        # Three colors, so that many vertices have equal colors on their
+        # first, middle and last edges and the first check reads on.
+        n, raw = spec
+        pairs = {}
+        for u, v, c in raw:
+            if u != v:
+                pairs.setdefault((min(u, v), max(u, v)), c)
+        G = EdgeColoredGraph(n, [(u, v, c) for (u, v), c in pairs.items()])
+        assert self.core(G) == brute_one_color_core(G)
+
+    def test_larger_graphs(self):
+        # Fringed blow-ups and circulant signatures peel back to the
+        # original graph; transitive signatures and their residuals to
+        # nothing; a random graph with its oracle core.
+        for seed in range(4):
+            rng = random.Random(seed)
+            B = blowup_cycle_signature(rng.choice((3, 5, 6)), 2)
+            assert self.core(fringed(B, rng, extra=8)) == list(range(B.n))
+            C = signature(circulant_tournament(11))
+            assert self.core(fringed(C, rng, extra=8)) == list(range(C.n))
+            T = signature(transitive_tournament(12 + seed))
+            assert self.core(T) == []
+            assert self.core(_drop_vertices(T, {0, 5})) == []
+            R = random_edge_colored_graph(14, 0.25, 3, seed)
+            assert self.core(R) == brute_one_color_core(R)
+
+    def test_every_pc_c4_and_k23_vertex_is_in_the_core(self):
+        # On core instances, and on proper K_{2,3}s and K_{2,4}s with a
+        # fringe, relabelled.
+        c4s = k23s = dropped = 0
+        for seed in range(190):
+            if seed < 150:
+                G = core_instance(seed)
+            else:
+                rng = random.Random(seed)
+                K = random_proper_complete_bipartite(2, 3 + seed % 2, seed)
+                G = relabelled(fringed(K, rng), rng)
+            core = set(self.core(G))
+            dropped += G.n - len(core)
+            for a, b, c, d in combinations(range(G.n), 4):
+                for cyc in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
+                    if is_pc_cycle(G, cyc):
+                        c4s += 1
+                        assert set(cyc) <= core
+            for S, T in all_pc_kst_witnesses(G, 2, 3):
+                k23s += 1
+                assert set(S) | set(T) <= core
+        assert c4s > 20 and k23s > 20 and dropped > 0
 
 
 def gate_instance(seed):
@@ -585,25 +697,33 @@ def gate_instance(seed):
 
 @pytest.fixture
 def walk_passes(monkeypatch):
-    """The clock's node count before and after each _walk_classes call that
-    runs to its end."""
-    calls = []
-    real = detectors._walk_classes
+    """(nodes before, nodes after, result) of each call that runs to its
+    end: of the one-color peel in walk_passes["peel"], whose result is the
+    core, and of the hub pass in walk_passes["hub"], whose result is the
+    walk classes."""
+    calls = {"peel": [], "hub": []}
+    for key, name in (("peel", "_one_color_core"), ("hub", "_walk_classes")):
 
-    def spy(G, clock):
-        before = clock.nodes
-        classes = real(G, clock)
-        calls.append((before, clock.nodes))
-        return classes
+        def spy(G, clock, *core, real=getattr(detectors, name), log=calls[key]):
+            before = clock.nodes
+            result = real(G, clock, *core)
+            log.append((before, clock.nodes, result))
+            return result
 
-    monkeypatch.setattr(detectors, "_walk_classes", spy)
+        monkeypatch.setattr(detectors, name, spy)
     return calls
 
 
+def clear(walk_passes):
+    for calls in walk_passes.values():
+        calls.clear()
+
+
 class TestWalkGate:
-    """K_{s,t} scans with s, t >= 2 run the walk-class pass once they have
-    spent their switch point of nodes, and go on over the vertices it admits
-    for length 4; the first witness stays the brute-force one."""
+    """K_{s,t} scans with s, t >= 2 start on the one-color core, run the hub
+    pass once they have spent their switch point of nodes, and go on over
+    the vertices it admits for length 4; the first witness stays the
+    brute-force one."""
 
     @staticmethod
     def assert_first_witnesses(G):
@@ -662,23 +782,56 @@ class TestWalkGate:
         assert c4s > 0 and dropped > 0
 
     def test_details_report_the_pass(self):
-        # Transitive signatures have no closed pc walk: the scan passes its
-        # switch point and the pass admits nothing. A circulant signature's
-        # first pair holds a pc C4, found long before the switch.
+        # Transitive signatures have no closed pc walk: the peel empties
+        # them before the scan starts. A circulant signature's first pair
+        # holds a pc C4, found long before the switch.
         out = find_pc_kst(signature(transitive_tournament(30)), 2, 2)
         assert out.status == EXHAUSTED and out.details == {"walk_periods": []}
         out = find_pc_kst(signature(circulant_tournament(201)), 2, 2)
         assert out.status == FOUND and out.details == {}
 
     def test_gate_decides_acyclic_signatures_with_fewer_nodes(self):
-        # The scan stops at the switch point (3 nodes per edge) plus the
-        # pass, instead of running over every pair.
-        G = signature(transitive_tournament(60))
+        # The peel empties every acyclic signature, one tick per edge, and
+        # the scan has no subset left: no K_{s,t} search costs more.
+        searches = [
+            *(lambda G, s=s, t=t: find_pc_kst(G, s, t) for s, t in ((2, 2), (2, 3), (3, 3))),
+            *(lambda G, s=s, t=t: find_rainbow_kst(G, s, t) for s, t in ((2, 2), (2, 3), (3, 3))),
+            find_rainbow_c4,
+        ]
+        for n in range(10, 61):
+            G = signature(transitive_tournament(n))
+            for search in searches:
+                out = search(G)
+                assert out.status == EXHAUSTED and out.nodes == G.m
+                assert out.details == {"walk_periods": []}
+
+    # (find_pc_kst at (2,2), (2,3), (3,3), find_rainbow_kst at the same,
+    # find_rainbow_c4, pc_short_cycle_pipeline and find_pc_cycle_upto at
+    # r = 6): the node counts from before the peel ran up front.
+    TWO_COLOR_NODES = {
+        "circulant-9": [15, 594, 504, 15, 594, 504, 15, 15, 261],
+        "c6-blowup-2": [218, 66, 216, 218, 66, 216, 218, 236, 150],
+        "c6-blowup-3": [524, 524, 522, 524, 524, 522, 524, 548, 366],
+    }
+
+    @pytest.mark.parametrize("name", sorted(TWO_COLOR_NODES))
+    def test_graphs_without_one_color_vertices_keep_their_node_counts(self, name):
+        # Every vertex sees two colors, so the peel's first check returns
+        # the whole vertex set with no tick, and every search runs as before.
+        G = signature(circulant_tournament(9)) if name == "circulant-9" else (
+            extremal_no_pc_c4(int(name[-1]))
+        )
         clock = _Clock(None)
-        _walk_classes(G, clock)
-        out = find_pc_kst(G, 2, 2)
-        assert out.status == EXHAUSTED
-        assert out.nodes <= 3 * G.m + clock.nodes + G.n
+        assert _one_color_core(G, clock) == list(range(G.n)) and clock.nodes == 0
+        pairs = ((2, 2), (2, 3), (3, 3))
+        nodes = [find_pc_kst(G, s, t).nodes for s, t in pairs]
+        nodes += [find_rainbow_kst(G, s, t).nodes for s, t in pairs]
+        nodes += [
+            find_rainbow_c4(G).nodes,
+            pc_short_cycle_pipeline(G, 6).nodes,
+            find_pc_cycle_upto(G, 6).nodes,
+        ]
+        assert nodes == self.TWO_COLOR_NODES[name]
 
     @pytest.mark.parametrize("name", ["pc-k22", "pc-k23", "pipeline", "disjoint"])
     @pytest.mark.parametrize("seed", [0, 1, 4, "fringe"])
@@ -698,7 +851,10 @@ class TestWalkGate:
             "disjoint": lambda b: disjoint_pc_cycles(G, 3, b),
         }[name]
         full = search(None)
-        assert walk_passes
+        # The gate ran: the hub pass, or a peel that cut the graph down (to
+        # nothing, on the transitive signature).
+        assert walk_passes["peel"]
+        assert walk_passes["hub"] or any(len(core) < G.n for *_, core in walk_passes["peel"])
         for b in range(1, full.nodes + 2):
             out = search(SearchBudget(max_nodes=b))
             if out.status == BUDGET_EXCEEDED:
@@ -707,26 +863,63 @@ class TestWalkGate:
                 assert (out.status, out.witness, out.nodes) == (full.status, full.witness, full.nodes)
 
     def test_one_pass_per_pipeline_call_and_disjoint_round(self, walk_passes):
+        # One peel per pipeline call and per disjoint round, and at most one
+        # hub pass, which never runs on an empty core.
         for seed in range(30):
             for G in (gate_instance(seed), cycle_search_instance(seed)):
                 for r in (4, 6):
-                    walk_passes.clear()
+                    clear(walk_passes)
                     out = pc_short_cycle_pipeline(G, r)
-                    assert len(walk_passes) == ("walk_periods" in out.details)
+                    ((_, _, core),) = walk_passes["peel"]
+                    hubs = len(walk_passes["hub"])
+                    assert hubs + (core == []) == ("walk_periods" in out.details)
                 for k in (1, 3):
-                    walk_passes.clear()
+                    clear(walk_passes)
                     out = disjoint_pc_cycles(G, k)
                     rounds = len(out.details["cycles"]) + (out.status == EXHAUSTED)
-                    assert len(walk_passes) <= rounds
+                    assert len(walk_passes["peel"]) == rounds
+                    empty = sum(core == [] for _, _, core in walk_passes["peel"])
+                    assert len(walk_passes["hub"]) <= rounds - empty
 
     def test_stage3_reuses_the_pass_of_stage1(self, walk_passes):
         G = extremal_no_pc_c4(3)
         stage1 = find_pc_kst(G, 2, 2).nodes
-        walk_passes.clear()
+        clear(walk_passes)
         out = pc_short_cycle_pipeline(G, 6)
         assert out.status == FOUND and out.details["stage"] == 3
-        ((_, end),) = walk_passes
-        assert end <= stage1
+        ((_, _, core),) = walk_passes["peel"]
+        ((_, end, _),) = walk_passes["hub"]
+        assert core == list(range(G.n)) and end <= stage1
+
+    @pytest.mark.parametrize("name", ["pc-k22", "rainbow-k33", "pipeline", "pc-cycle", "disjoint"])
+    @pytest.mark.parametrize("core", ["fringe", "empty"])
+    def test_node_budget_sweep_across_the_peel(self, name, core, walk_passes):
+        # The peel runs first and ticks once per edge it removes; every
+        # budget that runs out inside it ends budget-exceeded with no walk
+        # periods, and the others with the unbudgeted answer.
+        if core == "fringe":
+            G = fringed(blowup_cycle_signature(3, 2), random.Random(3), extra=6)
+        else:
+            G = signature(transitive_tournament(9))
+        search = {
+            "pc-k22": lambda b: find_pc_kst(G, 2, 2, b),
+            "rainbow-k33": lambda b: find_rainbow_kst(G, 3, 3, b),
+            "pipeline": lambda b: pc_short_cycle_pipeline(G, 6, b),
+            "pc-cycle": lambda b: find_pc_cycle_upto(G, 6, b),
+            "disjoint": lambda b: disjoint_pc_cycles(G, 2, b),
+        }[name]
+        full = search(None)
+        ((start, end, kept), *_) = walk_passes["peel"]
+        assert start == 0 and end > 0 and (kept == []) == (core == "empty")
+        for b in range(1, full.nodes + 2):
+            out = search(SearchBudget(max_nodes=b))
+            if b < end:
+                assert out.status == BUDGET_EXCEEDED and out.witness is None
+                assert "walk_periods" not in out.details
+            elif out.status == BUDGET_EXCEEDED:
+                assert out.witness is None and b < full.nodes
+            else:
+                assert (out.status, out.witness, out.nodes) == (full.status, full.witness, full.nodes)
 
 
 class TestFindRainbowC4:
@@ -769,6 +962,20 @@ class TestShortestDirectedCycle:
     def test_blowup_triangle(self):
         out = shortest_directed_cycle(blow_up(directed_cycle(3), 4))
         assert out.status == FOUND and len(out.witness.vertices[0]) == 3
+
+    def test_budget(self):
+        # Every node budget ends budget-exceeded or with the unbudgeted
+        # answer; so does a time budget that has run out at the first tick.
+        for D in (circulant_tournament(101), transitive_tournament(12)):
+            full = shortest_directed_cycle(D)
+            for b in range(1, full.nodes + 2):
+                out = shortest_directed_cycle(D, SearchBudget(max_nodes=b))
+                if out.status == BUDGET_EXCEEDED:
+                    assert out.witness is None and b < full.nodes and out.details == {}
+                else:
+                    assert (out.status, out.witness, out.nodes) == (full.status, full.witness, full.nodes)
+            out = shortest_directed_cycle(D, SearchBudget(time_limit_s=1e-9))
+            assert out.status == BUDGET_EXCEEDED and out.witness is None
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -852,7 +1059,7 @@ class TestPipeline:
         G = extremal_no_pc_c4(3)
         full = pc_short_cycle_pipeline(G, 6)
         assert full.status == FOUND and full.details["walk_periods"] == [6]
-        ((start, end),) = walk_passes
+        ((start, end, _),) = walk_passes["hub"]
         for b in range(start - 2, end + 2):
             out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=b))
             assert out.status in (BUDGET_EXCEEDED, FOUND)

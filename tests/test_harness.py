@@ -209,8 +209,7 @@ class TestCli:
         assert res.returncode == 1  # acyclic signature: no pc K_{2,2}
         out = json.loads(res.stdout)
         assert out["status"] == "exhausted-none"
-        # The scan passed its switch point; the walk-class pass found no
-        # closed pc walk.
+        # The peel emptied the graph before the scan: no closed pc walk.
         assert out["details"] == {"walk_periods": []}
 
         none = tmp_path / "ext.ecg"
@@ -246,6 +245,25 @@ class TestCli:
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert json.loads(res.stdout)["status"] == "budget-exceeded"
+
+    def test_find_directed_cycle_takes_the_budget(self, tmp_path):
+        # A budget that runs out exits 2 with no traceback; without one, or
+        # with room for the whole search, the answer is the same.
+        org = tmp_path / "c.org"
+        assert run_cli("gen", "circulant", "--n", "101", "-o", str(org)).returncode == 0
+        res = run_cli("find", "directed-cycle", "-i", str(org))
+        assert res.returncode == 0
+        full = json.loads(res.stdout)
+        assert full["status"] == "found" and len(full["witness"]["vertices"][0]) == 3
+        for args in (("--budget-nodes", "1"), ("--budget-ms", "0.000001")):
+            res = run_cli("find", "directed-cycle", "-i", str(org), *args)
+            assert res.returncode == 2 and "Traceback" not in res.stderr
+            out = json.loads(res.stdout)
+            assert out["status"] == "budget-exceeded" and out["witness"] is None
+        res = run_cli("find", "directed-cycle", "-i", str(org), "--budget-nodes", str(full["nodes"]))
+        assert res.returncode == 0
+        out = json.loads(res.stdout)
+        assert (out["witness"], out["nodes"]) == (full["witness"], full["nodes"])
 
     @pytest.mark.parametrize("ms", ["nan", "inf", "-inf", "0", "-5"])
     def test_bad_time_budget_is_an_input_error(self, tmp_path, ms):
