@@ -13,9 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-
-import numpy as np
 
 from .core import EdgeColoredGraph, OrientedGraph, _require_int, _require_real
 from .transforms import blow_up, signature
@@ -214,22 +211,44 @@ class RecolorError(RuntimeError):
 
 
 @lru_cache(maxsize=8)
-def _subset_members(n: int, size: int) -> np.ndarray:
-    """Boolean membership matrix: row v flags the subsets containing v."""
-    count = math.comb(n, size)
-    masks = np.fromiter(
-        (sum(1 << v for v in comb) for comb in combinations(range(n), size)),
-        dtype=np.int64,
-        count=count,
-    )
-    return np.stack([((masks >> v) & 1).astype(bool) for v in range(n)])
+def _subset_members(n: int, size: int) -> tuple[int, ...]:
+    """One int per vertex v: bit i is set when the i-th `size`-subset of
+    range(n), in combinations order, contains v.
+
+    Built from the last vertex down. The k-subsets of range(lo, n) are the
+    block of those that start with lo, C(n-lo-1, k-1) of them, followed by
+    the k-subsets of range(lo+1, n); so each row at lo is two rows at lo+1
+    joined by one shift.
+    """
+    # rows[k][j]: the membership of vertex lo + j in the k-subsets of range(lo, n)
+    rows: dict[int, list[int]] = {0: []}
+    for lo in range(n - 1, -1, -1):
+        nxt = {0: [0] * (n - lo)}
+        for k in range(max(1, size - lo), min(size, n - lo) + 1):
+            block = math.comb(n - lo - 1, k - 1)
+            # range(lo+1, n) has no k-subset when k = n - lo
+            rest = rows.get(k, [0] * (n - lo - 1))
+            nxt[k] = [(1 << block) - 1, *(a | b << block for a, b in zip(rows[k - 1], rest))]
+        rows = nxt
+    return tuple(rows[size])
 
 
 def _subset_density_ok(pairs, n: int, size: int, cap: int, rng: random.Random) -> bool:
     """True when every `size`-vertex subset spans fewer than `cap` pairs.
 
     Exhaustive for n <= EXHAUSTIVE_SUBSET_MAX_N, otherwise a seeded sample
-    of SAMPLED_SUBSET_CHECKS subsets.
+    of SAMPLED_SUBSET_CHECKS subsets. A degree prefilter (the `size` largest
+    degrees cannot reach cap) accepts first.
+
+    The exhaustive check counts all C(n, size) subsets at once with
+    Python-int bitsets: _subset_members gives each vertex one int of C(n,
+    size) bits, the subsets that hold it, and M[u] & M[v] flags the subsets
+    that span the pair uv. Those flags are added into a bit-sliced counter
+    of cap.bit_length() planes, one bit per subset in each plane, that
+    starts every subset at 2**planes - cap; a subset spans cap or more
+    pairs exactly when its count carries out of the top plane. The cached
+    membership takes n x C(n, size) bits (16 MB at n = 25, size = 12) and
+    the counter cap.bit_length() x C(n, size) more.
     """
     if len(pairs) < cap:
         return True
@@ -243,10 +262,19 @@ def _subset_density_ok(pairs, n: int, size: int, cap: int, rng: random.Random) -
         return True
     if n <= EXHAUSTIVE_SUBSET_MAX_N:
         member = _subset_members(n, size)
-        acc = np.zeros(member.shape[1], dtype=np.uint8)
+        planes = cap.bit_length()
+        full = (1 << math.comb(n, size)) - 1
+        bias = (1 << planes) - cap
+        counter = [full if bias >> j & 1 else 0 for j in range(planes)]
         for u, v in pairs:
-            acc += member[u] & member[v]
-        return int(acc.max()) < cap
+            carry = member[u] & member[v]
+            for j in range(planes):
+                counter[j], carry = counter[j] ^ carry, counter[j] & carry
+                if not carry:
+                    break
+            else:
+                return False
+        return True
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in pairs:
         adj[u].add(v)

@@ -831,8 +831,9 @@ def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
     far as the search got. Stages 1 and 3 share one _WalkClasses, so the
     one-color peel runs once, at the start of stage 1, and the hub pass at
     most once, in whichever of them needs it first.
-    An edgeless G stops after stage 1; stage 3 skips length 4, which stage
-    1 decided.
+    When the peel leaves an empty core, G has no properly colored cycle at
+    all, so the search stops after stage 1 (an edgeless G among them);
+    stage 3 skips length 4, which stage 1 decided.
     """
     walks = _WalkClasses(G, clock, details)
     w = _kst_impl(G, 2, 2, clock, rainbow=False, walks=walks)
@@ -840,7 +841,7 @@ def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
         details["stage"] = 1
         (a, b), (u, v) = w.vertices
         return _witness(G, "pc-cycle", (a, u, b, v))
-    if G.m == 0:
+    if not walks.core():
         return None
 
     if G.n > 2:
@@ -875,11 +876,13 @@ def pc_short_cycle_pipeline(
     are skipped. The filter's peel runs once per call, at the start of
     stage 1, and its hub pass at most once: in stage 1 when its K_{2,2}
     scan gets past the switch point of find_pc_kst, else at the start of
-    stage 3, and never when the peel left nothing. details["walk_periods"]
-    shows the periods whenever the hub pass ran, and [] when the peel left
-    nothing; the node counts include the ticks of both. The three
-    searches tick one clock, so a node or time budget stops whichever of
-    them is running.
+    stage 3, and never when the peel left nothing. A peel that leaves
+    nothing proves that G has no properly colored cycle, so the search ends
+    exhausted-none after stage 1, with no orientation figures in details.
+    details["walk_periods"] shows the periods whenever the hub pass ran,
+    and [] when the peel left nothing; the node counts include the ticks of
+    both. The three searches tick one clock, so a node or time budget stops
+    whichever of them is running.
     The report carries the orientation's minimum out-degree and its margin
     over ceil(n/r).
     """
@@ -900,7 +903,8 @@ def disjoint_pc_cycles(
 
     Each round runs the three stages of pc_short_cycle_pipeline with no
     length bound (r = max(n, 4)) on the residual graph, removes the
-    vertices of the cycle it finds, and repeats. With fewer than k cycles
+    vertices of the cycle it finds, and repeats; a round whose residual
+    peels to nothing ends after stage 1. With fewer than k cycles
     the outcome is exhausted-none and the partial family rides in the
     details; this is a greedy heuristic, not an exact packing decision.
     """

@@ -37,8 +37,7 @@ def sigma(s: int, t: int) -> float:
 def default_x(s: int, t: int, n2: int) -> float:
     """Growth threshold minimizing the loss bound for a side-2 part of size n2."""
     _check_st(s, t)
-    if n2 < 0:
-        raise ValueError("n2 must be nonnegative")
+    _require_int("n2", n2, 0)
     return (s - 1) * ((t - 1) / math.factorial(s - 1)) ** (1.0 / s) * n2 ** (1.0 - 1.0 / s)
 
 

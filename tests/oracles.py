@@ -219,6 +219,15 @@ def brute_walk_classes(G) -> list[tuple[int, list[int]]]:
     return sorted(classes)
 
 
+def brute_subset_density_ok(pairs, n, size, cap) -> bool:
+    """True when every size-subset of range(n) spans fewer than cap of the
+    given pairs, read off each subset in turn."""
+    return all(
+        sum(1 for u, v in pairs if u in S and v in S) < cap
+        for S in map(set, combinations(range(n), size))
+    )
+
+
 def restart_scan_greedy(G, side1, side2, s, x):
     """The saturation greedy as specified, recomputed from G.edges.
 

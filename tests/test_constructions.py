@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from chroma.core import (
     min_color_degree,
     total_color_degree,
 )
+import chroma.constructions as constructions
 from chroma.constructions import (
     RecolorError,
     RecolorParams,
@@ -37,6 +40,8 @@ from chroma.detectors import (
 )
 from chroma.formats import render_ecg, render_org
 from chroma.transforms import signature
+
+from oracles import brute_subset_density_ok
 
 
 class TestTournaments:
@@ -213,6 +218,38 @@ class TestRecoloredTournament:
             color_degree(G, v) >= color_degree(base, v) for v in range(20)
         )
 
+    # (gamma, seed) -> (attempts, the recolored pairs), pinned so that the
+    # subset-density check keeps every decision and the rng stream. (0.1, 0)
+    # and (0.15, 8) reach its exhaustive count; the others accept on the
+    # degree prefilter.
+    PINNED = {
+        (0.0, 4): (1, []),
+        (0.1, 0): (2, [(0, 11), (1, 10), (2, 16), (3, 5), (3, 6), (7, 8), (7, 10), (8, 10),
+                       (8, 15), (8, 19), (13, 15), (13, 16), (13, 18)]),
+        (0.1, 1): (1, [(1, 12), (3, 5), (3, 13), (5, 15), (6, 8), (7, 10), (7, 17), (8, 13),
+                       (9, 16), (11, 12), (12, 16), (15, 17)]),
+        (0.1, 2): (1, [(0, 10), (0, 11), (0, 12), (2, 15), (6, 17), (7, 8), (7, 19), (8, 12),
+                       (8, 19), (11, 12), (11, 13)]),
+        (0.1, 3): (1, [(1, 4), (2, 10), (3, 9), (3, 13), (5, 14), (6, 16), (6, 18), (7, 9),
+                       (8, 9), (9, 13), (10, 16), (11, 17), (15, 19)]),
+        (0.1, 42): (1, [(0, 11), (1, 14), (3, 19), (7, 15), (9, 11), (10, 19), (11, 16)]),
+        (0.15, 8): (3, [(0, 8), (4, 10), (4, 17), (8, 12), (14, 18)]),
+    }
+
+    @pytest.mark.parametrize("gamma,seed", sorted(PINNED))
+    def test_pinned_samples(self, gamma, seed):
+        params = RecolorParams(n=20, s=3, t=7, gamma=gamma, seed=seed)
+        G, attempts = recolored_tournament(params)
+        base = signature(circulant_tournament(20))
+        top = max(c for _, _, c in base.edges)
+        base_colors = {(u, v): c for u, v, c in base.edges}
+        recolored = sorted((u, v) for u, v, c in G.edges if c != base_colors[(u, v)])
+        want_attempts, want = self.PINNED[(gamma, seed)]
+        assert (attempts, recolored) == (want_attempts, want)
+        assert {(u, v): c for u, v, c in G.edges} == {
+            **base_colors, **{pair: top + rank for rank, pair in enumerate(want, start=1)}
+        }
+
     def test_determinism(self):
         p = RecolorParams(n=20, s=3, t=7, gamma=0.1, seed=42)
         a, na = recolored_tournament(p)
@@ -232,9 +269,10 @@ class TestRecoloredTournament:
         params = RecolorParams(n=20, s=3, t=7, gamma=1.5, seed=0, max_tries=5)
         with pytest.raises(RecolorError) as exc:
             recolored_tournament(params)
-        stats = exc.value.stats
-        assert stats["attempts"] == 5
-        assert stats["rejected_coverage"] + stats["rejected_density"] == 5
+        assert exc.value.stats == {
+            "attempts": 5, "rejected_coverage": 0, "rejected_density": 5,
+            "p": params.p, "degree_floor": params.degree_floor, "density_cap": 11,
+        }
 
     def test_verify_rejects_predicate_violations(self):
         params = RecolorParams(n=20, s=3, t=7, gamma=0.1, seed=3)
@@ -264,3 +302,78 @@ class TestRecoloredTournament:
         # missing edge breaks the pair-set equality with the base signature
         missing = EdgeColoredGraph(20, list(base.edges)[1:])
         assert not verify_recolored(params, missing)
+
+
+def density_case(rng, n):
+    """Random pairs on n vertices, a dense pocket on a random vertex set
+    added to about half of them."""
+    p = rng.choice((0.1, 0.3, 0.6))
+    pairs = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    if rng.random() < 0.5:
+        pocket = sorted(rng.sample(range(n), rng.randint(2, n)))
+        pairs |= {pair for pair in combinations(pocket, 2) if rng.random() < 0.9}
+    return sorted(pairs)
+
+
+class TestSubsetDensity:
+    def test_members_follow_combinations_order(self):
+        for n in range(1, 11):
+            for size in range(n + 1):
+                want = [0] * n
+                for i, subset in enumerate(combinations(range(n), size)):
+                    for v in subset:
+                        want[v] |= 1 << i
+                assert list(constructions._subset_members(n, size)) == want
+
+    def test_matches_brute_force(self, monkeypatch):
+        # Every size from 2 to n-1 and every cap from 1 to C(size, 2) + 1;
+        # the pockets make many cases pass the degree prefilter and reach
+        # the exhaustive count.
+        exhaustive = []
+        members = constructions._subset_members
+        monkeypatch.setattr(
+            constructions, "_subset_members",
+            lambda n, size: exhaustive.append((n, size)) or members(n, size),
+        )
+        rng = random.Random(2024)
+        rejected = 0
+        for n in range(3, 13):
+            for _ in range(3):
+                pairs = density_case(rng, n)
+                for size in range(2, n):
+                    for cap in range(1, math.comb(size, 2) + 2):
+                        want = brute_subset_density_ok(pairs, n, size, cap)
+                        got = constructions._subset_density_ok(pairs, n, size, cap, random.Random(0))
+                        assert got == want, (n, size, cap, pairs)
+                        rejected += not want
+        assert len(exhaustive) > 1000 and rejected > 1000
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_hypothesis(self, data):
+        n = data.draw(st.integers(3, 12))
+        size = data.draw(st.integers(2, n - 1))
+        cap = data.draw(st.integers(1, math.comb(size, 2) + 1))
+        every = list(combinations(range(n), 2))
+        pairs = sorted(data.draw(st.sets(st.sampled_from(every))))
+        want = brute_subset_density_ok(pairs, n, size, cap)
+        assert constructions._subset_density_ok(pairs, n, size, cap, random.Random(0)) == want
+
+    def test_dense_pocket_at_the_cap(self, monkeypatch):
+        # cap pairs, all inside one size-vertex pocket, pass the degree
+        # prefilter, and the exhaustive count rejects them, up to n =
+        # EXHAUSTIVE_SUBSET_MAX_N. Fewer pairs than the cap accept at once.
+        exhaustive = []
+        members = constructions._subset_members
+        monkeypatch.setattr(
+            constructions, "_subset_members",
+            lambda n, size: exhaustive.append((n, size)) or members(n, size),
+        )
+        rng = random.Random(7)
+        for n, size in ((12, 5), (20, 10), (constructions.EXHAUSTIVE_SUBSET_MAX_N, 6)):
+            pocket = sorted(rng.sample(range(n), size))
+            for cap in (1, size, math.comb(size, 2) - 1, math.comb(size, 2)):
+                pairs = sorted(rng.sample(list(combinations(pocket, 2)), cap))
+                assert not constructions._subset_density_ok(pairs, n, size, cap, random.Random(0))
+                assert constructions._subset_density_ok(pairs, n, size, cap + 1, random.Random(0))
+        assert len(exhaustive) == 3 * 4

@@ -44,7 +44,7 @@ from chroma.detectors import (
     find_rainbow_kst,
     pc_short_cycle_pipeline,
 )
-from chroma.extraction import ExtractionParams, construct_orientation, sigma
+from chroma.extraction import ExtractionParams, construct_orientation, default_x, sigma
 from chroma.suites import run_suite
 from chroma.transforms import blow_up, signature
 
@@ -418,6 +418,7 @@ INT_PARAMETERS = [
     ("SearchBudget", "max_nodes", lambda v: SearchBudget(max_nodes=v), 1),
     ("sigma-s", "s", lambda v: sigma(v, 5), 2),
     ("sigma-t", "t", lambda v: sigma(2, v), 2),
+    ("default_x", "n2", lambda v: default_x(2, 2, v), 0),
     ("check_total_degree_threshold-s", "s", lambda v: check_total_degree_threshold(_T4, v, 5), 2),
     ("check_total_degree_threshold-t", "t", lambda v: check_total_degree_threshold(_T4, 3, v), 3),
     ("run_suite", "trials", lambda v: run_suite("duality", v, 0), 0),

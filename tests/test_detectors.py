@@ -1069,21 +1069,51 @@ class TestPipeline:
 
     def test_node_budget_stops_inside_stage2(self):
         # The BFS ticks the pipeline's clock level by level, so it stops at
-        # most n nodes past the budget.
-        G = signature(transitive_tournament(40))
+        # most n nodes past the budget. The core of G is not empty and G has
+        # no pc C4, so stage 2 runs, and its BFS costs more than 5 nodes.
+        G = extremal_no_pc_c4(3)
         budget = find_pc_kst(G, 2, 2).nodes + 5
+        assert shortest_directed_cycle(construct_orientation(G, 2, 2)[1]).nodes > 5
         out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=budget))
         assert out.status == BUDGET_EXCEEDED
         assert out.nodes <= budget + G.n
+        assert "min_outdegree" in out.details and "stage" not in out.details
+
+    def test_acyclic_signatures_stop_after_stage1(self):
+        # The peel empties an acyclic signature, which proves that it has no
+        # pc cycle: stages 2 and 3 never run, and the search costs one tick
+        # per edge, as find_pc_kst does.
+        for n in range(10, 61):
+            G = signature(transitive_tournament(n))
+            for r in (4, 6, n):
+                out = pc_short_cycle_pipeline(G, r)
+                assert out.status == EXHAUSTED and out.nodes == G.m
+                assert out.details == {"r": r, "walk_periods": []}
+            out = disjoint_pc_cycles(G, 2)
+            assert out.status == EXHAUSTED and out.nodes == G.m
+            assert out.details == {"requested": 2, "cycles": []}
 
 
 class TestDisjointPcCycles:
     def test_node_budget_stops_inside_stage2(self):
-        G = signature(transitive_tournament(40))
+        G = extremal_no_pc_c4(3)
         budget = find_pc_kst(G, 2, 2).nodes + 5
+        assert shortest_directed_cycle(construct_orientation(G, 2, 2)[1]).nodes > 5
         out = disjoint_pc_cycles(G, 1, SearchBudget(max_nodes=budget))
         assert out.status == BUDGET_EXCEEDED
         assert out.nodes <= budget + G.n
+
+    def test_round_on_an_acyclic_residual_stops_after_stage1(self):
+        # A pc triangle beside an acyclic signature: the second round's
+        # residual peels to nothing, one tick per edge, and ends there.
+        T = signature(transitive_tournament(12))
+        tri = [(12, 13, 0), (13, 14, 1), (12, 14, 2)]
+        G = EdgeColoredGraph(15, list(T.edges) + tri)
+        first = pc_short_cycle_pipeline(G, G.n)
+        assert first.status == FOUND and sorted(first.witness.vertices[0]) == [12, 13, 14]
+        out = disjoint_pc_cycles(G, 2)
+        assert out.status == EXHAUSTED and out.details["cycles"] == [[12, 13, 14]]
+        assert out.nodes == first.nodes + T.m
 
     def test_two_disjoint_triangles(self):
         sig = signature(directed_cycle(3))

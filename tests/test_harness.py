@@ -6,6 +6,7 @@ import pytest
 
 from chroma.constructions import (
     blowup_cycle_signature,
+    circulant_tournament,
     extremal_no_pc_c4,
     random_bipartite_edge_colored,
     random_edge_colored_graph,
@@ -439,3 +440,27 @@ def test_repeated_main_calls_match_separate_processes(tmp_path, capsys):
                 for res in (run_cli(*argv) for argv in calls)]
     assert [r[0] for r in in_process] == [0, 0, 2, 0, EXIT_INPUT_ERROR, 0]
     assert in_process == separate
+
+
+def test_runs_without_numpy(tmp_path):
+    # A None entry in sys.modules makes `import numpy` fail, so chroma runs
+    # on the standard library alone. gamma 0.15 with seed 8 takes its
+    # subset-density check through the exhaustive count twice.
+    ecg, guarded, plain = tmp_path / "c.ecg", tmp_path / "guarded.ecg", tmp_path / "plain.ecg"
+    save(signature(circulant_tournament(20)), ecg)
+    recolored = ["gen", "recolored", "--n", "20", "--s", "3", "--t", "7",
+                 "--gamma", "0.15", "--seed", "8", "-o"]
+    script = f"""
+import sys
+sys.modules["numpy"] = None
+import chroma
+from chroma import cli
+assert cli.main(["find", "pc-kst", "-i", {str(ecg)!r}]) == 0
+assert cli.main({recolored + [str(guarded)]!r}) == 0
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["status"] == "found"
+    assert res.stderr == "accepted after 3 attempts\n"
+    assert run_cli(*recolored, str(plain)).returncode == 0
+    assert guarded.read_bytes() == plain.read_bytes()
