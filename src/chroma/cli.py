@@ -91,7 +91,7 @@ def _cmd_gen(args) -> int:
     elif what == "random":
         if args.n2 is not None:
             out = constructions.random_bipartite_edge_colored(
-                args.n, args.n2, args.p, args.colors or 1, seed
+                args.n, args.n2, args.p, 1 if args.colors is None else args.colors, seed
             )
         elif args.colors is not None:
             out = constructions.random_edge_colored_graph(args.n, args.p, args.colors, seed)

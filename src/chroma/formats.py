@@ -12,7 +12,10 @@ structure is checked. One tokenizer serves all three formats: it checks the
 body's line count and per-line field counts, then converts every body token
 in one pass. Only when that or a constructor rejects the body are the lines
 rescanned, to find the first offending one and raise a line-numbered
-ParseError.
+ParseError: the first syntax fault, or the first row the constructor
+refuses, whichever comes first. The parser knows no structure rule; it
+finds the refused row by bisecting over prefixes of the rows and reports
+the constructor's own message.
 """
 from __future__ import annotations
 
@@ -67,12 +70,12 @@ def _rows(lines, line_no: int, m: int, width: int) -> list[tuple[int, ...]]:
 
     Exactly m body lines must have `width` fields and every other one must
     be blank; otherwise, or on a token that is not an integer, ValueError is
-    raised, and the caller's _raise_at_bad_line names the line. The per-line
-    split lists are only counted and dropped at once; the tokens are split
-    again from the joined body, since keeping one list per line alive for
-    the int map would more than double the garbage collector's work here.
-    Vertex ids and colors repeat across a body, so each distinct token goes
-    through int() once per parse and its repeats share that int.
+    raised, and _build names the line. The per-line split lists are only
+    counted and dropped at once; the tokens are split again from the joined
+    body, since keeping one list per line alive for the int map would more
+    than double the garbage collector's work here. Vertex ids and colors
+    repeat across a body, so each distinct token goes through int() once per
+    parse and its repeats share that int.
     """
     body = lines[line_no:]
     widths = list(map(len, map(str.split, body)))
@@ -82,55 +85,48 @@ def _rows(lines, line_no: int, m: int, width: int) -> list[tuple[int, ...]]:
     return list(zip(*[fields] * width))
 
 
-def _content_lines(lines):
-    """(line_no, tokens) for nonblank lines, 1-indexed."""
-    return [(i, parts) for i, parts in enumerate(map(str.split, lines), 1) if parts]
+def _build(lines, line_no: int, m: int, width: int, what: str, build):
+    """build(rows) for the body lines[line_no:] read as m rows of `width`
+    integers, each row `what` ("an edge", "an arc", ...).
 
-
-def _raise_at_bad_line(lines, n: int, m: int, count: int, what: str, directed: bool,
-                       bip_k=None):
-    """Raise a ParseError at the first body line that breaks a rule: the
-    number of nonblank body lines, then per line in file order, `count`
-    integer fields, vertex range, loop, negative color, then a repeated
-    edge, or a repeated or reversed arc when directed, then bipartition
-    crossing.
-
-    Reached only after the body failed to tokenize or its rows failed to
-    build. The structural rules are the constructors'; this rescan in file
-    order only finds the line.
+    Only when the body fails to tokenize or build refuses its rows is the
+    body rescanned, in file order, to raise a ParseError at the first line
+    at fault: the number of nonblank body lines, then each line's field
+    count and integers, up to the first syntax fault. Before that fault,
+    the first row that build refuses is found by bisecting over prefixes of
+    the rows read; that is sound because every constructor rule judges a
+    row only against the rows before it, so once a prefix is refused every
+    longer one is too. The message is the constructor's own.
     """
-    content = _content_lines(lines)
-    body = content[1:]
+    try:
+        return build(_rows(lines, line_no, m, width))
+    except ValueError:
+        pass
+    body = [(i, parts) for i, parts in enumerate(map(str.split, lines[line_no:]), line_no + 1)
+            if parts]
     if len(body) != m:
-        where = body[m][0] if len(body) > m else content[-1][0]
-        noun = "arc" if directed else "edge"
+        where = body[m][0] if len(body) > m else (body[-1][0] if body else line_no)
+        noun = what.split()[-1]
         raise ParseError(where, f"expected {m} {noun} lines, found {len(body)}")
-    seen = {}
+    rows, fault = [], None
     for ln, parts in body:
-        row = _int_fields(ln, parts, count, what)
-        u, v = row[0], row[1]
-        for x in (u, v):
-            if not 0 <= x < n:
-                raise ParseError(ln, f"vertex id {x} out of range")
-        if u == v:
-            raise ParseError(ln, f"loop at vertex {u}")
-        if count == 3 and row[2] < 0:
-            raise ParseError(ln, f"negative color {row[2]}")
-        if directed:
-            if (u, v) in seen:
-                raise ParseError(ln, f"duplicate arc ({u},{v}) (first at line {seen[(u, v)]})")
-            if (v, u) in seen:
-                raise ParseError(
-                    ln, f"anti-parallel arc ({u},{v}) (reverse at line {seen[(v, u)]})"
-                )
-            seen[(u, v)] = ln
+        try:
+            rows.append(_int_fields(ln, parts, width, what))
+        except ParseError as e:
+            fault = e
+            break
+    # build accepts rows[:lo]. Once it refuses rows[:hi], fault is that refusal,
+    # at row hi - 1; until then it is the syntax fault that ended the scan.
+    lo, hi = 0, len(rows) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            build(rows[:mid])
+        except ValueError as e:
+            hi, fault = mid, ParseError(body[mid - 1][0], str(e))
         else:
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ParseError(ln, f"duplicate edge {{{u},{v}}} (first at line {seen[key]})")
-            seen[key] = ln
-            if bip_k is not None and (u < bip_k) == (v < bip_k):
-                raise ParseError(ln, f"edge {{{u},{v}}} does not cross the bipartition")
+            lo = mid
+    raise fault
 
 
 def _prefix_bipartition(G: EdgeColoredGraph):
@@ -176,11 +172,8 @@ def parse_ecg(text: str) -> EdgeColoredGraph:
         raise ParseError(line_no, f"bipartite size {bip_k} out of range")
 
     bip = (range(bip_k), range(bip_k, n)) if bip_k is not None else None
-    try:
-        return EdgeColoredGraph(n, _rows(lines, line_no, m, 3), bipartition=bip)
-    except ValueError:
-        _raise_at_bad_line(lines, n, m, 3, "an edge", directed=False, bip_k=bip_k)
-        raise
+    return _build(lines, line_no, m, 3, "an edge",
+                  lambda rows: EdgeColoredGraph(n, rows, bipartition=bip))
 
 
 def render_org(D: OrientedGraph) -> str:
@@ -192,11 +185,7 @@ def parse_org(text: str) -> OrientedGraph:
     n, m = _int_fields(line_no, parts[1:], 2, "header")
     if n < 0 or m < 0:
         raise ParseError(line_no, "n and m must be nonnegative")
-    try:
-        return OrientedGraph(n, _rows(lines, line_no, m, 2))
-    except ValueError:
-        _raise_at_bad_line(lines, n, m, 2, "an arc", directed=True)
-        raise
+    return _build(lines, line_no, m, 2, "an arc", lambda rows: OrientedGraph(n, rows))
 
 
 def render_corg(D: ColoredOrientation) -> str:
@@ -210,12 +199,8 @@ def parse_corg(text: str) -> ColoredOrientation:
     n, m = _int_fields(line_no, parts[1:], 2, "header")
     if n < 0 or m < 0:
         raise ParseError(line_no, "n and m must be nonnegative")
-    try:
-        rows = _rows(lines, line_no, m, 3)
-        return ColoredOrientation(EdgeColoredGraph(n, rows), rows)
-    except ValueError:
-        _raise_at_bad_line(lines, n, m, 3, "a colored arc", directed=True)
-        raise
+    return _build(lines, line_no, m, 3, "a colored arc",
+                  lambda rows: ColoredOrientation(EdgeColoredGraph(n, rows), rows))
 
 
 def parse_auto(text: str):

@@ -521,6 +521,7 @@ def analyze(G: EdgeColoredGraph, r: int = 4) -> dict:
     entry reports the requirement, the measured value, and the margin
     value - requirement.
     """
+    _require_int("r", r, 4)
     n = G.n
     report: dict = {"schema": SCHEMA_VERSION, "n": n, "m": G.m}
     if n == 0:

@@ -280,3 +280,15 @@ def restart_scan_greedy(G, side1, side2, s, x):
             sat_index[v] = len(selected)
             kept_colors[v] = frozenset(cols[v])
     return selected, sat_index, kept_colors
+
+
+def first_refused_row(build, rows):
+    """(index, message) of the first row that build refuses, replaying build
+    over the prefixes rows[:1], rows[:2], ... in turn; None when build
+    accepts every prefix."""
+    for k in range(1, len(rows) + 1):
+        try:
+            build(rows[:k])
+        except ValueError as e:
+            return k - 1, str(e)
+    return None

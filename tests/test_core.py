@@ -45,7 +45,7 @@ from chroma.detectors import (
     pc_short_cycle_pipeline,
 )
 from chroma.extraction import ExtractionParams, construct_orientation, default_x, sigma
-from chroma.suites import run_suite
+from chroma.suites import analyze, run_suite
 from chroma.transforms import blow_up, signature
 
 
@@ -422,6 +422,7 @@ INT_PARAMETERS = [
     ("check_total_degree_threshold-s", "s", lambda v: check_total_degree_threshold(_T4, v, 5), 2),
     ("check_total_degree_threshold-t", "t", lambda v: check_total_degree_threshold(_T4, 3, v), 3),
     ("run_suite", "trials", lambda v: run_suite("duality", v, 0), 0),
+    ("analyze", "r", lambda v: analyze(_T4, v), 4),
 ]
 
 

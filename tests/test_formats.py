@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chroma.core import ColoredOrientation, EdgeColoredGraph, OrientedGraph
@@ -26,6 +26,7 @@ from chroma.formats import (
     save,
     strip_bipartition,
 )
+from oracles import first_refused_row
 
 
 class TestEcgRoundTrip:
@@ -172,17 +173,17 @@ class TestParseErrors:
             ("ecg 2 2\n0 1 0\n", 2, "expected 2 edge lines"),
             ("ecg 2 0\n0 1 0\n", 2, "expected 0 edge lines"),
             ("ecg 2 1\n0 0 1\n", 2, "loop"),
-            ("ecg 2 1\n0 3 1\n", 2, "out of range"),
-            ("ecg 2 1\n0 1 -2\n", 2, "negative color"),
+            ("ecg 2 1\n0 3 1\n", 2, "invalid vertex id 3 for a graph on 2 vertices"),
+            ("ecg 2 1\n0 1 -2\n", 2, "color must be a nonnegative integer, got -2"),
             ("ecg 3 2\n0 1 0\n1 0 3\n", 3, "duplicate edge"),
             ("ecg 4 1 bipartite 2\n0 1 0\n", 2, "cross"),
             ("ecg 2 1 bipartite 5\n0 1 0\n", 1, "out of range"),
             ("ecg 4 2 bipartite 2\n0 1 0\n0 9 0\n", 2, "cross"),
-            ("ecg 3 2\n0 9 0\n1 1 0\n", 2, "out of range"),
-            ("ecg 3 2\n0 1 0\n\n1 0 3\n", 4, "(first at line 2)"),
+            ("ecg 3 2\n0 9 0\n1 1 0\n", 2, "invalid vertex id 9"),
+            ("ecg 3 2\n0 1 0\n\n1 0 3\n", 4, "duplicate edge {0,1}"),
             ("ecg 3 2\n1 1 0\n0 x 0\n", 2, "loop"),
             ("ecg 3 2\n0 x 0\n1 1 0\n", 2, "not an integer"),
-            ("ecg 3 2\n0 1 -1\n0 1\n", 2, "negative color"),
+            ("ecg 3 2\n0 1 -1\n0 1\n", 2, "nonnegative integer, got -1"),
             # The right token total in the wrong per-line widths or line count.
             ("ecg 3 2\n0 1\n1 2 0 5\n", 2, "expected 3 fields for an edge, got 2"),
             ("ecg 3 2\n0 1 0 1\n2 0\n", 2, "expected 3 fields for an edge, got 4"),
@@ -206,12 +207,12 @@ class TestParseErrors:
             (parse_org, "org 3 2\n0 1\n1 0\n", 3, "anti-parallel"),
             (parse_org, "org 3 2\n0 1\n0 1\n", 3, "duplicate arc"),
             (parse_corg, "corg 3 1\n0 1\n", 2, "expected 3 fields"),
-            (parse_corg, "corg 3 2\n0 1 5\n1 0 5\n", 3, "anti-parallel"),
-            (parse_corg, "corg 3 2\n0 1 5\n0 1 5\n", 3, "(first at line 2)"),
-            (parse_corg, "corg 3 1\n0 1 -5\n", 2, "negative color"),
+            (parse_corg, "corg 3 2\n0 1 5\n1 0 5\n", 3, "duplicate edge {0,1}"),
+            (parse_corg, "corg 3 2\n0 1 5\n0 1 5\n", 3, "line 3: duplicate edge {0,1}"),
+            (parse_corg, "corg 3 1\n0 1 -5\n", 2, "nonnegative integer, got -5"),
             (parse_corg, "corg 3 2\n2 2 0\n0 1\n", 2, "loop"),
-            (parse_org, "org 3 2\n0 1\n1 0\n", 3, "(reverse at line 2)"),
-            (parse_org, "org 3 1\n0 7\n", 2, "out of range"),
+            (parse_org, "org 3 2\n0 1\n1 0\n", 3, "line 3: anti-parallel arc pair between 1 and 0"),
+            (parse_org, "org 3 1\n0 7\n", 2, "invalid vertex id 7"),
             (parse_org, "org 3 2\n0 1\n0 1 2\n", 3, "expected 2 fields"),
             # The right token total in the wrong per-line widths or line count.
             (parse_org, "org 3 2\n0\n1 2 0\n", 2, "expected 2 fields for an arc, got 1"),
@@ -230,6 +231,75 @@ class TestParseErrors:
             parse(text)
         assert exc.value.line == line
         assert needle in str(exc.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_error_line_is_first_refused_row(self, data):
+        # One body row of a valid object is broken by one structure rule, and
+        # maybe a row is garbled too. The error names the first fault in the
+        # file: the first row a linear constructor replay refuses among the
+        # rows before the garbled one, else the garbled row.
+        obj = data.draw(_rendered_objects())
+        n, bip = obj.n, getattr(obj, "bipartition", None)
+        if isinstance(obj, EdgeColoredGraph):
+            rows = [list(e) for e in obj.edges]
+
+            def build(rows):
+                return EdgeColoredGraph(n, rows, bipartition=bip)
+        elif isinstance(obj, ColoredOrientation):
+            rows = [list(a) for a in obj.arcs]
+
+            def build(rows):
+                return ColoredOrientation(EdgeColoredGraph(n, rows), rows)
+        else:
+            rows = [list(a) for a in obj.arcs]
+
+            def build(rows):
+                return OrientedGraph(n, rows)
+        assume(rows)
+        header = render(obj).splitlines()[0]
+        kinds = ["range", "loop"]
+        if len(rows[0]) == 3:
+            kinds.append("color")
+        if len(rows) > 1:
+            kinds += ["repeat", "reverse"]
+        if bip is not None and max(map(len, bip)) > 1:
+            kinds.append("same side")
+        i = data.draw(st.integers(0, len(rows) - 1))
+        kind = data.draw(st.sampled_from(kinds))
+        row = rows[i]
+        if kind == "range":
+            row[data.draw(st.integers(0, 1))] = n + data.draw(st.integers(0, 3))
+        elif kind == "loop":
+            row[1] = row[0]
+        elif kind == "color":
+            row[2] = -data.draw(st.integers(1, 3))
+        elif kind == "same side":
+            side = data.draw(st.sampled_from([s for s in bip if len(s) > 1]))
+            row[:2] = data.draw(st.permutations(sorted(side)))[:2]
+        else:
+            j = data.draw(st.integers(0, len(rows) - 1).filter(lambda j: j != i))
+            i, j = max(i, j), min(i, j)
+            rows[i] = list(rows[j])
+            if kind == "reverse":
+                rows[i][:2] = rows[j][1::-1]
+        garbled = data.draw(st.none() | st.integers(0, len(rows) - 1))
+        lines = [" ".join(map(str, r)) for r in rows]
+        if garbled is not None:
+            lines[garbled] = lines[garbled].replace(" ", " x", 1)
+        text = data.draw(_spaced("\n".join([header, *lines]) + "\n"))
+        body_lines = [ln for ln, line in enumerate(text.splitlines(), 1) if line.split()][1:]
+        replay = first_refused_row(build, rows[:garbled])
+        with pytest.raises(ParseError) as exc:
+            parse_auto(text)
+        if replay is None:
+            assert garbled is not None
+            assert exc.value.line == body_lines[garbled]
+            assert "not an integer: 'x" in str(exc.value)
+        else:
+            index, message = replay
+            assert exc.value.line == body_lines[index]
+            assert str(exc.value) == f"line {body_lines[index]}: {message}"
 
     def test_line_number_in_message(self):
         with pytest.raises(ParseError, match="line 2"):

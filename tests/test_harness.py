@@ -288,6 +288,18 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert not corg.exists()
 
+    def test_gen_random_bipartite_zero_colors_is_an_input_error(self):
+        res = run_cli("gen", "random", "--n", "4", "--n2", "3", "--p", "0.9", "--colors", "0")
+        assert res.returncode == EXIT_INPUT_ERROR
+        assert "colors must be an integer >= 1, got 0" in res.stderr
+        assert res.stdout == ""
+
+    def test_gen_random_bipartite_defaults_to_one_color(self, tmp_path):
+        ecg = tmp_path / "b.ecg"
+        res = run_cli("gen", "random", "--n", "4", "--n2", "3", "--p", "0.9", "-o", str(ecg))
+        assert res.returncode == 0
+        assert {c for _u, _v, c in load(ecg).edges} == {0}
+
     def test_find_pc_cycle_1200_deep(self, tmp_path):
         # The DFS goes straight to length 1200, deeper than Python's
         # recursion limit; the walk periods ride in the JSON details.
