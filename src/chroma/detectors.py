@@ -25,6 +25,7 @@ from .core import (
     is_rainbow,
     total_color_degree,
 )
+# construct_orientation is unused here; bench/tracing.py wraps it by this path
 from .extraction import _check_st, construct_orientation, sigma
 
 FOUND = "found"
@@ -248,8 +249,10 @@ def _color_matching(pairs, t: int, clock: _Clock) -> bool:
     return False
 
 
-# Nodes per edge that a K_{s,t} scan with s, t >= 2 spends before it runs
-# the hub pass of the walk classes, whose ticks are a small multiple of m.
+# Nodes per edge that a search spends before it pays for a pass whose ticks
+# are a small multiple of m: a K_{s,t} scan with s, t >= 2 before the hub
+# pass of the walk classes, the cycle DFS from one start before that
+# start's _return_table.
 _WALK_SWITCH = 3
 
 
@@ -648,6 +651,49 @@ class _WalkClasses:
         )
 
 
+def _return_table(adj, start: int, admitted, limit: int, clock: _Clock):
+    """(first, near, via): the fewest edges, up to limit, of a properly
+    colored walk from each vertex w back to start through the vertices of
+    admitted above start.
+
+    Entered by an edge of color c, w needs near[w] edges when c differs
+    from first[w] and via[w] when it equals it; limit + 1 stands for more
+    than limit, and first[w] is -1 when w cannot get back at all. That is
+    all there is to know, since w may leave by every color but the one it
+    came by: first[w] is the color of w's first edge on a shortest way
+    back, and via[w] the length of the shortest way back whose first edge
+    has another color. A backward breadth-first search from start finds
+    both, handing each vertex on at most twice; the clock ticks once per
+    edge at each vertex handed on.
+    """
+    n = len(adj)
+    ok = bytearray(n)
+    for v in admitted:
+        ok[v] = v > start
+    far = limit + 1
+    first = [-1] * n
+    near = [far] * n
+    via = [far] * n
+    # (v, e, True): v's states entered by any color but e got their length
+    # in the last round; (v, e, False): v's state entered by e did.
+    level = [(start, -1, True)]
+    for d in range(1, limit + 1):
+        nxt = []
+        for v, e, others in level:
+            clock.tick(len(adj[v]))
+            for w, c in adj[v]:
+                if not ok[w] or (c != e) != others:
+                    continue
+                if first[w] < 0:
+                    first[w], near[w] = c, d
+                    nxt.append((w, c, True))
+                elif via[w] == far and c != first[w]:
+                    via[w] = d
+                    nxt.append((w, first[w], False))
+        level = nxt
+    return first, near, via
+
+
 def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, walks: _WalkClasses):
     """Iterative-deepening DFS for a shortest properly colored cycle.
 
@@ -663,11 +709,19 @@ def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, walks: _WalkClas
     cycle found is the shortest, lexicographically least one among the
     lengths tried. The DFS keeps its path on an explicit stack, so the
     cycle length is not bounded by Python's recursion limit.
+
+    Once the DFS from one start has spent _WALK_SWITCH x m nodes, it builds
+    that start's _return_table and from then on skips every step after
+    which no properly colored walk gets back to start within the edges
+    left. Such a step leads to no cycle of length L, so the witness is the
+    same. The table costs at most two ticks per edge end, so a start pays
+    for it only after its DFS has spent a comparable number of nodes.
     """
     n = G.n
     adj = G.adj
     colors = G.pair_colors
     tick = clock.tick
+    switch = _WALK_SWITCH * G.m
 
     for L in lengths:
         if L > n:
@@ -681,9 +735,15 @@ def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, walks: _WalkClas
             path = [start]
             cols = [-1]  # colors of the path's edges after a sentinel
             frames = [iter(adj[start])]
+            first = None  # the start's _return_table, once built
+            mark = clock.nodes + switch
             while frames:
+                if first is None and clock.nodes >= mark:
+                    first, near, via = _return_table(adj, start, admitted, L - 1, clock)
                 for w, c in frames[-1]:
                     if w <= start or not free[w] or c == cols[-1]:
+                        continue
+                    if first is not None and (near[w] if c != first[w] else via[w]) > L - len(path):
                         continue
                     tick()
                     if len(path) < L - 1:
@@ -823,17 +883,17 @@ def shortest_directed_cycle(
 # ---------------------------------------------------------------------------
 
 def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
-    """The re-verified pc-cycle witness of length at most r that the three
+    """The re-verified pc-cycle witness of length at most r that the two
     stages of pc_short_cycle_pipeline find in G, or None.
 
-    All three tick the one clock. details gets the stage that found the
-    cycle, the orientation's out-degree figures and the walk periods, as
-    far as the search got. Stages 1 and 3 share one _WalkClasses, so the
-    one-color peel runs once, at the start of stage 1, and the hub pass at
-    most once, in whichever of them needs it first.
-    When the peel leaves an empty core, G has no properly colored cycle at
-    all, so the search stops after stage 1 (an edgeless G among them);
-    stage 3 skips length 4, which stage 1 decided.
+    Both tick the one clock and share one _WalkClasses, so the one-color
+    peel runs once, at the start of the K_{2,2} scan, and the hub pass at
+    most once, in whichever stage needs it first. details gets the stage
+    that found the cycle (1 for the scan, 3 for the DFS; 2 went with the
+    orientation stage that once ran between them) and the walk periods,
+    as far as the search got. When the peel leaves an empty core, G has no
+    properly colored cycle at all, so the search stops after the scan (an
+    edgeless G among them); the DFS skips length 4, which the scan decided.
     """
     walks = _WalkClasses(G, clock, details)
     w = _kst_impl(G, 2, 2, clock, rainbow=False, walks=walks)
@@ -843,19 +903,6 @@ def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
         return _witness(G, "pc-cycle", (a, u, b, v))
     if not walks.core():
         return None
-
-    if G.n > 2:
-        _, D, _report = construct_orientation(G, 2, 2)
-        min_dplus = min(D.out_degree(v) for v in range(G.n))
-        target = math.ceil(G.n / r)
-        details["min_outdegree"] = min_dplus
-        details["outdegree_target"] = target
-        details["outdegree_margin"] = min_dplus - target
-        w = _shortest_directed_cycle_impl(D, clock)
-        if w is not None and len(w.vertices[0]) <= r:
-            details["stage"] = 2
-            return _witness(G, "pc-cycle", w.vertices[0])
-
     w = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock, walks)
     if w is not None:
         details["stage"] = 3
@@ -865,26 +912,22 @@ def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
 def pc_short_cycle_pipeline(
     G: EdgeColoredGraph, r: int, budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
-    """Three-stage search for a properly colored cycle of length at most r.
+    """Two-stage search for a properly colored cycle of length at most r.
 
     Stage 1 looks for a properly colored K_{2,2}, which is a properly
-    colored C4. Stage 2 builds the orientation for s=t=2 and takes a
-    shortest directed cycle, which maps back to a properly colored cycle of
-    the same length. Stage 3 falls back to the bounded DFS cycle search
-    over lengths 3 and 5..r, behind the walk-period filter of
+    colored C4. The DFS stage (details["stage"] 3) then runs the bounded
+    cycle search over lengths 3 and 5..r, behind the walk-period filter of
     find_pc_cycle_upto: lengths that no closed properly colored walk has
-    are skipped. The filter's peel runs once per call, at the start of
-    stage 1, and its hub pass at most once: in stage 1 when its K_{2,2}
+    are skipped. Its witness is find_pc_cycle_upto's whenever G has no
+    properly colored C4. The filter's peel runs once per call, at the start
+    of stage 1, and its hub pass at most once: in stage 1 when its K_{2,2}
     scan gets past the switch point of find_pc_kst, else at the start of
-    stage 3, and never when the peel left nothing. A peel that leaves
+    the DFS, and never when the peel left nothing. A peel that leaves
     nothing proves that G has no properly colored cycle, so the search ends
-    exhausted-none after stage 1, with no orientation figures in details.
-    details["walk_periods"] shows the periods whenever the hub pass ran,
-    and [] when the peel left nothing; the node counts include the ticks of
-    both. The three searches tick one clock, so a node or time budget stops
-    whichever of them is running.
-    The report carries the orientation's minimum out-degree and its margin
-    over ceil(n/r).
+    exhausted-none after stage 1. details["walk_periods"] shows the periods
+    whenever the hub pass ran, and [] when the peel left nothing; the node
+    counts include the ticks of both. The two stages tick one clock, so a
+    node or time budget stops whichever of them is running.
     """
     _require_int("r", r, 4)
     details: dict = {"r": r}
@@ -901,10 +944,12 @@ def disjoint_pc_cycles(
 ) -> SearchOutcome:
     """Greedily collect up to k vertex-disjoint properly colored cycles.
 
-    Each round runs the three stages of pc_short_cycle_pipeline with no
-    length bound (r = max(n, 4)) on the residual graph, removes the
-    vertices of the cycle it finds, and repeats; a round whose residual
-    peels to nothing ends after stage 1. With fewer than k cycles
+    Each round runs the two stages of pc_short_cycle_pipeline with no
+    length bound (r = max(n, 4)) on the residual graph, so it takes a
+    properly colored C4 if there is one and else a shortest properly
+    colored cycle, removes the vertices of that cycle, and repeats; a
+    round whose residual peels to nothing ends after stage 1. All rounds
+    tick one clock. With fewer than k cycles
     the outcome is exhausted-none and the partial family rides in the
     details; this is a greedy heuristic, not an exact packing decision.
     """

@@ -124,6 +124,32 @@ def is_pc_cycle(G, cyc) -> bool:
     return all(cols[i] != cols[(i + 1) % k] for i in range(k))
 
 
+def brute_shortest_pc_cycle(G, r):
+    """The length of a shortest properly colored cycle of G of length at
+    most r, or None. Every simple path that starts at its least vertex is
+    grown edge by edge, with no color test on the way, and each one that
+    closes is checked with is_pc_cycle; faster than the permutations of
+    brute_pc_cycle_lengths on sparse graphs."""
+    nbrs = {v: set() for v in range(G.n)}
+    for u, v, _ in G.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    best = None
+
+    def grow(path):
+        nonlocal best
+        if len(path) >= 3 and path[0] in nbrs[path[-1]] and is_pc_cycle(G, path):
+            best = len(path) if best is None else min(best, len(path))
+        if len(path) < r:
+            for w in nbrs[path[-1]]:
+                if w > path[0] and w not in path:
+                    grow(path + [w])
+
+    for v in range(G.n):
+        grow([v])
+    return best
+
+
 def brute_pc_cycle_lengths(G) -> set[int]:
     """Lengths for which at least one properly colored cycle exists."""
     pairs = [(u, v) for u, v, _ in G.edges]
@@ -292,3 +318,33 @@ def first_refused_row(build, rows):
         except ValueError as e:
             return k - 1, str(e)
     return None
+
+
+def brute_return_lengths(G, start, allowed, limit) -> dict:
+    """{(w, c): the fewest edges of a properly colored walk from w, entered
+    by an edge of color c, to start, with every vertex but start in allowed}
+    for each w in allowed and color c at w, where that is at most limit.
+
+    Walks through the explicit (vertex, entry color) states one edge at a
+    time, for each state on its own.
+    """
+    colors_at: dict[int, set] = {}
+    for u, v, c in G.edges:
+        colors_at.setdefault(u, set()).add(c)
+        colors_at.setdefault(v, set()).add(c)
+    lengths = {}
+    for w in allowed:
+        for c in colors_at.get(w, ()):
+            layer = {(w, c)}
+            for length in range(1, limit + 1):
+                steps = {
+                    (b if v == a else a, d)
+                    for v, e in layer
+                    for a, b, d in G.edges
+                    if d != e and v in (a, b)
+                }
+                if any(x == start for x, _ in steps):
+                    lengths[(w, c)] = length
+                    break
+                layer = {(x, d) for x, d in steps if x in allowed}
+    return lengths

@@ -1,4 +1,6 @@
+import math
 import random
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -6,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chroma.detectors as detectors
-from chroma.core import EdgeColoredGraph, OrientedGraph, Witness, total_color_degree
+from chroma.core import (
+    EdgeColoredGraph,
+    OrientedGraph,
+    Witness,
+    min_color_degree,
+    total_color_degree,
+)
 from chroma.constructions import (
     blowup_cycle_signature,
     circulant_tournament,
@@ -26,6 +34,7 @@ from chroma.detectors import (
     _WalkClasses,
     _drop_vertices,
     _one_color_core,
+    _return_table,
     _walk_classes,
     all_simple_cycles,
     check_total_degree_threshold,
@@ -50,6 +59,8 @@ from oracles import (
     brute_pc_cycle_lengths,
     brute_pc_kst_exists,
     brute_rainbow_kst_exists,
+    brute_return_lengths,
+    brute_shortest_pc_cycle,
     brute_walk_classes,
     first_pc_cycle_witness,
     first_pc_kst_witness,
@@ -457,6 +468,106 @@ class TestWalkPeriods:
         assert 0 < clock.nodes <= 2 * F.m + 6 * total_color_degree(F)
 
 
+@contextmanager
+def dfs_switch(nodes_per_edge):
+    """Run with the DFS building each start's return table once it has
+    spent nodes_per_edge x m nodes (0: before its first step; math.inf:
+    never); yields the list of the starts it builds one for."""
+    builds = []
+
+    def spy(adj, start, *rest, real=_return_table):
+        builds.append(start)
+        return real(adj, start, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detectors, "_WALK_SWITCH", nodes_per_edge)
+        mp.setattr(detectors, "_return_table", spy)
+        yield builds
+
+
+class TestReturnTable:
+    """The DFS's return table against walks through the explicit states,
+    and the DFS with the table built from its first step on."""
+
+    def test_matches_brute_force(self):
+        checked = 0
+        for seed in range(60):
+            G = cycle_search_instance(seed)
+            rng = random.Random(seed)
+            for start in range(G.n):
+                admitted = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
+                limit = rng.randint(1, G.n)
+                clock = _Clock(None)
+                first, near, via = _return_table(G.adj, start, admitted, limit, clock)
+                allowed = {v for v in admitted if v > start}
+                expect = brute_return_lengths(G, start, allowed, limit)
+                for w in allowed:
+                    for c in {c for _, c in G.adj[w]}:
+                        got = near[w] if c != first[w] else via[w]
+                        assert got == expect.get((w, c), limit + 1)
+                        checked += got <= limit
+                # Each vertex is handed on at most twice, start once.
+                assert clock.nodes <= 4 * G.m + len(G.adj[start])
+        assert checked > 100
+
+    def test_seeded_witnesses_with_the_table_first(self):
+        with dfs_switch(0) as builds:
+            for seed in range(120):
+                G = cycle_search_instance(seed)
+                for r in range(3, G.n + 1):
+                    out = find_pc_cycle_upto(G, r)
+                    assert (out.witness.vertices[0] if out.witness else None) == (
+                        first_witness_upto(G, r)
+                    )
+        assert len(builds) > 100
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_larger_graphs_keep_their_witnesses(self, seed):
+        # The same witness whether every start builds its table at once or
+        # none ever does, on graphs too large for the oracle.
+        G = pc_c4_free_instance(seed) if seed % 2 else gate_instance(seed)
+        r = random.Random(seed).randint(3, G.n)
+        with dfs_switch(0):
+            out = find_pc_cycle_upto(G, r)
+        with dfs_switch(math.inf) as builds:
+            plain = find_pc_cycle_upto(G, r)
+        assert not builds
+        assert (out.status, out.witness) == (plain.status, plain.witness)
+
+    def test_node_budget_sweep_with_the_table(self):
+        # A relabelled blow-up with the flower on one vertex; every start
+        # builds its table before its first step. Every node budget, inside
+        # a table build or not, ends budget-exceeded or with the unbudgeted
+        # answer.
+        G = pc_c4_free_instance(1)
+        with dfs_switch(0) as builds:
+            full = find_pc_cycle_upto(G, G.n)
+            assert full.status == FOUND and len(builds) > 1
+            for b in range(1, full.nodes + 2):
+                out = find_pc_cycle_upto(G, G.n, SearchBudget(max_nodes=b))
+                if out.status == BUDGET_EXCEEDED:
+                    assert out.witness is None and b < full.nodes
+                else:
+                    assert (out.status, out.witness, out.nodes) == (
+                        full.status, full.witness, full.nodes
+                    )
+
+    def test_cuts_the_dfs_on_a_relabelled_blowup(self):
+        # A pc path of a C7 blow-up that turns from going against the arcs
+        # to going with them never gets back to its start within 7 edges.
+        # With these labels the DFS from the first start tries many such
+        # paths until its table cuts them off. The walk-period filter costs
+        # the same either way: find_pc_cycle_upto(G, 6) is the filter alone.
+        G = relabelled(blowup_cycle_signature(7, 12), random.Random(6))
+        base = find_pc_cycle_upto(G, 6).nodes
+        out = find_pc_cycle_upto(G, 7)
+        with dfs_switch(math.inf):
+            plain = find_pc_cycle_upto(G, 7)
+        assert out.status == FOUND and out.witness == plain.witness
+        assert (out.nodes - base) * 10 < plain.nodes - base
+
+
 def fringed(G, rng, extra=None):
     """G with pendant trees and paths hung on random vertices: each tree in
     one color, each path with a color per edge. The walk-class pass peels
@@ -807,11 +918,13 @@ class TestWalkGate:
 
     # (find_pc_kst at (2,2), (2,3), (3,3), find_rainbow_kst at the same,
     # find_rainbow_c4, pc_short_cycle_pipeline and find_pc_cycle_upto at
-    # r = 6): the node counts from before the peel ran up front.
+    # r = 6): the node counts from before the peel ran up front, but for the
+    # pipeline's on the C6 blow-ups, which go straight from the K_{2,2} scan
+    # to the DFS.
     TWO_COLOR_NODES = {
         "circulant-9": [15, 594, 504, 15, 594, 504, 15, 15, 261],
-        "c6-blowup-2": [218, 66, 216, 218, 66, 216, 218, 236, 150],
-        "c6-blowup-3": [524, 524, 522, 524, 524, 522, 524, 548, 366],
+        "c6-blowup-2": [218, 66, 216, 218, 66, 216, 218, 224, 150],
+        "c6-blowup-3": [524, 524, 522, 524, 524, 522, 524, 530, 366],
     }
 
     @pytest.mark.parametrize("name", sorted(TWO_COLOR_NODES))
@@ -1003,7 +1116,7 @@ class TestPipeline:
             assert out.status == FOUND
             assert len(out.witness.vertices[0]) <= 4
             assert verify_witness(G, out.witness)
-            assert "min_outdegree" in out.details or out.details.get("stage") == 1
+            assert out.details["stage"] == 1
 
     def test_edgeless(self):
         assert pc_short_cycle_pipeline(EdgeColoredGraph(6), 4, None).status == EXHAUSTED
@@ -1023,22 +1136,59 @@ class TestPipeline:
         assert out2.status == BUDGET_EXCEEDED
 
     def test_budget_running_out_in_stage2(self):
-        # Budgets from the end of stage 1 up to the end of stage 2 run out on
-        # the shortest-directed-cycle tick; they must end budget-exceeded.
+        # The second stage that runs is the DFS. Budgets just short of the
+        # end of stage 1 run out in its scan; from there up to completion
+        # they run out in the DFS, after the scan has filled in the walk
+        # periods and before any stage found a cycle.
         G = extremal_no_pc_c4(3)
         stage1 = find_pc_kst(G, 2, 2).nodes
-        sdc = shortest_directed_cycle(construct_orientation(G, 2, 2)[1]).nodes
-        for b in range(stage1 - 2, stage1 + sdc + 2):
+        full = pc_short_cycle_pipeline(G, 6)
+        assert full.status == FOUND and full.details["stage"] == 3
+        for b in range(stage1 - 2, full.nodes):
             out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=b))
-            assert out.status in (BUDGET_EXCEEDED, FOUND)
-            if stage1 <= b < stage1 + sdc:
-                assert out.status == BUDGET_EXCEEDED
+            assert out.status == BUDGET_EXCEEDED and "stage" not in out.details
+            if b >= stage1:
+                assert out.details["walk_periods"] == [6]
 
+    def test_node_budget_stops_inside_stage2(self):
+        # The DFS ticks the pipeline's clock one node at a time, so it stops
+        # at most one node past the budget. G has no pc C4 and a non-empty
+        # core, so the DFS runs, and it costs more than 5 nodes.
+        G = extremal_no_pc_c4(3)
+        stage1 = find_pc_kst(G, 2, 2).nodes
+        budget = stage1 + 5
+        assert find_pc_cycle_upto(G, 6).nodes > 5
+        out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=budget))
+        assert out.status == BUDGET_EXCEEDED
+        assert budget <= out.nodes <= budget + 1
+        assert out.details == {"r": 6, "walk_periods": [6]}
+
+    @pytest.mark.parametrize("name", ["pipeline", "disjoint"])
+    def test_node_budget_sweep_across_the_dfs(self, name):
+        # The K_{2,2} scan of G ends past its switch point, so the hub pass
+        # has run and what is left is the DFS, which ticks one node at a
+        # time. Every budget from the end of the scan to completion ends
+        # budget-exceeded or found, with no private exception escaping, and
+        # spends at most one node past the budget.
+        G = extremal_no_pc_c4(3)
+        k22 = find_pc_kst(G, 2, 2)
+        assert k22.status == EXHAUSTED and k22.details["walk_periods"] == [6]
+        search = {
+            "pipeline": lambda b: pc_short_cycle_pipeline(G, 6, b),
+            "disjoint": lambda b: disjoint_pc_cycles(G, 1, b),
+        }[name]
+        full = search(None)
+        assert full.status == FOUND and full.nodes > k22.nodes
+        for b in range(k22.nodes, full.nodes + 1):
+            out = search(SearchBudget(max_nodes=b))
+            assert out.status in (BUDGET_EXCEEDED, FOUND)
+            assert out.nodes <= b + 1
+            assert (out.status == FOUND) == (b >= full.nodes)
 
     def test_stage3_skips_length_4(self):
-        # Stage 1 decided length 4 (a pc C4 is a pc K_{2,2}), so stage 3
-        # costs less than the DFS over every length up to r, and finds the
-        # same cycle. The flower's closed pc walks have period 1, so the
+        # Stage 1 decided length 4 (a pc C4 is a pc K_{2,2}), so the DFS
+        # stage costs less than the DFS over every length up to r, and finds
+        # the same cycle. The flower's closed pc walks have period 1, so the
         # walk-period filter admits length 4 for both searches.
         B = extremal_no_pc_c4(3)
         flower, n = flower_edges(B.n)
@@ -1047,10 +1197,9 @@ class TestPipeline:
         assert out.status == FOUND and out.details["stage"] == 3
         assert out.details["walk_periods"] == [1, 6]
         stage1 = find_pc_kst(G, 2, 2).nodes
-        stage2 = shortest_directed_cycle(construct_orientation(G, 2, 2)[1]).nodes
         dfs = find_pc_cycle_upto(G, 6)
         assert out.witness == dfs.witness
-        assert out.nodes - stage1 - stage2 < dfs.nodes
+        assert out.nodes - stage1 < dfs.nodes
 
     def test_budget_running_out_in_walk_filter(self, walk_passes):
         # Budgets across the walk-period filter, which stage 1 runs here once
@@ -1067,21 +1216,9 @@ class TestPipeline:
                 assert out.status == BUDGET_EXCEEDED
                 assert "walk_periods" not in out.details
 
-    def test_node_budget_stops_inside_stage2(self):
-        # The BFS ticks the pipeline's clock level by level, so it stops at
-        # most n nodes past the budget. The core of G is not empty and G has
-        # no pc C4, so stage 2 runs, and its BFS costs more than 5 nodes.
-        G = extremal_no_pc_c4(3)
-        budget = find_pc_kst(G, 2, 2).nodes + 5
-        assert shortest_directed_cycle(construct_orientation(G, 2, 2)[1]).nodes > 5
-        out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=budget))
-        assert out.status == BUDGET_EXCEEDED
-        assert out.nodes <= budget + G.n
-        assert "min_outdegree" in out.details and "stage" not in out.details
-
     def test_acyclic_signatures_stop_after_stage1(self):
         # The peel empties an acyclic signature, which proves that it has no
-        # pc cycle: stages 2 and 3 never run, and the search costs one tick
+        # pc cycle: the DFS never runs, and the search costs one tick
         # per edge, as find_pc_kst does.
         for n in range(10, 61):
             G = signature(transitive_tournament(n))
@@ -1094,15 +1231,98 @@ class TestPipeline:
             assert out.details == {"requested": 2, "cycles": []}
 
 
-class TestDisjointPcCycles:
-    def test_node_budget_stops_inside_stage2(self):
-        G = extremal_no_pc_c4(3)
-        budget = find_pc_kst(G, 2, 2).nodes + 5
-        assert shortest_directed_cycle(construct_orientation(G, 2, 2)[1]).nodes > 5
-        out = disjoint_pc_cycles(G, 1, SearchBudget(max_nodes=budget))
-        assert out.status == BUDGET_EXCEEDED
-        assert out.nodes <= budget + G.n
+def pc_c4_free_instance(seed):
+    """A graph for the pipeline-against-DFS checks, most often with no pc
+    C4: a relabelled blow-up of a directed C3 or C5..C8, the same with the
+    flower of flower_edges on its last vertex, the signature of a random
+    oriented graph, or a sparse random graph with two or three colors."""
+    rng = random.Random(seed)
+    kind = seed % 4
+    if kind <= 1:
+        r = rng.choice((3, 5, 6, 7, 8))
+        G = blowup_cycle_signature(r, rng.randint(1, 3 if r <= 5 else 2))
+        if kind == 1:
+            flower, n = flower_edges(G.n - 1)
+            G = EdgeColoredGraph(n, list(G.edges) + flower)
+    elif kind == 2:
+        G = signature(random_oriented_graph(rng.randint(4, 10), rng.choice((0.3, 0.5)), seed))
+    else:
+        G = random_edge_colored_graph(
+            rng.randint(4, 10), rng.choice((0.25, 0.4)), rng.randint(2, 3), seed
+        )
+    return relabelled(G, rng)
 
+
+def assert_pipeline_is_the_dfs(G, r) -> bool:
+    """Whether G has no pc C4; if so, check that the pipeline returns the
+    DFS's answer for at most the K_{2,2} scan's nodes more, and for n <= 10
+    a cycle of the length brute_shortest_pc_cycle gives."""
+    k22 = find_pc_kst(G, 2, 2)
+    if k22.status != EXHAUSTED:
+        return False
+    out = pc_short_cycle_pipeline(G, r)
+    dfs = find_pc_cycle_upto(G, r)
+    assert (out.status, out.witness) == (dfs.status, dfs.witness)
+    assert out.nodes <= k22.nodes + dfs.nodes
+    if G.n <= 10:
+        shortest = brute_shortest_pc_cycle(G, r)
+        assert (len(out.witness.vertices[0]) if out.witness else None) == shortest
+    return True
+
+
+class TestPipelineIsTheDfs:
+    """With no pc C4, the pipeline's K_{2,2} scan finds nothing and its DFS
+    answers as find_pc_cycle_upto does."""
+
+    def test_seeded(self):
+        checked = small = found = 0
+        for seed in range(160):
+            G = pc_c4_free_instance(seed)
+            r = random.Random(seed).randint(4, max(4, G.n))
+            if assert_pipeline_is_the_dfs(G, r):
+                checked += 1
+                small += G.n <= 10
+                found += pc_short_cycle_pipeline(G, r).status == FOUND
+        assert checked > 80 and small > 30 and 20 < found < checked
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_hypothesis(self, seed):
+        G = pc_c4_free_instance(seed)
+        assert_pipeline_is_the_dfs(G, random.Random(seed).randint(4, max(4, G.n)))
+
+
+class TestNoPcC4Family:
+    """Blow-ups of a directed C5 and a directed C7, with their own ids and
+    relabelled: the paper's own regime. They have no pc C4 and no pc cycle
+    shorter than r, and their minimum color degree is n/r + 1, below
+    the n/r + 2 sqrt(n) + 1 from which the paper's orientation argument
+    (given the Caccetta-Haggkvist conjecture) yields a pc cycle of length
+    at most r. Every pipeline query on them goes past the K_{2,2} scan to
+    the DFS."""
+
+    @pytest.mark.parametrize("labels", [None, 0, 2])
+    @pytest.mark.parametrize("r, k", [(5, 8), (5, 24), (7, 8), (7, 12)])
+    def test_pipeline_answers_with_the_dfs(self, r, k, labels):
+        G = blowup_cycle_signature(r, k)
+        if labels is not None:
+            G = relabelled(G, random.Random(labels))
+        n = G.n
+        assert min_color_degree(G) == n // r + 1 < n / r + 2 * math.sqrt(n) + 1
+        k22 = find_pc_kst(G, 2, 2)
+        assert k22.status == EXHAUSTED and k22.details["walk_periods"] == [r]
+        for L in (r - 1, r):
+            out = pc_short_cycle_pipeline(G, L)
+            dfs = find_pc_cycle_upto(G, L)
+            assert (out.status, out.witness) == (dfs.status, dfs.witness)
+            assert out.status == (FOUND if L == r else EXHAUSTED)
+            # The scan ran the hub pass. A start whose DFS runs long spends
+            # 3m nodes, then at most about 4m on its return table, after
+            # which these graphs leave it little to search.
+            assert out.nodes - k22.nodes <= 7 * G.m
+
+
+class TestDisjointPcCycles:
     def test_round_on_an_acyclic_residual_stops_after_stage1(self):
         # A pc triangle beside an acyclic signature: the second round's
         # residual peels to nothing, one tick per edge, and ends there.
@@ -1420,6 +1640,12 @@ class TestWitnessVerification:
             G = random_edge_colored_graph(n, 0.6, 2, seed)
             pairs = [(u, v) for u, v, _ in G.edges]
             assert set(all_simple_cycles(n, pairs)) == all_cycles_by_permutation(n, pairs)
+            # The path-growing oracle agrees with the permutation one.
+            lengths = brute_pc_cycle_lengths(G)
+            for r in range(3, n + 1):
+                assert brute_shortest_pc_cycle(G, r) == min(
+                    (L for L in lengths if L <= r), default=None
+                )
 
     def test_oracle_consistency_kst_vs_cycle(self):
         # pc K_{2,2} exists iff a pc 4-cycle exists

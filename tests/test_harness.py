@@ -15,7 +15,7 @@ from chroma.constructions import (
 from chroma import cli
 from chroma.cli import EXIT_INPUT_ERROR
 from chroma.core import EdgeColoredGraph
-from chroma.detectors import find_pc_kst
+from chroma.detectors import find_pc_kst, pc_short_cycle_pipeline
 from chroma.formats import load, save, strip_bipartition
 from chroma.suites import SUITE_NAMES, analyze, instance_digest, run_suite
 from chroma.transforms import signature
@@ -233,12 +233,14 @@ class TestCli:
         assert res.returncode == 3
         assert "line 2" in res.stderr
 
-    def test_find_pipeline_budget_out_in_stage2(self, tmp_path):
-        # A node budget that runs out after stage 1 exits 2, not a traceback.
+    def test_find_pipeline_budget_out_in_the_dfs(self, tmp_path):
+        # A node budget that runs out in the DFS, after the K_{2,2} scan,
+        # exits 2, not a traceback.
         G = strip_bipartition(extremal_no_pc_c4(3))
         ecg = tmp_path / "ext.ecg"
         save(G, ecg)
-        budget = find_pc_kst(G, 2, 2).nodes
+        budget = find_pc_kst(G, 2, 2).nodes + 3
+        assert pc_short_cycle_pipeline(G, 6).nodes > budget
         res = run_cli(
             "find", "pipeline", "--max-len", "6", "-i", str(ecg),
             "--budget-nodes", str(budget),
