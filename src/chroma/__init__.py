@@ -3,7 +3,8 @@
 Data model and metrics live in chroma.core; transforms between oriented and
 edge-colored graphs in chroma.transforms; the saturation extraction and
 orientation construction in chroma.extraction; bounded-exhaustive search
-oracles in chroma.detectors; instance generators in chroma.constructions;
+oracles in chroma.detectors; search-free checks of witnesses and
+orientations in chroma.check; instance generators in chroma.constructions;
 text formats in chroma.formats; verification suites in chroma.suites.
 """
 
@@ -46,8 +47,8 @@ from .detectors import (
     find_rainbow_kst,
     pc_short_cycle_pipeline,
     shortest_directed_cycle,
-    verify_witness,
 )
+from .check import verify_orientation, verify_witness
 from .constructions import (
     RecolorError,
     RecolorParams,

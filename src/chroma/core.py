@@ -242,6 +242,8 @@ class ColoredOrientation:
             _check_arc(n, tails, t, h)
             if host_colors.get((t, h) if t < h else (h, t), _NO_EDGE) != c:
                 raise ValueError(f"arc ({t},{h},{c}) does not match a host edge")
+            if type(c) is not int:  # True and 1.0 equal a host color 1
+                _require_color(c)
             norm.append(a if type(a) is tuple else (t, h, c))
         norm.sort()
         object.__setattr__(self, "arcs", tuple(norm))

@@ -22,9 +22,9 @@ from .core import (
     _require_real,
     color_degree,  # unused here; bench/tracing.py wraps it by this path
     is_properly_colored,
-    is_rainbow,
     total_color_degree,
 )
+from .check import _host_edges, verify_witness
 # construct_orientation is unused here; bench/tracing.py wraps it by this path
 from .extraction import _check_st, construct_orientation, sigma
 
@@ -120,81 +120,6 @@ def _search(budget: Optional[SearchBudget], body, details: dict) -> SearchOutcom
     return SearchOutcome(status, w, clock.nodes, clock.elapsed, details)
 
 
-def _cycle_edges(cycle):
-    k = len(cycle)
-    return [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
-
-
-def _host_edges(host, kind: str, groups) -> Optional[list[tuple[int, ...]]]:
-    """The edges a witness of kind on the vertex groups must have, or None
-    when one of them is missing from host.
-
-    The pairs are S x T for a K_{s,t} (groups S, T) and the consecutive
-    pairs of each cycle otherwise. For a directed cycle the edges are the
-    arcs of host on them, read from host.arcs as (tail, head) or
-    (tail, head, color); otherwise they are (min, max, color) triples.
-    """
-    if kind in ("pc-kst", "rainbow-kst"):
-        S, T = groups
-        pairs = [(u, v) for u in S for v in T]
-    else:
-        pairs = [p for cycle in groups for p in _cycle_edges(cycle)]
-    if kind == "directed-cycle":
-        arcs = {arc[:2]: arc for arc in host.arcs}
-        edges = [arcs.get(p) for p in pairs]
-    else:
-        colors = host.pair_colors
-        edges = []
-        for u, v in pairs:
-            e = (u, v) if u < v else (v, u)
-            edges.append((*e, colors[e]) if e in colors else None)
-    return None if None in edges else edges
-
-
-def verify_witness(host, w: Witness) -> bool:
-    """Re-verify a witness against its host graph; False on any mismatch.
-
-    The vertices must be pairwise distinct: two nonempty sides for a
-    K_{s,t}, one cycle of length at least 3 (several for disjoint-cycles)
-    otherwise. The edges must be exactly the host's edges that the
-    structure needs (see _host_edges), in any order. Colored witnesses must
-    then be properly colored, and the rainbow kinds rainbow.
-    """
-    groups = w.vertices
-    if w.kind in ("pc-kst", "rainbow-kst"):
-        shaped = len(groups) == 2 and all(groups)
-    else:
-        shaped = (
-            bool(groups)
-            and (len(groups) == 1 or w.kind == "disjoint-cycles")
-            and all(len(g) >= 3 for g in groups)
-        )
-    flat = [v for g in groups for v in g]
-    # Only a digraph has arcs, and only an edge-colored graph has colors.
-    if (w.kind == "directed-cycle") == isinstance(host, EdgeColoredGraph):
-        return False
-    try:
-        if not shaped or len(set(flat)) != len(flat):
-            return False
-        want = _host_edges(host, w.kind, groups)
-        if want is None or sorted(w.edges) != sorted(want):
-            return False
-    except TypeError:  # vertices or edges that are not comparable ints
-        return False
-    if w.kind == "directed-cycle":
-        return True
-    # A rainbow edge set is properly colored as well.
-    if w.kind in ("rainbow-kst", "rainbow-cycle"):
-        return is_rainbow(host, want)
-    return is_properly_colored(host, want)
-
-
-def _checked(G, w: Witness) -> Witness:
-    if not verify_witness(G, w):
-        raise RuntimeError(f"internal error: {w.kind} witness failed re-verification")
-    return w
-
-
 def _witness(host, kind: str, *groups) -> Witness:
     """The re-verified witness of kind on the vertex groups of host, with
     the edges of _host_edges: sorted for the colored kinds, in cycle order
@@ -202,7 +127,11 @@ def _witness(host, kind: str, *groups) -> Witness:
     edges = _host_edges(host, kind, groups)
     if kind != "directed-cycle":
         edges.sort()
-    return _checked(host, Witness(kind, groups, edges))
+    w = Witness(kind, groups, edges)
+    # Bare name: the bench tracer's wrap of chroma.detectors.verify_witness sees it.
+    if not verify_witness(host, w):
+        raise RuntimeError(f"internal error: {kind} witness failed re-verification")
+    return w
 
 
 # ---------------------------------------------------------------------------

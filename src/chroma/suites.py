@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from .check import verify_orientation, verify_witness
 from .constructions import (
     RecolorParams,
     circulant_tournament,
@@ -47,7 +48,6 @@ from .detectors import (
     find_rainbow_c4,
     find_rainbow_kst,
     pc_short_cycle_pipeline,
-    verify_witness,
 )
 from .extraction import (
     ExtractionParams,
@@ -235,37 +235,6 @@ def _suite_lemma1(trials, seed, budget, rec, config):
     config["certified"] = certified
 
 
-def _check_orientation_invariants(rec, tseed, G, D, H, s):
-    in_colors = [set() for _ in range(G.n)]
-    out_colors = [set() for _ in range(G.n)]
-    pairs = set()
-    host_ok = True
-    for t_, h, c in D.arcs:
-        pairs.add((t_, h))
-        in_colors[h].add(c)
-        out_colors[t_].add(c)
-        if not G.has_edge(t_, h) or G.color_of(t_, h) != c:
-            host_ok = False
-    rec.check(
-        not any((h, t_) in pairs for t_, h in pairs), tseed, G,
-        "orientation has no anti-parallel arcs",
-    )
-    rec.check(host_ok, tseed, G, "every arc matches a host edge and color")
-    rec.check(
-        all(not (in_colors[v] & out_colors[v]) for v in range(G.n)),
-        tseed, G, "per-vertex in-arc and out-arc color sets are disjoint",
-    )
-    rec.check(
-        all(len(in_colors[v]) <= s - 1 for v in range(G.n)),
-        tseed, G, "per-vertex in-arc color set has size at most s-1",
-    )
-    rec.check(
-        {(u, v) for u, v, _ in H.edges}
-        == {(min(t_, h), max(t_, h)) for t_, h, _ in D.arcs},
-        tseed, G, "H equals the arc support",
-    )
-
-
 def _suite_orientation(trials, seed, budget, rec, config):
     st_cycle = ((2, 2), (2, 3), (3, 3))
     t0 = time.monotonic()
@@ -280,11 +249,12 @@ def _suite_orientation(trials, seed, budget, rec, config):
         if bipartite and n >= 2:
             n1 = rng.randint(1, n - 1)
             G = random_bipartite_edge_colored(n1, n - n1, p, colors, rng.getrandbits(32))
-            H, D, _rep = construct_orientation_bipartite(G, s, t)
+            _, D, rep = construct_orientation_bipartite(G, s, t)
         else:
             G = random_edge_colored_graph(n, p, colors, rng.getrandbits(32))
-            H, D, _rep = construct_orientation(G, s, t)
-        _check_orientation_invariants(rec, tseed, G, D, H, s)
+            _, D, rep = construct_orientation(G, s, t)
+        problem = verify_orientation(G, D, s, rep)
+        rec.check(problem is None, tseed, G, problem)
     config["elapsed_unconditional"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -436,15 +406,10 @@ RECOLOR_DEFAULTS = {"n": 20, "s": 3, "t": 7, "gamma": 0.1, "max_tries": 50_000}
 
 
 def _suite_recolor(trials, seed, budget, rec, config):
-    cfg = dict(RECOLOR_DEFAULTS)
-    cfg.update(config.get("recolor", {}))
     attempts_log = []
     for i in range(trials):
         tseed = _trial_seed(seed, i)
-        params = RecolorParams(
-            n=cfg["n"], s=cfg["s"], t=cfg["t"], gamma=cfg["gamma"],
-            seed=tseed, max_tries=cfg["max_tries"],
-        )
+        params = RecolorParams(seed=tseed, **RECOLOR_DEFAULTS)
         G, attempts = recolored_tournament(params)
         attempts_log.append(attempts)
         rec.check(
@@ -459,7 +424,7 @@ def _suite_recolor(trials, seed, budget, rec, config):
             min_color_degree(G) >= math.ceil(params.n / 2), tseed, G,
             "recolored tournament keeps minimum color degree at least n/2",
         )
-    config.update(cfg)
+    config.update(RECOLOR_DEFAULTS)
     if attempts_log:
         config["attempts_max"] = max(attempts_log)
         config["attempts_mean"] = sum(attempts_log) / len(attempts_log)
@@ -480,7 +445,7 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, trials: int, seed: int, budget=None, config=None) -> SuiteReport:
+def run_suite(name: str, trials: int, seed: int, budget=None) -> SuiteReport:
     """Run a named verification suite deterministically under a seed.
 
     trials bounds the number of instances (the whole fixed family for the
@@ -491,9 +456,7 @@ def run_suite(name: str, trials: int, seed: int, budget=None, config=None) -> Su
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
     _require_int("trials", trials, 0)
     rec = _Recorder()
-    cfg = dict(config or {})
-    cfg.setdefault("seed", seed)
-    cfg.setdefault("trials", trials)
+    cfg = {"seed": seed, "trials": trials}
     start = time.monotonic()
     if trials > 0:
         _SUITES[name](trials, seed, budget, rec, cfg)

@@ -17,8 +17,8 @@ def _report(cid, label, ok, elapsed, limit, detail=""):
     print(f"ACCEPTANCE {cid} {label}: {status} ({elapsed:.1f}s / limit {limit}s){extra}")
 
 
-def _run(cid, label, name, trials, limit, seed=SEED, config=None):
-    rep = run_suite(name, trials, seed, config=config)
+def _run(cid, label, name, trials, limit, seed=SEED):
+    rep = run_suite(name, trials, seed)
     ok = rep.passed and rep.elapsed_s < limit
     _report(cid, label, ok, rep.elapsed_s, limit, f"trials={rep.trials}")
     assert rep.passed, [f"seed={f.seed} {f.assertion}" for f in rep.failures][:5]

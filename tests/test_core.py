@@ -111,6 +111,12 @@ class TestInvariants:
             ColoredOrientation(host, [(0, 1, 5)])
         with pytest.raises(ValueError, match="host"):
             ColoredOrientation(host, [(0, 2, 4)])
+        # A bool or a float that equals the host's color is still no color.
+        host = EdgeColoredGraph(3, [(0, 1, 1), (1, 2, 0)])
+        for arc in [(0, 1, True), (0, 1, 1.0), (2, 1, False), (2, 1, 0.0)]:
+            with pytest.raises(ValueError) as exc:
+                ColoredOrientation(host, [arc])
+            assert str(exc.value) == f"color must be a nonnegative integer, got {arc[2]!r}"
 
 
 class Vertex(enum.IntEnum):

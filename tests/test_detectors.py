@@ -1580,6 +1580,10 @@ WITNESS_CASES = [
 ]
 
 
+class IntId(int):
+    """An int subclass, which verify_witness accepts as an id."""
+
+
 def tamper_applies(case, tamper):
     return {
         "wrong-color": case != "directed-cycle",
@@ -1606,6 +1610,26 @@ class TestWitnessVerification:
     def test_tampered_witness_fails(self, case, tamper):
         host, w = valid_witness(case)
         assert not verify_witness(host, TAMPERS[tamper](host, w))
+
+    @pytest.mark.parametrize("case", WITNESS_CASES)
+    @pytest.mark.parametrize("lookalike,accepted", [(float, False), (bool, False), (IntId, True)])
+    def test_ids_must_be_ints(self, case, lookalike, accepted):
+        # 1.0 and True equal the id 1, and would pass as it. Every case
+        # holds a vertex 1 or a color 1; a float copy of its first vertex
+        # or a bool copy of that 1 is refused, an int subclass accepted.
+        host, w = valid_witness(case)
+        old = w.vertices[0][0] if lookalike is float else 1
+
+        def swap(x):
+            return lookalike(x) if x == old else x
+
+        mutated = Witness(
+            w.kind,
+            [[swap(v) for v in g] for g in w.vertices],
+            [[swap(x) for x in e] for e in w.edges],
+        )
+        assert any(type(x) is lookalike for e in mutated.edges for x in e)
+        assert verify_witness(host, mutated) == accepted
 
     @pytest.mark.parametrize("case", ["directed-cycle", "colored-directed-cycle"])
     def test_directed_cycle_edges_must_be_its_arcs(self, case):
