@@ -43,19 +43,24 @@ def _budget(args) -> detectors.SearchBudget | None:
 
 
 def _write_output(obj, path) -> None:
-    """Render obj and write it to path, or to stdout for None or "-"."""
-    try:
-        text = formats.render(obj)
-    except ValueError:  # only a bipartition that is not a vertex prefix
-        sys.stderr.write(
-            "note: bipartition is not prefix-representable; writing without it\n"
-        )
-        text = formats.render(formats.strip_bipartition(obj))
+    """Render obj to stdout for None or "-", else save it to path."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(formats.render(obj))
     else:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        formats.save(obj, path)
+
+
+_SUFFIX = {OrientedGraph: ".org", EdgeColoredGraph: ".ecg"}
+
+
+def _load(path, cls, what):
+    """Load the graph file at path; the command `what` needs a cls there."""
+    if path is None:
+        raise ValueError(f"{what} needs -i/--input")
+    obj = formats.load(path)
+    if not isinstance(obj, cls):
+        raise ValueError(f"{what} expects an {_SUFFIX[cls]} input")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -66,20 +71,11 @@ def _cmd_gen(args) -> int:
     what = args.what
     seed = args.seed if args.seed is not None else _default_seed()
     if what == "signature":
-        D = formats.load(args.input)
-        if not isinstance(D, OrientedGraph):
-            raise ValueError("gen signature expects an .org input")
-        out = transforms.signature(D)
+        out = transforms.signature(_load(args.input, OrientedGraph, "gen signature"))
     elif what == "dual":
-        G = formats.load(args.input)
-        if not isinstance(G, EdgeColoredGraph):
-            raise ValueError("gen dual expects an .ecg input")
-        out = transforms.dual_graph(G)
+        out = transforms.dual_graph(_load(args.input, EdgeColoredGraph, "gen dual"))
     elif what == "blowup":
-        D = formats.load(args.input)
-        if not isinstance(D, OrientedGraph):
-            raise ValueError("gen blowup expects an .org input")
-        out = transforms.blow_up(D, args.k)
+        out = transforms.blow_up(_load(args.input, OrientedGraph, "gen blowup"), args.k)
     elif what == "transitive":
         out = constructions.transitive_tournament(args.n)
     elif what == "circulant":
@@ -117,9 +113,7 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_orient(args) -> int:
-    G = formats.load(args.input)
-    if not isinstance(G, EdgeColoredGraph):
-        raise ValueError("orient expects an .ecg input")
+    G = _load(args.input, EdgeColoredGraph, "orient")
     if G.bipartition is not None and not args.general:
         H, D, report = extraction.construct_orientation_bipartite(G, args.s, args.t, args.x)
     else:
@@ -218,9 +212,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    G = formats.load(args.input)
-    if not isinstance(G, EdgeColoredGraph):
-        raise ValueError("analyze expects an .ecg input")
+    G = _load(args.input, EdgeColoredGraph, "analyze")
     report = suites.analyze(G, r=args.r)
     if args.json:
         json.dump(report, sys.stdout, indent=2)

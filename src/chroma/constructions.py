@@ -58,16 +58,20 @@ def directed_cycle(r: int) -> OrientedGraph:
 def blowup_cycle_signature(r: int, k: int) -> EdgeColoredGraph:
     """Signature of the k-blow-up of a directed r-cycle.
 
-    For even r the alternate-block bipartition is attached. Every vertex has
-    out-degree and in-degree k in the blow-up, so the minimum color degree
-    is k + 1.
+    Block b is {b*k, ..., b*k + k - 1}. Odd r blows up directed_cycle(r).
+    Even r blows up the r-cycle 0 -> h -> 1 -> h+1 -> ... -> h-1 -> r-1 -> 0
+    (h = r/2): position p of the cycle is block p // 2 + (p % 2) * h, so the
+    attached bipartition has side 1 = {0, ..., h*k - 1}, a vertex prefix.
+    Every vertex has out-degree and in-degree k in the blow-up, so the
+    minimum color degree is k + 1.
     """
-    G = signature(blow_up(directed_cycle(r), k))
-    if r % 2 == 0:
-        side1 = [b * k + i for b in range(0, r, 2) for i in range(k)]
-        side2 = [b * k + i for b in range(1, r, 2) for i in range(k)]
-        G = EdgeColoredGraph(G.n, G.edges, bipartition=(side1, side2))
-    return G
+    _require_int("r", r, 3)
+    if r % 2:
+        return signature(blow_up(directed_cycle(r), k))
+    h = r // 2
+    at = [p // 2 + (p % 2) * h for p in range(r)]
+    G = signature(blow_up(OrientedGraph(r, [(at[p - 1], at[p]) for p in range(r)]), k))
+    return EdgeColoredGraph(G.n, G.edges, bipartition=(range(h * k), range(h * k, r * k)))
 
 
 def extremal_no_pc_c4(k: int) -> EdgeColoredGraph:

@@ -264,20 +264,9 @@ class ColoredOrientation:
         # Arcs are sorted, so each list is built in ascending order.
         return tuple(map(tuple, lists))
 
-    @cached_property
-    def in_adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        lists: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for t, h, c in self.arcs:
-            lists[h].append((t, c))
-        return tuple(map(tuple, lists))
-
     def out_degree(self, v: int) -> int:
         _require_vertex(self.n, v)
         return len(self.out_adj[v])
-
-    def in_degree(self, v: int) -> int:
-        _require_vertex(self.n, v)
-        return len(self.in_adj[v])
 
 
 @dataclass(frozen=True)

@@ -129,30 +129,15 @@ def _build(lines, line_no: int, m: int, width: int, what: str, build):
     raise fault
 
 
-def _prefix_bipartition(G: EdgeColoredGraph):
-    """Return k when bipartition is ({0..k-1}, {k..n-1}), else None."""
-    if G.bipartition is None:
-        return None
-    k = len(G.bipartition[0])
-    if G.bipartition[0] == frozenset(range(k)):
-        return k
-    return None
-
-
-def strip_bipartition(G: EdgeColoredGraph) -> EdgeColoredGraph:
-    return EdgeColoredGraph(G.n, G.edges)
-
-
 def render_ecg(G: EdgeColoredGraph) -> str:
-    """Canonical `.ecg` text. Only prefix bipartitions ({0..k-1} as side 1)
-    are representable; strip_bipartition first for anything else."""
-    k = _prefix_bipartition(G)
-    if G.bipartition is not None and k is None:
-        raise ValueError(
-            "bipartition side 1 is not a vertex prefix and cannot be rendered; "
-            "use strip_bipartition first"
-        )
-    header = f"ecg {G.n} {G.m}" if k is None else f"ecg {G.n} {G.m} bipartite {k}"
+    """Canonical `.ecg` text. A bipartition is written as the size k of
+    side 1, so side 1 must be the vertex prefix {0, ..., k-1}."""
+    header = f"ecg {G.n} {G.m}"
+    if G.bipartition is not None:
+        k = len(G.bipartition[0])
+        if G.bipartition[0] != frozenset(range(k)):
+            raise ValueError("bipartition side 1 is not a vertex prefix and cannot be rendered")
+        header += f" bipartite {k}"
     return header + "\n" + "%d %d %d\n" * G.m % tuple(chain.from_iterable(G.edges))
 
 

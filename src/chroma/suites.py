@@ -56,7 +56,7 @@ from .extraction import (
     saturation_extract,
     sigma,
 )
-from .formats import render_ecg, strip_bipartition
+from .formats import render_ecg
 from .transforms import dual_graph, signature
 
 _EPS = 1e-9
@@ -104,11 +104,7 @@ class SuiteReport:
 def instance_digest(G) -> str:
     """64-bit hash of the canonical rendering, for compact failure logs."""
     if isinstance(G, EdgeColoredGraph):
-        try:
-            text = render_ecg(G)
-        except ValueError:
-            sides = sorted(tuple(sorted(s)) for s in G.bipartition)
-            text = render_ecg(strip_bipartition(G)) + repr(sides)
+        text = render_ecg(G)
     else:
         text = repr((type(G).__name__, getattr(G, "n", None), getattr(G, "arcs", None)))
     return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
@@ -238,12 +234,13 @@ def _suite_lemma1(trials, seed, budget, rec, config):
 def _suite_orientation(trials, seed, budget, rec, config):
     st_cycle = ((2, 2), (2, 3), (3, 3))
     t0 = time.monotonic()
+    arcs_at_s3 = 0
     for i in range(trials):
         tseed = _trial_seed(seed, i)
         rng = random.Random(tseed)
         n = rng.randint(1, 40)
         s, t = st_cycle[i % 3]
-        colors = rng.choice([1, 2, 4, 8, 16])
+        colors = rng.choice([1, 2, 4, 8, 16, 64, 1024])
         p = rng.choice([0.1, 0.3, 0.6])
         bipartite = rng.random() < 0.25
         if bipartite and n >= 2:
@@ -255,7 +252,10 @@ def _suite_orientation(trials, seed, budget, rec, config):
             _, D, rep = construct_orientation(G, s, t)
         problem = verify_orientation(G, D, s, rep)
         rec.check(problem is None, tseed, G, problem)
+        if s == 3 and D.m:
+            arcs_at_s3 += 1
     config["elapsed_unconditional"] = time.monotonic() - t0
+    config["arcs_at_s3"] = arcs_at_s3
 
     t0 = time.monotonic()
     certified = 0

@@ -58,9 +58,12 @@ def test_c04_orientation_unconditional(orientation_report):
     rep = orientation_report
     failures = [f for f in rep.failures if "out-degree bound" not in f.assertion]
     elapsed = rep.config["elapsed_unconditional"]
-    ok = not failures and elapsed < 30
-    _report("C4", "orientation invariants", ok, elapsed, 30, "trials=500")
+    # The in-colour bound s - 1 is exercised at s = 3 only where arcs are kept.
+    arcs_at_s3 = rep.config["arcs_at_s3"]
+    ok = not failures and elapsed < 30 and arcs_at_s3 > 0
+    _report("C4", "orientation invariants", ok, elapsed, 30, f"trials=500 arcs_at_s3={arcs_at_s3}")
     assert not failures, [f.assertion for f in failures][:5]
+    assert arcs_at_s3 > 0
     assert elapsed < 30
 
 

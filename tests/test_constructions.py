@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chroma.core import (
     EdgeColoredGraph,
+    OrientedGraph,
     color_degree,
     is_properly_colored,
     min_color_degree,
@@ -39,7 +40,7 @@ from chroma.detectors import (
     shortest_directed_cycle,
 )
 from chroma.formats import render_ecg, render_org
-from chroma.transforms import signature
+from chroma.transforms import blow_up, signature
 
 from oracles import brute_subset_density_ok
 
@@ -109,7 +110,10 @@ class TestDirectedCycle:
 
 class TestExtremalFamilies:
     def test_k1_are_plain_cycle_signatures(self):
-        assert extremal_no_pc_c4(1).edges == signature(directed_cycle(6)).edges
+        # Even r: the cycle visits 0, h, 1, h+1, ..., h-1, r-1 (h = r/2).
+        assert extremal_no_pc_c4(1).edges == signature(
+            OrientedGraph(6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
+        ).edges
         assert (
             extremal_no_rainbow_c4_trianglefree(1).edges
             == signature(directed_cycle(5)).edges
@@ -129,9 +133,21 @@ class TestExtremalFamilies:
 
     def test_bipartition_blocks(self):
         G = extremal_no_pc_c4(2)
-        assert G.bipartition is not None
-        side1 = G.bipartition[0]
-        assert side1 == frozenset({0, 1, 4, 5, 8, 9})
+        assert G.bipartition == (frozenset(range(6)), frozenset(range(6, 12)))
+
+    @pytest.mark.parametrize("r, k", [(4, 2), (6, 3), (8, 1)])
+    def test_even_r_relabels_the_plain_blow_up(self, r, k):
+        # Block b of blow_up(directed_cycle(r), k) becomes block
+        # b // 2 + (b % 2) * r/2; a vertex keeps its place in its block.
+        def new(v):
+            b = v // k
+            return (b // 2 + b % 2 * (r // 2)) * k + v % k
+
+        plain = signature(blow_up(directed_cycle(r), k))
+        relabelled = [(new(u), new(v), new(c)) for u, v, c in plain.edges]
+        assert blowup_cycle_signature(r, k) == EdgeColoredGraph(
+            r * k, relabelled, bipartition=(range(r // 2 * k), range(r // 2 * k, r * k))
+        )
 
     def test_blowup_signature_odd_has_no_bipartition(self):
         assert blowup_cycle_signature(5, 2).bipartition is None

@@ -230,7 +230,7 @@ class TestConstructOrientation:
             pairs = {(a, b) for a, b, _ in D.arcs}
             assert not any((b, a) in pairs for a, b in pairs)
             for v in range(n):
-                inc = {c for _, c in D.in_adj[v]}
+                inc = {c for _, h, c in D.arcs if h == v}
                 outc = {c for _, c in D.out_adj[v]}
                 assert not inc & outc
                 assert len(inc) <= s - 1
@@ -321,7 +321,7 @@ class TestConstructOrientationBipartite:
             G = extremal_no_pc_c4(k)
             H, D, _ = construct_orientation_bipartite(G, 2, 2)
             for v in range(G.n):
-                inc = {c for _, c in D.in_adj[v]}
+                inc = {c for _, h, c in D.arcs if h == v}
                 outc = {c for _, c in D.out_adj[v]}
                 assert not inc & outc
                 assert len(inc) <= 1

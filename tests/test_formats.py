@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from chroma.core import ColoredOrientation, EdgeColoredGraph, OrientedGraph
 from chroma.constructions import (
+    blowup_cycle_signature,
     extremal_no_pc_c4,
     random_bipartite_edge_colored,
     random_edge_colored_graph,
     random_oriented_graph,
+    random_proper_complete_bipartite,
 )
 from chroma.extraction import construct_orientation
 from chroma.formats import (
@@ -24,9 +26,23 @@ from chroma.formats import (
     render,
     render_org,
     save,
-    strip_bipartition,
 )
+from chroma.transforms import dual_graph
 from oracles import first_refused_row
+
+
+# Every construction and transform that attaches a bipartition.
+BIPARTITE_BUILDS = {
+    "random-bipartite": lambda: random_bipartite_edge_colored(3, 5, 0.6, 4, 7),
+    "random-bipartite-empty-side": lambda: random_bipartite_edge_colored(0, 4, 0.6, 2, 7),
+    "proper-kst": lambda: random_proper_complete_bipartite(2, 5, 3),
+    "dual": lambda: dual_graph(random_edge_colored_graph(6, 0.5, 3, 2)),
+    "extremal-c4": lambda: extremal_no_pc_c4(2),
+    **{
+        f"blowup-sig-{r}-{k}": lambda r=r, k=k: blowup_cycle_signature(r, k)
+        for r in (4, 6, 8) for k in (1, 2, 3)
+    },
+}
 
 
 class TestEcgRoundTrip:
@@ -49,12 +65,16 @@ class TestEcgRoundTrip:
         assert parse_ecg(text) == G
 
     def test_nonprefix_bipartition_rejected(self):
-        G = extremal_no_pc_c4(2)
+        # .ecg stores side 1 as its size k, so only {0, ..., k-1} renders.
+        G = EdgeColoredGraph(4, [(0, 1, 0), (2, 3, 1)], bipartition=([0, 2], [1, 3]))
         with pytest.raises(ValueError, match="prefix"):
             render_ecg(G)
-        stripped = strip_bipartition(G)
-        assert stripped.bipartition is None
-        assert parse_ecg(render_ecg(stripped)) == stripped
+
+    @pytest.mark.parametrize("name", sorted(BIPARTITE_BUILDS))
+    def test_every_built_bipartition_round_trips(self, name):
+        G = BIPARTITE_BUILDS[name]()
+        assert G.bipartition is not None
+        assert parse_ecg(render_ecg(G)) == G
 
     def test_fixed_text(self):
         G = EdgeColoredGraph(3, [(0, 1, 4), (1, 2, 0)])

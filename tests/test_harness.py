@@ -16,7 +16,7 @@ from chroma import cli
 from chroma.cli import EXIT_INPUT_ERROR
 from chroma.core import EdgeColoredGraph
 from chroma.detectors import find_pc_kst, pc_short_cycle_pipeline
-from chroma.formats import load, save, strip_bipartition
+from chroma.formats import load, save
 from chroma.suites import SUITE_NAMES, analyze, instance_digest, run_suite
 from chroma.transforms import signature
 
@@ -60,8 +60,9 @@ class TestRunSuite:
         G = rainbow_k4()
         assert instance_digest(G) == instance_digest(rainbow_k4())
         assert instance_digest(G) != instance_digest(extremal_no_pc_c4(1))
-        # non-prefix bipartitions hash without error
-        assert instance_digest(extremal_no_pc_c4(2))
+        # the bipartition is part of the digest
+        G = extremal_no_pc_c4(2)
+        assert instance_digest(G) != instance_digest(EdgeColoredGraph(G.n, G.edges))
 
     def test_budget_starved_suite_records_failures_and_replays(self):
         from chroma.detectors import SearchBudget
@@ -175,12 +176,27 @@ class TestCli:
         rep = json.loads(res.stdout)
         assert rep["n"] == 9 and rep["min_color_degree"] == 5
 
-    def test_gen_drops_a_nonprefix_bipartition(self, tmp_path):
+    def test_gen_blowup_sig_keeps_its_sides(self, tmp_path):
         ecg = tmp_path / "b.ecg"
         res = run_cli("gen", "blowup-sig", "--r", "6", "--k", "2", "-o", str(ecg))
-        assert res.returncode == 0
-        assert "not prefix-representable" in res.stderr
-        assert load(ecg) == strip_bipartition(blowup_cycle_signature(6, 2))
+        assert res.returncode == 0 and res.stdout == res.stderr == ""
+        assert ecg.read_text().startswith("ecg 12 24 bipartite 6\n")
+        assert load(ecg) == blowup_cycle_signature(6, 2)
+
+    def test_gen_blowup_sig_stdout_matches_file(self, tmp_path):
+        res = run_cli("gen", "blowup-sig", "--r", "6", "--k", "2")
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout.startswith("ecg 12 24 bipartite 6\n")
+        out = tmp_path / "b.ecg"
+        res_file = run_cli("gen", "blowup-sig", "--r", "6", "--k", "2", "-o", str(out))
+        assert res_file.returncode == 0 and res_file.stdout == res_file.stderr == ""
+        assert out.read_text() == res.stdout
+
+    @pytest.mark.parametrize("what", ["signature", "dual", "blowup"])
+    def test_gen_transform_without_input(self, what):
+        res = run_cli("gen", what, "--k", "2")
+        assert res.returncode == EXIT_INPUT_ERROR
+        assert res.stderr == f"error: gen {what} needs -i/--input\n"
 
     def test_orient_with_report(self, tmp_path):
         ecg = tmp_path / "g.ecg"
@@ -214,7 +230,7 @@ class TestCli:
         assert out["details"] == {"walk_periods": []}
 
         none = tmp_path / "ext.ecg"
-        save(strip_bipartition(extremal_no_pc_c4(2)), none)
+        save(extremal_no_pc_c4(2), none)
         res = run_cli("find", "pipeline", "--max-len", "6", "-i", str(none))
         assert res.returncode == 0
         out = json.loads(res.stdout)
@@ -236,7 +252,7 @@ class TestCli:
     def test_find_pipeline_budget_out_in_the_dfs(self, tmp_path):
         # A node budget that runs out in the DFS, after the K_{2,2} scan,
         # exits 2, not a traceback.
-        G = strip_bipartition(extremal_no_pc_c4(3))
+        G = extremal_no_pc_c4(3)
         ecg = tmp_path / "ext.ecg"
         save(G, ecg)
         budget = find_pc_kst(G, 2, 2).nodes + 3
@@ -342,17 +358,6 @@ class TestCli:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
-    def test_gen_nonprefix_bipartition_note(self, tmp_path):
-        res = run_cli("gen", "blowup-sig", "--r", "6", "--k", "2")
-        assert res.returncode == 0
-        assert "bipartition" in res.stderr
-        assert res.stdout.startswith("ecg 12 24\n")
-        out = tmp_path / "b.ecg"
-        res_file = run_cli("gen", "blowup-sig", "--r", "6", "--k", "2", "-o", str(out))
-        assert res_file.returncode == 0 and res_file.stdout == ""
-        assert res_file.stderr == res.stderr
-        assert out.read_text() == res.stdout
-
     def test_gen_recolored(self, tmp_path):
         res = run_cli(
             "gen", "recolored", "--n", "20", "--s", "3", "--t", "7",
@@ -423,7 +428,7 @@ def test_repeated_main_calls_match_separate_processes(tmp_path, capsys):
     # another's options, outputs or errors.
     bip, cyc, bad = tmp_path / "b.ecg", tmp_path / "c.ecg", tmp_path / "bad.ecg"
     save(random_bipartite_edge_colored(5, 6, 0.6, 3, 9), bip)
-    save(strip_bipartition(extremal_no_pc_c4(2)), cyc)
+    save(extremal_no_pc_c4(2), cyc)
     bad.write_text("ecg 2 1\n0 0 1\n")
     corg, rep = tmp_path / "d.corg", tmp_path / "r.json"
     orient = ["orient", "--s", "2", "--t", "2", "-o", str(corg), "--report", str(rep)]
