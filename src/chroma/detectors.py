@@ -238,10 +238,20 @@ def _kst_impl(
     Each subset costs one tick, the matching one tick per candidate it reads
     and per edge its augmenting paths look at, the backtracking one tick
     per candidate it tries, the peel one per edge it removes, and the hub
-    pass one per arc of its graph (see _walk_classes).
+    pass one per arc of its graph (see _walk_classes). A candidate's colors
+    are read from neighbor -> color maps of the S-vertices, each built from
+    G.adj the first time one of its subsets gets that far, once per search.
     """
     nbr = G.neighbor_sets
-    colors = G.pair_colors
+    adj = G.adj
+    maps: list[Optional[dict[int, int]]] = [None] * G.n
+
+    def color_map(v: int) -> dict[int, int]:
+        m = maps[v]
+        if m is None:
+            m = maps[v] = dict(adj[v])
+        return m
+
     by_matching = s == 2
     if s >= 2 and t >= 2:
         core = walks.core()
@@ -260,13 +270,20 @@ def _kst_impl(
             continue
         candidates = []
         star = {}
-        for w in sorted(common - set(S)):
-            cols = tuple(
-                colors[(u, w)] if u < w else colors[(w, u)] for u in S
-            )
-            if len(set(cols)) == s:
-                candidates.append(w)
-                star[w] = cols
+        if by_matching:
+            at_a, at_b = color_map(S[0]), color_map(S[1])
+            for w in sorted(common):
+                ca, cb = at_a[w], at_b[w]
+                if ca != cb:
+                    candidates.append(w)
+                    star[w] = (ca, cb)
+        else:
+            at = [color_map(u) for u in S]
+            for w in sorted(common):
+                cols = tuple(m[w] for m in at)
+                if len(set(cols)) == s:
+                    candidates.append(w)
+                    star[w] = cols
         if len(candidates) < t:
             continue
         if by_matching and not _color_matching(star.values(), t, clock):

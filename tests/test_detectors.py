@@ -841,7 +841,9 @@ class TestWalkGate:
         """Check every K_{s,t}-based search of G against the oracle; return
         how many of them ran the pass, and how many of those found."""
         ran = found = 0
-        for s, t in ((2, 2), (2, 3), (3, 3)):
+        # s = 1 reads its candidates' colors by the generic path, s = 2 by
+        # the two-map one.
+        for s, t in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
             if s == 3 and G.n > 16:
                 continue  # the oracle would take seconds
             for find, rainbow in ((find_pc_kst, False), (find_rainbow_kst, True)):
