@@ -145,8 +145,9 @@ def _color_matching(pairs, t: int, clock: _Clock) -> bool:
     This is a matching of size t in the bipartite graph joining a-colors to
     b-colors, one edge per candidate, so it decides whether a properly
     colored K_{2,t} sits on {a, b}. Reading the candidates costs one tick
-    each, and Kuhn's augmenting paths one tick per edge they look at; they
-    stop as soon as the matching reaches size t.
+    each. For t = 2 that is all; for larger t Kuhn's augmenting paths cost
+    one tick per edge they look at, and stop as soon as the matching
+    reaches size t.
     """
     clock.tick(len(pairs))
     options: dict[int, list[int]] = {}
@@ -156,6 +157,8 @@ def _color_matching(pairs, t: int, clock: _Clock) -> bool:
     # a size-2 matching is missing only when one color covers every edge.
     if len(options) < t or len({cb for _, cb in pairs}) < t:
         return False
+    if t == 2:
+        return True
     owner: dict[int, int] = {}  # b-color -> the a-color matched to it
 
     def augment(ca: int, seen: set[int]) -> bool:
@@ -236,11 +239,12 @@ def _kst_impl(
     acyclic signature costs the peel alone: one tick per edge.
 
     Each subset costs one tick, the matching one tick per candidate it reads
-    and per edge its augmenting paths look at, the backtracking one tick
-    per candidate it tries, the peel one per edge it removes, and the hub
-    pass one per arc of its graph (see _walk_classes). A candidate's colors
-    are read from neighbor -> color maps of the S-vertices, each built from
-    G.adj the first time one of its subsets gets that far, once per search.
+    and, for t >= 3, per edge its augmenting paths look at, the backtracking
+    one tick per candidate it tries, the peel one per edge it removes, and
+    the hub pass one per arc of its graph (see _walk_classes). A
+    candidate's colors are read from neighbor -> color maps of the
+    S-vertices, each built from G.adj the first time one of its subsets gets
+    that far, once per search.
     """
     nbr = G.neighbor_sets
     adj = G.adj
@@ -338,18 +342,20 @@ def find_pc_kst(
     distinct colors and every T-vertex sees s distinct colors.
 
     For s = 2 each vertex pair is decided by a color-pair matching (see
-    _color_matching), in O(pairs x candidates) time for t = 2; s >= 3
-    backtracks. For s, t >= 2 the scan starts with the one-color peel of
-    find_pc_cycle_upto's walk-period filter and runs on the core it leaves,
-    which holds every vertex of a properly colored K_{s,t}; an acyclic
-    signature peels to nothing, so the search costs one tick per edge.
+    _color_matching), which for t = 2 is one scan of the candidates, in
+    O(pairs x candidates) time; s >= 3 backtracks. For s, t >= 2 the scan
+    starts with the one-color peel of find_pc_cycle_upto's walk-period
+    filter and runs on the core it leaves, which holds every vertex of a
+    properly colored K_{s,t}; an acyclic signature peels to nothing, so the
+    search costs one tick per edge.
     Once the scan has spent 3 nodes per edge past the peel it runs the
     filter's hub pass once and goes on over the vertices that lie on
     closed properly colored walks of length 4 only, which every vertex of
     a properly colored K_{s,t} does. The witness is the same either way.
     details["walk_periods"] shows the periods when the hub pass ran, and
     [] when the peel left nothing; the node counts include both steps'
-    ticks.
+    ticks, the hub pass's one per arc of a graph that has no node for a
+    color leading to a single neighbor (see _walk_classes).
     """
     return _run_kst(G, s, t, budget, rainbow=False)
 
@@ -445,14 +451,18 @@ def _walk_classes(
     the core it keeps its states, its arcs and its period.
 
     Instead of the arcs themselves, each core vertex v gets one exit node
-    per color of its edges within the core (weight-1 arcs to the states
-    they reach) and prefix and suffix hubs over those colors (weight-0
-    arcs), so state (v, c_i) reaches every exit but c_i's through two hub
-    arcs. The graph has O(n + m + sum of color degrees) nodes and arcs, and
-    its closed walks have exactly the state graph's lengths. An iterative
-    Tarjan search labels the components; a DFS-tree depth is a potential on
-    each of them, so the period is the gcd of depth(u) + weight - depth(w)
-    over the arcs u -> w that it finds inside a component. The clock ticks
+    per color of its edges within the core, with arcs to the states it
+    reaches, and prefix and suffix hubs over those colors, so state
+    (v, c_i) reaches every exit but c_i's through two hub arcs. A color
+    whose edges within the core lead to a single neighbor w gets no exit:
+    what would point at it points at w's state instead. Arcs out of states
+    have weight 1 and all others weight 0; every step of a properly colored
+    walk leaves exactly one state, so the graph's closed walks have exactly
+    the state graph's lengths. It has O(n + m + sum of color degrees) nodes
+    and arcs. An iterative Tarjan search labels the components; a DFS-tree
+    depth is a potential on each of them, so the period is the gcd of
+    depth(u) + weight - depth(w) over the arcs u -> w that it finds inside
+    a component, and its vertices are those of its states. The clock ticks
     once per arc.
     """
     n = G.n
@@ -471,16 +481,18 @@ def _walk_classes(
         for c in groups:
             state[v][c] = len(owner)
             owner.append(v)
+    states = len(owner)  # node ids below states are states
     succ: list[list[int]] = [[] for _ in owner]
-    unit = bytearray(len(owner))  # 1 on exit nodes, whose arcs have weight 1
 
-    def node(targets: list[int], weight: int = 0) -> int:
+    def node(targets: list[int]) -> int:
         succ.append(targets)
-        unit.append(weight)
         return len(succ) - 1
 
     for v in core:
-        exits = [node([state[w][c] for w in ws], 1) for c, ws in by_color[v].items()]
+        exits = [
+            state[ws[0]][c] if len(ws) == 1 else node([state[w][c] for w in ws])
+            for c, ws in by_color[v].items()
+        ]
         k = len(exits)
         prefix = exits[:1]  # prefix[i] reaches exits 0..i
         for i in range(1, k - 1):
@@ -519,7 +531,7 @@ def _walk_classes(
                 if not index[w]:
                     seen += 1
                     index[w] = low[w] = seen
-                    depth[w] = depth[u] + unit[u]
+                    depth[w] = depth[u] + (u < states)
                     stack.append(w)
                     on_stack[w] = 1
                     clock.tick(len(succ[w]))
@@ -527,7 +539,7 @@ def _walk_classes(
                     break
                 # w is on the stack exactly when it lies in u's component
                 if on_stack[w]:
-                    slack[u] = math.gcd(slack[u], depth[u] + unit[u] - depth[w])
+                    slack[u] = math.gcd(slack[u], depth[u] + (u < states) - depth[w])
                     if index[w] < low[u]:
                         low[u] = index[w]
             else:
@@ -548,7 +560,7 @@ def _walk_classes(
                         period = 0
                         for x in members:
                             period = math.gcd(period, slack[x])
-                        verts = {owner[x] for x in members if x < len(owner)}
+                        verts = {owner[x] for x in members if x < states}
                         classes.append((period, sorted(verts)))
     return classes
 

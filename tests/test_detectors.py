@@ -666,6 +666,54 @@ class TestWalkClassesOracle:
         G = EdgeColoredGraph(n, [(u, v, c) for (u, v), c in pairs.items()])
         assert self.classes(G) == brute_walk_classes(G)
 
+    @staticmethod
+    def assert_hub_ticks(G) -> int:
+        """Check the hub pass's ticks against its arc count, read off the
+        core's color groups, and its classes against the oracle; return the
+        number of groups with a single neighbor, which get no exit node.
+
+        A core vertex with k colors has 2k - 2 arcs out of its states and
+        4(k - 2) out of its prefix and suffix hubs; an exit has one arc per
+        neighbor in its group."""
+        clock = _Clock(None)
+        core = _one_color_core(G, clock)
+        peel = clock.nodes
+        classes = _walk_classes(G, clock, core)
+        live = set(core)
+        arcs = singles = 0
+        for v in core:
+            groups: dict[int, list[int]] = {}
+            for w, c in G.adj[v]:
+                if w in live:
+                    groups.setdefault(c, []).append(w)
+            k = len(groups)
+            assert k >= 2  # the peel keeps no vertex with fewer colors
+            arcs += 2 * k - 2 + 4 * (k - 2)
+            arcs += sum(len(ws) for ws in groups.values() if len(ws) > 1)
+            singles += sum(len(ws) == 1 for ws in groups.values())
+        assert clock.nodes - peel == arcs
+        assert sorted(classes) == brute_walk_classes(G)
+        return singles
+
+    def test_hub_pass_ticks_once_per_arc(self):
+        singles = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            G = random_edge_colored_graph(
+                rng.randint(4, 12), rng.choice((0.3, 0.6, 1.0)), rng.randint(2, 5), seed
+            )
+            singles += self.assert_hub_ticks(G)
+            singles += self.assert_hub_ticks(walk_class_instance(seed))
+        assert singles > 0
+        # Every out-arc of a circulant signature is a color (its head) with
+        # a single neighbor; every in-arc at v has color v.
+        n = 15
+        assert self.assert_hub_ticks(signature(circulant_tournament(n))) == n * (n - 1) // 2
+        # Colors by parity on K_12: at every vertex each color leads to at
+        # least five neighbors, so every exit is built.
+        dense = EdgeColoredGraph(12, [(u, v, (u + v) % 2) for u, v in combinations(range(12), 2)])
+        assert self.assert_hub_ticks(dense) == 0
+
     def test_acyclic_signatures_peel_to_nothing(self):
         # The sink sees one color at every step; the pass ticks once per edge.
         for n in (1, 2, 5, 14, 30):
@@ -922,11 +970,18 @@ class TestWalkGate:
     # find_rainbow_c4, pc_short_cycle_pipeline and find_pc_cycle_upto at
     # r = 6): the node counts from before the peel ran up front, but for the
     # pipeline's on the C6 blow-ups, which go straight from the K_{2,2} scan
-    # to the DFS.
+    # to the DFS, and less, per entry, the exits the hub pass no longer
+    # builds for colors with a single neighbor (36 on circulant-9, 24 on
+    # c6-blowup-2, 54 on c6-blowup-3, wherever it runs) and the 2 ticks of
+    # augmenting paths that the t = 2 matching no longer runs on
+    # circulant-9's first pair:
+    #   circulant-9  [-2, -36, -36, -2, -36, -36, -2, -2, -36]
+    #   c6-blowup-2  [-24, 0, -24, -24, 0, -24, -24, -24, -24]
+    #   c6-blowup-3  [-54] * 9
     TWO_COLOR_NODES = {
-        "circulant-9": [15, 594, 504, 15, 594, 504, 15, 15, 261],
-        "c6-blowup-2": [216, 66, 216, 216, 66, 216, 216, 222, 150],
-        "c6-blowup-3": [522, 522, 522, 522, 522, 522, 522, 528, 366],
+        "circulant-9": [13, 558, 468, 13, 558, 468, 13, 13, 225],
+        "c6-blowup-2": [192, 66, 192, 192, 66, 192, 192, 198, 126],
+        "c6-blowup-3": [468, 468, 468, 468, 468, 468, 468, 474, 312],
     }
 
     @pytest.mark.parametrize("name", sorted(TWO_COLOR_NODES))
