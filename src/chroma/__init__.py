@@ -24,7 +24,6 @@ from .core import (
 )
 from .transforms import blow_up, dual_graph, signature
 from .extraction import (
-    ExtractionParams,
     ExtractionResult,
     construct_orientation,
     construct_orientation_bipartite,

@@ -103,7 +103,8 @@ def verify_orientation(
         return "per-vertex in-arc and out-arc color sets are disjoint"
     if any(len(i) > s - 1 for i in ins):
         return "per-vertex in-arc color set has size at most s-1"
-    rows = report.get("per_vertex", {})
-    if report.get("n") != G.n or [rows.get(v, {}).get("dplus") for v in range(G.n)] != dplus:
+    # Vertex keys are ints in memory and strings once the report is JSON.
+    rows = {str(v): row for v, row in report.get("per_vertex", {}).items()}
+    if report.get("n") != G.n or [rows.get(str(v), {}).get("dplus") for v in range(G.n)] != dplus:
         return "the report's n and per-vertex dplus match the orientation"
     return None

@@ -115,9 +115,9 @@ def _cmd_gen(args) -> int:
 def _cmd_orient(args) -> int:
     G = _load(args.input, EdgeColoredGraph, "orient")
     if G.bipartition is not None and not args.general:
-        H, D, report = extraction.construct_orientation_bipartite(G, args.s, args.t, args.x)
+        _, D, report = extraction.construct_orientation_bipartite(G, args.s, args.t)
     else:
-        H, D, report = extraction.construct_orientation(G, args.s, args.t, args.x)
+        _, D, report = extraction.construct_orientation(G, args.s, args.t)
     _write_output(D, args.output)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     orient.add_argument("-i", "--input", required=True)
     orient.add_argument("--s", type=int, required=True)
     orient.add_argument("--t", type=int, required=True)
-    orient.add_argument("--x", type=float, help="override the growth threshold")
     orient.add_argument("-o", "--output", help="output .corg file (default stdout)")
     orient.add_argument("--report", help="write the per-vertex JSON report here")
     orient.add_argument(

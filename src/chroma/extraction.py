@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EdgeColoredGraph, ColoredOrientation, _require_int, _require_real, color_degree
+from .core import EdgeColoredGraph, ColoredOrientation, _require_int, color_degree
 from .transforms import dual_graph  # unused here; bench/tracing.py wraps it by this path
 
 # Slack used when rounding the real-valued growth threshold to an integer
@@ -39,26 +39,6 @@ def default_x(s: int, t: int, n2: int) -> float:
     _check_st(s, t)
     _require_int("n2", n2, 0)
     return (s - 1) * ((t - 1) / math.factorial(s - 1)) ** (1.0 / s) * n2 ** (1.0 - 1.0 / s)
-
-
-@dataclass(frozen=True)
-class ExtractionParams:
-    """Parameters of the saturation-greedy extraction.
-
-    x overrides the growth threshold; when None the optimizing default for
-    the instance's side-2 size is used. An override is for studying the
-    threshold's sensitivity; the stated side-1 loss bound is tuned to the
-    default.
-    """
-
-    s: int
-    t: int
-    x: float | None = None
-
-    def __post_init__(self):
-        _check_st(self.s, self.t)
-        if self.x is not None:
-            object.__setattr__(self, "x", _require_real("x", self.x, 0, math.inf, lo_open=True))
 
 
 @dataclass(frozen=True)
@@ -92,8 +72,9 @@ class ExtractionResult:
     deltas: dict[int, int]
 
 
-def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
-    """Run the saturation greedy from side1 toward side2 on G.adj.
+def _saturation_extract_on_parts(G, side1, side2, s, x):
+    """Run the saturation greedy from side1 toward side2 on G.adj at growth
+    threshold x.
 
     Every neighbor of a side-1 vertex must lie in side 2. That holds for the
     two sides of a bipartition, and for side1 = side2 = range(n), which is
@@ -117,8 +98,6 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
     """
     side1 = sorted(side1)
     side2 = sorted(side2)
-    n2 = len(side2)
-    x = x_override if x_override is not None else default_x(s, t, n2)
     need = max(1, math.ceil(x - _EPS))
 
     # One edge per color at each side-1 vertex: G.adj lists neighbors in
@@ -167,19 +146,19 @@ def _saturation_extract_on_parts(G, side1, side2, s, t, x_override):
     return kept, SaturationState(tuple(selected), sat_index, kept_colors, x), dc
 
 
-def saturation_extract(G: EdgeColoredGraph, params: ExtractionParams) -> ExtractionResult:
+def saturation_extract(G: EdgeColoredGraph, s: int, t: int) -> ExtractionResult:
     """Extract a spanning subgraph with side-2 color degrees capped at s-1.
 
     The algorithm first keeps one edge per color at each side-1 vertex, then
     greedily grows a side-1 set: scanning side 1 in ascending id order, a
-    vertex qualifies while it has at least x neighbors that are unsaturated
-    and reachable through a color the neighbor has not yet seen toward the
-    grown set; the first qualifier is appended and the scan restarts, until
-    no vertex qualifies (one ascending pass selects the same vertices; see
-    _saturation_extract_on_parts). Each side-2 vertex then keeps exactly the
-    colors it had seen when it saturated (all of its colors, if it never
-    did), and an edge survives exactly when its color is kept at its side-2
-    endpoint.
+    vertex qualifies while it has at least x = default_x(s, t, n2) neighbors
+    that are unsaturated and reachable through a color the neighbor has not
+    yet seen toward the grown set; the first qualifier is appended and the
+    scan restarts, until no vertex qualifies (one ascending pass selects the
+    same vertices; see _saturation_extract_on_parts). Each side-2 vertex
+    then keeps exactly the colors it had seen when it saturated (all of its
+    colors, if it never did), and an edge survives exactly when its color is
+    kept at its side-2 endpoint.
 
     Unconditionally every side-2 color degree of H is at most s-1 (exactly
     s-1 at saturated vertices; at most 1 for s=2, making H pseudo side-2
@@ -191,15 +170,14 @@ def saturation_extract(G: EdgeColoredGraph, params: ExtractionParams) -> Extract
     if G.bipartition is None:
         raise ValueError("saturation_extract requires a bipartition")
     side1, side2 = G.bipartition
-    kept, state, dc = _saturation_extract_on_parts(
-        G, side1, side2, params.s, params.t, params.x
-    )
+    x = default_x(s, t, len(side2))
+    kept, state, dc = _saturation_extract_on_parts(G, side1, side2, s, x)
     H = EdgeColoredGraph(G.n, kept, G.bipartition)
     deltas = {u: dc[u] - color_degree(H, u) for u in sorted(side1)}
     return ExtractionResult(H, state, deltas)
 
 
-def _orient(G, s, t, x, parts):
+def _orient(G, s, t, parts):
     """The orientation construction over the given (side1, side2) parts.
 
     Runs the saturation greedy once per part; every vertex must be side 1 of
@@ -213,13 +191,13 @@ def _orient(G, s, t, x, parts):
     the part where it is side 1, and its out-degree counts the arcs with
     that tail.
     """
-    x = ExtractionParams(s, t, x).x
     kept: list[tuple[int, int, int]] = []
     side2_colors: dict[int, frozenset[int]] = {}
     dc: dict[int, int] = {}
     states = []
     for side1, side2 in parts:
-        part_kept, state, part_dc = _saturation_extract_on_parts(G, side1, side2, s, t, x)
+        x = default_x(s, t, len(side2))
+        part_kept, state, part_dc = _saturation_extract_on_parts(G, side1, side2, s, x)
         kept += part_kept
         side2_colors.update(state.kept_colors)
         dc.update(part_dc)
@@ -253,7 +231,7 @@ def _orient(G, s, t, x, parts):
 
 
 def construct_orientation(
-    G: EdgeColoredGraph, s: int, t: int, x: float | None = None
+    G: EdgeColoredGraph, s: int, t: int
 ) -> tuple[EdgeColoredGraph, ColoredOrientation, dict]:
     """Orient a spanning subgraph of G so directed paths are properly colored.
 
@@ -272,13 +250,13 @@ def construct_orientation(
 
     Returns (H, D, report) where H is the unoriented arc support and the
     report carries per-vertex out-degree, color degree, bound and margin
-    plus the extraction diagnostics l, x and sigma.
+    plus the extraction diagnostics l, x = default_x(s, t, n) and sigma.
     """
-    return _orient(G, s, t, x, [(range(G.n), range(G.n))])
+    return _orient(G, s, t, [(range(G.n), range(G.n))])
 
 
 def construct_orientation_bipartite(
-    G: EdgeColoredGraph, s: int, t: int, x: float | None = None
+    G: EdgeColoredGraph, s: int, t: int
 ) -> tuple[EdgeColoredGraph, ColoredOrientation, dict]:
     """Bipartite variant with per-side degree bounds.
 
@@ -286,9 +264,10 @@ def construct_orientation_bipartite(
     dual graph (left copies of side 1 against right copies of side 2, and
     vice versa) before the shared deletion step, so the conditional bound
     for a vertex of side i uses the opposite side's size. The report's l
-    and x are lists over the two halves.
+    and x are lists over the two halves; each x is default_x(s, t, size of
+    that half's side 2).
     """
     if G.bipartition is None:
         raise ValueError("construct_orientation_bipartite requires a bipartition")
     side1, side2 = G.bipartition
-    return _orient(G, s, t, x, [(side1, side2), (side2, side1)])
+    return _orient(G, s, t, [(side1, side2), (side2, side1)])

@@ -50,7 +50,6 @@ from .detectors import (
     pc_short_cycle_pipeline,
 )
 from .extraction import (
-    ExtractionParams,
     construct_orientation,
     construct_orientation_bipartite,
     saturation_extract,
@@ -199,7 +198,7 @@ def _suite_lemma1(trials, seed, budget, rec, config):
         G = random_bipartite_edge_colored(n1, n2, p, colors, rng.getrandbits(32))
         side2 = sorted(G.bipartition[1])
         for s in (2, 3):
-            res = saturation_extract(G, ExtractionParams(s, s))
+            res = saturation_extract(G, s, s)
             H, state = res.H, res.state
             cap_ok = all(color_degree(H, v) <= s - 1 for v in side2)
             rec.check(cap_ok, tseed, G, f"s={s}: side-2 color degree capped at s-1")

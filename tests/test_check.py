@@ -4,6 +4,7 @@ boundary. verify_witness is tested with the detectors that produce the
 witnesses, in test_detectors.py."""
 import ast
 import copy
+import json
 import random
 import sys
 from pathlib import Path
@@ -13,10 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chroma.check
+from chroma import cli
 from chroma.check import verify_orientation
 from chroma.core import ColoredOrientation, EdgeColoredGraph
-from chroma.constructions import random_bipartite_edge_colored, random_edge_colored_graph
+from chroma.constructions import (
+    blowup_cycle_signature,
+    random_bipartite_edge_colored,
+    random_edge_colored_graph,
+)
 from chroma.extraction import construct_orientation, construct_orientation_bipartite
+from chroma.formats import load, save
 
 ST_PAIRS = ((2, 2), (2, 3), (3, 3))
 
@@ -75,6 +82,18 @@ class TestAcceptsTheConstruction:
     def test_hypothesis(self, seed, st_pair, bipartite):
         G, D, report = orientation_of(seed, st_pair, bipartite)
         assert verify_orientation(G, D, st_pair[0], report) is None
+
+    def test_files_chroma_orient_writes(self, tmp_path):
+        # json.load reads the per-vertex rows back with string keys.
+        ecg, corg, rep = tmp_path / "b.ecg", tmp_path / "d.corg", tmp_path / "r.json"
+        save(blowup_cycle_signature(6, 3), ecg)
+        argv = ["orient", "-i", str(ecg), "--s", "2", "--t", "2", "-o", str(corg), "--report", str(rep)]
+        assert cli.main(argv) == 0
+        G, D, report = load(ecg), load(corg), json.loads(rep.read_text())
+        assert isinstance(report["l"], list) and D.m > 0
+        assert verify_orientation(G, D, 2, report) is None
+        report["per_vertex"][str(D.arcs[0][0])]["dplus"] += 1
+        assert verify_orientation(G, D, 2, report) == REPORT
 
 
 class TestRejectsMutations:

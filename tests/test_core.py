@@ -44,7 +44,7 @@ from chroma.detectors import (
     find_rainbow_kst,
     pc_short_cycle_pipeline,
 )
-from chroma.extraction import ExtractionParams, construct_orientation, default_x, sigma
+from chroma.extraction import default_x, sigma
 from chroma.suites import analyze, run_suite
 from chroma.transforms import blow_up, signature
 
@@ -449,10 +449,6 @@ def test_integer_parameters_share_one_check(name, call, lo):
 # rejected. Bools, strings and non-finite values are refused everywhere; None
 # is refused where it does not mean a default.
 REAL_PARAMETERS = [
-    ("ExtractionParams", "x", lambda v: ExtractionParams(2, 2, x=v), "(0, inf)",
-     (1, 0.5, 1e300), (0, -1.0)),
-    ("construct_orientation", "x", lambda v: construct_orientation(_T4, 2, 2, v), "(0, inf)",
-     (1, 2.5), (0, -3)),
     ("RecolorParams", "gamma", lambda v: RecolorParams(n=20, s=3, t=7, gamma=v, seed=0), "[0, inf)",
      (0, 0.1), (-0.5, None)),
     ("random_oriented_graph", "p", lambda v: random_oriented_graph(4, v, 0), "[0, 1]",

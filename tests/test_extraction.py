@@ -3,7 +3,6 @@ import json
 import math
 import os
 import random
-import re
 import tempfile
 
 import pytest
@@ -21,7 +20,7 @@ from chroma.constructions import (
 )
 from chroma.detectors import EXHAUSTED, FOUND, find_pc_kst, shortest_directed_cycle
 from chroma.extraction import (
-    ExtractionParams,
+    _saturation_extract_on_parts,
     construct_orientation,
     construct_orientation_bipartite,
     default_x,
@@ -48,29 +47,14 @@ class TestSigma:
                 sigma(s, t)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            ExtractionParams(1, 2)
-        with pytest.raises(ValueError):
-            ExtractionParams(2, 2, x=0.0)
-        with pytest.raises(ValueError):
-            ExtractionParams(2, 2, x=float("nan"))
-        with pytest.raises(ValueError):
-            ExtractionParams(2, 2, x=True)
+        with pytest.raises(ValueError, match="s must be an integer >= 2"):
+            saturation_extract(bipartite_instance(0), 1, 2)
         assert sigma(2, 3) == pytest.approx(2 * math.sqrt(2))
 
     def test_default_x(self):
         # (s-1) * ((t-1)/(s-1)!)^(1/s) * n2^(1-1/s)
         assert default_x(2, 2, 4) == pytest.approx(2.0)
         assert default_x(3, 3, 8) == pytest.approx(2 * 4.0)
-
-
-@pytest.mark.parametrize("construction", [construct_orientation, construct_orientation_bipartite])
-@pytest.mark.parametrize("x", [0, -3, float("nan"), float("inf"), True])
-def test_orientation_rejects_bad_growth_threshold(construction, x):
-    # Both constructions check x as ExtractionParams does.
-    G = random_bipartite_edge_colored(3, 3, 1.0, 2, 0)
-    with pytest.raises(ValueError, match=re.escape("x must be a finite real in (0, inf)")):
-        construction(G, 2, 2, x)
 
 
 def bipartite_instance(seed, n_max=20):
@@ -85,10 +69,13 @@ def bipartite_instance(seed, n_max=20):
 
 
 def assert_matches_restart_scan(G, s, x):
-    """The greedy's state equals the restart-scan reference's; returns l."""
-    state = saturation_extract(G, ExtractionParams(s, s + 1, x)).state
+    """The greedy's state at threshold x (None: default_x(s, s + 1, n2))
+    equals the restart-scan reference's; returns l."""
     side1, side2 = G.bipartition
-    selected, sat_index, kept_colors = restart_scan_greedy(G, side1, side2, s, state.x)
+    if x is None:
+        x = default_x(s, s + 1, len(side2))
+    state = _saturation_extract_on_parts(G, side1, side2, s, x)[1]
+    selected, sat_index, kept_colors = restart_scan_greedy(G, side1, side2, s, x)
     assert state.selected == tuple(selected)
     assert state.sat_index == sat_index
     assert state.kept_colors == kept_colors
@@ -98,13 +85,13 @@ def assert_matches_restart_scan(G, s, x):
 class TestSaturationExtract:
     def test_requires_bipartition(self):
         with pytest.raises(ValueError, match="bipartition"):
-            saturation_extract(EdgeColoredGraph(3, [(0, 1, 0)]), ExtractionParams(2, 2))
+            saturation_extract(EdgeColoredGraph(3, [(0, 1, 0)]), 2, 2)
 
     def test_single_edge_below_threshold(self):
         # sides of size 2 so x = sqrt(2) > 1: the lone side-1 vertex cannot
         # qualify, the growth set stays empty, H keeps nothing
         G = EdgeColoredGraph(4, [(0, 2, 5)], bipartition=([0, 1], [2, 3]))
-        res = saturation_extract(G, ExtractionParams(2, 2))
+        res = saturation_extract(G, 2, 2)
         assert res.state.x == pytest.approx(math.sqrt(2))
         assert res.state.selected == ()
         assert res.H.m == 0
@@ -114,7 +101,7 @@ class TestSaturationExtract:
         for seed in range(30):
             G = bipartite_instance(seed)
             for s in (2, 3):
-                res = saturation_extract(G, ExtractionParams(s, s))
+                res = saturation_extract(G, s, s)
                 for v in sorted(G.bipartition[1]):
                     kept = res.state.kept_colors[v]
                     assert color_degree(res.H, v) == len(kept) <= s - 1
@@ -126,7 +113,7 @@ class TestSaturationExtract:
     def test_pseudo_canonical_for_s2(self):
         for seed in range(30):
             G = bipartite_instance(seed)
-            H = saturation_extract(G, ExtractionParams(2, 2)).H
+            H = saturation_extract(G, 2, 2).H
             assert all(len(color_set(H, v)) <= 1 for v in G.bipartition[1])
 
     def test_growth_length_diagnostic(self):
@@ -134,13 +121,13 @@ class TestSaturationExtract:
             G = bipartite_instance(seed)
             n2 = len(G.bipartition[1])
             for s in (2, 3):
-                state = saturation_extract(G, ExtractionParams(s, s)).state
+                state = saturation_extract(G, s, s).state
                 assert state.l <= (s - 1) * n2 / state.x + 1e-9
 
     def test_subgraph_relationship(self):
         for seed in range(20):
             G = bipartite_instance(seed)
-            res = saturation_extract(G, ExtractionParams(2, 3))
+            res = saturation_extract(G, 2, 3)
             assert set(res.H.edges) <= set(G.edges)
             assert res.H.n == G.n and res.H.bipartition == G.bipartition
 
@@ -153,7 +140,7 @@ class TestSaturationExtract:
                 if find_pc_kst(G, s, s, None).status != EXHAUSTED:
                     continue
                 checked += 1
-                res = saturation_extract(G, ExtractionParams(s, s))
+                res = saturation_extract(G, s, s)
                 bound = sigma(s, s) * n2 ** (1.0 - 1.0 / s)
                 assert all(d <= bound + 1e-9 for d in res.deltas.values())
         assert checked > 20
@@ -188,11 +175,6 @@ class TestSaturationExtract:
             G = bipartite_instance(seed, n_max=10)
         assert_matches_restart_scan(G, s, x)
 
-    def test_x_override(self):
-        G = bipartite_instance(3)
-        res = saturation_extract(G, ExtractionParams(2, 2, x=1.0))
-        assert res.state.x == 1.0
-
 
 def directed_cycles_of(D):
     pairs = [(t, h) for t, h in D.arcs]
@@ -202,10 +184,12 @@ def directed_cycles_of(D):
 class TestConstructOrientation:
     def test_parameter_range(self):
         G = random_edge_colored_graph(4, 0.5, 3, 0)
-        with pytest.raises(ValueError):
-            construct_orientation(G, 1, 2)
-        with pytest.raises(ValueError):
-            construct_orientation(G, 3, 2)
+        B = random_bipartite_edge_colored(3, 3, 1.0, 2, 0)
+        for build, host in ((construct_orientation, G), (construct_orientation_bipartite, B)):
+            with pytest.raises(ValueError, match="s must be an integer >= 2, got 1"):
+                build(host, 1, 2)
+            with pytest.raises(ValueError, match="t must be an integer >= 3, got 2"):
+                build(host, 3, 2)
 
     def test_edgeless(self):
         G = EdgeColoredGraph(5)
@@ -246,20 +230,19 @@ class TestConstructOrientation:
             G = random_edge_colored_graph(10, 0.6, 4, seed)
             dual = dual_graph(G)
             for s, t in ((2, 2), (2, 3), (3, 3)):
-                for x in (None, 1.0, 1.5):
-                    res = saturation_extract(dual, ExtractionParams(s, t, x))
-                    right_colors = {v: color_set(res.H, G.n + v) for v in range(G.n)}
-                    descending = []
-                    for u in reversed(range(G.n)):
-                        descending.extend(
-                            (u, b - G.n, c)
-                            for a, b, c in res.H.edges
-                            if a == u and c not in right_colors[u]
-                        )
-                    H, D, report = construct_orientation(G, s, t, x)
-                    assert sorted(descending) == list(D.arcs)
-                    assert H.edges == tuple(sorted((min(a, b), max(a, b), c) for a, b, c in D.arcs))
-                    assert (report["l"], report["x"]) == (res.state.l, res.state.x)
+                res = saturation_extract(dual, s, t)
+                right_colors = {v: color_set(res.H, G.n + v) for v in range(G.n)}
+                descending = []
+                for u in reversed(range(G.n)):
+                    descending.extend(
+                        (u, b - G.n, c)
+                        for a, b, c in res.H.edges
+                        if a == u and c not in right_colors[u]
+                    )
+                H, D, report = construct_orientation(G, s, t)
+                assert sorted(descending) == list(D.arcs)
+                assert H.edges == tuple(sorted((min(a, b), max(a, b), c) for a, b, c in D.arcs))
+                assert (report["l"], report["x"]) == (res.state.l, res.state.x)
 
     def test_degree_bound_on_certified_instances(self):
         n = 20
@@ -291,7 +274,7 @@ class TestConstructOrientation:
             n = rng.randint(2, 20)
             s, t = rng.choice([(2, 2), (2, 3), (3, 3)])
             G = random_edge_colored_graph(n, 0.6, rng.randint(1, 5), seed)
-            res = saturation_extract(dual_graph(G), ExtractionParams(s, t))
+            res = saturation_extract(dual_graph(G), s, t)
             _, D, _ = construct_orientation(G, s, t)
             for v in range(n):
                 assert D.out_degree(v) >= color_degree(res.H, v) - (s - 1)
@@ -358,19 +341,18 @@ class TestConstructOrientationBipartite:
             side1, side2 = G.bipartition
             swapped = EdgeColoredGraph(G.n, G.edges, (side2, side1))
             for s, t in ((2, 2), (2, 3), (3, 3)):
-                for x in (None, 1.5):
-                    a = saturation_extract(G, ExtractionParams(s, t, x))
-                    b = saturation_extract(swapped, ExtractionParams(s, t, x))
-                    arcs = []
-                    for res, other, tails in ((a, b, side1), (b, a, side2)):
-                        for u, v, c in res.H.edges:
-                            tail, head = (u, v) if u in tails else (v, u)
-                            if c not in color_set(other.H, tail):
-                                arcs.append((tail, head, c))
-                    _, D, report = construct_orientation_bipartite(G, s, t, x)
-                    assert sorted(arcs) == list(D.arcs)
-                    assert report["l"] == [a.state.l, b.state.l]
-                    assert report["x"] == [a.state.x, b.state.x]
+                a = saturation_extract(G, s, t)
+                b = saturation_extract(swapped, s, t)
+                arcs = []
+                for res, other, tails in ((a, b, side1), (b, a, side2)):
+                    for u, v, c in res.H.edges:
+                        tail, head = (u, v) if u in tails else (v, u)
+                        if c not in color_set(other.H, tail):
+                            arcs.append((tail, head, c))
+                _, D, report = construct_orientation_bipartite(G, s, t)
+                assert sorted(arcs) == list(D.arcs)
+                assert report["l"] == [a.state.l, b.state.l]
+                assert report["x"] == [a.state.x, b.state.x]
 
     def test_report_per_side_diagnostics(self):
         G = random_bipartite_edge_colored(5, 7, 0.5, 3, 2)
@@ -383,9 +365,8 @@ class TestConstructOrientationBipartite:
     seed=st.integers(0, 2**32 - 1),
     construction=st.sampled_from(("general", "bipartite", "bipartite-general")),
     st_pair=st.sampled_from(((2, 2), (2, 3), (3, 3))),
-    x=st.sampled_from((None, 0.5, 1.0, 1.5, 3.0)),
 )
-def test_report_degrees_match_graph_and_orientation(seed, construction, st_pair, x):
+def test_report_degrees_match_graph_and_orientation(seed, construction, st_pair):
     """The report reads dc and dplus off the greedy; they must equal the
     color degree in G and the out-degree in D at every vertex."""
     s, t = st_pair
@@ -394,11 +375,11 @@ def test_report_degrees_match_graph_and_orientation(seed, construction, st_pair,
         G = random_edge_colored_graph(
             rng.randint(0, 16), rng.choice([0.3, 0.6, 0.9]), rng.randint(1, 6), seed
         )
-        _, D, report = construct_orientation(G, s, t, x)
+        _, D, report = construct_orientation(G, s, t)
     else:
         G = bipartite_instance(seed, n_max=10)
         build = construct_orientation_bipartite if construction == "bipartite" else construct_orientation
-        _, D, report = build(G, s, t, x)
+        _, D, report = build(G, s, t)
     assert set(report["per_vertex"]) == set(range(G.n))
     for v, row in report["per_vertex"].items():
         assert row["dc"] == color_degree(G, v)
@@ -414,29 +395,25 @@ GOLDEN = {
     "random-s3": "1aa8c5c9bffd6a80abec989cb2c17bf1c21fc9ab39b8ef19b813c54b5377c348",
     "bipartite": "e685f853d831ce111d70a9cd58b7df0692f1d5a44a8e6b63e18342bf7a010819",
     "bipartite-general": "65d82c9a015ba4bdf462d257dcf1d8586252798bc8db8a63a99cb69f514073d2",
-    "random-x1.5": "5df42a4a0be35c21948800fdeb01f34d432a2327671ff18411a0dd1a46924240",
-    "bipartite-x1.5": "3d40df6d9f36e7d876517a52aa35eed88a3e76e4242d17d93055026061f54009",
 }
 
 
 def golden_args(name):
-    """(construction, G, s, t, x) of a golden case."""
+    """(construction, G, s, t) of a golden case."""
     G = random_edge_colored_graph(30, 0.8, 30, 11)
     B = random_bipartite_edge_colored(16, 18, 0.9, 40, 5)
     return {
-        "circulant-60-s2": (construct_orientation, signature(circulant_tournament(60)), 2, 2, None),
-        "random-s2": (construct_orientation, G, 2, 2, None),
-        "random-s3": (construct_orientation, G, 3, 3, None),
-        "bipartite": (construct_orientation_bipartite, B, 2, 2, None),
-        "bipartite-general": (construct_orientation, B, 2, 2, None),
-        "random-x1.5": (construct_orientation, G, 2, 3, 1.5),
-        "bipartite-x1.5": (construct_orientation_bipartite, B, 2, 3, 1.5),
+        "circulant-60-s2": (construct_orientation, signature(circulant_tournament(60)), 2, 2),
+        "random-s2": (construct_orientation, G, 2, 2),
+        "random-s3": (construct_orientation, G, 3, 3),
+        "bipartite": (construct_orientation_bipartite, B, 2, 2),
+        "bipartite-general": (construct_orientation, B, 2, 2),
     }[name]
 
 
 def golden_case(name):
-    build, G, s, t, x = golden_args(name)
-    return build(G, s, t, x)
+    build, G, s, t = golden_args(name)
+    return build(G, s, t)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -447,15 +424,13 @@ def test_orientation_golden_digest(name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
 
 
-def orient_cli_texts(build, G, s, t, x):
+def orient_cli_texts(build, G, s, t):
     """(.corg text, report text) that `chroma orient` writes for build(G,
-    s, t, x), run in-process on a saved copy of G."""
+    s, t), run in-process on a saved copy of G."""
     with tempfile.TemporaryDirectory() as d:
         ecg, corg, rep = (os.path.join(d, f) for f in ("g.ecg", "d.corg", "r.json"))
         save(G, ecg)
         argv = ["orient", "-i", ecg, "--s", str(s), "--t", str(t), "-o", corg, "--report", rep]
-        if x is not None:
-            argv += ["--x", repr(x)]
         if build is construct_orientation and G.bipartition is not None:
             argv.append("--general")
         assert cli.main(argv) == 0
@@ -463,24 +438,24 @@ def orient_cli_texts(build, G, s, t, x):
             return f.read(), g.read()
 
 
-def assert_cli_bytes(build, G, s, t, x):
+def assert_cli_bytes(build, G, s, t):
     """The CLI's .corg is render_corg(D) and its report is the stdlib's
     indent=2 JSON of the construction's report."""
-    _, D, report = build(G, s, t, x)
-    corg, text = orient_cli_texts(build, G, s, t, x)
+    _, D, report = build(G, s, t)
+    corg, text = orient_cli_texts(build, G, s, t)
     assert corg == render_corg(D)
     assert text == json.dumps({"schema": SCHEMA_VERSION, **report}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_orient_report_is_indent2_json(name):
-    # The cases include bipartite reports (l and x are lists) and --x.
+    # The cases include bipartite reports (l and x are lists).
     assert_cli_bytes(*golden_args(name))
 
 
 def test_orient_report_is_indent2_json_empty_graph():
     # per_vertex is the empty object `{}`
-    assert_cli_bytes(construct_orientation, EdgeColoredGraph(0), 2, 2, None)
+    assert_cli_bytes(construct_orientation, EdgeColoredGraph(0), 2, 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -489,13 +464,12 @@ def test_orient_report_is_indent2_json_empty_graph():
     bipartite=st.booleans(),
     general=st.booleans(),
     st_pair=st.sampled_from(((2, 2), (2, 3), (3, 3))),
-    x=st.sampled_from((None, 0.5, 1.5, 3.0)),
 )
-def test_orient_report_is_indent2_json_hypothesis(seed, bipartite, general, st_pair, x):
+def test_orient_report_is_indent2_json_hypothesis(seed, bipartite, general, st_pair):
     rng = random.Random(seed)
     if bipartite:
         G = bipartite_instance(seed, n_max=8)
     else:
         G = random_edge_colored_graph(rng.randint(0, 12), rng.choice([0.3, 0.7]), rng.randint(1, 5), seed)
     build = construct_orientation if general or not bipartite else construct_orientation_bipartite
-    assert_cli_bytes(build, G, *st_pair, x)
+    assert_cli_bytes(build, G, *st_pair)

@@ -16,6 +16,7 @@ from chroma import cli
 from chroma.cli import EXIT_INPUT_ERROR
 from chroma.core import EdgeColoredGraph
 from chroma.detectors import find_pc_kst, pc_short_cycle_pipeline
+from chroma.extraction import default_x
 from chroma.formats import load, save
 from chroma.suites import SUITE_NAMES, analyze, instance_digest, run_suite
 from chroma.transforms import signature
@@ -210,14 +211,8 @@ class TestCli:
         assert res.returncode == 0
         rep = json.loads(repj.read_text())
         assert {"l", "x", "sigma", "per_vertex"} <= set(rep)
+        assert rep["x"] == default_x(2, 2, 8)
         assert corg.read_text().startswith("corg 8 ")
-
-        res = run_cli(
-            "orient", "-i", str(ecg), "--s", "2", "--t", "2",
-            "--x", "1.5", "--report", str(repj),
-        )
-        assert res.returncode == 0
-        assert json.loads(repj.read_text())["x"] == 1.5
 
     def test_find_exit_codes(self, tmp_path):
         found = tmp_path / "found.ecg"
@@ -294,17 +289,6 @@ class TestCli:
             assert res.returncode == 3
             assert "time_limit_s" in res.stderr and "Traceback" not in res.stderr
             assert res.stdout == ""
-
-    @pytest.mark.parametrize("x", ["-1", "0", "nan"])
-    def test_bad_growth_threshold_is_an_input_error(self, tmp_path, x):
-        ecg = tmp_path / "t.ecg"
-        save(signature(transitive_tournament(6)), ecg)
-        corg = tmp_path / "t.corg"
-        res = run_cli("orient", "-i", str(ecg), "--s", "2", "--t", "2", f"--x={x}", "-o", str(corg))
-        assert res.returncode == EXIT_INPUT_ERROR
-        assert "x must be a finite real in (0, inf)" in res.stderr
-        assert "Traceback" not in res.stderr
-        assert not corg.exists()
 
     def test_gen_random_bipartite_zero_colors_is_an_input_error(self):
         res = run_cli("gen", "random", "--n", "4", "--n2", "3", "--p", "0.9", "--colors", "0")
@@ -438,7 +422,6 @@ def test_repeated_main_calls_match_separate_processes(tmp_path, capsys):
         ["find", "pc-cycle", "--max-len", "6", "-i", str(cyc), "--budget-nodes", "2"],
         ["find", "pc-cycle", "--max-len", "6", "-i", str(cyc)],
         [*orient, "-i", str(bad)],
-        [*orient, "-i", str(bip), "--x", "1.5"],
     ]
 
     def record(code, out, err):
@@ -457,7 +440,7 @@ def test_repeated_main_calls_match_separate_processes(tmp_path, capsys):
         in_process.append(record(code, *capsys.readouterr()))
     separate = [record(res.returncode, res.stdout, res.stderr)
                 for res in (run_cli(*argv) for argv in calls)]
-    assert [r[0] for r in in_process] == [0, 0, 2, 0, EXIT_INPUT_ERROR, 0]
+    assert [r[0] for r in in_process] == [0, 0, 2, 0, EXIT_INPUT_ERROR]
     assert in_process == separate
 
 
