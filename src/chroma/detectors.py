@@ -259,7 +259,7 @@ def _kst_impl(
     by_matching = s == 2
     if s >= 2 and t >= 2:
         core = walks.core()
-        switch = clock.nodes + _WALK_SWITCH * G.m
+        switch = clock.nodes + _WALK_SWITCH * walks.m
     else:
         core, switch = range(G.n), math.inf
 
@@ -378,10 +378,18 @@ def find_rainbow_kst(
 # Cycle detectors
 # ---------------------------------------------------------------------------
 
-def _one_color_core(G: EdgeColoredGraph, clock: _Clock) -> list[int]:
+def _one_color_core(
+    G: EdgeColoredGraph, clock: _Clock, live: Optional[bytearray] = None
+) -> list[int]:
     """The vertices, ascending, that are left after a queue has peeled off
     every vertex that sees fewer than two colors on its edges to the
     vertices not yet peeled, until none is left.
+
+    With live, the peel runs on the subgraph of G that the vertices v with
+    live[v] set induce: the others are neither queued nor returned, and
+    their edges are never read or ticked for. That is the peel of G with
+    the other vertices' edges deleted, where those vertices are isolated,
+    peeled for no tick, and left out of the core.
 
     A vertex on a closed properly colored walk arrives by one color and
     leaves by another, both on edges to vertices of that walk, so no vertex
@@ -400,29 +408,40 @@ def _one_color_core(G: EdgeColoredGraph, clock: _Clock) -> list[int]:
     adj = G.adj
     peel = []
     for v, nbrs in enumerate(adj):
-        first = nbrs[0][1] if nbrs else None
-        if nbrs and (nbrs[-1][1] != first or nbrs[len(nbrs) // 2][1] != first):
+        if live is None:
+            first = nbrs[0][1] if nbrs else None
+            if nbrs and (nbrs[-1][1] != first or nbrs[len(nbrs) // 2][1] != first):
+                continue
+        elif not live[v]:
             continue
+        else:  # the live edges, read up to a second color
+            nbrs = (e for e in nbrs if live[e[0]])
+            first = next(nbrs, (None, None))[1]
         for _, c in nbrs:
             if c != first:
                 break
         else:
             peel.append(v)
-    if not peel:
-        return list(range(n))
-
-    live = bytearray(b"\x01") * n
+    if live is None:
+        if not peel:
+            return list(range(n))
+        kept = bytearray(b"\x01") * n
+    else:
+        kept = bytearray(live)
     left: list[Optional[dict[int, int]]] = [None] * n  # live edges per color
     for v in peel:  # grows as it goes; a vertex joins once, on its way to one color
-        live[v] = 0
+        kept[v] = 0
         removed = 0
         for w, c in adj[v]:
-            if live[w]:
+            if kept[w]:
                 removed += 1
                 counts = left[w]
                 if counts is None:
+                    # w's other live neighbors are all still kept: a peeled
+                    # one would have set left[w]
                     counts = left[w] = {}
-                    for _, d in adj[w]:
+                    nbrs = adj[w] if live is None else (e for e in adj[w] if live[e[0]])
+                    for _, d in nbrs:
                         counts[d] = counts.get(d, 0) + 1
                 if counts[c] > 1:
                     counts[c] -= 1
@@ -431,7 +450,7 @@ def _one_color_core(G: EdgeColoredGraph, clock: _Clock) -> list[int]:
                     if len(counts) == 1:
                         peel.append(w)
         clock.tick(removed)
-    return [v for v in range(n) if live[v]]
+    return [v for v in range(n) if kept[v]]
 
 
 def _walk_classes(
@@ -569,6 +588,14 @@ class _WalkClasses:
     """The one-color core and the walk classes of one graph within one
     search.
 
+    The graph is G, or with live the subgraph of G that the vertices v with
+    live[v] set induce, which has m edges. The K_{s,t} scans with s, t >= 2
+    and the cycle DFS draw their vertices from core() and admitted(L), read
+    only the edges among those, take the edge count from m and, for the
+    DFS's return table, the live edges from live. So they run on that
+    subgraph as on G with the other vertices' edges deleted, with the same
+    witnesses and node counts, and no such graph is built.
+
     _one_color_core runs on the first call of core or admitted, and
     _walk_classes on the core on the first call of admitted, both on the
     search's clock; every later call, from any stage, reuses their results.
@@ -577,12 +604,21 @@ class _WalkClasses:
     no walk class, so the hub pass never runs then.
     """
 
-    __slots__ = ("G", "clock", "details", "_core", "classes")
+    __slots__ = ("G", "clock", "details", "live", "m", "_core", "classes")
 
-    def __init__(self, G: EdgeColoredGraph, clock: _Clock, details: dict):
+    def __init__(
+        self,
+        G: EdgeColoredGraph,
+        clock: _Clock,
+        details: dict,
+        live: Optional[bytearray] = None,
+        m: Optional[int] = None,
+    ):
         self.G = G
         self.clock = clock
         self.details = details
+        self.live = live
+        self.m = G.m if m is None else m
         self._core = None
         self.classes = None
 
@@ -590,7 +626,7 @@ class _WalkClasses:
         """The vertices, ascending, of the one-color core of G. Every vertex
         of a closed properly colored walk is among them."""
         if self._core is None:
-            self._core = _one_color_core(self.G, self.clock)
+            self._core = _one_color_core(self.G, self.clock, self.live)
             if not self._core:
                 self.classes = []
                 self.details["walk_periods"] = []
@@ -609,7 +645,7 @@ class _WalkClasses:
         )
 
 
-def _return_table(adj, start: int, admitted, limit: int, clock: _Clock):
+def _return_table(adj, start: int, admitted, limit: int, clock: _Clock, live=None):
     """(first, near, via): the fewest edges, up to limit, of a properly
     colored walk from each vertex w back to start through the vertices of
     admitted above start.
@@ -622,7 +658,8 @@ def _return_table(adj, start: int, admitted, limit: int, clock: _Clock):
     back, and via[w] the length of the shortest way back whose first edge
     has another color. A backward breadth-first search from start finds
     both, handing each vertex on at most twice; the clock ticks once per
-    edge at each vertex handed on.
+    edge at each vertex handed on, counting only the edges to vertices v
+    with live[v] set when live is given.
     """
     n = len(adj)
     ok = bytearray(n)
@@ -638,7 +675,7 @@ def _return_table(adj, start: int, admitted, limit: int, clock: _Clock):
     for d in range(1, limit + 1):
         nxt = []
         for v, e, others in level:
-            clock.tick(len(adj[v]))
+            clock.tick(len(adj[v]) if live is None else sum(live[w] for w, _ in adj[v]))
             for w, c in adj[v]:
                 if not ok[w] or (c != e) != others:
                     continue
@@ -679,7 +716,7 @@ def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, walks: _WalkClas
     adj = G.adj
     colors = G.pair_colors
     tick = clock.tick
-    switch = _WALK_SWITCH * G.m
+    switch = _WALK_SWITCH * walks.m
 
     for L in lengths:
         if L > n:
@@ -697,7 +734,9 @@ def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, walks: _WalkClas
             mark = clock.nodes + switch
             while frames:
                 if first is None and clock.nodes >= mark:
-                    first, near, via = _return_table(adj, start, admitted, L - 1, clock)
+                    first, near, via = _return_table(
+                        adj, start, admitted, L - 1, clock, walks.live
+                    )
                 for w, c in frames[-1]:
                     if w <= start or not free[w] or c == cols[-1]:
                         continue
@@ -840,20 +879,23 @@ def shortest_directed_cycle(
 # Derived pipelines
 # ---------------------------------------------------------------------------
 
-def _pc_cycle_stages(G: EdgeColoredGraph, r: int, clock: _Clock, details: dict):
+def _pc_cycle_stages(G: EdgeColoredGraph, r: int, walks: _WalkClasses):
     """The re-verified pc-cycle witness of length at most r that the two
-    stages of pc_short_cycle_pipeline find in G, or None.
+    stages of pc_short_cycle_pipeline find in the graph of walks (G, or the
+    subgraph its live vertices induce), or None.
 
-    Both tick the one clock and share one _WalkClasses, so the one-color
-    peel runs once, at the start of the K_{2,2} scan, and the hub pass at
-    most once, in whichever stage needs it first. details gets the stage
-    that found the cycle (1 for the scan, 3 for the DFS; 2 went with the
+    Both tick the clock of walks and share it, so the one-color peel runs
+    once, at the start of the K_{2,2} scan, and the hub pass at most once,
+    in whichever stage needs it first. walks.details gets the stage that
+    found the cycle (1 for the scan, 3 for the DFS; 2 went with the
     orientation stage that once ran between them) and the walk periods,
-    as far as the search got. When the peel leaves an empty core, G has no
-    properly colored cycle at all, so the search stops after the scan (an
-    edgeless G among them); the DFS skips length 4, which the scan decided.
+    as far as the search got. When the peel leaves an empty core, the graph
+    has no properly colored cycle at all, so the search stops after the
+    scan (an edgeless graph among them); the DFS skips length 4, which the
+    scan decided. A cycle of the subgraph is a cycle of G with the same
+    edges, so the witness is built and re-verified on G.
     """
-    walks = _WalkClasses(G, clock, details)
+    clock, details = walks.clock, walks.details
     w = _kst_impl(G, 2, 2, clock, rainbow=False, walks=walks)
     if w is not None:
         details["stage"] = 1
@@ -889,12 +931,9 @@ def pc_short_cycle_pipeline(
     """
     _require_int("r", r, 4)
     details: dict = {"r": r}
-    return _search(budget, lambda clock: _pc_cycle_stages(G, r, clock, details), details)
-
-
-def _drop_vertices(G: EdgeColoredGraph, dead: set[int]) -> EdgeColoredGraph:
-    edges = [(u, v, c) for u, v, c in G.edges if u not in dead and v not in dead]
-    return EdgeColoredGraph(G.n, edges)
+    return _search(
+        budget, lambda clock: _pc_cycle_stages(G, r, _WalkClasses(G, clock, details)), details
+    )
 
 
 def disjoint_pc_cycles(
@@ -906,8 +945,11 @@ def disjoint_pc_cycles(
     length bound (r = max(n, 4)) on the residual graph, so it takes a
     properly colored C4 if there is one and else a shortest properly
     colored cycle, removes the vertices of that cycle, and repeats; a
-    round whose residual peels to nothing ends after stage 1. All rounds
-    tick one clock. With fewer than k cycles
+    round whose residual peels to nothing ends after stage 1. The residual
+    graph is G with the used vertices cleared from one live mask, and its
+    edge count is kept alongside, so no graph is built: every round has the
+    witness and node count it would have on the residual built as a graph
+    of its own. All rounds tick one clock. With fewer than k cycles
     the outcome is exhausted-none and the partial family rides in the
     details; this is a greedy heuristic, not an exact packing decision.
     """
@@ -915,14 +957,21 @@ def disjoint_pc_cycles(
     cycles: list[list[int]] = []
 
     def body(clock):
-        residual = G
+        adj = G.adj
+        live, m = None, G.m  # the first round runs on G itself
         r = max(G.n, 4)
         while len(cycles) < k:
-            w = _pc_cycle_stages(residual, r, clock, {})
+            w = _pc_cycle_stages(G, r, _WalkClasses(G, clock, {}, live, m))
             if w is None:
                 return None
-            cycles.append(list(w.vertices[0]))
-            residual = _drop_vertices(G, {v for cyc in cycles for v in cyc})
+            cycle = w.vertices[0]
+            cycles.append(list(cycle))
+            if live is None:
+                live = bytearray(b"\x01") * G.n
+            for v in cycle:
+                live[v] = 0
+                for u, _ in adj[v]:
+                    m -= live[u]
         return _witness(G, "disjoint-cycles", *cycles)
 
     return _search(budget, body, {"requested": k, "cycles": cycles})

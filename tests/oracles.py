@@ -2,12 +2,17 @@
 
 Everything here enumerates by raw itertools subsets/permutations and checks
 properties directly from edge lists, sharing no traversal logic with the
-package's backtracking detectors. Intended for tiny instances only.
+package's backtracking detectors. Intended for tiny instances only. The one
+exception is rebuilt_disjoint_pc_cycles, a reference that runs the
+package's own search stages, but on graphs rebuilt from G's edge list.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import ceil, gcd
+
+from chroma.core import EdgeColoredGraph
+from chroma.detectors import _WalkClasses, _pc_cycle_stages, _search, _witness
 
 
 def _color_map(G):
@@ -348,3 +353,32 @@ def brute_return_lengths(G, start, allowed, limit) -> dict:
                     break
                 layer = {(x, d) for x, d in steps if x in allowed}
     return lengths
+
+
+def without_vertices(G, dead) -> EdgeColoredGraph:
+    """G rebuilt from its edge list without the edges at the vertices of
+    dead, which stay behind as isolated vertices."""
+    return EdgeColoredGraph(
+        G.n, [(u, v, c) for u, v, c in G.edges if u not in dead and v not in dead]
+    )
+
+
+def rebuilt_disjoint_pc_cycles(G, k, budget=None):
+    """disjoint_pc_cycles with every round after the first run on a residual
+    graph rebuilt by without_vertices, which drops the vertices of the
+    cycles found so far: the reference that the package's rounds on a live
+    mask of G must match in status, witness, nodes and details."""
+    cycles: list[list[int]] = []
+
+    def body(clock):
+        residual = G
+        r = max(G.n, 4)
+        while len(cycles) < k:
+            w = _pc_cycle_stages(residual, r, _WalkClasses(residual, clock, {}))
+            if w is None:
+                return None
+            cycles.append(list(w.vertices[0]))
+            residual = without_vertices(G, {v for cyc in cycles for v in cyc})
+        return _witness(G, "disjoint-cycles", *cycles)
+
+    return _search(budget, body, {"requested": k, "cycles": cycles})

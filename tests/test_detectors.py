@@ -32,7 +32,6 @@ from chroma.detectors import (
     SearchBudget,
     _Clock,
     _WalkClasses,
-    _drop_vertices,
     _one_color_core,
     _return_table,
     _walk_classes,
@@ -65,6 +64,8 @@ from oracles import (
     first_pc_cycle_witness,
     first_pc_kst_witness,
     is_pc_cycle,
+    rebuilt_disjoint_pc_cycles,
+    without_vertices,
 )
 
 
@@ -724,13 +725,13 @@ class TestWalkClassesOracle:
 
 def core_instance(seed):
     """A walk-class instance (see walk_class_instance), or for every third
-    seed what is left of one after _drop_vertices removes a random third of
-    its vertices, which stay behind as isolated vertices."""
+    seed what is left of one after without_vertices removes a random third
+    of its vertices, which stay behind as isolated vertices."""
     G = walk_class_instance(seed)
     if seed % 3:
         return G
     rng = random.Random(seed)
-    return _drop_vertices(G, {v for v in range(G.n) if rng.random() < 1 / 3})
+    return without_vertices(G, {v for v in range(G.n) if rng.random() < 1 / 3})
 
 
 class TestOneColorCore:
@@ -794,9 +795,43 @@ class TestOneColorCore:
             assert self.core(fringed(C, rng, extra=8)) == list(range(C.n))
             T = signature(transitive_tournament(12 + seed))
             assert self.core(T) == []
-            assert self.core(_drop_vertices(T, {0, 5})) == []
+            assert self.core(without_vertices(T, {0, 5})) == []
             R = random_edge_colored_graph(14, 0.25, 3, seed)
             assert self.core(R) == brute_one_color_core(R)
+
+    @staticmethod
+    def assert_masked_peel(G, rng) -> bool:
+        """The peel on a live mask of G against the peel of G rebuilt
+        without the vertices the mask clears: the same core and the same
+        ticks, and the mask left as it was. Returns whether the masked peel
+        removed a live vertex."""
+        p = rng.choice((0.1, 0.3, 0.6))
+        dead = {v for v in range(G.n) if rng.random() < p}
+        live = bytearray(v not in dead for v in range(G.n))
+        mask = bytes(live)
+        clock, rebuilt = _Clock(None), _Clock(None)
+        core = _one_color_core(G, clock, live)
+        assert core == _one_color_core(without_vertices(G, dead), rebuilt)
+        assert clock.nodes == rebuilt.nodes and live == mask
+        return len(core) < G.n - len(dead)
+
+    def test_masked_peel_is_the_peel_of_the_rebuilt_residual(self):
+        peeled = 0
+        for seed in range(240):
+            rng = random.Random(seed)
+            for G in (core_instance(seed), cycle_search_instance(seed), gate_instance(seed)):
+                peeled += self.assert_masked_peel(G, rng)
+        assert peeled > 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_masked_peel_hypothesis(self, seed):
+        rng = random.Random(seed)
+        self.assert_masked_peel(walk_class_instance(seed), rng)
+        self.assert_masked_peel(
+            random_edge_colored_graph(rng.randint(1, 14), rng.random(), rng.randint(1, 4), seed),
+            rng,
+        )
 
     def test_every_pc_c4_and_k23_vertex_is_in_the_core(self):
         # On core instances, and on proper K_{2,3}s and K_{2,4}s with a
@@ -863,9 +898,9 @@ def walk_passes(monkeypatch):
     calls = {"peel": [], "hub": []}
     for key, name in (("peel", "_one_color_core"), ("hub", "_walk_classes")):
 
-        def spy(G, clock, *core, real=getattr(detectors, name), log=calls[key]):
+        def spy(G, clock, *rest, real=getattr(detectors, name), log=calls[key]):
             before = clock.nodes
-            result = real(G, clock, *core)
+            result = real(G, clock, *rest)  # the core, or the peel's live mask
             log.append((before, clock.nodes, result))
             return result
 
@@ -1440,6 +1475,120 @@ class TestDisjointPcCycles:
                 found += 1
                 assert out.witness.vertices == pipe.witness.vertices
         assert found > 0
+
+    # ROADMAP item 1: the greedy takes two pc C4s, which leave no room for a
+    # third cycle, though three disjoint triangles exist.
+    CIRCULANT_9_TRIANGLES = ((0, 3, 6), (1, 4, 7), (2, 5, 8))
+
+    def test_circulant_9_holds_three_disjoint_triangles(self):
+        G = signature(circulant_tournament(9))
+        groups = self.CIRCULANT_9_TRIANGLES
+        w = Witness("disjoint-cycles", groups, claimed_edges(G, "disjoint-cycles", groups))
+        assert verify_witness(G, w)
+
+    @pytest.mark.xfail(strict=True, reason="the greedy is no exact packing (ROADMAP item 1)")
+    def test_circulant_9_packs_three_cycles(self):
+        out = disjoint_pc_cycles(signature(circulant_tournament(9)), 3)
+        assert out.status == FOUND
+
+
+def disjoint_instance(seed):
+    """A graph for comparing disjoint rounds: a cycle-search, gate or
+    walk-class instance, or a random graph on 8 to 18 vertices, dense
+    enough for several disjoint pc cycles."""
+    kind = seed % 4
+    if kind == 0:
+        return cycle_search_instance(seed)
+    if kind == 1:
+        return gate_instance(seed)
+    if kind == 2:
+        return walk_class_instance(seed)
+    rng = random.Random(seed)
+    return random_edge_colored_graph(
+        rng.randint(8, 18), rng.choice((0.3, 0.5, 0.8)), rng.randint(2, 5), seed
+    )
+
+
+def masked_table_instance():
+    """A relabelled C9 blow-up (k = 2) beside a pc triangle on 18..20 whose
+    vertex 18 is joined to every blow-up vertex in one color: the triangle
+    is the first round's cycle, and the second round's DFS builds a
+    _return_table on the mask, where every blow-up vertex has lost its edge
+    to 18."""
+    B = relabelled(blowup_cycle_signature(9, 2), random.Random(7))
+    n = B.n
+    triangle = [(n, n + 1, 100), (n + 1, n + 2, 101), (n, n + 2, 102)]
+    return EdgeColoredGraph(n + 3, [*B.edges, *triangle, *((v, n, 200) for v in range(n))])
+
+
+class TestDisjointRoundsOnTheMask:
+    """disjoint_pc_cycles runs its rounds after the first on a live mask of
+    G; the reference, rebuilt_disjoint_pc_cycles, runs them on residual
+    graphs rebuilt from G's edges. Both must end alike at every budget."""
+
+    @staticmethod
+    def assert_same(G, k, budget=None):
+        out = disjoint_pc_cycles(G, k, budget)
+        ref = rebuilt_disjoint_pc_cycles(G, k, budget)
+        assert (out.status, out.witness, out.nodes, out.details) == (
+            ref.status, ref.witness, ref.nodes, ref.details
+        )
+        return out
+
+    def test_seeded_instances(self):
+        multi = 0
+        for seed in range(120):
+            G = disjoint_instance(seed)
+            for k in (1, 3, G.n):
+                out = self.assert_same(G, k)
+                multi += len(out.details["cycles"]) >= 2
+        assert multi > 40
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 3, None)))
+    def test_hypothesis_instances(self, seed, k):
+        G = disjoint_instance(seed)
+        self.assert_same(G, k or G.n)
+
+    def test_every_budget_across_rounds(self, walk_passes):
+        # Every node budget up to the unbudgeted count, on instances whose
+        # search runs two rounds or more, so across every round boundary.
+        swept = 0
+        for seed in range(60):
+            G = disjoint_instance(seed)
+            clear(walk_passes)
+            full = self.assert_same(G, G.n)
+            if len(full.details["cycles"]) < 2 or full.nodes > 600:
+                continue
+            swept += 1
+            assert len(walk_passes["peel"]) > 2  # one per round, in both runs
+            for b in range(1, full.nodes + 2):
+                out = self.assert_same(G, G.n, SearchBudget(max_nodes=b))
+                assert (out.status == BUDGET_EXCEEDED) == (b < full.nodes)
+        assert swept > 10
+
+    def test_return_table_on_the_mask(self, monkeypatch, walk_passes):
+        # The second round's _return_table ticks only the live edges; every
+        # budget from the start of that round on ends as on the residual.
+        tables = []
+        real = detectors._return_table
+
+        def spy(adj, start, admitted, limit, clock, live=None):
+            if live is not None:
+                tables.append((clock.nodes, [len(adj[v]) - sum(live[w] for w, _ in adj[v])
+                                             for v in admitted]))
+            return real(adj, start, admitted, limit, clock, live)
+
+        monkeypatch.setattr(detectors, "_return_table", spy)
+        G = masked_table_instance()
+        full = self.assert_same(G, 2)
+        assert full.status == FOUND and full.details["cycles"][0] == [18, 19, 20]
+        ((at, lost),) = tables
+        assert min(lost) == 1
+        second = walk_passes["peel"][1][0]  # the masked run's second round
+        assert second < at
+        for b in range(second - 5, full.nodes + 2):
+            self.assert_same(G, 2, SearchBudget(max_nodes=b))
 
 
 class TestExtractRainbowKst:
