@@ -2,14 +2,14 @@
 
 These searches define ground truth at desk scale. "Not found" and "budget
 exceeded" are distinct outcomes: exhausted-none asserts the whole search
-space was covered, while budget-exceeded makes no claim. Every witness is
-re-verified against the host before being returned.
+space was covered, while budget-exceeded makes no claim. _search builds
+each witness and checks it against the host once, after its search.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, dropwhile
 from typing import Optional, Sequence, Union
 
@@ -104,27 +104,28 @@ class _Clock:
         return time.monotonic() - self.start
 
 
-def _search(budget: Optional[SearchBudget], body, details: dict) -> SearchOutcome:
+def _search(budget: Optional[SearchBudget], body, details: dict, host, kind: str) -> SearchOutcome:
     """Run body(clock) as one search under a new clock for budget.
 
-    A witness from body makes the outcome found and None exhausted-none; a
-    budget stop anywhere inside makes it budget-exceeded. details is the
-    dict body fills as it goes; the outcome carries it as body left it.
+    body returns None, for exhausted-none, or the vertex groups of a
+    kind-witness on host, for found with the witness _witness builds and
+    checks; a budget stop anywhere inside makes it budget-exceeded. The
+    outcome carries details as body left it, filled as it went.
     """
     clock = _Clock(budget)
     try:
-        w = body(clock)
-        status = FOUND if w else EXHAUSTED
+        groups = body(clock)
     except _BudgetStop:
-        w, status = None, BUDGET_EXCEEDED
-    return SearchOutcome(status, w, clock.nodes, clock.elapsed, details)
+        return SearchOutcome(BUDGET_EXCEEDED, None, clock.nodes, clock.elapsed, details)
+    w = None if groups is None else _witness(host, kind, *groups)
+    return SearchOutcome(FOUND if w else EXHAUSTED, w, clock.nodes, clock.elapsed, details)
 
 
 def _witness(host, kind: str, *groups) -> Witness:
-    """The re-verified witness of kind on the vertex groups of host, with
-    the edges of _host_edges: sorted for the colored kinds, in cycle order
-    for a directed cycle."""
-    edges = _host_edges(host, kind, groups)
+    """The witness of kind on the vertex groups of host, with the edges of
+    _host_edges (sorted for the colored kinds, in cycle order for a directed
+    cycle), once verify_witness has accepted it; a refusal is a bug."""
+    edges = _host_edges(host, kind, groups) or []  # None: an edge is missing
     if kind != "directed-cycle":
         edges.sort()
     w = Witness(kind, groups, edges)
@@ -217,8 +218,8 @@ def _kst_impl(
 
     T is grown from the common neighbors whose star to S is rainbow, in
     ascending order, keeping a used-color set per S-vertex (properly colored
-    mode) or one set shared by all of S (rainbow mode); the first T found is
-    the lexicographically least one for the first S that has any.
+    mode) or one set shared by all of S (rainbow mode). It returns (S, T)
+    for the first S that has any T, with the lexicographically least T.
 
     For s = 2 the backtracking runs only on the pairs that _color_matching
     accepts: a rainbow K_{2,t} is also a properly colored one, so a rejected
@@ -319,19 +320,27 @@ def _kst_impl(
             return False
 
         if extend(0):
-            return _witness(G, "rainbow-kst" if rainbow else "pc-kst", S, tuple(chosen))
+            return S, tuple(chosen)
     return None
 
 
-def _run_kst(G, s, t, budget, rainbow: bool) -> SearchOutcome:
+def _run_kst(G, s, t, budget, kind: str) -> SearchOutcome:
     _require_int("s", s, 1)
     _require_int("t", t, 1)
     details: dict = {}
-    return _search(
-        budget,
-        lambda clock: _kst_impl(G, s, t, clock, rainbow, _WalkClasses(G, clock, details)),
-        details,
-    )
+
+    def body(clock):
+        sides = _kst_impl(G, s, t, clock, kind != "pc-kst", _WalkClasses(G, clock, details))
+        return _c4(sides) if kind == "rainbow-cycle" else sides
+
+    return _search(budget, body, details, G, kind)
+
+
+def _c4(sides):
+    """The groups of the C4 (a, u, b, v) on the K_{2,2} sides (a, b), (u, v), or None."""
+    if sides is not None:
+        (a, b), (u, v) = sides
+        return ((a, u, b, v),)
 
 
 def find_pc_kst(
@@ -357,7 +366,7 @@ def find_pc_kst(
     ticks, the hub pass's one per arc of a graph that has no node for a
     color leading to a single neighbor (see _walk_classes).
     """
-    return _run_kst(G, s, t, budget, rainbow=False)
+    return _run_kst(G, s, t, budget, "pc-kst")
 
 
 def find_rainbow_kst(
@@ -371,7 +380,7 @@ def find_rainbow_kst(
     filter gate the scan as in find_pc_kst, for the same reason, and their
     ticks count in the nodes.
     """
-    return _run_kst(G, s, t, budget, rainbow=True)
+    return _run_kst(G, s, t, budget, "rainbow-kst")
 
 
 # ---------------------------------------------------------------------------
@@ -701,9 +710,10 @@ def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, walks: _WalkClas
     For each length the start vertex is the cycle minimum and paths extend
     through larger-id vertices with color-changing edges only; the closing
     edge must differ in color from both its cycle neighbors. The first
-    cycle found is the shortest, lexicographically least one among the
-    lengths tried. The DFS keeps its path on an explicit stack, so the
-    cycle length is not bounded by Python's recursion limit.
+    cycle found, returned as the groups (cycle,), is the shortest,
+    lexicographically least one among the lengths tried. The DFS keeps its
+    path on an explicit stack, so the cycle length is not bounded by
+    Python's recursion limit.
 
     Once the DFS from one start has spent _WALK_SWITCH x m nodes, it builds
     that start's _return_table and from then on skips every step after
@@ -752,7 +762,7 @@ def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, walks: _WalkClas
                     tick()
                     closing = colors.get((start, w))
                     if closing is not None and closing != c and closing != cols[1]:
-                        return _witness(G, "pc-cycle", (*path, w))
+                        return ((*path, w),)
                 else:
                     frames.pop()
                     if len(path) > 1:
@@ -783,7 +793,7 @@ def find_pc_cycle_upto(
         lambda clock: _pc_cycle_impl(
             G, range(3, r + 1), clock, _WalkClasses(G, clock, details)
         ),
-        details,
+        details, G, "pc-cycle",
     )
 
 
@@ -793,19 +803,15 @@ def find_rainbow_c4(
     """Search for a 4-cycle whose four edges have pairwise distinct colors.
 
     A rainbow C4 is a rainbow K_{2,2}, so this is the rainbow K_{2,2} search
-    of find_rainbow_kst, with its witness ((a, b), (u, w)) read as the cycle
-    (a, u, b, w); the node counts and details are that search's, so it
-    starts with the one-color peel and costs one tick per edge on an
-    acyclic signature.
+    of find_rainbow_kst, with the sides (a, b), (u, w) it finds read as the
+    cycle (a, u, b, w), the one witness checked; the node counts and details
+    are that search's, so it starts with the one-color peel and costs one
+    tick per edge on an acyclic signature.
     """
-    out = _run_kst(G, 2, 2, budget, rainbow=True)
-    if out.witness is None:
-        return out
-    (a, b), (u, w) = out.witness.vertices
-    return replace(out, witness=_witness(G, "rainbow-cycle", (a, u, b, w)))
+    return _run_kst(G, 2, 2, budget, "rainbow-cycle")
 
 
-def _shortest_directed_cycle_impl(D, clock: _Clock) -> Optional[Witness]:
+def _shortest_directed_cycle_impl(D, clock: _Clock) -> Optional[tuple]:
     """BFS from every vertex for a shortest directed cycle of D.
 
     Each BFS level ticks the clock once per frontier vertex, so a budget
@@ -855,9 +861,7 @@ def _shortest_directed_cycle_impl(D, clock: _Clock) -> Optional[Witness]:
                 v = parent[v]
             best_cycle = list(reversed(path))
 
-    if best_cycle is None:
-        return None
-    return _witness(D, "directed-cycle", tuple(best_cycle))
+    return None if best_cycle is None else (best_cycle,)
 
 
 def shortest_directed_cycle(
@@ -865,11 +869,13 @@ def shortest_directed_cycle(
 ) -> SearchOutcome:
     """Exact shortest directed cycle by BFS from every vertex, O(n(n+m)).
 
-    Returns found with a shortest cycle, exhausted-none for acyclic inputs,
-    or budget-exceeded when budget runs out first; each BFS level ticks the
-    clock once per frontier vertex.
+    Returns found with a shortest cycle, checked on D after the search,
+    exhausted-none for acyclic inputs, or budget-exceeded when budget runs
+    out first; each BFS level ticks the clock once per frontier vertex.
     """
-    out = _search(budget, lambda clock: _shortest_directed_cycle_impl(D, clock), {})
+    out = _search(
+        budget, lambda clock: _shortest_directed_cycle_impl(D, clock), {}, D, "directed-cycle"
+    )
     if out.witness is not None:
         out.details["length"] = len(out.witness.vertices[0])
     return out
@@ -880,9 +886,9 @@ def shortest_directed_cycle(
 # ---------------------------------------------------------------------------
 
 def _pc_cycle_stages(G: EdgeColoredGraph, r: int, walks: _WalkClasses):
-    """The re-verified pc-cycle witness of length at most r that the two
-    stages of pc_short_cycle_pipeline find in the graph of walks (G, or the
-    subgraph its live vertices induce), or None.
+    """The groups (cycle,) of the properly colored cycle of length at most r
+    that the two stages of pc_short_cycle_pipeline find in the graph of
+    walks (G, or the subgraph its live vertices induce), or None.
 
     Both tick the clock of walks and share it, so the one-color peel runs
     once, at the start of the K_{2,2} scan, and the hub pass at most once,
@@ -892,21 +898,18 @@ def _pc_cycle_stages(G: EdgeColoredGraph, r: int, walks: _WalkClasses):
     as far as the search got. When the peel leaves an empty core, the graph
     has no properly colored cycle at all, so the search stops after the
     scan (an edgeless graph among them); the DFS skips length 4, which the
-    scan decided. A cycle of the subgraph is a cycle of G with the same
-    edges, so the witness is built and re-verified on G.
+    scan decided. Stage 1 reads its K_{2,2} as a C4 (see _c4). A cycle of
+    the subgraph is one of G, so the caller checks the witness on G.
     """
     clock, details = walks.clock, walks.details
-    w = _kst_impl(G, 2, 2, clock, rainbow=False, walks=walks)
-    if w is not None:
+    found = _c4(_kst_impl(G, 2, 2, clock, rainbow=False, walks=walks))
+    if found is not None:
         details["stage"] = 1
-        (a, b), (u, v) = w.vertices
-        return _witness(G, "pc-cycle", (a, u, b, v))
-    if not walks.core():
-        return None
-    w = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock, walks)
-    if w is not None:
-        details["stage"] = 3
-    return w
+    elif walks.core():
+        found = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock, walks)
+        if found is not None:
+            details["stage"] = 3
+    return found
 
 
 def pc_short_cycle_pipeline(
@@ -932,7 +935,8 @@ def pc_short_cycle_pipeline(
     _require_int("r", r, 4)
     details: dict = {"r": r}
     return _search(
-        budget, lambda clock: _pc_cycle_stages(G, r, _WalkClasses(G, clock, details)), details
+        budget, lambda clock: _pc_cycle_stages(G, r, _WalkClasses(G, clock, details)),
+        details, G, "pc-cycle",
     )
 
 
@@ -949,9 +953,11 @@ def disjoint_pc_cycles(
     graph is G with the used vertices cleared from one live mask, and its
     edge count is kept alongside, so no graph is built: every round has the
     witness and node count it would have on the residual built as a graph
-    of its own. All rounds tick one clock. With fewer than k cycles
-    the outcome is exhausted-none and the partial family rides in the
-    details; this is a greedy heuristic, not an exact packing decision.
+    of its own. All rounds tick one clock. The one check of a found
+    outcome, on its disjoint-cycles witness, covers every round's cycle.
+    With fewer than k cycles the outcome is exhausted-none and the partial
+    family rides in the details; this is a greedy heuristic, not an exact
+    packing decision.
     """
     _require_int("k", k, 1)
     cycles: list[list[int]] = []
@@ -961,20 +967,19 @@ def disjoint_pc_cycles(
         live, m = None, G.m  # the first round runs on G itself
         r = max(G.n, 4)
         while len(cycles) < k:
-            w = _pc_cycle_stages(G, r, _WalkClasses(G, clock, {}, live, m))
-            if w is None:
+            found = _pc_cycle_stages(G, r, _WalkClasses(G, clock, {}, live, m))
+            if found is None:
                 return None
-            cycle = w.vertices[0]
-            cycles.append(list(cycle))
+            cycles.append(list(found[0]))
             if live is None:
                 live = bytearray(b"\x01") * G.n
-            for v in cycle:
+            for v in cycles[-1]:
                 live[v] = 0
                 for u, _ in adj[v]:
                     m -= live[u]
-        return _witness(G, "disjoint-cycles", *cycles)
+        return cycles
 
-    return _search(budget, body, {"requested": k, "cycles": cycles})
+    return _search(budget, body, {"requested": k, "cycles": cycles}, G, "disjoint-cycles")
 
 
 # ---------------------------------------------------------------------------
@@ -1010,23 +1015,17 @@ def extract_rainbow_kst(G: EdgeColoredGraph, S, B, t: int) -> Witness:
     if not is_properly_colored(G, star_edges):
         raise ValueError("subgraph between S and B is not properly colored")
 
-    chosen = [B[0]]
-    used = {G.color_of(u, B[0]) for u in S}
-    while len(chosen) < t:
-        pick = None
-        for v in B:
-            if v in chosen:
-                continue
-            cols = [G.color_of(u, v) for u in S]
-            if all(c not in used for c in cols):
-                pick = v
-                break
-        if pick is None:  # impossible under the stated precondition
-            raise RuntimeError("internal error: rainbow growth ran out of candidates")
-        chosen.append(pick)
-        used.update(G.color_of(u, pick) for u in S)
-
-    return _witness(G, "rainbow-kst", S, tuple(chosen))
+    # used only grows, so one ascending pass takes what the greedy takes
+    chosen: list[int] = []
+    used: set[int] = set()
+    for v in B:
+        cols = {G.color_of(u, v) for u in S}
+        if not cols & used:
+            chosen.append(v)
+            used |= cols
+            if len(chosen) == t:
+                return _witness(G, "rainbow-kst", S, tuple(chosen))
+    raise RuntimeError("internal error: rainbow growth ran out of candidates")
 
 
 def _total_degree_requirement(s: int, t: int, n: int, parts=None) -> float:

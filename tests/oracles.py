@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 from math import ceil, gcd
 
 from chroma.core import EdgeColoredGraph
-from chroma.detectors import _WalkClasses, _pc_cycle_stages, _search, _witness
+from chroma.detectors import _WalkClasses, _pc_cycle_stages, _search
 
 
 def _color_map(G):
@@ -367,18 +367,20 @@ def rebuilt_disjoint_pc_cycles(G, k, budget=None):
     """disjoint_pc_cycles with every round after the first run on a residual
     graph rebuilt by without_vertices, which drops the vertices of the
     cycles found so far: the reference that the package's rounds on a live
-    mask of G must match in status, witness, nodes and details."""
+    mask of G must match in status, witness, nodes and details. As there,
+    each round's stages return the groups of one cycle, and _search builds
+    and checks the cycles once, as the disjoint-cycles witness on G."""
     cycles: list[list[int]] = []
 
     def body(clock):
         residual = G
         r = max(G.n, 4)
         while len(cycles) < k:
-            w = _pc_cycle_stages(residual, r, _WalkClasses(residual, clock, {}))
-            if w is None:
+            found = _pc_cycle_stages(residual, r, _WalkClasses(residual, clock, {}))
+            if found is None:
                 return None
-            cycles.append(list(w.vertices[0]))
+            cycles.append(list(found[0]))
             residual = without_vertices(G, {v for cyc in cycles for v in cyc})
-        return _witness(G, "disjoint-cycles", *cycles)
+        return cycles
 
-    return _search(budget, body, {"requested": k, "cycles": cycles})
+    return _search(budget, body, {"requested": k, "cycles": cycles}, G, "disjoint-cycles")

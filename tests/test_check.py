@@ -1,7 +1,8 @@
 """The search-free checks in chroma.check: verify_orientation against the
-orientation construction and its mutations, and the module's import
-boundary. verify_witness is tested with the detectors that produce the
-witnesses, in test_detectors.py."""
+orientation construction and its mutations, the module's import boundary,
+and verify_witness on witnesses read back from the JSON the detectors
+print. verify_witness is tested further with the detectors that produce
+the witnesses, in test_detectors.py."""
 import ast
 import copy
 import json
@@ -15,15 +16,18 @@ from hypothesis import strategies as st
 
 import chroma.check
 from chroma import cli
-from chroma.check import verify_orientation
-from chroma.core import ColoredOrientation, EdgeColoredGraph
+from chroma import detectors as D
+from chroma.check import verify_orientation, verify_witness
+from chroma.core import ColoredOrientation, EdgeColoredGraph, Witness
 from chroma.constructions import (
     blowup_cycle_signature,
+    circulant_tournament,
     random_bipartite_edge_colored,
     random_edge_colored_graph,
 )
 from chroma.extraction import construct_orientation, construct_orientation_bipartite
 from chroma.formats import load, save
+from chroma.transforms import signature
 
 ST_PAIRS = ((2, 2), (2, 3), (3, 3))
 
@@ -167,3 +171,45 @@ def test_check_imports_only_core_and_the_standard_library():
         else:
             names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             assert all(name.split(".")[0] in sys.stdlib_module_names for name in names)
+
+
+def c4_graph(*colors):
+    return EdgeColoredGraph(4, [(0, 1, colors[0]), (1, 2, colors[1]), (2, 3, colors[2]), (0, 3, colors[3])])
+
+
+def digraph_file(tmp_path, name):
+    """A circulant tournament on 7 vertices as a .org file, or a colored
+    orientation of its signature as a .corg file, loaded back."""
+    D7 = circulant_tournament(7)
+    if name.endswith(".corg"):
+        D7 = construct_orientation(signature(D7), 2, 2)[1]
+    save(D7, tmp_path / name)
+    return load(tmp_path / name)
+
+
+ROUND_TRIP_CASES = {
+    "pc-kst": lambda _: (c4_graph(1, 2, 1, 2), lambda G: D.find_pc_kst(G, 2, 2)),
+    "rainbow-kst": lambda _: (c4_graph(1, 2, 3, 4), lambda G: D.find_rainbow_kst(G, 2, 2)),
+    "pc-cycle": lambda _: (blowup_cycle_signature(5, 2), lambda G: D.find_pc_cycle_upto(G, 5)),
+    "pc-cycle-pipeline": lambda _: (
+        c4_graph(1, 2, 1, 2), lambda G: D.pc_short_cycle_pipeline(G, 4)
+    ),
+    "rainbow-cycle": lambda _: (c4_graph(1, 2, 3, 4), D.find_rainbow_c4),
+    "directed-cycle-org": lambda tmp: (digraph_file(tmp, "c7.org"), D.shortest_directed_cycle),
+    "directed-cycle-corg": lambda tmp: (digraph_file(tmp, "c7.corg"), D.shortest_directed_cycle),
+    "disjoint-cycles": lambda _: (
+        signature(circulant_tournament(21)), lambda G: D.disjoint_pc_cycles(G, 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ROUND_TRIP_CASES)
+def test_witness_survives_its_json(case, tmp_path):
+    # What a caller of chroma find gets is JSON; the witness rebuilt from it
+    # is the detector's and passes the checker on the same host.
+    host, detect = ROUND_TRIP_CASES[case](tmp_path)
+    out = detect(host)
+    assert out.status == D.FOUND and case.startswith(out.witness.kind)
+    w = Witness(**json.loads(json.dumps(out.to_dict()))["witness"])
+    assert w == out.witness
+    assert verify_witness(host, w)

@@ -1885,3 +1885,83 @@ class TestWitnessVerification:
             G = random_edge_colored_graph(n, 0.7, rng.randint(1, 4), seed)
             kst = find_pc_kst(G, 2, 2, None).status == FOUND
             assert kst == (4 in brute_pc_cycle_lengths(G))
+
+
+def one_check_cases():
+    """(id, call, status) for each public detector: a found, an
+    exhausted-none and a budget-exceeded answer, plus the found answers
+    whose searches built intermediate witnesses before they had one check:
+    the pipeline's stage 3, and disjoint rounds ending in either stage."""
+    pc, rainbow = c4(1, 2, 1, 2), c4(1, 2, 3, 4)
+    acyclic = signature(transitive_tournament(8))
+    circ21 = signature(circulant_tournament(21))
+    b58 = blowup_cycle_signature(5, 8)
+    tight = SearchBudget(max_nodes=1)
+    colored = construct_orientation(signature(circulant_tournament(7)), 2, 2)[1]
+    return [
+        ("pc-kst-found", lambda: find_pc_kst(pc, 2, 2), FOUND),
+        ("pc-kst-none", lambda: find_pc_kst(acyclic, 2, 2), EXHAUSTED),
+        ("pc-kst-budget", lambda: find_pc_kst(circ21, 2, 3, tight), BUDGET_EXCEEDED),
+        ("rainbow-kst-found", lambda: find_rainbow_kst(rainbow, 2, 2), FOUND),
+        ("rainbow-kst-none", lambda: find_rainbow_kst(pc, 2, 2), EXHAUSTED),
+        ("rainbow-kst-budget", lambda: find_rainbow_kst(circ21, 2, 2, tight), BUDGET_EXCEEDED),
+        ("rainbow-c4-found", lambda: find_rainbow_c4(rainbow), FOUND),
+        ("rainbow-c4-none", lambda: find_rainbow_c4(pc), EXHAUSTED),
+        ("rainbow-c4-budget", lambda: find_rainbow_c4(circ21, tight), BUDGET_EXCEEDED),
+        ("pc-cycle-found", lambda: find_pc_cycle_upto(b58, 5), FOUND),
+        ("pc-cycle-none", lambda: find_pc_cycle_upto(acyclic, 8), EXHAUSTED),
+        ("pc-cycle-budget", lambda: find_pc_cycle_upto(b58, 5, tight), BUDGET_EXCEEDED),
+        ("pipeline-stage1", lambda: pc_short_cycle_pipeline(pc, 4), FOUND),
+        ("pipeline-stage3", lambda: pc_short_cycle_pipeline(b58, 6), FOUND),
+        ("pipeline-none", lambda: pc_short_cycle_pipeline(acyclic, 8), EXHAUSTED),
+        ("pipeline-budget", lambda: pc_short_cycle_pipeline(b58, 6, tight), BUDGET_EXCEEDED),
+        ("disjoint-circulant-21-k3", lambda: disjoint_pc_cycles(circ21, 3), FOUND),
+        ("disjoint-b58-k3", lambda: disjoint_pc_cycles(b58, 3), FOUND),
+        ("disjoint-partial", lambda: disjoint_pc_cycles(b58, 9), EXHAUSTED),
+        ("disjoint-budget", lambda: disjoint_pc_cycles(circ21, 3, SearchBudget(max_nodes=50)),
+         BUDGET_EXCEEDED),
+        ("sdc-found", lambda: shortest_directed_cycle(circulant_tournament(7)), FOUND),
+        ("sdc-colored-found", lambda: shortest_directed_cycle(colored), FOUND),
+        ("sdc-none", lambda: shortest_directed_cycle(transitive_tournament(8)), EXHAUSTED),
+        ("sdc-budget", lambda: shortest_directed_cycle(circulant_tournament(21), tight),
+         BUDGET_EXCEEDED),
+    ]
+
+
+ONE_CHECK_CASES = one_check_cases()
+
+
+class TestOneCheckPerAnswer:
+    """_search builds and checks the one witness of an answer; no search
+    checks a witness of its own on the way."""
+
+    @pytest.mark.parametrize(
+        "call,status", [c[1:] for c in ONE_CHECK_CASES], ids=[c[0] for c in ONE_CHECK_CASES]
+    )
+    def test_verify_witness_calls(self, monkeypatch, call, status):
+        calls = []
+
+        def spy(host, w):
+            calls.append(w.kind)
+            return verify_witness(host, w)
+
+        monkeypatch.setattr(detectors, "verify_witness", spy)
+        out = call()
+        assert out.status == status
+        assert calls == ([out.witness.kind] if status == FOUND else [])
+
+    @pytest.mark.parametrize(
+        "host,kind,groups",
+        [
+            # the triangle 0, 1, 2 misses the edge {0, 2}
+            (EdgeColoredGraph(3, [(0, 1, 0), (1, 2, 1)]), "pc-cycle", ((0, 1, 2),)),
+            # every edge is there, but in one color
+            (mono_k(4), "pc-kst", ((0, 1), (2, 3))),
+            # 2 -> 0 is not an arc
+            (transitive_tournament(3), "directed-cycle", ((0, 1, 2),)),
+        ],
+        ids=["missing-edge", "improper", "missing-arc"],
+    )
+    def test_groups_that_are_no_witness_are_an_internal_error(self, host, kind, groups):
+        with pytest.raises(RuntimeError, match="^internal error: "):
+            detectors._search(None, lambda clock: groups, {}, host, kind)
