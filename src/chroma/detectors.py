@@ -72,7 +72,7 @@ class SearchOutcome:
 
 
 class _BudgetStop(Exception):
-    pass
+    """Raised by _Clock.tick with the limit that fired: "nodes" or "time"."""
 
 
 class _Clock:
@@ -93,11 +93,11 @@ class _Clock:
     def tick(self, k: int = 1) -> None:
         self.nodes += k
         if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _BudgetStop
+            raise _BudgetStop("nodes")
         # check the wall clock on the first tick, then every 512 nodes
         if self.deadline is not None and self.nodes % 512 <= k:
             if time.monotonic() > self.deadline:
-                raise _BudgetStop
+                raise _BudgetStop("time")
 
     @property
     def elapsed(self) -> float:
@@ -109,13 +109,15 @@ def _search(budget: Optional[SearchBudget], body, details: dict, host, kind: str
 
     body returns None, for exhausted-none, or the vertex groups of a
     kind-witness on host, for found with the witness _witness builds and
-    checks; a budget stop anywhere inside makes it budget-exceeded. The
+    checks; a budget stop anywhere inside makes it budget-exceeded, with
+    details["stopped_by"] the limit that fired ("nodes" or "time"). The
     outcome carries details as body left it, filled as it went.
     """
     clock = _Clock(budget)
     try:
         groups = body(clock)
-    except _BudgetStop:
+    except _BudgetStop as stop:
+        details["stopped_by"] = stop.args[0]
         return SearchOutcome(BUDGET_EXCEEDED, None, clock.nodes, clock.elapsed, details)
     w = None if groups is None else _witness(host, kind, *groups)
     return SearchOutcome(FOUND if w else EXHAUSTED, w, clock.nodes, clock.elapsed, details)
@@ -161,24 +163,27 @@ def _color_matching(pairs, t: int, clock: _Clock) -> bool:
     if t == 2:
         return True
     owner: dict[int, int] = {}  # b-color -> the a-color matched to it
-
-    def augment(ca: int, seen: set[int]) -> bool:
-        for cb in options[ca]:
-            clock.tick()
-            if cb in seen:
-                continue
-            seen.add(cb)
-            if cb not in owner or augment(owner[cb], seen):
-                owner[cb] = ca
-                return True
-        return False
-
     size = 0
     for ca in options:
-        if augment(ca, set()):
+        if _augment(ca, set(), options, owner, clock):
             size += 1
             if size == t:
                 return True
+    return False
+
+
+def _augment(ca: int, seen: set[int], options, owner, clock: _Clock) -> bool:
+    """Kuhn's augmenting path from the a-color ca for _color_matching, one
+    tick per edge it looks at; a module-level function, so no call leaves a
+    reference cycle behind."""
+    for cb in options[ca]:
+        clock.tick()
+        if cb in seen:
+            continue
+        seen.add(cb)
+        if cb not in owner or _augment(owner[cb], seen, options, owner, clock):
+            owner[cb] = ca
+            return True
     return False
 
 
@@ -297,31 +302,35 @@ def _kst_impl(
         chosen: list[int] = []
         # One set per S-vertex, or in rainbow mode one set standing for all.
         used_at = [set()] * s if rainbow else [set() for _ in S]
-
-        def extend(start: int) -> bool:
-            if len(chosen) == t:
-                return True
-            for idx in range(start, len(candidates)):
-                if len(candidates) - idx < t - len(chosen):
-                    return False
-                w = candidates[idx]
-                clock.tick()
-                cols = star[w]
-                if any(c in used for c, used in zip(cols, used_at)):
-                    continue
-                chosen.append(w)
-                for c, used in zip(cols, used_at):
-                    used.add(c)
-                if extend(idx + 1):
-                    return True
-                chosen.pop()
-                for c, used in zip(cols, used_at):
-                    used.discard(c)
-            return False
-
-        if extend(0):
+        if _extend(0, chosen, t, candidates, star, used_at, clock):
             return S, tuple(chosen)
     return None
+
+
+def _extend(start: int, chosen: list[int], t: int, candidates, star, used_at, clock) -> bool:
+    """Grow chosen to t candidates from candidates[start:], ascending, whose
+    colors star[w] avoid the used sets used_at, for _kst_impl; one tick per
+    candidate tried. A module-level function, so no call leaves a reference
+    cycle behind."""
+    if len(chosen) == t:
+        return True
+    for idx in range(start, len(candidates)):
+        if len(candidates) - idx < t - len(chosen):
+            return False
+        w = candidates[idx]
+        clock.tick()
+        cols = star[w]
+        if any(c in used for c, used in zip(cols, used_at)):
+            continue
+        chosen.append(w)
+        for c, used in zip(cols, used_at):
+            used.add(c)
+        if _extend(idx + 1, chosen, t, candidates, star, used_at, clock):
+            return True
+        chosen.pop()
+        for c, used in zip(cols, used_at):
+            used.discard(c)
+    return False
 
 
 def _run_kst(G, s, t, budget, kind: str) -> SearchOutcome:

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from contextlib import contextmanager
@@ -150,11 +151,63 @@ class TestBudget:
                 assert out.status == BUDGET_EXCEEDED
                 assert out.witness is None
                 assert out.nodes >= max_nodes
+                assert out.details["stopped_by"] == "nodes"
 
     def test_time_budget_trips_immediately(self):
         G = random_edge_colored_graph(20, 0.8, 2, 1)
         out = find_pc_kst(G, 2, 3, SearchBudget(time_limit_s=1e-9))
-        assert out.status == BUDGET_EXCEEDED
+        assert out.status == BUDGET_EXCEEDED and out.details["stopped_by"] == "time"
+
+    def test_only_a_limit_that_fired_is_named(self):
+        G = random_edge_colored_graph(20, 0.8, 2, 1)
+        assert "stopped_by" not in find_pc_kst(G, 2, 3).details
+        out = find_pc_kst(G, 2, 3, SearchBudget(max_nodes=5, time_limit_s=3600))
+        assert out.status == BUDGET_EXCEEDED and out.details["stopped_by"] == "nodes"
+
+    def test_disjoint_budget_out_after_its_first_round(self):
+        # The budget runs out in round 2: the outcome keeps round 1's cycle
+        # and says the node limit fired.
+        G = blowup_cycle_signature(5, 8)
+        first = disjoint_pc_cycles(G, 1)
+        assert first.status == FOUND
+        out = disjoint_pc_cycles(G, 3, SearchBudget(max_nodes=first.nodes + 1))
+        assert out.status == BUDGET_EXCEEDED and out.witness is None
+        assert out.nodes > first.nodes + 1
+        assert out.details == {
+            "requested": 3, "cycles": first.details["cycles"], "stopped_by": "nodes",
+        }
+
+
+# K_{s,t} searches on a circulant signature that between them run the
+# backtracking (every found answer, and (3, 3), which exhausts the core) and
+# the augmenting paths of the color-pair matching (t = 3).
+CYCLE_FREE_CASES = [
+    ("pc-k22", lambda G: find_pc_kst(G, 2, 2), FOUND),
+    ("pc-k23", lambda G: find_pc_kst(G, 2, 3), EXHAUSTED),
+    ("pc-k33", lambda G: find_pc_kst(G, 3, 3), EXHAUSTED),
+    ("rainbow-k22", lambda G: find_rainbow_kst(G, 2, 2), FOUND),
+    ("rainbow-c4", find_rainbow_c4, FOUND),
+]
+
+
+class TestNoReferenceCycles:
+    """A search frees what it builds by reference counting alone, so with
+    the cyclic collector off there is nothing left for it to collect."""
+
+    @pytest.mark.parametrize(
+        "call,status", [c[1:] for c in CYCLE_FREE_CASES], ids=[c[0] for c in CYCLE_FREE_CASES]
+    )
+    def test_kst_searches(self, call, status):
+        G = signature(circulant_tournament(13))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert call(G).status == status
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestFindPcKst:
@@ -1176,7 +1229,8 @@ class TestShortestDirectedCycle:
             for b in range(1, full.nodes + 2):
                 out = shortest_directed_cycle(D, SearchBudget(max_nodes=b))
                 if out.status == BUDGET_EXCEEDED:
-                    assert out.witness is None and b < full.nodes and out.details == {}
+                    assert out.witness is None and b < full.nodes
+                    assert out.details == {"stopped_by": "nodes"}
                 else:
                     assert (out.status, out.witness, out.nodes) == (full.status, full.witness, full.nodes)
             out = shortest_directed_cycle(D, SearchBudget(time_limit_s=1e-9))
@@ -1253,7 +1307,7 @@ class TestPipeline:
         out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=budget))
         assert out.status == BUDGET_EXCEEDED
         assert budget <= out.nodes <= budget + 1
-        assert out.details == {"r": 6, "walk_periods": [6]}
+        assert out.details == {"r": 6, "walk_periods": [6], "stopped_by": "nodes"}
 
     @pytest.mark.parametrize("name", ["pipeline", "disjoint"])
     def test_node_budget_sweep_across_the_dfs(self, name):

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from chroma.constructions import (
     random_edge_colored_graph,
     transitive_tournament,
 )
-from chroma import cli
+from chroma import cli, extraction
 from chroma.cli import EXIT_INPUT_ERROR
 from chroma.core import EdgeColoredGraph
 from chroma.detectors import find_pc_kst, pc_short_cycle_pipeline
@@ -261,19 +262,23 @@ class TestCli:
         assert json.loads(res.stdout)["status"] == "budget-exceeded"
 
     def test_find_directed_cycle_takes_the_budget(self, tmp_path):
-        # A budget that runs out exits 2 with no traceback; without one, or
-        # with room for the whole search, the answer is the same.
+        # A budget that runs out exits 2 with no traceback, and the details
+        # name the limit that fired; without one, or with room for the
+        # whole search, the answer is the same.
         org = tmp_path / "c.org"
         assert run_cli("gen", "circulant", "--n", "101", "-o", str(org)).returncode == 0
         res = run_cli("find", "directed-cycle", "-i", str(org))
         assert res.returncode == 0
         full = json.loads(res.stdout)
         assert full["status"] == "found" and len(full["witness"]["vertices"][0]) == 3
-        for args in (("--budget-nodes", "1"), ("--budget-ms", "0.000001")):
+        for args, limit in (
+            (("--budget-nodes", "1"), "nodes"), (("--budget-ms", "0.000001"), "time"),
+        ):
             res = run_cli("find", "directed-cycle", "-i", str(org), *args)
             assert res.returncode == 2 and "Traceback" not in res.stderr
             out = json.loads(res.stdout)
             assert out["status"] == "budget-exceeded" and out["witness"] is None
+            assert out["details"] == {"stopped_by": limit}
         res = run_cli("find", "directed-cycle", "-i", str(org), "--budget-nodes", str(full["nodes"]))
         assert res.returncode == 0
         out = json.loads(res.stdout)
@@ -405,6 +410,54 @@ class TestCli:
         )
         assert res.returncode == 0
         assert isinstance(json.loads(repj.read_text())["l"], int)
+
+
+class TestOrientPausesTheCollector:
+    """chroma orient builds nothing that forms a reference cycle, so it runs
+    with the cyclic collector paused and leaves it as it found it."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        ecg, bad = tmp_path / "g.ecg", tmp_path / "bad.ecg"
+        save(signature(circulant_tournament(9)), ecg)
+        bad.write_text("ecg 2 1\n0 0 1\n")
+        orient = ["orient", "--s", "2", "--t", "2", "-o", str(tmp_path / "d.corg")]
+        return [*orient, "-i", str(ecg)], [*orient, "-i", str(bad)]
+
+    def test_paused_while_the_orientation_is_built(self, argv, monkeypatch):
+        good, _ = argv
+        assert load(good[-1]).bipartition is None  # the general construction runs
+        seen = []
+        build = extraction.construct_orientation
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return build(*args)
+
+        monkeypatch.setattr(extraction, "construct_orientation", spy)
+        assert gc.isenabled()
+        assert cli.main(good) == 0
+        assert seen == [False]
+
+    def test_enabled_again_after_the_command(self, argv, capsys):
+        good, bad = argv
+        assert gc.isenabled()
+        assert cli.main(good) == 0
+        assert gc.isenabled()
+        assert cli.main(bad) == EXIT_INPUT_ERROR
+        assert gc.isenabled()
+        assert "line 2" in capsys.readouterr().err
+
+    def test_left_disabled_when_the_caller_disabled_it(self, argv, capsys):
+        good, bad = argv
+        gc.disable()
+        try:
+            assert cli.main(good) == 0
+            assert not gc.isenabled()
+            assert cli.main(bad) == EXIT_INPUT_ERROR
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 def test_repeated_main_calls_match_separate_processes(tmp_path, capsys):
