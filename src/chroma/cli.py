@@ -3,15 +3,14 @@
 Subcommands: gen (instance generators and transforms), orient (orientation
 construction), find (search oracles), verify (seeded suites), analyze
 (metric report). find exits 0 on found, 1 on exhausted-none, 2 on budget
-exceeded, 3 on input errors; verify exits 0 exactly when the suite records
-no failures. CHROMA_SEED provides the default seed.
+exceeded; verify exits 0 exactly when the suite records no failures. Every
+command exits 3 on an input or usage error.
 """
 from __future__ import annotations
 
 import argparse
 import gc
 import json
-import os
 import sys
 
 from . import constructions, detectors, extraction, formats, suites, transforms
@@ -29,13 +28,9 @@ _STATUS_EXIT = {
 }
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("CHROMA_SEED", "0"))
-
-
 def _budget(args) -> detectors.SearchBudget | None:
-    nodes = getattr(args, "budget_nodes", None)
-    ms = getattr(args, "budget_ms", None)
+    """The budget that find's --budget-nodes and --budget-ms give."""
+    nodes, ms = args.budget_nodes, args.budget_ms
     if nodes is None and ms is None:
         return None
     return detectors.SearchBudget(
@@ -69,8 +64,7 @@ def _load(path, cls, what):
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    what = args.what
-    seed = args.seed if args.seed is not None else _default_seed()
+    what, seed = args.what, args.seed
     if what == "signature":
         out = transforms.signature(_load(args.input, OrientedGraph, "gen signature"))
     elif what == "dual":
@@ -206,9 +200,7 @@ def _cmd_find(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    budget = _budget(args)
-    report = suites.run_suite(args.suite, args.trials, seed, budget)
+    report = suites.run_suite(args.suite, args.trials, args.seed)
     payload = report.to_dict()
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
@@ -279,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--gamma", type=float)
     gen.add_argument("--p", type=float, help="edge probability")
     gen.add_argument("--colors", type=int)
-    gen.add_argument("--seed", type=int)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--max-tries", type=int, default=100_000)
     gen.set_defaults(func=_cmd_gen)
 
@@ -315,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a seeded verification suite")
     verify.add_argument("suite", choices=list(suites.SUITE_NAMES))
     verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--budget-ms", type=float)
+    verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--json", help="write the JSON report here")
     verify.set_defaults(func=_cmd_verify)
 
@@ -336,7 +327,13 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:  # built once per process; parse_args leaves it unchanged
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    try:
+        args = _parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is find's budget code.
+        if exc.code == 2:
+            return EXIT_INPUT_ERROR
+        raise
     try:
         return args.func(args)
     except (ValueError, OSError, constructions.RecolorError) as exc:

@@ -188,14 +188,14 @@ def _augment(ca: int, seen: set[int], options, owner, clock: _Clock) -> bool:
 
 
 # Nodes per edge that a search spends before it pays for a pass whose ticks
-# are a small multiple of m: a K_{s,t} scan with s, t >= 2 before the hub
-# pass of the walk classes, the cycle DFS from one start before that
-# start's _return_table.
+# are a small multiple of m: a K_{s,t} scan before the hub pass of the
+# walk classes, the cycle DFS from one start before that start's
+# _return_table.
 _WALK_SWITCH = 3
 
 
 def _subsets(
-    core: Sequence[int], n: int, s: int, clock: _Clock, switch: float, walks: _WalkClasses
+    core: Sequence[int], n: int, s: int, clock: _Clock, switch: int, walks: _WalkClasses
 ):
     """(S, pool) for the s-subsets S of core in ascending order, pool being
     the set T must be drawn from (None: every vertex, when core is all of
@@ -233,16 +233,16 @@ def _kst_impl(
     O(pairs x candidates) for t = 2 and O(pairs x t x candidates) for
     larger t; rainbow K_{2,t} may backtrack on every accepted pair.
 
-    For s, t >= 2 the scan starts with the one-color peel of walks and
-    draws S and T from the core it leaves (see _subsets); an empty core
-    ends the search there. Once the scan has spent _WALK_SWITCH x m nodes
-    past the peel, it runs the hub pass of walks once and goes on from the
-    same S over the vertices admitted for length 4 alone. Any two
-    S-vertices and two T-vertices of a properly colored (or rainbow)
-    K_{s,t} span a properly colored C4, so every vertex of it lies in the
-    core and is admitted, and the witness is the same. So the search costs
-    at most the peel plus the scan of the core plus one hub pass, and an
-    acyclic signature costs the peel alone: one tick per edge.
+    The scan starts with the one-color peel of walks and draws S and T from
+    the core it leaves (see _subsets); an empty core ends the search there.
+    Once the scan has spent _WALK_SWITCH x m nodes past the peel, it runs
+    the hub pass of walks once and goes on from the same S over the
+    vertices admitted for length 4 alone. Any two S-vertices and two
+    T-vertices of a properly colored (or rainbow) K_{s,t} span a properly
+    colored C4, so every vertex of it lies in the core and is admitted, and
+    the witness is the same. So the search costs at most the peel plus the
+    scan of the core plus one hub pass, and an acyclic signature costs the
+    peel alone: one tick per edge.
 
     Each subset costs one tick, the matching one tick per candidate it reads
     and, for t >= 3, per edge its augmenting paths look at, the backtracking
@@ -263,12 +263,8 @@ def _kst_impl(
         return m
 
     by_matching = s == 2
-    if s >= 2 and t >= 2:
-        core = walks.core()
-        switch = clock.nodes + _WALK_SWITCH * walks.m
-    else:
-        core, switch = range(G.n), math.inf
-
+    core = walks.core()
+    switch = clock.nodes + _WALK_SWITCH * walks.m
     for S, pool in _subsets(core, G.n, s, clock, switch, walks):
         clock.tick()
         common = nbr[S[0]] if pool is None else pool & nbr[S[0]]
@@ -334,8 +330,7 @@ def _extend(start: int, chosen: list[int], t: int, candidates, star, used_at, cl
 
 
 def _run_kst(G, s, t, budget, kind: str) -> SearchOutcome:
-    _require_int("s", s, 1)
-    _require_int("t", t, 1)
+    _check_st(s, t)
     details: dict = {}
 
     def body(clock):
@@ -357,23 +352,23 @@ def find_pc_kst(
 ) -> SearchOutcome:
     """Search for a properly colored K_{s,t}: disjoint vertex sets S (size s)
     and T (size t), complete bipartite in G, where every S-vertex sees t
-    distinct colors and every T-vertex sees s distinct colors.
+    distinct colors and every T-vertex sees s distinct colors, for
+    t >= s >= 2 (see _check_st).
 
     For s = 2 each vertex pair is decided by a color-pair matching (see
     _color_matching), which for t = 2 is one scan of the candidates, in
-    O(pairs x candidates) time; s >= 3 backtracks. For s, t >= 2 the scan
-    starts with the one-color peel of find_pc_cycle_upto's walk-period
-    filter and runs on the core it leaves, which holds every vertex of a
-    properly colored K_{s,t}; an acyclic signature peels to nothing, so the
-    search costs one tick per edge.
-    Once the scan has spent 3 nodes per edge past the peel it runs the
-    filter's hub pass once and goes on over the vertices that lie on
-    closed properly colored walks of length 4 only, which every vertex of
-    a properly colored K_{s,t} does. The witness is the same either way.
-    details["walk_periods"] shows the periods when the hub pass ran, and
-    [] when the peel left nothing; the node counts include both steps'
-    ticks, the hub pass's one per arc of a graph that has no node for a
-    color leading to a single neighbor (see _walk_classes).
+    O(pairs x candidates) time; s >= 3 backtracks. The scan starts with the
+    one-color peel of find_pc_cycle_upto's walk-period filter and runs on
+    the core it leaves, which holds every vertex of a properly colored
+    K_{s,t}; an acyclic signature peels to nothing, so the search costs one
+    tick per edge. Once the scan has spent 3 nodes per edge past the peel
+    it runs the filter's hub pass once and goes on over the vertices that
+    lie on closed properly colored walks of length 4 only, which every
+    vertex of a properly colored K_{s,t} does. The witness is the same
+    either way. details["walk_periods"] shows the periods when the hub pass
+    ran, and [] when the peel left nothing; the node counts include both
+    steps' ticks, the hub pass's one per arc of a graph that has no node
+    for a color leading to a single neighbor (see _walk_classes).
     """
     return _run_kst(G, s, t, budget, "pc-kst")
 
@@ -385,9 +380,9 @@ def find_rainbow_kst(
 
     For s = 2 the same color-pair matching gates each vertex pair, since a
     rainbow K_{2,t} is properly colored; the pairs it accepts backtrack.
-    For s, t >= 2 the one-color peel and the hub pass of the walk-period
-    filter gate the scan as in find_pc_kst, for the same reason, and their
-    ticks count in the nodes.
+    The one-color peel and the hub pass of the walk-period filter gate the
+    scan as in find_pc_kst, for the same reason, and their ticks count in
+    the nodes.
     """
     return _run_kst(G, s, t, budget, "rainbow-kst")
 
@@ -411,9 +406,9 @@ def _one_color_core(
 
     A vertex on a closed properly colored walk arrives by one color and
     leaves by another, both on edges to vertices of that walk, so no vertex
-    of a closed walk, and so none of a properly colored cycle or K_{s,t}
-    with s, t >= 2, is ever peeled. Every acyclic signature peels to
-    nothing, since its sink sees one color at each step.
+    of a closed walk, and so none of a properly colored cycle or K_{s,t},
+    is ever peeled. Every acyclic signature peels to nothing, since its
+    sink sees one color at each step.
 
     The queue starts with the vertices that have at most one color, found
     by looking for a second color at each: on its middle or last edge when
@@ -607,12 +602,12 @@ class _WalkClasses:
     search.
 
     The graph is G, or with live the subgraph of G that the vertices v with
-    live[v] set induce, which has m edges. The K_{s,t} scans with s, t >= 2
-    and the cycle DFS draw their vertices from core() and admitted(L), read
-    only the edges among those, take the edge count from m and, for the
-    DFS's return table, the live edges from live. So they run on that
-    subgraph as on G with the other vertices' edges deleted, with the same
-    witnesses and node counts, and no such graph is built.
+    live[v] set induce, which has m edges. The K_{s,t} scans and the cycle
+    DFS draw their vertices from core() and admitted(L), read only the
+    edges among those, take the edge count from m and, for the DFS's return
+    table, the live edges from live. So they run on that subgraph as on G
+    with the other vertices' edges deleted, with the same witnesses and
+    node counts, and no such graph is built.
 
     _one_color_core runs on the first call of core or admitted, and
     _walk_classes on the core on the first call of admitted, both on the

@@ -24,6 +24,8 @@ _EPS = 1e-9
 
 
 def _check_st(s: int, t: int) -> None:
+    """Refuse (s, t) outside the paper's range t >= s >= 2; every function
+    of the package that takes s and t checks them here."""
     _require_int("s", s, 2)
     _require_int("t", t, s)
 
@@ -45,16 +47,14 @@ def default_x(s: int, t: int, n2: int) -> float:
 class SaturationState:
     """Greedy growth record.
 
-    selected lists the chosen side-1 vertices in order. sat_index maps each
-    side-2 vertex to the 1-based growth step at which it saturated (reached
-    s-1 distinct colors toward the selected set), or to l = len(selected) if
-    it never did. kept_colors maps each side-2 vertex to its color set at
-    that moment; saturated vertices keep exactly s-1 colors, unsaturated
-    ones at most s-2.
+    selected lists the chosen side-1 vertices in order. kept_colors maps
+    each side-2 vertex to its color set toward the selected set at the pick
+    that saturated it (brought it to s-1 distinct colors), or at the end if
+    none did; saturated vertices keep exactly s-1 colors, unsaturated ones
+    at most s-2.
     """
 
     selected: tuple[int, ...]
-    sat_index: dict[int, int]
     kept_colors: dict[int, frozenset[int]]
     x: float
 
@@ -110,40 +110,35 @@ def _saturation_extract_on_parts(G, side1, side2, s, x):
             first.setdefault(vc[1], vc)
         g0[u] = list(first.values())
 
+    # During the growth a side-2 vertex is saturated exactly when it has
+    # its kept colors.
     colors_seen: dict[int, set[int]] = {v: set() for v in side2}
-    saturated: dict[int, bool] = {v: False for v in side2}
-    sat_index: dict[int, int] = {}
     kept_colors: dict[int, frozenset[int]] = {}
     selected: list[int] = []
 
     for u in side1:
         cnt = 0
         for v, c in g0[u]:
-            if not saturated[v] and c not in colors_seen[v]:
+            if v not in kept_colors and c not in colors_seen[v]:
                 cnt += 1
                 if cnt >= need:
                     break
         if cnt < need:
             continue
         selected.append(u)
-        step = len(selected)
         for v, c in g0[u]:
             if c not in colors_seen[v]:
                 colors_seen[v].add(c)
-                if not saturated[v] and len(colors_seen[v]) >= s - 1:
-                    saturated[v] = True
-                    sat_index[v] = step
+                if v not in kept_colors and len(colors_seen[v]) >= s - 1:
                     kept_colors[v] = frozenset(colors_seen[v])
 
-    l = len(selected)
     for v in side2:
-        if not saturated[v]:
-            sat_index[v] = l
+        if v not in kept_colors:
             kept_colors[v] = frozenset(colors_seen[v])
 
     kept = [(u, v, c) for u in side1 for v, c in g0[u] if c in kept_colors[v]]
     dc = {u: len(g0[u]) for u in side1}
-    return kept, SaturationState(tuple(selected), sat_index, kept_colors, x), dc
+    return kept, SaturationState(tuple(selected), kept_colors, x), dc
 
 
 def saturation_extract(G: EdgeColoredGraph, s: int, t: int) -> ExtractionResult:

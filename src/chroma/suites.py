@@ -127,7 +127,7 @@ def _trial_seed(seed: int, index: int) -> int:
 # Suite bodies
 # ---------------------------------------------------------------------------
 
-def _suite_signature_laws(trials, seed, budget, rec, config):
+def _suite_signature_laws(trials, seed, rec, config):
     for i in range(trials):
         tseed = _trial_seed(seed, i)
         rng = random.Random(tseed)
@@ -140,7 +140,7 @@ def _suite_signature_laws(trials, seed, budget, rec, config):
             for v in range(n)
         )
         rec.check(law1, tseed, sig, "color degree equals out-degree plus in-flag")
-        out = find_pc_kst(sig, 2, 3, budget)
+        out = find_pc_kst(sig, 2, 3)
         rec.check(
             out.status == EXHAUSTED, tseed, sig, "signature admits no pc K_{2,3}"
         )
@@ -162,7 +162,7 @@ def _suite_signature_laws(trials, seed, budget, rec, config):
             )
 
 
-def _suite_duality(trials, seed, budget, rec, config):
+def _suite_duality(trials, seed, rec, config):
     for i in range(trials):
         tseed = _trial_seed(seed, i)
         rng = random.Random(tseed)
@@ -173,20 +173,15 @@ def _suite_duality(trials, seed, budget, rec, config):
         dual = dual_graph(G)
         for s, t in ((2, 2), (2, 3)):
             for name, finder in (("pc", find_pc_kst), ("rainbow", find_rainbow_kst)):
-                a = finder(G, s, t, budget)
-                b = finder(dual, s, t, budget)
-                ok = (
-                    a.status in (FOUND, EXHAUSTED)
-                    and b.status in (FOUND, EXHAUSTED)
-                    and a.status == b.status
-                )
+                a = finder(G, s, t)
+                b = finder(dual, s, t)
                 rec.check(
-                    ok, tseed, G,
+                    a.status == b.status, tseed, G,
                     f"{name} K_{{{s},{t}}} existence agrees with the dual graph",
                 )
 
 
-def _suite_lemma1(trials, seed, budget, rec, config):
+def _suite_lemma1(trials, seed, rec, config):
     certified = {2: 0, 3: 0}
     for i in range(trials):
         tseed = _trial_seed(seed, i)
@@ -218,7 +213,7 @@ def _suite_lemma1(trials, seed, budget, rec, config):
                     tseed, G, f"s={s}: growth length within (s-1)n2/x",
                 )
             if n2 <= 20:
-                det = find_pc_kst(G, s, s, budget)
+                det = find_pc_kst(G, s, s)
                 if det.status == EXHAUSTED:
                     certified[s] += 1
                     bound = sigma(s, s) * n2 ** (1.0 - 1.0 / s)
@@ -230,7 +225,7 @@ def _suite_lemma1(trials, seed, budget, rec, config):
     config["certified"] = certified
 
 
-def _suite_orientation(trials, seed, budget, rec, config):
+def _suite_orientation(trials, seed, rec, config):
     st_cycle = ((2, 2), (2, 3), (3, 3))
     t0 = time.monotonic()
     arcs_at_s3 = 0
@@ -275,7 +270,7 @@ def _suite_orientation(trials, seed, budget, rec, config):
             G = random_edge_colored_graph(n, rng.choice([0.3, 0.6]), rng.randint(2, 3), rng.getrandbits(32))
         else:
             G = random_edge_colored_graph(n, 0.15, rng.randint(2, 8), rng.getrandbits(32))
-        det = find_pc_kst(G, 2, 2, budget)
+        det = find_pc_kst(G, 2, 2)
         if det.status != EXHAUSTED:
             continue
         certified += 1
@@ -292,7 +287,7 @@ def _suite_orientation(trials, seed, budget, rec, config):
     config["elapsed_degree_bound"] = time.monotonic() - t0
 
 
-def _suite_pipeline(trials, seed, budget, rec, config):
+def _suite_pipeline(trials, seed, rec, config):
     family = [("circulant", n) for n in range(9, 61)] + [
         ("extremal", k) for k in (1, 2, 3, 4)
     ]
@@ -300,7 +295,7 @@ def _suite_pipeline(trials, seed, budget, rec, config):
         tseed = _trial_seed(seed, arg)
         if kind == "circulant":
             G = signature(circulant_tournament(arg))
-            out = pc_short_cycle_pipeline(G, 4, budget)
+            out = pc_short_cycle_pipeline(G, 4)
             ok = (
                 out.status == FOUND
                 and len(out.witness.vertices[0]) <= 4
@@ -309,12 +304,12 @@ def _suite_pipeline(trials, seed, budget, rec, config):
             rec.check(ok, tseed, G, f"circulant signature n={arg} yields a pc cycle of length <= 4")
         else:
             G = extremal_no_pc_c4(arg)
-            out4 = pc_short_cycle_pipeline(G, 4, budget)
+            out4 = pc_short_cycle_pipeline(G, 4)
             rec.check(
                 out4.status == EXHAUSTED, tseed, G,
                 f"extremal k={arg} has no pc cycle of length <= 4",
             )
-            out6 = pc_short_cycle_pipeline(G, 6, budget)
+            out6 = pc_short_cycle_pipeline(G, 6)
             ok = (
                 out6.status == FOUND
                 and len(out6.witness.vertices[0]) == 6
@@ -323,7 +318,7 @@ def _suite_pipeline(trials, seed, budget, rec, config):
             rec.check(ok, tseed, G, f"extremal k={arg} yields a pc cycle of length 6")
 
 
-def _suite_proposition12(trials, seed, budget, rec, config):
+def _suite_proposition12(trials, seed, rec, config):
     shapes = ((2, 4, 2), (3, 15, 3))
     for i in range(trials):
         tseed = _trial_seed(seed, i)
@@ -341,7 +336,7 @@ def _suite_proposition12(trials, seed, budget, rec, config):
         rec.check(ok, tseed, G, f"proper K_{{{s},{T}}} yields a rainbow K_{{{s},{t}}}")
 
 
-def _suite_thresholds(trials, seed, budget, rec, config):
+def _suite_thresholds(trials, seed, rec, config):
     n = 100
     threshold = _total_degree_requirement(2, 2, n)
     totals = []
@@ -355,7 +350,7 @@ def _suite_thresholds(trials, seed, budget, rec, config):
                 break
         if rec.check(G is not None, tseed, EdgeColoredGraph(0), "generated a high total color degree instance"):
             totals.append(total_color_degree(G))
-            out = find_pc_kst(G, 2, 2, budget)
+            out = find_pc_kst(G, 2, 2)
             rec.check(
                 out.status == FOUND, tseed, G,
                 "total color degree above threshold forces a pc K_{2,2}",
@@ -365,7 +360,7 @@ def _suite_thresholds(trials, seed, budget, rec, config):
         config["threshold"] = threshold
 
 
-def _suite_extremal(trials, seed, budget, rec, config):
+def _suite_extremal(trials, seed, rec, config):
     family = [("pc", k) for k in (1, 2, 3)] + [("rainbow", k) for k in (1, 2, 3)]
     for kind, k in family[:trials]:
         tseed = _trial_seed(seed, k)
@@ -376,11 +371,11 @@ def _suite_extremal(trials, seed, budget, rec, config):
                 f"no-pc-C4 family k={k} has minimum color degree k+1",
             )
             rec.check(
-                find_pc_kst(G, 2, 2, budget).status == EXHAUSTED, tseed, G,
+                find_pc_kst(G, 2, 2).status == EXHAUSTED, tseed, G,
                 f"no-pc-C4 family k={k} admits no pc K_{{2,2}}",
             )
             rec.check(
-                find_pc_cycle_upto(G, 4, budget).status == EXHAUSTED, tseed, G,
+                find_pc_cycle_upto(G, 4).status == EXHAUSTED, tseed, G,
                 f"no-pc-C4 family k={k} admits no pc cycle of length <= 4",
             )
         else:
@@ -396,7 +391,7 @@ def _suite_extremal(trials, seed, budget, rec, config):
                 f"no-rainbow-C4 family k={k} has minimum color degree k+1",
             )
             rec.check(
-                find_rainbow_c4(G, budget).status == EXHAUSTED, tseed, G,
+                find_rainbow_c4(G).status == EXHAUSTED, tseed, G,
                 f"no-rainbow-C4 family k={k} admits no rainbow C4",
             )
 
@@ -404,7 +399,7 @@ def _suite_extremal(trials, seed, budget, rec, config):
 RECOLOR_DEFAULTS = {"n": 20, "s": 3, "t": 7, "gamma": 0.1, "max_tries": 50_000}
 
 
-def _suite_recolor(trials, seed, budget, rec, config):
+def _suite_recolor(trials, seed, rec, config):
     attempts_log = []
     for i in range(trials):
         tseed = _trial_seed(seed, i)
@@ -416,7 +411,7 @@ def _suite_recolor(trials, seed, budget, rec, config):
             "accepted output passes both rejection predicates on re-check",
         )
         rec.check(
-            find_pc_kst(G, params.s, params.t, budget).status == EXHAUSTED,
+            find_pc_kst(G, params.s, params.t).status == EXHAUSTED,
             tseed, G, "recolored tournament admits no pc K_{s,t}",
         )
         rec.check(
@@ -444,7 +439,7 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, trials: int, seed: int, budget=None) -> SuiteReport:
+def run_suite(name: str, trials: int, seed: int) -> SuiteReport:
     """Run a named verification suite deterministically under a seed.
 
     trials bounds the number of instances (the whole fixed family for the
@@ -458,7 +453,7 @@ def run_suite(name: str, trials: int, seed: int, budget=None) -> SuiteReport:
     cfg = {"seed": seed, "trials": trials}
     start = time.monotonic()
     if trials > 0:
-        _SUITES[name](trials, seed, budget, rec, cfg)
+        _SUITES[name](trials, seed, rec, cfg)
     elapsed = time.monotonic() - start
     return SuiteReport(name, trials, rec.failures, elapsed, cfg)
 

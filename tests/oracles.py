@@ -267,8 +267,8 @@ def restart_scan_greedy(G, side1, side2, s, x):
     smallest side-1 id and picks the first unselected vertex with at least
     max(1, ceil(x)) fresh neighbors: unsaturated side-2 vertices joined by
     a color they have not seen from the picked set, a side-2 vertex being
-    saturated once it has seen s-1 colors. Returns (selected, sat_index,
-    kept_colors) as SaturationState lays them out.
+    saturated once it has seen s-1 colors. Returns (selected, kept_colors)
+    as SaturationState lays them out.
     """
     need = max(1, ceil(x - 1e-9))
     side2 = sorted(side2)
@@ -290,7 +290,7 @@ def restart_scan_greedy(G, side1, side2, s, x):
         return out
 
     selected = []
-    sat_index, kept_colors = {}, {}
+    kept_colors = {}
     while True:
         cols = seen(selected)
         pick = next(
@@ -303,14 +303,12 @@ def restart_scan_greedy(G, side1, side2, s, x):
         selected.append(pick)
         after = seen(selected)
         for v in side2:
-            if v not in sat_index and len(after[v]) >= s - 1:
-                sat_index[v] = len(selected)
+            if v not in kept_colors and len(after[v]) >= s - 1:
                 kept_colors[v] = frozenset(after[v])
     for v in side2:
-        if v not in sat_index:
-            sat_index[v] = len(selected)
+        if v not in kept_colors:
             kept_colors[v] = frozenset(cols[v])
-    return selected, sat_index, kept_colors
+    return selected, kept_colors
 
 
 def first_refused_row(build, rows):

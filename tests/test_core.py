@@ -44,7 +44,13 @@ from chroma.detectors import (
     find_rainbow_kst,
     pc_short_cycle_pipeline,
 )
-from chroma.extraction import default_x, sigma
+from chroma.extraction import (
+    construct_orientation,
+    construct_orientation_bipartite,
+    default_x,
+    saturation_extract,
+    sigma,
+)
 from chroma.suites import analyze, run_suite
 from chroma.transforms import blow_up, signature
 
@@ -414,9 +420,11 @@ INT_PARAMETERS = [
     ("RecolorParams-max_tries", "max_tries",
      lambda v: RecolorParams(n=20, s=3, t=7, gamma=0.1, seed=0, max_tries=v), 1),
     ("blow_up", "blow-up factor", lambda v: blow_up(directed_cycle(3), v), 1),
-    ("find_pc_kst-s", "s", lambda v: find_pc_kst(_T4, v, 2), 1),
-    ("find_pc_kst-t", "t", lambda v: find_pc_kst(_T4, 2, v), 1),
-    ("find_rainbow_kst-s", "s", lambda v: find_rainbow_kst(_T4, v, 2), 1),
+    ("find_pc_kst-s", "s", lambda v: find_pc_kst(_T4, v, 2), 2),
+    ("find_pc_kst-t", "t", lambda v: find_pc_kst(_T4, 2, v), 2),
+    ("find_pc_kst-t-ge-s", "t", lambda v: find_pc_kst(_T4, 3, v), 3),
+    ("find_rainbow_kst-s", "s", lambda v: find_rainbow_kst(_T4, v, 2), 2),
+    ("find_rainbow_kst-t-ge-s", "t", lambda v: find_rainbow_kst(_T4, 3, v), 3),
     ("find_pc_cycle_upto", "r", lambda v: find_pc_cycle_upto(_T4, v), 3),
     ("pc_short_cycle_pipeline", "r", lambda v: pc_short_cycle_pipeline(_T4, v), 4),
     ("disjoint_pc_cycles", "k", lambda v: disjoint_pc_cycles(_T4, v), 1),
@@ -442,6 +450,24 @@ def test_integer_parameters_share_one_check(name, call, lo):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {lo}, got {bad!r}")):
             call(bad)
     call(lo)
+
+
+@pytest.mark.parametrize("s,t,message", [
+    (1, 2, "s must be an integer >= 2, got 1"),
+    (2, 1, "t must be an integer >= 2, got 1"),
+    (3, 2, "t must be an integer >= 3, got 2"),
+])
+@pytest.mark.parametrize("fn", [
+    find_pc_kst, find_rainbow_kst, check_total_degree_threshold,
+    construct_orientation, construct_orientation_bipartite, saturation_extract,
+], ids=lambda fn: fn.__name__)
+def test_st_pairs_share_one_range(fn, s, t, message):
+    # The paper's range t >= s >= 2, checked by _check_st for every
+    # function that takes (s, t).
+    assert _K23.bipartition is not None
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fn(_K23, s, t)
+    fn(_K23, 2, 3)
 
 
 # (id, argument name, call with the argument under test, interval text, good

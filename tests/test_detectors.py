@@ -236,7 +236,7 @@ class TestFindPcKst:
         rng = random.Random(seed)
         n = rng.randint(2, 7)
         G = random_edge_colored_graph(n, rng.choice([0.4, 0.8]), rng.randint(1, 4), seed)
-        for s, t in ((1, 2), (2, 2), (2, 3)):
+        for s, t in ((2, 2), (2, 3)):
             got = find_pc_kst(G, s, t, None).status == FOUND
             assert got == brute_pc_kst_exists(G, s, t)
 
@@ -967,9 +967,9 @@ def clear(walk_passes):
 
 
 class TestWalkGate:
-    """K_{s,t} scans with s, t >= 2 start on the one-color core, run the hub
-    pass once they have spent their switch point of nodes, and go on over
-    the vertices it admits for length 4; the first witness stays the
+    """K_{s,t} scans start on the one-color core, run the hub pass once
+    they have spent their switch point of nodes, and go on over the
+    vertices it admits for length 4; the first witness stays the
     brute-force one."""
 
     @staticmethod
@@ -977,9 +977,7 @@ class TestWalkGate:
         """Check every K_{s,t}-based search of G against the oracle; return
         how many of them ran the pass, and how many of those found."""
         ran = found = 0
-        # s = 1 reads its candidates' colors by the generic path, s = 2 by
-        # the two-map one.
-        for s, t in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
+        for s, t in ((2, 2), (2, 3), (3, 3)):
             if s == 3 and G.n > 16:
                 continue  # the oracle would take seconds
             for find, rainbow in ((find_pc_kst, False), (find_rainbow_kst, True)):

@@ -75,9 +75,8 @@ def assert_matches_restart_scan(G, s, x):
     if x is None:
         x = default_x(s, s + 1, len(side2))
     state = _saturation_extract_on_parts(G, side1, side2, s, x)[1]
-    selected, sat_index, kept_colors = restart_scan_greedy(G, side1, side2, s, x)
+    selected, kept_colors = restart_scan_greedy(G, side1, side2, s, x)
     assert state.selected == tuple(selected)
-    assert state.sat_index == sat_index
     assert state.kept_colors == kept_colors
     return state.l
 
@@ -105,10 +104,6 @@ class TestSaturationExtract:
                 for v in sorted(G.bipartition[1]):
                     kept = res.state.kept_colors[v]
                     assert color_degree(res.H, v) == len(kept) <= s - 1
-                    assert res.state.sat_index[v] <= res.state.l
-                    if res.state.sat_index[v] == res.state.l and len(kept) < s - 1:
-                        # never saturated: strictly below the cap
-                        assert len(kept) <= s - 2
 
     def test_pseudo_canonical_for_s2(self):
         for seed in range(30):

@@ -66,17 +66,6 @@ class TestRunSuite:
         G = extremal_no_pc_c4(2)
         assert instance_digest(G) != instance_digest(EdgeColoredGraph(G.n, G.edges))
 
-    def test_budget_starved_suite_records_failures_and_replays(self):
-        from chroma.detectors import SearchBudget
-
-        tiny = SearchBudget(time_limit_s=1e-9)
-        a = run_suite("duality", 5, 31, budget=tiny)
-        b = run_suite("duality", 5, 31, budget=tiny)
-        assert not a.passed  # budget-exceeded is never trusted as exhausted
-        assert [(f.seed, f.assertion) for f in a.failures] == [
-            (f.seed, f.assertion) for f in b.failures
-        ]
-
 
 class TestAnalyze:
     def test_rainbow_k4(self):
@@ -156,12 +145,11 @@ class TestAnalyze:
         }
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "chroma", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -224,6 +212,10 @@ class TestCli:
         assert out["status"] == "exhausted-none"
         # The peel emptied the graph before the scan: no closed pc walk.
         assert out["details"] == {"walk_periods": []}
+        # K_{s,t} searches take t >= s >= 2 only.
+        res = run_cli("find", "pc-kst", "--s", "1", "--t", "2", "-i", str(found))
+        assert res.returncode == 3
+        assert res.stderr == "error: s must be an integer >= 2, got 1\n"
 
         none = tmp_path / "ext.ecg"
         save(extremal_no_pc_c4(2), none)
@@ -289,11 +281,27 @@ class TestCli:
         # NaN or infinity would silently mean no limit; refuse it up front.
         ecg = tmp_path / "t.ecg"
         save(signature(transitive_tournament(6)), ecg)
-        for args in (("find", "pc-kst", "-i", str(ecg)), ("verify", "duality", "--trials", "1")):
-            res = run_cli(*args, f"--budget-ms={ms}")
-            assert res.returncode == 3
-            assert "time_limit_s" in res.stderr and "Traceback" not in res.stderr
-            assert res.stdout == ""
+        res = run_cli("find", "pc-kst", "-i", str(ecg), f"--budget-ms={ms}")
+        assert res.returncode == 3
+        assert "time_limit_s" in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("args,message", [
+        (("find", "pc-kst"), "the following arguments are required: -i/--input"),
+        (("find", "pc-kst", "-i", "g.ecg", "--budget-nodes", "abc"),
+         "argument --budget-nodes: invalid int value: 'abc'"),
+        (("verify", "duality", "--budget-ms", "1"), "unrecognized arguments: --budget-ms 1"),
+    ])
+    def test_usage_error_is_an_input_error(self, args, message):
+        # argparse's own exit code 2 would read as budget-exceeded.
+        res = run_cli(*args)
+        assert res.returncode == EXIT_INPUT_ERROR
+        assert message in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    def test_help_still_exits_0(self):
+        res = run_cli("find", "--help")
+        assert res.returncode == 0 and "--budget-nodes" in res.stdout
 
     def test_gen_random_bipartite_zero_colors_is_an_input_error(self):
         res = run_cli("gen", "random", "--n", "4", "--n2", "3", "--p", "0.9", "--colors", "0")
@@ -306,6 +314,12 @@ class TestCli:
         res = run_cli("gen", "random", "--n", "4", "--n2", "3", "--p", "0.9", "-o", str(ecg))
         assert res.returncode == 0
         assert {c for _u, _v, c in load(ecg).edges} == {0}
+
+    def test_gen_seed_defaults_to_0(self):
+        args = ("gen", "random", "--n", "8", "--p", "0.5", "--colors", "3")
+        a, b = run_cli(*args), run_cli(*args, "--seed", "0")
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout != ""
 
     def test_find_pc_cycle_1200_deep(self, tmp_path):
         # The DFS goes straight to length 1200, deeper than Python's
@@ -329,23 +343,6 @@ class TestCli:
         rep = json.loads(out.read_text())
         assert rep["failures"] == 0 and rep["suite"] == "extremal"
         assert "PASS" in res.stdout
-
-    def test_verify_starved_budget_exits_nonzero(self):
-        res = run_cli(
-            "verify", "duality", "--trials", "3", "--seed", "2",
-            "--budget-ms", "0.000001",
-        )
-        assert res.returncode == 1
-        assert "FAIL" in res.stdout
-
-    def test_env_seed_default(self, tmp_path):
-        import os
-
-        env = dict(os.environ, CHROMA_SEED="123")
-        a = run_cli("gen", "random", "--n", "8", "--p", "0.5", "--colors", "3", env=env)
-        b = run_cli("gen", "random", "--n", "8", "--p", "0.5", "--colors", "3", env=env)
-        assert a.returncode == b.returncode == 0
-        assert a.stdout == b.stdout
 
     def test_gen_recolored(self, tmp_path):
         res = run_cli(
