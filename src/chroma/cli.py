@@ -133,32 +133,42 @@ def _cmd_orient(args) -> int:
             gc.enable()
 
 
-# One per_vertex entry as json.dumps(..., indent=2) lays it out at depth 2;
-# %r is float.__repr__ (and int.__repr__), which is what the json encoder
-# writes for finite numbers.
+# The report as json.dumps(..., indent=2) lays it out, and one per_vertex
+# entry at depth 2. %r is float.__repr__ (and int.__repr__), which is what
+# the json encoder writes for finite numbers.
+_REPORT = (
+    '{\n  "schema": %d,\n  "n": %d,\n  "per_vertex": %s,\n  "s": %d,\n  "t": %d,\n'
+    '  "l": %s,\n  "x": %s,\n  "sigma": %r\n}\n'
+)
 _VERTEX_ROW = (
     '    "%d": {\n      "dplus": %r,\n      "dc": %r,\n'
     '      "bound": %r,\n      "margin": %r\n    }'
 )
 
 
+def _number_text(value) -> str:
+    """A number, or a list of numbers, as json.dumps(..., indent=2) writes it
+    at depth 1."""
+    if not isinstance(value, list):
+        return repr(value)
+    return "[\n    " + ",\n    ".join(map(repr, value)) + "\n  ]" if value else "[]"
+
+
 def _report_text(report: dict) -> str:
     """The orientation report with its schema version, exactly as
     json.dumps({"schema": ..., **report}, indent=2) + "\\n" writes it.
 
-    json.dumps with indent runs the pure-Python encoder; only the small head
-    goes through it, and the per-vertex rows, the bulk of the report, are
-    formatted directly into its empty `per_vertex` object.
+    The text is formatted directly: json.dumps with indent runs the
+    pure-Python encoder, which is slow and leaves reference cycles behind.
     """
     rows = report["per_vertex"]
-    head = json.dumps({"schema": suites.SCHEMA_VERSION, **report, "per_vertex": {}}, indent=2)
-    if not rows:
-        return head + "\n"
-    body = ",\n".join([
+    per_vertex = "{\n" + ",\n".join([
         _VERTEX_ROW % (v, r["dplus"], r["dc"], r["bound"], r["margin"]) for v, r in rows.items()
-    ])
-    before, after = head.split('"per_vertex": {}')
-    return before + '"per_vertex": {\n' + body + "\n  }" + after + "\n"
+    ]) + "\n  }" if rows else "{}"
+    return _REPORT % (
+        suites.SCHEMA_VERSION, report["n"], per_vertex, report["s"], report["t"],
+        _number_text(report["l"]), _number_text(report["x"]), report["sigma"],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ across threads; every operation in this module is a pure function.
 The constructors of the three graph classes are the one place where
 structure is checked (vertex range, loops, colors, duplicate edges or arcs,
 anti-parallel pairs, bipartition crossing, host colors); every graph is
-checked in full where it is built, whoever builds it. The parsers in
-`chroma.formats` check only syntax and map a constructor's rejection back
-to a line number.
+checked in full where it is built, whoever builds it. A ColoredOrientation
+is checked through its support, the EdgeColoredGraph of its arcs, whose
+edges must all be host edges. The parsers in `chroma.formats` check only
+syntax and map a constructor's rejection back to a line number.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -221,32 +222,53 @@ class OrientedGraph:
 _NO_EDGE = object()
 
 
+def _reject_arcs(host: EdgeColoredGraph, arcs) -> None:
+    """Raise the error for the first arc, in input order, that cannot be an
+    arc of a ColoredOrientation of host; run only on arcs already known to
+    be refused, so its per-arc checks name the first offending arc."""
+    n = host.n
+    host_colors = host.pair_colors
+    tails: dict[int, int] = {}
+    for t, h, c in arcs:
+        _check_arc(n, tails, t, h)
+        if host_colors.get((t, h) if t < h else (h, t), _NO_EDGE) != c:
+            raise ValueError(f"arc ({t},{h},{c}) does not match a host edge")
+        if type(c) is not int:  # True and 1.0 equal a host color 1
+            _require_color(c)
+
+
 @dataclass(frozen=True)
 class ColoredOrientation:
     """Arcs paired with colors inherited from a host edge-colored graph.
 
     Every arc's underlying pair must be a host edge carrying the same color,
-    and the arc set must satisfy the OrientedGraph invariants.
+    and the arc set must satisfy the OrientedGraph invariants. support is
+    the arcs' underlying EdgeColoredGraph, with the host's bipartition; it
+    is built once, to check the arcs, and the orientation constructions
+    return it as H (H is D.support).
     """
 
     host: EdgeColoredGraph
     arcs: tuple[tuple[int, int, int], ...] = ()
+    support: EdgeColoredGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.host.n
-        host_colors = self.host.pair_colors
-        tails: dict[int, int] = {}
-        norm = []
-        for a in self.arcs:
-            t, h, c = a
-            _check_arc(n, tails, t, h)
-            if host_colors.get((t, h) if t < h else (h, t), _NO_EDGE) != c:
-                raise ValueError(f"arc ({t},{h},{c}) does not match a host edge")
-            if type(c) is not int:  # True and 1.0 equal a host color 1
-                _require_color(c)
-            norm.append(a if type(a) is tuple else (t, h, c))
-        norm.sort()
-        object.__setattr__(self, "arcs", tuple(norm))
+        host = self.host
+        arcs = self.arcs
+        if not isinstance(arcs, (list, tuple)):  # read twice below
+            arcs = list(arcs)
+        # The support's constructor checks vertex ids, loops, colors and
+        # crossing, and one arc per pair refuses duplicate and anti-parallel
+        # arcs alike; its canonical edges must then all be host edges.
+        try:
+            support = EdgeColoredGraph(host.n, arcs, host.bipartition)
+        except (TypeError, ValueError):  # a row that cannot be unpacked, or a bad arc
+            support = None
+        if support is None or set(support.edges).difference(host.edges):
+            _reject_arcs(host, arcs)
+            raise RuntimeError("internal error: refused arcs passed every per-arc check")
+        object.__setattr__(self, "arcs", tuple(sorted(map(tuple, arcs))))
+        object.__setattr__(self, "support", support)
 
     @property
     def n(self) -> int:

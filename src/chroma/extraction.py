@@ -199,7 +199,6 @@ def _orient(G, s, t, parts):
         states.append(state)
     arcs = [e for e in kept if e[2] not in side2_colors[e[0]]]
     D = ColoredOrientation(G, arcs)
-    H = EdgeColoredGraph(G.n, arcs, G.bipartition)
 
     sig = sigma(s, t)
     loss = [0.0] * G.n
@@ -222,7 +221,7 @@ def _orient(G, s, t, parts):
     report = {
         "n": G.n, "per_vertex": per_vertex, "s": s, "t": t, "l": ls, "x": xs, "sigma": sig,
     }
-    return H, D, report
+    return D.support, D, report
 
 
 def construct_orientation(
@@ -243,9 +242,10 @@ def construct_orientation(
     every vertex keeps out-degree greater than its color degree minus
     (sigma(s, t) * n^(1-1/s) + s).
 
-    Returns (H, D, report) where H is the unoriented arc support and the
-    report carries per-vertex out-degree, color degree, bound and margin
-    plus the extraction diagnostics l, x = default_x(s, t, n) and sigma.
+    Returns (H, D, report). H is D.support: the arcs unoriented, with G's
+    bipartition, built once when D's constructor checks them. The report
+    carries per-vertex out-degree, color degree, bound and margin plus the
+    extraction diagnostics l, x = default_x(s, t, n) and sigma.
     """
     return _orient(G, s, t, [(range(G.n), range(G.n))])
 

@@ -237,6 +237,103 @@ class TestStoredRows:
         assert ColoredOrientation(G, rows).arcs[1] is rows[1]
 
 
+class IntId(int):
+    """An int subclass, as a vertex id or a color."""
+
+
+Row = namedtuple("Row", "t h c")
+
+
+def per_arc_reference(host, arcs):
+    """ColoredOrientation's rules as one loop over the arcs in input order:
+    the stored arcs, or the error of the first arc that breaks a rule."""
+    n = host.n
+    colors = {(u, v): c for u, v, c in host.edges}
+    tails = {}
+    norm = []
+    for a in arcs:
+        t, h, c = a
+        for v in (t, h):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise ValueError(f"invalid vertex id {v!r} for a graph on {n} vertices")
+        if t == h:
+            raise ValueError(f"loop at vertex {t} is not allowed")
+        pair = (min(t, h), max(t, h))
+        if pair in tails:
+            if tails[pair] == t:
+                raise ValueError(f"duplicate arc ({t},{h})")
+            raise ValueError(f"anti-parallel arc pair between {t} and {h}")
+        tails[pair] = t
+        if pair not in colors or colors[pair] != c:
+            raise ValueError(f"arc ({t},{h},{c}) does not match a host edge")
+        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            raise ValueError(f"color must be a nonnegative integer, got {c!r}")
+        norm.append(a if type(a) is tuple else (t, h, c))
+    return tuple(sorted(norm))
+
+
+@st.composite
+def hosts_and_arcs(draw):
+    """A small host, plain or bipartite, and arcs that are mostly its edges,
+    with duplicate, anti-parallel, missing and wrong-colored arcs, odd ids
+    and colors (bool, float, None, int subclasses) and any row type."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n)) if draw(st.booleans()) else None
+    bip = None if k is None else (range(k), range(k, n))
+    edges = [
+        (u, v, draw(st.integers(0, 3)))
+        for u in range(n) for v in range(u + 1, n)
+        if (k is None or (u < k) != (v < k)) and draw(st.booleans())
+    ]
+    host = EdgeColoredGraph(n, edges, bip)
+    vertex = st.one_of(
+        st.integers(-1, n), st.integers(0, n - 1).map(IntId), st.booleans(), st.just(1.0)
+    )
+    color = st.one_of(
+        st.integers(-1, 4), st.integers(0, 3).map(IntId), st.booleans(),
+        st.sampled_from([0.0, 1.0, 2.5]), st.none(),
+    )
+    arcs = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "repeat", "recolor", "any"]))
+        if kind in ("edge", "recolor") and edges:
+            u, v, c = draw(st.sampled_from(edges))
+            t, h = (u, v) if draw(st.booleans()) else (v, u)
+            if draw(st.booleans()):
+                t, h = IntId(t), IntId(h)
+            arc = (t, h, draw(color) if kind == "recolor" else c)
+        elif kind == "repeat" and arcs:
+            t, h, c = draw(st.sampled_from(arcs))
+            arc = (h, t, c) if draw(st.booleans()) else (t, h, c)
+        else:
+            arc = (draw(vertex), draw(vertex), draw(color))
+        arcs.append(draw(st.sampled_from([tuple, list, Row._make]))(arc))
+    return host, arcs
+
+
+@settings(max_examples=400, deadline=None)
+@given(hosts_and_arcs(), st.booleans())
+def test_colored_orientation_matches_per_arc_checks(case, from_iterator):
+    """The constructor checks the arcs through their support graph; it
+    accepts exactly the arc lists that per-arc checks accept, stores the
+    same tuples, and refuses the rest with the first bad arc's error."""
+    host, arcs = case
+    try:
+        want = per_arc_reference(host, arcs)
+    except ValueError as exc:
+        want = exc
+    try:
+        D = ColoredOrientation(host, iter(arcs) if from_iterator else arcs)
+    except ValueError as exc:
+        assert isinstance(want, ValueError) and str(exc) == str(want)
+        return
+    assert not isinstance(want, ValueError), want
+    assert D.arcs == want and all(type(a) is tuple for a in D.arcs)
+    plain = [a for a in arcs if type(a) is tuple]  # stored as given
+    assert sum(any(a is b for b in plain) for a in D.arcs) == len(plain)
+    assert D.support == EdgeColoredGraph(host.n, arcs, host.bipartition)
+
+
 def _ascending(adjacency, key):
     return all(key(a) < key(b) for row in adjacency for a, b in zip(row, row[1:]))
 

@@ -419,6 +419,17 @@ def test_orientation_golden_digest(name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_h_is_the_support_d_was_checked_through(name):
+    """The arcs' support is built once, in D's constructor, and returned as
+    H; the orientation never builds G's pair-to-color map."""
+    build, G, s, t = golden_args(name)
+    H, D, _ = build(G, s, t)
+    assert H is D.support
+    assert H == EdgeColoredGraph(G.n, D.arcs, G.bipartition)
+    assert "pair_colors" not in vars(G)
+
+
 def orient_cli_texts(build, G, s, t):
     """(.corg text, report text) that `chroma orient` writes for build(G,
     s, t), run in-process on a saved copy of G."""

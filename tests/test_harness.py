@@ -457,6 +457,43 @@ class TestOrientPausesTheCollector:
             gc.enable()
 
 
+class TestNoReferenceCycles:
+    """The report text and the whole orient command are freed by reference
+    counting alone: with the collector off, it finds nothing to collect."""
+
+    @staticmethod
+    def collected_after(call):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            call()
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("bipartite", [False, True])
+    def test_report_text(self, bipartite):
+        G = random_bipartite_edge_colored(5, 6, 0.6, 3, 9)
+        build = (extraction.construct_orientation_bipartite if bipartite
+                 else extraction.construct_orientation)
+        _, _, report = build(G, 2, 2)
+        assert isinstance(report["l"], list) == bipartite  # both shapes of the head
+        assert self.collected_after(lambda: cli._report_text(report)) == 0
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_orient_command(self, tmp_path, general):
+        ecg = tmp_path / "b.ecg"
+        save(blowup_cycle_signature(6, 3), ecg)
+        argv = ["orient", "-i", str(ecg), "--s", "2", "--t", "2",
+                "-o", str(tmp_path / "d.corg"), "--report", str(tmp_path / "r.json")]
+        if general:
+            argv.append("--general")
+        assert cli.main(argv) == 0  # builds the argument parser, which the module keeps
+        assert self.collected_after(lambda: cli.main(argv)) == 0
+
+
 def test_repeated_main_calls_match_separate_processes(tmp_path, capsys):
     # One process reuses its argument parser across calls; no call may see
     # another's options, outputs or errors.
