@@ -194,18 +194,18 @@ def _augment(ca: int, seen: set[int], options, owner, clock: _Clock) -> bool:
 _WALK_SWITCH = 3
 
 
-def _subsets(
-    core: Sequence[int], n: int, s: int, clock: _Clock, switch: int, walks: _WalkClasses
-):
+def _subsets(core: Sequence[int], s: int, switch: int, walks: _WalkClasses):
     """(S, pool) for the s-subsets S of core in ascending order, pool being
     the set T must be drawn from (None: every vertex, when core is all of
-    range(n)).
+    the graph's vertices).
 
-    Once the clock has reached switch, the hub pass of walks runs and the
-    rest, from the same subset on, are the subsets of the vertices it admits
-    for length 4, with those vertices as the pool.
+    Once the clock of walks has reached switch, the hub pass of walks runs
+    (unless it already has) and the rest, from the same subset on, are the
+    subsets of the vertices it admits for length 4, with those vertices as
+    the pool.
     """
-    pool = None if len(core) == n else set(core)
+    clock = walks.clock
+    pool = None if len(core) == walks.G.n else set(core)
     for S in combinations(core, s):
         if clock.nodes >= switch:
             keep = walks.admitted(4)
@@ -216,10 +216,9 @@ def _subsets(
         yield S, pool
 
 
-def _kst_impl(
-    G: EdgeColoredGraph, s: int, t: int, clock: _Clock, rainbow: bool, walks: _WalkClasses
-):
-    """K_{s,t} search: s-subsets S ascending, T grown by backtracking.
+def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
+    """K_{s,t} search in the graph of walks, on its clock: s-subsets S
+    ascending, T grown by backtracking.
 
     T is grown from the common neighbors whose star to S is rainbow, in
     ascending order, keeping a used-color set per S-vertex (properly colored
@@ -237,10 +236,11 @@ def _kst_impl(
     the core it leaves (see _subsets); an empty core ends the search there.
     Once the scan has spent _WALK_SWITCH x m nodes past the peel, it runs
     the hub pass of walks once and goes on from the same S over the
-    vertices admitted for length 4 alone. Any two S-vertices and two
-    T-vertices of a properly colored (or rainbow) K_{s,t} span a properly
-    colored C4, so every vertex of it lies in the core and is admitted, and
-    the witness is the same. So the search costs at most the peel plus the
+    vertices admitted for length 4 alone; when an earlier search on walks
+    has run the hub pass, the scan draws from those vertices from its first
+    subset on. Any two S-vertices and two T-vertices of a properly colored
+    (or rainbow) K_{s,t} span a properly colored C4, so every vertex of it
+    lies in the core and is admitted, and the witness is the same. So the search costs at most the peel plus the
     scan of the core plus one hub pass, and an acyclic signature costs the
     peel alone: one tick per edge.
 
@@ -252,6 +252,7 @@ def _kst_impl(
     S-vertices, each built from G.adj the first time one of its subsets gets
     that far, once per search.
     """
+    G, clock = walks.G, walks.clock
     nbr = G.neighbor_sets
     adj = G.adj
     maps: list[Optional[dict[int, int]]] = [None] * G.n
@@ -264,8 +265,8 @@ def _kst_impl(
 
     by_matching = s == 2
     core = walks.core()
-    switch = clock.nodes + _WALK_SWITCH * walks.m
-    for S, pool in _subsets(core, G.n, s, clock, switch, walks):
+    switch = clock.nodes + (0 if walks.classes is not None else _WALK_SWITCH * walks.m)
+    for S, pool in _subsets(core, s, switch, walks):
         clock.tick()
         common = nbr[S[0]] if pool is None else pool & nbr[S[0]]
         for u in S[1:]:
@@ -334,7 +335,7 @@ def _run_kst(G, s, t, budget, kind: str) -> SearchOutcome:
     details: dict = {}
 
     def body(clock):
-        sides = _kst_impl(G, s, t, clock, kind != "pc-kst", _WalkClasses(G, clock, details))
+        sides = _kst_impl(s, t, kind != "pc-kst", _WalkClasses(G, clock, details))
         return _c4(sides) if kind == "rainbow-cycle" else sides
 
     return _search(budget, body, details, G, kind)
@@ -603,18 +604,20 @@ class _WalkClasses:
 
     The graph is G, or with live the subgraph of G that the vertices v with
     live[v] set induce, which has m edges. The K_{s,t} scans and the cycle
-    DFS draw their vertices from core() and admitted(L), read only the
-    edges among those, take the edge count from m and, for the DFS's return
-    table, the live edges from live. So they run on that subgraph as on G
-    with the other vertices' edges deleted, with the same witnesses and
-    node counts, and no such graph is built.
+    DFS take G and the clock from here, and draw their vertices from core()
+    and admitted(L). They read only the edges among those, take the edge
+    count from m and, for the DFS's return table, the live edges from live.
+    So they run on that subgraph as on G with the other vertices' edges
+    deleted, with the same witnesses and node counts, and no such graph is
+    built.
 
     _one_color_core runs on the first call of core or admitted, and
     _walk_classes on the core on the first call of admitted, both on the
-    search's clock; every later call, from any stage, reuses their results.
-    details["walk_periods"] gets the sorted distinct periods when the hub
-    pass runs, and [] as soon as the peel leaves an empty core, which holds
-    no walk class, so the hub pass never runs then.
+    search's clock; every later call, from a K_{2,2} scan or any DFS
+    length, reuses their results. details["walk_periods"] gets the sorted
+    distinct periods when the hub pass runs, and [] as soon as the peel
+    leaves an empty core, which holds no walk class, so the hub pass never
+    runs then.
     """
 
     __slots__ = ("G", "clock", "details", "live", "m", "_core", "classes")
@@ -702,22 +705,30 @@ def _return_table(adj, start: int, admitted, limit: int, clock: _Clock, live=Non
     return first, near, via
 
 
-def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, walks: _WalkClasses):
-    """Iterative-deepening DFS for a shortest properly colored cycle.
+def _pc_cycle_impl(lengths, walks: _WalkClasses):
+    """The groups (cycle,) of the first properly colored cycle found in the
+    graph of walks (G, or the subgraph its live vertices induce), trying
+    the cycle lengths in the order given and skipping those above n, or
+    None; all on the clock of walks.
 
-    Tries the given cycle lengths in ascending order, skipping those above
-    n. A length L is searched only on the vertices walks admits for L (the
-    peel and the hub pass run before the first length, each unless an
-    earlier stage ran it), and skipped when there are none: every properly
-    colored cycle of length L lies inside them, so no witness changes.
+    Length 4 is decided by the properly colored K_{2,2} scan of _kst_impl,
+    whose sides are read as a C4 (see _c4): a properly colored C4 is a
+    properly colored K_{2,2}. Every other length L is searched by a DFS
+    only on the vertices walks admits for L, and skipped when there are
+    none: every properly colored cycle of length L lies inside them, so no
+    witness changes. The one-color peel runs on the first length tried and
+    the hub pass at most once, in whichever length needs it first; a scan
+    that runs after the hub pass draws from the vertices admitted for
+    length 4 from its first pair on. When the peel leaves an empty core,
+    every length is skipped at once.
 
-    For each length the start vertex is the cycle minimum and paths extend
-    through larger-id vertices with color-changing edges only; the closing
-    edge must differ in color from both its cycle neighbors. The first
-    cycle found, returned as the groups (cycle,), is the shortest,
-    lexicographically least one among the lengths tried. The DFS keeps its
-    path on an explicit stack, so the cycle length is not bounded by
-    Python's recursion limit.
+    For each DFS length the start vertex is the cycle minimum and paths
+    extend through larger-id vertices with color-changing edges only; the
+    closing edge must differ in color from both its cycle neighbors. So the
+    DFS returns the lexicographically least cycle of that length. The DFS
+    keeps its path on an explicit stack, so the cycle length is not bounded
+    by Python's recursion limit. A cycle of the subgraph is one of G, so
+    the caller checks the witness on G.
 
     Once the DFS from one start has spent _WALK_SWITCH x m nodes, it builds
     that start's _return_table and from then on skips every step after
@@ -726,15 +737,21 @@ def _pc_cycle_impl(G: EdgeColoredGraph, lengths, clock: _Clock, walks: _WalkClas
     same. The table costs at most two ticks per edge end, so a start pays
     for it only after its DFS has spent a comparable number of nodes.
     """
+    G, clock = walks.G, walks.clock
     n = G.n
     adj = G.adj
-    colors = G.pair_colors
     tick = clock.tick
     switch = _WALK_SWITCH * walks.m
 
     for L in lengths:
         if L > n:
-            break
+            continue
+        if L == 4:
+            found = _c4(_kst_impl(2, 2, False, walks))
+            if found is not None:
+                return found
+            continue
+        colors = G.pair_colors  # built on the first DFS length, if any
         admitted = walks.admitted(L)
         # free[w]: w may join the path (admitted for L and not on the path)
         free = bytearray(n)
@@ -780,11 +797,17 @@ def find_pc_cycle_upto(
 ) -> SearchOutcome:
     """Find a shortest properly colored cycle of length at most r.
 
-    A linear-time pass over the color-transition graph first finds the
-    periods of closed properly colored walks (details["walk_periods"]); the
-    DFS then skips every length that no period divides, so blow-ups of a
-    directed C_r and acyclic signatures are decided with almost no search.
-    The filter first peels off the vertices that see fewer than two colors,
+    Tries the lengths 3..r in ascending order (see _pc_cycle_impl): length
+    4 by the properly colored K_{2,2} scan, whose witness is the C4
+    (a, u, b, v) on the sides (a, b), (u, v) of find_pc_kst's witness, and
+    every other length by the DFS, whose witness is the lexicographically
+    least cycle of that length. A linear-time pass over the color-transition
+    graph first finds the periods of closed properly colored walks
+    (details["walk_periods"]); the DFS then skips every length that no
+    period divides, so blow-ups of a directed C_r and acyclic signatures
+    are decided with almost no search, and the K_{2,2} scan, which runs
+    after that pass, reads only the vertices admitted for length 4. The
+    filter first peels off the vertices that see fewer than two colors,
     which lie on no closed walk, and its hub pass builds the graph on the
     rest; an acyclic signature peels to nothing and has no hub pass. Node
     counts include one tick per edge the peel removes and one per arc of
@@ -794,9 +817,7 @@ def find_pc_cycle_upto(
     details: dict = {}
     return _search(
         budget,
-        lambda clock: _pc_cycle_impl(
-            G, range(3, r + 1), clock, _WalkClasses(G, clock, details)
-        ),
+        lambda clock: _pc_cycle_impl(range(3, r + 1), _WalkClasses(G, clock, details)),
         details, G, "pc-cycle",
     )
 
@@ -889,57 +910,31 @@ def shortest_directed_cycle(
 # Derived pipelines
 # ---------------------------------------------------------------------------
 
-def _pc_cycle_stages(G: EdgeColoredGraph, r: int, walks: _WalkClasses):
-    """The groups (cycle,) of the properly colored cycle of length at most r
-    that the two stages of pc_short_cycle_pipeline find in the graph of
-    walks (G, or the subgraph its live vertices induce), or None.
-
-    Both tick the clock of walks and share it, so the one-color peel runs
-    once, at the start of the K_{2,2} scan, and the hub pass at most once,
-    in whichever stage needs it first. walks.details gets the stage that
-    found the cycle (1 for the scan, 3 for the DFS; 2 went with the
-    orientation stage that once ran between them) and the walk periods,
-    as far as the search got. When the peel leaves an empty core, the graph
-    has no properly colored cycle at all, so the search stops after the
-    scan (an edgeless graph among them); the DFS skips length 4, which the
-    scan decided. Stage 1 reads its K_{2,2} as a C4 (see _c4). A cycle of
-    the subgraph is one of G, so the caller checks the witness on G.
-    """
-    clock, details = walks.clock, walks.details
-    found = _c4(_kst_impl(G, 2, 2, clock, rainbow=False, walks=walks))
-    if found is not None:
-        details["stage"] = 1
-    elif walks.core():
-        found = _pc_cycle_impl(G, (3, *range(5, r + 1)), clock, walks)
-        if found is not None:
-            details["stage"] = 3
-    return found
-
-
 def pc_short_cycle_pipeline(
     G: EdgeColoredGraph, r: int, budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
-    """Two-stage search for a properly colored cycle of length at most r.
+    """Search for a properly colored cycle of length at most r, a C4 first.
 
-    Stage 1 looks for a properly colored K_{2,2}, which is a properly
-    colored C4. The DFS stage (details["stage"] 3) then runs the bounded
-    cycle search over lengths 3 and 5..r, behind the walk-period filter of
-    find_pc_cycle_upto: lengths that no closed properly colored walk has
-    are skipped. Its witness is find_pc_cycle_upto's whenever G has no
-    properly colored C4. The filter's peel runs once per call, at the start
-    of stage 1, and its hub pass at most once: in stage 1 when its K_{2,2}
-    scan gets past the switch point of find_pc_kst, else at the start of
-    the DFS, and never when the peel left nothing. A peel that leaves
-    nothing proves that G has no properly colored cycle, so the search ends
-    exhausted-none after stage 1. details["walk_periods"] shows the periods
-    whenever the hub pass ran, and [] when the peel left nothing; the node
-    counts include the ticks of both. The two stages tick one clock, so a
-    node or time budget stops whichever of them is running.
+    Tries length 4, then 3 and 5..r (see _pc_cycle_impl): the properly
+    colored K_{2,2} scan first, whose sides are a properly colored C4, then
+    the cycle DFS behind the walk-period filter of find_pc_cycle_upto,
+    which skips every length that no closed properly colored walk has. So
+    its witness is find_pc_cycle_upto's whenever G has no properly colored
+    C4. The filter's peel runs once per call, at the start of the scan, and
+    its hub pass at most once: in the scan when it gets past the switch
+    point of find_pc_kst, else at the start of the DFS, and never when the
+    peel left nothing. A peel that leaves nothing proves that G has no
+    properly colored cycle, so the search ends exhausted-none after the
+    scan's peel. details["walk_periods"] shows the periods whenever the hub
+    pass ran, and [] when the peel left nothing; the node counts include
+    the ticks of both. The scan and the DFS tick one clock, so a node or
+    time budget stops whichever of them is running.
     """
     _require_int("r", r, 4)
     details: dict = {"r": r}
     return _search(
-        budget, lambda clock: _pc_cycle_stages(G, r, _WalkClasses(G, clock, details)),
+        budget,
+        lambda clock: _pc_cycle_impl((4, 3, *range(5, r + 1)), _WalkClasses(G, clock, details)),
         details, G, "pc-cycle",
     )
 
@@ -949,11 +944,11 @@ def disjoint_pc_cycles(
 ) -> SearchOutcome:
     """Greedily collect up to k vertex-disjoint properly colored cycles.
 
-    Each round runs the two stages of pc_short_cycle_pipeline with no
-    length bound (r = max(n, 4)) on the residual graph, so it takes a
+    Each round runs the search of pc_short_cycle_pipeline with no length
+    bound (lengths 4, 3, 5..n) on the residual graph, so it takes a
     properly colored C4 if there is one and else a shortest properly
     colored cycle, removes the vertices of that cycle, and repeats; a
-    round whose residual peels to nothing ends after stage 1. The residual
+    round whose residual peels to nothing ends after the peel. The residual
     graph is G with the used vertices cleared from one live mask, and its
     edge count is kept alongside, so no graph is built: every round has the
     witness and node count it would have on the residual built as a graph
@@ -969,9 +964,9 @@ def disjoint_pc_cycles(
     def body(clock):
         adj = G.adj
         live, m = None, G.m  # the first round runs on G itself
-        r = max(G.n, 4)
+        lengths = (4, 3, *range(5, G.n + 1))
         while len(cycles) < k:
-            found = _pc_cycle_stages(G, r, _WalkClasses(G, clock, {}, live, m))
+            found = _pc_cycle_impl(lengths, _WalkClasses(G, clock, {}, live, m))
             if found is None:
                 return None
             cycles.append(list(found[0]))

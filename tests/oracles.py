@@ -2,9 +2,11 @@
 
 Everything here enumerates by raw itertools subsets/permutations and checks
 properties directly from edge lists, sharing no traversal logic with the
-package's backtracking detectors. Intended for tiny instances only. The one
-exception is rebuilt_disjoint_pc_cycles, a reference that runs the
-package's own search stages, but on graphs rebuilt from G's edge list.
+package's backtracking detectors. Intended for tiny instances only. The
+exceptions are two references that run the package's own searches:
+rebuilt_disjoint_pc_cycles, on graphs rebuilt from G's edge list, and
+staged_pc_cycle, the two-stage cycle search that the pipeline and each
+disjoint round ran before they went through the one length-order driver.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from itertools import combinations, permutations
 from math import ceil, gcd
 
 from chroma.core import EdgeColoredGraph
-from chroma.detectors import _WalkClasses, _pc_cycle_stages, _search
+from chroma.detectors import _WalkClasses, _c4, _kst_impl, _pc_cycle_impl, _search
 
 
 def _color_map(G):
@@ -166,17 +168,27 @@ def brute_pc_cycle_lengths(G) -> set[int]:
 
 
 def first_pc_cycle_witness(G, lengths):
-    """The lexicographically least properly colored cycle of the shortest
-    admitted length, as a vertex sequence from its minimum vertex, or None.
+    """The first properly colored cycle of the first length of `lengths`
+    that has one, trying them in the order given and skipping those above
+    n, or None.
 
-    Tries each length of `lengths` up to n in ascending order; for each
-    start vertex in ascending order, all orders of larger vertices in
-    lexicographic order (permutations of a sorted pool come out that way).
+    A length-4 answer is the first properly colored K_{2,2} of
+    first_pc_kst_witness, with sides (a, b) and (u, v), read as the cycle
+    (a, u, b, v). Any other length's is the lexicographically least cycle,
+    as a vertex sequence from its minimum vertex: for each start vertex in
+    ascending order, all orders of larger vertices in lexicographic order
+    (permutations of a sorted pool come out that way).
     """
     cmap = _color_map(G)
-    for L in sorted(set(lengths)):
+    for L in lengths:
         if L > G.n:
-            break
+            continue
+        if L == 4:
+            first = first_pc_kst_witness(G, 2, 2)
+            if first is not None:
+                (a, b), (u, v) = first
+                return (a, u, b, v)
+            continue
         for first in range(G.n):
             for rest in permutations(range(first + 1, G.n), L - 1):
                 cyc = (first,) + rest
@@ -361,20 +373,55 @@ def without_vertices(G, dead) -> EdgeColoredGraph:
     )
 
 
-def rebuilt_disjoint_pc_cycles(G, k, budget=None):
+def staged_pc_cycle(walks, r):
+    """The groups (cycle,) of the properly colored cycle of length at most r
+    that the two stages of the pipeline found in the graph of walks, or
+    None: first the K_{2,2} scan, read as a C4, then, unless the peel left
+    nothing, the cycle DFS over the lengths 3 and 5..r. walks.details gets
+    the stage that found the cycle: 1 for the scan, 3 for the DFS. The
+    reference that the one driver over the lengths 4, 3, 5..r must match.
+    """
+    found = _c4(_kst_impl(2, 2, False, walks))
+    if found is not None:
+        walks.details["stage"] = 1
+    elif walks.core():
+        found = _pc_cycle_impl((3, *range(5, r + 1)), walks)
+        if found is not None:
+            walks.details["stage"] = 3
+    return found
+
+
+def staged_pipeline(G, r, budget=None):
+    """pc_short_cycle_pipeline run through staged_pc_cycle."""
+    details = {"r": r}
+    return _search(
+        budget, lambda clock: staged_pc_cycle(_WalkClasses(G, clock, details), r),
+        details, G, "pc-cycle",
+    )
+
+
+def one_driver_round(walks, r):
+    """A round of disjoint_pc_cycles: the one driver over the lengths
+    4, 3, 5..r."""
+    return _pc_cycle_impl((4, 3, *range(5, r + 1)), walks)
+
+
+def rebuilt_disjoint_pc_cycles(G, k, budget=None, search=one_driver_round):
     """disjoint_pc_cycles with every round after the first run on a residual
     graph rebuilt by without_vertices, which drops the vertices of the
     cycles found so far: the reference that the package's rounds on a live
     mask of G must match in status, witness, nodes and details. As there,
-    each round's stages return the groups of one cycle, and _search builds
-    and checks the cycles once, as the disjoint-cycles witness on G."""
+    each round's search(walks, max(n, 4)) returns the groups of one cycle,
+    and _search builds and checks the cycles once, as the disjoint-cycles
+    witness on G. With search=staged_pc_cycle, the rounds are those of the
+    two-stage search."""
     cycles: list[list[int]] = []
 
     def body(clock):
         residual = G
         r = max(G.n, 4)
         while len(cycles) < k:
-            found = _pc_cycle_stages(residual, r, _WalkClasses(residual, clock, {}))
+            found = search(_WalkClasses(residual, clock, {}), r)
             if found is None:
                 return None
             cycles.append(list(found[0]))

@@ -66,6 +66,8 @@ from oracles import (
     first_pc_kst_witness,
     is_pc_cycle,
     rebuilt_disjoint_pc_cycles,
+    staged_pc_cycle,
+    staged_pipeline,
     without_vertices,
 )
 
@@ -422,9 +424,9 @@ def cycle_search_instance(seed):
     return relabelled(blowup_cycle_signature(r, rng.randint(1, 2) if r <= 4 else 1), rng)
 
 
-def first_witness_upto(G, r, skip=()):
-    """first_pc_cycle_witness over the lengths 3..r minus skip."""
-    return first_pc_cycle_witness(G, [L for L in range(3, r + 1) if L not in skip])
+def first_witness_upto(G, r):
+    """first_pc_cycle_witness over the lengths 3..r, ascending."""
+    return first_pc_cycle_witness(G, range(3, r + 1))
 
 
 class TestWalkPeriods:
@@ -441,16 +443,17 @@ class TestWalkPeriods:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_pipeline_stage3_returns_least_witness(self, seed):
+        # The pipeline tries length 4 first: with no pc C4 its answer is
+        # the least cycle of the shortest other length.
         G = cycle_search_instance(seed)
         r = random.Random(seed).randint(4, max(4, G.n))
         out = pc_short_cycle_pipeline(G, r)
-        if out.details.get("stage") == 3:
-            assert out.witness.vertices[0] == first_witness_upto(G, r, skip=(4,))
-        elif out.status == EXHAUSTED:
-            assert first_witness_upto(G, r) is None
+        expect = first_pc_cycle_witness(G, (4, 3, *range(5, r + 1)))
+        assert out.status == (FOUND if expect else EXHAUSTED)
+        assert (out.witness.vertices[0] if out.witness else None) == expect
 
     def test_seeded_witnesses_and_sound_periods(self):
-        periods_seen, stage3 = set(), 0
+        periods_seen, past_4 = set(), 0
         for seed in range(120):
             G = cycle_search_instance(seed)
             least = {L: first_pc_cycle_witness(G, [L]) for L in range(3, G.n + 1)}
@@ -460,11 +463,13 @@ class TestWalkPeriods:
                 assert (out.witness.vertices[0] if out.witness else None) == expect
                 if r < 4:
                     continue
+                # The pipeline tries length 4 first, then 3 and 5..r.
                 out = pc_short_cycle_pipeline(G, r)
-                if out.details.get("stage") == 3:
-                    stage3 += 1
-                    expect = next((least[L] for L in range(3, r + 1) if L != 4 and least[L]), None)
-                    assert out.witness.vertices[0] == expect
+                expect = least[4] or next(
+                    (least[L] for L in (3, *range(5, r + 1)) if least[L]), None
+                )
+                assert (out.witness.vertices[0] if out.witness else None) == expect
+                past_4 += expect is not None and len(expect) != 4
             # Soundness: every pc cycle lies inside a component whose period
             # divides its length, so its length is a multiple of a period.
             periods = find_pc_cycle_upto(G, G.n).details["walk_periods"]
@@ -476,7 +481,7 @@ class TestWalkPeriods:
                     assert any(
                         len(cyc) % p == 0 and set(cyc) <= set(verts) for p, verts in classes
                     )
-        assert stage3 > 0 and max(periods_seen) > 1
+        assert past_4 > 0 and max(periods_seen) > 1
 
     def test_blowups_and_acyclic_signatures_skip_the_dfs(self):
         # No length below r is admitted, so those searches cost the filter's
@@ -997,11 +1002,16 @@ class TestWalkGate:
                     None if cycle is None else (cycle,)
                 )
             else:
+                # Both cycle searches decide length 4 by the K_{2,2} scan:
+                # the pipeline tries it before length 3, find_pc_cycle_upto
+                # after it.
                 out = pc_short_cycle_pipeline(G, 4)
-                if cycle is None:
-                    assert out.details.get("stage") != 1
-                else:
-                    assert out.details["stage"] == 1 and out.witness.vertices == (cycle,)
+                triangle = first_pc_cycle_witness(G, [3])
+                expect = cycle or triangle
+                assert (out.witness.vertices[0] if out.witness else None) == expect
+                out = find_pc_cycle_upto(G, 4)
+                expect = triangle or cycle
+                assert (out.witness.vertices[0] if out.witness else None) == expect
         return ran, found
 
     def test_seeded_first_witnesses(self):
@@ -1139,13 +1149,13 @@ class TestWalkGate:
 
     def test_stage3_reuses_the_pass_of_stage1(self, walk_passes):
         G = extremal_no_pc_c4(3)
-        stage1 = find_pc_kst(G, 2, 2).nodes
+        scan = find_pc_kst(G, 2, 2).nodes
         clear(walk_passes)
         out = pc_short_cycle_pipeline(G, 6)
-        assert out.status == FOUND and out.details["stage"] == 3
+        assert out.status == FOUND and len(out.witness.vertices[0]) == 6
         ((_, _, core),) = walk_passes["peel"]
         ((_, end, _),) = walk_passes["hub"]
-        assert core == list(range(G.n)) and end <= stage1
+        assert core == list(range(G.n)) and end <= scan
 
     @pytest.mark.parametrize("name", ["pc-k22", "rainbow-k33", "pipeline", "pc-cycle", "disjoint"])
     @pytest.mark.parametrize("core", ["fringe", "empty"])
@@ -1258,9 +1268,8 @@ class TestPipeline:
             G = signature(circulant_tournament(n))
             out = pc_short_cycle_pipeline(G, 4, None)
             assert out.status == FOUND
-            assert len(out.witness.vertices[0]) <= 4
+            assert len(out.witness.vertices[0]) == 4
             assert verify_witness(G, out.witness)
-            assert out.details["stage"] == 1
 
     def test_edgeless(self):
         assert pc_short_cycle_pipeline(EdgeColoredGraph(6), 4, None).status == EXHAUSTED
@@ -1275,23 +1284,23 @@ class TestPipeline:
     def test_budget_flows_through(self):
         G = random_edge_colored_graph(30, 0.7, 3, 5)
         out = pc_short_cycle_pipeline(G, 4, SearchBudget(max_nodes=2))
-        assert out.status in (FOUND, BUDGET_EXCEEDED)  # stage 1 may find instantly
+        assert out.status in (FOUND, BUDGET_EXCEEDED)  # the scan may find instantly
         out2 = pc_short_cycle_pipeline(mono_k(20), 4, SearchBudget(max_nodes=2))
         assert out2.status == BUDGET_EXCEEDED
 
     def test_budget_running_out_in_stage2(self):
-        # The second stage that runs is the DFS. Budgets just short of the
-        # end of stage 1 run out in its scan; from there up to completion
-        # they run out in the DFS, after the scan has filled in the walk
-        # periods and before any stage found a cycle.
+        # After the K_{2,2} scan of length 4, the DFS runs. Budgets just
+        # short of the end of the scan run out in it; from there up to
+        # completion they run out in the DFS, after the scan has filled in
+        # the walk periods and before either found a cycle.
         G = extremal_no_pc_c4(3)
-        stage1 = find_pc_kst(G, 2, 2).nodes
+        scan = find_pc_kst(G, 2, 2).nodes
         full = pc_short_cycle_pipeline(G, 6)
-        assert full.status == FOUND and full.details["stage"] == 3
-        for b in range(stage1 - 2, full.nodes):
+        assert full.status == FOUND and len(full.witness.vertices[0]) == 6
+        for b in range(scan - 2, full.nodes):
             out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=b))
-            assert out.status == BUDGET_EXCEEDED and "stage" not in out.details
-            if b >= stage1:
+            assert out.status == BUDGET_EXCEEDED and out.witness is None
+            if b >= scan:
                 assert out.details["walk_periods"] == [6]
 
     def test_node_budget_stops_inside_stage2(self):
@@ -1299,8 +1308,8 @@ class TestPipeline:
         # at most one node past the budget. G has no pc C4 and a non-empty
         # core, so the DFS runs, and it costs more than 5 nodes.
         G = extremal_no_pc_c4(3)
-        stage1 = find_pc_kst(G, 2, 2).nodes
-        budget = stage1 + 5
+        scan = find_pc_kst(G, 2, 2).nodes
+        budget = scan + 5
         assert find_pc_cycle_upto(G, 6).nodes > 5
         out = pc_short_cycle_pipeline(G, 6, SearchBudget(max_nodes=budget))
         assert out.status == BUDGET_EXCEEDED
@@ -1330,25 +1339,25 @@ class TestPipeline:
             assert (out.status == FOUND) == (b >= full.nodes)
 
     def test_stage3_skips_length_4(self):
-        # Stage 1 decided length 4 (a pc C4 is a pc K_{2,2}), so the DFS
-        # stage costs less than the DFS over every length up to r, and finds
-        # the same cycle. The flower's closed pc walks have period 1, so the
-        # walk-period filter admits length 4 for both searches.
+        # The scan decided length 4 (a pc C4 is a pc K_{2,2}), so the DFS
+        # that follows it costs less than all of find_pc_cycle_upto, and
+        # finds the same cycle. The flower's closed pc walks have period 1,
+        # so the walk-period filter admits length 4 for both searches.
         B = extremal_no_pc_c4(3)
         flower, n = flower_edges(B.n)
         G = EdgeColoredGraph(n, list(B.edges) + flower)
         out = pc_short_cycle_pipeline(G, 6)
-        assert out.status == FOUND and out.details["stage"] == 3
+        assert out.status == FOUND and len(out.witness.vertices[0]) == 6
         assert out.details["walk_periods"] == [1, 6]
-        stage1 = find_pc_kst(G, 2, 2).nodes
+        scan = find_pc_kst(G, 2, 2).nodes
         dfs = find_pc_cycle_upto(G, 6)
         assert out.witness == dfs.witness
-        assert out.nodes - stage1 < dfs.nodes
+        assert out.nodes - scan < dfs.nodes
 
     def test_budget_running_out_in_walk_filter(self, walk_passes):
-        # Budgets across the walk-period filter, which stage 1 runs here once
-        # its scan passes the switch point, end budget-exceeded (inside the
-        # filter) or found.
+        # Budgets across the walk-period filter, which the K_{2,2} scan runs
+        # here once it passes the switch point, end budget-exceeded (inside
+        # the filter) or found.
         G = extremal_no_pc_c4(3)
         full = pc_short_cycle_pipeline(G, 6)
         assert full.status == FOUND and full.details["walk_periods"] == [6]
@@ -1515,7 +1524,7 @@ class TestDisjointPcCycles:
             disjoint_pc_cycles(mono_k(3), 0, None)
 
     def test_first_round_is_the_unbounded_pipeline(self):
-        # Each round runs the pipeline's stages with r = max(n, 4), so the
+        # Each round runs the pipeline's search with r = max(n, 4), so the
         # first cycle is the pipeline's witness.
         found = 0
         for seed in range(80):
@@ -1641,6 +1650,77 @@ class TestDisjointRoundsOnTheMask:
         assert second < at
         for b in range(second - 5, full.nodes + 2):
             self.assert_same(G, 2, SearchBudget(max_nodes=b))
+
+
+class TestOneDriverMatchesTheStages:
+    """pc_short_cycle_pipeline and disjoint_pc_cycles go through the one
+    cycle driver over the lengths 4, 3, 5..r. They must end as the
+    two-stage search they replace (staged_pc_cycle) ends, in status,
+    witness, nodes and details, but for the stage it reported."""
+
+    @staticmethod
+    def assert_same(G, r, k, budget=None):
+        pairs = (
+            (pc_short_cycle_pipeline(G, r, budget), staged_pipeline(G, r, budget)),
+            (
+                disjoint_pc_cycles(G, k, budget),
+                rebuilt_disjoint_pc_cycles(G, k, budget, search=staged_pc_cycle),
+            ),
+        )
+        for out, ref in pairs:
+            ref.details.pop("stage", None)
+            assert (out.status, out.witness, out.details) == (ref.status, ref.witness, ref.details)
+            if G.n >= 4:
+                assert out.nodes == ref.nodes
+            else:
+                # The driver skips length 4 above n; the stages ran the
+                # K_{2,2} scan anyway, one tick per pair of its core.
+                assert out.nodes <= ref.nodes
+        return pairs[0][0]
+
+    def test_seeded_instances(self):
+        lengths = set()
+        for seed in range(120):
+            G = disjoint_instance(seed) if seed % 2 else pc_c4_free_instance(seed)
+            for r in {4, 6, max(4, G.n)}:
+                for k in (1, 3):
+                    out = self.assert_same(G, r, k)
+                    lengths.add(len(out.witness.vertices[0]) if out.witness else None)
+        assert {None, 3, 4} < lengths
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_hypothesis_instances(self, seed):
+        G = disjoint_instance(seed) if seed % 2 else pc_c4_free_instance(seed)
+        rng = random.Random(seed)
+        self.assert_same(G, rng.randint(4, max(4, G.n)), rng.choice((1, 3, G.n)))
+
+    @pytest.mark.parametrize("name", ["c6-blowup-3", "circulant-201"])
+    def test_every_budget(self, name):
+        if name == "c6-blowup-3":
+            G, r, k = extremal_no_pc_c4(3), 6, 3
+        else:
+            G, r, k = signature(circulant_tournament(201)), 4, 1
+        full = self.assert_same(G, r, k)
+        assert full.status == FOUND
+        most = max(full.nodes, disjoint_pc_cycles(G, k).nodes)
+        for b in range(1, most + 2):
+            self.assert_same(G, r, k, SearchBudget(max_nodes=b))
+
+    def test_pc_triangle_on_three_vertices(self):
+        # Length 4 is skipped above n, and length 3 still runs after it.
+        G = EdgeColoredGraph(3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
+        for out in (pc_short_cycle_pipeline(G, 4), disjoint_pc_cycles(G, 1)):
+            assert out.status == FOUND and out.witness.vertices == ((0, 1, 2),)
+
+    def test_find_scans_length_4_over_the_admitted_vertices(self):
+        # Length 3 runs the hub pass, so the K_{2,2} scan for length 4 starts
+        # on the vertices admitted for 4, of which a C5 blow-up has none:
+        # it ticks nothing.
+        G = blowup_cycle_signature(5, 8)
+        out = find_pc_cycle_upto(G, 6)
+        assert out.status == FOUND and out.nodes == 2085
+        assert find_pc_cycle_upto(G, 4).nodes == find_pc_cycle_upto(G, 3).nodes
 
 
 class TestExtractRainbowKst:
@@ -1943,7 +2023,8 @@ def one_check_cases():
     """(id, call, status) for each public detector: a found, an
     exhausted-none and a budget-exceeded answer, plus the found answers
     whose searches built intermediate witnesses before they had one check:
-    the pipeline's stage 3, and disjoint rounds ending in either stage."""
+    the pipeline past length 4, and disjoint rounds ending in the K_{2,2}
+    scan or the DFS."""
     pc, rainbow = c4(1, 2, 1, 2), c4(1, 2, 3, 4)
     acyclic = signature(transitive_tournament(8))
     circ21 = signature(circulant_tournament(21))
