@@ -10,14 +10,17 @@ structure is checked (vertex range, loops, colors, duplicate edges or arcs,
 anti-parallel pairs, bipartition crossing, host colors); every graph is
 checked in full where it is built, whoever builds it. A ColoredOrientation
 is checked through its support, the EdgeColoredGraph of its arcs, whose
-edges must all be host edges. The parsers in `chroma.formats` check only
-syntax and map a constructor's rejection back to a line number.
+edges must all be host edges: both edge tuples are sorted, so one merge
+pass over the host's edges decides it. The parsers in `chroma.formats`
+check only syntax and map a constructor's rejection back to a line number.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import contains
 from typing import Optional
 
 
@@ -253,18 +256,26 @@ class ColoredOrientation:
     support: EdgeColoredGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Check the arcs through their support.
+
+        The support's constructor checks vertex ids, loops, colors and
+        crossing, and one arc per pair refuses duplicate and anti-parallel
+        arcs alike. Its edges must then all be host edges. Both edge tuples
+        are sorted and repeat nothing, so that holds exactly when the
+        support's edges are a subsequence of the host's: each `in` resumes
+        one iterator over the host's edges where the last one stopped, and
+        no host edge is hashed. Refused arcs go to _reject_arcs, whose
+        per-arc checks name the first bad one.
+        """
         host = self.host
         arcs = self.arcs
         if not isinstance(arcs, (list, tuple)):  # read twice below
             arcs = list(arcs)
-        # The support's constructor checks vertex ids, loops, colors and
-        # crossing, and one arc per pair refuses duplicate and anti-parallel
-        # arcs alike; its canonical edges must then all be host edges.
         try:
             support = EdgeColoredGraph(host.n, arcs, host.bipartition)
         except (TypeError, ValueError):  # a row that cannot be unpacked, or a bad arc
             support = None
-        if support is None or set(support.edges).difference(host.edges):
+        if support is None or not all(map(contains, repeat(iter(host.edges)), support.edges)):
             _reject_arcs(host, arcs)
             raise RuntimeError("internal error: refused arcs passed every per-arc check")
         object.__setattr__(self, "arcs", tuple(sorted(map(tuple, arcs))))

@@ -7,7 +7,8 @@ properly colored K_{s,t}. `construct_orientation` runs the extraction on the
 dual graph and reads off an orientation whose directed paths, and hence
 directed cycles, are properly colored in the host. The dual is never built:
 its left copy u is joined to the right copy of v exactly when uv is an edge
-of G, so the extraction reads G's own adjacency.
+of G, so the extraction reads G's own edges, once: one pass over G.edges
+keeps, at each vertex, its edge to the smallest neighbor of each color.
 """
 from __future__ import annotations
 
@@ -72,17 +73,32 @@ class ExtractionResult:
     deltas: dict[int, int]
 
 
-def _saturation_extract_on_parts(G, side1, side2, s, x):
-    """Run the saturation greedy from side1 toward side2 on G.adj at growth
-    threshold x.
+def _color_firsts(G):
+    """One map per vertex of G, from each color at the vertex to its
+    smallest neighbor joined by that color, made in one pass over G.edges.
+
+    Edges are sorted with u < v, so each vertex meets its neighbors in
+    ascending order: setdefault keeps the smallest neighbor of each color,
+    and the map lists its colors in the order of those neighbors, which is
+    ascending too. len(firsts[v]) is v's color degree.
+    """
+    firsts: list[dict[int, int]] = [{} for _ in range(G.n)]
+    for u, v, c in G.edges:
+        firsts[u].setdefault(c, v)
+        firsts[v].setdefault(c, u)
+    return firsts
+
+
+def _saturation_extract_on_parts(firsts, side1, side2, s, x):
+    """Run the saturation greedy from side1 toward side2 at growth threshold
+    x, over the one-edge-per-color maps firsts of _color_firsts(G).
 
     Every neighbor of a side-1 vertex must lie in side 2. That holds for the
     two sides of a bipartition, and for side1 = side2 = range(n), which is
     the dual graph of G with vertex ids left unshifted: the left copy u is
     joined to the right copy of v exactly when uv is an edge of G. Returns
-    (kept, state, dc); kept lists the surviving edges as (u, v, c) with u in
-    side 1 and v in side 2, and dc maps each side-1 vertex to its color
-    degree in G, the length of its one-edge-per-color list.
+    the SaturationState; an edge (u, v, c) of firsts[u], u in side 1,
+    survives exactly when c is in its kept_colors[v].
 
     The greedy is specified as: pick the first side-1 vertex, in ascending
     order, that is not yet selected and has at least x fresh neighbors
@@ -93,22 +109,13 @@ def _saturation_extract_on_parts(G, side1, side2, s, x):
     fall; a vertex that fails once fails at every later step. When the pass
     reaches u, every smaller unselected vertex has failed, so u is the
     restart scan's next pick exactly when it qualifies now. The pass reads
-    each one-edge-per-color list at most twice, O(sum of degrees) in all,
-    where restarting costs O(l * sum of degrees) for l picks.
+    each one-edge-per-color map at most twice, O(sum of degrees) in all,
+    where restarting costs O(l * sum of degrees) for l picks. Within one
+    map each neighbor appears at most once, so the order of a map cannot
+    change a pick.
     """
-    side1 = sorted(side1)
-    side2 = sorted(side2)
     need = max(1, math.ceil(x - _EPS))
-
-    # One edge per color at each side-1 vertex: G.adj lists neighbors in
-    # ascending order, so keeping the first (v, c) of each color keeps the
-    # edge to the smallest neighbor id, and the list stays ascending.
-    g0: dict[int, list[tuple[int, int]]] = {}
-    for u in side1:
-        first: dict[int, tuple[int, int]] = {}
-        for vc in G.adj[u]:
-            first.setdefault(vc[1], vc)
-        g0[u] = list(first.values())
+    side2 = sorted(side2)
 
     # During the growth a side-2 vertex is saturated exactly when it has
     # its kept colors.
@@ -116,9 +123,10 @@ def _saturation_extract_on_parts(G, side1, side2, s, x):
     kept_colors: dict[int, frozenset[int]] = {}
     selected: list[int] = []
 
-    for u in side1:
+    for u in sorted(side1):
+        first = firsts[u].items()
         cnt = 0
-        for v, c in g0[u]:
+        for c, v in first:
             if v not in kept_colors and c not in colors_seen[v]:
                 cnt += 1
                 if cnt >= need:
@@ -126,7 +134,7 @@ def _saturation_extract_on_parts(G, side1, side2, s, x):
         if cnt < need:
             continue
         selected.append(u)
-        for v, c in g0[u]:
+        for c, v in first:
             if c not in colors_seen[v]:
                 colors_seen[v].add(c)
                 if v not in kept_colors and len(colors_seen[v]) >= s - 1:
@@ -135,10 +143,7 @@ def _saturation_extract_on_parts(G, side1, side2, s, x):
     for v in side2:
         if v not in kept_colors:
             kept_colors[v] = frozenset(colors_seen[v])
-
-    kept = [(u, v, c) for u in side1 for v, c in g0[u] if c in kept_colors[v]]
-    dc = {u: len(g0[u]) for u in side1}
-    return kept, SaturationState(tuple(selected), kept_colors, x), dc
+    return SaturationState(tuple(selected), kept_colors, x)
 
 
 def saturation_extract(G: EdgeColoredGraph, s: int, t: int) -> ExtractionResult:
@@ -165,39 +170,44 @@ def saturation_extract(G: EdgeColoredGraph, s: int, t: int) -> ExtractionResult:
     if G.bipartition is None:
         raise ValueError("saturation_extract requires a bipartition")
     side1, side2 = G.bipartition
-    x = default_x(s, t, len(side2))
-    kept, state, dc = _saturation_extract_on_parts(G, side1, side2, s, x)
+    side1 = sorted(side1)
+    firsts = _color_firsts(G)
+    state = _saturation_extract_on_parts(firsts, side1, side2, s, default_x(s, t, len(side2)))
+    kept = [(u, v, c) for u in side1 for c, v in firsts[u].items() if c in state.kept_colors[v]]
     H = EdgeColoredGraph(G.n, kept, G.bipartition)
-    deltas = {u: dc[u] - color_degree(H, u) for u in sorted(side1)}
+    deltas = {u: len(firsts[u]) - color_degree(H, u) for u in side1}
     return ExtractionResult(H, state, deltas)
 
 
 def _orient(G, s, t, parts):
     """The orientation construction over the given (side1, side2) parts.
 
-    Runs the saturation greedy once per part; every vertex must be side 1 of
-    exactly one part and side 2 of exactly one part. A kept edge u -> v is
-    then deleted when its color is kept at u as a side-2 vertex. The kept
-    color sets are fixed before any deletion, so the order of the deletions
-    cannot matter. The survivors are the arcs. A vertex of side 1 in a part
-    is bounded against the size of that part's side 2.
+    Builds the one-edge-per-color maps of G once and runs the saturation
+    greedy on them once per part; every vertex must be side 1 of exactly
+    one part and side 2 of exactly one part, so side2_colors holds each
+    vertex's kept colors as a side-2 vertex. The arcs are then read off the
+    maps in one ascending pass: u -> v of color c survives the greedy when
+    c is kept at v, and is deleted when c is kept at u. The kept color sets
+    are fixed before any deletion, so the order of the deletions cannot
+    matter, and the arcs come out sorted. A vertex of side 1 in a part is
+    bounded against the size of that part's side 2.
 
-    The report is read off the greedy: a vertex's color degree comes from
-    the part where it is side 1, and its out-degree counts the arcs with
-    that tail.
+    The report is read off the maps: a vertex's color degree is the size of
+    its map, and its out-degree counts the arcs with that tail.
     """
-    kept: list[tuple[int, int, int]] = []
+    firsts = _color_firsts(G)
     side2_colors: dict[int, frozenset[int]] = {}
-    dc: dict[int, int] = {}
     states = []
     for side1, side2 in parts:
-        x = default_x(s, t, len(side2))
-        part_kept, state, part_dc = _saturation_extract_on_parts(G, side1, side2, s, x)
-        kept += part_kept
+        state = _saturation_extract_on_parts(firsts, side1, side2, s, default_x(s, t, len(side2)))
         side2_colors.update(state.kept_colors)
-        dc.update(part_dc)
         states.append(state)
-    arcs = [e for e in kept if e[2] not in side2_colors[e[0]]]
+    arcs = [
+        (u, v, c)
+        for u, first in enumerate(firsts)
+        for c, v in first.items()
+        if c in side2_colors[v] and c not in side2_colors[u]
+    ]
     D = ColoredOrientation(G, arcs)
 
     sig = sigma(s, t)
@@ -211,8 +221,9 @@ def _orient(G, s, t, parts):
         dplus[e[0]] += 1
     per_vertex = {}
     for v in range(G.n):
-        bound = dc[v] - loss[v]
-        per_vertex[v] = {"dplus": dplus[v], "dc": dc[v], "bound": bound,
+        dc = len(firsts[v])
+        bound = dc - loss[v]
+        per_vertex[v] = {"dplus": dplus[v], "dc": dc, "bound": bound,
                          "margin": dplus[v] - bound}
     ls = [state.l for state in states]
     xs = [state.x for state in states]
@@ -234,7 +245,7 @@ def construct_orientation(
     and orients u -> v exactly when the left edge u -> right copy of v
     survives. The dual is implicit: its left copy u is joined to the right
     copy of v exactly when uv is an edge of G, so the extraction reads G's
-    own adjacency with side 1 = side 2 = all vertices. Unconditionally the
+    own edges with side 1 = side 2 = all vertices. Unconditionally the
     result has no anti-parallel arcs, at every vertex the in-arc colors and
     out-arc colors are disjoint (so directed paths and cycles are properly
     colored), and the in-arc color set has size at most s-1. When G has no

@@ -3,18 +3,21 @@
 Everything here enumerates by raw itertools subsets/permutations and checks
 properties directly from edge lists, sharing no traversal logic with the
 package's backtracking detectors. Intended for tiny instances only. The
-exceptions are two references that run the package's own searches:
+exceptions are references that run the package's own searches:
 rebuilt_disjoint_pc_cycles, on graphs rebuilt from G's edge list, and
 staged_pc_cycle, the two-stage cycle search that the pipeline and each
-disjoint round ran before they went through the one length-order driver.
+disjoint round ran before they went through the one length-order driver;
+and adjacency_greedy and adjacency_orient, the orientation construction
+as it ran on G.adj before it read the one-edge-per-color maps off G.edges.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import ceil, gcd
 
-from chroma.core import EdgeColoredGraph
+from chroma.core import ColoredOrientation, EdgeColoredGraph
 from chroma.detectors import _WalkClasses, _c4, _kst_impl, _pc_cycle_impl, _search
+from chroma.extraction import SaturationState, default_x, sigma
 
 
 def _color_map(G):
@@ -429,3 +432,89 @@ def rebuilt_disjoint_pc_cycles(G, k, budget=None, search=one_driver_round):
         return cycles
 
     return _search(budget, body, {"requested": k, "cycles": cycles}, G, "disjoint-cycles")
+
+
+def adjacency_firsts(G, side1):
+    """{u: one edge per color at u, as (v, c)} for u in side1, read off
+    G.adj: the first (v, c) of each color, so the edge to the smallest
+    neighbor, and the list stays ascending."""
+    g0 = {}
+    for u in side1:
+        first = {}
+        for vc in G.adj[u]:
+            first.setdefault(vc[1], vc)
+        g0[u] = list(first.values())
+    return g0
+
+
+def adjacency_greedy(G, side1, side2, s, x):
+    """The saturation greedy as it ran on G.adj: (kept, state, dc), with
+    kept the surviving edges (u, v, c), u in side 1, and dc each side-1
+    vertex's color degree."""
+    side1 = sorted(side1)
+    side2 = sorted(side2)
+    need = max(1, ceil(x - 1e-9))
+    g0 = adjacency_firsts(G, side1)
+    colors_seen = {v: set() for v in side2}
+    kept_colors = {}
+    selected = []
+    for u in side1:
+        cnt = 0
+        for v, c in g0[u]:
+            if v not in kept_colors and c not in colors_seen[v]:
+                cnt += 1
+                if cnt >= need:
+                    break
+        if cnt < need:
+            continue
+        selected.append(u)
+        for v, c in g0[u]:
+            if c not in colors_seen[v]:
+                colors_seen[v].add(c)
+                if v not in kept_colors and len(colors_seen[v]) >= s - 1:
+                    kept_colors[v] = frozenset(colors_seen[v])
+    for v in side2:
+        if v not in kept_colors:
+            kept_colors[v] = frozenset(colors_seen[v])
+    kept = [(u, v, c) for u in side1 for v, c in g0[u] if c in kept_colors[v]]
+    dc = {u: len(g0[u]) for u in side1}
+    return kept, SaturationState(tuple(selected), kept_colors, x), dc
+
+
+def adjacency_orient(G, s, t, parts):
+    """(arcs, states, report) of the orientation construction over parts as
+    it ran on adjacency_greedy: the kept edges of each part in turn, less
+    those whose color is kept at the tail as a side-2 vertex."""
+    kept = []
+    side2_colors = {}
+    dc = {}
+    states = []
+    for side1, side2 in parts:
+        part_kept, state, part_dc = adjacency_greedy(G, side1, side2, s, default_x(s, t, len(side2)))
+        kept += part_kept
+        side2_colors.update(state.kept_colors)
+        dc.update(part_dc)
+        states.append(state)
+    arcs = [e for e in kept if e[2] not in side2_colors[e[0]]]
+    D = ColoredOrientation(G, arcs)
+    sig = sigma(s, t)
+    loss = [0.0] * G.n
+    for side1, side2 in parts:
+        for v in side1:
+            loss[v] = sig * len(side2) ** (1.0 - 1.0 / s) + s
+    dplus = [0] * G.n
+    for e in arcs:
+        dplus[e[0]] += 1
+    per_vertex = {}
+    for v in range(G.n):
+        bound = dc[v] - loss[v]
+        per_vertex[v] = {"dplus": dplus[v], "dc": dc[v], "bound": bound,
+                         "margin": dplus[v] - bound}
+    ls = [state.l for state in states]
+    xs = [state.x for state in states]
+    if len(states) == 1:
+        ls, xs = ls[0], xs[0]
+    report = {
+        "n": G.n, "per_vertex": per_vertex, "s": s, "t": t, "l": ls, "x": xs, "sigma": sig,
+    }
+    return D.arcs, states, report

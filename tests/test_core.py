@@ -334,6 +334,41 @@ def test_colored_orientation_matches_per_arc_checks(case, from_iterator):
     assert D.support == EdgeColoredGraph(host.n, arcs, host.bipartition)
 
 
+# The host's edges in order: (0,1,3) first, (3,4,1) last; vertex 5 is isolated.
+MERGE_HOST = EdgeColoredGraph(6, [(3, 4, 1), (0, 2, 1), (1, 3, 2), (0, 1, 3), (2, 4, 0)])
+MERGE_BIPARTITE = EdgeColoredGraph(5, [(0, 3, 1), (1, 3, 0), (2, 4, 1), (0, 4, 2)], (range(3), range(3, 5)))
+
+
+@pytest.mark.parametrize("host, arcs", [
+    (MERGE_HOST, [(1, 0, 2), (2, 4, 0)]),  # first edge, a smaller color
+    (MERGE_HOST, [(0, 1, 4), (2, 4, 0)]),  # first edge, a larger color
+    (MERGE_HOST, [(0, 2, 1), (4, 3, 0)]),  # last edge, a smaller color
+    (MERGE_HOST, [(0, 2, 1), (3, 4, 2)]),  # last edge, a larger color
+    (MERGE_HOST, [(0, 1, 3), (5, 4, 0)]),  # past the last edge, at the isolated vertex
+    (MERGE_HOST, [(0, 1, 3), (4, 5, 1)]),
+    (EdgeColoredGraph(4), []),  # a host with no edges
+    (EdgeColoredGraph(4), [(2, 1, 0)]),
+    (EdgeColoredGraph(0), []),
+    (MERGE_HOST, [(4, 3, 1), (0, 2, 1), (3, 1, 2), (1, 0, 3), (2, 4, 0)]),  # the whole host
+    (MERGE_BIPARTITE, [(3, 0, 1), (1, 3, 0), (4, 2, 1), (0, 4, 2)]),
+    (MERGE_BIPARTITE, [(3, 0, 1), (1, 3, 0), (4, 2, 1), (0, 4, 3)]),
+])
+def test_support_merge_check(host, arcs):
+    """The support's edges are matched against the host's in one merge
+    pass; a mismatch at either end of the host's edges, an arc beyond them
+    and an empty host are decided as the per-arc checks decide them."""
+    try:
+        want = per_arc_reference(host, arcs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ColoredOrientation(host, arcs)
+        assert str(got.value) == str(exc)
+        return
+    D = ColoredOrientation(host, arcs)
+    assert D.arcs == want
+    assert D.support == EdgeColoredGraph(host.n, arcs, host.bipartition)
+
+
 def _ascending(adjacency, key):
     return all(key(a) < key(b) for row in adjacency for a, b in zip(row, row[1:]))
 

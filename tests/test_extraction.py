@@ -20,6 +20,7 @@ from chroma.constructions import (
 )
 from chroma.detectors import EXHAUSTED, FOUND, find_pc_kst, shortest_directed_cycle
 from chroma.extraction import (
+    _color_firsts,
     _saturation_extract_on_parts,
     construct_orientation,
     construct_orientation_bipartite,
@@ -32,7 +33,15 @@ from chroma.suites import SCHEMA_VERSION
 from chroma.transforms import dual_graph, signature
 from chroma.constructions import directed_cycle
 
-from oracles import all_cycles_by_permutation, is_directed_cycle, is_pc_cycle, restart_scan_greedy
+from oracles import (
+    adjacency_firsts,
+    adjacency_greedy,
+    adjacency_orient,
+    all_cycles_by_permutation,
+    is_directed_cycle,
+    is_pc_cycle,
+    restart_scan_greedy,
+)
 
 
 class TestSigma:
@@ -74,7 +83,7 @@ def assert_matches_restart_scan(G, s, x):
     side1, side2 = G.bipartition
     if x is None:
         x = default_x(s, s + 1, len(side2))
-    state = _saturation_extract_on_parts(G, side1, side2, s, x)[1]
+    state = _saturation_extract_on_parts(_color_firsts(G), side1, side2, s, x)
     selected, kept_colors = restart_scan_greedy(G, side1, side2, s, x)
     assert state.selected == tuple(selected)
     assert state.kept_colors == kept_colors
@@ -382,6 +391,72 @@ def test_report_degrees_match_graph_and_orientation(seed, construction, st_pair)
         assert row["margin"] == row["dplus"] - row["bound"]
 
 
+def assert_matches_adjacency_reference(G, s, t):
+    """The one-edge-per-color maps, each greedy's state, the arcs and the
+    report equal those of the construction as it ran on G.adj, for the
+    general construction and, on a bipartite G, the bipartite one and
+    saturation_extract."""
+    firsts = _color_firsts(G)
+    assert [[(v, c) for c, v in first.items()] for first in firsts] == list(
+        adjacency_firsts(G, range(G.n)).values()
+    )
+    runs = [(construct_orientation, [(range(G.n), range(G.n))])]
+    if G.bipartition is not None:
+        side1, side2 = G.bipartition
+        runs.append((construct_orientation_bipartite, [(side1, side2), (side2, side1)]))
+        kept, state, dc = adjacency_greedy(G, side1, side2, s, default_x(s, t, len(side2)))
+        res = saturation_extract(G, s, t)
+        assert res.state == state
+        assert res.H == EdgeColoredGraph(G.n, kept, G.bipartition)
+        assert res.deltas == {u: dc[u] - color_degree(res.H, u) for u in sorted(side1)}
+    for build, parts in runs:
+        arcs, states, report = adjacency_orient(G, s, t, parts)
+        for (side1, side2), state in zip(parts, states):
+            assert _saturation_extract_on_parts(firsts, side1, side2, s, state.x) == state
+        _, D, got = build(G, s, t)
+        assert D.arcs == arcs
+        assert json.dumps(got) == json.dumps(report)
+
+
+class TestAdjacencyReference:
+    @pytest.mark.parametrize("G", [
+        EdgeColoredGraph(0),
+        EdgeColoredGraph(0, (), ((), ())),
+        EdgeColoredGraph(5, [(1, 3, 0)]),
+        EdgeColoredGraph(6, [(0, 4, 2), (1, 4, 0), (1, 3, 2)], (range(3), range(3, 6))),
+        EdgeColoredGraph(4, [(2, 3, 1), (0, 3, 1)], (range(3), range(3, 4))),
+    ], ids=["empty", "empty-bipartite", "isolated", "isolated-bipartite", "one-sided"])
+    def test_small(self, G):
+        for s, t in ((2, 2), (2, 3), (3, 3)):
+            assert_matches_adjacency_reference(G, s, t)
+
+    def test_seeded(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            general = random_edge_colored_graph(
+                rng.randint(0, 18), rng.choice([0.1, 0.4, 0.8]), rng.randint(1, 6), seed
+            )
+            for G in (general, bipartite_instance(seed, n_max=12)):
+                for s, t in ((2, 2), (2, 3), (3, 3), (3, 4)):
+                    assert_matches_adjacency_reference(G, s, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bipartite=st.booleans(),
+        st_pair=st.sampled_from(((2, 2), (2, 3), (3, 3), (3, 4))),
+    )
+    def test_hypothesis(self, seed, bipartite, st_pair):
+        rng = random.Random(seed)
+        if bipartite:
+            G = bipartite_instance(seed, n_max=10)
+        else:
+            G = random_edge_colored_graph(
+                rng.randint(0, 14), rng.choice([0.1, 0.5, 0.9]), rng.randint(1, 6), seed
+            )
+        assert_matches_adjacency_reference(G, *st_pair)
+
+
 # sha256 of render_corg(D) plus the report as sorted JSON, recorded before the
 # orientation stopped building the dual graph.
 GOLDEN = {
@@ -422,12 +497,13 @@ def test_orientation_golden_digest(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_h_is_the_support_d_was_checked_through(name):
     """The arcs' support is built once, in D's constructor, and returned as
-    H; the orientation never builds G's pair-to-color map."""
+    H; the orientation never builds G's pair-to-color map or adjacency."""
     build, G, s, t = golden_args(name)
     H, D, _ = build(G, s, t)
     assert H is D.support
     assert H == EdgeColoredGraph(G.n, D.arcs, G.bipartition)
     assert "pair_colors" not in vars(G)
+    assert "adj" not in vars(G)
 
 
 def orient_cli_texts(build, G, s, t):
