@@ -8,14 +8,15 @@ side 1), then m lines `u v c`, all 0-indexed.
 Rendering is canonical (edges sorted ascending), so parse(render(x)) == x.
 Parsers check only syntax (header, line count, field count, integers) and
 hand the rows to the `chroma.core` constructors, which are the one place
-structure is checked. One tokenizer serves all three formats: it checks the
-body's line count and per-line field counts, then converts every body token
-in one pass. Only when that or a constructor rejects the body are the lines
-rescanned, to find the first offending one and raise a line-numbered
-ParseError: the first syntax fault, or the first row the constructor
-refuses, whichever comes first. The parser knows no structure rule; it
-finds the refused row by bisecting over prefixes of the rows and reports
-the constructor's own message.
+structure is checked. One tokenizer serves all three formats: it joins the
+nonblank body lines with a `;` separator token, splits the result once,
+checks that the separators fall every field count + 1 tokens, and converts
+every other token in one pass. Only when that or a constructor rejects the
+body are the lines rescanned, to find the first offending one and raise a
+line-numbered ParseError: the first syntax fault, or the first row the
+constructor refuses, whichever comes first. The parser knows no structure
+rule; it finds the refused row by bisecting over prefixes of the rows and
+reports the constructor's own message.
 """
 from __future__ import annotations
 
@@ -70,18 +71,25 @@ def _rows(lines, line_no: int, m: int, width: int) -> list[tuple[int, ...]]:
 
     Exactly m body lines must have `width` fields and every other one must
     be blank; otherwise, or on a token that is not an integer, ValueError is
-    raised, and _build names the line. The per-line split lists are only
-    counted and dropped at once; the tokens are split again from the joined
-    body, since keeping one list per line alive for the int map would more
-    than double the garbage collector's work here. Vertex ids and colors
-    repeat across a body, so each distinct token goes through int() once per
-    parse and its repeats share that int.
+    raised, and _build names the line. The shape is checked on the tokens
+    the rows are made of: the nonblank lines are joined with " ; " and split
+    once. The tokens every width + 1 positions are dropped and the rest go
+    through int(), which refuses a ";". One is left unless the m - 1
+    inserted ";" tokens are exactly the dropped ones, that is unless every
+    line has `width` fields and the file holds no ";". Vertex ids and
+    colors repeat across a body, so each distinct token goes through int()
+    once per parse and its repeats share that int.
     """
-    body = lines[line_no:]
-    widths = list(map(len, map(str.split, body)))
-    if widths.count(width) != m or widths.count(0) != len(body) - m:
+    rows = list(filter(None, map(str.strip, lines[line_no:])))
+    if len(rows) != m:
+        raise ValueError(f"expected {m} nonblank body lines, found {len(rows)}")
+    if not m:
+        return []
+    tokens = " ; ".join(rows).split()
+    if len(tokens) != (width + 1) * m - 1:
         raise ValueError(f"expected {m} body lines of {width} fields")
-    fields = map(_Ints().__getitem__, " ".join(body).split())
+    del tokens[width::width + 1]
+    fields = map(_Ints().__getitem__, tokens)
     return list(zip(*[fields] * width))
 
 

@@ -3,12 +3,14 @@
 Everything here enumerates by raw itertools subsets/permutations and checks
 properties directly from edge lists, sharing no traversal logic with the
 package's backtracking detectors. Intended for tiny instances only. The
-exceptions are references that run the package's own searches:
+exceptions are references that run the package's own code:
 rebuilt_disjoint_pc_cycles, on graphs rebuilt from G's edge list, and
 staged_pc_cycle, the two-stage cycle search that the pipeline and each
 disjoint round ran before they went through the one length-order driver;
-and adjacency_greedy and adjacency_orient, the orientation construction
-as it ran on G.adj before it read the one-edge-per-color maps off G.edges.
+adjacency_greedy and adjacency_orient, the orientation construction
+as it ran on G.adj before it read the one-edge-per-color maps off G.edges;
+and reference_rows, the body tokenizer of chroma.formats as it ran when it
+split each body line on its own to count its fields.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from math import ceil, gcd
 from chroma.core import ColoredOrientation, EdgeColoredGraph
 from chroma.detectors import _WalkClasses, _c4, _kst_impl, _pc_cycle_impl, _search
 from chroma.extraction import SaturationState, default_x, sigma
+from chroma.formats import _Ints
 
 
 def _color_map(G):
@@ -336,6 +339,21 @@ def first_refused_row(build, rows):
         except ValueError as e:
             return k - 1, str(e)
     return None
+
+
+def reference_rows(lines, line_no, m, width):
+    """The body lines[line_no:] as m rows of `width` integers, or ValueError.
+
+    Counts each body line's fields by splitting that line alone: exactly m
+    lines must have `width` fields and every other one none. Then every
+    body token goes through one int map.
+    """
+    body = lines[line_no:]
+    widths = list(map(len, map(str.split, body)))
+    if widths.count(width) != m or widths.count(0) != len(body) - m:
+        raise ValueError(f"expected {m} body lines of {width} fields")
+    fields = map(_Ints().__getitem__, " ".join(body).split())
+    return list(zip(*[fields] * width))
 
 
 def brute_return_lengths(G, start, allowed, limit) -> dict:

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,7 @@ from chroma.constructions import (
     random_oriented_graph,
     random_proper_complete_bipartite,
 )
+from chroma import formats
 from chroma.extraction import construct_orientation
 from chroma.formats import (
     ParseError,
@@ -28,7 +30,7 @@ from chroma.formats import (
     save,
 )
 from chroma.transforms import dual_graph
-from oracles import first_refused_row
+from oracles import first_refused_row, reference_rows
 
 
 # Every construction and transform that attaches a bipartition.
@@ -213,6 +215,10 @@ class TestParseErrors:
             ("ecg 3 2\n0 1 0\n0 1\n2 0\n", 4, "expected 2 edge lines, found 3"),
             # m well-formed lines plus one of another width.
             ("ecg 3 2\n0 1 0\n1 2 0\n5\n", 4, "expected 2 edge lines, found 3"),
+            # A ";" in the file is a token like any other.
+            ("ecg 4 1\n0 1 ;\n", 2, "not an integer: ';'"),
+            ("ecg 4 2\n0 1 ;\n; 2 3 4\n", 2, "not an integer: ';'"),
+            ("ecg 4 0\n0 1 2\n", 2, "expected 0 edge lines, found 1"),
         ],
     )
     def test_ecg_errors(self, text, line, needle):
@@ -325,10 +331,13 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="line 2"):
             parse_ecg("ecg 2 1\n0 0 1\n")
 
+    def test_blank_body_without_edges(self):
+        assert parse_ecg("ecg 4 0\n\n \n") == EdgeColoredGraph(4, [])
+
 
 class TestParserRobustness:
     @settings(max_examples=150, deadline=None)
-    @given(st.text(st.sampled_from("ecorg 0123456789ab-\n "), max_size=60))
+    @given(st.text(st.sampled_from("ecorg 0123456789ab-\n \t;"), max_size=60))
     def test_garbage_never_crashes(self, text):
         # arbitrary input either parses to a valid object or raises ParseError
         try:
@@ -340,6 +349,79 @@ class TestParserRobustness:
     def test_extra_fields_rejected(self):
         with pytest.raises(ParseError, match="expected 3 fields"):
             parse_ecg("ecg 2 1\n0 1 0 junk\n")
+
+
+# Body tokens: mostly small ints, and now and then one that int() reads
+# differently from a digit string, or not at all.
+_BODY_TOKENS = tuple("0123456789") * 4 + ("-3", "+4", "1_0", "\u0663", ";", "1;2", "a")
+# Gaps: mostly a space. Some are whitespace inside a line (\x1f, \xa0,
+# \u3000), others line breaks to str.splitlines (\x0b, \x0c, \x1c, \x85, \r).
+_BODY_GAPS = (" ",) * 12 + (
+    "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u3000", "\r",
+)
+# What a line may start or end with.
+_BODY_ENDS = ("", " ", "\t", "\xa0")
+
+
+@st.composite
+def _bodies(draw, width):
+    """(body text, m): lines of width - 1 to width + 1 tokens among blank
+    and whitespace-only ones, and an m that is the nonblank line count, one
+    less, one more, or 0."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append("".join(draw(st.lists(st.sampled_from(_BODY_GAPS), max_size=2))))
+            continue
+        count = draw(st.sampled_from((width,) * 4 + (width - 1, width + 1)))
+        line = draw(st.sampled_from(_BODY_ENDS))
+        for k in range(count):
+            if k:
+                line += draw(st.sampled_from(_BODY_GAPS))
+            line += draw(st.sampled_from(_BODY_TOKENS))
+        lines.append(line + draw(st.sampled_from(_BODY_ENDS)))
+    text = "\n".join(lines)
+    nonblank = sum(1 for line in text.splitlines() if line.split())
+    m = draw(st.sampled_from([k for k in (nonblank, nonblank - 1, nonblank + 1, 0) if k >= 0]))
+    return text, m
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return e.line, str(e)
+
+
+class TestTokenizerMatchesReference:
+    """The tokenizer checks the body's shape on the tokens of one split; it
+    accepts, refuses and reads exactly what reference_rows, which splits
+    each line on its own, does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_rows(self, data):
+        width = data.draw(st.sampled_from((2, 3)))
+        text, m = data.draw(_bodies(width))
+        lines = ["header", *text.splitlines()]
+        outcomes = []
+        for rows in (formats._rows, reference_rows):
+            try:
+                outcomes.append(rows(lines, 1, m, width))
+            except ValueError:
+                outcomes.append(ValueError)
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_parse_errors(self, data):
+        parse = data.draw(st.sampled_from((parse_ecg, parse_org, parse_corg)))
+        magic, width = {parse_ecg: ("ecg", 3), parse_org: ("org", 2), parse_corg: ("corg", 3)}[parse]
+        body, m = data.draw(_bodies(width))
+        text = f"{magic} 10 {m}\n{body}\n"
+        new = _outcome(parse, text)
+        with mock.patch.object(formats, "_rows", reference_rows):
+            assert _outcome(parse, text) == new
 
 
 class TestAutoAndFiles:
