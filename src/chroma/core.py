@@ -8,18 +8,23 @@ across threads; every operation in this module is a pure function.
 The constructors of the three graph classes are the one place where
 structure is checked (vertex range, loops, colors, duplicate edges or arcs,
 anti-parallel pairs, bipartition crossing, host colors); every graph is
-checked in full where it is built, whoever builds it. A ColoredOrientation
-is checked through its support, the EdgeColoredGraph of its arcs, whose
-edges must all be host edges: both edge tuples are sorted, so one merge
-pass over the host's edges decides it. The parsers in `chroma.formats`
-check only syntax and map a constructor's rejection back to a line number.
+checked in full where it is built, whoever builds it. EdgeColoredGraph
+checks each edge once; while the rows come in ascending order, as
+`chroma.formats` writes them, no duplicate set is kept and no sort runs.
+A ColoredOrientation is checked through its support, the graph of its
+arcs' edges: sorted, they must be a strictly increasing subsequence of the
+host's sorted edges, which one merge pass decides, and every value must be
+an int. That proves every rule of the support from the checked host, so
+the support needs no second per-edge loop; it is the host itself when the
+arcs cover every host edge. The parsers in `chroma.formats` check only
+syntax and map a constructor's rejection back to a line number.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import contains
 from typing import Optional
 
@@ -98,6 +103,12 @@ class EdgeColoredGraph:
     a row that is already a plain tuple with u < v is stored as given. The
     optional bipartition is a pair of disjoint vertex sets covering all
     vertices; when present, every edge must cross it.
+
+    Each row's vertices, loop and color are checked in input order, and so
+    is its pair against the earlier ones: while the keys u * n + v strictly
+    ascend, each is only compared with the last, since ascending rows are
+    distinct and already sorted; from the first key that does not ascend
+    on, every key goes into a duplicate set and the rows are sorted.
     """
 
     n: int
@@ -107,7 +118,10 @@ class EdgeColoredGraph:
     def __post_init__(self):
         n = self.n
         _require_int("vertex count", n, 0)
-        seen: set[int] = set()  # u * n + v of each edge so far
+        # At the first key that does not ascend, seen takes every key so far
+        # and last jumps past every key, so each later one goes through seen.
+        seen: Optional[set[int]] = None
+        last = -1
         norm = []
         for e in self.edges:
             u, v, c = e
@@ -126,9 +140,15 @@ class EdgeColoredGraph:
             elif type(e) is not tuple:
                 e = (u, v, c)
             key = u * n + v
-            if key in seen:
-                raise ValueError(f"duplicate edge {{{u},{v}}}")
-            seen.add(key)
+            if key > last:
+                last = key
+            else:
+                if seen is None:
+                    seen = {a * n + b for a, b, _c in norm}
+                    last = n * n
+                if key in seen:
+                    raise ValueError(f"duplicate edge {{{u},{v}}}")
+                seen.add(key)
             norm.append(e)  # the caller's tuple when it is already canonical
         bip = _normalize_bipartition(n, self.bipartition)
         if bip is not None:
@@ -136,7 +156,8 @@ class EdgeColoredGraph:
             for a, b, _c in norm:  # input order: the first bad edge is named
                 if (a in s1) == (b in s1):
                     raise ValueError(f"edge {{{a},{b}}} does not cross the bipartition")
-        norm.sort()
+        if seen is not None:
+            norm.sort()
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "bipartition", bip)
 
@@ -240,15 +261,37 @@ def _reject_arcs(host: EdgeColoredGraph, arcs) -> None:
             _require_color(c)
 
 
+def _host_subgraph(host: EdgeColoredGraph, edges: list) -> EdgeColoredGraph:
+    """The EdgeColoredGraph of edges, with host's vertex count and
+    bipartition, built without the constructor's per-edge loop.
+
+    Precondition: edges is a strictly increasing subsequence of host.edges,
+    so it is sorted and distinct, and every rule the constructor checks
+    holds for it because it holds for the checked host. Only
+    ColoredOrientation's constructor, which proves that, calls this. When
+    edges covers every host edge, the subgraph is host itself.
+    """
+    if len(edges) == len(host.edges):
+        return host
+    sub = object.__new__(EdgeColoredGraph)
+    object.__setattr__(sub, "n", host.n)
+    object.__setattr__(sub, "edges", tuple(edges))
+    object.__setattr__(sub, "bipartition", host.bipartition)
+    return sub
+
+
 @dataclass(frozen=True)
 class ColoredOrientation:
     """Arcs paired with colors inherited from a host edge-colored graph.
 
     Every arc's underlying pair must be a host edge carrying the same color,
     and the arc set must satisfy the OrientedGraph invariants. support is
-    the arcs' underlying EdgeColoredGraph, with the host's bipartition; it
-    is built once, to check the arcs, and the orientation constructions
-    return it as H (H is D.support).
+    the arcs' underlying EdgeColoredGraph, with the host's bipartition. It
+    is made once, from the checked arcs, and the orientation constructions
+    return it as H (H is D.support). Its edges are proved a strictly
+    increasing subsequence of the host's, so every rule of its constructor
+    holds already and no per-edge loop runs again; when the arcs cover
+    every host edge, the support is the host itself.
     """
 
     host: EdgeColoredGraph
@@ -256,30 +299,37 @@ class ColoredOrientation:
     support: EdgeColoredGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Check the arcs through their support.
+        """Check the arcs by proving their support a part of the host.
 
-        The support's constructor checks vertex ids, loops, colors and
-        crossing, and one arc per pair refuses duplicate and anti-parallel
-        arcs alike. Its edges must then all be host edges. Both edge tuples
-        are sorted and repeat nothing, so that holds exactly when the
-        support's edges are a subsequence of the host's: each `in` resumes
-        one iterator over the host's edges where the last one stopped, and
-        no host edge is hashed. Refused arcs go to _reject_arcs, whose
-        per-arc checks name the first bad one.
+        Each arc becomes its edge (min, max, c), and the edges are sorted.
+        They are accepted when every value's type is int or an int subclass
+        other than bool, and every edge is a host edge: both edge lists are
+        sorted, so each `in` resumes one iterator over the host's edges
+        where the last one stopped, and no host edge is hashed. The edges
+        then form a strictly increasing subsequence of the checked host's,
+        so they hold no duplicate or anti-parallel pair, and vertex range,
+        loops, colors and bipartition crossing hold as they hold for the
+        host: no check of the support's constructor is left to run.
+        Refused arcs go to _reject_arcs, whose per-arc checks name the
+        first bad one.
         """
         host = self.host
         arcs = self.arcs
         if not isinstance(arcs, (list, tuple)):  # read twice below
             arcs = list(arcs)
         try:
-            support = EdgeColoredGraph(host.n, arcs, host.bipartition)
-        except (TypeError, ValueError):  # a row that cannot be unpacked, or a bad arc
-            support = None
-        if support is None or not all(map(contains, repeat(iter(host.edges)), support.edges)):
+            edges = [(t, h, c) if t < h else (h, t, c) for t, h, c in arcs]
+            edges.sort()
+        except (TypeError, ValueError):  # a row that cannot be unpacked or ordered
+            edges = None
+        if (edges is None
+                or not all(issubclass(tp, int) and tp is not bool
+                           for tp in set(map(type, chain.from_iterable(edges))))
+                or not all(map(contains, repeat(iter(host.edges)), edges))):
             _reject_arcs(host, arcs)
             raise RuntimeError("internal error: refused arcs passed every per-arc check")
         object.__setattr__(self, "arcs", tuple(sorted(map(tuple, arcs))))
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "support", _host_subgraph(host, edges))
 
     @property
     def n(self) -> int:

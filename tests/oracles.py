@@ -9,15 +9,24 @@ staged_pc_cycle, the two-stage cycle search that the pipeline and each
 disjoint round ran before they went through the one length-order driver;
 adjacency_greedy and adjacency_orient, the orientation construction
 as it ran on G.adj before it read the one-edge-per-color maps off G.edges;
-and reference_rows, the body tokenizer of chroma.formats as it ran when it
-split each body line on its own to count its fields.
+reference_rows, the body tokenizer of chroma.formats as it ran when it
+split each body line on its own to count its fields; and set_based_edges,
+the EdgeColoredGraph constructor's loop as it ran when it hashed every
+edge into a duplicate set and sorted every edge list.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import ceil, gcd
 
-from chroma.core import ColoredOrientation, EdgeColoredGraph
+from chroma.core import (
+    ColoredOrientation,
+    EdgeColoredGraph,
+    _normalize_bipartition,
+    _require_color,
+    _require_int,
+    _require_vertex,
+)
 from chroma.detectors import _WalkClasses, _c4, _kst_impl, _pc_cycle_impl, _search
 from chroma.extraction import SaturationState, default_x, sigma
 from chroma.formats import _Ints
@@ -354,6 +363,42 @@ def reference_rows(lines, line_no, m, width):
         raise ValueError(f"expected {m} body lines of {width} fields")
     fields = map(_Ints().__getitem__, " ".join(body).split())
     return list(zip(*[fields] * width))
+
+
+def set_based_edges(n, edges, bipartition=None):
+    """The edges EdgeColoredGraph(n, edges, bipartition) stores, or the
+    ValueError it raises, by one loop that hashes every edge's key into a
+    duplicate set and sorts the edges at the end, whatever their order."""
+    _require_int("vertex count", n, 0)
+    seen = set()
+    norm = []
+    for e in edges:
+        u, v, c = e
+        if not (type(u) is int and 0 <= u < n):
+            _require_vertex(n, u)
+        if not (type(v) is int and 0 <= v < n):
+            _require_vertex(n, v)
+        if u == v:
+            raise ValueError(f"loop at vertex {u} is not allowed")
+        if not (type(c) is int and c >= 0):
+            _require_color(c)
+        if u > v:
+            u, v = v, u
+            e = (u, v, c)
+        elif type(e) is not tuple:
+            e = (u, v, c)
+        key = u * n + v
+        if key in seen:
+            raise ValueError(f"duplicate edge {{{u},{v}}}")
+        seen.add(key)
+        norm.append(e)
+    bip = _normalize_bipartition(n, bipartition)
+    if bip is not None:
+        for a, b, _c in norm:
+            if (a in bip[0]) == (b in bip[0]):
+                raise ValueError(f"edge {{{a},{b}}} does not cross the bipartition")
+    norm.sort()
+    return tuple(norm)
 
 
 def brute_return_lengths(G, start, allowed, limit) -> dict:

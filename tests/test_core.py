@@ -5,7 +5,7 @@ from collections import namedtuple
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chroma.core import (
@@ -51,8 +51,10 @@ from chroma.extraction import (
     saturation_extract,
     sigma,
 )
+from chroma.formats import parse_corg, render_corg
 from chroma.suites import analyze, run_suite
 from chroma.transforms import blow_up, signature
+from oracles import set_based_edges
 
 
 def mono_triangle():
@@ -232,6 +234,9 @@ class TestStoredRows:
         G = EdgeColoredGraph(3, rows)
         assert G.edges[0] is rows[0]
         assert G.edges[1] == (1, 2, 0)
+        for order in (rows[:1] + [(1, 2, 0)], [(1, 2, 0)] + rows[:1]):  # ascending, then not
+            stored = EdgeColoredGraph(3, order).edges
+            assert sorted(map(id, stored)) == sorted(map(id, order))
         arcs = [(2, 1)]
         assert OrientedGraph(3, arcs).arcs[0] is arcs[0]
         assert ColoredOrientation(G, rows).arcs[1] is rows[1]
@@ -367,6 +372,136 @@ def test_support_merge_check(host, arcs):
     D = ColoredOrientation(host, arcs)
     assert D.arcs == want
     assert D.support == EdgeColoredGraph(host.n, arcs, host.bipartition)
+
+
+@st.composite
+def edge_rows(draw):
+    """Rows for a small host, plain or bipartite, in ascending order, with
+    two neighbours swapped, or in descending or shuffled order; maybe with
+    repeated pairs (as given or reversed, any color) at the first, a middle
+    or the last position. Each row may be reversed, carry IntId, bool or
+    float values, and be a tuple, a list or a namedtuple."""
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(0, n)) if draw(st.booleans()) else None
+    bip = None if k is None else (range(k), range(k, n))
+    rows = [
+        (u, v, draw(st.integers(0, 3)))
+        for u in range(n) for v in range(u + 1, n) if draw(st.booleans())
+    ]
+    order = draw(st.sampled_from(["ascending", "swapped", "descending", "shuffled"]))
+    if order == "swapped" and len(rows) > 1:  # ascending again after one descent
+        i = draw(st.integers(0, len(rows) - 2))
+        rows[i:i + 2] = rows[i + 1], rows[i]
+    elif order == "descending":
+        rows.reverse()
+    elif order == "shuffled":
+        rows = list(draw(st.permutations(rows)))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        u, v, _c = draw(st.sampled_from(rows))
+        repeat = (v, u) if draw(st.booleans()) else (u, v)
+        at = draw(st.sampled_from([0, len(rows) // 2, len(rows)]))
+        rows.insert(at, (*repeat, draw(st.integers(0, 3))))
+    odd = {
+        "IntId": IntId,
+        "bool": lambda x: bool(x) if x in (0, 1) else True,
+        "float": float,
+    }
+    changes = ["none", "none", "none", "reverse", "IntId"]
+    if draw(st.booleans()):
+        changes += ["bool", "float"]
+    out = []
+    for row in rows:
+        change = draw(st.sampled_from(changes))
+        if change == "reverse":
+            row = (row[1], row[0], row[2])
+        elif change in odd:
+            i = draw(st.integers(0, 2))
+            row = row[:i] + (odd[change](row[i]),) + row[i + 1:]
+        out.append(draw(st.sampled_from([tuple, tuple, list, Edge._make]))(row))
+    return n, out, bip
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_rows())
+# Keys ascend again after the first descent, then repeat a later pair.
+@example((4, [(0, 1, 0), (0, 3, 0), (0, 2, 0), (1, 2, 0), (2, 1, 1)], None))
+@example((4, [(0, 1, 0), (0, 3, 0), (0, 2, 0), (1, 3, 0), (1, 3, 2)], None))
+# A repeated pair at the first and at the last position.
+@example((3, [(1, 0, 2), (0, 1, 0), (1, 2, 0)], None))
+@example((3, [(0, 1, 0), (0, 2, 0), (1, 2, 0), (0, 2, 1)], (range(1), range(1, 3))))
+def test_edge_rows_match_set_based_reference(case):
+    """The constructor keeps no duplicate set and runs no sort while the
+    rows' keys ascend; it stores exactly what the set-based loop stores,
+    the caller's tuple where that loop keeps it, or raises its error."""
+    n, rows, bip = case
+    try:
+        want = set_based_edges(n, rows, bip)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            EdgeColoredGraph(n, rows, bip)
+        assert str(got.value) == str(exc)
+        return
+    G = EdgeColoredGraph(n, rows, bip)
+    assert G.edges == want and all(type(e) is tuple for e in G.edges)
+    given_ids = set(map(id, rows))
+    assert [id(e) in given_ids for e in G.edges] == [id(e) in given_ids for e in want]
+
+
+def _count_edge_graph_builds(monkeypatch):
+    calls = []
+    build = EdgeColoredGraph.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        build(self)
+
+    monkeypatch.setattr(EdgeColoredGraph, "__post_init__", counted)
+    return calls
+
+
+def test_orientation_builds_no_graph(monkeypatch):
+    """D's support is proved a part of the host, not rebuilt: building D
+    runs no EdgeColoredGraph constructor."""
+    G = signature(circulant_tournament(15))
+    _H, D, _report = construct_orientation(G, 2, 2)
+    calls = _count_edge_graph_builds(monkeypatch)
+    again = ColoredOrientation(G, list(D.arcs))
+    assert calls == [] and again.support == D.support
+
+
+def test_parse_corg_builds_one_graph(monkeypatch):
+    _H, D, _report = construct_orientation(signature(circulant_tournament(15)), 2, 2)
+    text = render_corg(D)
+    calls = _count_edge_graph_builds(monkeypatch)
+    parsed = parse_corg(text)
+    assert len(calls) == 1 and parsed.support is parsed.host
+    assert parsed.arcs == D.arcs
+
+
+def test_support_is_host_when_arcs_cover_it():
+    host = MERGE_HOST
+    D = ColoredOrientation(host, [(4, 3, 1), (0, 2, 1), (3, 1, 2), (1, 0, 3), (2, 4, 0)])
+    assert D.support is host
+    assert ColoredOrientation(host, [(4, 3, 1)]).support is not host
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_support_equals_built_graph_of_arcs(seed):
+    """On seeded orientations the support is the graph the constructor
+    builds from the arcs, with the host's bipartition."""
+    rng = random.Random(seed)
+    hosts = [
+        signature(circulant_tournament(rng.randrange(5, 40))),
+        random_edge_colored_graph(rng.randrange(4, 30), 0.6, rng.randint(2, 8), rng.getrandbits(32)),
+    ]
+    bipartite = random_bipartite_edge_colored(
+        rng.randrange(2, 15), rng.randrange(2, 15), 0.7, rng.randint(2, 8), rng.getrandbits(32)
+    )
+    cases = [construct_orientation(G, 2, 2) for G in hosts]
+    cases.append(construct_orientation_bipartite(bipartite, 2, 2))
+    for _H, D, _report in cases:
+        arcs = list(D.arcs)
+        assert D.support == EdgeColoredGraph(D.host.n, arcs, D.host.bipartition)
 
 
 def _ascending(adjacency, key):
