@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import EdgeColoredGraph, OrientedGraph, _require_int, _require_real
-from .transforms import blow_up, signature
+from .transforms import _signature_rows, blow_up, signature
 
 # Subset-density screening is exhaustive up to this order; beyond it a
 # seeded sample of SAMPLED_SUBSET_CHECKS subsets is tested instead, which
@@ -37,15 +37,11 @@ def circulant_tournament(n: int) -> OrientedGraph:
     j = 1..n/2-1 plus one arc i -> i+n/2 for each i < n/2.
     """
     _require_int("n", n, 3)
-    arcs = []
-    half = (n - 1) // 2 if n % 2 else n // 2 - 1
-    for i in range(n):
-        for j in range(1, half + 1):
-            arcs.append((i, (i + j) % n))
-    if n % 2 == 0:
-        for i in range(n // 2):
-            arcs.append((i, i + n // 2))
-    return OrientedGraph(n, arcs)
+    half = n // 2
+    # j runs to half for every i when n is odd; for even n only i < half
+    # takes j = half, the one arc of the pair {i, i + half}.
+    return OrientedGraph(n, [(i, (i + j) % n) for i in range(n)
+                             for j in range(1, half + (n % 2 or i < half))])
 
 
 def directed_cycle(r: int) -> OrientedGraph:
@@ -62,6 +58,9 @@ def blowup_cycle_signature(r: int, k: int) -> EdgeColoredGraph:
     Even r blows up the r-cycle 0 -> h -> 1 -> h+1 -> ... -> h-1 -> r-1 -> 0
     (h = r/2): position p of the cycle is block p // 2 + (p % 2) * h, so the
     attached bipartition has side 1 = {0, ..., h*k - 1}, a vertex prefix.
+    Even r builds the graph once, with its bipartition, from signature's
+    ascending rows, so one constructor checks each edge, and its crossing,
+    once.
     Every vertex has out-degree and in-degree k in the blow-up, so the
     minimum color degree is k + 1.
     """
@@ -70,8 +69,9 @@ def blowup_cycle_signature(r: int, k: int) -> EdgeColoredGraph:
         return signature(blow_up(directed_cycle(r), k))
     h = r // 2
     at = [p // 2 + (p % 2) * h for p in range(r)]
-    G = signature(blow_up(OrientedGraph(r, [(at[p - 1], at[p]) for p in range(r)]), k))
-    return EdgeColoredGraph(G.n, G.edges, bipartition=(range(h * k), range(h * k, r * k)))
+    D = blow_up(OrientedGraph(r, [(at[p - 1], at[p]) for p in range(r)]), k)
+    return EdgeColoredGraph(D.n, _signature_rows(D.arcs),
+                            bipartition=(range(h * k), range(h * k, r * k)))
 
 
 def extremal_no_pc_c4(k: int) -> EdgeColoredGraph:

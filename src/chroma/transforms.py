@@ -13,10 +13,21 @@ from itertools import product
 from .core import EdgeColoredGraph, OrientedGraph, _require_int
 
 
+def _signature_rows(arcs) -> list[tuple[int, int, int]]:
+    """The edge (min(t, h), max(t, h), h) of each arc t -> h, ascending."""
+    rows = [(t, h, h) if t < h else (h, t, h) for t, h in arcs]
+    rows.sort()
+    return rows
+
+
 def signature(D: OrientedGraph) -> EdgeColoredGraph:
-    """Underlying graph of D with every edge colored by its arc's head id."""
-    edges = [(min(t, h), max(t, h), h) for t, h in D.arcs]
-    return EdgeColoredGraph(D.n, edges)
+    """Underlying graph of D with every edge colored by its arc's head id.
+
+    The rows are built canonical, (min, max, head), and sorted, so the
+    constructor checks each row once, keeps no duplicate set and runs no
+    sort.
+    """
+    return EdgeColoredGraph(D.n, _signature_rows(D.arcs))
 
 
 def dual_graph(G: EdgeColoredGraph) -> EdgeColoredGraph:

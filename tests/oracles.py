@@ -10,9 +10,13 @@ disjoint round ran before they went through the one length-order driver;
 adjacency_greedy and adjacency_orient, the orientation construction
 as it ran on G.adj before it read the one-edge-per-color maps off G.edges;
 reference_rows, the body tokenizer of chroma.formats as it ran when it
-split each body line on its own to count its fields; and set_based_edges,
+split each body line on its own to count its fields; set_based_edges,
 the EdgeColoredGraph constructor's loop as it ran when it hashed every
-edge into a duplicate set and sorted every edge list.
+edge into a duplicate set and sorted every edge list; per_arc_oriented_graph,
+the OrientedGraph constructor's loop as it ran when it checked every arc
+on its own; and the generators as they built their graphs before every
+row was formed canonical: min_max_signature, looped_circulant_tournament
+and two_build_blowup_cycle_signature.
 """
 from __future__ import annotations
 
@@ -22,6 +26,8 @@ from math import ceil, gcd
 from chroma.core import (
     ColoredOrientation,
     EdgeColoredGraph,
+    OrientedGraph,
+    _check_arc,
     _normalize_bipartition,
     _require_color,
     _require_int,
@@ -30,6 +36,7 @@ from chroma.core import (
 from chroma.detectors import _WalkClasses, _c4, _kst_impl, _pc_cycle_impl, _search
 from chroma.extraction import SaturationState, default_x, sigma
 from chroma.formats import _Ints
+from chroma.transforms import blow_up
 
 
 def _color_map(G):
@@ -399,6 +406,52 @@ def set_based_edges(n, edges, bipartition=None):
                 raise ValueError(f"edge {{{a},{b}}} does not cross the bipartition")
     norm.sort()
     return tuple(norm)
+
+
+def per_arc_oriented_graph(n, arcs):
+    """The arcs OrientedGraph(n, arcs) stores, or the ValueError it raises,
+    by one loop that checks each arc on its own, in input order."""
+    _require_int("vertex count", n, 0)
+    tails = {}
+    norm = []
+    for a in arcs:
+        t, h = a
+        _check_arc(n, tails, t, h)
+        norm.append(a if type(a) is tuple else (t, h))
+    norm.sort()
+    return tuple(norm)
+
+
+def min_max_signature(D):
+    """signature(D), built from rows (min, max, head) in D's arc order."""
+    return EdgeColoredGraph(D.n, [(min(t, h), max(t, h), h) for t, h in D.arcs])
+
+
+def looped_circulant_tournament(n):
+    """circulant_tournament(n), its arcs appended by two nested loops."""
+    _require_int("n", n, 3)
+    arcs = []
+    half = (n - 1) // 2 if n % 2 else n // 2 - 1
+    for i in range(n):
+        for j in range(1, half + 1):
+            arcs.append((i, (i + j) % n))
+    if n % 2 == 0:
+        for i in range(n // 2):
+            arcs.append((i, i + n // 2))
+    return OrientedGraph(n, arcs)
+
+
+def two_build_blowup_cycle_signature(r, k):
+    """blowup_cycle_signature(r, k), with even r built twice: the signature
+    first, then the same edges again with the bipartition."""
+    _require_int("r", r, 3)
+    if r % 2:
+        cycle = OrientedGraph(r, [(i, (i + 1) % r) for i in range(r)])
+        return min_max_signature(blow_up(cycle, k))
+    h = r // 2
+    at = [p // 2 + (p % 2) * h for p in range(r)]
+    G = min_max_signature(blow_up(OrientedGraph(r, [(at[p - 1], at[p]) for p in range(r)]), k))
+    return EdgeColoredGraph(G.n, G.edges, bipartition=(range(h * k), range(h * k, r * k)))
 
 
 def brute_return_lengths(G, start, allowed, limit) -> dict:

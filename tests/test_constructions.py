@@ -42,7 +42,12 @@ from chroma.detectors import (
 from chroma.formats import render_ecg, render_org
 from chroma.transforms import blow_up, signature
 
-from oracles import brute_subset_density_ok
+from oracles import (
+    brute_subset_density_ok,
+    looped_circulant_tournament,
+    min_max_signature,
+    two_build_blowup_cycle_signature,
+)
 
 
 class TestTournaments:
@@ -151,6 +156,44 @@ class TestExtremalFamilies:
 
     def test_blowup_signature_odd_has_no_bipartition(self):
         assert blowup_cycle_signature(5, 2).bipartition is None
+
+
+class TestOneBuildPerGraph:
+    """Each generator builds its graph from canonical rows in one constructor
+    pass, and builds the same graph, row for row, as before."""
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_tournaments_and_signatures(self, n):
+        T = circulant_tournament(n)
+        assert T == looped_circulant_tournament(n)
+        assert signature(T) == min_max_signature(T)
+        T = transitive_tournament(n)
+        assert signature(T) == min_max_signature(T)
+
+    @pytest.mark.parametrize("r", range(3, 9))
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_blowup_cycle_signature(self, r, k):
+        assert blowup_cycle_signature(r, k) == two_build_blowup_cycle_signature(r, k)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_signature_of_random_orientation(self, seed):
+        rng = random.Random(seed)
+        D = random_oriented_graph(rng.randint(0, 30), rng.choice([0.2, 0.5, 0.9]), seed)
+        assert signature(D) == min_max_signature(D)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_even_r_builds_once(self, k, edge_graph_builds):
+        G = blowup_cycle_signature(6, k)
+        assert len(edge_graph_builds) == 1 and G.bipartition is not None
+
+    @pytest.mark.parametrize(
+        "D", [circulant_tournament(12), transitive_tournament(9), random_oriented_graph(15, 0.5, 3)]
+    )
+    def test_signature_rows_ascend(self, D, edge_graph_builds):
+        G = signature(D)
+        (rows,) = edge_graph_builds
+        assert rows == sorted(rows) and all(type(e) is tuple and e[0] < e[1] for e in rows)
+        assert len(set(e[:2] for e in rows)) == len(rows) == G.m
 
 
 class TestRandomEnsembles:

@@ -54,7 +54,7 @@ from chroma.extraction import (
 from chroma.formats import parse_corg, render_corg
 from chroma.suites import analyze, run_suite
 from chroma.transforms import blow_up, signature
-from oracles import set_based_edges
+from oracles import per_arc_oriented_graph, set_based_edges
 
 
 def mono_triangle():
@@ -339,6 +339,71 @@ def test_colored_orientation_matches_per_arc_checks(case, from_iterator):
     assert D.support == EdgeColoredGraph(host.n, arcs, host.bipartition)
 
 
+@st.composite
+def oriented_arcs(draw):
+    """A vertex count (0 to 5) and arcs that are mostly pairs of distinct
+    vertices, with repeated and reversed arcs, loops, one-value rows, ids
+    out of range, bool, float and IntId values, and any row type."""
+    n = draw(st.integers(0, 5))
+    vertex = st.one_of(
+        st.integers(-1, n), st.integers(0, 5).map(IntId), st.booleans(), st.just(1.0)
+    )
+    pairs = []
+    arcs = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["arc", "arc", "arc", "repeat", "loop", "short", "any"]))
+        if kind == "arc" and n >= 2:
+            arc = tuple(draw(st.permutations(range(n)))[:2])
+            if draw(st.sampled_from([False, False, False, True])):
+                arc = tuple(map(IntId, arc))
+        elif kind == "repeat" and pairs:
+            t, h = draw(st.sampled_from(pairs))
+            arc = (h, t) if draw(st.booleans()) else (t, h)
+        elif kind == "loop" and n:
+            v = draw(st.integers(0, n - 1))
+            arc = (v, v)
+        elif kind == "short":
+            arcs.append((draw(vertex),))
+            continue
+        else:
+            arc = (draw(vertex), draw(vertex))
+        pairs.append(arc)
+        arcs.append(draw(st.sampled_from([tuple, tuple, list, Arc._make]))(arc))
+    return n, arcs
+
+
+@settings(max_examples=500, deadline=None)
+@given(oriented_arcs(), st.booleans())
+@example((0, []), False)
+@example((0, [(0, 1)]), True)
+# The first bad arc in input order is named, whatever the later ones break.
+@example((3, [(0, 1), (0, 1), (2, 2)]), False)
+@example((3, [(0, 1), [1, 0], (0, 3)]), True)
+@example((3, [(2, 2), (0, 1), (0, 1)]), False)
+@example((3, [(0, 1), (1, 0), (5,)]), False)
+# An int subclass sends accepted arcs through the per-arc loop.
+@example((3, [(2, 1), (IntId(0), 2), Arc(1, 0)]), True)
+def test_oriented_graph_matches_per_arc_loop(case, from_iterator):
+    """The constructor checks plain int arcs in one pass and one set of
+    pair keys; it accepts exactly the arc lists that the per-arc loop
+    accepts, stores the same tuples (the caller's where that loop keeps
+    them), and refuses the rest with the first bad arc's error."""
+    n, arcs = case
+    try:
+        want = per_arc_oriented_graph(n, arcs)
+    except (TypeError, ValueError) as exc:
+        want = exc
+    try:
+        D = OrientedGraph(n, (a for a in arcs) if from_iterator else arcs)
+    except (TypeError, ValueError) as exc:
+        assert type(exc) is type(want) and str(exc) == str(want)
+        return
+    assert not isinstance(want, Exception), want
+    assert D.arcs == want and all(type(a) is tuple for a in D.arcs)
+    given_ids = set(map(id, arcs))
+    assert [id(a) for a in D.arcs if id(a) in given_ids] == [id(a) for a in want if id(a) in given_ids]
+
+
 # The host's edges in order: (0,1,3) first, (3,4,1) last; vertex 5 is isolated.
 MERGE_HOST = EdgeColoredGraph(6, [(3, 4, 1), (0, 2, 1), (1, 3, 2), (0, 1, 3), (2, 4, 0)])
 MERGE_BIPARTITE = EdgeColoredGraph(5, [(0, 3, 1), (1, 3, 0), (2, 4, 1), (0, 4, 2)], (range(3), range(3, 5)))
@@ -447,32 +512,20 @@ def test_edge_rows_match_set_based_reference(case):
     assert [id(e) in given_ids for e in G.edges] == [id(e) in given_ids for e in want]
 
 
-def _count_edge_graph_builds(monkeypatch):
-    calls = []
-    build = EdgeColoredGraph.__post_init__
-
-    def counted(self):
-        calls.append(self)
-        build(self)
-
-    monkeypatch.setattr(EdgeColoredGraph, "__post_init__", counted)
-    return calls
-
-
-def test_orientation_builds_no_graph(monkeypatch):
+def test_orientation_builds_no_graph(request):
     """D's support is proved a part of the host, not rebuilt: building D
     runs no EdgeColoredGraph constructor."""
     G = signature(circulant_tournament(15))
     _H, D, _report = construct_orientation(G, 2, 2)
-    calls = _count_edge_graph_builds(monkeypatch)
+    calls = request.getfixturevalue("edge_graph_builds")
     again = ColoredOrientation(G, list(D.arcs))
     assert calls == [] and again.support == D.support
 
 
-def test_parse_corg_builds_one_graph(monkeypatch):
+def test_parse_corg_builds_one_graph(request):
     _H, D, _report = construct_orientation(signature(circulant_tournament(15)), 2, 2)
     text = render_corg(D)
-    calls = _count_edge_graph_builds(monkeypatch)
+    calls = request.getfixturevalue("edge_graph_builds")
     parsed = parse_corg(text)
     assert len(calls) == 1 and parsed.support is parsed.host
     assert parsed.arcs == D.arcs

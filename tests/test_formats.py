@@ -30,7 +30,7 @@ from chroma.formats import (
     save,
 )
 from chroma.transforms import dual_graph
-from oracles import first_refused_row, reference_rows
+from oracles import first_refused_row, per_arc_oriented_graph, reference_rows
 
 
 # Every construction and transform that attaches a bipartition.
@@ -326,6 +326,32 @@ class TestParseErrors:
             index, message = replay
             assert exc.value.line == body_lines[index]
             assert str(exc.value) == f"line {body_lines[index]}: {message}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_org_error_is_per_arc_loops(self, data):
+        # A random orientation with arcs repeated, reversed, looped or sent
+        # out of range at random places: the bisecting error path names the
+        # line and message of the first row that the per-arc loop refuses.
+        n = data.draw(st.integers(2, 8))
+        D = random_oriented_graph(n, 0.6, data.draw(st.integers(0, 99)))
+        rows = [list(a) for a in D.arcs]
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(["repeat", "reverse", "loop", "range"]))
+            if kind in ("repeat", "reverse") and rows:
+                t, h = data.draw(st.sampled_from(rows))
+                row = [t, h] if kind == "repeat" else [h, t]
+            elif kind == "loop":
+                v = data.draw(st.integers(0, n - 1))
+                row = [v, v]
+            else:
+                row = [data.draw(st.integers(0, n - 1)), n]
+            rows.insert(data.draw(st.integers(0, len(rows))), row)
+        index, message = first_refused_row(lambda rs: per_arc_oriented_graph(n, rs), rows)
+        text = f"org {n} {len(rows)}\n" + "".join(f"{t} {h}\n" for t, h in rows)
+        with pytest.raises(ParseError) as exc:
+            parse_org(text)
+        assert str(exc.value) == f"line {index + 2}: {message}"
 
     def test_line_number_in_message(self):
         with pytest.raises(ParseError, match="line 2"):
