@@ -10,12 +10,9 @@ structure is checked (vertex range, loops, colors, duplicate edges or arcs,
 anti-parallel pairs, bipartition crossing, host colors); every graph is
 checked in full where it is built, whoever builds it. EdgeColoredGraph
 checks each edge once; while the rows come in ascending order, as
-`chroma.formats` writes them and `chroma.transforms.signature` builds them,
-no duplicate set is kept and no sort runs. OrientedGraph checks each arc's
-vertices and loop with the same guards and its unordered pair through one
-set of int keys; only arcs that this pass refuses, or that hold an int
-subclass, go through the per-arc loop, which names the first bad arc in
-input order.
+`chroma.formats` writes them and `chroma.transforms` builds them, no
+duplicate set is kept and no sort runs. OrientedGraph checks each arc once,
+in input order, with _check_arc.
 A ColoredOrientation is checked through its support, the graph of its
 arcs' edges: sorted, they must be a strictly increasing subsequence of the
 host's sorted edges, which one merge pass decides, and every value must be
@@ -85,33 +82,6 @@ def _check_arc(n: int, tails: dict, t, h) -> None:
             raise ValueError(f"duplicate arc ({t},{h})")
         raise ValueError(f"anti-parallel arc pair between {t} and {h}")
     tails[key] = t
-
-
-def _plain_arcs(n: int, arcs) -> Optional[list]:
-    """The rows OrientedGraph(n, arcs) stores, unsorted, when every arc is a
-    pair of plain ints in range(n) with t != h and no two arcs share an
-    unordered pair; None otherwise, and then _check_arc decides.
-
-    The guards are EdgeColoredGraph's; each arc's pair is keyed as the int
-    min * n + max, and the keys are tested for repeats once, by one set.
-    """
-    keys = []
-    norm = []
-    try:
-        for a in arcs:
-            t, h = a
-            if not (type(t) is int and 0 <= t < n and type(h) is int and 0 <= h < n):
-                return None
-            if t < h:
-                keys.append(t * n + h)
-            elif t > h:
-                keys.append(h * n + t)
-            else:
-                return None
-            norm.append(a if type(a) is tuple else (t, h))
-    except (TypeError, ValueError):  # a row that is not a pair
-        return None
-    return norm if len(set(keys)) == len(keys) else None
 
 
 def _normalize_bipartition(n, bipartition):
@@ -232,12 +202,8 @@ class OrientedGraph:
     """Loop-free digraph with no anti-parallel arc pairs.
 
     Arcs are stored as (tail, head) tuples, sorted ascending; an arc that is
-    already a plain tuple is stored as given. One pass checks every arc's
-    vertices and loop with EdgeColoredGraph's guards for plain ints and
-    keys its unordered pair as min * n + max; the arcs are accepted when
-    no key repeats. Otherwise, or at the first arc that is not a pair of
-    plain ints, the per-arc loop runs over the arcs again: it accepts int
-    subclasses and raises the error of the first bad arc in input order.
+    already a plain tuple is stored as given. One pass of _check_arc checks
+    each arc in input order, so the first bad arc is the one named.
     """
 
     n: int
@@ -246,17 +212,12 @@ class OrientedGraph:
     def __post_init__(self):
         n = self.n
         _require_int("vertex count", n, 0)
-        arcs = self.arcs
-        if not isinstance(arcs, (list, tuple)):  # read twice when refused
-            arcs = list(arcs)
-        norm = _plain_arcs(n, arcs)
-        if norm is None:
-            tails: dict[int, int] = {}
-            norm = []
-            for a in arcs:
-                t, h = a
-                _check_arc(n, tails, t, h)
-                norm.append(a if type(a) is tuple else (t, h))
+        tails: dict[int, int] = {}
+        norm = []
+        for a in self.arcs:
+            t, h = a
+            _check_arc(n, tails, t, h)
+            norm.append(a if type(a) is tuple else (t, h))
         norm.sort()
         object.__setattr__(self, "arcs", tuple(norm))
 

@@ -11,7 +11,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, dropwhile
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .core import (
     ColoredOrientation,
@@ -194,17 +194,15 @@ def _augment(ca: int, seen: set[int], options, owner, clock: _Clock) -> bool:
 _WALK_SWITCH = 3
 
 
-def _subsets(core: Sequence[int], s: int, switch: int, walks: _WalkClasses):
-    """(S, pool) for the s-subsets S of core in ascending order, pool being
-    the set T must be drawn from (None: every vertex, when core is all of
-    the graph's vertices).
-
-    Once the clock of walks has reached switch, the hub pass of walks runs
-    (unless it already has) and the rest, from the same subset on, are the
-    subsets of the vertices it admits for length 4, with those vertices as
-    the pool.
+def _subsets(s: int, walks: _WalkClasses):
+    """(S, pool) for the s-subsets S of the core of walks in ascending
+    order, pool being the set T must be drawn from (None: every vertex,
+    when the core is all of the graph's vertices). From the subset at which
+    the clock reaches walks.switch on, they are the subsets of the vertices
+    admitted for length 4, with those as the pool (see _WalkClasses).
     """
-    clock = walks.clock
+    core = walks.core()
+    clock, switch = walks.clock, walks.switch
     pool = None if len(core) == walks.G.n else set(core)
     for S in combinations(core, s):
         if clock.nodes >= switch:
@@ -232,17 +230,14 @@ def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
     O(pairs x candidates) for t = 2 and O(pairs x t x candidates) for
     larger t; rainbow K_{2,t} may backtrack on every accepted pair.
 
-    The scan starts with the one-color peel of walks and draws S and T from
-    the core it leaves (see _subsets); an empty core ends the search there.
-    Once the scan has spent _WALK_SWITCH x m nodes past the peel, it runs
-    the hub pass of walks once and goes on from the same S over the
-    vertices admitted for length 4 alone; when an earlier search on walks
-    has run the hub pass, the scan draws from those vertices from its first
-    subset on. Any two S-vertices and two T-vertices of a properly colored
-    (or rainbow) K_{s,t} span a properly colored C4, so every vertex of it
-    lies in the core and is admitted, and the witness is the same. So the search costs at most the peel plus the
-    scan of the core plus one hub pass, and an acyclic signature costs the
-    peel alone: one tick per edge.
+    S and T are drawn as _subsets hands them over: from the one-color core
+    of walks, and past its switch point from the vertices admitted for
+    length 4 (see _WalkClasses). Any two S-vertices and two T-vertices of a
+    properly colored (or rainbow) K_{s,t} span a properly colored C4, so
+    every vertex of it lies in the core and is admitted, and the witness is
+    the same. So the search costs at most the peel plus the scan of the
+    core plus one hub pass, and an acyclic signature costs the peel alone:
+    one tick per edge.
 
     Each subset costs one tick, the matching one tick per candidate it reads
     and, for t >= 3, per edge its augmenting paths look at, the backtracking
@@ -264,9 +259,7 @@ def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
         return m
 
     by_matching = s == 2
-    core = walks.core()
-    switch = clock.nodes + (0 if walks.classes is not None else _WALK_SWITCH * walks.m)
-    for S, pool in _subsets(core, s, switch, walks):
+    for S, pool in _subsets(s, walks):
         clock.tick()
         common = nbr[S[0]] if pool is None else pool & nbr[S[0]]
         for u in S[1:]:
@@ -358,18 +351,15 @@ def find_pc_kst(
 
     For s = 2 each vertex pair is decided by a color-pair matching (see
     _color_matching), which for t = 2 is one scan of the candidates, in
-    O(pairs x candidates) time; s >= 3 backtracks. The scan starts with the
-    one-color peel of find_pc_cycle_upto's walk-period filter and runs on
-    the core it leaves, which holds every vertex of a properly colored
-    K_{s,t}; an acyclic signature peels to nothing, so the search costs one
-    tick per edge. Once the scan has spent 3 nodes per edge past the peel
-    it runs the filter's hub pass once and goes on over the vertices that
-    lie on closed properly colored walks of length 4 only, which every
-    vertex of a properly colored K_{s,t} does. The witness is the same
-    either way. details["walk_periods"] shows the periods when the hub pass
-    ran, and [] when the peel left nothing; the node counts include both
-    steps' ticks, the hub pass's one per arc of a graph that has no node
-    for a color leading to a single neighbor (see _walk_classes).
+    O(pairs x candidates) time; s >= 3 backtracks. The scan runs behind the
+    walk-period filter of find_pc_cycle_upto: on the core of its one-color
+    peel, and past the filter's switch point on the vertices that lie on
+    closed properly colored walks of length 4 (see _WalkClasses). Every
+    vertex of a properly colored K_{s,t} is among both, so the witness is
+    the same either way, and an acyclic signature peels to nothing: one
+    tick per edge. details["walk_periods"] shows the periods when the hub
+    pass ran, and [] when the peel left nothing; the node counts include
+    the filter's ticks.
     """
     return _run_kst(G, s, t, budget, "pc-kst")
 
@@ -381,9 +371,8 @@ def find_rainbow_kst(
 
     For s = 2 the same color-pair matching gates each vertex pair, since a
     rainbow K_{2,t} is properly colored; the pairs it accepts backtrack.
-    The one-color peel and the hub pass of the walk-period filter gate the
-    scan as in find_pc_kst, for the same reason, and their ticks count in
-    the nodes.
+    The walk-period filter gates the scan as in find_pc_kst, for the same
+    reason, and its ticks count in the nodes.
     """
     return _run_kst(G, s, t, budget, "rainbow-kst")
 
@@ -599,50 +588,68 @@ def _walk_classes(
 
 
 class _WalkClasses:
-    """The one-color core and the walk classes of one graph within one
-    search.
+    """The search view of one graph within one search: the live part of G,
+    its one-color core and walk classes, and the switch point of its scans.
 
-    The graph is G, or with live the subgraph of G that the vertices v with
-    live[v] set induce, which has m edges. The K_{s,t} scans and the cycle
-    DFS take G and the clock from here, and draw their vertices from core()
-    and admitted(L). They read only the edges among those, take the edge
-    count from m and, for the DFS's return table, the live edges from live.
-    So they run on that subgraph as on G with the other vertices' edges
-    deleted, with the same witnesses and node counts, and no such graph is
-    built.
+    The view starts as G. drop(vertices) clears those vertices in the live
+    mask live (None while none has been dropped) and takes their edges to
+    live vertices off the live edge count m, in O(degree). The K_{s,t}
+    scans and the cycle DFS take G and the clock from here, and draw their
+    vertices from core() and admitted(L). They read only the edges among
+    those, take the edge count from m and, for the DFS's return table, the
+    live edges from live. So they run on the subgraph that the live
+    vertices induce as on G with the dropped vertices' edges deleted, with
+    the same witnesses and node counts, and no such graph is built. A new
+    search on the view must keep to this, or its node counts drift from
+    those of a rebuilt graph.
 
     _one_color_core runs on the first call of core or admitted, and
     _walk_classes on the core on the first call of admitted, both on the
     search's clock; every later call, from a K_{2,2} scan or any DFS
-    length, reuses their results. details["walk_periods"] gets the sorted
-    distinct periods when the hub pass runs, and [] as soon as the peel
-    leaves an empty core, which holds no walk class, so the hub pass never
-    runs then.
+    length, reuses their results until a drop forgets them.
+    details["walk_periods"] gets the sorted distinct periods when the hub
+    pass runs, and [] as soon as the peel leaves an empty core, which holds
+    no walk class, so the hub pass never runs then.
+
+    The switch rule: a scan pays for the hub pass only once it has spent
+    _WALK_SWITCH x m nodes past the peel. core() sets switch to the clock
+    after the peel plus that much, and admitted() sets it to 0, so a scan
+    after the hub pass draws from the admitted vertices from its first
+    subset on (see _subsets).
     """
 
-    __slots__ = ("G", "clock", "details", "live", "m", "_core", "classes")
+    __slots__ = ("G", "clock", "details", "live", "m", "switch", "_core", "classes")
 
-    def __init__(
-        self,
-        G: EdgeColoredGraph,
-        clock: _Clock,
-        details: dict,
-        live: Optional[bytearray] = None,
-        m: Optional[int] = None,
-    ):
+    def __init__(self, G: EdgeColoredGraph, clock: _Clock, details: dict):
         self.G = G
         self.clock = clock
         self.details = details
-        self.live = live
-        self.m = G.m if m is None else m
+        self.live: Optional[bytearray] = None
+        self.m = G.m
+        self.switch = 0
         self._core = None
         self.classes = None
 
+    def drop(self, vertices) -> None:
+        """Remove vertices from the view, skipping those already dropped;
+        the next core() or admitted() peels and runs the hub pass again."""
+        if self.live is None:
+            self.live = bytearray(b"\x01") * self.G.n
+        live, adj, m = self.live, self.G.adj, self.m
+        for v in vertices:
+            if live[v]:
+                live[v] = 0
+                for u, _ in adj[v]:
+                    m -= live[u]
+        self.m = m
+        self._core = self.classes = None
+
     def core(self) -> list[int]:
-        """The vertices, ascending, of the one-color core of G. Every vertex
-        of a closed properly colored walk is among them."""
+        """The vertices, ascending, of the one-color core of the view. Every
+        vertex of a closed properly colored walk is among them."""
         if self._core is None:
             self._core = _one_color_core(self.G, self.clock, self.live)
+            self.switch = self.clock.nodes + _WALK_SWITCH * self.m
             if not self._core:
                 self.classes = []
                 self.details["walk_periods"] = []
@@ -656,6 +663,7 @@ class _WalkClasses:
         if self.classes is None:
             self.classes = _walk_classes(self.G, self.clock, core)
             self.details["walk_periods"] = sorted({p for p, _ in self.classes})
+            self.switch = 0
         return sorted(
             {v for p, verts in self.classes if L % p == 0 and len(verts) >= L for v in verts}
         )
@@ -707,9 +715,8 @@ def _return_table(adj, start: int, admitted, limit: int, clock: _Clock, live=Non
 
 def _pc_cycle_impl(lengths, walks: _WalkClasses):
     """The groups (cycle,) of the first properly colored cycle found in the
-    graph of walks (G, or the subgraph its live vertices induce), trying
-    the cycle lengths in the order given and skipping those above n, or
-    None; all on the clock of walks.
+    view walks (see _WalkClasses), trying the cycle lengths in the order
+    given and skipping those above n, or None; all on the clock of walks.
 
     Length 4 is decided by the properly colored K_{2,2} scan of _kst_impl,
     whose sides are read as a C4 (see _c4): a properly colored C4 is a
@@ -717,10 +724,8 @@ def _pc_cycle_impl(lengths, walks: _WalkClasses):
     only on the vertices walks admits for L, and skipped when there are
     none: every properly colored cycle of length L lies inside them, so no
     witness changes. The one-color peel runs on the first length tried and
-    the hub pass at most once, in whichever length needs it first; a scan
-    that runs after the hub pass draws from the vertices admitted for
-    length 4 from its first pair on. When the peel leaves an empty core,
-    every length is skipped at once.
+    the hub pass at most once, in whichever length needs it first. When the
+    peel leaves an empty core, every length is skipped at once.
 
     For each DFS length the start vertex is the cycle minimum and paths
     extend through larger-id vertices with color-changing edges only; the
@@ -806,12 +811,12 @@ def find_pc_cycle_upto(
     (details["walk_periods"]); the DFS then skips every length that no
     period divides, so blow-ups of a directed C_r and acyclic signatures
     are decided with almost no search, and the K_{2,2} scan, which runs
-    after that pass, reads only the vertices admitted for length 4. The
-    filter first peels off the vertices that see fewer than two colors,
-    which lie on no closed walk, and its hub pass builds the graph on the
-    rest; an acyclic signature peels to nothing and has no hub pass. Node
-    counts include one tick per edge the peel removes and one per arc of
-    the graph left.
+    after that pass, reads only the vertices admitted for length 4 (see
+    _WalkClasses). The filter first peels off the vertices that see fewer
+    than two colors, which lie on no closed walk, and its hub pass builds
+    the graph on the rest; an acyclic signature peels to nothing and has no
+    hub pass. Node counts include one tick per edge the peel removes and
+    one per arc of the graph left.
     """
     _require_int("r", r, 3)
     details: dict = {}
@@ -921,9 +926,9 @@ def pc_short_cycle_pipeline(
     which skips every length that no closed properly colored walk has. So
     its witness is find_pc_cycle_upto's whenever G has no properly colored
     C4. The filter's peel runs once per call, at the start of the scan, and
-    its hub pass at most once: in the scan when it gets past the switch
-    point of find_pc_kst, else at the start of the DFS, and never when the
-    peel left nothing. A peel that leaves nothing proves that G has no
+    its hub pass at most once: in the scan past its switch point (see
+    _WalkClasses), else at the start of the DFS, and never when the peel
+    left nothing. A peel that leaves nothing proves that G has no
     properly colored cycle, so the search ends exhausted-none after the
     scan's peel. details["walk_periods"] shows the periods whenever the hub
     pass ran, and [] when the peel left nothing; the node counts include
@@ -948,34 +953,27 @@ def disjoint_pc_cycles(
     bound (lengths 4, 3, 5..n) on the residual graph, so it takes a
     properly colored C4 if there is one and else a shortest properly
     colored cycle, removes the vertices of that cycle, and repeats; a
-    round whose residual peels to nothing ends after the peel. The residual
-    graph is G with the used vertices cleared from one live mask, and its
-    edge count is kept alongside, so no graph is built: every round has the
-    witness and node count it would have on the residual built as a graph
-    of its own. All rounds tick one clock. The one check of a found
-    outcome, on its disjoint-cycles witness, covers every round's cycle.
-    With fewer than k cycles the outcome is exhausted-none and the partial
-    family rides in the details; this is a greedy heuristic, not an exact
-    packing decision.
+    round whose residual peels to nothing ends after the peel. All rounds
+    run on one search view of G, which drops each cycle's vertices (see
+    _WalkClasses), so no graph is built: every round has the witness and
+    node count it would have on the residual built as a graph of its own.
+    All rounds tick one clock. The one check of a found outcome, on its
+    disjoint-cycles witness, covers every round's cycle. With fewer than k
+    cycles the outcome is exhausted-none and the partial family rides in
+    the details; this is a greedy heuristic, not an exact packing decision.
     """
     _require_int("k", k, 1)
     cycles: list[list[int]] = []
 
     def body(clock):
-        adj = G.adj
-        live, m = None, G.m  # the first round runs on G itself
+        walks = _WalkClasses(G, clock, {})
         lengths = (4, 3, *range(5, G.n + 1))
         while len(cycles) < k:
-            found = _pc_cycle_impl(lengths, _WalkClasses(G, clock, {}, live, m))
+            found = _pc_cycle_impl(lengths, walks)
             if found is None:
                 return None
             cycles.append(list(found[0]))
-            if live is None:
-                live = bytearray(b"\x01") * G.n
-            for v in cycles[-1]:
-                live[v] = 0
-                for u, _ in adj[v]:
-                    m -= live[u]
+            walks.drop(cycles[-1])
         return cycles
 
     return _search(budget, body, {"requested": k, "cycles": cycles}, G, "disjoint-cycles")

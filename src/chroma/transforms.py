@@ -35,13 +35,12 @@ def dual_graph(G: EdgeColoredGraph) -> EdgeColoredGraph:
 
     Each edge (u, v, c) becomes the two edges (u, n+v, c) and (v, n+u, c);
     the bipartition is (first n vertices, last n vertices). Color degrees are
-    preserved: d^c(v) equals d^c at both copies of v.
+    preserved: d^c(v) equals d^c at both copies of v. The rows are formed
+    from G.adj, u ascending and its neighbors ascending, so the constructor
+    checks each row once, keeps no duplicate set and runs no sort.
     """
     n = G.n
-    edges = []
-    for u, v, c in G.edges:
-        edges.append((u, n + v, c))
-        edges.append((v, n + u, c))
+    edges = [(u, n + v, c) for u, nbrs in enumerate(G.adj) for v, c in nbrs]
     return EdgeColoredGraph(2 * n, edges, bipartition=(range(n), range(n, 2 * n)))
 
 

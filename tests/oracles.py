@@ -13,10 +13,12 @@ reference_rows, the body tokenizer of chroma.formats as it ran when it
 split each body line on its own to count its fields; set_based_edges,
 the EdgeColoredGraph constructor's loop as it ran when it hashed every
 edge into a duplicate set and sorted every edge list; per_arc_oriented_graph,
-the OrientedGraph constructor's loop as it ran when it checked every arc
-on its own; and the generators as they built their graphs before every
-row was formed canonical: min_max_signature, looped_circulant_tournament
-and two_build_blowup_cycle_signature.
+the OrientedGraph constructor's per-arc loop written out on its own, the
+reference for its stored arcs and error texts; the generators as they
+built their graphs before every row was formed canonical:
+min_max_signature, looped_circulant_tournament,
+two_build_blowup_cycle_signature and edge_order_dual_graph; and
+claimed_edges, which lists the host edges a witness needs.
 """
 from __future__ import annotations
 
@@ -454,6 +456,17 @@ def two_build_blowup_cycle_signature(r, k):
     return EdgeColoredGraph(G.n, G.edges, bipartition=(range(h * k), range(h * k, r * k)))
 
 
+def edge_order_dual_graph(G):
+    """dual_graph(G), its rows (u, n+v, c), (v, n+u, c) appended in G's
+    edge order."""
+    n = G.n
+    edges = []
+    for u, v, c in G.edges:
+        edges.append((u, n + v, c))
+        edges.append((v, n + u, c))
+    return EdgeColoredGraph(2 * n, edges, bipartition=(range(n), range(n, 2 * n)))
+
+
 def brute_return_lengths(G, start, allowed, limit) -> dict:
     """{(w, c): the fewest edges of a properly colored walk from w, entered
     by an edge of color c, to start, with every vertex but start in allowed}
@@ -482,6 +495,19 @@ def brute_return_lengths(G, start, allowed, limit) -> dict:
                     break
                 layer = {(x, d) for x, d in steps if x in allowed}
     return lengths
+
+
+def claimed_edges(host, kind, groups):
+    """The host edges (arcs for a directed cycle) on the pairs that the
+    vertex groups of a kind-witness need, repeats kept."""
+    if kind.endswith("kst"):
+        pairs = [(u, v) for u in groups[0] for v in groups[1]]
+    else:
+        pairs = [(c[i], c[(i + 1) % len(c)]) for c in groups for i in range(len(c))]
+    if kind == "directed-cycle":
+        arcs = {a[:2]: a for a in host.arcs}
+        return [arcs[p] for p in pairs]
+    return sorted((min(p), max(p), host.color_of(*p)) for p in pairs)
 
 
 def without_vertices(G, dead) -> EdgeColoredGraph:

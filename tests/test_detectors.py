@@ -33,6 +33,7 @@ from chroma.detectors import (
     SearchBudget,
     _Clock,
     _WalkClasses,
+    _kst_impl,
     _one_color_core,
     _return_table,
     _walk_classes,
@@ -62,6 +63,7 @@ from oracles import (
     brute_return_lengths,
     brute_shortest_pc_cycle,
     brute_walk_classes,
+    claimed_edges,
     first_pc_cycle_witness,
     first_pc_kst_witness,
     is_pc_cycle,
@@ -1552,6 +1554,30 @@ class TestDisjointPcCycles:
         out = disjoint_pc_cycles(signature(circulant_tournament(9)), 3)
         assert out.status == FOUND
 
+    @staticmethod
+    def two_c6_and_a_triangle():
+        """PC C6s on 0..5 and 6..11, colors 1 and 2 alternating, and a
+        triangle 0-6-12 colored 3, 4, 5, which meets both."""
+        six = [(i, (i + 1) % 6, 1 + i % 2) for i in range(6)]
+        edges = [*six, *((u + 6, v + 6, c) for u, v, c in six), (0, 6, 3), (6, 12, 4), (0, 12, 5)]
+        return EdgeColoredGraph(13, edges)
+
+    # ROADMAP item 1: on c21 the greedy takes four pc C4s (73 nodes), though
+    # the seven triangles {i, i+7, i+14} fit; on two_c6_and_a_triangle it
+    # takes the triangle (149 nodes), which leaves no cycle.
+    @pytest.mark.parametrize("name", ["circulant-21-k7", "two-c6-and-a-triangle-k2"])
+    @pytest.mark.xfail(strict=True, reason="the greedy is no exact packing (ROADMAP item 1)")
+    def test_packs_what_verify_witness_accepts(self, name):
+        if name == "circulant-21-k7":
+            G = signature(circulant_tournament(21))
+            groups = tuple((i, i + 7, i + 14) for i in range(7))
+        else:
+            G = self.two_c6_and_a_triangle()
+            groups = (tuple(range(6)), tuple(range(6, 12)))
+        w = Witness("disjoint-cycles", groups, claimed_edges(G, "disjoint-cycles", groups))
+        assert verify_witness(G, w)
+        assert disjoint_pc_cycles(G, len(groups)).status == FOUND
+
 
 def disjoint_instance(seed):
     """A graph for comparing disjoint rounds: a cycle-search, gate or
@@ -1650,6 +1676,35 @@ class TestDisjointRoundsOnTheMask:
         assert second < at
         for b in range(second - 5, full.nodes + 2):
             self.assert_same(G, 2, SearchBudget(max_nodes=b))
+
+
+class TestSearchViewDrop:
+    """_WalkClasses.drop against a fresh view of G rebuilt without the
+    vertices dropped so far: after every step, the same K_{2,2} scan
+    (sides and ticks), core, admitted vertices for L = 3..6 and edge
+    count."""
+
+    @staticmethod
+    def run(walks):
+        before = walks.clock.nodes
+        sides = _kst_impl(2, 2, False, walks)
+        scan = walks.clock.nodes - before
+        admitted = [walks.admitted(L) for L in range(3, 7)]
+        return sides, scan, walks.core(), admitted, walks.m, walks.clock.nodes - before
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_drop_matches_a_rebuilt_view(self, seed):
+        G = disjoint_instance(seed)
+        rng = random.Random(seed)
+        view = _WalkClasses(G, _Clock(None), {})
+        dropped: set[int] = set()
+        for _ in range(4):
+            step = {v for v in range(G.n) if rng.random() < 0.2}  # may repeat earlier ones
+            view.drop(step)
+            dropped |= step
+            fresh = _WalkClasses(without_vertices(G, dropped), _Clock(None), {})
+            assert self.run(view) == self.run(fresh)
 
 
 class TestOneDriverMatchesTheStages:
@@ -1835,19 +1890,6 @@ def valid_witness(case):
         "disjoint-cycles": lambda: disjoint_pc_cycles(G, 3),
     }[case]()
     return G, out.witness
-
-
-def claimed_edges(host, kind, groups):
-    """The host edges (arcs for a directed cycle) on the pairs that the
-    vertex groups of a kind-witness need, repeats kept."""
-    if kind.endswith("kst"):
-        pairs = [(u, v) for u in groups[0] for v in groups[1]]
-    else:
-        pairs = [(c[i], c[(i + 1) % len(c)]) for c in groups for i in range(len(c))]
-    if kind == "directed-cycle":
-        arcs = {a[:2]: a for a in host.arcs}
-        return [arcs[p] for p in pairs]
-    return sorted((min(p), max(p), host.color_of(*p)) for p in pairs)
 
 
 def on_groups(host, w, groups):

@@ -1,0 +1,116 @@
+"""Metamorphic relations: answers that must not depend on labels.
+
+A detector's status is a property of the graph up to isomorphism and
+injective color renaming; where it is not, some search claimed
+exhausted-none without covering its space. Renaming the colors alone keeps
+more: the searches compare colors only for equality, and vertex ids decide
+every order they take, so the node count and the witness vertices stay the
+same too.
+"""
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chroma.check import verify_witness
+from chroma.constructions import random_edge_colored_graph, random_oriented_graph
+from chroma.core import EdgeColoredGraph, Witness
+from chroma.detectors import (
+    disjoint_pc_cycles,
+    find_pc_cycle_upto,
+    find_pc_kst,
+    find_rainbow_c4,
+    find_rainbow_kst,
+    pc_short_cycle_pipeline,
+)
+from chroma.transforms import signature
+
+from oracles import claimed_edges
+
+# Every detector on an edge-colored graph but disjoint_pc_cycles, whose
+# status is not yet label-free (ROADMAP item 1).
+DETECTORS = {
+    "pc-kst-2-2": lambda G: find_pc_kst(G, 2, 2),
+    "pc-kst-2-3": lambda G: find_pc_kst(G, 2, 3),
+    "pc-kst-3-3": lambda G: find_pc_kst(G, 3, 3),
+    "rainbow-kst-2-3": lambda G: find_rainbow_kst(G, 2, 3),
+    "rainbow-c4": find_rainbow_c4,
+    "pc-cycle-6": lambda G: find_pc_cycle_upto(G, 6),
+    "pipeline-6": lambda G: pc_short_cycle_pipeline(G, 6),
+}
+DISJOINT = {
+    "disjoint-2": lambda G: disjoint_pc_cycles(G, 2),
+    "disjoint-3": lambda G: disjoint_pc_cycles(G, 3),
+}
+
+
+def instance(seed):
+    """A random graph on 5 to 16 vertices with 2 to 6 colors, or the
+    signature of a random oriented graph, whose colors are head ids."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 16)
+    if seed % 4 == 0:
+        return signature(random_oriented_graph(n, rng.choice((0.3, 0.6)), seed))
+    return random_edge_colored_graph(n, rng.choice((0.3, 0.5, 0.8)), rng.randint(2, 6), seed)
+
+
+def renamed(G, rng, perm=None):
+    """G with its colors renamed injectively at random, and its vertex v
+    moved to perm[v] when perm is given."""
+    colors = sorted({c for _, _, c in G.edges})
+    new = dict(zip(colors, rng.sample(range(10 * len(colors) + 10), len(colors))))
+    at = perm or range(G.n)
+    return EdgeColoredGraph(G.n, [(at[u], at[v], new[c]) for u, v, c in G.edges])
+
+
+def relabelled(G, rng):
+    """(H, perm): G with its vertex v moved to perm[v], a random
+    permutation, and its colors renamed injectively."""
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return renamed(G, rng, perm), perm
+
+
+def mapped_back(G, w, perm):
+    """The witness w, found on G relabelled by perm, moved back onto G."""
+    inv = {p: v for v, p in enumerate(perm)}
+    groups = tuple(tuple(inv[v] for v in g) for g in w.vertices)
+    return Witness(w.kind, groups, claimed_edges(G, w.kind, groups))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_color_renaming_keeps_status_nodes_and_witness(seed):
+    G = instance(seed)
+    H = renamed(G, random.Random(seed))
+    for name, detect in {**DETECTORS, **DISJOINT}.items():
+        a, b = detect(G), detect(H)
+        assert (a.status, a.nodes) == (b.status, b.nodes), name
+        assert (a.witness and a.witness.vertices) == (b.witness and b.witness.vertices), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_relabelling_keeps_status_and_a_witness_on_g(seed):
+    G = instance(seed)
+    H, perm = relabelled(G, random.Random(seed))
+    for name, detect in DETECTORS.items():
+        a, b = detect(G), detect(H)
+        assert a.status == b.status, name
+        if b.witness is not None:
+            assert verify_witness(G, mapped_back(G, b.witness, perm)), name
+
+
+@pytest.mark.xfail(strict=True, reason="disjoint_pc_cycles is a greedy, no exact packing (ROADMAP item 1)")
+def test_relabelling_keeps_the_disjoint_status():
+    # Fixed seeds rather than hypothesis: a strict xfail must fail on every
+    # run, and only some relabellings move the greedy's status.
+    for seed in range(300):
+        G = instance(seed)
+        H, perm = relabelled(G, random.Random(seed))
+        for name, detect in DISJOINT.items():
+            a, b = detect(G), detect(H)
+            assert a.status == b.status, (name, seed)
+            if b.witness is not None:
+                assert verify_witness(G, mapped_back(G, b.witness, perm)), name

@@ -24,6 +24,7 @@ from oracles import (
     all_cycles_by_permutation,
     brute_pc_kst_exists,
     brute_rainbow_kst_exists,
+    edge_order_dual_graph,
     is_directed_cycle,
     is_pc_cycle,
 )
@@ -109,6 +110,17 @@ class TestDualGraph:
             rb_g = find_rainbow_kst(G, s, t, None).status == FOUND
             rb_d = find_rainbow_kst(d, s, t, None).status == FOUND
             assert rb_g == rb_d == brute_rainbow_kst_exists(G, s, t)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_build_over_ascending_rows(self, seed, edge_graph_builds):
+        rng = random.Random(seed)
+        G = random_edge_colored_graph(rng.randint(0, 25), rng.choice([0.2, 0.5, 0.9]), 4, seed)
+        edge_graph_builds.clear()
+        d = dual_graph(G)
+        (rows,) = edge_graph_builds
+        keys = [u * d.n + v for u, v, _ in rows]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert d == edge_order_dual_graph(G)
 
 
 class TestBlowUp:
