@@ -103,8 +103,12 @@ def verify_orientation(
         return "per-vertex in-arc and out-arc color sets are disjoint"
     if any(len(i) > s - 1 for i in ins):
         return "per-vertex in-arc color set has size at most s-1"
-    # Vertex keys are ints in memory and strings once the report is JSON.
-    rows = {str(v): row for v, row in report.get("per_vertex", {}).items()}
-    if report.get("n") != G.n or [rows.get(str(v), {}).get("dplus") for v in range(G.n)] != dplus:
-        return "the report's n and per-vertex dplus match the orientation"
-    return None
+    # Vertex keys are ints in memory and strings once the report is JSON; a
+    # report, per_vertex or row that is not an object matches nothing.
+    per_vertex = report.get("per_vertex", {}) if isinstance(report, dict) else None
+    if isinstance(per_vertex, dict) and report.get("n") == G.n:
+        rows = {str(v): row for v, row in per_vertex.items()}
+        got = [rows.get(str(v)) for v in range(G.n)]
+        if all(isinstance(row, dict) and row.get("dplus") == d for row, d in zip(got, dplus)):
+            return None
+    return "the report's n and per-vertex dplus match the orientation"

@@ -381,18 +381,12 @@ def find_rainbow_kst(
 # Cycle detectors
 # ---------------------------------------------------------------------------
 
-def _one_color_core(
-    G: EdgeColoredGraph, clock: _Clock, live: Optional[bytearray] = None
-) -> list[int]:
+def _one_color_core(G: EdgeColoredGraph, clock: _Clock, live: bytearray) -> list[int]:
     """The vertices, ascending, that are left after a queue has peeled off
     every vertex that sees fewer than two colors on its edges to the
-    vertices not yet peeled, until none is left.
-
-    With live, the peel runs on the subgraph of G that the vertices v with
-    live[v] set induce: the others are neither queued nor returned, and
-    their edges are never read or ticked for. That is the peel of G with
-    the other vertices' edges deleted, where those vertices are isolated,
-    peeled for no tick, and left out of the core.
+    vertices not yet peeled, until none is left, in the subgraph of G that
+    the vertices v with live[v] set induce: the others are neither queued
+    nor returned, and their edges are never read or ticked for.
 
     A vertex on a closed properly colored walk arrives by one color and
     leaves by another, both on edges to vertices of that walk, so no vertex
@@ -400,37 +394,28 @@ def _one_color_core(
     is ever peeled. Every acyclic signature peels to nothing, since its
     sink sees one color at each step.
 
-    The queue starts with the vertices that have at most one color, found
-    by looking for a second color at each: on its middle or last edge when
-    one differs from the first, else by reading its edges up to one. When
-    there are none, nothing is peeled and the peel builds nothing. A vertex
-    gets its per-color edge counts when a neighbor is first peeled. The
-    clock ticks once per edge the peel removes, as it goes.
+    The queue starts with the live vertices that have at most one color on
+    their live edges, found by reading those edges up to a second color. A
+    vertex gets its per-color live edge counts when a neighbor is first
+    peeled. The clock ticks once per edge the peel removes, as it goes.
     """
     n = G.n
     adj = G.adj
     peel = []
+    # A plain loop: a generator per vertex costs more than the few edges
+    # that most vertices read before a second color.
     for v, nbrs in enumerate(adj):
-        if live is None:
-            first = nbrs[0][1] if nbrs else None
-            if nbrs and (nbrs[-1][1] != first or nbrs[len(nbrs) // 2][1] != first):
-                continue
-        elif not live[v]:
-            continue
-        else:  # the live edges, read up to a second color
-            nbrs = (e for e in nbrs if live[e[0]])
-            first = next(nbrs, (None, None))[1]
-        for _, c in nbrs:
-            if c != first:
-                break
-        else:
-            peel.append(v)
-    if live is None:
-        if not peel:
-            return list(range(n))
-        kept = bytearray(b"\x01") * n
-    else:
-        kept = bytearray(live)
+        if live[v]:
+            first = None
+            for u, c in nbrs:
+                if live[u]:
+                    if first is None:
+                        first = c
+                    elif c != first:
+                        break
+            else:
+                peel.append(v)
+    kept = bytearray(live)
     left: list[Optional[dict[int, int]]] = [None] * n  # live edges per color
     for v in peel:  # grows as it goes; a vertex joins once, on its way to one color
         kept[v] = 0
@@ -443,9 +428,9 @@ def _one_color_core(
                     # w's other live neighbors are all still kept: a peeled
                     # one would have set left[w]
                     counts = left[w] = {}
-                    nbrs = adj[w] if live is None else (e for e in adj[w] if live[e[0]])
-                    for _, d in nbrs:
-                        counts[d] = counts.get(d, 0) + 1
+                    for u, d in adj[w]:
+                        if live[u]:
+                            counts[d] = counts.get(d, 0) + 1
                 if counts[c] > 1:
                     counts[c] -= 1
                 else:
@@ -591,8 +576,8 @@ class _WalkClasses:
     """The search view of one graph within one search: the live part of G,
     its one-color core and walk classes, and the switch point of its scans.
 
-    The view starts as G. drop(vertices) clears those vertices in the live
-    mask live (None while none has been dropped) and takes their edges to
+    The view starts as G, every vertex set in the live mask live.
+    drop(vertices) clears those vertices in it and takes their edges to
     live vertices off the live edge count m, in O(degree). The K_{s,t}
     scans and the cycle DFS take G and the clock from here, and draw their
     vertices from core() and admitted(L). They read only the edges among
@@ -624,7 +609,7 @@ class _WalkClasses:
         self.G = G
         self.clock = clock
         self.details = details
-        self.live: Optional[bytearray] = None
+        self.live = bytearray(b"\x01") * G.n
         self.m = G.m
         self.switch = 0
         self._core = None
@@ -633,8 +618,6 @@ class _WalkClasses:
     def drop(self, vertices) -> None:
         """Remove vertices from the view, skipping those already dropped;
         the next core() or admitted() peels and runs the hub pass again."""
-        if self.live is None:
-            self.live = bytearray(b"\x01") * self.G.n
         live, adj, m = self.live, self.G.adj, self.m
         for v in vertices:
             if live[v]:
@@ -669,7 +652,7 @@ class _WalkClasses:
         )
 
 
-def _return_table(adj, start: int, admitted, limit: int, clock: _Clock, live=None):
+def _return_table(adj, start: int, admitted, limit: int, clock: _Clock, live: bytearray):
     """(first, near, via): the fewest edges, up to limit, of a properly
     colored walk from each vertex w back to start through the vertices of
     admitted above start.
@@ -683,7 +666,7 @@ def _return_table(adj, start: int, admitted, limit: int, clock: _Clock, live=Non
     has another color. A backward breadth-first search from start finds
     both, handing each vertex on at most twice; the clock ticks once per
     edge at each vertex handed on, counting only the edges to vertices v
-    with live[v] set when live is given.
+    with live[v] set.
     """
     n = len(adj)
     ok = bytearray(n)
@@ -699,7 +682,7 @@ def _return_table(adj, start: int, admitted, limit: int, clock: _Clock, live=Non
     for d in range(1, limit + 1):
         nxt = []
         for v, e, others in level:
-            clock.tick(len(adj[v]) if live is None else sum(live[w] for w, _ in adj[v]))
+            clock.tick(sum(live[w] for w, _ in adj[v]))
             for w, c in adj[v]:
                 if not ok[w] or (c != e) != others:
                     continue

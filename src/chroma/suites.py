@@ -100,13 +100,9 @@ class SuiteReport:
         }
 
 
-def instance_digest(G) -> str:
+def instance_digest(G: EdgeColoredGraph) -> str:
     """64-bit hash of the canonical rendering, for compact failure logs."""
-    if isinstance(G, EdgeColoredGraph):
-        text = render_ecg(G)
-    else:
-        text = repr((type(G).__name__, getattr(G, "n", None), getattr(G, "arcs", None)))
-    return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+    return hashlib.blake2b(render_ecg(G).encode(), digest_size=8).hexdigest()
 
 
 class _Recorder:

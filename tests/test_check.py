@@ -151,6 +151,22 @@ class TestRejectsMutations:
         G, D, report = built
         assert verify_orientation(G, D, 2, {**report, "n": G.n + 1}) == REPORT
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            lambda r: {**r, "per_vertex": list(r["per_vertex"].values())},
+            lambda r: {**r, "per_vertex": None},
+            lambda r: {**r, "per_vertex": {"0": [1]}},
+            lambda r: [r],
+        ],
+        ids=["per-vertex-list", "per-vertex-null", "row-list", "report-list"],
+    )
+    def test_report_of_the_wrong_shape(self, built, malformed):
+        # Valid JSON that is not a report: named as a mismatch, not raised.
+        G, D, report = built
+        report = json.loads(json.dumps(malformed(report)))
+        assert verify_orientation(G, D, 2, report) == REPORT
+
     def test_first_failing_invariant_is_named(self, built):
         G, D, report = built
         (t, h, c), *rest = D.arcs

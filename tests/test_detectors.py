@@ -105,7 +105,7 @@ def walk_classes(G, clock=None):
     """The walk classes of G as a search finds them: the hub pass on the
     one-color core, both on clock."""
     clock = clock or _Clock(None)
-    return _walk_classes(G, clock, _one_color_core(G, clock))
+    return _walk_classes(G, clock, _one_color_core(G, clock, bytearray(b"\x01") * G.n))
 
 
 class TestBudget:
@@ -559,7 +559,9 @@ class TestReturnTable:
                 admitted = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
                 limit = rng.randint(1, G.n)
                 clock = _Clock(None)
-                first, near, via = _return_table(G.adj, start, admitted, limit, clock)
+                first, near, via = _return_table(
+                    G.adj, start, admitted, limit, clock, bytearray(b"\x01") * G.n
+                )
                 allowed = {v for v in admitted if v > start}
                 expect = brute_return_lengths(G, start, allowed, limit)
                 for w in allowed:
@@ -737,7 +739,7 @@ class TestWalkClassesOracle:
         4(k - 2) out of its prefix and suffix hubs; an exit has one arc per
         neighbor in its group."""
         clock = _Clock(None)
-        core = _one_color_core(G, clock)
+        core = _one_color_core(G, clock, bytearray(b"\x01") * G.n)
         peel = clock.nodes
         classes = _walk_classes(G, clock, core)
         live = set(core)
@@ -780,7 +782,7 @@ class TestWalkClassesOracle:
         for n in (1, 2, 5, 14, 30):
             G = signature(transitive_tournament(n))
             clock = _Clock(None)
-            assert _one_color_core(G, clock) == [] and clock.nodes == G.m
+            assert _one_color_core(G, clock, bytearray(b"\x01") * G.n) == [] and clock.nodes == G.m
 
 
 def core_instance(seed):
@@ -801,7 +803,7 @@ class TestOneColorCore:
     @staticmethod
     def core(G):
         clock = _Clock(None)
-        core = _one_color_core(G, clock)
+        core = _one_color_core(G, clock, bytearray(b"\x01") * G.n)
         # One tick per edge removed: the edges with a peeled end.
         kept = set(core)
         assert clock.nodes == sum(not (u in kept and v in kept) for u, v, _ in G.edges)
@@ -833,8 +835,8 @@ class TestOneColorCore:
         )
     )
     def test_arbitrary_graphs(self, spec):
-        # Three colors, so that many vertices have equal colors on their
-        # first, middle and last edges and the first check reads on.
+        # Three colors, so that many vertices see a single color and the
+        # peel has work to do.
         n, raw = spec
         pairs = {}
         for u, v, c in raw:
@@ -871,7 +873,8 @@ class TestOneColorCore:
         mask = bytes(live)
         clock, rebuilt = _Clock(None), _Clock(None)
         core = _one_color_core(G, clock, live)
-        assert core == _one_color_core(without_vertices(G, dead), rebuilt)
+        R = without_vertices(G, dead)
+        assert core == _one_color_core(R, rebuilt, bytearray(b"\x01") * R.n)
         assert clock.nodes == rebuilt.nodes and live == mask
         return len(core) < G.n - len(dead)
 
@@ -1084,13 +1087,15 @@ class TestWalkGate:
 
     @pytest.mark.parametrize("name", sorted(TWO_COLOR_NODES))
     def test_graphs_without_one_color_vertices_keep_their_node_counts(self, name):
-        # Every vertex sees two colors, so the peel's first check returns
-        # the whole vertex set with no tick, and every search runs as before.
+        # Every vertex sees two colors, so the peel queues no vertex and
+        # returns the whole vertex set with no tick, and every search runs
+        # as before.
         G = signature(circulant_tournament(9)) if name == "circulant-9" else (
             extremal_no_pc_c4(int(name[-1]))
         )
         clock = _Clock(None)
-        assert _one_color_core(G, clock) == list(range(G.n)) and clock.nodes == 0
+        assert _one_color_core(G, clock, bytearray(b"\x01") * G.n) == list(range(G.n))
+        assert clock.nodes == 0
         pairs = ((2, 2), (2, 3), (3, 3))
         nodes = [find_pc_kst(G, s, t).nodes for s, t in pairs]
         nodes += [find_rainbow_kst(G, s, t).nodes for s, t in pairs]
@@ -1657,13 +1662,14 @@ class TestDisjointRoundsOnTheMask:
     def test_return_table_on_the_mask(self, monkeypatch, walk_passes):
         # The second round's _return_table ticks only the live edges; every
         # budget from the start of that round on ends as on the residual.
+        # The spy keeps the tables whose admitted vertices lost a neighbor.
         tables = []
         real = detectors._return_table
 
-        def spy(adj, start, admitted, limit, clock, live=None):
-            if live is not None:
-                tables.append((clock.nodes, [len(adj[v]) - sum(live[w] for w, _ in adj[v])
-                                             for v in admitted]))
+        def spy(adj, start, admitted, limit, clock, live):
+            lost = [len(adj[v]) - sum(live[w] for w, _ in adj[v]) for v in admitted]
+            if any(lost):
+                tables.append((clock.nodes, lost))
             return real(adj, start, admitted, limit, clock, live)
 
         monkeypatch.setattr(detectors, "_return_table", spy)

@@ -6,6 +6,13 @@ exhausted-none without covering its space. Renaming the colors alone keeps
 more: the searches compare colors only for equality, and vertex ids decide
 every order they take, so the node count and the witness vertices stay the
 same too.
+
+Parts that lie on no cycle change no status either: an acyclic signature
+beside G, or a pendant vertex, holds no properly colored cycle and no
+K_{s,t} (s, t >= 2), whose vertices all have degree two or more. And a
+blow-up keeps the shortest cycle: the signature of blow_up(D, k) has a
+shortest properly colored cycle of the length of D's shortest directed
+cycle.
 """
 import random
 
@@ -14,7 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chroma.check import verify_witness
-from chroma.constructions import random_edge_colored_graph, random_oriented_graph
+from chroma.constructions import (
+    random_edge_colored_graph,
+    random_oriented_graph,
+    transitive_tournament,
+)
 from chroma.core import EdgeColoredGraph, Witness
 from chroma.detectors import (
     disjoint_pc_cycles,
@@ -23,8 +34,9 @@ from chroma.detectors import (
     find_rainbow_c4,
     find_rainbow_kst,
     pc_short_cycle_pipeline,
+    shortest_directed_cycle,
 )
-from chroma.transforms import signature
+from chroma.transforms import blow_up, signature
 
 from oracles import claimed_edges
 
@@ -100,6 +112,41 @@ def test_relabelling_keeps_status_and_a_witness_on_g(seed):
         assert a.status == b.status, name
         if b.witness is not None:
             assert verify_witness(G, mapped_back(G, b.witness, perm)), name
+
+
+def assert_same_status(G, H):
+    for name, detect in DETECTORS.items():
+        assert detect(G).status == detect(H).status, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_an_acyclic_signature_beside_g_keeps_the_status(seed, a):
+    G = instance(seed)
+    T = signature(transitive_tournament(a))
+    n = G.n
+    H = EdgeColoredGraph(n + a, [*G.edges, *((u + n, v + n, c) for u, v, c in T.edges)])
+    assert_same_status(G, H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_pendant_vertex_keeps_the_status(seed):
+    # The new edge's color is one of G's or a new one.
+    G = instance(seed)
+    rng = random.Random(seed)
+    colors = {c for _, _, c in G.edges}
+    edge = (rng.randrange(G.n), G.n, rng.randint(0, max(colors, default=0) + 1))
+    assert_same_status(G, EdgeColoredGraph(G.n + 1, [*G.edges, edge]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.integers(1, 3))
+def test_a_blow_up_keeps_the_shortest_cycle_length(seed, n, k):
+    D = random_oriented_graph(n, random.Random(seed).choice((0.3, 0.6, 0.9)), seed)
+    cycle = find_pc_cycle_upto(signature(blow_up(D, k)), n).witness
+    directed = shortest_directed_cycle(D).witness
+    assert (cycle and len(cycle.vertices[0])) == (directed and len(directed.vertices[0]))
 
 
 @pytest.mark.xfail(strict=True, reason="disjoint_pc_cycles is a greedy, no exact packing (ROADMAP item 1)")
