@@ -242,7 +242,8 @@ def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
     Each subset costs one tick, the matching one tick per candidate it reads
     and, for t >= 3, per edge its augmenting paths look at, the backtracking
     one tick per candidate it tries, the peel one per edge it removes, and
-    the hub pass one per arc of its graph (see _walk_classes). A
+    the hub pass one per arc out of each node it reaches and one per group
+    neighbor it reads to list a class's mirror (see _walk_classes). A
     candidate's colors are read from neighbor -> color maps of the
     S-vertices, each built from G.adj the first time one of its subsets gets
     that far, once per search.
@@ -357,7 +358,9 @@ def find_pc_kst(
     closed properly colored walks of length 4 (see _WalkClasses). Every
     vertex of a properly colored K_{s,t} is among both, so the witness is
     the same either way, and an acyclic signature peels to nothing: one
-    tick per edge. details["walk_periods"] shows the periods when the hub
+    tick per edge. On a signature the hub pass explores one of each pair
+    of mirror classes, the forward and the backward walks, and lists the
+    other from it. details["walk_periods"] shows the periods when the hub
     pass ran, and [] when the peel left nothing; the node counts include
     the filter's ticks.
     """
@@ -466,11 +469,28 @@ def _walk_classes(
     have weight 1 and all others weight 0; every step of a properly colored
     walk leaves exactly one state, so the graph's closed walks have exactly
     the state graph's lengths. It has O(n + m + sum of color degrees) nodes
-    and arcs. An iterative Tarjan search labels the components; a DFS-tree
-    depth is a potential on each of them, so the period is the gcd of
-    depth(u) + weight - depth(w) over the arcs u -> w that it finds inside
-    a component, and its vertices are those of its states. The clock ticks
-    once per arc.
+    and arcs. An iterative Tarjan search, started from the states only
+    (every cycle of the graph passes through one), labels the components;
+    a DFS-tree depth is a potential on each of them, so the period is the
+    gcd of depth(u) + weight - depth(w) over the arcs u -> w that it finds
+    inside a component, and its vertices are those of its states.
+
+    Reversed, a closed properly colored walk is one too, on the same
+    vertices and of the same length. So each component K has a mirror
+    component (see _mirror): the states (v, c') for which some arc
+    (v, c) -> (w, c') has both ends in K, with K's vertices and period.
+    Most components are their own mirror; a signature's forward and
+    backward walks are two. When Tarjan completes a component whose mirror
+    is another, it lists the mirror at once and marks the mirror's states
+    it has not reached yet as done, so it never explores them; a component
+    it completes later out of mirror states, a part of the mirror that was
+    already on its stack, is not listed again. Every other component avoids
+    the mirror's states, so it is found as before: the list is the full
+    pass's, up to order.
+
+    The clock ticks once per arc out of each node the search reaches, and
+    for each component it lists, once per group neighbor that the
+    component's mirror step reads, in one tick call.
     """
     n = G.n
     adj = G.adj
@@ -480,6 +500,7 @@ def _walk_classes(
     by_color: list[dict[int, list[int]]] = [{} for _ in range(n)]
     state: list[dict[int, int]] = [{} for _ in range(n)]  # color -> state id
     owner: list[int] = []  # the vertex of each state node
+    hue: list[int] = []  # the color of each state node
     for v in core:
         groups = by_color[v]
         for w, c in adj[v]:
@@ -488,6 +509,7 @@ def _walk_classes(
         for c in groups:
             state[v][c] = len(owner)
             owner.append(v)
+            hue.append(c)
     states = len(owner)  # node ids below states are states
     succ: list[list[int]] = [[] for _ in owner]
 
@@ -515,15 +537,16 @@ def _walk_classes(
                 out.append(suffix[k - 2 - i])
 
     size = len(succ)
-    index = [0] * size  # discovery order from 1; 0 = not yet seen
+    index = [0] * size  # discovery order from 1; 0 = not yet seen, -1 = skipped
     low = [0] * size
     depth = [0] * size  # weighted depth in the DFS forest
     slack = [0] * size  # gcd of the arc slacks found at each node
     on_stack = bytearray(size)
+    mirrored = bytearray(states)  # states of a mirror already listed
     stack: list[int] = []
     classes = []
     seen = 0
-    for root in range(size):
+    for root in range(states):
         if index[root]:
             continue
         seen += 1
@@ -562,14 +585,63 @@ def _walk_classes(
                         if x == u:
                             break
                     # No node has an arc to itself, so only a component of
-                    # two or more nodes holds a cycle.
+                    # two or more nodes holds a cycle, and every cycle
+                    # passes through a state.
                     if len(members) > 1:
+                        own = [x for x in members if x < states]
+                        if mirrored[own[0]]:
+                            continue  # a part of a mirror already listed
                         period = 0
                         for x in members:
                             period = math.gcd(period, slack[x])
-                        verts = {owner[x] for x in members if x < states}
-                        classes.append((period, sorted(verts)))
+                        reads, twin = _mirror(own, owner, hue, state, by_color, index, mirrored)
+                        clock.tick(reads)
+                        verts = sorted({owner[x] for x in own})
+                        classes.append((period, verts))
+                        if twin:
+                            classes.append((period, verts))
     return classes
+
+
+def _mirror(own: list[int], owner, hue, state, by_color, index, mirrored) -> tuple[int, bool]:
+    """(reads, twin) for the component of _walk_classes whose states are
+    own: the number of group neighbors read, and whether its mirror is
+    another component. When it is, each of the mirror's states y
+    gets mirrored[y] set, and index[y] = -1, done, if the search has not
+    reached it yet, so it never does.
+
+    The mirror's states are the states (v, c') with an arc (v, c) -> (w, c')
+    from a state of own to one. Each sits at a neighbor v of a state
+    (w, c') of own, in w's group of color c', from which v has a state of
+    own of another color. The mirror is itself a component, the one whose
+    closed walks are own's reversed, so once it meets own it is own, and
+    the reads stop there: a component that is its own mirror costs about
+    one read. Only the core's color groups are read, never G.adj, so a
+    search view with dropped vertices reads what a rebuilt graph would.
+    """
+    count: dict[int, int] = {}  # states of own at each vertex
+    for x in own:
+        v = owner[x]
+        count[v] = count.get(v, 0) + 1
+    inside = set(own)
+    mirror = set()
+    reads = 0
+    for x in own:
+        c = hue[x]
+        for v in by_color[owner[x]][c]:
+            reads += 1
+            k = count.get(v)
+            if k:
+                y = state[v][c]
+                if y not in inside:
+                    mirror.add(y)
+                elif k > 1:
+                    return reads, False
+    for y in mirror:
+        mirrored[y] = 1
+        if not index[y]:
+            index[y] = -1
+    return reads, True
 
 
 class _WalkClasses:
@@ -592,6 +664,10 @@ class _WalkClasses:
     _walk_classes on the core on the first call of admitted, both on the
     search's clock; every later call, from a K_{2,2} scan or any DFS
     length, reuses their results until a drop forgets them.
+    The classes list a class and its mirror, when that is another class,
+    as two equal (period, vertices) entries, as the full pass would (see
+    _walk_classes); admitted() and the periods read their union, so no
+    answer depends on which of the two the pass explored.
     details["walk_periods"] gets the sorted distinct periods when the hub
     pass runs, and [] as soon as the peel leaves an empty core, which holds
     no walk class, so the hub pass never runs then.
@@ -798,8 +874,12 @@ def find_pc_cycle_upto(
     _WalkClasses). The filter first peels off the vertices that see fewer
     than two colors, which lie on no closed walk, and its hub pass builds
     the graph on the rest; an acyclic signature peels to nothing and has no
-    hub pass. Node counts include one tick per edge the peel removes and
-    one per arc of the graph left.
+    hub pass. The hub pass lists the mirror of each class it completes, the
+    class of its walks reversed, from the class itself, so on a signature
+    it explores only one of the forward and the backward walks. Node counts
+    include one tick per edge the peel removes, one per arc out of each
+    node of the graph left that the hub pass reaches, and one per group
+    neighbor it reads to list a mirror (see _walk_classes).
     """
     _require_int("r", r, 3)
     details: dict = {}

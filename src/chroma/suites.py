@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .check import verify_orientation, verify_witness
+from .check import _host_edges, verify_orientation, verify_witness
 from .constructions import (
     RecolorParams,
     circulant_tournament,
@@ -29,6 +29,7 @@ from .constructions import (
 )
 from .core import (
     EdgeColoredGraph,
+    Witness,
     _require_int,
     color_degree,
     color_set,
@@ -420,6 +421,92 @@ def _suite_recolor(trials, seed, rec, config):
         config["attempts_mean"] = sum(attempts_log) / len(attempts_log)
 
 
+# Every detector on an edge-colored graph but disjoint_pc_cycles, whose
+# status is not yet label-free (ROADMAP item 1).
+_LABEL_FREE_SEARCHES = {
+    "pc K_{2,2}": lambda G: find_pc_kst(G, 2, 2),
+    "pc K_{2,3}": lambda G: find_pc_kst(G, 2, 3),
+    "pc K_{3,3}": lambda G: find_pc_kst(G, 3, 3),
+    "rainbow K_{2,3}": lambda G: find_rainbow_kst(G, 2, 3),
+    "rainbow C4": find_rainbow_c4,
+    "pc cycle r=6": lambda G: find_pc_cycle_upto(G, 6),
+    "pipeline r=6": lambda G: pc_short_cycle_pipeline(G, 6),
+}
+
+
+def _renamed(G, rng, perm=None):
+    """G with its colors renamed injectively at random, and its vertex v
+    moved to perm[v] when perm is given."""
+    colors = sorted({c for _, _, c in G.edges})
+    new = dict(zip(colors, rng.sample(range(10 * len(colors) + 10), len(colors))))
+    at = perm or range(G.n)
+    return EdgeColoredGraph(G.n, [(at[u], at[v], new[c]) for u, v, c in G.edges])
+
+
+def _maps_back(G, w, perm) -> bool:
+    """Whether the witness w, found on G with its vertex v moved to perm[v],
+    passes verify_witness on G once its vertices are moved back."""
+    inv = {p: v for v, p in enumerate(perm)}
+    groups = tuple(tuple(inv[v] for v in g) for g in w.vertices)
+    edges = _host_edges(G, w.kind, groups)
+    return edges is not None and verify_witness(G, Witness(w.kind, groups, sorted(edges)))
+
+
+def _suite_invariance(trials, seed, rec, config):
+    """Answers that must not depend on labels, for every detector but
+    disjoint_pc_cycles, on random graphs and, every other trial, the
+    signature of a random oriented graph (n 5 to 16). Relabelling the
+    vertices and renaming the colors keeps the status, and a witness found
+    on the copy, moved back, verifies on G. Renaming the colors alone keeps
+    the status, the node count and the witness vertices: the searches
+    compare colors only for equality. An acyclic signature beside G, with
+    ids above G's, and a pendant vertex on one new edge keep the status:
+    neither lies on a properly colored cycle or K_{s,t}.
+    """
+    found = 0
+    for i in range(trials):
+        tseed = _trial_seed(seed, i)
+        rng = random.Random(tseed)
+        n = rng.randint(5, 16)
+        if i % 2:
+            G = signature(random_oriented_graph(n, rng.choice((0.3, 0.6, 0.9)), tseed))
+        else:
+            G = random_edge_colored_graph(n, rng.choice((0.3, 0.5, 0.8)), rng.randint(2, 6), tseed)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = _renamed(G, rng, perm)
+        renamed = _renamed(G, rng)
+        a = rng.randint(1, 8)
+        beside = signature(transitive_tournament(a))
+        union = EdgeColoredGraph(n + a, [*G.edges, *((u + n, v + n, c) for u, v, c in beside.edges)])
+        edge = (rng.randrange(n), n, rng.randint(0, max((c for *_, c in G.edges), default=0) + 1))
+        pendant = EdgeColoredGraph(n + 1, [*G.edges, edge])
+        for name, search in _LABEL_FREE_SEARCHES.items():
+            out = search(G)
+            found += out.status == FOUND
+            moved = search(relabelled)
+            rec.check(
+                moved.status == out.status
+                and (moved.witness is None or _maps_back(G, moved.witness, perm)),
+                tseed, G, f"{name}: relabelling keeps the status and a witness on G",
+            )
+            other = search(renamed)
+            rec.check(
+                (other.status, other.nodes) == (out.status, out.nodes)
+                and (other.witness and other.witness.vertices) == (out.witness and out.witness.vertices),
+                tseed, G, f"{name}: renaming colors keeps status, nodes and witness vertices",
+            )
+            rec.check(
+                search(union).status == out.status, tseed, G,
+                f"{name}: an acyclic signature beside G keeps the status",
+            )
+            rec.check(
+                search(pendant).status == out.status, tseed, G,
+                f"{name}: a pendant vertex keeps the status",
+            )
+    config["found"] = found
+
+
 _SUITES = {
     "signature-laws": _suite_signature_laws,
     "duality": _suite_duality,
@@ -430,6 +517,7 @@ _SUITES = {
     "thresholds": _suite_thresholds,
     "extremal": _suite_extremal,
     "recolor": _suite_recolor,
+    "invariance": _suite_invariance,
 }
 
 SUITE_NAMES = tuple(_SUITES)

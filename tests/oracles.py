@@ -17,8 +17,10 @@ the OrientedGraph constructor's per-arc loop written out on its own, the
 reference for its stored arcs and error texts; the generators as they
 built their graphs before every row was formed canonical:
 min_max_signature, looped_circulant_tournament,
-two_build_blowup_cycle_signature and edge_order_dual_graph; and
-claimed_edges, which lists the host edges a witness needs.
+two_build_blowup_cycle_signature and edge_order_dual_graph;
+full_hub_walk_classes, the hub pass as it ran when it explored both
+halves of every mirror pair of walk classes; and claimed_edges, which
+lists the host edges a witness needs.
 """
 from __future__ import annotations
 
@@ -284,6 +286,98 @@ def brute_walk_classes(G) -> list[tuple[int, list[int]]]:
                 period = gcd(period, length)
         classes.append((period, sorted({v for v, _ in comp})))
     return sorted(classes)
+
+
+def full_hub_walk_classes(G, core) -> list[tuple[int, list[int]]]:
+    """(period, vertices) of each walk class of G, as the hub pass found
+    them on the one-color core before it listed each class's mirror from
+    the class itself: Tarjan over the whole hub graph, every node a root,
+    so it explores both halves of a mirror pair. The reference for the
+    classes of _walk_classes, up to order; it keeps no clock.
+    """
+    n = G.n
+    live = bytearray(n)
+    for v in core:
+        live[v] = 1
+    by_color = [{} for _ in range(n)]
+    state = [{} for _ in range(n)]
+    owner = []
+    for v in core:
+        for w, c in G.adj[v]:
+            if live[w]:
+                by_color[v].setdefault(c, []).append(w)
+        for c in by_color[v]:
+            state[v][c] = len(owner)
+            owner.append(v)
+    states = len(owner)
+    succ = [[] for _ in owner]
+
+    def node(targets):
+        succ.append(targets)
+        return len(succ) - 1
+
+    for v in core:
+        exits = [
+            state[ws[0]][c] if len(ws) == 1 else node([state[w][c] for w in ws])
+            for c, ws in by_color[v].items()
+        ]
+        k = len(exits)
+        prefix = exits[:1]
+        for i in range(1, k - 1):
+            prefix.append(node([prefix[-1], exits[i]]))
+        suffix = exits[-1:]
+        for i in range(k - 2, 0, -1):
+            suffix.append(node([suffix[-1], exits[i]]))
+        for i, own in enumerate(state[v].values()):
+            if i > 0:
+                succ[own].append(prefix[i - 1])
+            if i < k - 1:
+                succ[own].append(suffix[k - 2 - i])
+
+    size = len(succ)
+    index, low, depth, slack = [0] * size, [0] * size, [0] * size, [0] * size
+    on_stack = bytearray(size)
+    stack, classes, seen = [], [], 0
+    for root in range(size):
+        if index[root]:
+            continue
+        seen += 1
+        index[root] = low[root] = seen
+        stack.append(root)
+        on_stack[root] = 1
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            u, todo = frames[-1]
+            for w in todo:
+                if not index[w]:
+                    seen += 1
+                    index[w] = low[w] = seen
+                    depth[w] = depth[u] + (u < states)
+                    stack.append(w)
+                    on_stack[w] = 1
+                    frames.append((w, iter(succ[w])))
+                    break
+                if on_stack[w]:
+                    slack[u] = gcd(slack[u], depth[u] + (u < states) - depth[w])
+                    low[u] = min(low[u], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    low[frames[-1][0]] = min(low[frames[-1][0]], low[u])
+                if low[u] == index[u]:
+                    members = []
+                    while True:
+                        x = stack.pop()
+                        on_stack[x] = 0
+                        members.append(x)
+                        if x == u:
+                            break
+                    if len(members) > 1:
+                        period = 0
+                        for x in members:
+                            period = gcd(period, slack[x])
+                        classes.append((period, sorted({owner[x] for x in members if x < states})))
+    return classes
 
 
 def brute_subset_density_ok(pairs, n, size, cap) -> bool:

@@ -13,10 +13,10 @@ from chroma.constructions import (
     random_edge_colored_graph,
     transitive_tournament,
 )
-from chroma import cli, extraction
+from chroma import cli, extraction, suites
 from chroma.cli import EXIT_INPUT_ERROR
 from chroma.core import EdgeColoredGraph
-from chroma.detectors import find_pc_kst, pc_short_cycle_pipeline
+from chroma.detectors import EXHAUSTED, FOUND, SearchOutcome, find_pc_kst, pc_short_cycle_pipeline
 from chroma.extraction import default_x
 from chroma.formats import load, save
 from chroma.suites import SUITE_NAMES, analyze, instance_digest, run_suite
@@ -57,6 +57,21 @@ class TestRunSuite:
         rep = run_suite(name, trials, 2024)
         assert rep.passed, [f.assertion for f in rep.failures][:3]
         assert rep.to_dict()["schema"] == 1
+
+    def test_invariance_catches_a_label_dependent_search(self, monkeypatch):
+        # A search whose status follows the parity of n and whose node count
+        # is the largest color: a pendant vertex flips its status, and
+        # renaming the colors moves its node count.
+        def search(G):
+            status = FOUND if G.n % 2 else EXHAUSTED
+            return SearchOutcome(status, None, max((c for *_, c in G.edges), default=0), 0.0)
+
+        monkeypatch.setattr(suites, "_LABEL_FREE_SEARCHES", {"parity": search})
+        rep = run_suite("invariance", 12, 3)
+        failed = {f.assertion for f in rep.failures}
+        assert "parity: a pendant vertex keeps the status" in failed
+        assert "parity: renaming colors keeps status, nodes and witness vertices" in failed
+        assert "parity: relabelling keeps the status and a witness on G" not in failed
 
     def test_digest_stable(self):
         G = rainbow_k4()

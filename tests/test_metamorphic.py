@@ -27,30 +27,16 @@ from chroma.constructions import (
     transitive_tournament,
 )
 from chroma.core import EdgeColoredGraph, Witness
-from chroma.detectors import (
-    disjoint_pc_cycles,
-    find_pc_cycle_upto,
-    find_pc_kst,
-    find_rainbow_c4,
-    find_rainbow_kst,
-    pc_short_cycle_pipeline,
-    shortest_directed_cycle,
-)
+from chroma.detectors import disjoint_pc_cycles, find_pc_cycle_upto, shortest_directed_cycle
+from chroma.suites import _LABEL_FREE_SEARCHES, _renamed
 from chroma.transforms import blow_up, signature
 
 from oracles import claimed_edges
 
 # Every detector on an edge-colored graph but disjoint_pc_cycles, whose
-# status is not yet label-free (ROADMAP item 1).
-DETECTORS = {
-    "pc-kst-2-2": lambda G: find_pc_kst(G, 2, 2),
-    "pc-kst-2-3": lambda G: find_pc_kst(G, 2, 3),
-    "pc-kst-3-3": lambda G: find_pc_kst(G, 3, 3),
-    "rainbow-kst-2-3": lambda G: find_rainbow_kst(G, 2, 3),
-    "rainbow-c4": find_rainbow_c4,
-    "pc-cycle-6": lambda G: find_pc_cycle_upto(G, 6),
-    "pipeline-6": lambda G: pc_short_cycle_pipeline(G, 6),
-}
+# status is not yet label-free (ROADMAP item 1): those of the invariance
+# suite.
+DETECTORS = _LABEL_FREE_SEARCHES
 DISJOINT = {
     "disjoint-2": lambda G: disjoint_pc_cycles(G, 2),
     "disjoint-3": lambda G: disjoint_pc_cycles(G, 3),
@@ -67,21 +53,12 @@ def instance(seed):
     return random_edge_colored_graph(n, rng.choice((0.3, 0.5, 0.8)), rng.randint(2, 6), seed)
 
 
-def renamed(G, rng, perm=None):
-    """G with its colors renamed injectively at random, and its vertex v
-    moved to perm[v] when perm is given."""
-    colors = sorted({c for _, _, c in G.edges})
-    new = dict(zip(colors, rng.sample(range(10 * len(colors) + 10), len(colors))))
-    at = perm or range(G.n)
-    return EdgeColoredGraph(G.n, [(at[u], at[v], new[c]) for u, v, c in G.edges])
-
-
 def relabelled(G, rng):
     """(H, perm): G with its vertex v moved to perm[v], a random
     permutation, and its colors renamed injectively."""
     perm = list(range(G.n))
     rng.shuffle(perm)
-    return renamed(G, rng, perm), perm
+    return _renamed(G, rng, perm), perm
 
 
 def mapped_back(G, w, perm):
@@ -95,7 +72,7 @@ def mapped_back(G, w, perm):
 @given(st.integers(0, 2**32 - 1))
 def test_color_renaming_keeps_status_nodes_and_witness(seed):
     G = instance(seed)
-    H = renamed(G, random.Random(seed))
+    H = _renamed(G, random.Random(seed))
     for name, detect in {**DETECTORS, **DISJOINT}.items():
         a, b = detect(G), detect(H)
         assert (a.status, a.nodes) == (b.status, b.nodes), name
