@@ -242,11 +242,12 @@ def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
     Each subset costs one tick, the matching one tick per candidate it reads
     and, for t >= 3, per edge its augmenting paths look at, the backtracking
     one tick per candidate it tries, the peel one per edge it removes, and
-    the hub pass one per arc out of each node it reaches and one per group
-    neighbor it reads to list a class's mirror (see _walk_classes). A
-    candidate's colors are read from neighbor -> color maps of the
-    S-vertices, each built from G.adj the first time one of its subsets gets
-    that far, once per search.
+    the hub pass one per arc out of each node it reaches (k - 1 for the
+    first state it reaches at a vertex of k colors) and one per group
+    neighbor it reads to list a class's mirror (see _walk_classes): on a
+    C_r blow-up about two per edge. A candidate's colors are read from
+    neighbor -> color maps of the S-vertices, each built from G.adj the
+    first time one of its subsets gets that far, once per search.
     """
     G, clock = walks.G, walks.clock
     nbr = G.neighbor_sets
@@ -360,9 +361,10 @@ def find_pc_kst(
     the same either way, and an acyclic signature peels to nothing: one
     tick per edge. On a signature the hub pass explores one of each pair
     of mirror classes, the forward and the backward walks, and lists the
-    other from it. details["walk_periods"] shows the periods when the hub
-    pass ran, and [] when the peel left nothing; the node counts include
-    the filter's ticks.
+    other from it; it reaches about one state per vertex and fans it out
+    directly, so it ticks about twice per edge. details["walk_periods"]
+    shows the periods when the hub pass ran, and [] when the peel left
+    nothing; the node counts include the filter's ticks.
     """
     return _run_kst(G, s, t, budget, "pc-kst")
 
@@ -462,18 +464,26 @@ def _walk_classes(
 
     Instead of the arcs themselves, each core vertex v gets one exit node
     per color of its edges within the core, with arcs to the states it
-    reaches, and prefix and suffix hubs over those colors, so state
-    (v, c_i) reaches every exit but c_i's through two hub arcs. A color
-    whose edges within the core lead to a single neighbor w gets no exit:
-    what would point at it points at w's state instead. Arcs out of states
-    have weight 1 and all others weight 0; every step of a properly colored
-    walk leaves exactly one state, so the graph's closed walks have exactly
-    the state graph's lengths. It has O(n + m + sum of color degrees) nodes
-    and arcs. An iterative Tarjan search, started from the states only
-    (every cycle of the graph passes through one), labels the components;
-    a DFS-tree depth is a potential on each of them, so the period is the
-    gcd of depth(u) + weight - depth(w) over the arcs u -> w that it finds
-    inside a component, and its vertices are those of its states.
+    reaches. A color whose edges within the core lead to a single neighbor
+    w gets no exit: what would point at it points at w's state instead.
+    The graph is built as an iterative Tarjan search reaches it, started
+    from the states only (every cycle of the graph passes through one).
+    The first state (v, c_i) that it reaches gets v's exits and an arc to
+    each of them but c_i's. Only when it reaches a second state of v does v
+    get prefix and suffix hubs over its exits (see _hub_chains), through
+    which each of v's other states reaches every exit but its own color's
+    by two hub arcs; a vertex of two colors needs none, so its first state
+    reached gives the other its one arc too. Arcs out of states have weight 1 and all others weight
+    0; every step of a properly colored walk leaves exactly one state, so
+    the graph's closed walks have exactly the state graph's lengths,
+    whichever of v's states got the direct arcs. It has
+    O(n + m + sum of color degrees) nodes and arcs, at most one fan-out
+    more per vertex than with hubs alone; on a signature, where the search
+    reaches about one state per vertex, it has hubs at few vertices or
+    none. Tarjan labels the components; a DFS-tree depth is a potential on
+    each of them, so the period is the gcd of depth(u) + weight - depth(w)
+    over the arcs u -> w that it finds inside a component, and its
+    vertices are those of its states.
 
     Reversed, a closed properly colored walk is one too, on the same
     vertices and of the same length. So each component K has a mirror
@@ -488,9 +498,10 @@ def _walk_classes(
     the mirror's states, so it is found as before: the list is the full
     pass's, up to order.
 
-    The clock ticks once per arc out of each node the search reaches, and
-    for each component it lists, once per group neighbor that the
-    component's mirror step reads, in one tick call.
+    The clock ticks once per arc out of each node the search reaches, k - 1
+    for the first state reached at a vertex of k colors, and for each
+    component it lists, once per group neighbor that the component's mirror
+    step reads, in one tick call.
     """
     n = G.n
     adj = G.adj
@@ -499,44 +510,51 @@ def _walk_classes(
         live[v] = 1
     by_color: list[dict[int, list[int]]] = [{} for _ in range(n)]
     state: list[dict[int, int]] = [{} for _ in range(n)]  # color -> state id
+    first = [0] * n  # the state id of each core vertex's first color
     owner: list[int] = []  # the vertex of each state node
     hue: list[int] = []  # the color of each state node
+    others = 0  # exit and hub nodes, were every vertex's hubs built
     for v in core:
         groups = by_color[v]
         for w, c in adj[v]:
             if live[w]:
                 groups.setdefault(c, []).append(w)
-        for c in groups:
-            state[v][c] = len(owner)
-            owner.append(v)
-            hue.append(c)
+        k = len(groups)
+        x = first[v] = len(owner)
+        state[v] = dict(zip(groups, range(x, x + k)))
+        owner += [v] * k
+        hue += groups
+        # an exit per group of two or more neighbors, 2(k - 2) hubs
+        others += 3 * k - 4 - list(map(len, groups.values())).count(1)
     states = len(owner)  # node ids below states are states
-    succ: list[list[int]] = [[] for _ in owner]
+    size = states + others
+    succ: list[Optional[list[int]]] = [None] * states  # built on reach
+    exits_at: list[Optional[list[int]]] = [None] * n
+
+    def reach(x: int) -> list[int]:
+        """Build the out-list of state x as the search reaches it: direct
+        arcs to the exits if it is the first of its vertex's, else the
+        vertex's hubs and the arcs to them of all its states left; with two
+        colors, the other state's one arc at once."""
+        v = owner[x]
+        exits = exits_at[v]
+        if exits is None:
+            exits = exits_at[v] = [
+                state[ws[0]][c] if len(ws) == 1 else node([state[w][c] for w in ws])
+                for c, ws in by_color[v].items()
+            ]
+            i = x - first[v]
+            succ[x] = exits[:i] + exits[i + 1:]
+            if len(exits) == 2:  # no hubs: the other state's one arc is direct too
+                succ[first[v] + 1 - i] = [exits[i]]
+        else:
+            _hub_chains(exits, first[v], succ)
+        return succ[x]
 
     def node(targets: list[int]) -> int:
         succ.append(targets)
         return len(succ) - 1
 
-    for v in core:
-        exits = [
-            state[ws[0]][c] if len(ws) == 1 else node([state[w][c] for w in ws])
-            for c, ws in by_color[v].items()
-        ]
-        k = len(exits)
-        prefix = exits[:1]  # prefix[i] reaches exits 0..i
-        for i in range(1, k - 1):
-            prefix.append(node([prefix[-1], exits[i]]))
-        suffix = exits[-1:]  # suffix[j] reaches exits k-1-j..k-1
-        for i in range(k - 2, 0, -1):
-            suffix.append(node([suffix[-1], exits[i]]))
-        for i, own in enumerate(state[v].values()):
-            out = succ[own]
-            if i > 0:
-                out.append(prefix[i - 1])
-            if i < k - 1:
-                out.append(suffix[k - 2 - i])
-
-    size = len(succ)
     index = [0] * size  # discovery order from 1; 0 = not yet seen, -1 = skipped
     low = [0] * size
     depth = [0] * size  # weighted depth in the DFS forest
@@ -553,8 +571,11 @@ def _walk_classes(
         index[root] = low[root] = seen
         stack.append(root)
         on_stack[root] = 1
-        clock.tick(len(succ[root]))
-        frames = [(root, iter(succ[root]))]
+        out = succ[root]
+        if out is None:
+            out = reach(root)
+        clock.tick(len(out))
+        frames = [(root, iter(out))]
         while frames:
             u, todo = frames[-1]
             for w in todo:
@@ -564,8 +585,11 @@ def _walk_classes(
                     depth[w] = depth[u] + (u < states)
                     stack.append(w)
                     on_stack[w] = 1
-                    clock.tick(len(succ[w]))
-                    frames.append((w, iter(succ[w])))
+                    out = succ[w]
+                    if out is None:
+                        out = reach(w)
+                    clock.tick(len(out))
+                    frames.append((w, iter(out)))
                     break
                 # w is on the stack exactly when it lies in u's component
                 if on_stack[w]:
@@ -601,6 +625,30 @@ def _walk_classes(
                         if twin:
                             classes.append((period, verts))
     return classes
+
+
+def _hub_chains(exits: list[int], first: int, succ: list) -> None:
+    """Build the prefix and suffix hubs of a vertex of _walk_classes over its
+    exits, appended to succ, and give each of its states first,
+    first + 1, ... that has no out-list yet its arcs to them: state i of k
+    reaches exits 0..i-1 through prefix[i - 1] and exits i+1..k-1 through
+    suffix[k - 2 - i], where prefix[0] and suffix[0] are the end exits
+    themselves. Only the vertex's first state reached keeps its own list,
+    the direct arcs.
+    """
+    k = len(exits)
+    prefix = exits[:1]  # prefix[i] reaches exits 0..i
+    for e in exits[1:k - 1]:
+        succ.append([prefix[-1], e])
+        prefix.append(len(succ) - 1)
+    suffix = exits[-1:]  # suffix[j] reaches exits k-1-j..k-1
+    for e in exits[k - 2:0:-1]:
+        succ.append([suffix[-1], e])
+        suffix.append(len(succ) - 1)
+    outs = [[suffix[-1]], *map(list, zip(prefix, suffix[-2::-1])), [prefix[-1]]]
+    for x, out in enumerate(outs, first):
+        if succ[x] is None:
+            succ[x] = out
 
 
 def _mirror(own: list[int], owner, hue, state, by_color, index, mirrored) -> tuple[int, bool]:
@@ -664,6 +712,8 @@ class _WalkClasses:
     _walk_classes on the core on the first call of admitted, both on the
     search's clock; every later call, from a K_{2,2} scan or any DFS
     length, reuses their results until a drop forgets them.
+    The hub pass builds its graph as its search reaches it, so the hubs
+    of a vertex whose one state reached fans out directly are never built.
     The classes list a class and its mirror, when that is another class,
     as two equal (period, vertices) entries, as the full pass would (see
     _walk_classes); admitted() and the periods read their union, so no
@@ -873,10 +923,12 @@ def find_pc_cycle_upto(
     after that pass, reads only the vertices admitted for length 4 (see
     _WalkClasses). The filter first peels off the vertices that see fewer
     than two colors, which lie on no closed walk, and its hub pass builds
-    the graph on the rest; an acyclic signature peels to nothing and has no
-    hub pass. The hub pass lists the mirror of each class it completes, the
-    class of its walks reversed, from the class itself, so on a signature
-    it explores only one of the forward and the backward walks. Node counts
+    the graph on the rest as it explores it; an acyclic signature peels to
+    nothing and has no hub pass. The hub pass lists the mirror of each
+    class it completes, the class of its walks reversed, from the class
+    itself, so on a signature it explores only one of the forward and the
+    backward walks, about one state per vertex, each fanned out directly
+    to its exits with no hubs between: about two ticks per edge. Node counts
     include one tick per edge the peel removes, one per arc out of each
     node of the graph left that the hub pass reaches, and one per group
     neighbor it reads to list a mirror (see _walk_classes).

@@ -18,8 +18,9 @@ reference for its stored arcs and error texts; the generators as they
 built their graphs before every row was formed canonical:
 min_max_signature, looped_circulant_tournament,
 two_build_blowup_cycle_signature and edge_order_dual_graph;
-full_hub_walk_classes, the hub pass as it ran when it explored both
-halves of every mirror pair of walk classes; and claimed_edges, which
+full_hub_walk_classes, the hub pass as it ran when it built every
+vertex's hubs up front and explored both halves of every mirror pair of
+walk classes; and claimed_edges, which
 lists the host edges a witness needs.
 """
 from __future__ import annotations
@@ -291,8 +292,9 @@ def brute_walk_classes(G) -> list[tuple[int, list[int]]]:
 def full_hub_walk_classes(G, core) -> list[tuple[int, list[int]]]:
     """(period, vertices) of each walk class of G, as the hub pass found
     them on the one-color core before it listed each class's mirror from
-    the class itself: Tarjan over the whole hub graph, every node a root,
-    so it explores both halves of a mirror pair. The reference for the
+    the class itself and built its graph as it reached it: Tarjan over the
+    whole hub graph, built up front with every vertex's hubs, every node a
+    root, so it explores both halves of a mirror pair. The reference for the
     classes of _walk_classes, up to order; it keeps no clock.
     """
     n = G.n

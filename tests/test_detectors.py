@@ -1,7 +1,7 @@
 import gc
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -732,74 +732,125 @@ class TestWalkClassesOracle:
         assert self.classes(G) == brute_walk_classes(G)
 
     @staticmethod
-    def assert_hub_ticks(G) -> int:
+    def assert_hub_ticks(G) -> Counter:
         """Check the hub pass's ticks against the arcs out of the nodes it
-        reaches and the reads of its mirror steps, and its classes against
-        the oracle; return the number of groups with a single neighbor,
-        which get no exit node.
+        reaches and the reads of its mirror steps, the vertices whose hubs
+        it builds, and its classes against the oracle; return the number
+        of groups with a single neighbor, which get no exit node
+        ("singles"), of core vertices with one state reached ("fan-outs")
+        and of those with hubs ("chained").
 
-        The hub graph's nodes are laid out from the core's color groups:
-        the states, vertex by vertex, then per core vertex with k colors
-        its exits, one per group of two or more neighbors, and its k - 2
-        prefix and k - 2 suffix hubs. A state at the i-th color of k has an
-        arc to a prefix hub when i > 0 and to a suffix hub when i < k - 1,
-        an exit one arc per neighbor in its group, and a hub two. The pass
-        ticks once per arc out of each node it reaches and once per group
-        neighbor a mirror step reads. It reaches every node when every
-        class is its own mirror; a class whose mirror is another reads every
-        group of its states in full, and the mirror states it had not
-        reached are never reached."""
+        The states are laid out from the core's color groups, vertex by
+        vertex. The pass builds a vertex's exits, one per group of two or
+        more neighbors, when it reaches a first state of it, and its k - 2
+        prefix and k - 2 suffix hubs (_hub_chains) only when it reaches a
+        second, so it sizes its arrays for all of them; a vertex of two
+        colors has none, and gets both its states' arcs at once. The first
+        state reached at a vertex with k colors has an arc to each exit but
+        its own color's, k - 1; any other, at the i-th color, an arc to
+        prefix[i - 1] when i > 0 and to suffix[k - 2 - i] when i < k - 1;
+        an exit one arc per neighbor in its group, and a hub two. So
+        prefix[j] is reached from another state at a color above j, and
+        suffix[j] from one below k - 1 - j; with one state reached, every
+        exit but that state's own is. The pass ticks once per arc out of
+        each node it reaches and once per group neighbor a mirror step
+        reads. It reaches every state when every class is its own mirror; a
+        class whose mirror is another reads every group of its states in
+        full, and the mirror states it had not reached are never reached."""
         clock = _Clock(None)
         core = _one_color_core(G, clock, bytearray(b"\x01") * G.n)
         peel = clock.nodes
-        with mirror_steps() as steps:
+        with mirror_steps() as steps, hub_chains() as chained:
             classes = _walk_classes(G, clock, core)
         live = set(core)
-        keys, out_states, out_hubs, singles = [], [], [], 0
+        groups_at = []
         for v in core:
             groups: dict[int, list[int]] = {}
             for w, c in G.adj[v]:
                 if w in live:
                     groups.setdefault(c, []).append(w)
+            assert len(groups) >= 2  # the peel keeps no vertex with fewer colors
+            groups_at.append((v, list(groups.items())))
+        states = sum(len(groups) for _, groups in groups_at)
+        nodes = states + sum(
+            3 * len(groups) - 4 - sum(len(ws) == 1 for _, ws in groups) for _, groups in groups_at
+        )
+        index = steps[0].index if steps else []  # a core holds a class
+        assert len(index) == nodes
+        counts = Counter()
+        keys, reached, first, hubs = [], 0, 0, set()
+        for v, groups in groups_at:
             k = len(groups)
-            assert k >= 2  # the peel keeps no vertex with fewer colors
-            keys += [(v, c) for c in groups]
-            out_states += [(i > 0) + (i < k - 1) for i in range(k)]
-            out_hubs += [len(ws) for ws in groups.values() if len(ws) > 1] + [2] * (2 * k - 4)
-            singles += sum(len(ws) == 1 for ws in groups.values())
-        out = out_states + out_hubs
-        index = steps[0].index if steps else [1] * len(out)  # no class: no skip
-        assert len(index) == len(out)
-        reached = sum(d for d, i in zip(out, index) if i > 0)
+            keys += [(v, c) for c, _ in groups]
+            at = [i for i in range(k) if index[first + i] > 0]
+            counts["singles"] += sum(len(ws) == 1 for _, ws in groups)
+            if at:
+                fan = min(at, key=lambda i: index[first + i])  # reached first
+                rest = [i for i in at if i != fan]
+                reached += k - 1 + sum((i > 0) + (i < k - 1) for i in rest)
+                reached += sum(
+                    len(ws) for i, (_, ws) in enumerate(groups)
+                    if len(ws) > 1 and (rest or i != fan)
+                )
+                if rest:
+                    reached += 2 * max(0, max(rest) - 1) + 2 * max(0, k - 2 - min(rest))
+                    if k > 2:
+                        hubs.add(first)
+                counts["chained" if rest else "fan-outs"] += 1
+            first += k
         assert clock.nodes - peel == reached + sum(step.reads for step in steps)
+        assert sorted(chained) == sorted(hubs)
         unreached = {key for key, i in zip(keys, index) if i < 0}
         assert unreached == set().union(*(step.skipped for step in steps))
         if not any(step.twin for step in steps):
-            assert reached == sum(out)
+            assert all(i > 0 for i in index[:states])
         for step in steps:
             assert step.reads == step.full if step.twin else 1 <= step.reads <= step.full
         assert sorted(classes) == brute_walk_classes(G)
-        return singles
+        return counts
 
     def test_hub_pass_ticks_once_per_arc(self):
-        singles = 0
+        counts = Counter()
         for seed in range(60):
             rng = random.Random(seed)
             G = random_edge_colored_graph(
                 rng.randint(4, 12), rng.choice((0.3, 0.6, 1.0)), rng.randint(2, 5), seed
             )
-            singles += self.assert_hub_ticks(G)
-            singles += self.assert_hub_ticks(walk_class_instance(seed))
-            singles += self.assert_hub_ticks(mirror_instance(seed))
-        assert singles > 0
+            counts += self.assert_hub_ticks(G)
+            counts += self.assert_hub_ticks(walk_class_instance(seed))
+            counts += self.assert_hub_ticks(mirror_instance(seed))
+        assert counts["singles"] > 0 and counts["fan-outs"] > 100 and counts["chained"] > 100
         # Every out-arc of a circulant signature is a color (its head) with
         # a single neighbor; every in-arc at v has color v.
         n = 15
-        assert self.assert_hub_ticks(signature(circulant_tournament(n))) == n * (n - 1) // 2
+        circulant = signature(circulant_tournament(n))
+        assert self.assert_hub_ticks(circulant)["singles"] == n * (n - 1) // 2
         # Colors by parity on K_12: at every vertex each color leads to at
         # least five neighbors, so every exit is built.
         dense = EdgeColoredGraph(12, [(u, v, (u + v) % 2) for u, v in combinations(range(12), 2)])
-        assert self.assert_hub_ticks(dense) == 0
+        assert self.assert_hub_ticks(dense)["singles"] == 0
+
+    @pytest.mark.parametrize("r", [5, 6])
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_a_blow_up_fans_out_from_one_state_per_vertex(self, r, k):
+        # Numbered backwards, the C_r blow-up's vertex 0 lists first the
+        # color it is entered by forward, so the pass starts on the forward
+        # class, whose states, one per vertex, fan out only to forward
+        # states: m arcs, one per edge. It lists the backward class, the
+        # mirror, with one read per edge, and never reaches an exit or
+        # builds a hub: 2m ticks. Numbered as built, vertex 0's first state
+        # is a backward one, which also fans out to vertex 0's in-neighbors'
+        # exit (k arcs); the forward state the pass reaches there later
+        # builds vertex 0's hubs and walks its prefix chain (1 + 2(k - 1)
+        # arcs): 3k - 1 ticks more.
+        built = blowup_cycle_signature(r, k)
+        n = built.n
+        backwards = EdgeColoredGraph(n, [(n - 1 - u, n - 1 - v, c) for u, v, c in built.edges])
+        for G, extra, hubs in ((backwards, 0, []), (built, 3 * k - 1, [0])):
+            clock = _Clock(None)
+            with hub_chains() as chained:
+                assert walk_classes(G, clock) == [(r, list(range(n)))] * 2
+            assert clock.nodes == 2 * G.m + extra and chained == hubs
 
     def test_acyclic_signatures_peel_to_nothing(self):
         # The sink sees one color at every step; the pass ticks once per edge.
@@ -859,6 +910,22 @@ def mirror_steps():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detectors, "_mirror", spy)
         yield steps
+
+
+@contextmanager
+def hub_chains():
+    """Run with a spy on the hub pass's chain builder (_hub_chains); yields
+    the list of the first state ids of the vertices whose prefix and suffix
+    hubs it built, in the order it built them."""
+    built = []
+
+    def spy(exits, first, succ, real=detectors._hub_chains):
+        built.append(first)
+        real(exits, first, succ)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detectors, "_hub_chains", spy)
+        yield built
 
 
 def holds_a_closed_walk(G, states) -> bool:
@@ -928,16 +995,23 @@ class TestMirrorClasses:
 
     # Graphs on which the pass completes a class while a part of its
     # mirror that holds a closed walk is on its stack: that part is
-    # completed later as a component and not listed again. The natural
-    # C5 blow-up's first state is a backward one; the pass follows
-    # backward states round the five parts to (0, 4) before it enters the
-    # forward class. Among the relabelled signatures of mirror_instance,
-    # seeds 0..149, six do this; three are kept.
-    HELD = ("blow-up", 12, 14, 67)
+    # completed later as a component and not listed again. Numbered as
+    # built, no C_r blow-up with r = 3..7 and k = 2..4 does this: its first
+    # state, a backward one, fans out to forward states first, and is the
+    # only backward state on the stack when the forward class completes.
+    # The C6 blow-up with k = 3 in the seed-1 labelling of relabelled
+    # ("blow-up") does it. Among the relabelled signatures of
+    # mirror_instance, seeds 0..149, nine do this; three are kept. The
+    # budget sweep also runs on seed 12 and on a random graph.
+    HELD = ("blow-up", 1, 14, 67)
 
     @staticmethod
     def held_instance(name):
-        return blowup_cycle_signature(5, 4) if name == "blow-up" else mirror_instance(name)
+        if name == "blow-up":
+            return relabelled(blowup_cycle_signature(6, 3), random.Random(1))
+        if name == "random":
+            return random_edge_colored_graph(10, 0.6, 4, 0)
+        return mirror_instance(name)
 
     @pytest.mark.parametrize("name", HELD)
     def test_a_mirror_part_on_the_stack_is_not_listed_again(self, name):
@@ -946,22 +1020,31 @@ class TestMirrorClasses:
             self.assert_classes(G)
         assert any(step.twin and holds_a_closed_walk(G, step.held) for step in steps)
 
-    @pytest.mark.parametrize("name", HELD)
+    @pytest.mark.parametrize("name", HELD + (12, "random"))
     def test_node_budget_sweep_across_the_pass(self, name, walk_passes):
         # Every node budget up to the unbudgeted count ends budget-exceeded
-        # or with the unbudgeted answer, through the mirror steps' reads.
+        # or with the unbudgeted answer, through the mirror steps' reads
+        # and, on the random graph, between the hub builds of its vertices:
+        # some budgets stop the pass after it has built some vertices' hubs
+        # but not all.
         G = self.held_instance(name)
-        full = find_pc_cycle_upto(G, G.n)
+        with hub_chains() as chained:
+            full = find_pc_cycle_upto(G, G.n)
         ((start, end, _),) = walk_passes["hub"]
         assert start < end
+        stopped_with = set()
         for b in range(1, full.nodes + 2):
-            out = find_pc_cycle_upto(G, G.n, SearchBudget(max_nodes=b))
+            with hub_chains() as built:
+                out = find_pc_cycle_upto(G, G.n, SearchBudget(max_nodes=b))
             if out.status == BUDGET_EXCEEDED:
                 assert out.witness is None and b < full.nodes
+                stopped_with.add(len(built))
             else:
                 assert (out.status, out.witness, out.nodes, out.details) == (
                     full.status, full.witness, full.nodes, full.details
                 )
+        if name == "random":
+            assert any(0 < built < len(chained) for built in stopped_with)
 
 
 def core_instance(seed):
@@ -1268,10 +1351,19 @@ class TestWalkGate:
     #   circulant-9  [0, -102, -102, 0, -102, -102, 0, 0, -102]
     #   c6-blowup-2  [-27, 0, -27, -27, 0, -27, -27, -27, -27]
     #   c6-blowup-3  [-116] * 9
+    # and less again, wherever the hub pass runs, what the direct fan-out
+    # of each vertex's first state reached saves it. The pass now reaches
+    # one state per vertex, but two at vertex 0, and builds hubs there
+    # alone: m fan-out arcs plus 3d - 1 at vertex 0, of in-degree d (see
+    # TestWalkClassesOracle), so its arcs went 78 -> 47, 69 -> 29 and
+    # 136 -> 62, with the same reads, 31, 40 and 74 nodes fewer:
+    #   circulant-9  [0, -31, -31, 0, -31, -31, 0, 0, -31]
+    #   c6-blowup-2  [-40, 0, -40, -40, 0, -40, -40, -40, -40]
+    #   c6-blowup-3  [-74] * 9
     TWO_COLOR_NODES = {
-        "circulant-9": [13, 456, 366, 13, 456, 366, 13, 13, 123],
-        "c6-blowup-2": [165, 66, 165, 165, 66, 165, 165, 171, 99],
-        "c6-blowup-3": [352, 352, 352, 352, 352, 352, 352, 358, 196],
+        "circulant-9": [13, 425, 335, 13, 425, 335, 13, 13, 92],
+        "c6-blowup-2": [125, 66, 125, 125, 66, 125, 125, 131, 59],
+        "c6-blowup-3": [278, 278, 278, 278, 278, 278, 278, 284, 122],
     }
 
     @pytest.mark.parametrize("name", sorted(TWO_COLOR_NODES))
@@ -1966,12 +2058,13 @@ class TestOneDriverMatchesTheStages:
     def test_find_scans_length_4_over_the_admitted_vertices(self):
         # Length 3 runs the hub pass, so the K_{2,2} scan for length 4 starts
         # on the vertices admitted for 4, of which a C5 blow-up has none:
-        # it ticks nothing. The hub pass takes 1021 of the 1026 nodes: 701
-        # arcs out of the nodes it reaches and 320 mirror reads, one per
-        # arc of the blow-up.
+        # it ticks nothing. The hub pass takes 663 of the 668 nodes: 343
+        # arcs out of the nodes it reaches, m + 3k - 1 (see
+        # TestWalkClassesOracle), and 320 mirror reads, one per arc of the
+        # blow-up.
         G = blowup_cycle_signature(5, 8)
         out = find_pc_cycle_upto(G, 6)
-        assert out.status == FOUND and out.nodes == 1026
+        assert out.status == FOUND and out.nodes == 668
         assert find_pc_cycle_upto(G, 4).nodes == find_pc_cycle_upto(G, 3).nodes
 
 
