@@ -187,10 +187,10 @@ def _augment(ca: int, seen: set[int], options, owner, clock: _Clock) -> bool:
     return False
 
 
-# Nodes per edge that a search spends before it pays for a pass whose ticks
-# are a small multiple of m: a K_{s,t} scan before the hub pass of the
-# walk classes, the cycle DFS from one start before that start's
-# _return_table.
+# Nodes per live edge that the cycle DFS from one start spends before it
+# pays for that start's _return_table, which ticks at most twice per edge
+# end. (A K_{s,t} scan pays for the hub pass after one node per live edge;
+# see _WalkClasses.)
 _WALK_SWITCH = 3
 
 
@@ -198,8 +198,9 @@ def _subsets(s: int, walks: _WalkClasses):
     """(S, pool) for the s-subsets S of the core of walks in ascending
     order, pool being the set T must be drawn from (None: every vertex,
     when the core is all of the graph's vertices). From the subset at which
-    the clock reaches walks.switch on, they are the subsets of the vertices
-    admitted for length 4, with those as the pool (see _WalkClasses).
+    the clock reaches walks.switch on, one node per live edge past the
+    peel, they are the subsets of the vertices admitted for length 4, with
+    those as the pool (see _WalkClasses).
     """
     core = walks.core()
     clock, switch = walks.clock, walks.switch
@@ -231,13 +232,13 @@ def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
     larger t; rainbow K_{2,t} may backtrack on every accepted pair.
 
     S and T are drawn as _subsets hands them over: from the one-color core
-    of walks, and past its switch point from the vertices admitted for
-    length 4 (see _WalkClasses). Any two S-vertices and two T-vertices of a
-    properly colored (or rainbow) K_{s,t} span a properly colored C4, so
-    every vertex of it lies in the core and is admitted, and the witness is
-    the same. So the search costs at most the peel plus the scan of the
-    core plus one hub pass, and an acyclic signature costs the peel alone:
-    one tick per edge.
+    of walks, and past its switch point, one node per live edge after the
+    peel, from the vertices admitted for length 4 (see _WalkClasses). Any
+    two S-vertices and two T-vertices of a properly colored (or rainbow)
+    K_{s,t} span a properly colored C4, so every vertex of it lies in the
+    core and is admitted, and the witness is the same. So the search costs
+    at most the peel plus the scan of the core plus one hub pass, and an
+    acyclic signature costs the peel alone: one tick per edge.
 
     Each subset costs one tick, the matching one tick per candidate it reads
     and, for t >= 3, per edge its augmenting paths look at, the backtracking
@@ -355,16 +356,17 @@ def find_pc_kst(
     _color_matching), which for t = 2 is one scan of the candidates, in
     O(pairs x candidates) time; s >= 3 backtracks. The scan runs behind the
     walk-period filter of find_pc_cycle_upto: on the core of its one-color
-    peel, and past the filter's switch point on the vertices that lie on
-    closed properly colored walks of length 4 (see _WalkClasses). Every
-    vertex of a properly colored K_{s,t} is among both, so the witness is
-    the same either way, and an acyclic signature peels to nothing: one
-    tick per edge. On a signature the hub pass explores one of each pair
-    of mirror classes, the forward and the backward walks, and lists the
-    other from it; it reaches about one state per vertex and fans it out
-    directly, so it ticks about twice per edge. details["walk_periods"]
-    shows the periods when the hub pass ran, and [] when the peel left
-    nothing; the node counts include the filter's ticks.
+    peel, and past the filter's switch point, one node per live edge after
+    the peel, on the vertices that lie on closed properly colored walks of
+    length 4 (see _WalkClasses). Every vertex of a properly colored K_{s,t}
+    is among both, so the witness is the same either way, and an acyclic
+    signature peels to nothing: one tick per edge. On a signature the hub
+    pass explores one of each pair of mirror classes, the forward and the
+    backward walks, and lists the other from it; it reaches about one state
+    per vertex and fans it out directly, so it ticks about twice per edge,
+    and an exhaustive query on a blow-up costs about three nodes per edge.
+    details["walk_periods"] shows the periods when the hub pass ran, and []
+    when the peel left nothing; the node counts include the filter's ticks.
     """
     return _run_kst(G, s, t, budget, "pc-kst")
 
@@ -722,11 +724,15 @@ class _WalkClasses:
     pass runs, and [] as soon as the peel leaves an empty core, which holds
     no walk class, so the hub pass never runs then.
 
-    The switch rule: a scan pays for the hub pass only once it has spent
-    _WALK_SWITCH x m nodes past the peel. core() sets switch to the clock
-    after the peel plus that much, and admitted() sets it to 0, so a scan
-    after the hub pass draws from the admitted vertices from its first
-    subset on (see _subsets).
+    The switch rule, rent then buy: a scan pays for the hub pass only once
+    it has spent m nodes past the peel, one per live edge. On a signature
+    the pass ticks about 2m, so a scan that the pass decides costs about 3m
+    in all. On sparse random graphs it ticks 2-6 times the core's edges
+    and mostly admits every core vertex, so a scan there that outlives its
+    rent mostly pays for the pass in vain. core() sets switch to the clock
+    after the peel plus m, and admitted() sets it to 0, so a scan after
+    the hub pass draws from the admitted vertices from its first subset on
+    (see _subsets).
     """
 
     __slots__ = ("G", "clock", "details", "live", "m", "switch", "_core", "classes")
@@ -758,7 +764,7 @@ class _WalkClasses:
         vertex of a closed properly colored walk is among them."""
         if self._core is None:
             self._core = _one_color_core(self.G, self.clock, self.live)
-            self.switch = self.clock.nodes + _WALK_SWITCH * self.m
+            self.switch = self.clock.nodes + self.m
             if not self._core:
                 self.classes = []
                 self.details["walk_periods"] = []
@@ -1041,14 +1047,14 @@ def pc_short_cycle_pipeline(
     which skips every length that no closed properly colored walk has. So
     its witness is find_pc_cycle_upto's whenever G has no properly colored
     C4. The filter's peel runs once per call, at the start of the scan, and
-    its hub pass at most once: in the scan past its switch point (see
-    _WalkClasses), else at the start of the DFS, and never when the peel
-    left nothing. A peel that leaves nothing proves that G has no
-    properly colored cycle, so the search ends exhausted-none after the
-    scan's peel. details["walk_periods"] shows the periods whenever the hub
-    pass ran, and [] when the peel left nothing; the node counts include
-    the ticks of both. The scan and the DFS tick one clock, so a node or
-    time budget stops whichever of them is running.
+    its hub pass at most once: in the scan once it has spent one node per
+    live edge past the peel (see _WalkClasses), else at the start of the
+    DFS, and never when the peel left nothing. A peel that leaves nothing
+    proves that G has no properly colored cycle, so the search ends
+    exhausted-none after the scan's peel. details["walk_periods"] shows the
+    periods whenever the hub pass ran, and [] when the peel left nothing;
+    the node counts include the ticks of both. The scan and the DFS tick
+    one clock, so a node or time budget stops whichever of them is running.
     """
     _require_int("r", r, 4)
     details: dict = {"r": r}

@@ -1238,6 +1238,45 @@ def clear(walk_passes):
         calls.clear()
 
 
+@contextmanager
+def scan_rent(nodes_per_edge):
+    """Run with each peel setting the view's switch nodes_per_edge x m past
+    itself (0: the hub pass before the first subset; math.inf: never, so a
+    scan runs the hub pass only when a DFS length needs it)."""
+    real = _WalkClasses.core
+
+    def core(self):
+        peeled = self._core is None
+        out = real(self)
+        if peeled and self.classes is None:
+            rent = nodes_per_edge * self.m if nodes_per_edge != math.inf else math.inf
+            self.switch = self.clock.nodes + rent
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_WalkClasses, "core", core)
+        yield
+
+
+def rent_instance(seed):
+    """A relabelled C3-C7 blow-up, a relabelled circulant or transitive
+    signature, or a sparse random graph (n 15-60, p <= 0.15, 2-1000
+    colors)."""
+    rng = random.Random(seed)
+    kind = seed % 4
+    if kind == 0:
+        G = blowup_cycle_signature(rng.randint(3, 7), rng.randint(2, 4))
+    elif kind == 1:
+        G = signature(circulant_tournament(rng.randrange(5, 22, 2)))
+    elif kind == 2:
+        G = signature(transitive_tournament(rng.randint(8, 30)))
+    else:
+        return random_edge_colored_graph(
+            rng.randint(15, 60), rng.choice((0.05, 0.1, 0.15)), rng.choice((2, 3, 6, 40, 1000)), seed
+        )
+    return relabelled(G, rng)
+
+
 class TestWalkGate:
     """K_{s,t} scans start on the one-color core, run the hub pass once
     they have spent their switch point of nodes, and go on over the
@@ -1360,10 +1399,23 @@ class TestWalkGate:
     #   circulant-9  [0, -31, -31, 0, -31, -31, 0, 0, -31]
     #   c6-blowup-2  [-40, 0, -40, -40, 0, -40, -40, -40, -40]
     #   c6-blowup-3  [-74] * 9
+    # A scan now runs the hub pass once it has spent m nodes past the peel,
+    # not 3m. Nothing is peeled here, so a scan that reaches its switch
+    # costs rent + hub pass, and the pipeline 6 DFS nodes more. The cycle
+    # DFS runs the hub pass at its first length, before any scan, and pays
+    # no rent (hub + 6). circulant-9's pass admits every vertex, so its scans
+    # resume over the same vertices and keep their counts. Split, rent + hub:
+    #   c6-blowup-2 (m = 24): 24 + 53 for every scan, where it was 72 + 53.
+    #     The pc and rainbow K_{2,3} scans run out of pairs after 66 nodes,
+    #     within the old rent but past the new one, so they now pay the
+    #     pass: 11 more. Pipeline 24 + 53 + 6.
+    #   c6-blowup-3 (m = 54): 57 + 116 at s = 2 (the subset that reaches the
+    #     switch ends 3 past it) and 54 + 116 at s = 3, where each was
+    #     162 + 116. Pipeline 57 + 116 + 6.
     TWO_COLOR_NODES = {
         "circulant-9": [13, 425, 335, 13, 425, 335, 13, 13, 92],
-        "c6-blowup-2": [125, 66, 125, 125, 66, 125, 125, 131, 59],
-        "c6-blowup-3": [278, 278, 278, 278, 278, 278, 278, 284, 122],
+        "c6-blowup-2": [77, 77, 77, 77, 77, 77, 77, 83, 59],
+        "c6-blowup-3": [173, 173, 170, 173, 173, 170, 173, 179, 122],
     }
 
     @pytest.mark.parametrize("name", sorted(TWO_COLOR_NODES))
@@ -1474,6 +1526,42 @@ class TestWalkGate:
                 assert out.witness is None and b < full.nodes
             else:
                 assert (out.status, out.witness, out.nodes) == (full.status, full.witness, full.nodes)
+
+    RENT_SEARCHES = (
+        lambda G: find_pc_kst(G, 2, 2),
+        lambda G: find_pc_kst(G, 2, 3),
+        lambda G: find_pc_kst(G, 3, 3),
+        lambda G: find_rainbow_kst(G, 2, 2),
+        find_rainbow_c4,
+        lambda G: pc_short_cycle_pipeline(G, 6),
+        lambda G: disjoint_pc_cycles(G, 3),
+    )
+
+    def assert_rent_independent(self, G):
+        """Every scan-based search of G has the same status and witness
+        whatever the switch point; return how many of them moved their
+        node count with it."""
+        moved = 0
+        for search in self.RENT_SEARCHES:
+            outs = []
+            for rent in (0, 1, 3, math.inf):
+                with scan_rent(rent):
+                    outs.append(search(G))
+            assert len({(out.status, out.witness) for out in outs}) == 1
+            moved += len({out.nodes for out in outs}) > 1
+        return moved
+
+    def test_seeded_answers_do_not_depend_on_the_rent(self):
+        # The scan resumes at the same subset over the admitted vertices,
+        # and no vertex outside them lies on a pc K_{s,t}, so the switch
+        # point moves only node counts.
+        moved = sum(self.assert_rent_independent(rent_instance(seed)) for seed in range(24))
+        assert moved > 20
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_answers_do_not_depend_on_the_rent(self, seed):
+        self.assert_rent_independent(rent_instance(seed))
 
 
 class TestFindRainbowC4:
