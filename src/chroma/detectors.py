@@ -194,20 +194,22 @@ def _augment(ca: int, seen: set[int], options, owner, clock: _Clock) -> bool:
 _WALK_SWITCH = 3
 
 
-def _subsets(s: int, walks: _WalkClasses):
+def _subsets(s: int, walks: _WalkClasses, L: int):
     """(S, pool) for the s-subsets S of the core of walks in ascending
-    order, pool being the set T must be drawn from (None: every vertex,
-    when the core is all of the graph's vertices). From the subset at which
-    the clock reaches walks.switch on, one node per live edge past the
-    peel, they are the subsets of the vertices admitted for length 4, with
-    those as the pool (see _WalkClasses).
+    order, pool being the set the search may draw its other vertices from
+    (None: every vertex, when the core is all of the graph's vertices).
+    From the subset at which the clock reaches walks.switch on, one node
+    per live edge past the peel, they are the subsets of the vertices
+    admitted for length L, with those as the pool (see _WalkClasses). Every
+    search on the view draws its vertices here, so this and the view alone
+    decide when the hub pass runs.
     """
     core = walks.core()
     clock, switch = walks.clock, walks.switch
     pool = None if len(core) == walks.G.n else set(core)
     for S in combinations(core, s):
         if clock.nodes >= switch:
-            keep = walks.admitted(4)
+            keep = walks.admitted(L)
             pool = set(keep)
             for rest in dropwhile(S.__gt__, combinations(keep, s)):
                 yield rest, pool
@@ -262,7 +264,7 @@ def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
         return m
 
     by_matching = s == 2
-    for S, pool in _subsets(s, walks):
+    for S, pool in _subsets(s, walks, 4):
         clock.tick()
         common = nbr[S[0]] if pool is None else pool & nbr[S[0]]
         for u in S[1:]:
@@ -536,8 +538,7 @@ def _walk_classes(
     def reach(x: int) -> list[int]:
         """Build the out-list of state x as the search reaches it: direct
         arcs to the exits if it is the first of its vertex's, else the
-        vertex's hubs and the arcs to them of all its states left; with two
-        colors, the other state's one arc at once."""
+        vertex's hubs and the arcs to them of all its states left."""
         v = owner[x]
         exits = exits_at[v]
         if exits is None:
@@ -547,8 +548,6 @@ def _walk_classes(
             ]
             i = x - first[v]
             succ[x] = exits[:i] + exits[i + 1:]
-            if len(exits) == 2:  # no hubs: the other state's one arc is direct too
-                succ[first[v] + 1 - i] = [exits[i]]
         else:
             _hub_chains(exits, first[v], succ)
         return succ[x]
@@ -702,7 +701,8 @@ class _WalkClasses:
     drop(vertices) clears those vertices in it and takes their edges to
     live vertices off the live edge count m, in O(degree). The K_{s,t}
     scans and the cycle DFS take G and the clock from here, and draw their
-    vertices from core() and admitted(L). They read only the edges among
+    vertices from core() and admitted(L), the first ones through _subsets,
+    which with the view alone decides when the hub pass runs. They read only the edges among
     those, take the edge count from m and, for the DFS's return table, the
     live edges from live. So they run on the subgraph that the live
     vertices induce as on G with the dropped vertices' edges deleted, with
@@ -724,13 +724,15 @@ class _WalkClasses:
     pass runs, and [] as soon as the peel leaves an empty core, which holds
     no walk class, so the hub pass never runs then.
 
-    The switch rule, rent then buy: a scan pays for the hub pass only once
-    it has spent m nodes past the peel, one per live edge. On a signature
-    the pass ticks about 2m, so a scan that the pass decides costs about 3m
-    in all. On sparse random graphs it ticks 2-6 times the core's edges
-    and mostly admits every core vertex, so a scan there that outlives its
+    The switch rule, rent then buy: the searches on the view, each K_{s,t}
+    scan and each DFS length, pay for the hub pass only once they have
+    spent m nodes past the peel, one per live edge, together. On a
+    signature the pass ticks about 2m, so a search that the pass decides
+    costs about 3m in all, and one that finds a short cycle early pays no
+    pass. On sparse random graphs it ticks 2-6 times the core's edges and
+    mostly admits every core vertex, so a search there that outlives its
     rent mostly pays for the pass in vain. core() sets switch to the clock
-    after the peel plus m, and admitted() sets it to 0, so a scan after
+    after the peel plus m, and admitted() sets it to 0, so a search after
     the hub pass draws from the admitted vertices from its first subset on
     (see _subsets).
     """
@@ -784,10 +786,10 @@ class _WalkClasses:
         )
 
 
-def _return_table(adj, start: int, admitted, limit: int, clock: _Clock, live: bytearray):
+def _return_table(adj, start: int, allowed, limit: int, clock: _Clock, live: bytearray):
     """(first, near, via): the fewest edges, up to limit, of a properly
     colored walk from each vertex w back to start through the vertices of
-    admitted above start.
+    allowed above start.
 
     Entered by an edge of color c, w needs near[w] edges when c differs
     from first[w] and via[w] when it equals it; limit + 1 stands for more
@@ -802,7 +804,7 @@ def _return_table(adj, start: int, admitted, limit: int, clock: _Clock, live: by
     """
     n = len(adj)
     ok = bytearray(n)
-    for v in admitted:
+    for v in allowed:
         ok[v] = v > start
     far = limit + 1
     first = [-1] * n
@@ -836,19 +838,24 @@ def _pc_cycle_impl(lengths, walks: _WalkClasses):
     Length 4 is decided by the properly colored K_{2,2} scan of _kst_impl,
     whose sides are read as a C4 (see _c4): a properly colored C4 is a
     properly colored K_{2,2}. Every other length L is searched by a DFS
-    only on the vertices walks admits for L, and skipped when there are
-    none: every properly colored cycle of length L lies inside them, so no
+    from the starts that _subsets(1, walks, L) hands over, ascending, each
+    on the pool handed over with it: the core, until the view's searches
+    have spent their rent of one node per live edge past the peel, then,
+    from the same start on, the vertices admitted for L (see _WalkClasses).
+    Every properly colored cycle of length L lies inside both, so no
     witness changes. The one-color peel runs on the first length tried and
-    the hub pass at most once, in whichever length needs it first. When the
-    peel leaves an empty core, every length is skipped at once.
+    the hub pass at most once, in whichever length reaches the switch; a
+    length that no period divides then has no start left. When the peel
+    leaves an empty core, every length is skipped at once.
 
     For each DFS length the start vertex is the cycle minimum and paths
     extend through larger-id vertices with color-changing edges only; the
     closing edge must differ in color from both its cycle neighbors. So the
-    DFS returns the lexicographically least cycle of that length. The DFS
-    keeps its path on an explicit stack, so the cycle length is not bounded
-    by Python's recursion limit. A cycle of the subgraph is one of G, so
-    the caller checks the witness on G.
+    DFS returns the lexicographically least cycle of that length, on the
+    core as on the admitted vertices. The DFS keeps its path on an explicit
+    stack, so the cycle length is not bounded by Python's recursion limit. A
+    cycle of the subgraph is one of G, so the caller checks the witness on
+    G.
 
     Once the DFS from one start has spent _WALK_SWITCH x m nodes, it builds
     that start's _return_table and from then on skips every step after
@@ -872,12 +879,13 @@ def _pc_cycle_impl(lengths, walks: _WalkClasses):
                 return found
             continue
         colors = G.pair_colors  # built on the first DFS length, if any
-        admitted = walks.admitted(L)
-        # free[w]: w may join the path (admitted for L and not on the path)
-        free = bytearray(n)
-        for v in admitted:
-            free[v] = 1
-        for start in admitted:
+        last = free = None
+        for (start,), pool in _subsets(1, walks, L):
+            if free is None or pool is not last:  # free[w]: w in the pool, off the path
+                last, ok = pool, range(n) if pool is None else pool
+                free = bytearray(n)
+                for v in ok:
+                    free[v] = 1
             path = [start]
             cols = [-1]  # colors of the path's edges after a sentinel
             frames = [iter(adj[start])]
@@ -885,9 +893,7 @@ def _pc_cycle_impl(lengths, walks: _WalkClasses):
             mark = clock.nodes + switch
             while frames:
                 if first is None and clock.nodes >= mark:
-                    first, near, via = _return_table(
-                        adj, start, admitted, L - 1, clock, walks.live
-                    )
+                    first, near, via = _return_table(adj, start, ok, L - 1, clock, walks.live)
                 for w, c in frames[-1]:
                     if w <= start or not free[w] or c == cols[-1]:
                         continue
@@ -917,27 +923,30 @@ def find_pc_cycle_upto(
 ) -> SearchOutcome:
     """Find a shortest properly colored cycle of length at most r.
 
-    Tries the lengths 3..r in ascending order (see _pc_cycle_impl): length
-    4 by the properly colored K_{2,2} scan, whose witness is the C4
+    Tries the lengths 3..r in ascending order (see _pc_cycle_impl): length 4
+    by the properly colored K_{2,2} scan, whose witness is the C4
     (a, u, b, v) on the sides (a, b), (u, v) of find_pc_kst's witness, and
     every other length by the DFS, whose witness is the lexicographically
-    least cycle of that length. A linear-time pass over the color-transition
-    graph first finds the periods of closed properly colored walks
-    (details["walk_periods"]); the DFS then skips every length that no
-    period divides, so blow-ups of a directed C_r and acyclic signatures
-    are decided with almost no search, and the K_{2,2} scan, which runs
-    after that pass, reads only the vertices admitted for length 4 (see
-    _WalkClasses). The filter first peels off the vertices that see fewer
-    than two colors, which lie on no closed walk, and its hub pass builds
-    the graph on the rest as it explores it; an acyclic signature peels to
-    nothing and has no hub pass. The hub pass lists the mirror of each
-    class it completes, the class of its walks reversed, from the class
-    itself, so on a signature it explores only one of the forward and the
-    backward walks, about one state per vertex, each fanned out directly
-    to its exits with no hubs between: about two ticks per edge. Node counts
-    include one tick per edge the peel removes, one per arc out of each
-    node of the graph left that the hub pass reaches, and one per group
-    neighbor it reads to list a mirror (see _walk_classes).
+    least cycle of that length. The search first peels off the vertices that
+    see fewer than two colors, which lie on no closed walk, and searches the
+    rest, the core; an acyclic signature peels to nothing. Once it has spent
+    one node per edge past the peel (see _WalkClasses), a linear-time pass
+    over the color-transition graph of the core finds the periods of closed
+    properly colored walks (details["walk_periods"], present only when it
+    ran, and [] when the peel left nothing), and from then on the DFS and
+    the K_{2,2} scan read only the vertices admitted for their length, so
+    every length that no period divides is skipped. A short cycle found
+    within that rent costs no pass (circulant signature on 201 vertices,
+    r = 4: 201 nodes), and a blow-up of a directed C_r is decided with about
+    the rent and the pass. The hub pass builds the graph on the core as it
+    explores it, and lists the mirror of each class it completes, the class
+    of its walks reversed, from the class itself, so on a signature it
+    explores only one of the forward and the backward walks, about one state
+    per vertex, each fanned out directly to its exits with no hubs between:
+    about two ticks per edge. Node counts include one tick per edge the peel
+    removes, one per arc out of each node of the graph left that the hub
+    pass reaches, and one per group neighbor it reads to list a mirror (see
+    _walk_classes).
     """
     _require_int("r", r, 3)
     details: dict = {}
@@ -1043,18 +1052,18 @@ def pc_short_cycle_pipeline(
 
     Tries length 4, then 3 and 5..r (see _pc_cycle_impl): the properly
     colored K_{2,2} scan first, whose sides are a properly colored C4, then
-    the cycle DFS behind the walk-period filter of find_pc_cycle_upto,
-    which skips every length that no closed properly colored walk has. So
-    its witness is find_pc_cycle_upto's whenever G has no properly colored
-    C4. The filter's peel runs once per call, at the start of the scan, and
-    its hub pass at most once: in the scan once it has spent one node per
-    live edge past the peel (see _WalkClasses), else at the start of the
-    DFS, and never when the peel left nothing. A peel that leaves nothing
-    proves that G has no properly colored cycle, so the search ends
-    exhausted-none after the scan's peel. details["walk_periods"] shows the
-    periods whenever the hub pass ran, and [] when the peel left nothing;
-    the node counts include the ticks of both. The scan and the DFS tick
-    one clock, so a node or time budget stops whichever of them is running.
+    the cycle DFS behind the walk-period filter of find_pc_cycle_upto, which
+    skips every length that no closed properly colored walk has. So its
+    witness is find_pc_cycle_upto's whenever G has no properly colored C4.
+    The filter's peel runs once per call, at the start of the scan, and its
+    hub pass at most once: in the scan or the DFS, whichever runs when the
+    call has spent one node per live edge past the peel (see _WalkClasses),
+    and never when the peel left nothing. A peel that leaves nothing proves
+    that G has no properly colored cycle, so the search ends exhausted-none
+    after the scan's peel. details["walk_periods"] shows the periods
+    whenever the hub pass ran, and [] when the peel left nothing; the node
+    counts include the ticks of both. The scan and the DFS tick one clock,
+    so a node or time budget stops whichever of them is running.
     """
     _require_int("r", r, 4)
     details: dict = {"r": r}
@@ -1070,18 +1079,20 @@ def disjoint_pc_cycles(
 ) -> SearchOutcome:
     """Greedily collect up to k vertex-disjoint properly colored cycles.
 
-    Each round runs the search of pc_short_cycle_pipeline with no length
-    bound (lengths 4, 3, 5..n) on the residual graph, so it takes a
-    properly colored C4 if there is one and else a shortest properly
-    colored cycle, removes the vertices of that cycle, and repeats; a
-    round whose residual peels to nothing ends after the peel. All rounds
-    run on one search view of G, which drops each cycle's vertices (see
-    _WalkClasses), so no graph is built: every round has the witness and
-    node count it would have on the residual built as a graph of its own.
-    All rounds tick one clock. The one check of a found outcome, on its
-    disjoint-cycles witness, covers every round's cycle. With fewer than k
-    cycles the outcome is exhausted-none and the partial family rides in
-    the details; this is a greedy heuristic, not an exact packing decision.
+    The first round runs the search of pc_short_cycle_pipeline with no
+    length bound (lengths 4, 3, 5..n), so it takes a properly colored C4 if
+    there is one and else a shortest properly colored cycle; each round
+    removes the vertices of its cycle, and the next tries the lengths from
+    that cycle's on, since those before it held no cycle and removing
+    vertices makes none. A round whose residual peels to nothing ends after
+    the peel. All rounds run on one search view of G, which drops each
+    cycle's vertices (see _WalkClasses), so no graph is built: every round
+    has the witness and node count it would have on the residual built as a
+    graph of its own. All rounds tick one clock. The one check of a found
+    outcome, on its disjoint-cycles witness, covers every round's cycle.
+    With fewer than k cycles the outcome is exhausted-none and the partial
+    family rides in the details; this is a greedy heuristic, not an exact
+    packing decision.
     """
     _require_int("k", k, 1)
     cycles: list[list[int]] = []
@@ -1095,6 +1106,8 @@ def disjoint_pc_cycles(
                 return None
             cycles.append(list(found[0]))
             walks.drop(cycles[-1])
+            # the lengths tried before hold no cycle, and dropping makes none
+            lengths = lengths[lengths.index(len(cycles[-1])):]
         return cycles
 
     return _search(budget, body, {"requested": k, "cycles": cycles}, G, "disjoint-cycles")

@@ -7,6 +7,8 @@ exceptions are references that run the package's own code:
 rebuilt_disjoint_pc_cycles, on graphs rebuilt from G's edge list, and
 staged_pc_cycle, the two-stage cycle search that the pipeline and each
 disjoint round ran before they went through the one length-order driver;
+up_front_pc_cycle, the length-order driver as it ran when it bought the
+hub pass before its first DFS length;
 adjacency_greedy and adjacency_orient, the orientation construction
 as it ran on G.adj before it read the one-edge-per-color maps off G.edges;
 reference_rows, the body tokenizer of chroma.formats as it ran when it
@@ -38,7 +40,15 @@ from chroma.core import (
     _require_int,
     _require_vertex,
 )
-from chroma.detectors import _WalkClasses, _c4, _kst_impl, _pc_cycle_impl, _search
+from chroma.detectors import (
+    _WALK_SWITCH,
+    _WalkClasses,
+    _c4,
+    _kst_impl,
+    _pc_cycle_impl,
+    _return_table,
+    _search,
+)
 from chroma.extraction import SaturationState, default_x, sigma
 from chroma.formats import _Ints
 from chroma.transforms import blow_up
@@ -614,19 +624,24 @@ def without_vertices(G, dead) -> EdgeColoredGraph:
     )
 
 
-def staged_pc_cycle(walks, r):
-    """The groups (cycle,) of the properly colored cycle of length at most r
-    that the two stages of the pipeline found in the graph of walks, or
-    None: first the K_{2,2} scan, read as a C4, then, unless the peel left
-    nothing, the cycle DFS over the lengths 3 and 5..r. walks.details gets
-    the stage that found the cycle: 1 for the scan, 3 for the DFS. The
-    reference that the one driver over the lengths 4, 3, 5..r must match.
+def staged_pc_cycle(walks, lengths):
+    """The groups (cycle,) of the properly colored cycle that the two stages
+    of the pipeline found in the graph of walks over the lengths, or None:
+    first the K_{2,2} scan, read as a C4, when the lengths start with 4 and
+    G has four vertices, then, unless the peel left nothing, the cycle DFS
+    over the lengths left. walks.details gets the stage that found the
+    cycle: 1 for the scan, 3 for the DFS. The reference that the one driver
+    over the same lengths must match.
     """
-    found = _c4(_kst_impl(2, 2, False, walks))
-    if found is not None:
-        walks.details["stage"] = 1
-    elif walks.core():
-        found = _pc_cycle_impl((3, *range(5, r + 1)), walks)
+    found = None
+    if lengths[0] == 4:
+        lengths = lengths[1:]
+        if walks.G.n >= 4:
+            found = _c4(_kst_impl(2, 2, False, walks))
+            if found is not None:
+                walks.details["stage"] = 1
+    if found is None and walks.core():
+        found = _pc_cycle_impl(lengths, walks)
         if found is not None:
             walks.details["stage"] = 3
     return found
@@ -636,15 +651,15 @@ def staged_pipeline(G, r, budget=None):
     """pc_short_cycle_pipeline run through staged_pc_cycle."""
     details = {"r": r}
     return _search(
-        budget, lambda clock: staged_pc_cycle(_WalkClasses(G, clock, details), r),
+        budget,
+        lambda clock: staged_pc_cycle(_WalkClasses(G, clock, details), (4, 3, *range(5, r + 1))),
         details, G, "pc-cycle",
     )
 
 
-def one_driver_round(walks, r):
-    """A round of disjoint_pc_cycles: the one driver over the lengths
-    4, 3, 5..r."""
-    return _pc_cycle_impl((4, 3, *range(5, r + 1)), walks)
+def one_driver_round(walks, lengths):
+    """A round of disjoint_pc_cycles: the one driver over the lengths."""
+    return _pc_cycle_impl(lengths, walks)
 
 
 def rebuilt_disjoint_pc_cycles(G, k, budget=None, search=one_driver_round):
@@ -652,24 +667,94 @@ def rebuilt_disjoint_pc_cycles(G, k, budget=None, search=one_driver_round):
     graph rebuilt by without_vertices, which drops the vertices of the
     cycles found so far: the reference that the package's rounds on a live
     mask of G must match in status, witness, nodes and details. As there,
-    each round's search(walks, max(n, 4)) returns the groups of one cycle,
-    and _search builds and checks the cycles once, as the disjoint-cycles
-    witness on G. With search=staged_pc_cycle, the rounds are those of the
-    two-stage search."""
+    the first round's search(walks, lengths) tries the lengths 4, 3,
+    5..max(n, 4), each later round those from the length of the last cycle
+    found on, and returns the groups of one cycle; _search builds and
+    checks the cycles once, as the disjoint-cycles witness on G. With
+    search=staged_pc_cycle, the rounds are those of the two-stage search."""
     cycles: list[list[int]] = []
 
     def body(clock):
         residual = G
-        r = max(G.n, 4)
+        lengths = (4, 3, *range(5, max(G.n, 4) + 1))
         while len(cycles) < k:
-            found = search(_WalkClasses(residual, clock, {}), r)
+            found = search(_WalkClasses(residual, clock, {}), lengths)
             if found is None:
                 return None
             cycles.append(list(found[0]))
             residual = without_vertices(G, {v for cyc in cycles for v in cyc})
+            lengths = lengths[lengths.index(len(cycles[-1])):]
         return cycles
 
     return _search(budget, body, {"requested": k, "cycles": cycles}, G, "disjoint-cycles")
+
+
+def up_front_pc_cycle(lengths, walks):
+    """The groups (cycle,) of the first properly colored cycle found in the
+    view walks over the lengths, as _pc_cycle_impl found it when each DFS
+    length bought the hub pass before its first start and searched from
+    every vertex admitted for it, or None: the reference whose status and
+    witness _pc_cycle_impl must keep, whenever its rent runs out."""
+    G, clock = walks.G, walks.clock
+    n = G.n
+    adj = G.adj
+    switch = _WALK_SWITCH * walks.m
+    for L in lengths:
+        if L > n:
+            continue
+        if L == 4:
+            found = _c4(_kst_impl(2, 2, False, walks))
+            if found is not None:
+                return found
+            continue
+        colors = G.pair_colors
+        admitted = walks.admitted(L)
+        free = bytearray(n)
+        for v in admitted:
+            free[v] = 1
+        for start in admitted:
+            path = [start]
+            cols = [-1]
+            frames = [iter(adj[start])]
+            first = None
+            mark = clock.nodes + switch
+            while frames:
+                if first is None and clock.nodes >= mark:
+                    first, near, via = _return_table(
+                        adj, start, admitted, L - 1, clock, walks.live
+                    )
+                for w, c in frames[-1]:
+                    if w <= start or not free[w] or c == cols[-1]:
+                        continue
+                    if first is not None and (near[w] if c != first[w] else via[w]) > L - len(path):
+                        continue
+                    clock.tick()
+                    if len(path) < L - 1:
+                        path.append(w)
+                        cols.append(c)
+                        free[w] = 0
+                        frames.append(iter(adj[w]))
+                        break
+                    clock.tick()
+                    closing = colors.get((start, w))
+                    if closing is not None and closing != c and closing != cols[1]:
+                        return ((*path, w),)
+                else:
+                    frames.pop()
+                    if len(path) > 1:
+                        free[path.pop()] = 1
+                        cols.pop()
+    return None
+
+
+def up_front_find_pc_cycle_upto(G, r, budget=None):
+    """find_pc_cycle_upto run through up_front_pc_cycle."""
+    details = {}
+    return _search(
+        budget,
+        lambda clock: up_front_pc_cycle(range(3, r + 1), _WalkClasses(G, clock, details)),
+        details, G, "pc-cycle",
+    )
 
 
 def adjacency_firsts(G, side1):

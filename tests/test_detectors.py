@@ -72,6 +72,7 @@ from oracles import (
     rebuilt_disjoint_pc_cycles,
     staged_pc_cycle,
     staged_pipeline,
+    up_front_find_pc_cycle_upto,
     without_vertices,
 )
 
@@ -476,7 +477,10 @@ class TestWalkPeriods:
                 past_4 += expect is not None and len(expect) != 4
             # Soundness: every pc cycle lies inside a component whose period
             # divides its length, so its length is a multiple of a period.
-            periods = find_pc_cycle_upto(G, G.n).details["walk_periods"]
+            # With no rent the search runs the hub pass before its first
+            # start, whatever it finds.
+            with scan_rent(0):
+                periods = find_pc_cycle_upto(G, G.n).details["walk_periods"]
             periods_seen.update(periods)
             assert all(any(L % p == 0 for p in periods) for L in brute_pc_cycle_lengths(G))
             classes = walk_classes(G)
@@ -734,18 +738,18 @@ class TestWalkClassesOracle:
     @staticmethod
     def assert_hub_ticks(G) -> Counter:
         """Check the hub pass's ticks against the arcs out of the nodes it
-        reaches and the reads of its mirror steps, the vertices whose hubs
+        reaches and the reads of its mirror steps, the vertices whose chains
         it builds, and its classes against the oracle; return the number
         of groups with a single neighbor, which get no exit node
         ("singles"), of core vertices with one state reached ("fan-outs")
-        and of those with hubs ("chained").
+        and of those with chains ("chained").
 
         The states are laid out from the core's color groups, vertex by
         vertex. The pass builds a vertex's exits, one per group of two or
         more neighbors, when it reaches a first state of it, and its k - 2
         prefix and k - 2 suffix hubs (_hub_chains) only when it reaches a
-        second, so it sizes its arrays for all of them; a vertex of two
-        colors has none, and gets both its states' arcs at once. The first
+        second, so it sizes its arrays for all of them; at a vertex of two
+        colors the chains are its two exits, with no hub between. The first
         state reached at a vertex with k colors has an arc to each exit but
         its own color's, k - 1; any other, at the i-th color, an arc to
         prefix[i - 1] when i > 0 and to suffix[k - 2 - i] when i < k - 1;
@@ -794,8 +798,7 @@ class TestWalkClassesOracle:
                 )
                 if rest:
                     reached += 2 * max(0, max(rest) - 1) + 2 * max(0, k - 2 - min(rest))
-                    if k > 2:
-                        hubs.add(first)
+                    hubs.add(first)
                 counts["chained" if rest else "fan-outs"] += 1
             first += k
         assert clock.nodes - peel == reached + sum(step.reads for step in steps)
@@ -916,7 +919,8 @@ def mirror_steps():
 def hub_chains():
     """Run with a spy on the hub pass's chain builder (_hub_chains); yields
     the list of the first state ids of the vertices whose prefix and suffix
-    hubs it built, in the order it built them."""
+    chains it built, in the order it built them (a vertex of two colors
+    gets chains with no hub)."""
     built = []
 
     def spy(exits, first, succ, real=detectors._hub_chains):
@@ -1026,15 +1030,18 @@ class TestMirrorClasses:
         # or with the unbudgeted answer, through the mirror steps' reads
         # and, on the random graph, between the hub builds of its vertices:
         # some budgets stop the pass after it has built some vertices' hubs
-        # but not all.
+        # but not all. Each of these graphs holds a cycle that the DFS finds
+        # within its rent, before it would buy the pass, so the sweep runs
+        # with no rent: the pass comes first, as when the DFS bought it up
+        # front.
         G = self.held_instance(name)
-        with hub_chains() as chained:
+        with scan_rent(0), hub_chains() as chained:
             full = find_pc_cycle_upto(G, G.n)
         ((start, end, _),) = walk_passes["hub"]
         assert start < end
         stopped_with = set()
         for b in range(1, full.nodes + 2):
-            with hub_chains() as built:
+            with scan_rent(0), hub_chains() as built:
                 out = find_pc_cycle_upto(G, G.n, SearchBudget(max_nodes=b))
             if out.status == BUDGET_EXCEEDED:
                 assert out.witness is None and b < full.nodes
@@ -1214,23 +1221,31 @@ def gate_instance(seed):
     return relabelled(G, rng)
 
 
-@pytest.fixture
-def walk_passes(monkeypatch):
-    """(nodes before, nodes after, result) of each call that runs to its
-    end: of the one-color peel in walk_passes["peel"], whose result is the
-    core, and of the hub pass in walk_passes["hub"], whose result is the
-    walk classes."""
+@contextmanager
+def logged_passes():
+    """Run with spies on the walk-period filter; yields {"peel": [...],
+    "hub": [...]}, the (nodes before, nodes after, result) of each call
+    that runs to its end: of the one-color peel, whose result is the core,
+    and of the hub pass, whose result is the walk classes."""
     calls = {"peel": [], "hub": []}
-    for key, name in (("peel", "_one_color_core"), ("hub", "_walk_classes")):
+    with pytest.MonkeyPatch.context() as mp:
+        for key, name in (("peel", "_one_color_core"), ("hub", "_walk_classes")):
 
-        def spy(G, clock, *rest, real=getattr(detectors, name), log=calls[key]):
-            before = clock.nodes
-            result = real(G, clock, *rest)  # the core, or the peel's live mask
-            log.append((before, clock.nodes, result))
-            return result
+            def spy(G, clock, *rest, real=getattr(detectors, name), log=calls[key]):
+                before = clock.nodes
+                result = real(G, clock, *rest)  # the core, or the peel's live mask
+                log.append((before, clock.nodes, result))
+                return result
 
-        monkeypatch.setattr(detectors, name, spy)
-    return calls
+            mp.setattr(detectors, name, spy)
+        yield calls
+
+
+@pytest.fixture
+def walk_passes():
+    """The calls of logged_passes over the whole test."""
+    with logged_passes() as calls:
+        yield calls
 
 
 def clear(walk_passes):
@@ -1241,8 +1256,8 @@ def clear(walk_passes):
 @contextmanager
 def scan_rent(nodes_per_edge):
     """Run with each peel setting the view's switch nodes_per_edge x m past
-    itself (0: the hub pass before the first subset; math.inf: never, so a
-    scan runs the hub pass only when a DFS length needs it)."""
+    itself (0: the hub pass before the first subset; math.inf: never, so
+    no search on the view runs the hub pass)."""
     real = _WalkClasses.core
 
     def core(self):
@@ -1401,10 +1416,11 @@ class TestWalkGate:
     #   c6-blowup-3  [-74] * 9
     # A scan now runs the hub pass once it has spent m nodes past the peel,
     # not 3m. Nothing is peeled here, so a scan that reaches its switch
-    # costs rent + hub pass, and the pipeline 6 DFS nodes more. The cycle
-    # DFS runs the hub pass at its first length, before any scan, and pays
-    # no rent (hub + 6). circulant-9's pass admits every vertex, so its scans
-    # resume over the same vertices and keep their counts. Split, rent + hub:
+    # costs rent + hub pass, and the pipeline 6 DFS nodes more. (The cycle
+    # DFS then ran the hub pass at its first length, before any scan, and
+    # paid no rent: hub + 6.) circulant-9's pass admits every vertex, so its
+    # scans resume over the same vertices and keep their counts. Split,
+    # rent + hub:
     #   c6-blowup-2 (m = 24): 24 + 53 for every scan, where it was 72 + 53.
     #     The pc and rainbow K_{2,3} scans run out of pairs after 66 nodes,
     #     within the old rent but past the new one, so they now pay the
@@ -1412,10 +1428,20 @@ class TestWalkGate:
     #   c6-blowup-3 (m = 54): 57 + 116 at s = 2 (the subset that reaches the
     #     switch ends 3 past it) and 54 + 116 at s = 3, where each was
     #     162 + 116. Pipeline 57 + 116 + 6.
+    # The cycle DFS now pays the same rent before it buys the pass: it draws
+    # its starts from the scan's generator, on the core until m nodes past
+    # the peel. find_pc_cycle_upto at r = 6, rent + hub + DFS, where it was
+    # hub + DFS:
+    #   circulant-9: 0 + 0 + 9, where it was 83 + 9: the first start's DFS
+    #     finds a triangle within the rent.
+    #   c6-blowup-2: 24 + 53 + 6, where it was 53 + 6: length 3 spends the
+    #     rent on the core, and after the pass no vertex is admitted for 3,
+    #     4 or 5.
+    #   c6-blowup-3: 54 + 116 + 6, where it was 116 + 6, in the same way.
     TWO_COLOR_NODES = {
-        "circulant-9": [13, 425, 335, 13, 425, 335, 13, 13, 92],
-        "c6-blowup-2": [77, 77, 77, 77, 77, 77, 77, 83, 59],
-        "c6-blowup-3": [173, 173, 170, 173, 173, 170, 173, 179, 122],
+        "circulant-9": [13, 425, 335, 13, 425, 335, 13, 13, 9],
+        "c6-blowup-2": [77, 77, 77, 77, 77, 77, 77, 83, 83],
+        "c6-blowup-3": [173, 173, 170, 173, 173, 170, 173, 179, 176],
     }
 
     @pytest.mark.parametrize("name", sorted(TWO_COLOR_NODES))
@@ -1535,6 +1561,8 @@ class TestWalkGate:
         find_rainbow_c4,
         lambda G: pc_short_cycle_pipeline(G, 6),
         lambda G: disjoint_pc_cycles(G, 3),
+        lambda G: find_pc_cycle_upto(G, 6),
+        lambda G: find_pc_cycle_upto(G, G.n),
     )
 
     def assert_rent_independent(self, G):
@@ -1552,16 +1580,97 @@ class TestWalkGate:
         return moved
 
     def test_seeded_answers_do_not_depend_on_the_rent(self):
-        # The scan resumes at the same subset over the admitted vertices,
-        # and no vertex outside them lies on a pc K_{s,t}, so the switch
-        # point moves only node counts.
+        # The scan and the DFS resume at the same subset or start over the
+        # admitted vertices, and no vertex outside them lies on a pc K_{s,t}
+        # or a pc cycle of the length searched, so the switch point moves
+        # only node counts.
         moved = sum(self.assert_rent_independent(rent_instance(seed)) for seed in range(24))
         assert moved > 20
+
+    def test_a_rent_that_never_ends_runs_no_hub_pass(self, walk_passes):
+        # The view and its generator alone run the hub pass: with a rent
+        # that never ends, no search on the view runs it.
+        for seed in range(12):
+            G = rent_instance(seed)
+            with scan_rent(math.inf):
+                for search in self.RENT_SEARCHES:
+                    out = search(G)
+                    assert walk_passes["hub"] == []
+                    assert out.details.get("walk_periods", []) == []
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_answers_do_not_depend_on_the_rent(self, seed):
         self.assert_rent_independent(rent_instance(seed))
+
+
+class TestRentedCycleDfs:
+    """find_pc_cycle_upto draws its DFS starts from the scans' generator:
+    on the one-color core until the view has spent m nodes past the peel,
+    then, from the same start on, on the vertices admitted for the length.
+    Its status and witness must be those of the driver that bought the hub
+    pass before its first start (up_front_find_pc_cycle_upto), and the pass
+    never runs before the rent is spent."""
+
+    @staticmethod
+    def assert_same(G, r, budget=None):
+        with logged_passes() as calls:
+            out = find_pc_cycle_upto(G, r, budget)
+        ref = up_front_find_pc_cycle_upto(G, r)
+        if out.status == BUDGET_EXCEEDED:
+            assert out.witness is None
+        else:
+            assert (out.status, out.witness) == (ref.status, ref.witness)
+        # The periods are reported once the pass has run or the peel has
+        # left nothing, and the pass starts only once the rent is spent.
+        peels, hubs = calls["peel"], calls["hub"]
+        assert ("walk_periods" in out.details) == (bool(hubs) or [] in (c for *_, c in peels))
+        for (_, peeled, _), (start, _, _) in zip(peels, hubs):
+            assert start >= peeled + G.m
+        return out, ref, bool(hubs)
+
+    def test_seeded_instances(self):
+        bought = cheaper = dearer = 0
+        for seed in range(60):
+            for G in (cycle_search_instance(seed), rent_instance(seed)):
+                for r in sorted({3, 6, max(3, G.n)}):
+                    out, ref, hub = self.assert_same(G, r)
+                    bought += hub
+                    cheaper += out.nodes < ref.nodes
+                    dearer += out.nodes > ref.nodes
+        assert bought > 80 and cheaper > 80 and dearer > 50
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_hypothesis_instances(self, seed):
+        for G in (cycle_search_instance(seed), rent_instance(seed)):
+            self.assert_same(G, random.Random(seed).randint(3, max(3, G.n)))
+
+    @pytest.mark.parametrize(
+        "name, r",
+        [("c5-blowup-2", 6), ("circulant-21", 4), ("fringe", 5), ("random", 8), ("transitive", 9)],
+    )
+    def test_node_budget_sweep(self, name, r):
+        # Every node budget up to the unbudgeted count ends budget-exceeded
+        # or with the unbudgeted answer, the reference's: across the peel,
+        # the rent on the core, the hub pass and the DFS on the admitted
+        # vertices of the C5 blow-up and of the fringed one, within the rent
+        # on the circulant signature and the random graph, and inside the
+        # peel that empties the transitive signature.
+        G = {
+            "c5-blowup-2": lambda: blowup_cycle_signature(5, 2),
+            "circulant-21": lambda: signature(circulant_tournament(21)),
+            "fringe": lambda: fringed(blowup_cycle_signature(5, 2), random.Random(5), extra=4),
+            "random": lambda: random_edge_colored_graph(30, 0.15, 3, 2),
+            "transitive": lambda: signature(transitive_tournament(9)),
+        }[name]()
+        full, _, hub = self.assert_same(G, r)
+        assert hub == (name in ("c5-blowup-2", "fringe"))
+        for b in range(1, full.nodes + 2):
+            out, _, _ = self.assert_same(G, r, SearchBudget(max_nodes=b))
+            assert (out.status == BUDGET_EXCEEDED) == (b < full.nodes)
+            if b >= full.nodes:
+                assert (out.nodes, out.details) == (full.nodes, full.details)
 
 
 class TestFindRainbowC4:
@@ -1784,13 +1893,23 @@ def pc_c4_free_instance(seed):
 
 def assert_pipeline_is_the_dfs(G, r) -> bool:
     """Whether G has no pc C4; if so, check that the pipeline returns the
-    DFS's answer for at most the K_{2,2} scan's nodes more, and for n <= 10
-    a cycle of the length brute_shortest_pc_cycle gives."""
+    DFS's answer, for at most the K_{2,2} scan's nodes more when both buy
+    the hub pass before their first subset, and for n <= 10 a cycle of the
+    length brute_shortest_pc_cycle gives.
+
+    With the default rent the node bound does not hold: the pipeline's
+    scan spends rent that find_pc_cycle_upto's DFS has to itself, so the
+    pipeline may buy the pass where find_pc_cycle_upto finds its cycle
+    first."""
     k22 = find_pc_kst(G, 2, 2)
     if k22.status != EXHAUSTED:
         return False
     out = pc_short_cycle_pipeline(G, r)
     dfs = find_pc_cycle_upto(G, r)
+    assert (out.status, out.witness) == (dfs.status, dfs.witness)
+    with scan_rent(0):
+        k22 = find_pc_kst(G, 2, 2)
+        out, dfs = pc_short_cycle_pipeline(G, r), find_pc_cycle_upto(G, r)
     assert (out.status, out.witness) == (dfs.status, dfs.witness)
     assert out.nodes <= k22.nodes + dfs.nodes
     if G.n <= 10:
@@ -2099,13 +2218,9 @@ class TestOneDriverMatchesTheStages:
         )
         for out, ref in pairs:
             ref.details.pop("stage", None)
-            assert (out.status, out.witness, out.details) == (ref.status, ref.witness, ref.details)
-            if G.n >= 4:
-                assert out.nodes == ref.nodes
-            else:
-                # The driver skips length 4 above n; the stages ran the
-                # K_{2,2} scan anyway, one tick per pair of its core.
-                assert out.nodes <= ref.nodes
+            assert (out.status, out.witness, out.nodes, out.details) == (
+                ref.status, ref.witness, ref.nodes, ref.details
+            )
         return pairs[0][0]
 
     def test_seeded_instances(self):
@@ -2146,13 +2261,16 @@ class TestOneDriverMatchesTheStages:
     def test_find_scans_length_4_over_the_admitted_vertices(self):
         # Length 3 runs the hub pass, so the K_{2,2} scan for length 4 starts
         # on the vertices admitted for 4, of which a C5 blow-up has none:
-        # it ticks nothing. The hub pass takes 663 of the 668 nodes: 343
-        # arcs out of the nodes it reaches, m + 3k - 1 (see
-        # TestWalkClassesOracle), and 320 mirror reads, one per arc of the
-        # blow-up.
+        # it ticks nothing. Length 3 first spends its rent on the core, 384
+        # nodes: the start at which the clock reaches m = 320 ends 64 past
+        # it. The hub pass then takes 663 nodes: 343 arcs out of the nodes
+        # it reaches, m + 3k - 1 (see TestWalkClassesOracle), and 320
+        # mirror reads, one per arc of the blow-up. No vertex is admitted
+        # for 3 or 4, and length 5 takes 5: 1052 in all, where buying the
+        # pass up front took 663 + 5 = 668.
         G = blowup_cycle_signature(5, 8)
         out = find_pc_cycle_upto(G, 6)
-        assert out.status == FOUND and out.nodes == 668
+        assert out.status == FOUND and out.nodes == 1052
         assert find_pc_cycle_upto(G, 4).nodes == find_pc_cycle_upto(G, 3).nodes
 
 
