@@ -369,6 +369,10 @@ def find_pc_kst(
     and an exhaustive query on a blow-up costs about three nodes per edge.
     details["walk_periods"] shows the periods when the hub pass ran, and []
     when the peel left nothing; the node counts include the filter's ticks.
+    When the peel keeps every vertex, the pass keeps its layout of states
+    and exits with G: a repeated search skips that set-up, a one-shot one
+    costs what it did, and the layout holds O(n + m + sum of color degrees)
+    memory while G lives. It ticks no clock, so no answer depends on it.
     """
     return _run_kst(G, s, t, budget, "pc-kst")
 
@@ -450,6 +454,45 @@ def _one_color_core(G: EdgeColoredGraph, clock: _Clock, live: bytearray) -> list
     return [v for v in range(n) if kept[v]]
 
 
+def _hub_layout(G: EdgeColoredGraph, core: list[int]) -> tuple:
+    """(first, owner, exits, others), the hub pass's layout on core, an
+    ascending vertex list: the states (v, c), one per core vertex v and
+    color c of its edges within core, numbered from first[v] in G.adj
+    order; the vertex of each; per v and c, the state (w, c) of v's one
+    c-neighbor w, or the tuple of those of its c-neighbors; and the exit
+    and hub nodes, were every vertex's hubs built (see _walk_classes).
+    Tuples only, so no search writes to it.
+    """
+    n = G.n
+    adj = G.adj
+    live = bytearray(n)
+    for v in core:
+        live[v] = 1
+    by_color: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    state: list[dict[int, int]] = [{} for _ in range(n)]  # color -> state id
+    first = [0] * n
+    owner: list[int] = []
+    others = 0
+    for v in core:
+        groups = by_color[v]
+        for w, c in adj[v]:
+            if live[w]:
+                groups.setdefault(c, []).append(w)
+        k = len(groups)
+        x = first[v] = len(owner)
+        state[v] = dict(zip(groups, range(x, x + k)))
+        owner += [v] * k
+        # an exit per group of two or more neighbors, 2(k - 2) hubs
+        others += 3 * k - 4 - list(map(len, groups.values())).count(1)
+    exits: list[tuple] = [()] * n
+    for v in core:
+        exits[v] = tuple([
+            state[ws[0]][c] if len(ws) == 1 else tuple([state[w][c] for w in ws])
+            for c, ws in by_color[v].items()
+        ])
+    return tuple(first), tuple(owner), tuple(exits), others
+
+
 def _walk_classes(
     G: EdgeColoredGraph, clock: _Clock, core: list[int]
 ) -> list[tuple[int, list[int]]]:
@@ -502,38 +545,23 @@ def _walk_classes(
     the mirror's states, so it is found as before: the list is the full
     pass's, up to order.
 
+    The states and exit targets come from _hub_layout, which ticks no
+    clock: kept with G when the core is every vertex, else built per search.
     The clock ticks once per arc out of each node the search reaches, k - 1
     for the first state reached at a vertex of k colors, and for each
     component it lists, once per group neighbor that the component's mirror
     step reads, in one tick call.
     """
-    n = G.n
-    adj = G.adj
-    live = bytearray(n)
-    for v in core:
-        live[v] = 1
-    by_color: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    state: list[dict[int, int]] = [{} for _ in range(n)]  # color -> state id
-    first = [0] * n  # the state id of each core vertex's first color
-    owner: list[int] = []  # the vertex of each state node
-    hue: list[int] = []  # the color of each state node
-    others = 0  # exit and hub nodes, were every vertex's hubs built
-    for v in core:
-        groups = by_color[v]
-        for w, c in adj[v]:
-            if live[w]:
-                groups.setdefault(c, []).append(w)
-        k = len(groups)
-        x = first[v] = len(owner)
-        state[v] = dict(zip(groups, range(x, x + k)))
-        owner += [v] * k
-        hue += groups
-        # an exit per group of two or more neighbors, 2(k - 2) hubs
-        others += 3 * k - 4 - list(map(len, groups.values())).count(1)
+    layout = vars(G).get("_hub_layout") if len(core) == G.n else None
+    if layout is None:
+        layout = _hub_layout(G, core)
+        if len(core) == G.n:  # nothing dropped, nothing peeled
+            vars(G)["_hub_layout"] = layout
+    first, owner, exits_of, others = layout
     states = len(owner)  # node ids below states are states
     size = states + others
-    succ: list[Optional[list[int]]] = [None] * states  # built on reach
-    exits_at: list[Optional[list[int]]] = [None] * n
+    succ: list = [None] * states  # out-lists, built on reach
+    exits_at: list[Optional[list[int]]] = [None] * G.n
 
     def reach(x: int) -> list[int]:
         """Build the out-list of state x as the search reaches it: direct
@@ -542,17 +570,14 @@ def _walk_classes(
         v = owner[x]
         exits = exits_at[v]
         if exits is None:
-            exits = exits_at[v] = [
-                state[ws[0]][c] if len(ws) == 1 else node([state[w][c] for w in ws])
-                for c, ws in by_color[v].items()
-            ]
+            exits = exits_at[v] = [t if type(t) is int else node(t) for t in exits_of[v]]
             i = x - first[v]
             succ[x] = exits[:i] + exits[i + 1:]
         else:
             _hub_chains(exits, first[v], succ)
         return succ[x]
 
-    def node(targets: list[int]) -> int:
+    def node(targets) -> int:
         succ.append(targets)
         return len(succ) - 1
 
@@ -619,7 +644,7 @@ def _walk_classes(
                         period = 0
                         for x in members:
                             period = math.gcd(period, slack[x])
-                        reads, twin = _mirror(own, owner, hue, state, by_color, index, mirrored)
+                        reads, twin = _mirror(own, layout, index, mirrored)
                         clock.tick(reads)
                         verts = sorted({owner[x] for x in own})
                         classes.append((period, verts))
@@ -652,7 +677,7 @@ def _hub_chains(exits: list[int], first: int, succ: list) -> None:
             succ[x] = out
 
 
-def _mirror(own: list[int], owner, hue, state, by_color, index, mirrored) -> tuple[int, bool]:
+def _mirror(own: list[int], layout: tuple, index, mirrored) -> tuple[int, bool]:
     """(reads, twin) for the component of _walk_classes whose states are
     own: the number of group neighbors read, and whether its mirror is
     another component. When it is, each of the mirror's states y
@@ -665,9 +690,10 @@ def _mirror(own: list[int], owner, hue, state, by_color, index, mirrored) -> tup
     own of another color. The mirror is itself a component, the one whose
     closed walks are own's reversed, so once it meets own it is own, and
     the reads stop there: a component that is its own mirror costs about
-    one read. Only the core's color groups are read, never G.adj, so a
+    one read. Only the core's exit targets are read, never G.adj, so a
     search view with dropped vertices reads what a rebuilt graph would.
     """
+    first, owner, exits, _ = layout
     count: dict[int, int] = {}  # states of own at each vertex
     for x in own:
         v = owner[x]
@@ -676,12 +702,12 @@ def _mirror(own: list[int], owner, hue, state, by_color, index, mirrored) -> tup
     mirror = set()
     reads = 0
     for x in own:
-        c = hue[x]
-        for v in by_color[owner[x]][c]:
+        w = owner[x]
+        t = exits[w][x - first[w]]
+        for y in (t,) if type(t) is int else t:
             reads += 1
-            k = count.get(v)
+            k = count.get(owner[y])
             if k:
-                y = state[v][c]
                 if y not in inside:
                     mirror.add(y)
                 elif k > 1:
@@ -715,7 +741,8 @@ class _WalkClasses:
     search's clock; every later call, from a K_{2,2} scan or any DFS
     length, reuses their results until a drop forgets them.
     The hub pass builds its graph as its search reaches it, so the hubs
-    of a vertex whose one state reached fans out directly are never built.
+    of a vertex whose one state reached fans out directly are never built,
+    on a layout of states and exits kept with G when the core is all of G.
     The classes list a class and its mirror, when that is another class,
     as two equal (period, vertices) entries, as the full pass would (see
     _walk_classes); admitted() and the periods read their union, so no
@@ -946,7 +973,8 @@ def find_pc_cycle_upto(
     about two ticks per edge. Node counts include one tick per edge the peel
     removes, one per arc out of each node of the graph left that the hub
     pass reaches, and one per group neighbor it reads to list a mirror (see
-    _walk_classes).
+    _walk_classes). As in find_pc_kst, the pass's layout is kept with G
+    when the peel keeps every vertex.
     """
     _require_int("r", r, 3)
     details: dict = {}

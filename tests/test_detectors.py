@@ -764,7 +764,7 @@ class TestWalkClassesOracle:
         clock = _Clock(None)
         core = _one_color_core(G, clock, bytearray(b"\x01") * G.n)
         peel = clock.nodes
-        with mirror_steps() as steps, hub_chains() as chained:
+        with mirror_steps(G) as steps, hub_chains() as chained:
             classes = _walk_classes(G, clock, core)
         live = set(core)
         groups_at = []
@@ -885,10 +885,10 @@ MirrorStep = namedtuple("MirrorStep", "twin reads full skipped held index")
 
 
 @contextmanager
-def mirror_steps():
-    """Run with a spy on the hub pass's mirror step; yields the list of
-    MirrorSteps, one for each class the pass lists: whether its mirror is
-    another class (twin), the group neighbors the step read (reads) and
+def mirror_steps(G):
+    """Run with a spy on the hub pass's mirror step on G; yields the list
+    of MirrorSteps, one for each class the pass lists: whether its mirror
+    is another class (twin), the group neighbors the step read (reads) and
     those in the groups of all the class's states (full), the mirror's
     states that the pass had not reached then, which it skips (skipped),
     and those on its stack (held), as (vertex, color) pairs, and the
@@ -896,16 +896,25 @@ def mirror_steps():
     once it has ended."""
     steps = []
 
-    def spy(own, owner, hue, state, by_color, index, mirrored, real=detectors._mirror):
+    def spy(own, layout, index, mirrored, real=detectors._mirror):
+        first, owner, exits, _ = layout
+
+        def group(y):  # the targets of the exit of y's color at its vertex
+            t = exits[owner[y]][y - first[owner[y]]]
+            return (t,) if type(t) is int else t
+
+        def key(y):  # (v, c): y's color is that of its edge to a target
+            return owner[y], G.color_of(owner[y], owner[group(y)[0]])
+
         before = bytes(mirrored)
-        reads, twin = real(own, owner, hue, state, by_color, index, mirrored)
+        reads, twin = real(own, layout, index, mirrored)
         new = [y for y, m in enumerate(mirrored) if m and not before[y]]
         steps.append(MirrorStep(
             twin,
             reads,
-            sum(len(by_color[owner[x]][hue[x]]) for x in own),
-            {(owner[y], hue[y]) for y in new if index[y] < 0},
-            {(owner[y], hue[y]) for y in new if index[y] > 0},
+            sum(len(group(x)) for x in own),
+            {key(y) for y in new if index[y] < 0},
+            {key(y) for y in new if index[y] > 0},
             index,
         ))
         return reads, twin
@@ -977,7 +986,7 @@ class TestMirrorClasses:
         twins = skips = parts = 0
         for seed in range(150):
             G = mirror_instance(seed)
-            with mirror_steps() as steps:
+            with mirror_steps(G) as steps:
                 self.assert_classes(G)
             twins += sum(step.twin for step in steps)
             skips += sum(bool(step.skipped) for step in steps)
@@ -991,7 +1000,7 @@ class TestMirrorClasses:
         # reaches a backward state, one per arc, each entered by the one
         # edge of its color at its vertex; it never reaches them.
         G = relabelled(blowup_cycle_signature(5, 4), random.Random(1))
-        with mirror_steps() as steps:
+        with mirror_steps(G) as steps:
             assert self.assert_classes(G) == [(5, list(range(20)))] * 2
         (step,) = steps
         assert step.twin and step.held == set() and len(step.skipped) == G.m
@@ -1020,7 +1029,7 @@ class TestMirrorClasses:
     @pytest.mark.parametrize("name", HELD)
     def test_a_mirror_part_on_the_stack_is_not_listed_again(self, name):
         G = self.held_instance(name)
-        with mirror_steps() as steps:
+        with mirror_steps(G) as steps:
             self.assert_classes(G)
         assert any(step.twin and holds_a_closed_walk(G, step.held) for step in steps)
 
@@ -2199,6 +2208,78 @@ class TestSearchViewDrop:
             dropped |= step
             fresh = _WalkClasses(without_vertices(G, dropped), _Clock(None), {})
             assert self.run(view) == self.run(fresh)
+
+
+def layouts(G):
+    """The hub-pass layouts that G holds: whatever it holds beyond its
+    fields and cached properties."""
+    fields = {"n", "edges", "bipartition", "adj", "neighbor_sets", "pair_colors"}
+    return [x for key, x in vars(G).items() if key not in fields]
+
+
+def only_tuples_and_ints(x) -> bool:
+    return type(x) is int or (isinstance(x, tuple) and all(map(only_tuples_and_ints, x)))
+
+
+class TestHubLayoutKeptWithTheGraph:
+    """The hub pass keeps its layout with a graph whose one-color core is
+    every vertex and reuses it on every later search of that graph; on any
+    other core it builds one per search and keeps none. The layout ticks no
+    clock, so no answer and no node count depends on it being kept."""
+
+    @staticmethod
+    def answer(out):
+        return out.status, out.nodes, out.witness, out.details
+
+    @pytest.mark.parametrize("search", [
+        lambda G, budget=None: find_pc_kst(G, 2, 2, budget),
+        lambda G, budget=None: pc_short_cycle_pipeline(G, 6, budget),
+        lambda G, budget=None: disjoint_pc_cycles(G, 3, budget),
+    ], ids=["pc-kst", "pipeline", "disjoint"])
+    def test_node_budget_sweep_on_one_graph(self, search):
+        # Every budget up to the unbudgeted count, on one graph object: the
+        # budgets below the switch point stop before the pass, and those
+        # after it stop inside the pass or after it. Each leaves the layout
+        # absent or complete, and ends as on a fresh graph.
+        def fresh():
+            return relabelled(blowup_cycle_signature(5, 4), random.Random(3))
+
+        G = fresh()
+        full = search(fresh())
+        assert full.status != BUDGET_EXCEEDED
+        complete = detectors._hub_layout(G, list(range(G.n)))
+        held = set()
+        for b in range(1, full.nodes + 1):
+            budget = SearchBudget(max_nodes=b)
+            assert self.answer(search(G, budget)) == self.answer(search(fresh(), budget))
+            kept = layouts(G)
+            assert kept in ([], [complete])
+            held.add(bool(kept))
+        assert held == {False, True}
+        assert self.answer(search(G)) == self.answer(full)
+        assert layouts(G) == [complete]
+
+    def test_a_graph_holds_one_layout_of_its_whole_core(self):
+        # The first round's pass runs on every vertex (period 1), the
+        # residual round's on the 18 left (period 9), which keeps none.
+        G = masked_table_instance()
+        with logged_passes() as passes:
+            out = disjoint_pc_cycles(G, 2)
+        assert out.status == FOUND
+        assert [sorted({p for p, _ in classes}) for _, _, classes in passes["hub"]] == [[1], [9]]
+        (layout,) = layouts(G)
+        assert layout == detectors._hub_layout(G, list(range(G.n)))
+        assert only_tuples_and_ints(layout)
+
+    def test_a_peeled_graph_holds_none(self):
+        # A pendant vertex beside a C5 blow-up is peeled, so the pass runs
+        # on a smaller core and keeps no layout.
+        B = blowup_cycle_signature(5, 4)
+        G = EdgeColoredGraph(B.n + 1, [*B.edges, (0, B.n, 99)])
+        with logged_passes() as passes:
+            out = find_pc_kst(G, 2, 2)
+        assert out.status == EXHAUSTED and out.details["walk_periods"] == [5]
+        assert len(passes["hub"]) == 1 and layouts(G) == []
 
 
 class TestOneDriverMatchesTheStages:

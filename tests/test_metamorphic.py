@@ -13,6 +13,10 @@ K_{s,t} (s, t >= 2), whose vertices all have degree two or more. And a
 blow-up keeps the shortest cycle: the signature of blow_up(D, k) has a
 shortest properly colored cycle of the length of D's shortest directed
 cycle.
+
+Nor may an answer depend on the graph object's history: the hub pass keeps
+its layout with a graph whose core is every vertex, so a search of a graph
+searched before must end as on a fresh copy, node for node.
 """
 import random
 
@@ -22,6 +26,8 @@ from hypothesis import strategies as st
 
 from chroma.check import verify_witness
 from chroma.constructions import (
+    blowup_cycle_signature,
+    circulant_tournament,
     random_edge_colored_graph,
     random_oriented_graph,
     transitive_tournament,
@@ -138,3 +144,27 @@ def test_relabelling_keeps_the_disjoint_status():
             assert a.status == b.status, (name, seed)
             if b.witness is not None:
                 assert verify_witness(G, mapped_back(G, b.witness, perm)), name
+
+
+def layout_instance(seed):
+    """A relabelled C_r blow-up (r = 3..7, k = 2..4), a circulant signature
+    (n = 5..25) or the graph of instance(seed), by seed."""
+    rng = random.Random(seed)
+    if seed % 3 == 0:
+        return relabelled(blowup_cycle_signature(rng.randint(3, 7), rng.randint(2, 4)), rng)[0]
+    if seed % 3 == 1:
+        return signature(circulant_tournament(rng.randint(5, 25)))
+    return instance(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_searching_a_graph_again_keeps_every_answer(seed):
+    # G is searched by every detector in turn, so once one of them has run
+    # the hub pass on all of G, every later search finds the layout kept.
+    G = layout_instance(seed)
+    for name, detect in {**DETECTORS, **DISJOINT}.items():
+        copy = EdgeColoredGraph(G.n, G.edges)
+        runs = (detect(layout_instance(seed)), detect(G), detect(G), detect(copy))
+        fresh, *others = [(out.status, out.nodes, out.witness, out.details) for out in runs]
+        assert others == [fresh] * 3, name
