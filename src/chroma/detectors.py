@@ -552,11 +552,12 @@ def _walk_classes(
     component it lists, once per group neighbor that the component's mirror
     step reads, in one tick call.
     """
-    layout = vars(G).get("_hub_layout") if len(core) == G.n else None
-    if layout is None:
+    if len(core) < G.n:
         layout = _hub_layout(G, core)
-        if len(core) == G.n:  # nothing dropped, nothing peeled
-            vars(G)["_hub_layout"] = layout
+    else:  # nothing dropped, nothing peeled: keep the layout with G
+        layout = vars(G).get("_hub_layout")
+        if layout is None:
+            layout = vars(G)["_hub_layout"] = _hub_layout(G, core)
     first, owner, exits_of, others = layout
     states = len(owner)  # node ids below states are states
     size = states + others

@@ -2211,10 +2211,8 @@ class TestSearchViewDrop:
 
 
 def layouts(G):
-    """The hub-pass layouts that G holds: whatever it holds beyond its
-    fields and cached properties."""
-    fields = {"n", "edges", "bipartition", "adj", "neighbor_sets", "pair_colors"}
-    return [x for key, x in vars(G).items() if key not in fields]
+    """The hub-pass layout that G holds, as a list of none or one."""
+    return [vars(G)["_hub_layout"]] if "_hub_layout" in vars(G) else []
 
 
 def only_tuples_and_ints(x) -> bool:
