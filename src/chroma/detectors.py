@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, dropwhile
 from typing import Optional, Union
@@ -143,25 +144,20 @@ def _witness(host, kind: str, *groups) -> Witness:
 
 def _color_matching(pairs, t: int, clock: _Clock) -> bool:
     """Whether the color pairs (c(a,w), c(b,w)) of the candidates w of a
-    pair {a, b} hold t pairs with distinct first and distinct second colors.
+    pair {a, b} hold t pairs with distinct first and distinct second colors,
+    for t >= 3.
 
     This is a matching of size t in the bipartite graph joining a-colors to
     b-colors, one edge per candidate, so it decides whether a properly
-    colored K_{2,t} sits on {a, b}. Reading the candidates costs one tick
-    each. For t = 2 that is all; for larger t Kuhn's augmenting paths cost
-    one tick per edge they look at, and stop as soon as the matching
-    reaches size t.
+    colored K_{2,t} sits on {a, b}. The caller has ticked one node per
+    candidate as it read them; Kuhn's augmenting paths cost one tick per
+    edge they look at, and stop as soon as the matching reaches size t.
     """
-    clock.tick(len(pairs))
     options: dict[int, list[int]] = {}
     for ca, cb in pairs:
         options.setdefault(ca, []).append(cb)
-    # t colors on each side are needed. For t = 2 they also suffice (Koenig):
-    # a size-2 matching is missing only when one color covers every edge.
     if len(options) < t or len({cb for _, cb in pairs}) < t:
         return False
-    if t == 2:
-        return True
     owner: dict[int, int] = {}  # b-color -> the a-color matched to it
     size = 0
     for ca in options:
@@ -219,19 +215,22 @@ def _subsets(s: int, walks: _WalkClasses, L: int):
 
 def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
     """K_{s,t} search in the graph of walks, on its clock: s-subsets S
-    ascending, T grown by backtracking.
+    ascending, T drawn from the common neighbors whose star to S is rainbow
+    (the candidates). It returns (S, T) for the first S that has any T,
+    with the lexicographically least T.
 
-    T is grown from the common neighbors whose star to S is rainbow, in
-    ascending order, keeping a used-color set per S-vertex (properly colored
-    mode) or one set shared by all of S (rainbow mode). It returns (S, T)
-    for the first S that has any T, with the lexicographically least T.
-
-    For s = 2 the backtracking runs only on the pairs that _color_matching
-    accepts: a rainbow K_{2,t} is also a properly colored one, so a rejected
-    pair holds neither, and the witness is the same. Properly colored
-    K_{2,t} backtracks on the first accepted pair alone, so it costs
-    O(pairs x candidates) for t = 2 and O(pairs x t x candidates) for
-    larger t; rainbow K_{2,t} may backtrack on every accepted pair.
+    For s = 2 a pair {a, b} holds a properly colored K_{2,t} exactly when
+    the candidates' color pairs (c(a,w), c(b,w)) hold a matching of size t,
+    and a rainbow K_{2,t} is properly colored, so a pair without it holds
+    neither. The loop that reads the candidates notes whether each side
+    shows a second color, which decides the matching for t = 2 and is its
+    first test for larger t, before _color_matching's augmenting paths. For
+    t = 2, _least_pair then finds the least T in linear time, so the search
+    costs O(pairs x candidates), and a properly colored pair that passes
+    always holds one. Otherwise T is grown by
+    backtracking (_extend), in ascending order, keeping a used-color set per
+    S-vertex (properly colored mode) or one set shared by all of S (rainbow
+    mode).
 
     S and T are drawn as _subsets hands them over: from the one-color core
     of walks, and past its switch point, one node per live edge after the
@@ -242,13 +241,16 @@ def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
     at most the peel plus the scan of the core plus one hub pass, and an
     acyclic signature costs the peel alone: one tick per edge.
 
-    Each subset costs one tick, the matching one tick per candidate it reads
-    and, for t >= 3, per edge its augmenting paths look at, the backtracking
-    one tick per candidate it tries, the peel one per edge it removes, and
-    the hub pass one per arc out of each node it reaches (k - 1 for the
-    first state it reaches at a vertex of k colors) and one per group
-    neighbor it reads to list a class's mirror (see _walk_classes): on a
-    C_r blow-up about two per edge. A candidate's colors are read from
+    Each subset costs one tick; for s = 2 reading its candidates costs one
+    tick per candidate (when there are at least t), _least_pair one per
+    candidate it steps past up to the first of T and one per candidate it
+    tries as the second, and the matching for t >= 3 one per edge its
+    augmenting paths look at; the backtracking costs one tick per candidate
+    it tries, the peel one per edge it removes, and the hub pass one per
+    arc out of each node it reaches (k - 1 for the first state it reaches
+    at a vertex of k colors) and one per group neighbor it reads to list a
+    class's mirror (see _walk_classes): on a C_r blow-up about two per
+    edge. A candidate's colors are read from
     neighbor -> color maps of the S-vertices, each built from G.adj the
     first time one of its subsets gets that far, once per search.
     """
@@ -274,25 +276,48 @@ def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
         if len(common) < t:
             continue
         candidates = []
-        star = {}
         if by_matching:
+            # The first candidate's colors, and whether a second color has
+            # shown up on each side. A matching of size 2 needs two colors
+            # on each side, and they suffice (Koenig, 1931): it is missing
+            # only when one color covers every candidate.
             at_a, at_b = color_map(S[0]), color_map(S[1])
+            a0 = b0 = None
+            two_a = two_b = False
             for w in sorted(common):
                 ca, cb = at_a[w], at_b[w]
                 if ca != cb:
                     candidates.append(w)
-                    star[w] = (ca, cb)
+                    if a0 is None:
+                        a0, b0 = ca, cb
+                    else:
+                        if ca != a0:
+                            two_a = True
+                        if cb != b0:
+                            two_b = True
+            if len(candidates) < t:
+                continue
+            clock.tick(len(candidates))
+            if not (two_a and two_b):
+                continue
+            star = [(at_a[w], at_b[w]) for w in candidates]
+            if t == 2:
+                pair = _least_pair(candidates, star, rainbow, clock)
+                if pair is not None:
+                    return S, pair
+                continue
+            if not _color_matching(star, t, clock):
+                continue
         else:
             at = [color_map(u) for u in S]
+            star = []
             for w in sorted(common):
                 cols = tuple(m[w] for m in at)
                 if len(set(cols)) == s:
                     candidates.append(w)
-                    star[w] = cols
-        if len(candidates) < t:
-            continue
-        if by_matching and not _color_matching(star.values(), t, clock):
-            continue
+                    star.append(cols)
+            if len(candidates) < t:
+                continue
 
         chosen: list[int] = []
         # One set per S-vertex, or in rainbow mode one set standing for all.
@@ -302,9 +327,64 @@ def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
     return None
 
 
+def _least_pair(candidates, star, rainbow: bool, clock: _Clock):
+    """The lexicographically least pair (w1, w2) of candidates whose color
+    pairs star[i] = (c(a,w), c(b,w)), none with two equal colors, span a
+    properly colored (or, with rainbow, rainbow) C4 a w1 b w2; or None. For
+    _kst_impl at s = t = 2, in time linear in the candidates.
+
+    A, B and P count the a-colors, b-colors and color pairs of the
+    candidates after w1 = (x, y). In properly colored mode a later candidate
+    clashes with w1 when it repeats x on a or y on b, so size - (A[x] + B[y]
+    - P[x, y]) of the size later candidates fit it; in rainbow mode when
+    either of its colors is x or y, so size - (A[x] + A[y] + B[x] + B[y]
+    - P[x, y] - P[y, x]) fit. Both counts are exact, since no candidate has
+    two equal colors. w1 is the first candidate with a fit and w2 the first
+    that fits after it. Most pairs take their first candidate as w1, so its
+    partner is sought directly first, and the counts are built in one pass
+    only when it has none. One tick per candidate stepped past up to w1 and
+    one per candidate tried as w2: never more than backtracking tries.
+    """
+    last = len(star) - 1
+    i, j = 0, _partner(star, 0, rainbow)
+    if j is None:
+        rest = star[1:]
+        xs, ys = zip(*rest)
+        A, B, P = Counter(xs), Counter(ys), Counter(rest)
+        for i in range(1, last):
+            x, y = star[i]
+            A[x] -= 1
+            B[y] -= 1
+            P[x, y] -= 1
+            if rainbow:
+                clash = (A[x] + A.get(y, 0) + B.get(x, 0) + B[y]
+                         - P[x, y] - P.get((y, x), 0))
+            else:
+                clash = A[x] + B[y] - P[x, y]
+            if last - i > clash:
+                j = _partner(star, i, rainbow)
+                break
+        else:
+            clock.tick(last)
+            return None
+    clock.tick(j + 1)
+    return candidates[i], candidates[j]
+
+
+def _partner(star, i: int, rainbow: bool) -> Optional[int]:
+    """The index of the first color pair after star[i] that fits it, for
+    _least_pair, or None."""
+    x, y = star[i]
+    for j in range(i + 1, len(star)):
+        u, v = star[j]
+        if (u != x and u != y and v != x and v != y) if rainbow else (u != x and v != y):
+            return j
+    return None
+
+
 def _extend(start: int, chosen: list[int], t: int, candidates, star, used_at, clock) -> bool:
     """Grow chosen to t candidates from candidates[start:], ascending, whose
-    colors star[w] avoid the used sets used_at, for _kst_impl; one tick per
+    colors star[idx] avoid the used sets used_at, for _kst_impl; one tick per
     candidate tried. A module-level function, so no call leaves a reference
     cycle behind."""
     if len(chosen) == t:
@@ -312,12 +392,11 @@ def _extend(start: int, chosen: list[int], t: int, candidates, star, used_at, cl
     for idx in range(start, len(candidates)):
         if len(candidates) - idx < t - len(chosen):
             return False
-        w = candidates[idx]
         clock.tick()
-        cols = star[w]
+        cols = star[idx]
         if any(c in used for c, used in zip(cols, used_at)):
             continue
-        chosen.append(w)
+        chosen.append(candidates[idx])
         for c, used in zip(cols, used_at):
             used.add(c)
         if _extend(idx + 1, chosen, t, candidates, star, used_at, clock):
@@ -355,14 +434,17 @@ def find_pc_kst(
     t >= s >= 2 (see _check_st).
 
     For s = 2 each vertex pair is decided by a color-pair matching (see
-    _color_matching), which for t = 2 is one scan of the candidates, in
-    O(pairs x candidates) time; s >= 3 backtracks. The scan runs behind the
-    walk-period filter of find_pc_cycle_upto: on the core of its one-color
-    peel, and past the filter's switch point, one node per live edge after
-    the peel, on the vertices that lie on closed properly colored walks of
-    length 4 (see _WalkClasses). Every vertex of a properly colored K_{s,t}
-    is among both, so the witness is the same either way, and an acyclic
-    signature peels to nothing: one tick per edge. On a signature the hub
+    _kst_impl). For t = 2 that is two colors on each side, noted as the
+    candidates are read, and _least_pair finds the least pair of candidates
+    in linear time, so the search costs O(pairs x candidates): one tick per
+    pair and at most two per candidate. t >= 3 runs augmenting paths, and
+    s >= 3 backtracks. The scan runs behind the walk-period filter of
+    find_pc_cycle_upto: on the core of its one-color peel, and past the
+    filter's switch point, one node per live edge after the peel, on the
+    vertices that lie on closed properly colored walks of length 4 (see
+    _WalkClasses). Every vertex of a properly colored K_{s,t} is among
+    both, so the witness is the same either way, and an acyclic signature
+    peels to nothing: one tick per edge. On a signature the hub
     pass explores one of each pair of mirror classes, the forward and the
     backward walks, and lists the other from it; it reaches about one state
     per vertex and fans it out directly, so it ticks about twice per edge,
@@ -383,7 +465,9 @@ def find_rainbow_kst(
     """Like find_pc_kst but all s*t edge colors must be pairwise distinct.
 
     For s = 2 the same color-pair matching gates each vertex pair, since a
-    rainbow K_{2,t} is properly colored; the pairs it accepts backtrack.
+    rainbow K_{2,t} is properly colored. For t = 2 _least_pair decides
+    each pair it accepts, which may hold no rainbow pair, in linear time
+    and at most one tick per candidate; for t >= 3 those pairs backtrack.
     The walk-period filter gates the scan as in find_pc_kst, for the same
     reason, and its ticks count in the nodes.
     """
@@ -995,7 +1079,8 @@ def find_rainbow_c4(
     of find_rainbow_kst, with the sides (a, b), (u, w) it finds read as the
     cycle (a, u, b, w), the one witness checked; the node counts and details
     are that search's, so it starts with the one-color peel and costs one
-    tick per edge on an acyclic signature.
+    tick per edge on an acyclic signature, and each vertex pair costs at
+    most two ticks per candidate, with no backtracking.
     """
     return _run_kst(G, 2, 2, budget, "rainbow-cycle")
 

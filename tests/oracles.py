@@ -22,7 +22,8 @@ min_max_signature, looped_circulant_tournament,
 two_build_blowup_cycle_signature and edge_order_dual_graph;
 full_hub_walk_classes, the hub pass as it ran when it built every
 vertex's hubs up front and explored both halves of every mirror pair of
-walk classes; and claimed_edges, which
+walk classes; backtracked_pair, the K_{2,2} pair search of the K_{s,t}
+scan as it ran when it backtracked; and claimed_edges, which
 lists the host edges a witness needs.
 """
 from __future__ import annotations
@@ -105,6 +106,24 @@ def first_pc_kst_witness(G, s, t, rainbow=False):
     lexicographically first t-subset of the vertices outside S that completes
     it."""
     return next(all_pc_kst_witnesses(G, s, t, rainbow), None)
+
+
+def backtracked_pair(candidates, star, rainbow, clock):
+    """The K_{2,2} pair search of _kst_impl as it ran when it backtracked,
+    before _least_pair: the lexicographically least (w1, w2) of candidates
+    whose color pairs star[i] = (c(a,w), c(b,w)) share no a-color and no
+    b-color (with rainbow, no color at all), or None. One tick per
+    candidate tried as w1, every one but the last, and one per later
+    candidate tried as w2 with it."""
+    for i in range(len(candidates) - 1):
+        clock.tick()
+        x, y = star[i]
+        for j in range(i + 1, len(candidates)):
+            clock.tick()
+            u, v = star[j]
+            if not ({u, v} & {x, y} if rainbow else u == x or v == y):
+                return candidates[i], candidates[j]
+    return None
 
 
 def brute_pc_kst_exists(G, s, t) -> bool:

@@ -34,7 +34,9 @@ from chroma.detectors import (
     SearchBudget,
     _Clock,
     _WalkClasses,
+    _extend,
     _kst_impl,
+    _least_pair,
     _one_color_core,
     _return_table,
     _walk_classes,
@@ -56,6 +58,7 @@ from chroma.transforms import blow_up, signature
 from oracles import (
     all_cycles_by_permutation,
     all_pc_kst_witnesses,
+    backtracked_pair,
     brute_directed_girth,
     brute_one_color_core,
     brute_pc_cycle_lengths,
@@ -334,6 +337,169 @@ class TestPcK2tMatching:
             assert search(SearchBudget(max_nodes=full.nodes)).status == EXHAUSTED
             short = search(SearchBudget(max_nodes=full.nodes - 1))
             assert short.status == BUDGET_EXCEEDED and short.witness is None
+
+
+def gate_passing_pairs(G, limit):
+    """(candidates, star) for the first limit vertex pairs {a, b}, a < b in
+    order, that pass the K_{2,2} scan's gate: the common neighbors w with
+    c(a,w) != c(b,w), ascending, with star their color pairs, at least two
+    of them and two colors on each side."""
+    col = {(u, v): c for u, v, c in G.edges}
+    found = []
+    for a, b in combinations(range(G.n), 2):
+        candidates, star = [], []
+        for w in sorted(G.neighbor_sets[a] & G.neighbor_sets[b]):
+            ca, cb = col[min(a, w), max(a, w)], col[min(b, w), max(b, w)]
+            if ca != cb:
+                candidates.append(w)
+                star.append((ca, cb))
+        if len({x for x, _ in star}) >= 2 and len({y for _, y in star}) >= 2:
+            found.append((candidates, star))
+            if len(found) == limit:
+                break
+    return found
+
+
+class TestLeastPair:
+    """_least_pair, the K_{2,2} pair pass of the K_{s,t} scan, against the
+    backtracking it replaced (backtracked_pair): the same pair or None, in
+    both modes, and never more ticks."""
+
+    @staticmethod
+    def assert_same(candidates, star):
+        """Check both modes; return the rainbow answer."""
+        for rainbow in (False, True):
+            mine, ref = _Clock(None), _Clock(None)
+            got = _least_pair(candidates, star, rainbow, mine)
+            assert got == backtracked_pair(candidates, star, rainbow, ref)
+            assert mine.nodes <= ref.nodes
+            # One tick per candidate up to the second of the pair, or per
+            # candidate but the last when there is none.
+            assert mine.nodes == (len(star) - 1 if got is None else candidates.index(got[1]) + 1)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda k: st.lists(
+                st.tuples(st.integers(0, k), st.integers(0, k)).filter(lambda p: p[0] != p[1]),
+                min_size=2,
+                max_size=25,
+            )
+        )
+    )
+    def test_color_lists(self, star):
+        candidates = list(range(10, 10 + 3 * len(star), 3))
+        self.assert_same(candidates, star)
+        # The reference is the backtracking _kst_impl ran at t = 2: same
+        # pair, same ticks.
+        for rainbow in (False, True):
+            ref, old = _Clock(None), _Clock(None)
+            chosen: list[int] = []
+            used_at = [set()] * 2 if rainbow else [set(), set()]
+            hit = _extend(0, chosen, 2, candidates, star, used_at, old)
+            want = tuple(chosen) if hit else None
+            assert backtracked_pair(candidates, star, rainbow, ref) == want
+            assert ref.nodes == old.nodes
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["natural", "relabelled"])
+    @pytest.mark.parametrize("n", [9, 21, 45, 101, 201])
+    def test_circulant_signatures(self, n, relabel):
+        G = signature(circulant_tournament(n))
+        if relabel:
+            G = relabelled(G, random.Random(n))
+        pairs = gate_passing_pairs(G, 300 if n < 100 else 40)
+        assert pairs
+        for candidates, star in pairs:
+            self.assert_same(candidates, star)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bench_random_graphs(self, seed):
+        G = random_edge_colored_graph(100, 0.85, 5000, seed)
+        for candidates, star in gate_passing_pairs(G, 200):
+            self.assert_same(candidates, star)
+
+    def test_few_color_graphs(self):
+        # With few colors most pairs pass the gate, and many of them hold
+        # no rainbow pair, so the pass runs to the end.
+        no_rainbow = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            G = random_edge_colored_graph(
+                rng.randint(8, 40), rng.choice((0.5, 0.8, 1.0)), rng.choice((3, 4, 5)), seed
+            )
+            for candidates, star in gate_passing_pairs(G, 100):
+                no_rainbow += self.assert_same(candidates, star) is None
+        assert no_rainbow > 100
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_few_color_searches_match_brute_force(self, seed):
+        rng = random.Random(seed)
+        G = random_edge_colored_graph(
+            rng.randint(6, 12), rng.choice((0.5, 0.8, 1.0)), rng.choice((2, 3, 4)), seed
+        )
+        for find, rainbow in ((find_pc_kst, False), (find_rainbow_kst, True)):
+            expected = first_pc_kst_witness(G, 2, 2, rainbow=rainbow)
+            out = find(G, 2, 2)
+            assert out.status == (FOUND if expected else EXHAUSTED)
+            assert (out.witness.vertices if out.witness else None) == expected
+        # expected is now the first rainbow K_{2,2} ((a, b), (u, w)), the
+        # rainbow C4 (a, u, b, w).
+        out = find_rainbow_c4(G)
+        if expected is None:
+            assert out.status == EXHAUSTED and out.witness is None
+        else:
+            (a, b), (u, w) = expected
+            assert out.witness.vertices == ((a, u, b, w),)
+
+    @pytest.mark.parametrize("name", ["circulant-45", "relabelled-circulant-45", "few-colors"])
+    def test_node_budget_sweep(self, name):
+        # Every node budget below the unbudgeted count, across the gate reads
+        # and the pair pass of each pair, ends budget-exceeded; at the count
+        # it gives the unbudgeted answer.
+        if name == "few-colors":
+            G = random_edge_colored_graph(12, 0.8, 4, 5)
+        else:
+            G = signature(circulant_tournament(45))
+            if name.startswith("relabelled"):
+                G = relabelled(G, random.Random(0))
+        searches = [lambda b: find_pc_kst(G, 2, 2, b), lambda b: find_rainbow_kst(G, 2, 2, b)]
+        for search in searches:
+            full = search(None)
+            for b in range(1, full.nodes):
+                out = search(SearchBudget(max_nodes=b))
+                assert out.status == BUDGET_EXCEEDED and out.witness is None
+            out = search(SearchBudget(max_nodes=full.nodes))
+            assert (out.status, out.witness, out.nodes) == (full.status, full.witness, full.nodes)
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_pair_pass_is_linear(self, k):
+        # k candidates colored (5, 1) each clash with every later one, and
+        # (5, 2), (6, 1) close the list: the least pair, properly colored and
+        # rainbow. The backtracking tried each (5, 1) against every later
+        # candidate, about c^2 / 2 ticks; the pair pass ticks once per
+        # candidate. So the search costs one node for the pair {0, 1}, c
+        # for reading the c = k + 2 candidates and c for the pass.
+        G = pair_with_color_pairs([(5, 1)] * k + [(5, 2), (6, 1)])
+        c = k + 2
+        for find in (find_pc_kst, find_rainbow_kst):
+            out = find(G, 2, 2)
+            assert out.witness.vertices == ((0, 1), (k + 2, k + 3))
+            assert out.nodes == 1 + 2 * c
+
+    def test_circulant_45_node_counts(self):
+        # In its natural labelling, 49 nodes: 2 pairs, 45 gate reads (22 on
+        # {0, 1}, whose candidates all have a-color 0, and 23 on {0, 2}) and
+        # 2 in the pair pass, since the least pair (1, 23) holds {0, 2}'s
+        # first two candidates; the backtracking ticked the same. Relabelled
+        # by random.Random(0), 33: {0, 1} passes the gate with 24 candidates
+        # and its least pair (12, 17) is their 5th and 8th, so 1 + 24 + 8,
+        # where the backtracking took 119.
+        G = signature(circulant_tournament(45))
+        out = find_pc_kst(G, 2, 2)
+        assert (out.nodes, out.witness.vertices) == (49, ((0, 2), (1, 23)))
+        out = find_pc_kst(relabelled(G, random.Random(0)), 2, 2)
+        assert (out.nodes, out.witness.vertices) == (33, ((0, 1), (12, 17)))
 
 
 class TestFindRainbowKst:
