@@ -22,7 +22,7 @@ from .core import (
     mono_degree_max,
     total_color_degree,
 )
-from .transforms import blow_up, dual_graph, signature
+from .transforms import blow_up, dual_graph, relabel, signature
 from .extraction import (
     ExtractionResult,
     construct_orientation,

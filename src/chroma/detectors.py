@@ -185,8 +185,7 @@ def _augment(ca: int, seen: set[int], options, owner, clock: _Clock) -> bool:
 
 # Nodes per live edge that the cycle DFS from one start spends before it
 # pays for that start's _return_table, which ticks at most twice per edge
-# end. (A K_{s,t} scan pays for the hub pass after one node per live edge;
-# see _WalkClasses.)
+# end.
 _WALK_SWITCH = 3
 
 
@@ -194,11 +193,10 @@ def _subsets(s: int, walks: _WalkClasses, L: int):
     """(S, pool) for the s-subsets S of the core of walks in ascending
     order, pool being the set the search may draw its other vertices from
     (None: every vertex, when the core is all of the graph's vertices).
-    From the subset at which the clock reaches walks.switch on, one node
-    per live edge past the peel, they are the subsets of the vertices
-    admitted for length L, with those as the pool (see _WalkClasses). Every
-    search on the view draws its vertices here, so this and the view alone
-    decide when the hub pass runs.
+    From the subset at which the clock reaches walks.switch on, they are
+    the subsets of the vertices admitted for length L, with those as the
+    pool (see _WalkClasses, rent then buy). Every search on the view draws
+    its vertices here.
     """
     core = walks.core()
     clock, switch = walks.clock, walks.switch
@@ -214,45 +212,31 @@ def _subsets(s: int, walks: _WalkClasses, L: int):
 
 
 def _kst_impl(s: int, t: int, rainbow: bool, walks: _WalkClasses):
-    """K_{s,t} search in the graph of walks, on its clock: s-subsets S
-    ascending, T drawn from the common neighbors whose star to S is rainbow
-    (the candidates). It returns (S, T) for the first S that has any T,
-    with the lexicographically least T.
+    """(S, T) for the first s-subset S, in the order _subsets hands them
+    over for length 4, that has t common neighbors whose star to S is
+    properly colored (or, with rainbow, rainbow), T the lexicographically
+    least of them; or None. All on the view walks and its clock.
+
+    Any two S-vertices and two T-vertices of such a K_{s,t} span a properly
+    colored C4, so each of its vertices is in the core and admitted for
+    length 4, and the witness is that of a scan over every vertex.
 
     For s = 2 a pair {a, b} holds a properly colored K_{2,t} exactly when
-    the candidates' color pairs (c(a,w), c(b,w)) hold a matching of size t,
+    its candidates' color pairs (c(a,w), c(b,w)) hold a matching of size t,
     and a rainbow K_{2,t} is properly colored, so a pair without it holds
     neither. The loop that reads the candidates notes whether each side
     shows a second color, which decides the matching for t = 2 and is its
-    first test for larger t, before _color_matching's augmenting paths. For
-    t = 2, _least_pair then finds the least T in linear time, so the search
-    costs O(pairs x candidates), and a properly colored pair that passes
-    always holds one. Otherwise T is grown by
+    first test for larger t; then _least_pair finds the least T for t = 2
+    in linear time, so the scan costs O(pairs x candidates), and
+    _color_matching gates the pair for t >= 3. Past t = 2, T is grown by
     backtracking (_extend), in ascending order, keeping a used-color set per
     S-vertex (properly colored mode) or one set shared by all of S (rainbow
     mode).
 
-    S and T are drawn as _subsets hands them over: from the one-color core
-    of walks, and past its switch point, one node per live edge after the
-    peel, from the vertices admitted for length 4 (see _WalkClasses). Any
-    two S-vertices and two T-vertices of a properly colored (or rainbow)
-    K_{s,t} span a properly colored C4, so every vertex of it lies in the
-    core and is admitted, and the witness is the same. So the search costs
-    at most the peel plus the scan of the core plus one hub pass, and an
-    acyclic signature costs the peel alone: one tick per edge.
-
-    Each subset costs one tick; for s = 2 reading its candidates costs one
-    tick per candidate (when there are at least t), _least_pair one per
-    candidate it steps past up to the first of T and one per candidate it
-    tries as the second, and the matching for t >= 3 one per edge its
-    augmenting paths look at; the backtracking costs one tick per candidate
-    it tries, the peel one per edge it removes, and the hub pass one per
-    arc out of each node it reaches (k - 1 for the first state it reaches
-    at a vertex of k colors) and one per group neighbor it reads to list a
-    class's mirror (see _walk_classes): on a C_r blow-up about two per
-    edge. A candidate's colors are read from
-    neighbor -> color maps of the S-vertices, each built from G.adj the
-    first time one of its subsets gets that far, once per search.
+    One tick per subset, and for s = 2 one per candidate read when there
+    are at least t; the helpers tick their own steps. A candidate's colors
+    are read from neighbor -> color maps of the S-vertices, each built from
+    G.adj the first time one of its subsets gets that far.
     """
     G, clock = walks.G, walks.clock
     nbr = G.neighbor_sets
@@ -433,28 +417,14 @@ def find_pc_kst(
     distinct colors and every T-vertex sees s distinct colors, for
     t >= s >= 2 (see _check_st).
 
-    For s = 2 each vertex pair is decided by a color-pair matching (see
-    _kst_impl). For t = 2 that is two colors on each side, noted as the
-    candidates are read, and _least_pair finds the least pair of candidates
-    in linear time, so the search costs O(pairs x candidates): one tick per
-    pair and at most two per candidate. t >= 3 runs augmenting paths, and
-    s >= 3 backtracks. The scan runs behind the walk-period filter of
-    find_pc_cycle_upto: on the core of its one-color peel, and past the
-    filter's switch point, one node per live edge after the peel, on the
-    vertices that lie on closed properly colored walks of length 4 (see
-    _WalkClasses). Every vertex of a properly colored K_{s,t} is among
-    both, so the witness is the same either way, and an acyclic signature
-    peels to nothing: one tick per edge. On a signature the hub
-    pass explores one of each pair of mirror classes, the forward and the
-    backward walks, and lists the other from it; it reaches about one state
-    per vertex and fans it out directly, so it ticks about twice per edge,
-    and an exhaustive query on a blow-up costs about three nodes per edge.
-    details["walk_periods"] shows the periods when the hub pass ran, and []
-    when the peel left nothing; the node counts include the filter's ticks.
-    When the peel keeps every vertex, the pass keeps its layout of states
-    and exits with G: a repeated search skips that set-up, a one-shot one
-    costs what it did, and the layout holds O(n + m + sum of color degrees)
-    memory while G lives. It ticks no clock, so no answer depends on it.
+    found carries the first S in ascending order that has such a T, with
+    the lexicographically least T; exhausted-none means G has none. The
+    scan (_kst_impl) runs on a search view of G (see _WalkClasses), so it
+    costs at most the one-color peel, the scan of the core and one hub
+    pass; for s = 2 each pair costs one node and at most two per candidate
+    when t = 2, and an acyclic signature peels to nothing, one node per
+    edge. details["walk_periods"] lists the walk periods once the hub pass
+    has run, and is [] when the peel left nothing.
     """
     return _run_kst(G, s, t, budget, "pc-kst")
 
@@ -462,14 +432,12 @@ def find_pc_kst(
 def find_rainbow_kst(
     G: EdgeColoredGraph, s: int, t: int, budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
-    """Like find_pc_kst but all s*t edge colors must be pairwise distinct.
-
-    For s = 2 the same color-pair matching gates each vertex pair, since a
-    rainbow K_{2,t} is properly colored. For t = 2 _least_pair decides
-    each pair it accepts, which may hold no rainbow pair, in linear time
-    and at most one tick per candidate; for t >= 3 those pairs backtrack.
-    The walk-period filter gates the scan as in find_pc_kst, for the same
-    reason, and its ticks count in the nodes.
+    """Like find_pc_kst but all s*t edge colors must be pairwise distinct,
+    with the same statuses, order of witnesses, view and details. For
+    s = 2 each pair first passes find_pc_kst's matching test, since a
+    rainbow K_{2,t} is properly colored; for t = 2 a pair that passes is
+    decided in linear time and may hold no rainbow pair, and for t >= 3 it
+    backtracks.
     """
     return _run_kst(G, s, t, budget, "rainbow-kst")
 
@@ -539,13 +507,13 @@ def _one_color_core(G: EdgeColoredGraph, clock: _Clock, live: bytearray) -> list
 
 
 def _hub_layout(G: EdgeColoredGraph, core: list[int]) -> tuple:
-    """(first, owner, exits, others), the hub pass's layout on core, an
-    ascending vertex list: the states (v, c), one per core vertex v and
-    color c of its edges within core, numbered from first[v] in G.adj
-    order; the vertex of each; per v and c, the state (w, c) of v's one
-    c-neighbor w, or the tuple of those of its c-neighbors; and the exit
-    and hub nodes, were every vertex's hubs built (see _walk_classes).
-    Tuples only, so no search writes to it.
+    """(first, owner, exits, others), the layout of the hub pass
+    (_walk_classes) on core, an ascending vertex list: the states (v, c),
+    one per core vertex v and color c of its edges within core, numbered
+    from first[v] in G.adj order; the vertex of each; per v and c, the
+    state (w, c) of v's one c-neighbor w, or the tuple of those of its
+    c-neighbors; and the number of exit and hub nodes, were every vertex's
+    hubs built. Tuples only, so no search writes to it; it ticks no clock.
     """
     n = G.n
     adj = G.adj
@@ -578,11 +546,12 @@ def _hub_layout(G: EdgeColoredGraph, core: list[int]) -> tuple:
 
 
 def _walk_classes(
-    G: EdgeColoredGraph, clock: _Clock, core: list[int]
+    G: EdgeColoredGraph, clock: _Clock, layout: tuple
 ) -> list[tuple[int, list[int]]]:
     """(period, vertices) of each strongly connected component with a cycle
     in the color-transition graph of G, found on the one-color core of G
-    (see _one_color_core), which holds every such component.
+    (see _one_color_core), which holds every such component, from layout,
+    _hub_layout on that core (see _WalkClasses for when G keeps it).
 
     The states are pairs (v, c), "at v, arrived by an edge of color c", with
     an arc (v, c) -> (w, c') for each edge {v, w} of color c' != c. A
@@ -604,10 +573,10 @@ def _walk_classes(
     get prefix and suffix hubs over its exits (see _hub_chains), through
     which each of v's other states reaches every exit but its own color's
     by two hub arcs; a vertex of two colors needs none, so its first state
-    reached gives the other its one arc too. Arcs out of states have weight 1 and all others weight
-    0; every step of a properly colored walk leaves exactly one state, so
-    the graph's closed walks have exactly the state graph's lengths,
-    whichever of v's states got the direct arcs. It has
+    reached gives the other its one arc too. Arcs out of states have weight
+    1 and all others weight 0; every step of a properly colored walk leaves
+    exactly one state, so the graph's closed walks have exactly the state
+    graph's lengths, whichever of v's states got the direct arcs. It has
     O(n + m + sum of color degrees) nodes and arcs, at most one fan-out
     more per vertex than with hubs alone; on a signature, where the search
     reaches about one state per vertex, it has hubs at few vertices or
@@ -629,19 +598,11 @@ def _walk_classes(
     the mirror's states, so it is found as before: the list is the full
     pass's, up to order.
 
-    The states and exit targets come from _hub_layout, which ticks no
-    clock: kept with G when the core is every vertex, else built per search.
     The clock ticks once per arc out of each node the search reaches, k - 1
     for the first state reached at a vertex of k colors, and for each
     component it lists, once per group neighbor that the component's mirror
     step reads, in one tick call.
     """
-    if len(core) < G.n:
-        layout = _hub_layout(G, core)
-    else:  # nothing dropped, nothing peeled: keep the layout with G
-        layout = vars(G).get("_hub_layout")
-        if layout is None:
-            layout = vars(G)["_hub_layout"] = _hub_layout(G, core)
     first, owner, exits_of, others = layout
     states = len(owner)  # node ids below states are states
     size = states + others
@@ -765,17 +726,15 @@ def _hub_chains(exits: list[int], first: int, succ: list) -> None:
 def _mirror(own: list[int], layout: tuple, index, mirrored) -> tuple[int, bool]:
     """(reads, twin) for the component of _walk_classes whose states are
     own: the number of group neighbors read, and whether its mirror is
-    another component. When it is, each of the mirror's states y
-    gets mirrored[y] set, and index[y] = -1, done, if the search has not
-    reached it yet, so it never does.
+    another component. When it is, each of the mirror's states y gets
+    mirrored[y] set, and index[y] = -1, done, if the search has not reached
+    it yet, so it never does.
 
-    The mirror's states are the states (v, c') with an arc (v, c) -> (w, c')
-    from a state of own to one. Each sits at a neighbor v of a state
-    (w, c') of own, in w's group of color c', from which v has a state of
-    own of another color. The mirror is itself a component, the one whose
-    closed walks are own's reversed, so once it meets own it is own, and
-    the reads stop there: a component that is its own mirror costs about
-    one read. Only the core's exit targets are read, never G.adj, so a
+    A mirror state (v, c') sits at a neighbor v of a state (w, c') of own,
+    in w's group of color c', from which v has a state of own of another
+    color. The mirror is a component, so the reads stop at the first
+    mirror state inside own, which makes own its own mirror: about one
+    read. Only the layout's exit targets are read, never G.adj, so a
     search view with dropped vertices reads what a rebuilt graph would.
     """
     first, owner, exits, _ = layout
@@ -811,42 +770,43 @@ class _WalkClasses:
     The view starts as G, every vertex set in the live mask live.
     drop(vertices) clears those vertices in it and takes their edges to
     live vertices off the live edge count m, in O(degree). The K_{s,t}
-    scans and the cycle DFS take G and the clock from here, and draw their
-    vertices from core() and admitted(L), the first ones through _subsets,
-    which with the view alone decides when the hub pass runs. They read only the edges among
-    those, take the edge count from m and, for the DFS's return table, the
-    live edges from live. So they run on the subgraph that the live
-    vertices induce as on G with the dropped vertices' edges deleted, with
-    the same witnesses and node counts, and no such graph is built. A new
-    search on the view must keep to this, or its node counts drift from
-    those of a rebuilt graph.
+    scans and the cycle DFS take G and the clock from here, draw their
+    vertices through _subsets, read only the edges among those, take the
+    edge count from m and, for the DFS's return table, the live edges from
+    live. So they run on the subgraph that the live vertices induce as on
+    G with the dropped vertices' edges deleted, with the same witnesses and
+    node counts, and no such graph is built. A new search on the view must
+    keep to this, or its node counts drift from those of a rebuilt graph.
 
-    _one_color_core runs on the first call of core or admitted, and
-    _walk_classes on the core on the first call of admitted, both on the
-    search's clock; every later call, from a K_{2,2} scan or any DFS
-    length, reuses their results until a drop forgets them.
-    The hub pass builds its graph as its search reaches it, so the hubs
-    of a vertex whose one state reached fans out directly are never built,
-    on a layout of states and exits kept with G when the core is all of G.
-    The classes list a class and its mirror, when that is another class,
-    as two equal (period, vertices) entries, as the full pass would (see
-    _walk_classes); admitted() and the periods read their union, so no
-    answer depends on which of the two the pass explored.
-    details["walk_periods"] gets the sorted distinct periods when the hub
-    pass runs, and [] as soon as the peel leaves an empty core, which holds
-    no walk class, so the hub pass never runs then.
+    core() runs _one_color_core and admitted() runs _walk_classes on the
+    core, each on its first call and on the search's clock; every later
+    call, from a K_{2,2} scan or any DFS length, reuses the result until a
+    drop forgets it. The classes list a class and its mirror, when that is
+    another class, as two equal entries (see _walk_classes); admitted()
+    reads their union, so no answer depends on which of the two the pass
+    explored. details["walk_periods"] gets the sorted distinct periods when
+    the hub pass runs, and [] as soon as the peel leaves an empty core,
+    which holds no walk class, so the hub pass never runs then.
 
-    The switch rule, rent then buy: the searches on the view, each K_{s,t}
-    scan and each DFS length, pay for the hub pass only once they have
-    spent m nodes past the peel, one per live edge, together. On a
-    signature the pass ticks about 2m, so a search that the pass decides
-    costs about 3m in all, and one that finds a short cycle early pays no
-    pass. On sparse random graphs it ticks 2-6 times the core's edges and
-    mostly admits every core vertex, so a search there that outlives its
-    rent mostly pays for the pass in vain. core() sets switch to the clock
-    after the peel plus m, and admitted() sets it to 0, so a search after
-    the hub pass draws from the admitted vertices from its first subset on
-    (see _subsets).
+    Rent then buy: the searches on the view, each K_{s,t} scan and each DFS
+    length, pay for the hub pass only once they have spent m nodes past the
+    peel, one per live edge, together. On a signature the pass ticks about
+    2m, so a search that the pass decides costs about 3m in all, and one
+    that finds a short cycle early pays no pass. On sparse random graphs it
+    ticks 2-6 times the core's edges and mostly admits every core vertex,
+    so a search there that outlives its rent mostly pays for the pass in
+    vain. core() sets switch to the clock after the peel plus m, and
+    admitted() sets it to 0, so a search after the hub pass draws from the
+    admitted vertices from its first subset on (see _subsets).
+
+    The kept layout: while the view has dropped no edge (m == G.m), its
+    peel is a function of G alone, so the hub pass's layout on it
+    (_hub_layout) is built once per graph and kept with G, peeled or not,
+    and every later search of G reuses it; a view that has dropped an edge
+    builds one per search. The layout holds O(n + m + sum of color degrees)
+    memory while G lives and ticks no clock, so no answer or node count
+    depends on it: a repeated search skips the set-up, and a one-shot one
+    costs what it did.
     """
 
     __slots__ = ("G", "clock", "details", "live", "m", "switch", "_core", "classes")
@@ -890,12 +850,22 @@ class _WalkClasses:
         colored cycle of length L is among them."""
         core = self.core()
         if self.classes is None:
-            self.classes = _walk_classes(self.G, self.clock, core)
+            self.classes = _walk_classes(self.G, self.clock, self._layout(core))
             self.details["walk_periods"] = sorted({p for p, _ in self.classes})
             self.switch = 0
         return sorted(
             {v for p, verts in self.classes if L % p == 0 and len(verts) >= L for v in verts}
         )
+
+    def _layout(self, core: list[int]) -> tuple:
+        """_hub_layout on core, kept with G while the view has dropped no edge."""
+        G = self.G
+        if self.m < G.m:
+            return _hub_layout(G, core)
+        kept = vars(G)
+        if "_hub_layout" not in kept:
+            kept["_hub_layout"] = _hub_layout(G, core)
+        return kept["_hub_layout"]
 
 
 def _return_table(adj, start: int, allowed, limit: int, clock: _Clock, live: bytearray):
@@ -944,30 +914,21 @@ def _return_table(adj, start: int, allowed, limit: int, clock: _Clock, live: byt
 
 def _pc_cycle_impl(lengths, walks: _WalkClasses):
     """The groups (cycle,) of the first properly colored cycle found in the
-    view walks (see _WalkClasses), trying the cycle lengths in the order
-    given and skipping those above n, or None; all on the clock of walks.
+    view walks, on its clock, trying the cycle lengths in the order given
+    and skipping those above n; or None.
 
-    Length 4 is decided by the properly colored K_{2,2} scan of _kst_impl,
-    whose sides are read as a C4 (see _c4): a properly colored C4 is a
-    properly colored K_{2,2}. Every other length L is searched by a DFS
-    from the starts that _subsets(1, walks, L) hands over, ascending, each
-    on the pool handed over with it: the core, until the view's searches
-    have spent their rent of one node per live edge past the peel, then,
-    from the same start on, the vertices admitted for L (see _WalkClasses).
-    Every properly colored cycle of length L lies inside both, so no
-    witness changes. The one-color peel runs on the first length tried and
-    the hub pass at most once, in whichever length reaches the switch; a
-    length that no period divides then has no start left. When the peel
-    leaves an empty core, every length is skipped at once.
-
-    For each DFS length the start vertex is the cycle minimum and paths
-    extend through larger-id vertices with color-changing edges only; the
-    closing edge must differ in color from both its cycle neighbors. So the
-    DFS returns the lexicographically least cycle of that length, on the
-    core as on the admitted vertices. The DFS keeps its path on an explicit
-    stack, so the cycle length is not bounded by Python's recursion limit. A
-    cycle of the subgraph is one of G, so the caller checks the witness on
-    G.
+    Length 4 is the properly colored K_{2,2} scan of _kst_impl, whose sides
+    are read as a C4 (see _c4). Every other length L is a DFS from the
+    starts that _subsets(1, walks, L) hands over, ascending, each on the
+    pool handed over with it, so once the hub pass has run a length that
+    no walk period admits has no start left. The start is the cycle
+    minimum and paths extend through larger-id vertices with
+    color-changing edges only; the closing edge must differ in color from
+    both its cycle neighbors. So each length's witness is its
+    lexicographically least cycle, on the core as on the admitted
+    vertices. The DFS keeps its path on an explicit stack, so the cycle
+    length is not bounded by Python's recursion limit; it ticks once per
+    step, and once more per closing edge it tests.
 
     Once the DFS from one start has spent _WALK_SWITCH x m nodes, it builds
     that start's _return_table and from then on skips every step after
@@ -1030,44 +991,37 @@ def _pc_cycle_impl(lengths, walks: _WalkClasses):
     return None
 
 
+def _run_cycles(G, lengths, budget, details: dict) -> SearchOutcome:
+    return _search(
+        budget,
+        lambda clock: _pc_cycle_impl(lengths, _WalkClasses(G, clock, details)),
+        details, G, "pc-cycle",
+    )
+
+
+def _c4_first(r: int) -> tuple:
+    """The cycle lengths 4, 3, 5, ..., r: a C4 first, then ascending."""
+    return (4, 3, *range(5, r + 1))
+
+
 def find_pc_cycle_upto(
     G: EdgeColoredGraph, r: int, budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
     """Find a shortest properly colored cycle of length at most r.
 
-    Tries the lengths 3..r in ascending order (see _pc_cycle_impl): length 4
-    by the properly colored K_{2,2} scan, whose witness is the C4
-    (a, u, b, v) on the sides (a, b), (u, v) of find_pc_kst's witness, and
-    every other length by the DFS, whose witness is the lexicographically
-    least cycle of that length. The search first peels off the vertices that
-    see fewer than two colors, which lie on no closed walk, and searches the
-    rest, the core; an acyclic signature peels to nothing. Once it has spent
-    one node per edge past the peel (see _WalkClasses), a linear-time pass
-    over the color-transition graph of the core finds the periods of closed
-    properly colored walks (details["walk_periods"], present only when it
-    ran, and [] when the peel left nothing), and from then on the DFS and
-    the K_{2,2} scan read only the vertices admitted for their length, so
-    every length that no period divides is skipped. A short cycle found
-    within that rent costs no pass (circulant signature on 201 vertices,
-    r = 4: 201 nodes), and a blow-up of a directed C_r is decided with about
-    the rent and the pass. The hub pass builds the graph on the core as it
-    explores it, and lists the mirror of each class it completes, the class
-    of its walks reversed, from the class itself, so on a signature it
-    explores only one of the forward and the backward walks, about one state
-    per vertex, each fanned out directly to its exits with no hubs between:
-    about two ticks per edge. Node counts include one tick per edge the peel
-    removes, one per arc out of each node of the graph left that the hub
-    pass reaches, and one per group neighbor it reads to list a mirror (see
-    _walk_classes). As in find_pc_kst, the pass's layout is kept with G
-    when the peel keeps every vertex.
+    Tries the lengths 3..r in ascending order (see _pc_cycle_impl) on a
+    search view of G (see _WalkClasses). found carries the first length's
+    witness: at length 4 the C4 (a, u, b, v) on the sides (a, b), (u, v) of
+    find_pc_kst's witness, at any other the lexicographically least cycle;
+    exhausted-none means G has no properly colored cycle of length <= r.
+    An acyclic signature peels to nothing, one node per edge; a cycle found
+    within the rent costs no hub pass (circulant signature on 201
+    vertices, r = 4: 201 nodes); a blow-up of a directed C_r is decided by
+    the rent, the hub pass and little DFS. details["walk_periods"] as in
+    find_pc_kst.
     """
     _require_int("r", r, 3)
-    details: dict = {}
-    return _search(
-        budget,
-        lambda clock: _pc_cycle_impl(range(3, r + 1), _WalkClasses(G, clock, details)),
-        details, G, "pc-cycle",
-    )
+    return _run_cycles(G, range(3, r + 1), budget, {})
 
 
 def find_rainbow_c4(
@@ -1075,12 +1029,9 @@ def find_rainbow_c4(
 ) -> SearchOutcome:
     """Search for a 4-cycle whose four edges have pairwise distinct colors.
 
-    A rainbow C4 is a rainbow K_{2,2}, so this is the rainbow K_{2,2} search
-    of find_rainbow_kst, with the sides (a, b), (u, w) it finds read as the
-    cycle (a, u, b, w), the one witness checked; the node counts and details
-    are that search's, so it starts with the one-color peel and costs one
-    tick per edge on an acyclic signature, and each vertex pair costs at
-    most two ticks per candidate, with no backtracking.
+    A rainbow C4 is a rainbow K_{2,2}, so this is find_rainbow_kst(G, 2, 2)
+    with its sides (a, b), (u, w) read as the cycle (a, u, b, w), the one
+    witness checked, and that search's statuses, node counts and details.
     """
     return _run_kst(G, 2, 2, budget, "rainbow-cycle")
 
@@ -1164,28 +1115,14 @@ def pc_short_cycle_pipeline(
 ) -> SearchOutcome:
     """Search for a properly colored cycle of length at most r, a C4 first.
 
-    Tries length 4, then 3 and 5..r (see _pc_cycle_impl): the properly
-    colored K_{2,2} scan first, whose sides are a properly colored C4, then
-    the cycle DFS behind the walk-period filter of find_pc_cycle_upto, which
-    skips every length that no closed properly colored walk has. So its
-    witness is find_pc_cycle_upto's whenever G has no properly colored C4.
-    The filter's peel runs once per call, at the start of the scan, and its
-    hub pass at most once: in the scan or the DFS, whichever runs when the
-    call has spent one node per live edge past the peel (see _WalkClasses),
-    and never when the peel left nothing. A peel that leaves nothing proves
-    that G has no properly colored cycle, so the search ends exhausted-none
-    after the scan's peel. details["walk_periods"] shows the periods
-    whenever the hub pass ran, and [] when the peel left nothing; the node
-    counts include the ticks of both. The scan and the DFS tick one clock,
-    so a node or time budget stops whichever of them is running.
+    Tries length 4, then 3 and 5..r, on one search view and one clock, as
+    find_pc_cycle_upto tries its lengths. So found carries a properly
+    colored C4 whenever G has one, and else find_pc_cycle_upto's witness at
+    r; exhausted-none means G has no properly colored cycle of length <= r.
+    details holds r, and walk_periods as in find_pc_kst.
     """
     _require_int("r", r, 4)
-    details: dict = {"r": r}
-    return _search(
-        budget,
-        lambda clock: _pc_cycle_impl((4, 3, *range(5, r + 1)), _WalkClasses(G, clock, details)),
-        details, G, "pc-cycle",
-    )
+    return _run_cycles(G, _c4_first(r), budget, {"r": r})
 
 
 def disjoint_pc_cycles(
@@ -1193,27 +1130,24 @@ def disjoint_pc_cycles(
 ) -> SearchOutcome:
     """Greedily collect up to k vertex-disjoint properly colored cycles.
 
-    The first round runs the search of pc_short_cycle_pipeline with no
-    length bound (lengths 4, 3, 5..n), so it takes a properly colored C4 if
-    there is one and else a shortest properly colored cycle; each round
-    removes the vertices of its cycle, and the next tries the lengths from
-    that cycle's on, since those before it held no cycle and removing
-    vertices makes none. A round whose residual peels to nothing ends after
-    the peel. All rounds run on one search view of G, which drops each
-    cycle's vertices (see _WalkClasses), so no graph is built: every round
-    has the witness and node count it would have on the residual built as a
-    graph of its own. All rounds tick one clock. The one check of a found
-    outcome, on its disjoint-cycles witness, covers every round's cycle.
-    With fewer than k cycles the outcome is exhausted-none and the partial
-    family rides in the details; this is a greedy heuristic, not an exact
-    packing decision.
+    Each round runs the search of pc_short_cycle_pipeline with no length
+    bound, so it takes a properly colored C4 if there is one and else a
+    shortest properly colored cycle, and drops the cycle's vertices from
+    one search view of G (see _WalkClasses): every round has the witness
+    and node count it would have on the residual built as a graph of its
+    own, and all rounds tick one clock. A later round tries the lengths
+    from the last cycle's on, since those before it held no cycle and
+    dropping vertices makes none. found carries the k cycles as one
+    witness, checked once. With fewer than k cycles the outcome is
+    exhausted-none and the partial family rides in the details; this is a
+    greedy heuristic, not an exact packing decision.
     """
     _require_int("k", k, 1)
     cycles: list[list[int]] = []
 
     def body(clock):
         walks = _WalkClasses(G, clock, {})
-        lengths = (4, 3, *range(5, G.n + 1))
+        lengths = _c4_first(G.n)
         while len(cycles) < k:
             found = _pc_cycle_impl(lengths, walks)
             if found is None:

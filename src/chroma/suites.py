@@ -57,7 +57,7 @@ from .extraction import (
     sigma,
 )
 from .formats import render_ecg
-from .transforms import dual_graph, signature
+from .transforms import dual_graph, relabel, signature
 
 _EPS = 1e-9
 SCHEMA_VERSION = 1
@@ -434,13 +434,10 @@ _LABEL_FREE_SEARCHES = {
 }
 
 
-def _renamed(G, rng, perm=None):
-    """G with its colors renamed injectively at random, and its vertex v
-    moved to perm[v] when perm is given."""
+def _color_renaming(G, rng) -> dict:
+    """An injective renaming of G's colors, drawn at random, for relabel."""
     colors = sorted({c for _, _, c in G.edges})
-    new = dict(zip(colors, rng.sample(range(10 * len(colors) + 10), len(colors))))
-    at = perm or range(G.n)
-    return EdgeColoredGraph(G.n, [(at[u], at[v], new[c]) for u, v, c in G.edges])
+    return dict(zip(colors, rng.sample(range(10 * len(colors) + 10), len(colors))))
 
 
 def _maps_back(G, w, perm) -> bool:
@@ -474,8 +471,8 @@ def _suite_invariance(trials, seed, rec, config):
             G = random_edge_colored_graph(n, rng.choice((0.3, 0.5, 0.8)), rng.randint(2, 6), tseed)
         perm = list(range(n))
         rng.shuffle(perm)
-        relabelled = _renamed(G, rng, perm)
-        renamed = _renamed(G, rng)
+        relabelled = relabel(G, perm, _color_renaming(G, rng))
+        renamed = relabel(G, range(n), _color_renaming(G, rng))
         a = rng.randint(1, 8)
         beside = signature(transitive_tournament(a))
         union = EdgeColoredGraph(n + a, [*G.edges, *((u + n, v + n, c) for u, v, c in beside.edges)])

@@ -5,6 +5,7 @@ head id, so directed cycles correspond exactly to properly colored cycles.
 The dual graph is the bipartite double that preserves properly colored and
 rainbow complete-bipartite subgraphs in both directions. The k-blow-up
 replaces each vertex of a digraph with an independent block of k copies.
+A relabelling moves vertices and renames colors, keeping the structure.
 """
 from __future__ import annotations
 
@@ -58,3 +59,16 @@ def blow_up(D: OrientedGraph, k: int) -> OrientedGraph:
         for a, b in product(range(k), range(k))
     ]
     return OrientedGraph(D.n * k, arcs)
+
+
+def relabel(G: EdgeColoredGraph, perm, colors=None) -> EdgeColoredGraph:
+    """G with its vertex v moved to perm[v], a permutation of range(n), and,
+    when colors is given, each color c renamed colors[c]; a bipartition
+    moves with its vertices.
+    """
+    if sorted(perm) != list(range(G.n)):
+        raise ValueError("perm is not a permutation of the vertices")
+    rows = [(perm[u], perm[v], c if colors is None else colors[c]) for u, v, c in G.edges]
+    sides = G.bipartition
+    parts = None if sides is None else tuple([perm[v] for v in side] for side in sides)
+    return EdgeColoredGraph(G.n, rows, bipartition=parts)

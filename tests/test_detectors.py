@@ -35,6 +35,7 @@ from chroma.detectors import (
     _Clock,
     _WalkClasses,
     _extend,
+    _hub_layout,
     _kst_impl,
     _least_pair,
     _one_color_core,
@@ -53,7 +54,7 @@ from chroma.detectors import (
     verify_witness,
 )
 from chroma.extraction import construct_orientation
-from chroma.transforms import blow_up, signature
+from chroma.transforms import blow_up, relabel, signature
 
 from oracles import (
     all_cycles_by_permutation,
@@ -111,7 +112,8 @@ def walk_classes(G, clock=None):
     """The walk classes of G as a search finds them: the hub pass on the
     one-color core, both on clock."""
     clock = clock or _Clock(None)
-    return _walk_classes(G, clock, _one_color_core(G, clock, bytearray(b"\x01") * G.n))
+    core = _one_color_core(G, clock, bytearray(b"\x01") * G.n)
+    return _walk_classes(G, clock, _hub_layout(G, core))
 
 
 class TestBudget:
@@ -574,10 +576,10 @@ class TestFindPcCycle:
 
 
 def relabelled(G, rng):
-    """G under a seeded vertex permutation, without its bipartition."""
+    """G under a seeded vertex permutation."""
     perm = list(range(G.n))
     rng.shuffle(perm)
-    return EdgeColoredGraph(G.n, [(perm[u], perm[v], c) for u, v, c in G.edges])
+    return relabel(G, perm)
 
 
 def cycle_search_instance(seed):
@@ -931,7 +933,7 @@ class TestWalkClassesOracle:
         core = _one_color_core(G, clock, bytearray(b"\x01") * G.n)
         peel = clock.nodes
         with mirror_steps(G) as steps, hub_chains() as chained:
-            classes = _walk_classes(G, clock, core)
+            classes = _walk_classes(G, clock, _hub_layout(G, core))
         live = set(core)
         groups_at = []
         for v in core:
@@ -1135,7 +1137,7 @@ class TestMirrorClasses:
         view = _WalkClasses(G, _Clock(None), {})
         view.drop(dropped)
         core = view.core()
-        got = sorted(_walk_classes(G, _Clock(None), core))
+        got = sorted(_walk_classes(G, _Clock(None), _hub_layout(G, core)))
         assert got == sorted(full_hub_walk_classes(G, core))
         if G.n <= 14:
             assert got == brute_walk_classes(without_vertices(G, set(dropped)))
@@ -2386,10 +2388,11 @@ def only_tuples_and_ints(x) -> bool:
 
 
 class TestHubLayoutKeptWithTheGraph:
-    """The hub pass keeps its layout with a graph whose one-color core is
-    every vertex and reuses it on every later search of that graph; on any
-    other core it builds one per search and keeps none. The layout ticks no
-    clock, so no answer and no node count depends on it being kept."""
+    """A search view that has dropped no edge keeps the hub pass's layout of
+    its core with the graph, peeled or not, and every later search of that
+    graph reuses it; a view that has dropped an edge builds one per search
+    and keeps none. The layout ticks no clock, so no answer and no node
+    count depends on it being kept."""
 
     @staticmethod
     def answer(out):
@@ -2435,16 +2438,27 @@ class TestHubLayoutKeptWithTheGraph:
         assert layout == detectors._hub_layout(G, list(range(G.n)))
         assert only_tuples_and_ints(layout)
 
-    def test_a_peeled_graph_holds_none(self):
-        # A pendant vertex beside a C5 blow-up is peeled, so the pass runs
-        # on a smaller core and keeps no layout.
-        B = blowup_cycle_signature(5, 4)
+    def test_a_peeled_graph_keeps_the_layout_of_its_core(self):
+        # A pendant vertex beside a C5 blow-up is peeled, but no edge is
+        # dropped: the first search keeps the layout of the core left, and
+        # a second one reuses it with the same answer.
+        B = blowup_cycle_signature(5, 16)
         G = EdgeColoredGraph(B.n + 1, [*B.edges, (0, B.n, 99)])
-        with logged_passes() as passes:
-            out = find_pc_kst(G, 2, 2)
-        assert out.status == EXHAUSTED and out.details["walk_periods"] == [5]
-        assert len(passes["hub"]) == 1 and layouts(G) == []
+        built = []
 
+        def spy(G, core, real=detectors._hub_layout):
+            built.append(core)
+            return real(G, core)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detectors, "_hub_layout", spy)
+            first = find_pc_kst(G, 2, 2)
+            second = find_pc_kst(G, 2, 2)
+        assert first.status == EXHAUSTED and first.details["walk_periods"] == [5]
+        assert first.nodes == 3897
+        assert self.answer(second) == self.answer(first)
+        assert built == [list(range(B.n))]
+        assert layouts(G) == [_hub_layout(G, list(range(B.n)))]
 
 class TestOneDriverMatchesTheStages:
     """pc_short_cycle_pipeline and disjoint_pc_cycles go through the one

@@ -14,9 +14,9 @@ blow-up keeps the shortest cycle: the signature of blow_up(D, k) has a
 shortest properly colored cycle of the length of D's shortest directed
 cycle.
 
-Nor may an answer depend on the graph object's history: the hub pass keeps
-its layout with a graph whose core is every vertex, so a search of a graph
-searched before must end as on a fresh copy, node for node.
+Nor may an answer depend on the graph object's history: a search that
+drops no edge keeps the hub pass's layout with the graph, so a search of a
+graph searched before must end as on a fresh copy, node for node.
 """
 import random
 
@@ -34,8 +34,8 @@ from chroma.constructions import (
 )
 from chroma.core import EdgeColoredGraph, Witness
 from chroma.detectors import disjoint_pc_cycles, find_pc_cycle_upto, shortest_directed_cycle
-from chroma.suites import _LABEL_FREE_SEARCHES, _renamed
-from chroma.transforms import blow_up, signature
+from chroma.suites import _LABEL_FREE_SEARCHES, _color_renaming
+from chroma.transforms import blow_up, relabel, signature
 
 from oracles import claimed_edges
 
@@ -64,7 +64,7 @@ def relabelled(G, rng):
     permutation, and its colors renamed injectively."""
     perm = list(range(G.n))
     rng.shuffle(perm)
-    return _renamed(G, rng, perm), perm
+    return relabel(G, perm, _color_renaming(G, rng)), perm
 
 
 def mapped_back(G, w, perm):
@@ -78,7 +78,7 @@ def mapped_back(G, w, perm):
 @given(st.integers(0, 2**32 - 1))
 def test_color_renaming_keeps_status_nodes_and_witness(seed):
     G = instance(seed)
-    H = _renamed(G, random.Random(seed))
+    H = relabel(G, range(G.n), _color_renaming(G, random.Random(seed)))
     for name, detect in {**DETECTORS, **DISJOINT}.items():
         a, b = detect(G), detect(H)
         assert (a.status, a.nodes) == (b.status, b.nodes), name

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from chroma.core import EdgeColoredGraph, OrientedGraph, color_degree
 from chroma.constructions import (
+    blowup_cycle_signature,
     directed_cycle,
     random_edge_colored_graph,
     random_oriented_graph,
@@ -18,7 +19,7 @@ from chroma.detectors import (
     find_rainbow_kst,
     shortest_directed_cycle,
 )
-from chroma.transforms import blow_up, dual_graph, signature
+from chroma.transforms import blow_up, dual_graph, relabel, signature
 
 from oracles import (
     all_cycles_by_permutation,
@@ -157,3 +158,34 @@ class TestBlowUp:
         else:
             assert blown.status == FOUND
             assert len(blown.witness.vertices[0]) == len(base.witness.vertices[0])
+
+
+class TestRelabel:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_moves_each_edge_and_back(self, seed):
+        rng = random.Random(seed)
+        G = random_edge_colored_graph(rng.randint(1, 9), 0.5, rng.randint(1, 4), seed)
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        colors = {c: 7 * c + 3 for c in range(5)}
+        H = relabel(G, perm, colors)
+        for u, v, c in G.edges:
+            assert H.color_of(perm[u], perm[v]) == colors[c]
+        inverse = [0] * G.n
+        for v, p in enumerate(perm):
+            inverse[p] = v
+        assert relabel(H, inverse, {b: a for a, b in colors.items()}) == G
+
+    def test_carries_the_bipartition(self):
+        B = blowup_cycle_signature(6, 2)
+        perm = list(range(B.n))
+        random.Random(1).shuffle(perm)
+        H = relabel(B, perm)
+        assert H.bipartition == tuple(frozenset(perm[v] for v in side) for side in B.bipartition)
+        assert relabel(B, range(B.n)) == B
+
+    @pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [1, 2, 3]])
+    def test_refuses_a_map_that_is_not_a_permutation(self, perm):
+        with pytest.raises(ValueError):
+            relabel(EdgeColoredGraph(3, [(0, 1, 0), (1, 2, 1)]), perm)
