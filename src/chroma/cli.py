@@ -63,43 +63,42 @@ def _load(path, cls, what):
 # gen
 # ---------------------------------------------------------------------------
 
-def _cmd_gen(args) -> int:
-    what, seed = args.what, args.seed
-    if what == "signature":
-        out = transforms.signature(_load(args.input, OrientedGraph, "gen signature"))
-    elif what == "dual":
-        out = transforms.dual_graph(_load(args.input, EdgeColoredGraph, "gen dual"))
-    elif what == "blowup":
-        out = transforms.blow_up(_load(args.input, OrientedGraph, "gen blowup"), args.k)
-    elif what == "transitive":
-        out = constructions.transitive_tournament(args.n)
-    elif what == "circulant":
-        out = constructions.circulant_tournament(args.n)
-    elif what == "cycle":
-        out = constructions.directed_cycle(args.r)
-    elif what == "blowup-sig":
-        out = constructions.blowup_cycle_signature(args.r, args.k)
-    elif what == "random":
-        if args.n2 is not None:
-            out = constructions.random_bipartite_edge_colored(
-                args.n, args.n2, args.p, 1 if args.colors is None else args.colors, seed
-            )
-        elif args.colors is not None:
-            out = constructions.random_edge_colored_graph(args.n, args.p, args.colors, seed)
-        else:
-            out = constructions.random_oriented_graph(args.n, args.p, seed)
-    elif what == "proper-kst":
-        out = constructions.random_proper_complete_bipartite(args.s, args.t, seed)
-    elif what == "recolored":
-        params = constructions.RecolorParams(
-            n=args.n, s=args.s, t=args.t, gamma=args.gamma,
-            seed=seed, max_tries=args.max_tries,
+def _gen_random(args):
+    if args.n2 is not None:
+        return constructions.random_bipartite_edge_colored(
+            args.n, args.n2, args.p, 1 if args.colors is None else args.colors, args.seed
         )
-        out, attempts = constructions.recolored_tournament(params)
-        sys.stderr.write(f"accepted after {attempts} attempts\n")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown generator {what!r}")
-    _write_output(out, args.output)
+    if args.colors is not None:
+        return constructions.random_edge_colored_graph(args.n, args.p, args.colors, args.seed)
+    return constructions.random_oriented_graph(args.n, args.p, args.seed)
+
+
+def _gen_recolored(args):
+    out, attempts = constructions.recolored_tournament(constructions.RecolorParams(
+        n=args.n, s=args.s, t=args.t, gamma=args.gamma, seed=args.seed, max_tries=args.max_tries,
+    ))
+    sys.stderr.write(f"accepted after {attempts} attempts\n")
+    return out
+
+
+# Each generator maps the parsed arguments to the object gen writes. Every entry
+# looks its function up on its module as it runs, so a wrapper put there sees it.
+_GENERATORS = {
+    "signature": lambda a: transforms.signature(_load(a.input, OrientedGraph, "gen signature")),
+    "dual": lambda a: transforms.dual_graph(_load(a.input, EdgeColoredGraph, "gen dual")),
+    "blowup": lambda a: transforms.blow_up(_load(a.input, OrientedGraph, "gen blowup"), a.k),
+    "transitive": lambda a: constructions.transitive_tournament(a.n),
+    "circulant": lambda a: constructions.circulant_tournament(a.n),
+    "cycle": lambda a: constructions.directed_cycle(a.r),
+    "blowup-sig": lambda a: constructions.blowup_cycle_signature(a.r, a.k),
+    "random": _gen_random,
+    "proper-kst": lambda a: constructions.random_proper_complete_bipartite(a.s, a.t, a.seed),
+    "recolored": _gen_recolored,
+}
+
+
+def _cmd_gen(args) -> int:
+    _write_output(_GENERATORS[args.what](args), args.output)
     return 0
 
 
@@ -175,31 +174,26 @@ def _report_text(report: dict) -> str:
 # find
 # ---------------------------------------------------------------------------
 
+# Each search maps the loaded graph, the parsed arguments and the budget to
+# its outcome, looking its function up on chroma.detectors as it runs.
+_SEARCHES = {
+    "pc-kst": lambda G, a, budget: detectors.find_pc_kst(G, a.s, a.t, budget),
+    "rainbow-kst": lambda G, a, budget: detectors.find_rainbow_kst(G, a.s, a.t, budget),
+    "pc-cycle": lambda G, a, budget: detectors.find_pc_cycle_upto(G, a.max_len, budget),
+    "rainbow-c4": lambda G, a, budget: detectors.find_rainbow_c4(G, budget),
+    "directed-cycle": lambda D, a, budget: detectors.shortest_directed_cycle(D, budget),
+    "pipeline": lambda G, a, budget: detectors.pc_short_cycle_pipeline(G, a.max_len, budget),
+    "disjoint": lambda G, a, budget: detectors.disjoint_pc_cycles(G, a.k, budget),
+}
+
+
 def _cmd_find(args) -> int:
     obj = formats.load(args.input)
     budget = _budget(args)
-    what = args.what
-    if what == "directed-cycle":
-        if isinstance(obj, EdgeColoredGraph):
-            raise ValueError("find directed-cycle expects an .org or .corg input")
-        out = detectors.shortest_directed_cycle(obj, budget)
-    else:
-        if not isinstance(obj, EdgeColoredGraph):
-            raise ValueError(f"find {what} expects an .ecg input")
-        if what == "pc-kst":
-            out = detectors.find_pc_kst(obj, args.s, args.t, budget)
-        elif what == "rainbow-kst":
-            out = detectors.find_rainbow_kst(obj, args.s, args.t, budget)
-        elif what == "pc-cycle":
-            out = detectors.find_pc_cycle_upto(obj, args.max_len, budget)
-        elif what == "rainbow-c4":
-            out = detectors.find_rainbow_c4(obj, budget)
-        elif what == "pipeline":
-            out = detectors.pc_short_cycle_pipeline(obj, args.max_len, budget)
-        elif what == "disjoint":
-            out = detectors.disjoint_pc_cycles(obj, args.k, budget)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown detector {what!r}")
+    if (args.what == "directed-cycle") == isinstance(obj, EdgeColoredGraph):
+        wants = ".org or .corg" if args.what == "directed-cycle" else ".ecg"
+        raise ValueError(f"find {args.what} expects an {wants} input")
+    out = _SEARCHES[args.what](obj, args, budget)
     json.dump(out.to_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return _STATUS_EXIT[out.status]
@@ -262,14 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate or transform instances")
-    gen.add_argument(
-        "what",
-        choices=[
-            "signature", "dual", "blowup",
-            "transitive", "circulant", "cycle", "blowup-sig",
-            "random", "proper-kst", "recolored",
-        ],
-    )
+    gen.add_argument("what", choices=list(_GENERATORS))
     gen.add_argument("-i", "--input", help="input graph file for transforms")
     gen.add_argument("-o", "--output", help="output file (default stdout)")
     gen.add_argument("--n", type=int)
@@ -282,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=float, help="edge probability")
     gen.add_argument("--colors", type=int)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--max-tries", type=int, default=100_000)
+    gen.add_argument("--max-tries", type=int, default=constructions.RecolorParams.max_tries)
     gen.set_defaults(func=_cmd_gen)
 
     orient = sub.add_parser("orient", help="construct a path-proper orientation")
@@ -298,13 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     orient.set_defaults(func=_cmd_orient)
 
     find = sub.add_parser("find", help="run a search oracle")
-    find.add_argument(
-        "what",
-        choices=[
-            "pc-kst", "rainbow-kst", "pc-cycle", "rainbow-c4",
-            "directed-cycle", "pipeline", "disjoint",
-        ],
-    )
+    find.add_argument("what", choices=list(_SEARCHES))
     find.add_argument("-i", "--input", required=True)
     find.add_argument("--s", type=int, default=2)
     find.add_argument("--t", type=int, default=2)

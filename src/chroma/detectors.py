@@ -1039,52 +1039,45 @@ def find_rainbow_c4(
 def _shortest_directed_cycle_impl(D, clock: _Clock) -> Optional[tuple]:
     """BFS from every vertex for a shortest directed cycle of D.
 
-    Each BFS level ticks the clock once per frontier vertex, so a budget
-    stops the search at most n nodes past its limit.
+    Each source's BFS stops at its first level that holds an in-neighbour
+    of the source, which closes a cycle at the least of them, or at the
+    level that could close no cycle shorter than the best so far. Each
+    level ticks the clock once per frontier vertex, so a budget stops the
+    search at most n nodes past its limit.
     """
     n = D.n
     out: list[list[int]] = [[] for _ in range(n)]
-    ins: list[list[int]] = [[] for _ in range(n)]
-    for arc in D.arcs:  # sorted, so each list is ascending
+    ins: list[set[int]] = [set() for _ in range(n)]
+    for arc in D.arcs:  # sorted, so each out-list is ascending
         out[arc[0]].append(arc[1])
-        ins[arc[1]].append(arc[0])
+        ins[arc[1]].add(arc[0])
 
     best_cycle: Optional[list[int]] = None
     for s in range(n):
         if best_cycle is not None and len(best_cycle) == 3:
             break
-        dist = {s: 0}
         parent = {s: None}
         frontier = [s]
-        limit = len(best_cycle) - 1 if best_cycle is not None else None
-        d = 0
-        while frontier:
+        # levels 0 .. len(best_cycle) - 2 can close a shorter cycle
+        levels = n if best_cycle is None else len(best_cycle) - 1
+        while frontier and levels:
             clock.tick(len(frontier))
-            if limit is not None and d >= limit:
+            closing = min((v for v in frontier if v in ins[s]), default=None)
+            if closing is not None:
+                best_cycle = []
+                while closing is not None:
+                    best_cycle.append(closing)
+                    closing = parent[closing]
+                best_cycle.reverse()
                 break
             nxt = []
             for v in frontier:
                 for w in out[v]:
-                    if w not in dist:
-                        dist[w] = d + 1
+                    if w not in parent:
                         parent[w] = v
                         nxt.append(w)
             frontier = nxt
-            d += 1
-        closing = None
-        for u in ins[s]:
-            if u in dist and (closing is None or dist[u] < dist[closing]):
-                closing = u
-        if closing is None:
-            continue
-        length = dist[closing] + 1
-        if best_cycle is None or length < len(best_cycle):
-            path = []
-            v = closing
-            while v is not None:
-                path.append(v)
-                v = parent[v]
-            best_cycle = list(reversed(path))
+            levels -= 1
 
     return None if best_cycle is None else (best_cycle,)
 

@@ -78,6 +78,12 @@ class SuiteReport:
     elapsed_s: float = 0.0
     config: dict = field(default_factory=dict)
 
+    def check(self, ok: bool, seed: int, instance, assertion: str) -> bool:
+        """Record a failure of assertion on instance unless ok; return ok."""
+        if not ok:
+            self.failures.append(SuiteFailure(seed, instance_digest(instance), assertion))
+        return ok
+
     @property
     def failure_count(self) -> int:
         return len(self.failures)
@@ -106,16 +112,6 @@ def instance_digest(G: EdgeColoredGraph) -> str:
     return hashlib.blake2b(render_ecg(G).encode(), digest_size=8).hexdigest()
 
 
-class _Recorder:
-    def __init__(self):
-        self.failures: list[SuiteFailure] = []
-
-    def check(self, ok: bool, seed: int, instance, assertion: str) -> bool:
-        if not ok:
-            self.failures.append(SuiteFailure(seed, instance_digest(instance), assertion))
-        return ok
-
-
 def _trial_seed(seed: int, index: int) -> int:
     return seed ^ index
 
@@ -124,7 +120,7 @@ def _trial_seed(seed: int, index: int) -> int:
 # Suite bodies
 # ---------------------------------------------------------------------------
 
-def _suite_signature_laws(trials, seed, rec, config):
+def _suite_signature_laws(trials, seed, report):
     for i in range(trials):
         tseed = _trial_seed(seed, i)
         rng = random.Random(tseed)
@@ -136,9 +132,9 @@ def _suite_signature_laws(trials, seed, rec, config):
             == D.out_degree(v) + (1 if D.in_degree(v) > 0 else 0)
             for v in range(n)
         )
-        rec.check(law1, tseed, sig, "color degree equals out-degree plus in-flag")
+        report.check(law1, tseed, sig, "color degree equals out-degree plus in-flag")
         out = find_pc_kst(sig, 2, 3)
-        rec.check(
+        report.check(
             out.status == EXHAUSTED, tseed, sig, "signature admits no pc K_{2,3}"
         )
         if n <= 8:
@@ -154,12 +150,12 @@ def _suite_signature_laws(trials, seed, rec, config):
                 cols = [sig.color_of(cyc[j], cyc[(j + 1) % k]) for j in range(k)]
                 if all(cols[j] != cols[(j + 1) % k] for j in range(k)):
                     pc.add(cyc)
-            rec.check(
+            report.check(
                 directed == pc, tseed, sig, "directed cycles equal pc cycles"
             )
 
 
-def _suite_duality(trials, seed, rec, config):
+def _suite_duality(trials, seed, report):
     for i in range(trials):
         tseed = _trial_seed(seed, i)
         rng = random.Random(tseed)
@@ -172,13 +168,13 @@ def _suite_duality(trials, seed, rec, config):
             for name, finder in (("pc", find_pc_kst), ("rainbow", find_rainbow_kst)):
                 a = finder(G, s, t)
                 b = finder(dual, s, t)
-                rec.check(
+                report.check(
                     a.status == b.status, tseed, G,
                     f"{name} K_{{{s},{t}}} existence agrees with the dual graph",
                 )
 
 
-def _suite_lemma1(trials, seed, rec, config):
+def _suite_lemma1(trials, seed, report):
     certified = {2: 0, 3: 0}
     for i in range(trials):
         tseed = _trial_seed(seed, i)
@@ -193,19 +189,19 @@ def _suite_lemma1(trials, seed, rec, config):
             res = saturation_extract(G, s, s)
             H, state = res.H, res.state
             cap_ok = all(color_degree(H, v) <= s - 1 for v in side2)
-            rec.check(cap_ok, tseed, G, f"s={s}: side-2 color degree capped at s-1")
+            report.check(cap_ok, tseed, G, f"s={s}: side-2 color degree capped at s-1")
             # saturated side-2 vertices are exactly those with s-1 kept colors
             sat_ok = all(
                 color_degree(H, v) == s - 1
                 for v in side2
                 if len(state.kept_colors[v]) == s - 1
             )
-            rec.check(sat_ok, tseed, G, f"s={s}: saturated vertices keep exactly s-1 colors")
+            report.check(sat_ok, tseed, G, f"s={s}: saturated vertices keep exactly s-1 colors")
             if s == 2:
                 pseudo = all(len(color_set(H, v)) <= 1 for v in side2)
-                rec.check(pseudo, tseed, G, "s=2: H is pseudo side-2 canonical")
+                report.check(pseudo, tseed, G, "s=2: H is pseudo side-2 canonical")
             if state.x > 0:
-                rec.check(
+                report.check(
                     state.l <= (s - 1) * n2 / state.x + _EPS,
                     tseed, G, f"s={s}: growth length within (s-1)n2/x",
                 )
@@ -215,14 +211,14 @@ def _suite_lemma1(trials, seed, rec, config):
                     certified[s] += 1
                     bound = sigma(s, s) * n2 ** (1.0 - 1.0 / s)
                     ok = all(d <= bound + _EPS for d in res.deltas.values())
-                    rec.check(
+                    report.check(
                         ok, tseed, G,
                         f"s={s}: certified instance keeps side-1 color degree within bound",
                     )
-    config["certified"] = certified
+    report.config["certified"] = certified
 
 
-def _suite_orientation(trials, seed, rec, config):
+def _suite_orientation(trials, seed, report):
     st_cycle = ((2, 2), (2, 3), (3, 3))
     t0 = time.monotonic()
     arcs_at_s3 = 0
@@ -242,11 +238,11 @@ def _suite_orientation(trials, seed, rec, config):
             G = random_edge_colored_graph(n, p, colors, rng.getrandbits(32))
             _, D, rep = construct_orientation(G, s, t)
         problem = verify_orientation(G, D, s, rep)
-        rec.check(problem is None, tseed, G, problem)
+        report.check(problem is None, tseed, G, problem)
         if s == 3 and D.m:
             arcs_at_s3 += 1
-    config["elapsed_unconditional"] = time.monotonic() - t0
-    config["arcs_at_s3"] = arcs_at_s3
+    report.config["elapsed_unconditional"] = time.monotonic() - t0
+    report.config["arcs_at_s3"] = arcs_at_s3
 
     t0 = time.monotonic()
     certified = 0
@@ -276,15 +272,15 @@ def _suite_orientation(trials, seed, rec, config):
             D.out_degree(v) > color_degree(G, v) - 2 * math.sqrt(n) - 2 - _EPS
             for v in range(n)
         )
-        rec.check(
+        report.check(
             bound_ok, tseed, G,
             "certified pc-K_{2,2}-free instance meets the out-degree bound",
         )
-    config["degree_bound_certified"] = certified
-    config["elapsed_degree_bound"] = time.monotonic() - t0
+    report.config["degree_bound_certified"] = certified
+    report.config["elapsed_degree_bound"] = time.monotonic() - t0
 
 
-def _suite_pipeline(trials, seed, rec, config):
+def _suite_pipeline(trials, seed, report):
     family = [("circulant", n) for n in range(9, 61)] + [
         ("extremal", k) for k in (1, 2, 3, 4)
     ]
@@ -298,11 +294,11 @@ def _suite_pipeline(trials, seed, rec, config):
                 and len(out.witness.vertices[0]) <= 4
                 and verify_witness(G, out.witness)
             )
-            rec.check(ok, tseed, G, f"circulant signature n={arg} yields a pc cycle of length <= 4")
+            report.check(ok, tseed, G, f"circulant signature n={arg} yields a pc cycle of length <= 4")
         else:
             G = extremal_no_pc_c4(arg)
             out4 = pc_short_cycle_pipeline(G, 4)
-            rec.check(
+            report.check(
                 out4.status == EXHAUSTED, tseed, G,
                 f"extremal k={arg} has no pc cycle of length <= 4",
             )
@@ -312,10 +308,10 @@ def _suite_pipeline(trials, seed, rec, config):
                 and len(out6.witness.vertices[0]) == 6
                 and verify_witness(G, out6.witness)
             )
-            rec.check(ok, tseed, G, f"extremal k={arg} yields a pc cycle of length 6")
+            report.check(ok, tseed, G, f"extremal k={arg} yields a pc cycle of length 6")
 
 
-def _suite_proposition12(trials, seed, rec, config):
+def _suite_proposition12(trials, seed, report):
     shapes = ((2, 4, 2), (3, 15, 3))
     for i in range(trials):
         tseed = _trial_seed(seed, i)
@@ -330,10 +326,10 @@ def _suite_proposition12(trials, seed, rec, config):
             and verify_witness(G, w)
             and is_rainbow(G, w.edges)
         )
-        rec.check(ok, tseed, G, f"proper K_{{{s},{T}}} yields a rainbow K_{{{s},{t}}}")
+        report.check(ok, tseed, G, f"proper K_{{{s},{T}}} yields a rainbow K_{{{s},{t}}}")
 
 
-def _suite_thresholds(trials, seed, rec, config):
+def _suite_thresholds(trials, seed, report):
     n = 100
     threshold = _total_degree_requirement(2, 2, n)
     totals = []
@@ -345,33 +341,35 @@ def _suite_thresholds(trials, seed, rec, config):
             if total_color_degree(cand) > threshold:
                 G = cand
                 break
-        if rec.check(G is not None, tseed, EdgeColoredGraph(0), "generated a high total color degree instance"):
+        if report.check(
+            G is not None, tseed, EdgeColoredGraph(0), "generated a high total color degree instance"
+        ):
             totals.append(total_color_degree(G))
             out = find_pc_kst(G, 2, 2)
-            rec.check(
+            report.check(
                 out.status == FOUND, tseed, G,
                 "total color degree above threshold forces a pc K_{2,2}",
             )
     if totals:
-        config["min_total"] = min(totals)
-        config["threshold"] = threshold
+        report.config["min_total"] = min(totals)
+        report.config["threshold"] = threshold
 
 
-def _suite_extremal(trials, seed, rec, config):
+def _suite_extremal(trials, seed, report):
     family = [("pc", k) for k in (1, 2, 3)] + [("rainbow", k) for k in (1, 2, 3)]
     for kind, k in family[:trials]:
         tseed = _trial_seed(seed, k)
         if kind == "pc":
             G = extremal_no_pc_c4(k)
-            rec.check(
+            report.check(
                 min_color_degree(G) == k + 1, tseed, G,
                 f"no-pc-C4 family k={k} has minimum color degree k+1",
             )
-            rec.check(
+            report.check(
                 find_pc_kst(G, 2, 2).status == EXHAUSTED, tseed, G,
                 f"no-pc-C4 family k={k} admits no pc K_{{2,2}}",
             )
-            rec.check(
+            report.check(
                 find_pc_cycle_upto(G, 4).status == EXHAUSTED, tseed, G,
                 f"no-pc-C4 family k={k} admits no pc cycle of length <= 4",
             )
@@ -382,12 +380,12 @@ def _suite_extremal(trials, seed, rec, config):
                 if G.neighbor_sets[u] & G.neighbor_sets[v]:
                     triangle_free = False
                     break
-            rec.check(triangle_free, tseed, G, f"no-rainbow-C4 family k={k} is triangle-free")
-            rec.check(
+            report.check(triangle_free, tseed, G, f"no-rainbow-C4 family k={k} is triangle-free")
+            report.check(
                 min_color_degree(G) == k + 1, tseed, G,
                 f"no-rainbow-C4 family k={k} has minimum color degree k+1",
             )
-            rec.check(
+            report.check(
                 find_rainbow_c4(G).status == EXHAUSTED, tseed, G,
                 f"no-rainbow-C4 family k={k} admits no rainbow C4",
             )
@@ -396,29 +394,29 @@ def _suite_extremal(trials, seed, rec, config):
 RECOLOR_DEFAULTS = {"n": 20, "s": 3, "t": 7, "gamma": 0.1, "max_tries": 50_000}
 
 
-def _suite_recolor(trials, seed, rec, config):
+def _suite_recolor(trials, seed, report):
     attempts_log = []
     for i in range(trials):
         tseed = _trial_seed(seed, i)
         params = RecolorParams(seed=tseed, **RECOLOR_DEFAULTS)
         G, attempts = recolored_tournament(params)
         attempts_log.append(attempts)
-        rec.check(
+        report.check(
             verify_recolored(params, G), tseed, G,
             "accepted output passes both rejection predicates on re-check",
         )
-        rec.check(
+        report.check(
             find_pc_kst(G, params.s, params.t).status == EXHAUSTED,
             tseed, G, "recolored tournament admits no pc K_{s,t}",
         )
-        rec.check(
+        report.check(
             min_color_degree(G) >= math.ceil(params.n / 2), tseed, G,
             "recolored tournament keeps minimum color degree at least n/2",
         )
-    config.update(RECOLOR_DEFAULTS)
+    report.config.update(RECOLOR_DEFAULTS)
     if attempts_log:
-        config["attempts_max"] = max(attempts_log)
-        config["attempts_mean"] = sum(attempts_log) / len(attempts_log)
+        report.config["attempts_max"] = max(attempts_log)
+        report.config["attempts_mean"] = sum(attempts_log) / len(attempts_log)
 
 
 # Every detector on an edge-colored graph but disjoint_pc_cycles, whose
@@ -449,7 +447,7 @@ def _maps_back(G, w, perm) -> bool:
     return edges is not None and verify_witness(G, Witness(w.kind, groups, sorted(edges)))
 
 
-def _suite_invariance(trials, seed, rec, config):
+def _suite_invariance(trials, seed, report):
     """Answers that must not depend on labels, for every detector but
     disjoint_pc_cycles, on random graphs and, every other trial, the
     signature of a random oriented graph (n 5 to 16). Relabelling the
@@ -482,26 +480,26 @@ def _suite_invariance(trials, seed, rec, config):
             out = search(G)
             found += out.status == FOUND
             moved = search(relabelled)
-            rec.check(
+            report.check(
                 moved.status == out.status
                 and (moved.witness is None or _maps_back(G, moved.witness, perm)),
                 tseed, G, f"{name}: relabelling keeps the status and a witness on G",
             )
             other = search(renamed)
-            rec.check(
+            report.check(
                 (other.status, other.nodes) == (out.status, out.nodes)
                 and (other.witness and other.witness.vertices) == (out.witness and out.witness.vertices),
                 tseed, G, f"{name}: renaming colors keeps status, nodes and witness vertices",
             )
-            rec.check(
+            report.check(
                 search(union).status == out.status, tseed, G,
                 f"{name}: an acyclic signature beside G keeps the status",
             )
-            rec.check(
+            report.check(
                 search(pendant).status == out.status, tseed, G,
                 f"{name}: a pendant vertex keeps the status",
             )
-    config["found"] = found
+    report.config["found"] = found
 
 
 _SUITES = {
@@ -530,13 +528,12 @@ def run_suite(name: str, trials: int, seed: int) -> SuiteReport:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
     _require_int("trials", trials, 0)
-    rec = _Recorder()
-    cfg = {"seed": seed, "trials": trials}
+    report = SuiteReport(name, trials, config={"seed": seed, "trials": trials})
     start = time.monotonic()
     if trials > 0:
-        _SUITES[name](trials, seed, rec, cfg)
-    elapsed = time.monotonic() - start
-    return SuiteReport(name, trials, rec.failures, elapsed, cfg)
+        _SUITES[name](trials, seed, report)
+    report.elapsed_s = time.monotonic() - start
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ two_build_blowup_cycle_signature and edge_order_dual_graph;
 full_hub_walk_classes, the hub pass as it ran when it built every
 vertex's hubs up front and explored both halves of every mirror pair of
 walk classes; backtracked_pair, the K_{2,2} pair search of the K_{s,t}
-scan as it ran when it backtracked; and claimed_edges, which
-lists the host edges a witness needs.
+scan as it ran when it backtracked; depth_limited_shortest_directed_cycle,
+the directed-cycle BFS as it ran when it read each source's closing vertex
+off its in-list; and claimed_edges, which lists the host edges a witness
+needs.
 """
 from __future__ import annotations
 
@@ -175,6 +177,61 @@ def brute_directed_girth(D):
     return best
 
 
+def depth_limited_shortest_directed_cycle(D, budget=None):
+    """shortest_directed_cycle as it ran when each source's BFS went down to
+    one level short of the best cycle so far, or to its end, and then read
+    the closing vertex, the least in-neighbour of the source at the least
+    depth, off a scan of the source's in-list: the reference whose status
+    and witness the search must keep, in no more nodes. details stay empty.
+    """
+
+    def body(clock):
+        n = D.n
+        out = [[] for _ in range(n)]
+        ins = [[] for _ in range(n)]
+        for arc in D.arcs:
+            out[arc[0]].append(arc[1])
+            ins[arc[1]].append(arc[0])
+        best_cycle = None
+        for s in range(n):
+            if best_cycle is not None and len(best_cycle) == 3:
+                break
+            dist = {s: 0}
+            parent = {s: None}
+            frontier = [s]
+            limit = len(best_cycle) - 1 if best_cycle is not None else None
+            d = 0
+            while frontier:
+                clock.tick(len(frontier))
+                if limit is not None and d >= limit:
+                    break
+                nxt = []
+                for v in frontier:
+                    for w in out[v]:
+                        if w not in dist:
+                            dist[w] = d + 1
+                            parent[w] = v
+                            nxt.append(w)
+                frontier = nxt
+                d += 1
+            closing = None
+            for u in ins[s]:
+                if u in dist and (closing is None or dist[u] < dist[closing]):
+                    closing = u
+            if closing is None:
+                continue
+            if best_cycle is None or dist[closing] + 1 < len(best_cycle):
+                path = []
+                v = closing
+                while v is not None:
+                    path.append(v)
+                    v = parent[v]
+                best_cycle = list(reversed(path))
+        return None if best_cycle is None else (best_cycle,)
+
+    return _search(budget, body, {}, D, "directed-cycle")
+
+
 def is_pc_cycle(G, cyc) -> bool:
     cmap = _color_map(G)
     k = len(cyc)
@@ -185,6 +242,34 @@ def is_pc_cycle(G, cyc) -> bool:
             return False
         cols.append(c)
     return all(cols[i] != cols[(i + 1) % k] for i in range(k))
+
+
+def max_pc_cycle_packing(G) -> tuple[tuple[int, ...], ...]:
+    """A largest family of vertex-disjoint properly colored cycles of G
+    (n <= 9), each canonical as all_cycles_by_permutation writes it, by an
+    exact search over every pc cycle: each vertex in turn is either the
+    least vertex of a chosen cycle or of none."""
+    assert G.n <= 9, "an oracle for tiny graphs"
+    cycles = sorted(
+        c for c in all_cycles_by_permutation(G.n, [e[:2] for e in G.edges]) if is_pc_cycle(G, c)
+    )
+    starting_at = [[c for c in cycles if c[0] == v] for v in range(G.n)]
+    best: tuple = ()
+
+    def extend(v, used, chosen):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = tuple(chosen)
+        free = sum(1 for u in range(v, G.n) if u not in used)
+        if v == G.n or len(chosen) + free // 3 <= len(best):
+            return
+        for c in starting_at[v]:
+            if used.isdisjoint(c):
+                extend(v + 1, used | set(c), chosen + [c])
+        extend(v + 1, used, chosen)
+
+    extend(0, set(), [])
+    return best
 
 
 def brute_shortest_pc_cycle(G, r):

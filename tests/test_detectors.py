@@ -69,10 +69,12 @@ from oracles import (
     brute_shortest_pc_cycle,
     brute_walk_classes,
     claimed_edges,
+    depth_limited_shortest_directed_cycle,
     first_pc_cycle_witness,
     first_pc_kst_witness,
     full_hub_walk_classes,
     is_pc_cycle,
+    max_pc_cycle_packing,
     rebuilt_disjoint_pc_cycles,
     staged_pc_cycle,
     staged_pipeline,
@@ -1906,6 +1908,29 @@ class TestShortestDirectedCycle:
             out = shortest_directed_cycle(D, SearchBudget(time_limit_s=1e-9))
             assert out.status == BUDGET_EXCEEDED and out.witness is None
 
+    @staticmethod
+    def assert_matches_depth_limited_bfs(D):
+        ref, out = depth_limited_shortest_directed_cycle(D), shortest_directed_cycle(D)
+        assert (out.status, out.witness) == (ref.status, ref.witness)
+        assert out.nodes <= ref.nodes
+        return ref.nodes, out.nodes
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30), st.sampled_from([0.1, 0.2, 0.3, 0.6]), st.integers(0, 2**32 - 1))
+    def test_matches_depth_limited_bfs(self, n, p, seed):
+        # Each source stops at its first closing level: the same status and
+        # witness as the BFS that ran to the best cycle's depth, never more nodes.
+        self.assert_matches_depth_limited_bfs(random_oriented_graph(n, p, seed))
+
+    def test_matches_depth_limited_bfs_on_families(self):
+        nodes = [self.assert_matches_depth_limited_bfs(D) for D in (
+            circulant_tournament(101), transitive_tournament(12),
+            blow_up(directed_cycle(7), 4),
+            construct_orientation(blowup_cycle_signature(5, 8), 2, 2)[1],
+            construct_orientation(extremal_no_pc_c4(2), 2, 2)[1],
+        )]
+        assert nodes[:4] == [(101, 101), (78, 78), (703, 592), (1270, 974)]
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_exact_vs_enumeration(self, seed):
@@ -2218,6 +2243,25 @@ class TestDisjointPcCycles:
         groups = self.CIRCULANT_9_TRIANGLES
         w = Witness("disjoint-cycles", groups, claimed_edges(G, "disjoint-cycles", groups))
         assert verify_witness(G, w)
+
+    def test_packing_oracle_packs_three_on_circulant_9(self):
+        G = signature(circulant_tournament(9))
+        groups = max_pc_cycle_packing(G)
+        assert len(groups) == 3
+        w = Witness("disjoint-cycles", groups, claimed_edges(G, "disjoint-cycles", groups))
+        assert verify_witness(G, w)
+
+    def test_greedy_never_packs_more_than_the_oracle(self):
+        packed = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(6, 9)
+            G = random_edge_colored_graph(n, rng.choice((0.5, 0.8)), rng.randint(2, 4), seed)
+            most = len(max_pc_cycle_packing(G))
+            greedy = disjoint_pc_cycles(G, n // 3)
+            assert len(greedy.details["cycles"]) <= most, seed
+            packed.append(most)
+        assert min(packed) == 0 and max(packed) >= 2
 
     @pytest.mark.xfail(strict=True, reason="the greedy is no exact packing (ROADMAP item 1)")
     def test_circulant_9_packs_three_cycles(self):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,9 +15,12 @@ from chroma.constructions import (
     transitive_tournament,
 )
 from chroma import cli, extraction, suites
+from chroma.check import verify_orientation, verify_witness
 from chroma.cli import EXIT_INPUT_ERROR
-from chroma.core import EdgeColoredGraph
-from chroma.detectors import EXHAUSTED, FOUND, SearchOutcome, find_pc_kst, pc_short_cycle_pipeline
+from chroma.core import EdgeColoredGraph, Witness
+from chroma.detectors import (
+    EXHAUSTED, FOUND, SearchOutcome, find_pc_kst, find_rainbow_c4, pc_short_cycle_pipeline,
+)
 from chroma.extraction import default_x
 from chroma.formats import load, save
 from chroma.suites import SUITE_NAMES, analyze, instance_digest, run_suite
@@ -422,6 +426,117 @@ class TestCli:
         )
         assert res.returncode == 0
         assert isinstance(json.loads(repj.read_text())["l"], int)
+
+
+# Four families, each written by chroma gen: the signatures of the transitive
+# tournament on 60 vertices and of the circulant one on 21, and those of the
+# directed C5 blown up 8 times and of the directed C6 blown up 3 times.
+FAMILIES = {
+    "t60": ["gen transitive --n 60 -o {org}", "gen signature -i {org} -o {ecg}"],
+    "c21": ["gen circulant --n 21 -o {org}", "gen signature -i {org} -o {ecg}"],
+    "b58": ["gen blowup-sig --r 5 --k 8 -o {ecg}"],
+    "b63": ["gen blowup-sig --r 6 --k 3 -o {ecg}"],
+}
+
+
+def argv(command, paths):
+    """The command's words with the {name}s in them filled from paths."""
+    return [word.format(**paths) for word in command.split()]
+
+
+@pytest.fixture(scope="module")
+def family_files(tmp_path_factory):
+    """Each family's .org, if it has one, and .ecg, written by chroma gen
+    in-process."""
+    tmp = tmp_path_factory.mktemp("families")
+    files = {}
+    for name, steps in FAMILIES.items():
+        files[name] = {"org": tmp / f"{name}.org", "ecg": tmp / f"{name}.ecg"}
+        for step in steps:
+            assert cli.main(argv(step, files[name])) == 0
+    return files
+
+
+@pytest.mark.parametrize("family,command,code,pins", [
+    # The one-color peel empties the acyclic signature before any scan:
+    # exhausted-none with no walk period, one node per edge.
+    ("t60", "find pc-kst -i {ecg}", 1, {"nodes": 1770, "walk_periods": []}),
+    ("t60", "find pc-cycle --max-len 60 -i {ecg}", 1, {"nodes": 1770, "walk_periods": []}),
+    ("t60", "find pipeline --max-len 6 -i {ecg}", 1, {"nodes": 1770, "walk_periods": []}),
+    # default_x(2, 2, 60) = 2 sqrt(15)
+    ("t60", "orient --s 2 --t 2 -i {ecg} -o {corg} --report {report}", 0,
+     {"x": 7.745966692414834}),
+    # No pc K_{2,2} and no rainbow C4: the scan's rent of 321 and 663 nodes
+    # of the hub pass, which finds period 5.
+    ("b58", "find pc-kst -i {ecg}", 1, {"nodes": 984, "walk_periods": [5]}),
+    ("b58", "find rainbow-c4 -i {ecg}", 1, {"nodes": 984, "walk_periods": [5]}),
+    # With no pc C4, the pipeline answers with the cycle DFS's witness.
+    ("b58", "find pipeline --max-len 6 -i {ecg}", 0, {"witness": [[0, 8, 16, 24, 32]]}),
+    ("b58", "find pc-cycle --max-len 6 -i {ecg}", 0, {"witness": [[0, 8, 16, 24, 32]]}),
+    ("b58", "find disjoint --k 3 -i {ecg}", 0, {"nodes": 999, "cycles": 3}),
+    ("b58", "find disjoint --k 9 -i {ecg}", 1, {"nodes": 1024, "cycles": 8}),
+    ("c21", "gen signature -i {org}", 0, {
+        "sha256": "c86991e6e6c99e5d90cccff7e144930b4560963724d603e5bb39d49243cb07e5",
+    }),
+    ("c21", "find pc-kst --s 2 --t 3 -i {ecg}", 1, {"nodes": 5803, "walk_periods": [1]}),
+    ("c21", "find pc-kst --s 3 --t 3 -i {ecg}", 1, {"walk_periods": [1]}),
+    # A pc C4 is a pc K_{2,2}: sides (a, b), (u, v) read as (a, u, b, v).
+    ("c21", "find pipeline --max-len 4 -i {ecg}", 0, {"nodes": 25, "witness": [[0, 1, 2, 11]]}),
+    ("c21", "find pc-kst -i {ecg}", 0, {"nodes": 25, "witness": [[0, 2], [1, 11]]}),
+    # The triangle at the first start, within the rent: no hub pass.
+    ("c21", "find pc-cycle --max-len 4 -i {ecg}", 0,
+     {"nodes": 21, "witness": [[0, 1, 11]], "walk_periods": None}),
+    # Side 1 is the vertex prefix, so the sides ride in the header.
+    ("b63", "gen blowup-sig --r 6 --k 3", 0, {
+        "sha256": "2a5fef8fc6af5fe93d10b5cdeb4f16337fccfc17e1c05b2b170f7c4f716d8c14",
+        "head": "ecg 18 54 bipartite 9", "stderr": "",
+    }),
+    # The bipartite construction, x = default_x(2, 2, 9) per side; the
+    # general one at default_x(2, 2, 18) = 6, above every color degree (4),
+    # picks nothing.
+    ("b63", "orient --s 2 --t 2 -i {ecg} -o {corg} --report {report}", 0,
+     {"x": [3.0, 3.0], "arcs": 36}),
+    ("b63", "orient --s 2 --t 2 --general -i {ecg} -o {corg} --report {report}", 0,
+     {"arcs": 0}),
+])
+def test_cli_pins(family_files, tmp_path, capsys, family, command, code, pins):
+    # Node counts do not depend on the machine. Every found witness and
+    # every orientation passes the package's checker.
+    paths = {**family_files[family], "corg": tmp_path / "d.corg", "report": tmp_path / "r.json"}
+    assert cli.main(argv(command, paths)) == code
+    stdout, stderr = capsys.readouterr()
+    host = load(paths["ecg"])
+    values = {"stderr": stderr}
+    if command.startswith("find"):
+        out = json.loads(stdout)
+        witness = out["witness"]
+        assert (out["status"] == FOUND) == (witness is not None)
+        assert witness is None or verify_witness(host, Witness(**witness))
+        values.update(
+            nodes=out["nodes"], witness=witness and witness["vertices"],
+            walk_periods=out["details"].get("walk_periods"),
+            cycles=len(out["details"].get("cycles", [])),
+        )
+    elif command.startswith("orient"):
+        D, report = load(paths["corg"]), json.loads(paths["report"].read_text())
+        assert verify_orientation(host, D, 2, report) is None
+        values.update(x=report["x"], arcs=D.m)
+    else:
+        values.update(
+            sha256=hashlib.sha256(stdout.encode()).hexdigest(), head=stdout.split("\n", 1)[0]
+        )
+    assert {k: values[k] for k in pins} == pins
+
+
+def test_b58_searched_twice_on_one_graph(family_files):
+    # A search of b58 drops no edge, so the search view keeps the hub pass's
+    # layout with the graph, and every later search reuses it.
+    G = load(family_files["b58"]["ecg"])
+    outs = [search(G) for search in (lambda G: find_pc_kst(G, 2, 2), find_rainbow_c4)
+            for _ in range(2)]
+    assert [(o.status, o.nodes, o.details["walk_periods"]) for o in outs] == [
+        (EXHAUSTED, 984, [5])
+    ] * 4
 
 
 class TestOrientPausesTheCollector:
