@@ -81,24 +81,35 @@ def _gen_recolored(args):
     return out
 
 
-# Each generator maps the parsed arguments to the object gen writes. Every entry
-# looks its function up on its module as it runs, so a wrapper put there sees it.
+# Each generator: the options it needs, and a map of the parsed arguments to the
+# object gen writes. Every map looks its function up on its module as it runs,
+# so a wrapper put there sees it.
 _GENERATORS = {
-    "signature": lambda a: transforms.signature(_load(a.input, OrientedGraph, "gen signature")),
-    "dual": lambda a: transforms.dual_graph(_load(a.input, EdgeColoredGraph, "gen dual")),
-    "blowup": lambda a: transforms.blow_up(_load(a.input, OrientedGraph, "gen blowup"), a.k),
-    "transitive": lambda a: constructions.transitive_tournament(a.n),
-    "circulant": lambda a: constructions.circulant_tournament(a.n),
-    "cycle": lambda a: constructions.directed_cycle(a.r),
-    "blowup-sig": lambda a: constructions.blowup_cycle_signature(a.r, a.k),
-    "random": _gen_random,
-    "proper-kst": lambda a: constructions.random_proper_complete_bipartite(a.s, a.t, a.seed),
-    "recolored": _gen_recolored,
+    "signature": (
+        (), lambda a: transforms.signature(_load(a.input, OrientedGraph, "gen signature"))
+    ),
+    "dual": ((), lambda a: transforms.dual_graph(_load(a.input, EdgeColoredGraph, "gen dual"))),
+    "blowup": (
+        ("k",), lambda a: transforms.blow_up(_load(a.input, OrientedGraph, "gen blowup"), a.k)
+    ),
+    "transitive": (("n",), lambda a: constructions.transitive_tournament(a.n)),
+    "circulant": (("n",), lambda a: constructions.circulant_tournament(a.n)),
+    "cycle": (("r",), lambda a: constructions.directed_cycle(a.r)),
+    "blowup-sig": (("r", "k"), lambda a: constructions.blowup_cycle_signature(a.r, a.k)),
+    "random": (("n", "p"), _gen_random),
+    "proper-kst": (
+        ("s", "t"), lambda a: constructions.random_proper_complete_bipartite(a.s, a.t, a.seed)
+    ),
+    "recolored": (("n", "s", "t", "gamma"), _gen_recolored),
 }
 
 
 def _cmd_gen(args) -> int:
-    _write_output(_GENERATORS[args.what](args), args.output)
+    needs, make = _GENERATORS[args.what]
+    for option in needs:
+        if getattr(args, option) is None:
+            raise ValueError(f"gen {args.what} needs --{option}")
+    _write_output(make(args), args.output)
     return 0
 
 

@@ -1118,6 +1118,36 @@ def pc_short_cycle_pipeline(
     return _run_cycles(G, _c4_first(r), budget, {"r": r})
 
 
+def _packing_bound(left: int, walks: _WalkClasses, classes, dropped) -> Optional[dict]:
+    """{"left", "least", "room"} when left vertex-disjoint properly colored
+    cycles cannot fit in the view walks, else None.
+
+    Every properly colored cycle lies in one walk class (see
+    _walk_classes), and a class of period p holds none shorter than
+    p * ceil(3 / p). classes, when given, are those of the view before the
+    vertices dropped left it. Each cycle left is a cycle of that view, so
+    room counts the vertices outside dropped of the classes that keep
+    p * ceil(3 / p) of them, and least is the least such length, 3 when no
+    class keeps enough. With no classes, room is the core of walks, which
+    the next search would peel first, and least is 3. A graph on fewer
+    than three vertices is not peeled: its core is empty, since each core
+    vertex sees two others in it, and no search would peel it. left cycles
+    need left * least vertices of room.
+    """
+    if classes is None:
+        least, room = 3, len(walks.core()) if walks.G.n > 2 else 0
+    else:
+        kept, union = [], set()
+        for p, verts in classes:
+            need = p * math.ceil(3 / p)
+            rest = set(verts).difference(dropped)
+            if len(rest) >= need:
+                kept.append(need)
+                union |= rest
+        least, room = min(kept, default=3), len(union)
+    return {"left": left, "least": least, "room": room} if left * least > room else None
+
+
 def disjoint_pc_cycles(
     G: EdgeColoredGraph, k: int, budget: Optional[SearchBudget] = None
 ) -> SearchOutcome:
@@ -1132,26 +1162,43 @@ def disjoint_pc_cycles(
     from the last cycle's on, since those before it held no cycle and
     dropping vertices makes none. found carries the k cycles as one
     witness, checked once. With fewer than k cycles the outcome is
-    exhausted-none and the partial family rides in the details; this is a
-    greedy heuristic, not an exact packing decision.
+    exhausted-none and the partial family rides in the details.
+
+    Before each round, _packing_bound tests whether the cycles still needed
+    can fit: on the core before the first round, and after a drop on the
+    classes of the round's hub pass less the dropped cycle, or on the
+    residual's core when the round ran no hub pass. When they cannot, the
+    search stops with exhausted-none and details["bound"] holds the test's
+    figures. Only that stop with no cycle found proves that G has no k
+    disjoint properly colored cycles. Any other exhausted-none, a bound stop
+    after a cycle or a round that finds none, says only that the greedy's
+    family cannot be extended: it is a heuristic, not a packing decision.
     """
     _require_int("k", k, 1)
     cycles: list[list[int]] = []
+    details = {"requested": k, "cycles": cycles}
 
     def body(clock):
         walks = _WalkClasses(G, clock, {})
         lengths = _c4_first(G.n)
+        classes, last = None, ()
         while len(cycles) < k:
+            bound = _packing_bound(k - len(cycles), walks, classes, last)
+            if bound:
+                details["bound"] = bound
+                return None
             found = _pc_cycle_impl(lengths, walks)
             if found is None:
                 return None
-            cycles.append(list(found[0]))
-            walks.drop(cycles[-1])
+            last = found[0]
+            cycles.append(list(last))
+            classes = walks.classes
+            walks.drop(last)
             # the lengths tried before hold no cycle, and dropping makes none
-            lengths = lengths[lengths.index(len(cycles[-1])):]
+            lengths = lengths[lengths.index(len(last)):]
         return cycles
 
-    return _search(budget, body, {"requested": k, "cycles": cycles}, G, "disjoint-cycles")
+    return _search(budget, body, details, G, "disjoint-cycles")
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Everything here enumerates by raw itertools subsets/permutations and checks
 properties directly from edge lists, sharing no traversal logic with the
 package's backtracking detectors. Intended for tiny instances only. The
 exceptions are references that run the package's own code:
-rebuilt_disjoint_pc_cycles, on graphs rebuilt from G's edge list, and
-staged_pc_cycle, the two-stage cycle search that the pipeline and each
-disjoint round ran before they went through the one length-order driver;
+rebuilt_disjoint_pc_cycles, on graphs rebuilt from G's edge list;
+greedy_disjoint_pc_cycles, the disjoint rounds as they ran before they
+tested whether the cycles still needed can fit; staged_pc_cycle, the
+two-stage cycle search that the pipeline and each disjoint round ran
+before they went through the one length-order driver;
 up_front_pc_cycle, the length-order driver as it ran when it bought the
 hub pass before its first DFS length;
 adjacency_greedy and adjacency_orient, the orientation construction
@@ -47,7 +49,9 @@ from chroma.detectors import (
     _WALK_SWITCH,
     _WalkClasses,
     _c4,
+    _c4_first,
     _kst_impl,
+    _packing_bound,
     _pc_cycle_impl,
     _return_table,
     _search,
@@ -771,22 +775,57 @@ def rebuilt_disjoint_pc_cycles(G, k, budget=None, search=one_driver_round):
     graph rebuilt by without_vertices, which drops the vertices of the
     cycles found so far: the reference that the package's rounds on a live
     mask of G must match in status, witness, nodes and details. As there,
-    the first round's search(walks, lengths) tries the lengths 4, 3,
-    5..max(n, 4), each later round those from the length of the last cycle
-    found on, and returns the groups of one cycle; _search builds and
-    checks the cycles once, as the disjoint-cycles witness on G. With
-    search=staged_pc_cycle, the rounds are those of the two-stage search."""
+    _packing_bound runs before each round, on the view of the residual and
+    the last round's walk classes, the first round's search(walks, lengths)
+    tries the lengths 4, 3, 5..max(n, 4), each later round those from the
+    length of the last cycle found on, and returns the groups of one cycle;
+    _search builds and checks the cycles once, as the disjoint-cycles
+    witness on G. With search=staged_pc_cycle, the rounds are those of the
+    two-stage search."""
+    cycles: list[list[int]] = []
+    details = {"requested": k, "cycles": cycles}
+
+    def body(clock):
+        walks = _WalkClasses(G, clock, {})
+        lengths = (4, 3, *range(5, max(G.n, 4) + 1))
+        classes, last = None, ()
+        while len(cycles) < k:
+            bound = _packing_bound(k - len(cycles), walks, classes, last)
+            if bound:
+                details["bound"] = bound
+                return None
+            found = search(walks, lengths)
+            if found is None:
+                return None
+            last = found[0]
+            cycles.append(list(last))
+            classes = walks.classes
+            residual = without_vertices(G, {v for cyc in cycles for v in cyc})
+            walks = _WalkClasses(residual, clock, {})
+            lengths = lengths[lengths.index(len(last)):]
+        return cycles
+
+    return _search(budget, body, details, G, "disjoint-cycles")
+
+
+def greedy_disjoint_pc_cycles(G, k, budget=None):
+    """disjoint_pc_cycles as it ran before it tested whether the cycles
+    still needed can fit (_packing_bound): its rounds run to the first that
+    finds no cycle. The reference that the bounded rounds must match in
+    status and witness, whose partial family must extend theirs, and whose
+    node count must be at least theirs."""
     cycles: list[list[int]] = []
 
     def body(clock):
-        residual = G
-        lengths = (4, 3, *range(5, max(G.n, 4) + 1))
+        walks = _WalkClasses(G, clock, {})
+        lengths = _c4_first(G.n)
         while len(cycles) < k:
-            found = search(_WalkClasses(residual, clock, {}), lengths)
+            found = _pc_cycle_impl(lengths, walks)
             if found is None:
                 return None
             cycles.append(list(found[0]))
-            residual = without_vertices(G, {v for cyc in cycles for v in cyc})
+            walks.drop(cycles[-1])
+            # the lengths tried before hold no cycle, and dropping makes none
             lengths = lengths[lengths.index(len(cycles[-1])):]
         return cycles
 

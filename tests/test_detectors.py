@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import random
@@ -73,6 +74,7 @@ from oracles import (
     first_pc_cycle_witness,
     first_pc_kst_witness,
     full_hub_walk_classes,
+    greedy_disjoint_pc_cycles,
     is_pc_cycle,
     max_pc_cycle_packing,
     rebuilt_disjoint_pc_cycles,
@@ -1675,7 +1677,9 @@ class TestWalkGate:
 
     def test_one_pass_per_pipeline_call_and_disjoint_round(self, walk_passes):
         # One peel per pipeline call and per disjoint round, and at most one
-        # hub pass, which never runs on an empty core.
+        # hub pass, which never runs on an empty core. A disjoint search that
+        # the bound stops on the last round's walk classes skips the peel of
+        # the round it saves; one stopped on a core ran that round's peel.
         for seed in range(30):
             for G in (gate_instance(seed), cycle_search_instance(seed)):
                 for r in (4, 6):
@@ -1688,7 +1692,9 @@ class TestWalkGate:
                     clear(walk_passes)
                     out = disjoint_pc_cycles(G, k)
                     rounds = len(out.details["cycles"]) + (out.status == EXHAUSTED)
-                    assert len(walk_passes["peel"]) == rounds
+                    peels, hubs = walk_passes["peel"], walk_passes["hub"]
+                    on_classes = "bound" in out.details and hubs and peels[-1][1] <= hubs[-1][0]
+                    assert len(peels) == rounds - bool(on_classes)
                     empty = sum(core == [] for _, _, core in walk_passes["peel"])
                     assert len(walk_passes["hub"]) <= rounds - empty
 
@@ -2068,7 +2074,8 @@ class TestPipeline:
                 assert out.details == {"r": r, "walk_periods": []}
             out = disjoint_pc_cycles(G, 2)
             assert out.status == EXHAUSTED and out.nodes == G.m
-            assert out.details == {"requested": 2, "cycles": []}
+            bound = {"left": 2, "least": 3, "room": 0}
+            assert out.details == {"requested": 2, "cycles": [], "bound": bound}
 
 
 def pc_c4_free_instance(seed):
@@ -2174,16 +2181,33 @@ class TestNoPcC4Family:
 
 class TestDisjointPcCycles:
     def test_round_on_an_acyclic_residual_stops_after_stage1(self):
-        # A pc triangle beside an acyclic signature: the second round's
-        # residual peels to nothing, one tick per edge, and ends there.
+        # A pc C4 on 0..3 and an acyclic signature on 4..15, each of whose
+        # vertices has an edge of its own color to 0, so the core is all 16:
+        # the first round takes the C4 within its rent, and the residual
+        # peels to nothing, one tick per edge, where the bound stops.
+        T = signature(transitive_tournament(12))
+        c4 = [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)]
+        spokes = [(v, 0, 100 + v) for v in range(4, 16)]
+        G = EdgeColoredGraph(16, [*c4, *((u + 4, v + 4, c + 10) for u, v, c in T.edges), *spokes])
+        first = pc_short_cycle_pipeline(G, G.n)
+        assert first.status == FOUND and first.witness.vertices == ((0, 1, 2, 3),)
+        out = disjoint_pc_cycles(G, 2)
+        assert out.status == EXHAUSTED and out.details["cycles"] == [[0, 1, 2, 3]]
+        assert out.details["bound"] == {"left": 1, "least": 3, "room": 0}
+        assert out.nodes == first.nodes + T.m
+
+    def test_triangle_beside_an_acyclic_signature_is_bounded_at_the_root(self):
+        # The peel leaves only the triangle, 3 < 2 x 3 vertices: the search
+        # stops before its first round, one tick per edge peeled, and the
+        # stop proves that G holds no two disjoint pc cycles.
         T = signature(transitive_tournament(12))
         tri = [(12, 13, 0), (13, 14, 1), (12, 14, 2)]
         G = EdgeColoredGraph(15, list(T.edges) + tri)
-        first = pc_short_cycle_pipeline(G, G.n)
-        assert first.status == FOUND and sorted(first.witness.vertices[0]) == [12, 13, 14]
         out = disjoint_pc_cycles(G, 2)
-        assert out.status == EXHAUSTED and out.details["cycles"] == [[12, 13, 14]]
-        assert out.nodes == first.nodes + T.m
+        assert out.status == EXHAUSTED and out.details["cycles"] == []
+        assert out.details["bound"] == {"left": 2, "least": 3, "room": 3}
+        assert out.nodes == T.m
+        assert disjoint_pc_cycles(G, 1).status == FOUND
 
     def test_two_disjoint_triangles(self):
         sig = signature(directed_cycle(3))
@@ -2211,10 +2235,13 @@ class TestDisjointPcCycles:
             seen |= set(cyc)
 
     def test_partial_family_reported(self):
-        sig = signature(directed_cycle(3))
-        out = disjoint_pc_cycles(sig, 2, None)
-        assert out.status == EXHAUSTED
-        assert len(out.details["cycles"]) == 1
+        # The first round takes a pc C4, which leaves 5 vertices, too few
+        # for two more cycles: the greedy's own answer, not a proof, since
+        # three disjoint triangles fit (see below).
+        out = disjoint_pc_cycles(signature(circulant_tournament(9)), 3, None)
+        assert out.status == EXHAUSTED and out.nodes == 13
+        assert out.details["cycles"] == [[0, 1, 2, 5]]
+        assert out.details["bound"] == {"left": 2, "least": 3, "room": 5}
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
@@ -2234,8 +2261,9 @@ class TestDisjointPcCycles:
                 assert out.witness.vertices == pipe.witness.vertices
         assert found > 0
 
-    # ROADMAP item 1: the greedy takes two pc C4s, which leave no room for a
-    # third cycle, though three disjoint triangles exist.
+    # ROADMAP item 1: the greedy takes a pc C4, after which the packing
+    # bound finds no room for two more cycles (13 nodes), though three
+    # disjoint triangles exist.
     CIRCULANT_9_TRIANGLES = ((0, 3, 6), (1, 4, 7), (2, 5, 8))
 
     def test_circulant_9_holds_three_disjoint_triangles(self):
@@ -2276,9 +2304,11 @@ class TestDisjointPcCycles:
         edges = [*six, *((u + 6, v + 6, c) for u, v, c in six), (0, 6, 3), (6, 12, 4), (0, 12, 5)]
         return EdgeColoredGraph(13, edges)
 
-    # ROADMAP item 1: on c21 the greedy takes four pc C4s (73 nodes), though
-    # the seven triangles {i, i+7, i+14} fit; on two_c6_and_a_triangle it
-    # takes the triangle (149 nodes), which leaves no cycle.
+    # ROADMAP item 1: on c21 the greedy takes a pc C4, after which the
+    # packing bound finds 17 vertices too few for six more cycles (25
+    # nodes), though the seven triangles {i, i+7, i+14} fit; on
+    # two_c6_and_a_triangle it takes the triangle (150 nodes), which leaves
+    # no cycle.
     @pytest.mark.parametrize("name", ["circulant-21-k7", "two-c6-and-a-triangle-k2"])
     @pytest.mark.xfail(strict=True, reason="the greedy is no exact packing (ROADMAP item 1)")
     def test_packs_what_verify_witness_accepts(self, name):
@@ -2310,6 +2340,14 @@ def disjoint_instance(seed):
     )
 
 
+def whole_family(G):
+    """The k at which disjoint_pc_cycles runs every round of the greedy and
+    finds each cycle: the size of the family that the greedy without the
+    packing bound collects, at least 1. No bound stops a search that finds
+    its k cycles."""
+    return max(1, len(greedy_disjoint_pc_cycles(G, G.n).details["cycles"]))
+
+
 def masked_table_instance():
     """A relabelled C9 blow-up (k = 2) beside a pc triangle on 18..20 whose
     vertex 18 is joined to every blow-up vertex in one color: the triangle
@@ -2337,10 +2375,11 @@ class TestDisjointRoundsOnTheMask:
         return out
 
     def test_seeded_instances(self):
+        # k = n is bounded at the root; whole_family(G) runs every round.
         multi = 0
         for seed in range(120):
             G = disjoint_instance(seed)
-            for k in (1, 3, G.n):
+            for k in (1, 3, G.n, whole_family(G)):
                 out = self.assert_same(G, k)
                 multi += len(out.details["cycles"]) >= 2
         assert multi > 40
@@ -2349,7 +2388,7 @@ class TestDisjointRoundsOnTheMask:
     @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 3, None)))
     def test_hypothesis_instances(self, seed, k):
         G = disjoint_instance(seed)
-        self.assert_same(G, k or G.n)
+        self.assert_same(G, k or whole_family(G))
 
     def test_every_budget_across_rounds(self, walk_passes):
         # Every node budget up to the unbudgeted count, on instances whose
@@ -2357,14 +2396,15 @@ class TestDisjointRoundsOnTheMask:
         swept = 0
         for seed in range(60):
             G = disjoint_instance(seed)
+            k = whole_family(G)
             clear(walk_passes)
-            full = self.assert_same(G, G.n)
+            full = self.assert_same(G, k)
             if len(full.details["cycles"]) < 2 or full.nodes > 600:
                 continue
             swept += 1
             assert len(walk_passes["peel"]) > 2  # one per round, in both runs
             for b in range(1, full.nodes + 2):
-                out = self.assert_same(G, G.n, SearchBudget(max_nodes=b))
+                out = self.assert_same(G, k, SearchBudget(max_nodes=b))
                 assert (out.status == BUDGET_EXCEEDED) == (b < full.nodes)
         assert swept > 10
 
@@ -2391,6 +2431,102 @@ class TestDisjointRoundsOnTheMask:
         assert second < at
         for b in range(second - 5, full.nodes + 2):
             self.assert_same(G, 2, SearchBudget(max_nodes=b))
+
+
+def small_packing_instance(seed):
+    """A random graph on 6 to 9 vertices, sparse or dense, for the packing
+    oracle."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 9)
+    return random_edge_colored_graph(n, rng.choice((0.3, 0.5, 0.8)), rng.randint(2, 4), seed)
+
+
+@functools.cache
+def most_disjoint_pc_cycles(n, edges):
+    """The size of max_pc_cycle_packing on the graph of edges, once per
+    graph."""
+    return len(max_pc_cycle_packing(EdgeColoredGraph(n, edges)))
+
+
+class TestPackingBound:
+    """disjoint_pc_cycles against greedy_disjoint_pc_cycles, its rounds
+    without the packing bound. A search that the bound does not stop ends
+    as the greedy does, in status, witness, nodes and details. One that it
+    stops ends exhausted-none with details["bound"], a family that is a
+    prefix of the greedy's, and no more nodes; the greedy then ends
+    exhausted-none too, or, under a budget, budget-exceeded. A stop with no
+    cycle proves that G holds no k disjoint pc cycles, which the packing
+    oracle confirms wherever n <= 9."""
+
+    @staticmethod
+    def assert_bounded(G, k, budget=None):
+        out = disjoint_pc_cycles(G, k, budget)
+        ref = greedy_disjoint_pc_cycles(G, k, budget)
+        details = dict(out.details)
+        bound = details.pop("bound", None)
+        if bound is None:
+            assert (out.status, out.witness, out.nodes, details) == (
+                ref.status, ref.witness, ref.nodes, ref.details
+            )
+            return out, ref
+        cycles = out.details["cycles"]
+        assert out.status == EXHAUSTED and ref.status in (EXHAUSTED, BUDGET_EXCEEDED)
+        assert ref.details["cycles"][:len(cycles)] == cycles
+        assert out.nodes <= ref.nodes
+        assert bound["left"] == k - len(cycles) and bound["left"] * bound["least"] > bound["room"]
+        if not cycles and G.n <= 9:
+            assert most_disjoint_pc_cycles(G.n, G.edges) < k
+        return out, ref
+
+    def test_seeded_instances(self):
+        stops = Counter()
+        for seed in range(120):
+            G = disjoint_instance(seed)
+            for k in (1, 3, G.n):
+                out, ref = self.assert_bounded(G, k)
+                if "bound" in out.details:
+                    stops["after a cycle" if out.details["cycles"] else "at the root"] += 1
+                    stops["saved nodes"] += out.nodes < ref.nodes
+        assert min(stops.values()) > 20, stops
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 3, None)))
+    def test_hypothesis_instances(self, seed, k):
+        G = disjoint_instance(seed)
+        self.assert_bounded(G, k or G.n)
+
+    def test_every_budget(self):
+        # Every node budget up to the greedy's unbudgeted count, on instances
+        # that the bound stops after a cycle: a budget between the two
+        # counts stops the greedy, but not the bounded search.
+        swept = rescued = 0
+        for seed in range(60):
+            G = disjoint_instance(seed)
+            for k in (3, whole_family(G) + 1):
+                full, ref = self.assert_bounded(G, k)
+                if not full.details["cycles"] or "bound" not in full.details or ref.nodes > 600:
+                    continue
+                swept += 1
+                for b in range(1, ref.nodes + 2):
+                    out, greedy = self.assert_bounded(G, k, SearchBudget(max_nodes=b))
+                    assert (out.status == BUDGET_EXCEEDED) == (b < full.nodes)
+                    rescued += out.status != greedy.status
+        assert swept > 20 and rescued > 100
+
+    def test_a_stop_with_no_cycle_is_a_proof(self):
+        proofs = Counter()
+        for seed in range(40):
+            G = small_packing_instance(seed)
+            for k in range(1, G.n // 3 + 2):
+                out, _ = self.assert_bounded(G, k)
+                if "bound" in out.details and not out.details["cycles"]:
+                    proofs["peeled" if 3 * k <= G.n else "too few vertices"] += 1
+        assert min(proofs.values()) > 20, proofs
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_hypothesis_proofs(self, seed, k):
+        self.assert_bounded(small_packing_instance(seed), k)
 
 
 class TestSearchViewDrop:

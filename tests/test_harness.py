@@ -207,6 +207,35 @@ class TestCli:
         assert res.returncode == EXIT_INPUT_ERROR
         assert res.stderr == f"error: gen {what} needs -i/--input\n"
 
+    # Each generator with just the options it needs.
+    GEN_OPTIONS = {
+        "blowup": "--k 2",
+        "transitive": "--n 5",
+        "circulant": "--n 5",
+        "cycle": "--r 5",
+        "blowup-sig": "--r 5 --k 2",
+        "random": "--n 5 --p 0.5",
+        "proper-kst": "--s 2 --t 3",
+        "recolored": "--n 20 --s 3 --t 7 --gamma 0.1",
+    }
+
+    @pytest.mark.parametrize("what", list(GEN_OPTIONS))
+    def test_gen_names_each_missing_option(self, what, tmp_path, capsys):
+        # Without one of its options, a generator names that option, not the
+        # library's parameter it feeds.
+        org = tmp_path / "c.org"
+        assert cli.main(["gen", "cycle", "--r", "3", "-o", str(org)]) == 0
+        given = self.GEN_OPTIONS[what].split()
+        options = dict(zip(given[::2], given[1::2]))
+        assert tuple(o[2:] for o in options) == cli._GENERATORS[what][0]
+        tail = ["-i", str(org), "-o", str(tmp_path / "out")]
+        assert cli.main(["gen", what, *given, *tail]) == 0
+        capsys.readouterr()
+        for option in options:
+            rest = [x for o, v in options.items() if o != option for x in (o, v)]
+            assert cli.main(["gen", what, *rest, *tail]) == EXIT_INPUT_ERROR
+            assert capsys.readouterr().err == f"error: gen {what} needs {option}\n"
+
     def test_orient_with_report(self, tmp_path):
         ecg = tmp_path / "g.ecg"
         save(signature(transitive_tournament(8)), ecg)
@@ -474,7 +503,9 @@ def family_files(tmp_path_factory):
     ("b58", "find pipeline --max-len 6 -i {ecg}", 0, {"witness": [[0, 8, 16, 24, 32]]}),
     ("b58", "find pc-cycle --max-len 6 -i {ecg}", 0, {"witness": [[0, 8, 16, 24, 32]]}),
     ("b58", "find disjoint --k 3 -i {ecg}", 0, {"nodes": 999, "cycles": 3}),
-    ("b58", "find disjoint --k 9 -i {ecg}", 1, {"nodes": 1024, "cycles": 8}),
+    # After the first C5, 35 vertices cannot hold 8 more cycles of 5.
+    ("b58", "find disjoint --k 9 -i {ecg}", 1,
+     {"nodes": 989, "cycles": 1, "bound": {"left": 8, "least": 5, "room": 35}}),
     ("c21", "gen signature -i {org}", 0, {
         "sha256": "c86991e6e6c99e5d90cccff7e144930b4560963724d603e5bb39d49243cb07e5",
     }),
@@ -515,7 +546,7 @@ def test_cli_pins(family_files, tmp_path, capsys, family, command, code, pins):
         values.update(
             nodes=out["nodes"], witness=witness and witness["vertices"],
             walk_periods=out["details"].get("walk_periods"),
-            cycles=len(out["details"].get("cycles", [])),
+            cycles=len(out["details"].get("cycles", [])), bound=out["details"].get("bound"),
         )
     elif command.startswith("orient"):
         D, report = load(paths["corg"]), json.loads(paths["report"].read_text())
