@@ -143,22 +143,10 @@ def _cmd_orient(args) -> int:
             gc.enable()
 
 
-# The report as json.dumps(..., indent=2) lays it out, and one per_vertex
-# entry at depth 2. %r is float.__repr__ (and int.__repr__), which is what
-# the json encoder writes for finite numbers.
-_REPORT = (
-    '{\n  "schema": %d,\n  "n": %d,\n  "per_vertex": %s,\n  "s": %d,\n  "t": %d,\n'
-    '  "l": %s,\n  "x": %s,\n  "sigma": %r\n}\n'
-)
-_VERTEX_ROW = (
-    '    "%d": {\n      "dplus": %r,\n      "dc": %r,\n'
-    '      "bound": %r,\n      "margin": %r\n    }'
-)
-
-
 def _number_text(value) -> str:
     """A number, or a list of numbers, as json.dumps(..., indent=2) writes it
-    at depth 1."""
+    at depth 1. repr is float.__repr__ (and int.__repr__), which is what the
+    json encoder writes for finite numbers."""
     if not isinstance(value, list):
         return repr(value)
     return "[\n    " + ",\n    ".join(map(repr, value)) + "\n  ]" if value else "[]"
@@ -166,19 +154,23 @@ def _number_text(value) -> str:
 
 def _report_text(report: dict) -> str:
     """The orientation report with its schema version, exactly as
-    json.dumps({"schema": ..., **report}, indent=2) + "\\n" writes it.
+    json.dumps({"schema": ..., **report}, indent=2) + "\\n" writes it, keys
+    in the order the report has them.
 
     The text is formatted directly: json.dumps with indent runs the
     pure-Python encoder, which is slow and leaves reference cycles behind.
+    Every per_vertex entry has the keys of the first, in its order.
     """
     rows = report["per_vertex"]
-    per_vertex = "{\n" + ",\n".join([
-        _VERTEX_ROW % (v, r["dplus"], r["dc"], r["bound"], r["margin"]) for v, r in rows.items()
-    ]) + "\n  }" if rows else "{}"
-    return _REPORT % (
-        suites.SCHEMA_VERSION, report["n"], per_vertex, report["s"], report["t"],
-        _number_text(report["l"]), _number_text(report["x"]), report["sigma"],
-    )
+    per_vertex = "{}"
+    if rows:
+        first = next(iter(rows.values()))
+        row = '    "%d": {\n' + ",\n".join([f'      "{k}": %r' for k in first]) + "\n    }"
+        per_vertex = "{\n" + ",\n".join([row % (v, *r.values()) for v, r in rows.items()]) + "\n  }"
+    head = {"schema": suites.SCHEMA_VERSION, **report}
+    return "{\n" + ",\n".join([
+        f'  "{k}": {per_vertex if k == "per_vertex" else _number_text(v)}' for k, v in head.items()
+    ]) + "\n}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ from functools import lru_cache
 from .core import EdgeColoredGraph, OrientedGraph, _require_int, _require_real
 from .transforms import _signature_rows, blow_up, signature
 
-# Subset-density screening is exhaustive up to this order; beyond it a
-# seeded sample of SAMPLED_SUBSET_CHECKS subsets is tested instead, which
-# makes the generator a heuristic there rather than a certificate.
+# The largest order whose subset-density screen is run: the screen counts
+# every subset exhaustively, and its bitsets (up to 16 MB at n = 25) about
+# double with each further vertex.
 EXHAUSTIVE_SUBSET_MAX_N = 25
-SAMPLED_SUBSET_CHECKS = 50_000
 
 
 def transitive_tournament(n: int) -> OrientedGraph:
@@ -167,6 +166,8 @@ class RecolorParams:
 
     The (s+t)/(st-s-t) exponent requires st - s - t > 0; the asymptotic
     guarantee additionally assumes st > 2(s+t), which is not enforced.
+    n is at most EXHAUSTIVE_SUBSET_MAX_N, the largest order whose density
+    screen checks every (s+t)-vertex subset.
     """
 
     n: int
@@ -178,6 +179,8 @@ class RecolorParams:
 
     def __post_init__(self):
         _require_int("n", self.n, 3)
+        if self.n > EXHAUSTIVE_SUBSET_MAX_N:
+            raise ValueError(f"n must be at most {EXHAUSTIVE_SUBSET_MAX_N}, got {self.n}")
         _require_int("s", self.s, 2)
         _require_int("t", self.t, 2)
         if self.s * self.t - self.s - self.t <= 0:
@@ -237,57 +240,42 @@ def _subset_members(n: int, size: int) -> tuple[int, ...]:
     return tuple(rows[size])
 
 
-def _subset_density_ok(pairs, n: int, size: int, cap: int, rng: random.Random) -> bool:
-    """True when every `size`-vertex subset spans fewer than `cap` pairs.
+def _subset_density_ok(pairs, n: int, size: int, cap: int) -> bool:
+    """True when every `size`-vertex subset of range(n) spans fewer than
+    `cap` pairs; with no such subset (size > n) that holds vacuously. A
+    degree prefilter (the `size` largest degrees cannot reach cap) accepts
+    first.
 
-    Exhaustive for n <= EXHAUSTIVE_SUBSET_MAX_N, otherwise a seeded sample
-    of SAMPLED_SUBSET_CHECKS subsets. A degree prefilter (the `size` largest
-    degrees cannot reach cap) accepts first.
-
-    The exhaustive check counts all C(n, size) subsets at once with
-    Python-int bitsets: _subset_members gives each vertex one int of C(n,
-    size) bits, the subsets that hold it, and M[u] & M[v] flags the subsets
-    that span the pair uv. Those flags are added into a bit-sliced counter
-    of cap.bit_length() planes, one bit per subset in each plane, that
-    starts every subset at 2**planes - cap; a subset spans cap or more
-    pairs exactly when its count carries out of the top plane. The cached
+    The check counts all C(n, size) subsets at once with Python-int
+    bitsets: _subset_members gives each vertex one int of C(n, size) bits,
+    the subsets that hold it, and M[u] & M[v] flags the subsets that span
+    the pair uv. Those flags are added into a bit-sliced counter of
+    cap.bit_length() planes, one bit per subset in each plane, that starts
+    every subset at 2**planes - cap; a subset spans cap or more pairs
+    exactly when its count carries out of the top plane. The cached
     membership takes n x C(n, size) bits (16 MB at n = 25, size = 12) and
     the counter cap.bit_length() x C(n, size) more.
     """
-    if len(pairs) < cap:
+    if len(pairs) < cap or size > n:
         return True
-    if size >= n:
-        return len(pairs) < cap
     degrees = [0] * n
     for u, v in pairs:
         degrees[u] += 1
         degrees[v] += 1
     if sum(sorted(degrees)[-size:]) // 2 < cap:
         return True
-    if n <= EXHAUSTIVE_SUBSET_MAX_N:
-        member = _subset_members(n, size)
-        planes = cap.bit_length()
-        full = (1 << math.comb(n, size)) - 1
-        bias = (1 << planes) - cap
-        counter = [full if bias >> j & 1 else 0 for j in range(planes)]
-        for u, v in pairs:
-            carry = member[u] & member[v]
-            for j in range(planes):
-                counter[j], carry = counter[j] ^ carry, counter[j] & carry
-                if not carry:
-                    break
-            else:
-                return False
-        return True
-    adj: list[set[int]] = [set() for _ in range(n)]
+    member = _subset_members(n, size)
+    planes = cap.bit_length()
+    full = (1 << math.comb(n, size)) - 1
+    bias = (1 << planes) - cap
+    counter = [full if bias >> j & 1 else 0 for j in range(planes)]
     for u, v in pairs:
-        adj[u].add(v)
-        adj[v].add(u)
-    for _ in range(SAMPLED_SUBSET_CHECKS):
-        subset = rng.sample(range(n), size)
-        inside = set(subset)
-        count = sum(len(adj[v] & inside) for v in subset) // 2
-        if count >= cap:
+        carry = member[u] & member[v]
+        for j in range(planes):
+            counter[j], carry = counter[j] ^ carry, counter[j] & carry
+            if not carry:
+                break
+        else:
             return False
     return True
 
@@ -364,7 +352,7 @@ def recolored_tournament(params: RecolorParams) -> tuple[EdgeColoredGraph, int]:
         if not ok:
             rejected_coverage += 1
             continue
-        if not _subset_density_ok(sample, n, size, cap, rng):
+        if not _subset_density_ok(sample, n, size, cap):
             rejected_density += 1
             continue
         colors = dict(((u, v), c) for u, v, c in base.edges)
@@ -412,9 +400,7 @@ def verify_recolored(params: RecolorParams, G: EdgeColoredGraph) -> bool:
         return False
     if params.p == 0.0:
         return not sampled
-    rng = random.Random(params.seed)
-    if not _subset_density_ok(sampled, params.n, params.s + params.t,
-                              params.density_cap, rng):
+    if not _subset_density_ok(sampled, params.n, params.s + params.t, params.density_cap):
         return False
     need = math.floor(params.degree_floor)
     sampled_set = set(sampled)

@@ -63,11 +63,18 @@ def blow_up(D: OrientedGraph, k: int) -> OrientedGraph:
 
 def relabel(G: EdgeColoredGraph, perm, colors=None) -> EdgeColoredGraph:
     """G with its vertex v moved to perm[v], a permutation of range(n), and,
-    when colors is given, each color c renamed colors[c]; a bipartition
-    moves with its vertices.
+    when colors is given, each color c renamed colors[c], a dict that names
+    each of G's colors and sends no two to one; a bipartition moves with its
+    vertices.
     """
     if sorted(perm) != list(range(G.n)):
         raise ValueError("perm is not a permutation of the vertices")
+    if colors is not None:
+        used = {c for _, _, c in G.edges}
+        if not used <= colors.keys():
+            raise ValueError(f"colors does not rename color {min(used - colors.keys())}")
+        if len({colors[c] for c in used}) < len(used):
+            raise ValueError("colors renames two colors to one")
     rows = [(perm[u], perm[v], c if colors is None else colors[c]) for u, v, c in G.edges]
     sides = G.bipartition
     parts = None if sides is None else tuple([perm[v] for v in side] for side in sides)

@@ -319,6 +319,19 @@ class TestRecoloredTournament:
         with pytest.raises(ValueError, match="exceeds 1"):
             RecolorParams(n=20, s=3, t=7, gamma=5.0, seed=0)
 
+    def test_n_above_the_exhaustive_screen_rejected(self):
+        RecolorParams(n=constructions.EXHAUSTIVE_SUBSET_MAX_N, s=3, t=7, gamma=0.1, seed=0)
+        with pytest.raises(ValueError, match="n must be at most 25, got 26"):
+            RecolorParams(n=26, s=3, t=7, gamma=0.1, seed=0)
+
+    def test_s_plus_t_above_n_passes_the_density_screen(self):
+        # s + t = 5 > n = 4: no 5-vertex subset exists, so the density cap
+        # holds for every sample and the first attempt is accepted.
+        params = RecolorParams(n=4, s=2, t=3, gamma=100, seed=1, max_tries=2000)
+        G, attempts = recolored_tournament(params)
+        assert attempts == 1
+        assert verify_recolored(params, G)
+
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             RecolorParams(n=10, s=2, t=2, gamma=0.1, seed=0)  # st - s - t = 0
@@ -332,6 +345,15 @@ class TestRecoloredTournament:
             "attempts": 5, "rejected_coverage": 0, "rejected_density": 5,
             "p": params.p, "degree_floor": params.degree_floor, "density_cap": 11,
         }
+
+    def test_under_covered_samples_are_rejected(self):
+        # s = t = 4 at n = 20: p = 0.4 and every vertex needs one sampled
+        # in-edge, which some attempts miss.
+        params = RecolorParams(n=20, s=4, t=4, gamma=1.0, seed=0, max_tries=20)
+        with pytest.raises(RecolorError) as exc:
+            recolored_tournament(params)
+        assert exc.value.stats["rejected_coverage"] == 2
+        assert exc.value.stats["rejected_density"] == 18
 
     def test_verify_rejects_predicate_violations(self):
         params = RecolorParams(n=20, s=3, t=7, gamma=0.1, seed=3)
@@ -362,6 +384,11 @@ class TestRecoloredTournament:
         missing = EdgeColoredGraph(20, list(base.edges)[1:])
         assert not verify_recolored(params, missing)
 
+        # with no recolored pair no vertex meets a coverage floor of 1
+        floor_one = RecolorParams(n=20, s=3, t=7, gamma=1.5, seed=3)
+        assert math.floor(floor_one.degree_floor) == 1
+        assert not verify_recolored(floor_one, base)
+
 
 def density_case(rng, n):
     """Random pairs on n vertices, a dense pocket on a random vertex set
@@ -385,9 +412,9 @@ class TestSubsetDensity:
                 assert list(constructions._subset_members(n, size)) == want
 
     def test_matches_brute_force(self, monkeypatch):
-        # Every size from 2 to n-1 and every cap from 1 to C(size, 2) + 1;
+        # Every size from 2 to n + 2 and every cap from 1 to C(size, 2) + 1;
         # the pockets make many cases pass the degree prefilter and reach
-        # the exhaustive count.
+        # the exhaustive count. Above n no subset exists, so every cap holds.
         exhaustive = []
         members = constructions._subset_members
         monkeypatch.setattr(
@@ -399,10 +426,10 @@ class TestSubsetDensity:
         for n in range(3, 13):
             for _ in range(3):
                 pairs = density_case(rng, n)
-                for size in range(2, n):
+                for size in range(2, n + 3):
                     for cap in range(1, math.comb(size, 2) + 2):
                         want = brute_subset_density_ok(pairs, n, size, cap)
-                        got = constructions._subset_density_ok(pairs, n, size, cap, random.Random(0))
+                        got = constructions._subset_density_ok(pairs, n, size, cap)
                         assert got == want, (n, size, cap, pairs)
                         rejected += not want
         assert len(exhaustive) > 1000 and rejected > 1000
@@ -411,12 +438,12 @@ class TestSubsetDensity:
     @given(st.data())
     def test_matches_brute_force_hypothesis(self, data):
         n = data.draw(st.integers(3, 12))
-        size = data.draw(st.integers(2, n - 1))
+        size = data.draw(st.integers(2, n + 2))
         cap = data.draw(st.integers(1, math.comb(size, 2) + 1))
         every = list(combinations(range(n), 2))
         pairs = sorted(data.draw(st.sets(st.sampled_from(every))))
         want = brute_subset_density_ok(pairs, n, size, cap)
-        assert constructions._subset_density_ok(pairs, n, size, cap, random.Random(0)) == want
+        assert constructions._subset_density_ok(pairs, n, size, cap) == want
 
     def test_dense_pocket_at_the_cap(self, monkeypatch):
         # cap pairs, all inside one size-vertex pocket, pass the degree
@@ -433,6 +460,6 @@ class TestSubsetDensity:
             pocket = sorted(rng.sample(range(n), size))
             for cap in (1, size, math.comb(size, 2) - 1, math.comb(size, 2)):
                 pairs = sorted(rng.sample(list(combinations(pocket, 2)), cap))
-                assert not constructions._subset_density_ok(pairs, n, size, cap, random.Random(0))
-                assert constructions._subset_density_ok(pairs, n, size, cap + 1, random.Random(0))
+                assert not constructions._subset_density_ok(pairs, n, size, cap)
+                assert constructions._subset_density_ok(pairs, n, size, cap + 1)
         assert len(exhaustive) == 3 * 4

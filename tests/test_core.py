@@ -96,6 +96,12 @@ class TestInvariants:
         with pytest.raises(ValueError, match="vertex"):
             EdgeColoredGraph(2, [(0, 2, 0)])
 
+    def test_color_of_a_non_edge(self):
+        G = EdgeColoredGraph(3, [(0, 1, 4)])
+        assert G.color_of(1, 0) == 4
+        with pytest.raises(ValueError, match=re.escape("edge {2,0} not in graph")):
+            G.color_of(2, 0)
+
     def test_canonical_storage(self):
         G = EdgeColoredGraph(4, [(3, 1, 7), (2, 0, 1)])
         assert G.edges == ((0, 2, 1), (1, 3, 7))
@@ -680,6 +686,8 @@ class TestPredicates:
             is_properly_colored(mono_triangle(), [(0, 1), (1, 3)])
         with pytest.raises(ValueError, match="color"):
             is_rainbow(mono_triangle(), [(0, 1, 9)])
+        with pytest.raises(ValueError, match="neither a pair nor a triple"):
+            is_properly_colored(mono_triangle(), [(0, 1), (0, 1, 2, 0)])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))

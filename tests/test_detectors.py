@@ -2745,6 +2745,8 @@ class TestExtractRainbowKst:
             extract_rainbow_kst(mono, (0, 1), (2, 3), 1)
         with pytest.raises(ValueError, match="disjoint"):
             extract_rainbow_kst(G, (0, 1), (1, 2, 3, 4, 5), 1)
+        with pytest.raises(ValueError, match="S and B must be nonempty"):
+            extract_rainbow_kst(G, (), (2, 3, 4, 5), 1)
 
 
 class TestTotalDegreeThreshold:

@@ -219,6 +219,7 @@ class TestParseErrors:
             ("ecg 4 1\n0 1 ;\n", 2, "not an integer: ';'"),
             ("ecg 4 2\n0 1 ;\n; 2 3 4\n", 2, "not an integer: ';'"),
             ("ecg 4 0\n0 1 2\n", 2, "expected 0 edge lines, found 1"),
+            ("ecg -1 0\n", 1, "n and m must be nonnegative"),
         ],
     )
     def test_ecg_errors(self, text, line, needle):
@@ -250,6 +251,8 @@ class TestParseErrors:
              "expected 3 fields for a colored arc, got 4"),
             (parse_corg, "corg 3 2\n0 1 5\n1\n2 0\n", 4, "expected 2 arc lines, found 3"),
             (parse_org, "org 3 2\n0 1\n1 2\n0\n", 4, "expected 2 arc lines, found 3"),
+            (parse_org, "org 3 -1\n", 1, "n and m must be nonnegative"),
+            (parse_corg, "corg -2 0\n", 1, "n and m must be nonnegative"),
         ],
     )
     def test_org_corg_errors(self, parse, text, line, needle):

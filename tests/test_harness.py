@@ -400,6 +400,11 @@ class TestCli:
         assert res.returncode == 0
         assert "accepted after" in res.stderr
 
+    def test_gen_recolored_refuses_n_above_the_exhaustive_screen(self, capsys):
+        argv = ["gen", "recolored", "--n", "26", "--s", "3", "--t", "7", "--gamma", "0.1"]
+        assert cli.main(argv) == EXIT_INPUT_ERROR
+        assert "n must be at most 25, got 26" in capsys.readouterr().err
+
     def test_gen_transform_chain(self, tmp_path):
         cyc = tmp_path / "c6.org"
         assert run_cli("gen", "cycle", "--r", "6", "-o", str(cyc)).returncode == 0

@@ -189,3 +189,13 @@ class TestRelabel:
     def test_refuses_a_map_that_is_not_a_permutation(self, perm):
         with pytest.raises(ValueError):
             relabel(EdgeColoredGraph(3, [(0, 1, 0), (1, 2, 1)]), perm)
+
+    @pytest.mark.parametrize("colors,needle", [
+        ({0: 5, 1: 5}, "renames two colors to one"),
+        ({0: 4, 2: 5}, "does not rename color 1"),
+    ])
+    def test_refuses_a_color_map_that_is_not_a_renaming(self, colors, needle):
+        # Merging the two colors of this PC C4 would leave no PC K_{2,2}.
+        C4 = EdgeColoredGraph(4, [(0, 1, 0), (1, 2, 1), (2, 3, 0), (0, 3, 1)])
+        with pytest.raises(ValueError, match=needle):
+            relabel(C4, range(4), colors)
