@@ -53,24 +53,23 @@ def directed_cycle(r: int) -> OrientedGraph:
 def blowup_cycle_signature(r: int, k: int) -> EdgeColoredGraph:
     """Signature of the k-blow-up of a directed r-cycle.
 
-    Block b is {b*k, ..., b*k + k - 1}. Odd r blows up directed_cycle(r).
-    Even r blows up the r-cycle 0 -> h -> 1 -> h+1 -> ... -> h-1 -> r-1 -> 0
-    (h = r/2): position p of the cycle is block p // 2 + (p % 2) * h, so the
-    attached bipartition has side 1 = {0, ..., h*k - 1}, a vertex prefix.
-    Even r builds the graph once, with its bipartition, from signature's
+    Block b is {b*k, ..., b*k + k - 1}, and position p of the cycle is
+    block at[p]. Odd r takes at[p] = p, the cycle 0 -> 1 -> ... -> r-1 -> 0.
+    Even r takes the cycle 0 -> h -> 1 -> h+1 -> ... -> h-1 -> r-1 -> 0
+    (h = r/2), at[p] = p // 2 + (p % 2) * h, so the attached bipartition
+    has side 1 = {0, ..., h*k - 1}, a vertex prefix; odd r has none.
+    The graph is built once, with its bipartition, from signature's
     ascending rows, so one constructor checks each edge, and its crossing,
     once.
     Every vertex has out-degree and in-degree k in the blow-up, so the
     minimum color degree is k + 1.
     """
     _require_int("r", r, 3)
-    if r % 2:
-        return signature(blow_up(directed_cycle(r), k))
     h = r // 2
-    at = [p // 2 + (p % 2) * h for p in range(r)]
+    at = range(r) if r % 2 else [p // 2 + (p % 2) * h for p in range(r)]
     D = blow_up(OrientedGraph(r, [(at[p - 1], at[p]) for p in range(r)]), k)
-    return EdgeColoredGraph(D.n, _signature_rows(D.arcs),
-                            bipartition=(range(h * k), range(h * k, r * k)))
+    sides = None if r % 2 else (range(h * k), range(h * k, r * k))
+    return EdgeColoredGraph(D.n, _signature_rows(D.arcs), bipartition=sides)
 
 
 def extremal_no_pc_c4(k: int) -> EdgeColoredGraph:
@@ -355,7 +354,7 @@ def recolored_tournament(params: RecolorParams) -> tuple[EdgeColoredGraph, int]:
         if not _subset_density_ok(sample, n, size, cap):
             rejected_density += 1
             continue
-        colors = dict(((u, v), c) for u, v, c in base.edges)
+        colors = dict(base.pair_colors)
         max_color = max(colors.values())
         for rank, pair in enumerate(sorted(sample), start=1):
             colors[pair] = max_color + rank
@@ -383,12 +382,9 @@ def verify_recolored(params: RecolorParams, G: EdgeColoredGraph) -> bool:
     neighborhood coverage floor, and freshness/uniqueness of the new colors.
     """
     T = circulant_tournament(params.n)
-    base = signature(T)
-    if G.n != base.n or {(u, v) for u, v, _ in G.edges} != {
-        (u, v) for u, v, _ in base.edges
-    }:
+    base_colors = signature(T).pair_colors
+    if G.n != params.n or G.pair_colors.keys() != base_colors.keys():
         return False
-    base_colors = {(u, v): c for u, v, c in base.edges}
     max_base = max(base_colors.values())
     sampled = []
     fresh = []

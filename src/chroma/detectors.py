@@ -914,8 +914,9 @@ def _return_table(adj, start: int, allowed, limit: int, clock: _Clock, live: byt
 
 def _pc_cycle_impl(lengths, walks: _WalkClasses):
     """The groups (cycle,) of the first properly colored cycle found in the
-    view walks, on its clock, trying the cycle lengths in the order given
-    and skipping those above n; or None.
+    view walks, on its clock, trying the cycle lengths in the order given;
+    or None. The entry points bound their lengths by n; a length above n,
+    which only an unbounded list such as a test oracle's holds, is skipped.
 
     Length 4 is the properly colored K_{2,2} scan of _kst_impl, whose sides
     are read as a C4 (see _c4). Every other length L is a DFS from the
@@ -999,9 +1000,10 @@ def _run_cycles(G, lengths, budget, details: dict) -> SearchOutcome:
     )
 
 
-def _c4_first(r: int) -> tuple:
-    """The cycle lengths 4, 3, 5, ..., r: a C4 first, then ascending."""
-    return (4, 3, *range(5, r + 1))
+def _c4_first(m: int) -> tuple:
+    """The cycle lengths 4, 3, 5, ..., m: a C4 first, then ascending, and
+    none above m, so (3,) for m = 3 and () for m < 3."""
+    return (*(L for L in (4, 3) if L <= m), *range(5, m + 1))
 
 
 def find_pc_cycle_upto(
@@ -1009,10 +1011,11 @@ def find_pc_cycle_upto(
 ) -> SearchOutcome:
     """Find a shortest properly colored cycle of length at most r.
 
-    Tries the lengths 3..r in ascending order (see _pc_cycle_impl) on a
-    search view of G (see _WalkClasses). found carries the first length's
-    witness: at length 4 the C4 (a, u, b, v) on the sides (a, b), (u, v) of
-    find_pc_kst's witness, at any other the lexicographically least cycle;
+    Tries the lengths 3..min(r, n), since no cycle is longer than n, in
+    ascending order (see _pc_cycle_impl) on a search view of G (see
+    _WalkClasses). found carries the first length's witness: at length 4
+    the C4 (a, u, b, v) on the sides (a, b), (u, v) of find_pc_kst's
+    witness, at any other the lexicographically least cycle;
     exhausted-none means G has no properly colored cycle of length <= r.
     An acyclic signature peels to nothing, one node per edge; a cycle found
     within the rent costs no hub pass (circulant signature on 201
@@ -1021,7 +1024,7 @@ def find_pc_cycle_upto(
     find_pc_kst.
     """
     _require_int("r", r, 3)
-    return _run_cycles(G, range(3, r + 1), budget, {})
+    return _run_cycles(G, range(3, min(r, G.n) + 1), budget, {})
 
 
 def find_rainbow_c4(
@@ -1108,14 +1111,15 @@ def pc_short_cycle_pipeline(
 ) -> SearchOutcome:
     """Search for a properly colored cycle of length at most r, a C4 first.
 
-    Tries length 4, then 3 and 5..r, on one search view and one clock, as
-    find_pc_cycle_upto tries its lengths. So found carries a properly
-    colored C4 whenever G has one, and else find_pc_cycle_upto's witness at
-    r; exhausted-none means G has no properly colored cycle of length <= r.
-    details holds r, and walk_periods as in find_pc_kst.
+    Tries length 4, then 3 and 5..r, none above n (_c4_first(min(r, n))),
+    on one search view and one clock, as find_pc_cycle_upto tries its
+    lengths. So found carries a properly colored C4 whenever G has one,
+    and else find_pc_cycle_upto's witness at r; exhausted-none means G has
+    no properly colored cycle of length <= r. details holds r, and
+    walk_periods as in find_pc_kst.
     """
     _require_int("r", r, 4)
-    return _run_cycles(G, _c4_first(r), budget, {"r": r})
+    return _run_cycles(G, _c4_first(min(r, G.n)), budget, {"r": r})
 
 
 def _packing_bound(left: int, walks: _WalkClasses, classes, dropped) -> Optional[dict]:
@@ -1283,20 +1287,15 @@ def check_total_degree_threshold(
 # Exhaustive cycle enumeration (small-graph oracle support)
 # ---------------------------------------------------------------------------
 
-def all_simple_cycles(n: int, edge_pairs) -> list[tuple[int, ...]]:
-    """All simple cycles of an undirected graph, one canonical tuple each.
+def all_simple_cycles(G: EdgeColoredGraph) -> list[tuple[int, ...]]:
+    """All simple cycles of G's underlying graph, one canonical tuple each.
 
     Canonical form: the sequence starts at the cycle's smallest vertex and
-    runs toward the smaller of its two neighbors on the cycle. Intended for
-    small n; the count grows exponentially.
+    runs toward the smaller of its two neighbors on the cycle. The walk
+    reads the neighbors of G.adj, which are ascending. Intended for small
+    n; the count grows exponentially.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in edge_pairs:
-        u, v = e[0], e[1]
-        adj[u].append(v)
-        adj[v].append(u)
-    for row in adj:
-        row.sort()
+    adj = [[v for v, _ in nbrs] for nbrs in G.adj]
 
     cycles: list[tuple[int, ...]] = []
     path: list[int] = []
@@ -1314,7 +1313,7 @@ def all_simple_cycles(n: int, edge_pairs) -> list[tuple[int, ...]]:
                 path.pop()
                 on_path.discard(w)
 
-    for start in range(n):
+    for start in range(G.n):
         path = [start]
         on_path = {start}
         dfs(start, start)

@@ -141,7 +141,7 @@ def _suite_signature_laws(trials, seed, report):
             arcset = set(D.arcs)
             directed = set()
             pc = set()
-            for cyc in all_simple_cycles(n, [(u, v) for u, v, _ in sig.edges]):
+            for cyc in all_simple_cycles(sig):
                 k = len(cyc)
                 fwd = all((cyc[j], cyc[(j + 1) % k]) in arcset for j in range(k))
                 bwd = all((cyc[(j + 1) % k], cyc[j]) in arcset for j in range(k))

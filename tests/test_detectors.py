@@ -2149,6 +2149,56 @@ class TestPipelineIsTheDfs:
         assert_pipeline_is_the_dfs(G, random.Random(seed).randint(4, max(4, G.n)))
 
 
+class TestLengthsBoundedByN:
+    """No cycle is longer than n, so neither entry point hands the cycle
+    search a length above n, whatever r the caller asks for."""
+
+    @staticmethod
+    def graphs():
+        yield EdgeColoredGraph(2, [(0, 1, 0)])
+        yield signature(directed_cycle(3))
+        yield signature(transitive_tournament(10))
+        yield signature(circulant_tournament(7))
+        yield blowup_cycle_signature(5, 2)
+        yield blowup_cycle_signature(6, 2)
+        for seed in range(12):
+            yield random_edge_colored_graph(3 + seed % 6, 0.6, 3, seed)
+
+    def test_c4_first_stops_at_m(self):
+        assert detectors._c4_first(2) == ()
+        assert detectors._c4_first(3) == (3,)
+        assert detectors._c4_first(4) == (4, 3)
+        assert detectors._c4_first(7) == (4, 3, 5, 6, 7)
+
+    @pytest.mark.parametrize("search, least", [
+        (find_pc_cycle_upto, 3), (pc_short_cycle_pipeline, 4),
+    ])
+    def test_huge_r_is_r_equal_n(self, monkeypatch, search, least):
+        handed = []
+        impl = detectors._pc_cycle_impl
+
+        def recording(lengths, walks):
+            handed.append(list(lengths))
+            return impl(lengths, walks)
+
+        monkeypatch.setattr(detectors, "_pc_cycle_impl", recording)
+        for G in self.graphs():
+            handed.clear()
+            huge = search(G, 10**6)
+            assert handed and all(L <= G.n for L in handed[0])
+            lengths = handed[0]
+            at_n = search(G, max(G.n, least))
+            assert handed[1] == lengths
+            assert (huge.status, huge.nodes, huge.witness) == (
+                at_n.status, at_n.nodes, at_n.witness
+            )
+            # pipeline keeps the r it was asked for
+            if "r" in huge.details:
+                assert huge.details.pop("r") == 10**6
+                at_n.details.pop("r")
+            assert huge.details == at_n.details
+
+
 class TestNoPcC4Family:
     """Blow-ups of a directed C5 and a directed C7, with their own ids and
     relabelled: the paper's own regime. They have no pc C4 and no pc cycle
@@ -2980,7 +3030,7 @@ class TestWitnessVerification:
             n = rng.randint(3, 7)
             G = random_edge_colored_graph(n, 0.6, 2, seed)
             pairs = [(u, v) for u, v, _ in G.edges]
-            assert set(all_simple_cycles(n, pairs)) == all_cycles_by_permutation(n, pairs)
+            assert set(all_simple_cycles(G)) == all_cycles_by_permutation(n, pairs)
             # The path-growing oracle agrees with the permutation one.
             lengths = brute_pc_cycle_lengths(G)
             for r in range(3, n + 1):

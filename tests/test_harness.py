@@ -37,6 +37,15 @@ def rainbow_k4():
     return EdgeColoredGraph(4, edges)
 
 
+def with_triangles(monkeypatch):
+    """Swap the blown-up C3's signature in for the triangle-free extremal
+    family: it has the family's minimum color degree and no rainbow C4, but
+    it has triangles, so only the triangle check of that suite fails."""
+    monkeypatch.setattr(
+        suites, "extremal_no_rainbow_c4_trianglefree", lambda k: blowup_cycle_signature(3, k)
+    )
+
+
 class TestRunSuite:
     def test_zero_trials_pass(self):
         for name in SUITE_NAMES:
@@ -76,6 +85,13 @@ class TestRunSuite:
         assert "parity: a pendant vertex keeps the status" in failed
         assert "parity: renaming colors keeps status, nodes and witness vertices" in failed
         assert "parity: relabelling keeps the status and a witness on G" not in failed
+
+    def test_extremal_catches_a_triangle(self, monkeypatch):
+        with_triangles(monkeypatch)
+        rep = run_suite("extremal", 6, 1)
+        assert [f.assertion for f in rep.failures] == [
+            f"no-rainbow-C4 family k={k} is triangle-free" for k in (1, 2, 3)
+        ]
 
     def test_digest_stable(self):
         G = rainbow_k4()
@@ -460,6 +476,59 @@ class TestCli:
         )
         assert res.returncode == 0
         assert isinstance(json.loads(repj.read_text())["l"], int)
+
+
+class TestVerifyAndAnalyzeInProcess:
+    def test_verify_passing_suite_writes_its_report(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert cli.main(["verify", "extremal", "--trials", "6", "--json", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("suite extremal: PASS (6 trials, 0 failures, ")
+        rep, again = json.loads(out.read_text()), run_suite("extremal", 6, 0).to_dict()
+        rep.pop("elapsed_s"), again.pop("elapsed_s")
+        assert rep == again and rep["failures"] == 0
+
+    def test_verify_failing_suite_names_seed_and_digest(self, monkeypatch, capsys):
+        with_triangles(monkeypatch)
+        assert cli.main(["verify", "extremal", "--trials", "4"]) == 1
+        head, *rows = capsys.readouterr().out.splitlines()
+        assert head.startswith("suite extremal: FAIL (4 trials, 1 failures, ")
+        G = blowup_cycle_signature(3, 1)
+        # seed 0 (the default) gives trial k = 1 the seed 0 ^ 1
+        assert rows == [
+            f"  seed=1 digest={instance_digest(G)} no-rainbow-C4 family k=1 is triangle-free"
+        ]
+
+    @pytest.fixture
+    def ecg(self, tmp_path):
+        path = tmp_path / "g.ecg"
+        save(extremal_no_pc_c4(2), path)
+        return path
+
+    def test_analyze_text(self, ecg, capsys):
+        assert cli.main(["analyze", "-i", str(ecg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rep = analyze(extremal_no_pc_c4(2))
+        assert lines[:2] == [
+            "n=12 m=24",
+            "min color degree=3 max mono degree=2 total color degree=36",
+        ]
+        assert [line.split(":")[0].strip() for line in lines[2:]] == list(rep["thresholds"])
+
+    def test_analyze_json(self, ecg, capsys):
+        assert cli.main(["analyze", "-i", str(ecg), "--r", "5", "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep == analyze(extremal_no_pc_c4(2), r=5)
+        assert list(rep["thresholds"]) == [
+            "short_pc_cycle_conjectural", "pc_c4_min_color_degree",
+            "rainbow_c4_min_color_degree", "pc_k22_total_color_degree_bipartite",
+            "pc_k22_total_color_degree",
+        ]
+
+    def test_analyze_refuses_an_oriented_graph(self, tmp_path, capsys):
+        org = tmp_path / "c.org"
+        save(transitive_tournament(4), org)
+        assert cli.main(["analyze", "-i", str(org)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: analyze expects an .ecg input\n"
 
 
 # Four families, each written by chroma gen: the signatures of the transitive
